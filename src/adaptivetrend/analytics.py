@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .indicators import rolling_sharpe
-from .market_data import SECONDS_PER_YEAR, PriceSeries
+from .market_data import SECONDS_PER_YEAR, PriceSeries, write_csv
 from .signal_engine import TradeRecord
 
 if TYPE_CHECKING:
@@ -50,10 +50,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -224,19 +220,9 @@ def regime_metrics(
 
 
 def write_regime_csv(per_regime: Dict[str, dict], path: str) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGIME_CSV_HEADER)
-        for regime in (BULL, BEAR, SIDEWAYS):
-            row = per_regime.get(regime)
-            if row is None:
-                continue
-            writer.writerow([regime] + [
-                "" if row[k] is None else repr(row[k]) if isinstance(row[k], float)
-                else row[k]
-                for k in REGIME_CSV_HEADER[1:]
-            ])
+    write_csv(path, REGIME_CSV_HEADER, (
+        [regime] + [per_regime[regime][k] for k in REGIME_CSV_HEADER[1:]]
+        for regime in (BULL, BEAR, SIDEWAYS) if regime in per_regime))
 
 
 # ---------------------------------------------------------------------------

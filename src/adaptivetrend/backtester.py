@@ -10,7 +10,6 @@ month exit idles until the month ends (weights are set once per month).
 Ablation variants toggle one pipeline component each and reuse the same loop.
 """
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,7 +18,8 @@ import numpy as np
 
 from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
-                          PriceSeries, month_add, month_floor, month_id)
+                          PriceSeries, month_add, month_floor, month_id,
+                          read_csv, write_csv)
 from .rebalancer import (MonthlyPortfolio, RebalanceConfig, run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 
@@ -137,10 +137,11 @@ def aggregate_results(
 
 def _check_history(universe: Dict[str, PriceSeries], first_month: int,
                    last_month: int, interval: int) -> None:
-    if not universe:
-        raise DataError("universe is empty")
-    earliest = min(s.bars[0].timestamp for s in universe.values() if len(s) > 0)
-    latest = max(s.bars[-1].timestamp for s in universe.values() if len(s) > 0)
+    live = [s for s in universe.values() if len(s) > 0]
+    if not live:
+        raise DataError("universe has no bars")
+    earliest = min(s.bars[0].timestamp for s in live)
+    latest = max(s.bars[-1].timestamp for s in live)
     prev = month_add(first_month, -1)
     if earliest > prev + interval:
         raise DataError(
@@ -313,29 +314,12 @@ def run_ablation(
 # ---------------------------------------------------------------------------
 
 def save_equity(curve: EquityCurve, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EQUITY_HEADER)
-        for ts, bal in zip(curve.timestamps, curve.balances):
-            writer.writerow([int(ts), repr(float(bal))])
+    write_csv(path, EQUITY_HEADER, ([int(ts), bal] for ts, bal
+                                    in zip(curve.timestamps, curve.balances)))
 
 
 def load_equity(path: str) -> EquityCurve:
-    ts, bal = [], []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EQUITY_HEADER:
-            raise DataError(f"{path}: expected header {','.join(EQUITY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                ts.append(int(row[0]))
-                bal.append(float(row[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-    return EquityCurve(timestamps=np.array(ts, dtype=np.int64),
-                       balances=np.array(bal))
+    rows = read_csv(path, EQUITY_HEADER,
+                    lambda row: (int(row[0]), float(row[1])))
+    return EquityCurve(timestamps=np.array([t for t, _ in rows], dtype=np.int64),
+                       balances=np.array([b for _, b in rows], dtype=np.float64))

@@ -11,14 +11,15 @@ Subcommands:
 Configuration is a flat text file of `key = value` lines with dotted keys
 (full-line # comments allowed). Every strategy constant is a key with its
 default documented in CONFIG_SCHEMA; unknown keys are rejected by name.
-All artifact files are written atomically (temp file + rename) and reruns
+Every file written, run artifacts and `synth` output alike, is written
+atomically (a per-process temp file renamed over the target), and reruns
 with identical inputs produce byte-identical results (the run manifest,
 which records wall-clock duration, is the one exception).
 """
 
 import argparse
+import csv
 import hashlib
-import io
 import json
 import logging
 import math
@@ -39,12 +40,13 @@ from .backtester import (BacktestConfig, BacktestResult, EquityCurve,
 from .benchmarks import BenchmarkSpec, run_benchmark
 from .cost_model import CostConfig, load_funding_rates
 from .market_data import (DataError, MarketCapRecord, PriceSeries,
-                          SyntheticSpec, bars_per_year, date_of_ts,
-                          generate_synthetic_universe, load_market_caps,
-                          load_price_series, resample_series,
-                          save_market_caps, save_price_series)
+                          SyntheticSpec, atomic_write_text, bars_per_year,
+                          date_of_ts, generate_synthetic_universe,
+                          load_market_caps, load_price_series, read_csv,
+                          resample_series, save_market_caps,
+                          save_price_series, write_csv)
 from .rebalancer import ParamGrid, RebalanceConfig, cap_snapshot
-from .signal_engine import read_ledger, write_ledger
+from .signal_engine import write_ledger
 
 logger = logging.getLogger(__name__)
 
@@ -307,40 +309,16 @@ def digest_dir(data_dir: str) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Atomic artifact writing
+# Artifact writing
 # ---------------------------------------------------------------------------
-
-def atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def write_json(path: str, payload: object) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    import csv as _csv
-    buf = io.StringIO()
-    writer = _csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _fmt_cell(value: object) -> object:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def metrics_row(report) -> List[object]:
     d = report.to_dict()
-    return [_fmt_cell(d[c]) for c in METRIC_COLUMNS]
+    return [d[c] for c in METRIC_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +378,8 @@ def cmd_synth(args) -> int:
 def _write_run_artifacts(out_dir: str, label: str, variant: str,
                          report, result: BacktestResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    eq_path = os.path.join(out_dir, "equity.csv")
-    save_equity(result.equity, eq_path + ".tmp")
-    os.replace(eq_path + ".tmp", eq_path)
-    led_path = os.path.join(out_dir, "ledger.csv")
-    write_ledger(result.trades, led_path + ".tmp")
-    os.replace(led_path + ".tmp", led_path)
+    save_equity(result.equity, os.path.join(out_dir, "equity.csv"))
+    write_ledger(result.trades, os.path.join(out_dir, "ledger.csv"))
     write_json(os.path.join(out_dir, "metrics.json"),
                {"label": label, "variant": variant,
                 "bankrupt": result.equity.bankrupt,
@@ -447,12 +421,8 @@ def cmd_backtest(args) -> int:
         run = run_benchmark(spec, universe, caps, bt_cfg)
         bench_dir = os.path.join(out, "benchmarks", name)
         os.makedirs(bench_dir, exist_ok=True)
-        eq_path = os.path.join(bench_dir, "equity.csv")
-        save_equity(run.equity, eq_path + ".tmp")
-        os.replace(eq_path + ".tmp", eq_path)
-        led_path = os.path.join(bench_dir, "ledger.csv")
-        write_ledger(run.trades, led_path + ".tmp")
-        os.replace(led_path + ".tmp", led_path)
+        save_equity(run.equity, os.path.join(bench_dir, "equity.csv"))
+        write_ledger(run.trades, os.path.join(bench_dir, "ledger.csv"))
         write_json(os.path.join(bench_dir, "metrics.json"),
                    {"label": _benchmark_label(name), "variant": name,
                     "metrics": run.metrics.to_dict()})
@@ -460,7 +430,6 @@ def cmd_backtest(args) -> int:
     write_json(os.path.join(out, "manifest.json"), {
         "engine_version": __version__,
         "command": "backtest",
-        "seed": args.seed,
         "config": config_snapshot(cfg),
         "data_dir": os.path.abspath(data_dir),
         "input_digests": digest_dir(data_dir),
@@ -519,9 +488,7 @@ def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
                                 ledger=result.trades,
                                 rf_annual=bt_cfg.rebalance.rf_annual,
                                 bars_per_year=bpy)
-    tmp = os.path.join(out, "regime_metrics.csv.tmp")
-    write_regime_csv(per_regime, tmp)
-    os.replace(tmp, os.path.join(out, "regime_metrics.csv"))
+    write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
 
 
 def cmd_sweep(args) -> int:
@@ -550,7 +517,7 @@ def cmd_sweep(args) -> int:
                                                   alpha=(alpha,)))
                 point = dc_replace(base_cfg, rebalance=rcfg)
                 report, _ = run_ablation(universe, caps, point, variant)
-                rows.append([repr(alpha), repr(lam)] + metrics_row(report))
+                rows.append([alpha, lam] + metrics_row(report))
     elif args.axis == "fee_bps":
         header = ["fee_bps"] + METRIC_COLUMNS
         for fee_bps in SWEEP_FEE_GRID:
@@ -558,7 +525,7 @@ def cmd_sweep(args) -> int:
                                costs=dc_replace(base_cfg.costs,
                                                 taker_fee_bps=fee_bps))
             report, _ = run_ablation(universe, caps, point, variant)
-            rows.append([repr(fee_bps)] + metrics_row(report))
+            rows.append([fee_bps] + metrics_row(report))
     elif args.axis == "timeframe":
         header = ["timeframe_s"] + METRIC_COLUMNS
         bad = [tf for tf in SWEEP_TIMEFRAME_GRID if tf % base_cfg.interval != 0]
@@ -581,13 +548,11 @@ def cmd_sweep(args) -> int:
         return 1
 
     os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "sweep.csv"),
-                      _csv_text(header, rows))
+    write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
     write_json(os.path.join(args.out, "manifest.json"), {
         "engine_version": __version__,
         "command": "sweep",
         "axis": args.axis,
-        "seed": args.seed,
         "config": config_snapshot(cfg),
         "data_dir": os.path.abspath(data_dir),
         "input_digests": digest_dir(data_dir),
@@ -720,12 +685,10 @@ def cmd_report(args) -> int:
     sections.append("")
     regime_path = os.path.join(out, "regime_metrics.csv")
     if os.path.isfile(regime_path):
-        import csv as _csv
-        with open(regime_path, newline="") as fh:
-            rows = list(_csv.reader(fh))
-        if len(rows) > 1:
-            sections.append(_md_table(rows[0], [[_fmt_regime_cell(c) for c in r]
-                                                for r in rows[1:]]))
+        rows = read_csv(regime_path, REGIME_CSV_HEADER,
+                        lambda row: [_fmt_regime_cell(c) for c in row])
+        if rows:
+            sections.append(_md_table(REGIME_CSV_HEADER, rows))
         else:
             sections.append("_no labeled regimes_")
     else:
@@ -760,12 +723,10 @@ def cmd_report(args) -> int:
             if os.path.isfile(eq_path) and meta is not None:
                 curves.append((meta["label"], load_equity(eq_path)))
     if curves:
-        rows = []
-        for label, curve in curves:
-            for ts, bal in zip(curve.timestamps, curve.balances):
-                rows.append([label, int(ts), repr(float(bal))])
-        atomic_write_text(os.path.join(out, "report_equity.csv"),
-                          _csv_text(["strategy", "timestamp", "balance"], rows))
+        write_csv(os.path.join(out, "report_equity.csv"),
+                  ["strategy", "timestamp", "balance"],
+                  ([label, int(ts), bal] for label, curve in curves
+                   for ts, bal in zip(curve.timestamps, curve.balances)))
         sections.append(f"Equity curves: report_equity.csv"
                         f" ({len(curves)} strategies).")
     else:
@@ -774,16 +735,16 @@ def cmd_report(args) -> int:
     # Sensitivity surface from an alpha x lambda sweep.
     sweep_path = os.path.join(out, "sweep.csv")
     if os.path.isfile(sweep_path):
-        import csv as _csv
+        # The sweep header depends on its axis, so read_csv cannot check it.
         with open(sweep_path, newline="") as fh:
-            sweep_rows = list(_csv.reader(fh))
+            sweep_rows = list(csv.reader(fh))
         header = sweep_rows[0] if sweep_rows else []
         if {"alpha", "lambda", "sharpe"} <= set(header):
             ia, il = header.index("alpha"), header.index("lambda")
             ish = header.index("sharpe")
             sens = [[r[ia], r[il], r[ish]] for r in sweep_rows[1:]]
-            atomic_write_text(os.path.join(out, "sensitivity.csv"),
-                              _csv_text(["alpha", "lambda", "sharpe"], sens))
+            write_csv(os.path.join(out, "sensitivity.csv"),
+                      ["alpha", "lambda", "sharpe"], sens)
             sections.append("Sensitivity surface: sensitivity.csv.")
     sections.append("")
 
@@ -834,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run the strategy and write artifacts")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_backtest)
 
@@ -843,7 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--axis", required=True,
                    choices=["alpha_lambda", "fee_bps", "timeframe"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -868,7 +827,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DataError as exc:
+        # Bad input found after loading, e.g. a universe without bars.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

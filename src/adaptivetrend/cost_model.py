@@ -6,17 +6,19 @@ positive, a short position receives the same amount.
 """
 
 import bisect
-import csv
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .market_data import Bar, DataError, DEFAULT_INTERVAL
+from .market_data import Bar, DataError, DEFAULT_INTERVAL, read_csv
 
 FIVE_MINUTES = 300
 FUNDING_PERIOD = 8 * 3600
 
 LONG = "long"
 SHORT = "short"
+
+FUNDING_HEADER = ["timestamp", "symbol", "rate_8h"]
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,6 @@ def slippage(notional: float, bar: Bar, cfg: CostConfig,
     return rate * notional
 
 
-def fill_cost(notional: float, bar: Bar, cfg: CostConfig,
-              interval: int = DEFAULT_INTERVAL) -> Tuple[float, float]:
-    """(fee, slippage) for one fill."""
-    return fee(notional, cfg), slippage(notional, bar, cfg, interval)
-
-
 def funding_events(start_ts: int, end_ts: int,
                    hours: Sequence[int] = (0, 8, 16)) -> List[int]:
     """Funding timestamps strictly inside the half-open-left interval (start, end]."""
@@ -139,24 +135,18 @@ def funding(side: str, size: float, entry_ts: int, exit_ts: int,
     return total
 
 
+def _parse_funding(row: List[str]) -> Tuple[str, int, float]:
+    ts, rate = int(row[0]), float(row[2])
+    if not math.isfinite(rate):
+        raise DataError(f"rate must be finite, got {rate}")
+    return row[1], ts, rate
+
+
 def load_funding_rates(path: str) -> Dict[str, List[Tuple[int, float]]]:
     """Load a per-symbol funding-rate series CSV into a step-function table."""
     table: Dict[str, List[Tuple[int, float]]] = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "symbol", "rate_8h"]:
-            raise DataError(f"{path}: expected header timestamp,symbol,rate_8h")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                ts, rate = int(row[0]), float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            table.setdefault(row[1], []).append((ts, rate))
+    for sym, ts, rate in read_csv(path, FUNDING_HEADER, _parse_funding):
+        table.setdefault(sym, []).append((ts, rate))
     for records in table.values():
         records.sort()
     return table

@@ -10,8 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .market_data import PriceSeries
-
 
 def momentum(close: np.ndarray, lookback: int) -> np.ndarray:
     """Fractional price change over ``lookback`` bars; NaN for the first ``lookback``."""
@@ -52,15 +50,6 @@ def atr(high: np.ndarray, low: np.ndarray, close: np.ndarray,
         if len(tr) > window:
             out[window:] = (kernel[window:] - kernel[:-window]) / window
     return out
-
-
-def series_momentum(series: PriceSeries, lookback: int) -> np.ndarray:
-    return momentum(series.arrays().close, lookback)
-
-
-def series_atr(series: PriceSeries, window: int) -> np.ndarray:
-    a = series.arrays()
-    return atr(a.high, a.low, a.close, window)
 
 
 def rolling_sharpe(returns: Sequence[float], rf_annual: float,

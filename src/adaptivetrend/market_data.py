@@ -14,9 +14,12 @@ SeedSequence, so a fixed seed reproduces the universe bit for bit.
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, date, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, TextIO, Tuple, TypeVar)
 
 import numpy as np
 
@@ -33,6 +36,9 @@ SYNTH_BASE_VOLUME = 500_000.0
 SYNTH_BASE_CAP = 1e10  # largest symbol's reference cap; symbol j gets 1e10/(j+1)
 SYNTH_WICK_SCALE = 0.25  # wick extension as a fraction of per-bar sigma
 SYNTH_DEFAULT_START = 1_640_995_200  # 2022-01-01 00:00:00 UTC
+
+INF = math.inf
+T = TypeVar("T")
 
 
 class DataError(ValueError):
@@ -60,11 +66,18 @@ class Bar:
 
 
 def validate_bar(bar: Bar) -> None:
-    """Check the OHLCV invariants, raising DataError naming the offending bar."""
-    if not (bar.open > 0 and bar.high > 0 and bar.low > 0 and bar.close > 0):
-        raise DataError(f"bar {bar.timestamp}: prices must be strictly positive")
-    if bar.volume < 0:
-        raise DataError(f"bar {bar.timestamp}: volume must be non-negative")
+    """Check the OHLCV invariants, raising DataError naming the offending bar.
+
+    The chained comparisons are false for NaN, so they also reject non-finite
+    fields.
+    """
+    if not (0 < bar.open < INF and 0 < bar.high < INF
+            and 0 < bar.low < INF and 0 < bar.close < INF):
+        raise DataError(f"bar {bar.timestamp}: prices must be strictly positive"
+                        " and finite")
+    if not 0 <= bar.volume < INF:
+        raise DataError(f"bar {bar.timestamp}: volume must be non-negative"
+                        " and finite")
     if bar.low > bar.high:
         raise DataError(f"bar {bar.timestamp}: low {bar.low} exceeds high {bar.high}")
     if bar.high < max(bar.open, bar.close):
@@ -211,42 +224,93 @@ def date_of_ts(ts: int) -> date:
 
 
 # ---------------------------------------------------------------------------
-# CSV loading / saving
+# CSV files: one reader, one writer, one atomic-rename primitive
 # ---------------------------------------------------------------------------
+
+def read_csv(path: str, header: Sequence[str],
+             parse_row: Callable[[List[str]], T]) -> List[T]:
+    """Parse every non-blank row after an exact header with ``parse_row``.
+
+    A wrong header, a wrong column count, or a ValueError (DataError included)
+    raised by ``parse_row`` becomes a DataError naming the path and the line.
+    """
+    header = list(header)
+    width = len(header)
+    out: List[T] = []
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise DataError(
+                f"{path}: line 1: expected header {','.join(header)}")
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise DataError(f"expected {width} columns, got {len(row)}")
+                out.append(parse_row(row))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return out
+
+
+@contextmanager
+def _atomic_file(path: str) -> Iterator[TextIO]:
+    """Text handle on a per-process temp file that is renamed over ``path``
+    on success and removed on failure, so readers never see a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+def _cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        # float() strips numpy scalar types whose repr is not parseable
+        return repr(float(value))
+    return value
+
+
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence[object]]) -> None:
+    """Stream rows to ``path`` atomically; None is an empty cell and a float
+    is written as its repr, so every float reads back bit for bit."""
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _parse_bar(row: List[str]) -> Bar:
+    return Bar(int(row[0]), float(row[1]), float(row[2]), float(row[3]),
+               float(row[4]), float(row[5]))
+
 
 def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
                       symbol: Optional[str] = None) -> PriceSeries:
     """Load one symbol's OHLCV CSV into a validated PriceSeries.
 
     Rows may be out of order on disk; the returned series is sorted ascending.
-    Malformed rows, bar-invariant violations and duplicate timestamps are
-    rejected with the offending line or timestamp named.
+    Malformed rows, bar-invariant violations (non-finite values included) and
+    duplicate timestamps are rejected with the offending line or timestamp
+    named.
     """
     if symbol is None:
         stem = str(path).rsplit("/", 1)[-1]
         symbol = stem[:-4] if stem.endswith(".csv") else stem
-    bars = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != OHLCV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(OHLCV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}: line {lineno}: expected 6 columns, got {len(row)}")
-            try:
-                bars.append(Bar(
-                    timestamp=int(row[0]),
-                    open=float(row[1]),
-                    high=float(row[2]),
-                    low=float(row[3]),
-                    close=float(row[4]),
-                    volume=float(row[5]),
-                ))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    bars = read_csv(path, OHLCV_HEADER, _parse_bar)
     bars.sort(key=lambda b: b.timestamp)
     try:
         return PriceSeries(symbol=symbol, interval=interval, bars=bars)
@@ -256,52 +320,31 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
 
 def save_price_series(series: PriceSeries, path: str) -> None:
     """Write a series back to the OHLCV CSV schema (round-trips exactly)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OHLCV_HEADER)
-        for b in series.bars:
-            # float() strips numpy scalar types whose repr is not parseable
-            writer.writerow([int(b.timestamp), repr(float(b.open)),
-                             repr(float(b.high)), repr(float(b.low)),
-                             repr(float(b.close)), repr(float(b.volume))])
+    write_csv(path, OHLCV_HEADER,
+              ([int(b.timestamp), b.open, b.high, b.low, b.close, b.volume]
+               for b in series.bars))
 
 
 def load_market_caps(path: str) -> List[MarketCapRecord]:
-    """Load daily market-cap records; rejects non-positive caps and duplicates."""
-    records = []
+    """Load daily market-cap records; rejects caps that are not positive and
+    finite, and duplicate (symbol, date) records."""
     seen = set()
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MARKET_CAP_HEADER:
-            raise DataError(f"{path}: expected header {','.join(MARKET_CAP_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0])
-                cap = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            sym = row[1]
-            if cap <= 0:
-                raise DataError(f"{path}: line {lineno}: cap must be positive, got {cap}")
-            key = (sym, day)
-            if key in seen:
-                raise DataError(f"{path}: line {lineno}: duplicate record for {sym} {day}")
-            seen.add(key)
-            records.append(MarketCapRecord(symbol=sym, date=day, cap=cap))
-    return records
+
+    def parse(row: List[str]) -> MarketCapRecord:
+        day, sym, cap = date.fromisoformat(row[0]), row[1], float(row[2])
+        if not 0 < cap < INF:
+            raise DataError(f"cap must be positive and finite, got {cap}")
+        if (sym, day) in seen:
+            raise DataError(f"duplicate record for {sym} {day}")
+        seen.add((sym, day))
+        return MarketCapRecord(symbol=sym, date=day, cap=cap)
+
+    return read_csv(path, MARKET_CAP_HEADER, parse)
 
 
 def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MARKET_CAP_HEADER)
-        for r in records:
-            writer.writerow([r.date.isoformat(), r.symbol, repr(r.cap)])
+    write_csv(path, MARKET_CAP_HEADER,
+              ([r.date.isoformat(), r.symbol, r.cap] for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -364,15 +364,3 @@ def params_to_dict(params: StrategyParams) -> dict:
         "lookback": params.lookback,
         "atr_window": params.atr_window,
     }
-
-
-def params_from_dict(d: dict) -> StrategyParams:
-    def dec(x: Optional[float]) -> float:
-        return INF if x is None else float(x)
-    return StrategyParams(
-        theta_entry=dec(d["theta_entry"]),
-        theta_entry_short=dec(d["theta_entry_short"]),
-        alpha=float(d["alpha"]),
-        lookback=int(d["lookback"]),
-        atr_window=int(d["atr_window"]),
-    )

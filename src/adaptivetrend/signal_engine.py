@@ -13,7 +13,6 @@ mark-to-market / cost components that let a caller audit account equity
 exactly.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -22,7 +21,7 @@ import numpy as np
 
 from .cost_model import LONG, SHORT, CostConfig, fee, funding, slippage
 from .indicators import atr, momentum
-from .market_data import Bar, DataError, PriceSeries
+from .market_data import Bar, PriceSeries, read_csv, write_csv
 
 SIDE_CHOICES = ("long", "short", "both")
 
@@ -383,41 +382,24 @@ def run_single_asset(
 # ---------------------------------------------------------------------------
 
 def write_ledger(trades: List[TradeRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_HEADER)
-        for t in trades:
-            writer.writerow([
-                t.symbol, t.side, t.entry_ts, repr(t.entry_px), t.exit_ts,
-                repr(t.exit_px), repr(t.size), repr(t.gross_pnl),
-                repr(t.fee_cost), repr(t.slippage_cost), repr(t.funding_cost),
-                repr(t.net_pnl), int(t.forced),
-            ])
+    write_csv(path, LEDGER_HEADER, (
+        [t.symbol, t.side, t.entry_ts, t.entry_px, t.exit_ts, t.exit_px,
+         t.size, t.gross_pnl, t.fee_cost, t.slippage_cost, t.funding_cost,
+         t.net_pnl, int(t.forced)]
+        for t in trades))
+
+
+def _parse_trade(row: List[str]) -> TradeRecord:
+    return TradeRecord(
+        symbol=row[0], side=row[1],
+        entry_ts=int(row[2]), entry_px=float(row[3]),
+        exit_ts=int(row[4]), exit_px=float(row[5]),
+        size=float(row[6]), gross_pnl=float(row[7]),
+        fee_cost=float(row[8]), slippage_cost=float(row[9]),
+        funding_cost=float(row[10]), net_pnl=float(row[11]),
+        forced=bool(int(row[12])),
+    )
 
 
 def read_ledger(path: str) -> List[TradeRecord]:
-    trades = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LEDGER_HEADER:
-            raise DataError(f"{path}: expected header {','.join(LEDGER_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LEDGER_HEADER):
-                raise DataError(f"{path}: line {lineno}: expected"
-                                f" {len(LEDGER_HEADER)} columns")
-            try:
-                trades.append(TradeRecord(
-                    symbol=row[0], side=row[1],
-                    entry_ts=int(row[2]), entry_px=float(row[3]),
-                    exit_ts=int(row[4]), exit_px=float(row[5]),
-                    size=float(row[6]), gross_pnl=float(row[7]),
-                    fee_cost=float(row[8]), slippage_cost=float(row[9]),
-                    funding_cost=float(row[10]), net_pnl=float(row[11]),
-                    forced=bool(int(row[12])),
-                ))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-    return trades
+    return read_csv(path, LEDGER_HEADER, _parse_trade)

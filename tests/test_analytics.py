@@ -1,5 +1,6 @@
 """Metrics arithmetic, regime decomposition, block-bootstrap significance."""
 
+import json
 import math
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestComputeMetrics:
         eq = curve([100.0, 120.0, 90.0, 110.0])
         m = compute_metrics(eq, [trade(10.0)], rf_annual=0.045,
                             bars_per_year=1460.0)
-        assert MetricsReport.from_dict(m.to_dict()) == m
+        d = json.loads(json.dumps(m.to_dict()))
+        assert MetricsReport(**d) == m
 
 
 class TestClassifyRegimes:

@@ -391,6 +391,20 @@ class TestReport:
         assert "no such run directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["backtest"],
+                                     ["sweep", "--axis", "fee_bps"]])
+def test_header_only_universe_is_a_clean_error(command, ws, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("SYM00.csv", "SYM01.csv"):
+        (data / name).write_text("timestamp,open,high,low,close,volume\n")
+    shutil.copy(ws.data / "market_caps.csv", data / "market_caps.csv")
+    cfg = write_config(tmp_path / "run.cfg", data)
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: universe has no bars\n"
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, fill_cost,
-                                      funding, funding_events, funding_rate_at,
+from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, funding,
+                                      funding_events, funding_rate_at,
                                       load_funding_rates, slippage)
-from adaptivetrend.market_data import Bar
+from adaptivetrend.market_data import Bar, DataError
 from conftest import INTERVAL, T0
 
 
@@ -59,12 +59,16 @@ class TestSlippage:
             for n, c in zip(notionals, costs):
                 assert c <= 0.005 * n + 1e-9
 
-    def test_fill_cost_combines_fee_and_slippage(self):
+    def test_fee_and_slippage_of_one_fill(self):
+        # 100 against a 10,000 five-minute notional: raw impact rate
+        # 0.1 x 1% = 10 bps, under the 50 bps cap; the fee is 4 bps.
         bar = bar_with_volume(7200.0)
         cfg = CostConfig()
-        f, s = fill_cost(10_000.0, bar, cfg, interval=INTERVAL)
-        assert f == fee(10_000.0, cfg)
-        assert s == slippage(10_000.0, bar, cfg, interval=INTERVAL)
+        assert fee(100.0, cfg) == pytest.approx(0.04, rel=1e-12)
+        assert slippage(100.0, bar, cfg, interval=INTERVAL) == \
+            pytest.approx(0.1, rel=1e-12)
+        assert fee(100.0, ZERO_COSTS) == 0.0
+        assert slippage(100.0, bar, ZERO_COSTS, interval=INTERVAL) == 0.0
 
 
 class TestFundingEvents:
@@ -127,6 +131,10 @@ def test_load_funding_rates(tmp_path):
     rates = load_funding_rates(str(p))
     assert rates["BTC"] == [(T0, 0.0002), (T0 + 50, 0.0003)]
     assert rates["ETH"] == [(T0 + 100, -0.0001)]
+    for rate in ("nan", "inf", "-inf"):
+        p.write_text(f"timestamp,symbol,rate_8h\n{T0},BTC,0.0002\n{T0},ETH,{rate}\n")
+        with pytest.raises(DataError, match="funding_rates.csv: line 3"):
+            load_funding_rates(str(p))
 
 
 def test_config_validation():

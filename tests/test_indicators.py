@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
-                                      series_atr, series_momentum, true_range)
+from adaptivetrend.indicators import atr, momentum, rolling_sharpe, true_range
 from conftest import make_series
 
 
@@ -41,10 +40,12 @@ class TestMomentum:
             b = momentum(close * scale, lb)
             np.testing.assert_allclose(a[lb:], b[lb:], rtol=1e-12)
 
-    def test_series_wrapper_matches(self, rng):
+    def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(30))))
-        np.testing.assert_array_equal(
-            series_momentum(s, 7), momentum(s.arrays().close, 7))
+        m = momentum(s.arrays().close, 7)
+        assert np.all(np.isnan(m[:7]))
+        assert list(m[7:]) == [s.bars[t].close / s.bars[t - 7].close - 1.0
+                               for t in range(7, len(s))]
 
 
 class TestTrueRange:
@@ -125,11 +126,17 @@ class TestAtr:
             np.testing.assert_allclose(atr(h * k, lo * k, c * k, w)[w - 1:],
                                        k * atr(h, lo, c, w)[w - 1:], rtol=1e-12)
 
-    def test_series_wrapper_matches(self, rng):
+    def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(25))))
         arr = s.arrays()
-        np.testing.assert_array_equal(series_atr(s, 5),
-                                      atr(arr.high, arr.low, arr.close, 5))
+        out = atr(arr.high, arr.low, arr.close, 5)
+        b = s.bars
+        tr = [b[0].high - b[0].low] + [
+            max(b[t].high - b[t].low, abs(b[t].high - b[t - 1].close),
+                abs(b[t].low - b[t - 1].close)) for t in range(1, len(b))]
+        assert np.all(np.isnan(out[:4]))
+        for t in range(4, len(b)):
+            assert out[t] == pytest.approx(sum(tr[t - 4:t + 1]) / 5, rel=1e-12)
 
 
 class TestRollingSharpe:

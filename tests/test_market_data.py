@@ -1,18 +1,28 @@
 """Data layer: bar validation, CSV IO, synthetic generation, resampling."""
 
 import math
+import re
+import string
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adaptivetrend.market_data import (Bar, DataError, MarketCapRecord,
+from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
+                                      save_equity)
+from adaptivetrend.cost_model import FUNDING_HEADER, load_funding_rates
+from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
+                                       DataError, MarketCapRecord,
                                        PriceSeries, SyntheticSpec, bars_per_year,
                                        date_of_ts, generate_synthetic_universe,
                                        load_market_caps, load_price_series,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
-                                       save_price_series)
+                                       save_price_series, write_csv)
+from adaptivetrend.signal_engine import (LEDGER_HEADER, TradeRecord,
+                                         read_ledger, write_ledger)
 from conftest import INTERVAL, T0, make_series
 
 
@@ -45,14 +55,27 @@ class TestBarValidation:
             PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
 
     def test_negative_volume_rejected(self):
-        bar = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=10.0, volume=-1.0)
-        with pytest.raises(DataError):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+        for volume in (-1.0, math.nan, math.inf):
+            bar = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=10.0,
+                      volume=volume)
+            with pytest.raises(DataError, match=str(T0)):
+                PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
 
     def test_nonpositive_price_rejected(self):
         bar = Bar(timestamp=T0, open=0.0, high=1.0, low=0.0, close=1.0, volume=1.0)
         with pytest.raises(DataError):
             PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+        # Non-finite prices pass every OHLC ordering check (comparisons with
+        # NaN are false), so the positive-and-finite rule must catch them.
+        ok = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=10.0,
+                 volume=1.0)
+        for bad in (dict(high=math.inf), dict(open=math.inf, high=math.inf,
+                                              close=math.inf),
+                    dict(open=math.nan), dict(low=math.nan),
+                    dict(close=math.nan), dict(high=math.nan)):
+            with pytest.raises(DataError, match=str(T0)):
+                PriceSeries(symbol="X", interval=INTERVAL,
+                            bars=(replace(ok, **bad),))
 
     def test_duplicate_timestamp_rejected(self):
         s = make_series([100.0, 101.0])
@@ -120,10 +143,11 @@ class TestPriceCsv:
     def test_invalid_bar_error_names_timestamp(self, tmp_path):
         p = tmp_path / "AAA.csv"
         ts = T0 + INTERVAL
-        p.write_text("timestamp,open,high,low,close,volume\n"
-                     f"{ts},10,9,10,9.5,100\n")
-        with pytest.raises(DataError, match=str(ts)):
-            load_price_series(str(p), interval=INTERVAL)
+        for row in ("10,9,10,9.5,100", "10,11,9,10.5,nan", "10,inf,9,10.5,100",
+                    "inf,inf,9,inf,100", "10,11,9,NaN,100"):
+            p.write_text(f"timestamp,open,high,low,close,volume\n{ts},{row}\n")
+            with pytest.raises(DataError, match=f"AAA.csv: bar {ts}"):
+                load_price_series(str(p), interval=INTERVAL)
 
     def test_symbol_from_filename(self, tmp_path):
         p = tmp_path / "ETH.csv"
@@ -145,9 +169,10 @@ class TestCapsCsv:
 
     def test_zero_cap_rejected(self, tmp_path):
         p = tmp_path / "market_caps.csv"
-        p.write_text("date,symbol,market_cap_usd\n2022-01-01,BTC,0\n")
-        with pytest.raises(DataError):
-            load_market_caps(str(p))
+        for cap in ("0", "-1e9", "inf", "nan"):
+            p.write_text(f"date,symbol,market_cap_usd\n2022-01-01,BTC,{cap}\n")
+            with pytest.raises(DataError, match="market_caps.csv: line 2"):
+                load_market_caps(str(p))
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "market_caps.csv"
@@ -284,3 +309,151 @@ def test_arrays_view_matches_bars():
     assert list(arr.close) == [100.0, 101.0, 99.5]
     assert list(arr.timestamps) == [b.timestamp for b in s.bars]
     assert list(arr.volume) == [b.volume for b in s.bars]
+
+
+# ---------------------------------------------------------------------------
+# The shared CSV reader and writer behind every loader and saver
+# ---------------------------------------------------------------------------
+
+# kind -> (reader, header, one valid data row, index of a numeric column)
+CSV_READERS = {
+    "ohlcv": (load_price_series, OHLCV_HEADER,
+              f"{T0 + INTERVAL},10,11,9,10.5,100", 2),
+    "caps": (load_market_caps, MARKET_CAP_HEADER, "2022-01-01,BTC,9e11", 2),
+    "funding": (load_funding_rates, FUNDING_HEADER, f"{T0},BTC,0.0001", 2),
+    "ledger": (read_ledger, LEDGER_HEADER,
+               f"BTC,long,{T0},100.0,{T0 + INTERVAL},110.0,1000.0,100.0,"
+               "0.5,0.25,0.25,99.0,0", 3),
+    "equity": (load_equity, EQUITY_HEADER, f"{T0},100000.0", 1),
+}
+
+
+def _plain(loaded):
+    """Loaded value in a form that compares with ==."""
+    if isinstance(loaded, EquityCurve):
+        return (loaded.timestamps.tolist(), loaded.balances.tolist(),
+                loaded.bankrupt)
+    return loaded
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_READERS))
+def test_reader_framing_errors_name_path_and_line(kind, tmp_path):
+    read, header, good, numeric = CSV_READERS[kind]
+    head = ",".join(header)
+    fields = good.split(",")
+    fields[numeric] = "x1"
+    p = tmp_path / f"{kind}.csv"
+    for text, line in ((",".join(reversed(header)) + f"\n{good}\n", 1),
+                       (f"{head}\n\n{good},extra\n", 3),
+                       (f"{head}\n\n{','.join(fields)}\n", 3)):
+        p.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{p}: line {line}: ")):
+            read(str(p))
+    p.write_text(f"{head}\n{good}\n")
+    expected = _plain(read(str(p)))
+    p.write_text(f"{head}\n\n{good}\n\n")
+    assert _plain(read(str(p))) == expected
+
+
+def test_write_csv_failure_keeps_target(tmp_path):
+    target = tmp_path / "equity.csv"
+    target.write_bytes(b"timestamp,balance\r\n1,2.0\r\n")
+
+    def rows():
+        yield [3, 4.0]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(target), EQUITY_HEADER, rows())
+    assert target.read_bytes() == b"timestamp,balance\r\n1,2.0\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["equity.csv"]
+
+
+def test_write_csv_cells(tmp_path):
+    p = tmp_path / "cells.csv"
+    write_csv(str(p), ["a", "b", "c", "d"],
+              [[None, 0.1, np.float64(1e-300), "x,y"], [3, -0.0, 2.5, ""]])
+    assert p.read_bytes() == (b'a,b,c,d\r\n,0.1,1e-300,"x,y"\r\n'
+                              b"3,-0.0,2.5,\r\n")
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+AMOUNT = st.floats(min_value=-1e12, max_value=1e12)
+TIMESTAMP = st.integers(min_value=0, max_value=2**40)
+SYMBOL = st.text(alphabet=string.ascii_letters + string.digits + ',"- ',
+                 max_size=6)
+ROUND_TRIP = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def price_series(draw):
+    bars, ts = [], T0
+    for step in draw(st.lists(st.integers(1, 3), max_size=8)):
+        ts += step * INTERVAL
+        low, a, b, high = sorted(draw(st.lists(POSITIVE, min_size=4,
+                                               max_size=4)))
+        o, c = draw(st.permutations([a, b]))
+        volume = draw(st.floats(min_value=0.0, allow_infinity=False))
+        bars.append(Bar(ts, o, high, low, c, volume))
+    return PriceSeries(symbol="RT", interval=INTERVAL, bars=bars)
+
+
+@st.composite
+def trade(draw):
+    entry_ts = draw(TIMESTAMP)
+    gross, fee, slip, funding = (draw(AMOUNT) for _ in range(4))
+    return TradeRecord(
+        symbol=draw(SYMBOL), side=draw(st.sampled_from(["long", "short"])),
+        entry_ts=entry_ts, entry_px=draw(POSITIVE),
+        exit_ts=entry_ts + draw(st.integers(1, 10**6)), exit_px=draw(POSITIVE),
+        size=draw(POSITIVE), gross_pnl=gross, fee_cost=fee,
+        slippage_cost=slip, funding_cost=funding,
+        net_pnl=gross - fee - slip - funding, forced=draw(st.booleans()))
+
+
+class TestCsvRoundTrip:
+    @ROUND_TRIP
+    @given(series=price_series())
+    def test_price_series(self, tmp_path_factory, series):
+        p = tmp_path_factory.mktemp("rt") / "RT.csv"
+        save_price_series(series, str(p))
+        assert load_price_series(str(p), interval=INTERVAL) == series
+
+    @ROUND_TRIP
+    @given(records=st.lists(
+        st.builds(MarketCapRecord, symbol=SYMBOL, date=st.dates(), cap=POSITIVE),
+        unique_by=lambda r: (r.symbol, r.date), max_size=8))
+    def test_market_caps(self, tmp_path_factory, records):
+        p = tmp_path_factory.mktemp("rt") / "caps.csv"
+        save_market_caps(records, str(p))
+        assert load_market_caps(str(p)) == records
+
+    @ROUND_TRIP
+    @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL, AMOUNT), max_size=8))
+    def test_funding_rates(self, tmp_path_factory, rows):
+        p = tmp_path_factory.mktemp("rt") / "funding_rates.csv"
+        write_csv(str(p), FUNDING_HEADER, rows)
+        expected = {}
+        for ts, sym, rate in rows:
+            expected.setdefault(sym, []).append((ts, rate))
+        assert load_funding_rates(str(p)) == {sym: sorted(v)
+                                              for sym, v in expected.items()}
+
+    @ROUND_TRIP
+    @given(trades=st.lists(trade(), max_size=6))
+    def test_ledger(self, tmp_path_factory, trades):
+        p = tmp_path_factory.mktemp("rt") / "ledger.csv"
+        write_ledger(trades, str(p))
+        assert read_ledger(str(p)) == trades
+
+    @ROUND_TRIP
+    @given(points=st.lists(st.tuples(TIMESTAMP, AMOUNT), max_size=10))
+    def test_equity(self, tmp_path_factory, points):
+        curve = EquityCurve(
+            timestamps=np.array([t for t, _ in points], dtype=np.int64),
+            balances=np.array([b for _, b in points], dtype=np.float64))
+        p = tmp_path_factory.mktemp("rt") / "equity.csv"
+        save_equity(curve, str(p))
+        loaded = load_equity(str(p))
+        assert loaded.timestamps.dtype == np.int64
+        assert _plain(loaded) == _plain(curve)

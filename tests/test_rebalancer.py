@@ -14,8 +14,8 @@ from adaptivetrend.rebalancer import (Allocation, CandidateResult, ParamGrid,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
                                       optimization_window, optimize_params,
-                                      params_from_dict, params_to_dict,
-                                      run_rebalance, select_and_allocate)
+                                      params_to_dict, run_rebalance,
+                                      select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams
 from conftest import FEB1, INTERVAL, MAR1, caps_for, gbm_series, make_series
 
@@ -239,11 +239,12 @@ class TestParamsDict:
         for params in (StrategyParams(0.05, INF, 2.0, 4, 3),
                        StrategyParams(INF, 0.02, 1.5, 8, 14),
                        StrategyParams(0.01, 0.03, 3.0, 12, 7)):
-            d = params_to_dict(params)
-            json.loads(json.dumps(d))  # must be JSON-safe
-            assert params_from_dict(d) == params
-        assert params_to_dict(StrategyParams(INF, 0.02, 1.5, 8, 14))[
-            "theta_entry"] is None
+            d = json.loads(json.dumps(params_to_dict(params)))
+            assert StrategyParams(**{k: INF if v is None else v
+                                     for k, v in d.items()}) == params
+            assert [k for k, v in d.items() if v is None] == \
+                [k for k in ("theta_entry", "theta_entry_short")
+                 if getattr(params, k) == INF]
 
 
 class TestRunRebalance:
