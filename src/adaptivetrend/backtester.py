@@ -170,7 +170,7 @@ def run_backtest(
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
-        raise ValueError("no month boundary inside [start, end]")
+        raise DataError("no month boundary inside [start, end]")
     first_month = month_starts[0]
     _check_history(universe, first_month, month_starts[-1], cfg.interval)
 

@@ -397,6 +397,10 @@ def cmd_backtest(args) -> int:
         variant = str(cfg["run.variant"])
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"run.variant must be one of {ABLATION_VARIANTS}")
+        for name in cfg["benchmarks.kinds"]:
+            if name not in BENCHMARK_NAMES:
+                raise ConfigError(f"unknown benchmark {name!r}; expected one"
+                                  f" of {BENCHMARK_NAMES}")
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, bt_cfg.interval)
     except (ConfigError, DataError, ValueError) as exc:
@@ -413,10 +417,6 @@ def cmd_backtest(args) -> int:
         _write_regime_artifacts(out, cfg, universe, caps, bt_cfg, result, bpy)
 
     for name in cfg["benchmarks.kinds"]:
-        if name not in BENCHMARK_NAMES:
-            print(f"error: unknown benchmark {name!r}; expected one of"
-                  f" {BENCHMARK_NAMES}", file=sys.stderr)
-            return 1
         spec = _benchmark_spec(name, cfg)
         run = run_benchmark(spec, universe, caps, bt_cfg)
         bench_dir = os.path.join(out, "benchmarks", name)

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .market_data import Bar, DataError, DEFAULT_INTERVAL, read_csv
 
 FIVE_MINUTES = 300
@@ -84,6 +86,24 @@ def slippage(notional: float, bar: Bar, cfg: CostConfig,
     else:
         rate = min(cfg.slip_coeff * notional / est_5min_notional, cap_rate)
     return rate * notional
+
+
+def fill_costs(notional: np.ndarray, volume: np.ndarray, close: np.ndarray,
+               cfg: CostConfig, interval: int) -> np.ndarray:
+    """Fee plus slippage of many fills, one per element.
+
+    Element k equals fee(notional[k], cfg) + slippage(notional[k], bar, cfg,
+    interval) bit for bit, for a bar with volume[k] and close[k]; notionals
+    must be positive.
+    """
+    fees = notional * cfg.taker_fee_bps * 1e-4
+    cap_rate = cfg.slip_cap_bps * 1e-4
+    est_5min_notional = volume * close / (interval / FIVE_MINUTES)
+    rate = np.full(len(notional), cap_rate)
+    liquid = est_5min_notional > 0.0
+    rate[liquid] = np.minimum(
+        cfg.slip_coeff * notional[liquid] / est_5min_notional[liquid], cap_rate)
+    return fees + rate * notional
 
 
 def funding_events(start_ts: int, end_ts: int,

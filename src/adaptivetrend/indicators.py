@@ -52,27 +52,40 @@ def atr(high: np.ndarray, low: np.ndarray, close: np.ndarray,
     return out
 
 
-def rolling_sharpe(returns: Sequence[float], rf_annual: float,
-                   bars_per_year: float) -> Optional[float]:
-    """Annualized Sharpe ratio of a per-bar net return sample.
+def sharpe_rows(returns: np.ndarray, rf_annual: float,
+                bars_per_year: float) -> np.ndarray:
+    """Annualized Sharpe ratio of each row of a 2-D per-bar net return sample.
 
-    The risk-free rate is deannualized to per-bar by simple division. Returns
-    None when the ratio is undefined: fewer than two observations, or zero
-    dispersion with nonzero mean excess return. A constant series exactly
-    equal to the per-bar risk-free rate scores 0.0 (zero excess over zero
-    dispersion is treated as zero, not unbounded).
+    The risk-free rate is deannualized to per-bar by simple division. A row's
+    ratio is NaN when undefined: fewer than two observations, or zero
+    dispersion with nonzero mean excess return. A constant row exactly equal
+    to the per-bar risk-free rate scores 0.0 (zero excess over zero
+    dispersion is treated as zero, not unbounded). Each row's value is
+    bit-identical to the same computation on that row alone.
     """
     r = np.asarray(returns, dtype=np.float64)
-    n = len(r)
-    if n < 2:
-        return None
+    out = np.full(r.shape[0], np.nan)
+    if r.shape[1] < 2:
+        return out
     rf_bar = rf_annual / bars_per_year
-    if np.all(r == r[0]):
-        # Detect constants exactly; np.std of a constant array can round to a
-        # tiny nonzero value and fake an enormous ratio.
-        return 0.0 if float(r[0]) == rf_bar else None
-    excess = float(np.mean(r)) - rf_bar
-    sd = float(np.std(r, ddof=1))
-    if sd == 0.0:
-        return 0.0 if excess == 0.0 else None
-    return excess / sd * math.sqrt(bars_per_year)
+    # Detect constants exactly; np.std of a constant row can round to a tiny
+    # nonzero value and fake an enormous ratio.
+    const = (r == r[:, :1]).all(axis=1)
+    excess = r.mean(axis=1) - rf_bar
+    sd = r.std(axis=1, ddof=1)
+    flat = const | (sd == 0.0)
+    np.divide(excess, sd, out=out, where=~flat)
+    out *= math.sqrt(bars_per_year)
+    out[flat & np.where(const, r[:, 0] == rf_bar, excess == 0.0)] = 0.0
+    return out
+
+
+def rolling_sharpe(returns: Sequence[float], rf_annual: float,
+                   bars_per_year: float) -> Optional[float]:
+    """Annualized Sharpe ratio of one per-bar net return sample.
+
+    The rules are those of ``sharpe_rows``; an undefined ratio is None.
+    """
+    r = np.asarray(returns, dtype=np.float64).reshape(1, -1)
+    value = sharpe_rows(r, rf_annual, bars_per_year)[0]
+    return None if math.isnan(value) else float(value)

@@ -97,6 +97,12 @@ class SeriesArrays:
     close: np.ndarray
     volume: np.ndarray
 
+    def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
+        """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
+        i0 = int(np.searchsorted(self.timestamps, start_ts, side="left"))
+        i1 = int(np.searchsorted(self.timestamps, end_ts, side="right"))
+        return i0, i1
+
 
 @dataclass
 class PriceSeries:
@@ -158,10 +164,7 @@ class PriceSeries:
 
     def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
         """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
-        ts = self.arrays().timestamps
-        i0 = int(np.searchsorted(ts, start_ts, side="left"))
-        i1 = int(np.searchsorted(ts, end_ts, side="right"))
-        return i0, i1
+        return self.arrays().slice_indices(start_ts, end_ts)
 
 
 @dataclass(frozen=True)

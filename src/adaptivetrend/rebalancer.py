@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
-from .market_data import (MarketCapRecord, PriceSeries, bars_per_year,
-                          date_of_ts, month_add, month_id)
-from .signal_engine import StrategyParams, run_single_asset
+from .market_data import (MarketCapRecord, PriceSeries, SeriesArrays,
+                          bars_per_year, date_of_ts, month_add, month_id)
+from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +171,8 @@ def evaluate_cell(
     """Annualized Sharpe of the cell's net per-bar returns; None if unusable.
 
     Zero trades in the window, or a return series whose Sharpe is undefined,
-    disqualify the cell.
+    disqualify the cell. This is the one-cell reference that the batched
+    search in optimize_params is tested against.
     """
     result = run_single_asset(series, params, side_enabled=side, window=window,
                               size=1.0, cost_cfg=cost_cfg)
@@ -192,22 +195,37 @@ def optimize_params(
     Requires the window to hold at least twice the largest momentum lookback
     in bars; shorter windows disqualify the candidate (logged). Returns the
     best cell with its Sharpe, or None when no cell produced a defined one.
+    Every cell is scored as evaluate_cell would score it, in one batched
+    pass (signal_engine.grid_sharpes); the first cell with the maximum wins.
     """
-    i0, i1 = series.slice_indices(window[0], window[1])
+    return _optimize(series.symbol, series.interval, series.arrays(), side,
+                     window, grid, cost_cfg, rf_annual)
+
+
+def _optimize(
+    symbol: str,
+    interval: int,
+    arr: SeriesArrays,
+    side: str,
+    window: Tuple[int, int],
+    grid: ParamGrid,
+    cost_cfg: Optional[CostConfig],
+    rf_annual: float,
+) -> Optional[CandidateResult]:
+    i0, i1 = arr.slice_indices(window[0], window[1])
     needed = 2 * max(grid.lookback)
     if i1 - i0 < needed:
         logger.info("%s: optimization window has %d bars, needs %d; excluded",
-                    series.symbol, i1 - i0, needed)
+                    symbol, i1 - i0, needed)
         return None
-    best_params: Optional[StrategyParams] = None
-    best_sharpe = -INF
-    for params in grid_cells(grid, side):
-        sharpe = evaluate_cell(series, params, side, window, cost_cfg, rf_annual)
-        if sharpe is not None and sharpe > best_sharpe:
-            best_params, best_sharpe = params, sharpe
-    if best_params is None:
+    cells = grid_cells(grid, side)
+    sharpes = grid_sharpes(arr, interval, symbol, cells, side, (i0, i1),
+                           cost_cfg, rf_annual)
+    scores = np.where(np.isnan(sharpes), -INF, sharpes)
+    best = int(np.argmax(scores))
+    if not scores[best] > -INF:
         return None
-    return CandidateResult(series.symbol, best_params, best_sharpe)
+    return CandidateResult(symbol, cells[best], float(sharpes[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +275,9 @@ def has_month_history(series: PriceSeries, window_start: int) -> bool:
 
 
 def _candidate_task(args) -> Tuple[str, Optional[CandidateResult]]:
-    series, side, window, grid, cost_cfg, rf_annual = args
-    return series.symbol, optimize_params(series, side, window, grid, cost_cfg,
-                                          rf_annual)
+    # (symbol, interval, arrays, side, window, grid, cost_cfg, rf_annual):
+    # plain arrays pickle far faster than a PriceSeries of Bar objects.
+    return args[0], _optimize(*args)
 
 
 def _optimize_side(
@@ -278,8 +296,8 @@ def _optimize_side(
             logger.info("%s: lacks a full month of history; excluded", sym)
             continue
         eligible.append(series)
-    tasks = [(s, side, window, cfg.grid, cost_cfg, cfg.rf_annual)
-             for s in eligible]
+    tasks = [(s.symbol, s.interval, s.arrays(), side, window, cfg.grid,
+              cost_cfg, cfg.rf_annual) for s in eligible]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_candidate_task, tasks))

@@ -10,18 +10,22 @@ the exit bar itself.
 both the closed-trade ledger (with full cost attribution) and per-bar series:
 strategy returns for Sharpe evaluation, plus currency-denominated realized /
 mark-to-market / cost components that let a caller audit account equity
-exactly.
+exactly. ``grid_sharpes`` scores many parameter cells of one side at once for
+the monthly grid search, with the same result as running the machine once
+per cell.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import LONG, SHORT, CostConfig, fee, funding, slippage
-from .indicators import atr, momentum
-from .market_data import Bar, PriceSeries, read_csv, write_csv
+from .cost_model import (LONG, SHORT, CostConfig, fee, fill_costs, funding,
+                         slippage)
+from .indicators import atr, momentum, sharpe_rows
+from .market_data import (Bar, PriceSeries, SeriesArrays, bars_per_year,
+                          read_csv, write_csv)
 
 SIDE_CHOICES = ("long", "short", "both")
 
@@ -375,6 +379,136 @@ def run_single_asset(
     return SingleAssetResult(series.symbol, timestamps, position, stop,
                              gross_returns, net_returns, costs, realized_cum,
                              open_mtm, open_costs, trades)
+
+
+# ---------------------------------------------------------------------------
+# Batched grid search
+# ---------------------------------------------------------------------------
+
+def grid_sharpes(
+    arr: SeriesArrays,
+    interval: int,
+    symbol: str,
+    cells: Sequence[StrategyParams],
+    side: str,
+    bounds: Tuple[int, int],
+    cost_cfg: Optional[CostConfig],
+    rf_annual: float,
+) -> np.ndarray:
+    """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if unusable.
+
+    Element k equals, bit for bit, the Sharpe of run_single_asset with
+    cells[k], side_enabled=side, size 1.0, trailing stops and close fills
+    over the same bars, and is NaN where that run has no trade or an
+    undefined Sharpe. Indicators come from the whole series, as there.
+
+    Instead of stepping every cell bar by bar, each cell's trades are found
+    by jumping: the next entry is read from a next-signal index of its
+    (threshold, lookback), and the exit is the first close beyond the
+    running max (long) or min (short) of the stop candidates close -/+
+    alpha * ATR since entry, or the final bar. Exits are shared by all cells
+    with the same alpha that enter on the same bar.
+    """
+    if side not in (LONG, SHORT):
+        raise EngineError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
+    i0, i1 = bounds
+    n = i1 - i0
+    sharpes = np.full(len(cells), np.nan)
+    if n < 2:
+        return sharpes
+    long = side == LONG
+    close = arr.close[i0:i1]
+    last = n - 1  # local index of the final bar; no entry is taken there
+
+    moms: Dict[int, np.ndarray] = {}
+    atrs: Dict[int, np.ndarray] = {}
+    next_entry: Dict[tuple, List[int]] = {}
+    stop_cands: Dict[tuple, np.ndarray] = {}
+    exits: Dict[tuple, int] = {}
+    slots = np.arange(n + 1)
+
+    def exit_of(stop_key: tuple, e: int) -> int:
+        cand = stop_cands[stop_key]
+        if long:
+            hit = close[e + 1:] < np.maximum.accumulate(cand[e:])[1:]
+        else:
+            hit = close[e + 1:] > np.minimum.accumulate(cand[e:])[1:]
+        k = int(hit.argmax())
+        return e + 1 + k if hit[k] else last
+
+    trade_cell: List[int] = []
+    entries: List[int] = []
+    exit_bars: List[int] = []
+    for k, cell in enumerate(cells):
+        theta = cell.theta_entry if long else cell.theta_entry_short
+        sig_key = (theta, cell.lookback, cell.atr_window)
+        stop_key = (cell.alpha, cell.atr_window)
+        if cell.atr_window not in atrs:
+            atrs[cell.atr_window] = atr(arr.high, arr.low, arr.close,
+                                        cell.atr_window)[i0:i1]
+        if sig_key not in next_entry:
+            if cell.lookback not in moms:
+                moms[cell.lookback] = momentum(arr.close, cell.lookback)[i0:i1]
+            first = max(cell.warmup_bars() - i0, 0)
+            mom = moms[cell.lookback][first:last]
+            signal = np.zeros(n + 1, dtype=bool)
+            signal[first:last] = mom > theta if long else mom < -theta
+            # nxt[j]: first signal bar at or after j, n when there is none.
+            nxt = np.where(signal, slots, n)
+            next_entry[sig_key] = np.minimum.accumulate(nxt[::-1])[::-1].tolist()
+        if stop_key not in stop_cands:
+            offset = cell.alpha * atrs[cell.atr_window]
+            stop_cands[stop_key] = close - offset if long else close + offset
+        nxt = next_entry[sig_key]
+        e = nxt[0]
+        while e < n:
+            x = exits.get((stop_key, e))
+            if x is None:
+                x = exits[(stop_key, e)] = exit_of(stop_key, e)
+            trade_cell.append(k)
+            entries.append(e)
+            exit_bars.append(x)
+            e = nxt[x + 1]
+    if not trade_cell:
+        return sharpes
+
+    traded, rows = np.unique(trade_cell, return_inverse=True)
+    ent = np.array(entries)
+    ext = np.array(exit_bars)
+    # A trade holds its position entering bars e+1 .. x.
+    held = np.zeros((len(traded), n + 1), dtype=np.int8)
+    held[rows, ent + 1] = 1
+    held[rows, ext + 1] = -1
+    np.cumsum(held, axis=1, out=held)
+    held = held[:, :n].astype(bool)
+
+    gross = np.zeros(n)
+    gross[1:] = close[1:] / close[:-1] - 1.0
+    if not long:
+        np.negative(gross, out=gross)
+    net = np.zeros((len(traded), n))
+    if cost_cfg is None:
+        np.copyto(net, gross, where=held)
+    else:
+        # Funding depends only on the bar's timestamps, so it is computed
+        # once per bar that any cell holds, not once per cell.
+        ts = arr.timestamps
+        fund = np.zeros(n)
+        for j in np.flatnonzero(held.any(axis=0)).tolist():
+            fund[j] = funding(side, 1.0, int(ts[i0 + j - 1]), int(ts[i0 + j]),
+                              cost_cfg, symbol)
+        np.copyto(net, gross - fund, where=held)
+        volume = arr.volume[i0:i1]
+        entry_cost = fill_costs(np.ones(len(ent)), volume[ent], close[ent],
+                                cost_cfg, interval)
+        exit_cost = fill_costs(close[ext] / close[ent], volume[ext],
+                               close[ext], cost_cfg, interval)
+        # Costs are summed in run_single_asset's order (funding, then the
+        # fill) so that every net return is the same float.
+        net[rows, ent] = 0.0 - entry_cost
+        net[rows, ext] = gross[ext] - (fund[ext] + exit_cost)
+    sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
+    return sharpes
 
 
 # ---------------------------------------------------------------------------

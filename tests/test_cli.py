@@ -251,11 +251,13 @@ class TestBacktest:
         assert "run.variant" in capsys.readouterr().err
 
     def test_unknown_benchmark_rejected(self, ws, tmp_path, capsys):
+        # rejected with the config, before the run writes any artifact
         cfg = write_config(tmp_path / "c.cfg", ws.data,
-                           extra="benchmarks.kinds = carry\n")
-        assert main(["backtest", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 1
+                           extra="benchmarks.kinds = btc_bh,carry\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 1
         assert "carry" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -403,6 +405,19 @@ def test_header_only_universe_is_a_clean_error(command, ws, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(command + ["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: universe has no bars\n"
+
+
+def test_no_month_boundary_is_a_clean_error(ws, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, ws.data)
+    cfg.write_text(cfg.read_text()
+                   .replace("run.start = 2022-02-01", "run.start = 2022-02-02")
+                   .replace(f"run.end = {RUN_END}", "run.end = 2022-02-20"))
+    out = tmp_path / "out"
+    assert main(["backtest", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: no month boundary inside [start, end]\n"
+    assert not out.exists()
 
 
 class TestTopLevel:

@@ -1,9 +1,10 @@
 """Fees, volume-scaled slippage, and perp funding transfers."""
 
+import numpy as np
 import pytest
 
-from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, funding,
-                                      funding_events, funding_rate_at,
+from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, fill_costs,
+                                      funding, funding_events, funding_rate_at,
                                       load_funding_rates, slippage)
 from adaptivetrend.market_data import Bar, DataError
 from conftest import INTERVAL, T0
@@ -69,6 +70,21 @@ class TestSlippage:
             pytest.approx(0.1, rel=1e-12)
         assert fee(100.0, ZERO_COSTS) == 0.0
         assert slippage(100.0, bar, ZERO_COSTS, interval=INTERVAL) == 0.0
+
+
+    @pytest.mark.parametrize("cfg", [CostConfig(), ZERO_COSTS,
+                                     CostConfig(taker_fee_bps=7.5, slip_coeff=2.0,
+                                                slip_cap_bps=20.0)])
+    def test_batched_fill_costs_match_scalar(self, cfg, rng):
+        notional = np.exp(rng.normal(0.0, 2.0, 60))
+        close = np.exp(rng.normal(4.0, 1.0, 60))
+        volume = np.where(rng.random(60) < 0.2, 0.0,
+                          np.exp(rng.normal(8.0, 3.0, 60)))
+        got = fill_costs(notional, volume, close, cfg, INTERVAL)
+        for k in range(60):
+            bar = bar_with_volume(float(volume[k]), float(close[k]))
+            assert got[k] == fee(float(notional[k]), cfg) \
+                + slippage(float(notional[k]), bar, cfg, INTERVAL)
 
 
 class TestFundingEvents:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptivetrend.indicators import atr, momentum, rolling_sharpe, true_range
+from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
+                                     sharpe_rows, true_range)
 from conftest import make_series
 
 
@@ -165,3 +166,22 @@ class TestRollingSharpe:
     def test_too_short_is_none(self):
         assert rolling_sharpe([], 0.045, 1460.0) is None
         assert rolling_sharpe([0.01], 0.045, 1460.0) is None
+
+    def test_rows_match_one_row_at_a_time(self, rng):
+        rf, bpy = 0.045, 1460.0
+        rows = rng.normal(0.001, 0.01, (6, 150))
+        rows[1] = 0.01                 # constant, nonzero excess: undefined
+        rows[2] = rf / bpy             # constant at the risk-free rate: 0.0
+        rows[3, ::2], rows[3, 1::2] = 0.02, -0.02
+        got = sharpe_rows(rows, rf, bpy)
+        assert np.isnan(got[1]) and got[2] == 0.0
+        for row, value in zip(rows, got):
+            want = rolling_sharpe(row, rf, bpy)
+            assert (math.isnan(value) if want is None else value == want)
+        # bit-identical to the formula on the row alone
+        r = rows[0]
+        assert got[0] == (float(np.mean(r)) - rf / bpy) \
+            / float(np.std(r, ddof=1)) * math.sqrt(bpy)
+
+    def test_rows_too_short_are_nan(self):
+        assert np.isnan(sharpe_rows(np.zeros((3, 1)), 0.0, 1460.0)).all()

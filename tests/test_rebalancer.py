@@ -2,13 +2,15 @@
 
 import json
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adaptivetrend.cost_model import ZERO_COSTS
-from adaptivetrend.market_data import MarketCapRecord
+from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
+from adaptivetrend.market_data import MarketCapRecord, PriceSeries
 from adaptivetrend.rebalancer import (Allocation, CandidateResult, ParamGrid,
                                       RebalanceConfig, cap_snapshot,
                                       evaluate_cell, filter_universe,
@@ -167,6 +169,166 @@ class TestOptimizeParams:
                     defined += 1
                     assert got == CandidateResult(s.symbol, best, best_sharpe)
         assert defined >= 12
+
+
+def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045):
+    """The optimizer's contract written as a loop over evaluate_cell."""
+    i0, i1 = series.slice_indices(*window)
+    if i1 - i0 < 2 * max(grid.lookback):
+        return None
+    best, best_sharpe = None, -INF
+    for cell in grid_cells(grid, side):
+        sharpe = evaluate_cell(series, cell, side, window, cost_cfg, rf_annual)
+        if sharpe is not None and sharpe > best_sharpe:
+            best, best_sharpe = cell, sharpe
+    return None if best is None else CandidateResult(series.symbol, best,
+                                                     best_sharpe)
+
+
+COST_CONFIGS = {
+    "none": None,
+    "zero": ZERO_COSTS,
+    "default": CostConfig(),
+    "table": CostConfig(funding_rates={
+        "RND": [(FEB1 + 10 * INTERVAL, 4e-4), (FEB1 + 40 * INTERVAL, -3e-4)]}),
+}
+SEARCH_GRID = ParamGrid(theta_entry=(0.005, 0.02), theta_entry_short=(0.005, 0.02),
+                        alpha=(0.5, 2.0, 4.0), lookback=(2, 6), atr_window=4)
+ONE_CELL = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
+                     alpha=(2.0,), lookback=(4,), atr_window=3)
+
+
+def edited_series(series, zero_volume_every=0, gap_every=0):
+    """Copy with every k-th bar's volume zeroed and/or every k-th bar dropped."""
+    bars = [replace(b, volume=0.0) if zero_volume_every
+            and i % zero_volume_every == 0 else b
+            for i, b in enumerate(series.bars)]
+    if gap_every:
+        bars = [b for i, b in enumerate(bars) if i % gap_every != 2]
+    return PriceSeries(series.symbol, series.interval, bars)
+
+
+class TestBatchedSearchMatchesScalar:
+    """optimize_params scores the grid in one batch; its pick must equal the
+    per-cell loop over evaluate_cell exactly (params and Sharpe, with ==)."""
+
+    def assert_same_pick(self, series, window, grid, cost_cfg, rf=0.045):
+        picks = []
+        for side in ("long", "short"):
+            want = scalar_pick(series, side, window, grid, cost_cfg, rf)
+            got = optimize_params(series, side, window, grid, cost_cfg, rf)
+            assert got == want, side
+            picks.append(got)
+        return picks
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           vol=st.sampled_from([0.3, 1.0, 2.5]),
+           costs=st.sampled_from(sorted(COST_CONFIGS)),
+           zero_volume_every=st.sampled_from([0, 1, 3]),
+           gap_every=st.sampled_from([0, 5]),
+           start=st.integers(0, 25),
+           one_cell=st.booleans())
+    def test_random_paths(self, seed, vol, costs, zero_volume_every, gap_every,
+                          start, one_cell):
+        series = edited_series(
+            gbm_series(np.random.default_rng(seed), 80, vol=vol, t0=FEB1),
+            zero_volume_every, gap_every)
+        ts = series.arrays().timestamps
+        window = (int(ts[start]), int(ts[-1]))
+        self.assert_same_pick(series, window, ONE_CELL if one_cell else SEARCH_GRID,
+                              COST_CONFIGS[costs])
+
+    @pytest.mark.parametrize("costs", sorted(COST_CONFIGS))
+    def test_each_cost_config(self, costs):
+        defined = 0
+        for k in range(4):
+            series = edited_series(
+                gbm_series(np.random.default_rng(50 + k), 90, vol=1.5, t0=FEB1),
+                zero_volume_every=4 if k == 1 else 0,
+                gap_every=6 if k == 2 else 0)
+            ts = series.arrays().timestamps
+            window = (int(ts[0 if k == 3 else 12]), int(ts[-3]))
+            picks = self.assert_same_pick(series, window, SEARCH_GRID,
+                                          COST_CONFIGS[costs])
+            defined += sum(p is not None for p in picks)
+        assert defined >= 4
+
+    def test_zero_volume_takes_slippage_cap(self):
+        series = edited_series(
+            gbm_series(np.random.default_rng(7), 90, vol=1.5, t0=FEB1),
+            zero_volume_every=1)
+        ts = series.arrays().timestamps
+        window = (int(ts[10]), int(ts[-1]))
+        picks = self.assert_same_pick(series, window, SEARCH_GRID, CostConfig())
+        assert any(p is not None for p in picks)
+
+    def test_window_at_first_bar(self):
+        series = gbm_series(np.random.default_rng(8), 70, vol=1.5, t0=FEB1)
+        ts = series.arrays().timestamps
+        assert series.slice_indices(int(ts[0]), int(ts[-1]))[0] == 0
+        for cost_cfg in COST_CONFIGS.values():
+            picks = self.assert_same_pick(series, (int(ts[0]), int(ts[-1])),
+                                          SEARCH_GRID, cost_cfg)
+            assert any(p is not None for p in picks)
+
+    def test_ties_keep_lowest_index(self):
+        # A clean rise never reaches any stop: every alpha ties and the first
+        # (smallest) one must win, on the scalar loop and the batch alike.
+        closes = [100.0 * 1.01 ** i for i in range(70)]
+        series = make_series(closes, t0=FEB1, wick=0.05)
+        ts = series.arrays().timestamps
+        grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
+                         alpha=(40.0, 50.0, 60.0), lookback=(4,), atr_window=3)
+        for cost_cfg in COST_CONFIGS.values():
+            long_pick, _ = self.assert_same_pick(
+                series, (int(ts[0]), int(ts[-1])), grid, cost_cfg)
+            assert long_pick is not None and long_pick.params.alpha == 40.0
+
+    def test_no_trade_window_is_none(self):
+        series = gbm_series(np.random.default_rng(9), 80, vol=0.2, t0=FEB1)
+        ts = series.arrays().timestamps
+        grid = ParamGrid(theta_entry=(5.0,), theta_entry_short=(5.0,),
+                         alpha=(2.0,), lookback=(4, 8), atr_window=3)
+        for cost_cfg in COST_CONFIGS.values():
+            assert self.assert_same_pick(series, (int(ts[0]), int(ts[-1])),
+                                         grid, cost_cfg) == [None, None]
+
+    @pytest.mark.parametrize("rf", [0.0, 0.045])
+    def test_constant_price_window(self, rf):
+        # A rise then a plateau: the long enters on the plateau's lagging
+        # momentum and then earns exactly zero per bar, which is a constant
+        # return series (Sharpe 0.0 at rf 0, undefined otherwise).
+        closes = [100.0 * 1.02 ** i for i in range(30)] + [100.0 * 1.02 ** 30] * 50
+        series = make_series(closes, t0=FEB1, wick=0.0)
+        ts = series.arrays().timestamps
+        window = (int(ts[30]), int(ts[-1]))
+        for cost_cfg in COST_CONFIGS.values():
+            self.assert_same_pick(series, window, ONE_CELL, cost_cfg, rf)
+        long_pick, short_pick = self.assert_same_pick(series, window,
+                                                      ONE_CELL, None, rf)
+        assert short_pick is None
+        assert (long_pick is not None and long_pick.sharpe == 0.0) == (rf == 0.0)
+
+    def test_one_cell_grid(self):
+        series = gbm_series(np.random.default_rng(10), 80, vol=2.0, t0=FEB1)
+        ts = series.arrays().timestamps
+        for cost_cfg in COST_CONFIGS.values():
+            picks = self.assert_same_pick(series, (int(ts[5]), int(ts[-1])),
+                                          ONE_CELL, cost_cfg)
+            for p in picks:
+                assert p is None or p.params in (grid_cells(ONE_CELL, "long")
+                                                 + grid_cells(ONE_CELL, "short"))
+
+    def test_series_with_gaps(self):
+        series = edited_series(
+            gbm_series(np.random.default_rng(11), 100, vol=1.5, t0=FEB1),
+            gap_every=4)
+        assert series.gaps
+        ts = series.arrays().timestamps
+        for cost_cfg in COST_CONFIGS.values():
+            self.assert_same_pick(series, (int(ts[3]), int(ts[-1])),
+                                  SEARCH_GRID, cost_cfg)
 
 
 class TestSelectAndAllocate:

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import Bar
+from adaptivetrend.indicators import rolling_sharpe
+from adaptivetrend.market_data import Bar, bars_per_year
 from adaptivetrend.signal_engine import (EngineError, Position, StrategyParams,
-                                         TradeRecord, gross_pnl, read_ledger,
-                                         run_single_asset, step, write_ledger)
+                                         TradeRecord, grid_sharpes, gross_pnl,
+                                         read_ledger, run_single_asset, step,
+                                         write_ledger)
 from conftest import INTERVAL, SCRIPT_CLOSES, T0, gbm_series, make_series
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
@@ -312,6 +316,50 @@ class TestIntrabarMode:
                             params=PARAMS, intrabar_stop_fill=True)
         assert trade is None
         assert state.stop == pytest.approx(101.0)
+
+
+class TestGridSharpes:
+    """Every cell's batched Sharpe equals the engine's, bit for bit."""
+
+    CELLS = [StrategyParams(theta, theta, alpha, lookback, 4)
+             for theta in (0.0001, 0.01, 0.04)
+             for alpha in (0.5, 2.0, 6.0)
+             for lookback in (1, 3, 9)]
+
+    def reference(self, series, cell, side, window, cost_cfg, rf):
+        res = run_single_asset(series, cell, side_enabled=side, window=window,
+                               cost_cfg=cost_cfg)
+        if not res.trades:
+            return None
+        return rolling_sharpe(res.net_returns, rf, bars_per_year(series.interval))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           vol=st.sampled_from([0.2, 1.0, 3.0]),
+           cost_cfg=st.sampled_from([None, ZERO_COSTS, CostConfig(),
+                                     CostConfig(funding_rates={"RND": [
+                                         (T0 + 20 * INTERVAL, -5e-4)]})]),
+           start=st.integers(0, 30),
+           side=st.sampled_from(["long", "short"]))
+    def test_every_cell_matches_engine(self, seed, vol, cost_cfg, start, side):
+        series = gbm_series(np.random.default_rng(seed), 60, vol=vol)
+        ts = series.arrays().timestamps
+        window = (int(ts[start]), int(ts[-1]))
+        got = grid_sharpes(series.arrays(), series.interval, series.symbol,
+                           self.CELLS, side, series.slice_indices(*window),
+                           cost_cfg, 0.045)
+        for cell, value in zip(self.CELLS, got):
+            want = self.reference(series, cell, side, window, cost_cfg, 0.045)
+            assert (math.isnan(value) if want is None else value == want), cell
+
+    def test_short_window_and_bad_side(self):
+        series = gbm_series(np.random.default_rng(1), 30)
+        arr = series.arrays()
+        assert np.isnan(grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "long",
+                                     (5, 6), None, 0.0)).all()
+        with pytest.raises(EngineError):
+            grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "both", (0, 30),
+                         None, 0.0)
 
 
 class TestLedgerIo:
