@@ -157,7 +157,7 @@ def classify_regimes(btc: PriceSeries,
     otherwise (boundaries inclusive to Sideways). Bars without a full trailing
     window are excluded rather than defaulted.
     """
-    arr = btc.arrays()
+    arr = btc.arrays
     w = round(window_days * 86_400 / btc.interval)
     if w < 1:
         raise ValueError("window too short for this bar interval")

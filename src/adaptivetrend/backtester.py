@@ -20,7 +20,8 @@ from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
                           PriceSeries, month_add, month_floor, month_id,
                           read_csv, write_csv)
-from .rebalancer import (MonthlyPortfolio, RebalanceConfig, run_rebalance)
+from .rebalancer import (CapIndex, MonthlyPortfolio, RebalanceConfig,
+                         run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -104,11 +105,11 @@ def month_starts_between(start: int, end: int) -> List[int]:
 def union_timeline(universe: Dict[str, PriceSeries],
                    window: Tuple[int, int]) -> np.ndarray:
     """Sorted union of every symbol's bar timestamps inside the window."""
-    ts_set = set()
+    chunks = [np.empty(0, dtype=np.int64)]
     for series in universe.values():
-        i0, i1 = series.slice_indices(window[0], window[1])
-        ts_set.update(int(t) for t in series.arrays().timestamps[i0:i1])
-    return np.array(sorted(ts_set), dtype=np.int64)
+        i0, i1 = series.arrays.slice_indices(window[0], window[1])
+        chunks.append(series.arrays.timestamps[i0:i1])
+    return np.unique(np.concatenate(chunks))
 
 
 def aggregate_results(
@@ -140,8 +141,8 @@ def _check_history(universe: Dict[str, PriceSeries], first_month: int,
     live = [s for s in universe.values() if len(s) > 0]
     if not live:
         raise DataError("universe has no bars")
-    earliest = min(s.bars[0].timestamp for s in live)
-    latest = max(s.bars[-1].timestamp for s in live)
+    earliest = min(int(s.arrays.timestamps[0]) for s in live)
+    latest = max(int(s.arrays.timestamps[-1]) for s in live)
     prev = month_add(first_month, -1)
     if earliest > prev + interval:
         raise DataError(
@@ -165,6 +166,7 @@ def run_backtest(
     rolls across months; a balance <= 0 halts the run and flags the curve.
     """
     rcfg = cfg.rebalance
+    caps = CapIndex(caps)
     if not cfg.sharpe_filter_enabled:
         rcfg = replace(rcfg, gamma_long=float("-inf"), gamma_short=float("-inf"))
 

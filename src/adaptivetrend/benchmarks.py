@@ -17,7 +17,7 @@ fill costs both ways; tsmom variants additionally accrue funding while held
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from .backtester import (BacktestConfig, EquityCurve, aggregate_results,
 from .cost_model import LONG, SHORT, CostConfig, fee, funding, slippage
 from .market_data import (MarketCapRecord, PriceSeries, bars_per_year,
                           date_of_ts, month_add)
-from .rebalancer import cap_snapshot
+from .rebalancer import CapIndex, cap_snapshot
 from .signal_engine import SingleAssetResult, TradeRecord, gross_pnl
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
@@ -79,8 +79,8 @@ def hold_position(
     account aggregation code is shared. Fewer than two bars in the window
     yields an empty result (a position cannot open and close on one bar).
     """
-    arr = series.arrays()
-    i0, i1 = series.slice_indices(window[0], window[1])
+    arr = series.arrays
+    i0, i1 = arr.slice_indices(window[0], window[1])
     n = i1 - i0
     timestamps = arr.timestamps[i0:i1].copy()
     empty = SingleAssetResult(
@@ -102,7 +102,7 @@ def hold_position(
     pos_fee = pos_slip = pos_funding = 0.0
     if cost_cfg is not None:
         pos_fee = fee(size, cost_cfg)
-        pos_slip = slippage(size, series.bars[i0], cost_cfg, series.interval)
+        pos_slip = slippage(size, arr.bar(i0), cost_cfg, series.interval)
     res.costs[0] = pos_fee + pos_slip
     res.position[:] = sign
     res.position[-1] = 0
@@ -119,7 +119,7 @@ def hold_position(
         if local == n - 1 and cost_cfg is not None:
             exit_notional = size * exit_px / entry_px
             exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, series.bars[i], cost_cfg,
+            exit_slip = slippage(exit_notional, arr.bar(i), cost_cfg,
                                  series.interval)
             pos_fee += exit_fee
             pos_slip += exit_slip
@@ -152,8 +152,7 @@ def hold_position(
 def trailing_month_return(series: PriceSeries, month_start: int,
                           lookback_months: int) -> Optional[float]:
     """Return over the trailing lookback calendar months ending at month_start."""
-    ts = series.arrays().timestamps
-    close = series.arrays().close
+    ts, close = series.arrays.timestamps, series.arrays.close
     i_now = int(np.searchsorted(ts, month_start, side="right")) - 1
     past = month_add(month_start, -lookback_months)
     i_past = int(np.searchsorted(ts, past, side="right")) - 1
@@ -165,8 +164,7 @@ def trailing_month_return(series: PriceSeries, month_start: int,
 def realized_vol(series: PriceSeries, month_start: int, window_days: int,
                  bpy: float) -> Optional[float]:
     """Annualized close-to-close volatility over the trailing window_days."""
-    ts = series.arrays().timestamps
-    close = series.arrays().close
+    ts, close = series.arrays.timestamps, series.arrays.close
     lo = int(np.searchsorted(ts, month_start - window_days * 86_400, side="left"))
     hi = int(np.searchsorted(ts, month_start, side="right"))
     if hi - lo < 3:
@@ -229,6 +227,7 @@ def run_benchmark(
 ) -> BenchmarkRun:
     """Run one benchmark over cfg's window with cfg's cost model."""
     bpy = bars_per_year(cfg.interval)
+    caps = CapIndex(caps)
     months = month_starts_between(cfg.start, cfg.end)
     if not months:
         raise ValueError("no month boundary inside [start, end]")

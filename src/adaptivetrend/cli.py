@@ -22,7 +22,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -32,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .analytics import (classify_regimes, compute_metrics, bootstrap_sharpe_test,
-                        regime_metrics, write_regime_csv, REGIME_CSV_HEADER)
+from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
+                        write_regime_csv, REGIME_CSV_HEADER)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve,
                          load_equity, run_ablation, save_equity, snap_to_month,
                          ABLATION_VARIANTS)
@@ -45,7 +44,7 @@ from .market_data import (DataError, MarketCapRecord, PriceSeries,
                           load_market_caps, load_price_series, read_csv,
                           resample_series, save_market_caps,
                           save_price_series, write_csv)
-from .rebalancer import ParamGrid, RebalanceConfig, cap_snapshot
+from .rebalancer import CapIndex, ParamGrid, RebalanceConfig, cap_snapshot
 from .signal_engine import write_ledger
 
 logger = logging.getLogger(__name__)
@@ -273,7 +272,7 @@ def data_dir_from(cfg: Optional[Dict[str, object]],
 
 
 def load_universe(data_dir: str, interval: int
-                  ) -> Tuple[Dict[str, PriceSeries], List[MarketCapRecord]]:
+                  ) -> Tuple[Dict[str, PriceSeries], CapIndex]:
     if not os.path.isdir(data_dir):
         raise DataError(f"data directory not found: {data_dir}")
     universe: Dict[str, PriceSeries] = {}
@@ -291,7 +290,7 @@ def load_universe(data_dir: str, interval: int
             universe[series.symbol] = series
     if not universe:
         raise DataError(f"no OHLCV files found in {data_dir}")
-    return universe, caps
+    return universe, CapIndex(caps)
 
 
 def digest_dir(data_dir: str) -> Dict[str, str]:

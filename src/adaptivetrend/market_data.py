@@ -13,12 +13,14 @@ SeedSequence, so a fixed seed reproduces the universe bit for bit.
 """
 
 import csv
+import io
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, date, timezone
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+from itertools import starmap
+from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, TextIO, Tuple, TypeVar)
 
 import numpy as np
@@ -53,9 +55,12 @@ def bars_per_year(interval: int) -> float:
 # Core types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCV observation; timestamp is the bar close instant (UTC seconds)."""
+class Bar(NamedTuple):
+    """One OHLCV observation; timestamp is the bar close instant (UTC seconds).
+
+    Series store columns, not bars: a Bar is a per-bar view that the state
+    machine and the slippage model read, built only for the bars they visit.
+    """
 
     timestamp: int
     open: float
@@ -65,30 +70,9 @@ class Bar:
     volume: float
 
 
-def validate_bar(bar: Bar) -> None:
-    """Check the OHLCV invariants, raising DataError naming the offending bar.
-
-    The chained comparisons are false for NaN, so they also reject non-finite
-    fields.
-    """
-    if not (0 < bar.open < INF and 0 < bar.high < INF
-            and 0 < bar.low < INF and 0 < bar.close < INF):
-        raise DataError(f"bar {bar.timestamp}: prices must be strictly positive"
-                        " and finite")
-    if not 0 <= bar.volume < INF:
-        raise DataError(f"bar {bar.timestamp}: volume must be non-negative"
-                        " and finite")
-    if bar.low > bar.high:
-        raise DataError(f"bar {bar.timestamp}: low {bar.low} exceeds high {bar.high}")
-    if bar.high < max(bar.open, bar.close):
-        raise DataError(f"bar {bar.timestamp}: high {bar.high} below max(open, close)")
-    if bar.low > min(bar.open, bar.close):
-        raise DataError(f"bar {bar.timestamp}: low {bar.low} above min(open, close)")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesArrays:
-    """Column view of a PriceSeries for vectorized work."""
+    """The columns of a PriceSeries: int64 timestamps, float64 OHLCV."""
 
     timestamps: np.ndarray
     open: np.ndarray
@@ -97,74 +81,81 @@ class SeriesArrays:
     close: np.ndarray
     volume: np.ndarray
 
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.timestamps, self.open, self.high, self.low, self.close,
+                self.volume)
+
     def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
         """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
         i0 = int(np.searchsorted(self.timestamps, start_ts, side="left"))
         i1 = int(np.searchsorted(self.timestamps, end_ts, side="right"))
         return i0, i1
 
+    def bars(self, i0: int, i1: int) -> Iterator[Bar]:
+        """Bar views of rows [i0, i1), with plain int and float fields."""
+        return starmap(Bar, zip(*(col[i0:i1].tolist() for col in self.columns())))
 
-@dataclass
+    def bar(self, i: int) -> Bar:
+        return next(self.bars(i, i + 1))
+
+
+def _check_bars(symbol: str, interval: int, arr: SeriesArrays
+                ) -> List[Tuple[int, int]]:
+    """Check every bar's invariants at once and return the gaps. The first
+    offending bar raises a DataError for the first rule listed that it breaks;
+    timestamp rules compare a bar with its predecessor."""
+    ts, o, h, lo, c, v = arr.columns()
+    prices = np.stack([o, h, lo, c])
+    # The first bar gets a step of one interval, which breaks no rule.
+    step = np.diff(ts, prepend=ts[:1] - interval)
+    rules = (  # comparisons with NaN are false, so NaN breaks the first two
+        (~((prices > 0) & (prices < INF)).all(axis=0),
+         "bar {b.timestamp}: prices must be strictly positive and finite"),
+        (~((v >= 0) & (v < INF)),
+         "bar {b.timestamp}: volume must be non-negative and finite"),
+        (lo > h, "bar {b.timestamp}: low {b.low} exceeds high {b.high}"),
+        (h < np.maximum(o, c),
+         "bar {b.timestamp}: high {b.high} below max(open, close)"),
+        (lo > np.minimum(o, c),
+         "bar {b.timestamp}: low {b.low} above min(open, close)"),
+        (step == 0, "{symbol}: duplicate timestamp {b.timestamp}"),
+        (step < 0, "{symbol}: timestamps not ascending at {b.timestamp}"),
+        (step % interval != 0, "{symbol}: gap {prev} -> {b.timestamp} is not a"
+                               " multiple of interval {interval}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(bad.argmax())
+        message = next(msg for mask, msg in rules if mask[i])
+        raise DataError(message.format(b=arr.bar(i), symbol=symbol,
+                                       prev=int(ts[i - 1]), interval=interval))
+    k = np.flatnonzero(step > interval)
+    return list(zip(ts[k - 1].tolist(), ts[k].tolist()))
+
+
+@dataclass(eq=False)
 class PriceSeries:
     """Validated, ascending OHLCV series at a fixed bar interval.
 
-    Gaps larger than one interval are recorded in ``gaps`` as (prev_ts, next_ts)
-    pairs; indicators treat a gap as a normal adjacent-bar transition.
+    The columns are read-only once validated. Gaps larger than one interval
+    are recorded in ``gaps`` as (prev_ts, next_ts) pairs; indicators treat a
+    gap as a normal adjacent-bar transition.
     """
 
     symbol: str
     interval: int
-    bars: Tuple[Bar, ...]
+    arrays: SeriesArrays
     gaps: List[Tuple[int, int]] = field(init=False, default_factory=list)
-    _arrays: Optional[SeriesArrays] = field(
-        init=False, default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        self.bars = tuple(self.bars)
         if self.interval <= 0:
             raise DataError(f"{self.symbol}: interval must be positive")
-        prev_ts = None
-        gaps = []
-        for bar in self.bars:
-            validate_bar(bar)
-            if prev_ts is not None:
-                delta = bar.timestamp - prev_ts
-                if delta == 0:
-                    raise DataError(f"{self.symbol}: duplicate timestamp {bar.timestamp}")
-                if delta < 0:
-                    raise DataError(
-                        f"{self.symbol}: timestamps not ascending at {bar.timestamp}"
-                    )
-                if delta % self.interval != 0:
-                    raise DataError(
-                        f"{self.symbol}: gap {prev_ts} -> {bar.timestamp} is not a"
-                        f" multiple of interval {self.interval}"
-                    )
-                if delta > self.interval:
-                    gaps.append((prev_ts, bar.timestamp))
-            prev_ts = bar.timestamp
-        self.gaps = gaps
+        self.gaps = _check_bars(self.symbol, self.interval, self.arrays)
+        for col in self.arrays.columns():
+            col.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    def arrays(self) -> SeriesArrays:
-        """Column arrays, built lazily and cached (series are immutable)."""
-        if self._arrays is None:
-            self._arrays = SeriesArrays(
-                timestamps=np.array([b.timestamp for b in self.bars], dtype=np.int64),
-                open=np.array([b.open for b in self.bars], dtype=np.float64),
-                high=np.array([b.high for b in self.bars], dtype=np.float64),
-                low=np.array([b.low for b in self.bars], dtype=np.float64),
-                close=np.array([b.close for b in self.bars], dtype=np.float64),
-                volume=np.array([b.volume for b in self.bars], dtype=np.float64),
-            )
-        return self._arrays
-
-    def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
-        """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
-        return self.arrays().slice_indices(start_ts, end_ts)
+        return len(self.arrays.timestamps)
 
 
 @dataclass(frozen=True)
@@ -296,36 +287,49 @@ def write_csv(path: str, header: Sequence[str],
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _parse_bar(row: List[str]) -> Bar:
-    return Bar(int(row[0]), float(row[1]), float(row[2]), float(row[3]),
-               float(row[4]), float(row[5]))
+_OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
 
 
 def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
                       symbol: Optional[str] = None) -> PriceSeries:
     """Load one symbol's OHLCV CSV into a validated PriceSeries.
 
-    Rows may be out of order on disk; the returned series is sorted ascending.
-    Malformed rows, bar-invariant violations (non-finite values included) and
-    duplicate timestamps are rejected with the offending line or timestamp
-    named.
+    Rows may be out of order on disk; the returned series is sorted ascending
+    (stably). Malformed rows, bar-invariant violations (non-finite values
+    included) and duplicate timestamps are rejected with the offending line
+    or timestamp named. NumPy's C parser reads the fields, so digit
+    separators ("1_000"), quoted or non-ASCII numbers and timestamps outside
+    int64, which int() and float() would take, are rejected too.
     """
     if symbol is None:
         stem = str(path).rsplit("/", 1)[-1]
         symbol = stem[:-4] if stem.endswith(".csv") else stem
-    bars = read_csv(path, OHLCV_HEADER, _parse_bar)
-    bars.sort(key=lambda b: b.timestamp)
+    with open(path, "r") as fh:
+        header, body = fh.readline(), fh.read()
+    if header.rstrip("\n") != ",".join(OHLCV_HEADER):
+        raise DataError(f"{path}: line 1: expected header {','.join(OHLCV_HEADER)}")
+    rows = np.zeros(0, dtype=_OHLCV_DTYPE)
+    if body.strip("\n"):  # else header-only, and loadtxt would warn
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_OHLCV_DTYPE,
+                              delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            # The row-by-row reader names the line of any malformed row;
+            # only what it accepts and the C parser does not gets here.
+            read_csv(path, OHLCV_HEADER,
+                     lambda row: (int(row[0]), [float(x) for x in row[1:]]))
+            raise DataError(f"{path}: {exc}") from exc
+    order = np.argsort(rows["timestamp"], kind="stable")
+    arrays = SeriesArrays(*(rows[name][order] for name in OHLCV_HEADER))
     try:
-        return PriceSeries(symbol=symbol, interval=interval, bars=bars)
+        return PriceSeries(symbol=symbol, interval=interval, arrays=arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def save_price_series(series: PriceSeries, path: str) -> None:
     """Write a series back to the OHLCV CSV schema (round-trips exactly)."""
-    write_csv(path, OHLCV_HEADER,
-              ([int(b.timestamp), b.open, b.high, b.low, b.close, b.volume]
-               for b in series.bars))
+    write_csv(path, OHLCV_HEADER, series.arrays.bars(0, len(series)))
 
 
 def load_market_caps(path: str) -> List[MarketCapRecord]:
@@ -354,18 +358,6 @@ def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:
 # Synthetic universe
 # ---------------------------------------------------------------------------
 
-def _regime_arrays(spec: SyntheticSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-bar annualized drift and vol arrays from the regime schedule."""
-    drift = np.empty(spec.n_bars)
-    vol = np.empty(spec.n_bars)
-    pos = 0
-    for duration, mu, sigma in spec.regimes:
-        drift[pos:pos + duration] = mu
-        vol[pos:pos + duration] = sigma
-        pos += duration
-    return drift, vol
-
-
 def generate_synthetic_universe(
     spec: SyntheticSpec,
 ) -> Tuple[List[PriceSeries], List[MarketCapRecord]]:
@@ -378,13 +370,20 @@ def generate_synthetic_universe(
     is (1e10 / (j + 1)) * last_close_of_day / base_price, which makes the cap
     ranking follow symbol index modulated by realized price paths.
     """
-    mu, sigma = _regime_arrays(spec)
+    # Per-bar annualized drift and vol from the regime schedule.
+    durations, drifts, vols = zip(*spec.regimes)
+    mu = np.repeat(np.array(drifts, dtype=float), durations)
+    sigma = np.repeat(np.array(vols, dtype=float), durations)
     dt = spec.interval / SECONDS_PER_YEAR
-    sqrt_dt = math.sqrt(dt)
-    sigma_bar = sigma * sqrt_dt
+    sigma_bar = sigma * math.sqrt(dt)
 
     ts = spec.start + (np.arange(spec.n_bars, dtype=np.int64) + 1) * spec.interval
     width = max(2, len(str(spec.n_symbols - 1)))
+    # Daily caps: a bar belongs to the day containing (ts - 1, ts], and a
+    # day's cap follows its last close.
+    days = (ts - 1) // SECONDS_PER_DAY
+    day_ends = np.flatnonzero(np.diff(days, append=days[-1] + 1))
+    day_dates = [date_of_ts(d * SECONDS_PER_DAY) for d in days[day_ends].tolist()]
 
     series_list = []
     cap_records = []
@@ -396,34 +395,22 @@ def generate_synthetic_universe(
         wick_lo = np.abs(rng.standard_normal(spec.n_bars))
         vol_noise = rng.standard_normal(spec.n_bars)
 
-        log_ret = mu * dt + sigma_bar * z
-        close = SYNTH_BASE_PRICE * np.exp(np.cumsum(log_ret))
+        close = SYNTH_BASE_PRICE * np.exp(np.cumsum(mu * dt + sigma_bar * z))
         open_ = np.concatenate(([SYNTH_BASE_PRICE], close[:-1]))
-        body_hi = np.maximum(open_, close)
-        body_lo = np.minimum(open_, close)
-        high = body_hi * (1.0 + SYNTH_WICK_SCALE * sigma_bar * wick_hi)
-        low = body_lo * (1.0 - np.minimum(SYNTH_WICK_SCALE * sigma_bar * wick_lo, 0.9))
+        high = np.maximum(open_, close) * (1.0 + SYNTH_WICK_SCALE * sigma_bar * wick_hi)
+        low = np.minimum(open_, close) * (
+            1.0 - np.minimum(SYNTH_WICK_SCALE * sigma_bar * wick_lo, 0.9))
         volume = SYNTH_BASE_VOLUME * np.exp(0.5 * vol_noise)
 
         symbol = f"SYM{j:0{width}d}"
-        bars = [
-            Bar(int(ts[i]), float(open_[i]), float(high[i]),
-                float(low[i]), float(close[i]), float(volume[i]))
-            for i in range(spec.n_bars)
-        ]
-        series_list.append(PriceSeries(symbol=symbol, interval=spec.interval, bars=bars))
-
-        # Daily caps: a bar belongs to the day containing (ts - 1, ts].
+        series_list.append(PriceSeries(
+            symbol=symbol, interval=spec.interval,
+            arrays=SeriesArrays(ts, open_, high, low, close, volume)))
         base_cap = SYNTH_BASE_CAP / (j + 1)
-        day_last_close: Dict[int, float] = {}
-        for i in range(spec.n_bars):
-            day_last_close[int((ts[i] - 1) // SECONDS_PER_DAY)] = float(close[i])
-        for day_ord in sorted(day_last_close):
-            cap_records.append(MarketCapRecord(
-                symbol=symbol,
-                date=date_of_ts(day_ord * SECONDS_PER_DAY),
-                cap=base_cap * day_last_close[day_ord] / SYNTH_BASE_PRICE,
-            ))
+        cap_records.extend(
+            MarketCapRecord(symbol=symbol, date=day,
+                            cap=base_cap * last_close / SYNTH_BASE_PRICE)
+            for day, last_close in zip(day_dates, close[day_ends].tolist()))
     return series_list, cap_records
 
 
@@ -445,21 +432,19 @@ def resample_series(series: PriceSeries, target_interval: int) -> PriceSeries:
             f" {target_interval} (not a multiple)"
         )
     m = target_interval // series.interval
-    buckets: Dict[int, List[Bar]] = {}
-    for bar in series.bars:
-        bucket = -(-bar.timestamp // target_interval)  # ceil division
-        buckets.setdefault(bucket, []).append(bar)
-    out = []
-    for bucket in sorted(buckets):
-        group = buckets[bucket]
-        if len(group) != m:
-            continue  # partial or gapped bucket
-        out.append(Bar(
-            timestamp=bucket * target_interval,
-            open=group[0].open,
-            high=max(b.high for b in group),
-            low=min(b.low for b in group),
-            close=group[-1].close,
-            volume=sum(b.volume for b in group),
-        ))
-    return PriceSeries(symbol=series.symbol, interval=target_interval, bars=out)
+    arr = series.arrays
+    bucket = -(-arr.timestamps // target_interval)  # ceil division
+    # Bars are ascending, so each bucket is one run of bars; a run of m bars
+    # is a complete bucket and is kept.
+    starts = np.flatnonzero(np.diff(bucket, prepend=bucket[:1] - 1))
+    first = starts[np.diff(starts, append=len(bucket)) == m]
+    rows = first[:, None] + np.arange(m)
+    volume = np.zeros(len(first))
+    for k in range(m):  # summed bar by bar, left to right
+        volume += arr.volume[first + k]
+    return PriceSeries(symbol=series.symbol, interval=target_interval,
+                       arrays=SeriesArrays(
+                           timestamps=bucket[first] * target_interval,
+                           open=arr.open[first], high=arr.high[rows].max(axis=1),
+                           low=arr.low[rows].min(axis=1),
+                           close=arr.close[first + m - 1], volume=volume))

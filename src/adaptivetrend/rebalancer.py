@@ -12,12 +12,13 @@ Four stages, run at each month boundary:
 The result is a MonthlyPortfolio; anything not allocated stays in cash.
 """
 
+import bisect
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,14 +103,28 @@ class MonthlyPortfolio:
 # Stage 1: market-cap filtering
 # ---------------------------------------------------------------------------
 
+class CapIndex(tuple):
+    """Cap records (a tuple) plus each date's snapshot in date order, so that
+    cap_snapshot bisects instead of scanning. Build one per run; building one
+    from a CapIndex returns it unchanged."""
+
+    def __new__(cls, caps: Iterable[MarketCapRecord]) -> "CapIndex":
+        if isinstance(caps, cls):
+            return caps
+        self = super().__new__(cls, caps)
+        self.snapshots: Dict[date, Dict[str, float]] = {}
+        for r in sorted(self, key=lambda r: r.date):  # stable: file order
+            self.snapshots.setdefault(r.date, {})[r.symbol] = r.cap
+        self.dates = list(self.snapshots)
+        return self
+
+
 def cap_snapshot(caps: Sequence[MarketCapRecord],
                  as_of: date) -> Optional[Dict[str, float]]:
     """symbol -> cap on the most recent snapshot date at or before as_of."""
-    dates = [r.date for r in caps if r.date <= as_of]
-    if not dates:
-        return None
-    snapshot_date = max(dates)
-    return {r.symbol: r.cap for r in caps if r.date == snapshot_date}
+    index = CapIndex(caps)
+    k = bisect.bisect_right(index.dates, as_of)
+    return dict(index.snapshots[index.dates[k - 1]]) if k else None
 
 
 def filter_universe(
@@ -198,7 +213,7 @@ def optimize_params(
     Every cell is scored as evaluate_cell would score it, in one batched
     pass (signal_engine.grid_sharpes); the first cell with the maximum wins.
     """
-    return _optimize(series.symbol, series.interval, series.arrays(), side,
+    return _optimize(series.symbol, series.interval, series.arrays, side,
                      window, grid, cost_cfg, rf_annual)
 
 
@@ -271,12 +286,12 @@ def optimization_window(month_start: int, interval: int,
 
 def has_month_history(series: PriceSeries, window_start: int) -> bool:
     """True when the series starts early enough to cover the whole window."""
-    return len(series) > 0 and series.bars[0].timestamp <= window_start + series.interval
+    return (len(series) > 0
+            and int(series.arrays.timestamps[0]) <= window_start + series.interval)
 
 
 def _candidate_task(args) -> Tuple[str, Optional[CandidateResult]]:
-    # (symbol, interval, arrays, side, window, grid, cost_cfg, rf_annual):
-    # plain arrays pickle far faster than a PriceSeries of Bar objects.
+    # args: (symbol, interval, arrays, side, window, grid, cost_cfg, rf_annual)
     return args[0], _optimize(*args)
 
 
@@ -296,7 +311,7 @@ def _optimize_side(
             logger.info("%s: lacks a full month of history; excluded", sym)
             continue
         eligible.append(series)
-    tasks = [(s.symbol, s.interval, s.arrays(), side, window, cfg.grid,
+    tasks = [(s.symbol, s.interval, s.arrays, side, window, cfg.grid,
               cost_cfg, cfg.rf_annual) for s in eligible]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

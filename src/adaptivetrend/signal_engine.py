@@ -235,10 +235,6 @@ class SingleAssetResult:
     open_costs: np.ndarray
     trades: List[TradeRecord]
 
-    def equity_contribution(self) -> np.ndarray:
-        """Per-bar currency PnL of this run relative to an idle allocation."""
-        return self.realized_cum + self.open_mtm - self.open_costs
-
 
 def _mark_to_market(pos: Position, close: float) -> float:
     return gross_pnl(pos.side, pos.size, pos.entry_price, close)
@@ -270,11 +266,11 @@ def run_single_asset(
     if side_enabled not in SIDE_CHOICES:
         raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
 
-    arr = series.arrays()
+    arr = series.arrays
     if window is None:
         i0, i1 = 0, len(series)
     else:
-        i0, i1 = series.slice_indices(window[0], window[1])
+        i0, i1 = arr.slice_indices(window[0], window[1])
     n = i1 - i0
 
     timestamps = arr.timestamps[i0:i1].copy()
@@ -293,9 +289,9 @@ def run_single_asset(
                                  gross_returns, net_returns, costs, realized_cum,
                                  open_mtm, open_costs, trades)
 
-    mom_full = momentum(arr.close, params.lookback)
-    atr_full = atr(arr.high, arr.low, arr.close, params.atr_window)
-    first_defined = params.warmup_bars()
+    mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
+    atr_values = atr(arr.high, arr.low, arr.close, params.atr_window)[i0:i1].tolist()
+    first_defined = params.warmup_bars() - i0  # as an index into the window
 
     state: Optional[Position] = None
     realized = 0.0
@@ -323,25 +319,27 @@ def run_single_asset(
         pos_fee = pos_slip = pos_funding = 0.0
         return trade, exit_fill_cost
 
-    for local, i in enumerate(range(i0, i1)):
-        bar = series.bars[i]
+    # A position is never held entering the window's first bar, so `prev`
+    # is always set where it is read.
+    prev: Optional[Bar] = None
+    for local, bar in enumerate(arr.bars(i0, i1)):
         held = 0 if state is None else (1 if state.side == LONG else -1)
         bar_cost = 0.0
 
         # Funding accrues on every bar the position was held entering,
         # covering events in (previous bar close, this bar close].
         if held != 0 and cost_cfg is not None:
-            f = funding(state.side, size, int(arr.timestamps[i - 1]),
-                        bar.timestamp, cost_cfg, series.symbol)
+            f = funding(state.side, size, prev.timestamp, bar.timestamp,
+                        cost_cfg, series.symbol)
             pos_funding += f
             bar_cost += f
 
         exit_px: Optional[float] = None
         last_bar = local == n - 1
-        if i >= first_defined and not (state is None and last_bar):
+        if local >= first_defined and not (state is None and last_bar):
             prev_state = state
             state, trade = step(
-                state, bar, float(mom_full[i]), float(atr_full[i]), params,
+                state, bar, mom[local], atr_values[local], params,
                 side_enabled, symbol=series.symbol, size=size,
                 trailing=trailing, intrabar_stop_fill=intrabar_stop_fill,
             )
@@ -366,7 +364,7 @@ def run_single_asset(
 
         if held != 0:
             ref_px = exit_px if exit_px is not None else bar.close
-            gross_returns[local] = held * (ref_px / float(arr.close[i - 1]) - 1.0)
+            gross_returns[local] = held * (ref_px / prev.close - 1.0)
 
         position[local] = 0 if state is None else (1 if state.side == LONG else -1)
         stop[local] = state.stop if state is not None else np.nan
@@ -375,6 +373,7 @@ def run_single_asset(
         realized_cum[local] = realized
         open_mtm[local] = _mark_to_market(state, bar.close) if state is not None else 0.0
         open_costs[local] = pos_fee + pos_slip + pos_funding if state is not None else 0.0
+        prev = bar
 
     return SingleAssetResult(series.symbol, timestamps, position, stop,
                              gross_returns, net_returns, costs, realized_cum,

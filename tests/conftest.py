@@ -7,7 +7,9 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from adaptivetrend.market_data import Bar, MarketCapRecord, PriceSeries
+from adaptivetrend.market_data import (Bar, MarketCapRecord, PriceSeries,
+                                       SeriesArrays)
+from scalar_reference import columns
 
 INTERVAL = 21_600
 T0 = 1_640_995_200        # 2022-01-01 00:00 UTC
@@ -36,12 +38,22 @@ def make_bars(closes: Sequence[float], *, interval: int = INTERVAL,
     return tuple(bars)
 
 
+def series_from_bars(symbol: str, interval: int,
+                     bars: Sequence[Bar]) -> PriceSeries:
+    """A PriceSeries whose columns hold the fields of ``bars``."""
+    return PriceSeries(symbol, interval, columns(bars))
+
+
+def bars_of(series: PriceSeries) -> tuple:
+    return tuple(series.arrays.bars(0, len(series)))
+
+
 def make_series(closes: Sequence[float], *, symbol: str = "TST",
                 interval: int = INTERVAL, t0: int = T0,
                 opens: Optional[Sequence[float]] = None, wick: float = 1.5,
                 volume: float = 1_000_000.0) -> PriceSeries:
-    return PriceSeries(symbol=symbol, interval=interval,
-                       bars=make_bars(closes, interval=interval, t0=t0,
+    return series_from_bars(symbol, interval,
+                            make_bars(closes, interval=interval, t0=t0,
                                       opens=opens, wick=wick, volume=volume))
 
 
@@ -64,13 +76,9 @@ def gbm_series(rng: np.random.Generator, n: int, *, symbol: str = "RND",
     body_hi = np.maximum(opens, closes)
     body_lo = np.minimum(opens, closes)
     volumes = 1e6 * np.exp(0.3 * rng.standard_normal(n))
-    bars = tuple(
-        Bar(timestamp=t0 + (i + 1) * interval, open=float(opens[i]),
-            high=float(body_hi[i] + wicks[i]), low=float(body_lo[i] - wicks[i]),
-            close=float(closes[i]), volume=float(volumes[i]))
-        for i in range(n)
-    )
-    return PriceSeries(symbol=symbol, interval=interval, bars=bars)
+    timestamps = t0 + (np.arange(n, dtype=np.int64) + 1) * interval
+    return PriceSeries(symbol, interval, SeriesArrays(
+        timestamps, opens, body_hi + wicks, body_lo - wicks, closes, volumes))
 
 
 def caps_for(symbols: Sequence[str], snap_date: date = date(2022, 1, 31),

@@ -20,8 +20,7 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       month_starts_between, run_ablation,
                                       run_backtest)
 from adaptivetrend.cost_model import CostConfig
-from adaptivetrend.market_data import (PriceSeries, SyntheticSpec,
-                                       bars_per_year, date_of_ts,
+from adaptivetrend.market_data import (SyntheticSpec, bars_per_year, date_of_ts,
                                        generate_synthetic_universe)
 from adaptivetrend.rebalancer import (CandidateResult, ParamGrid,
                                       RebalanceConfig, evaluate_cell,
@@ -29,7 +28,8 @@ from adaptivetrend.rebalancer import (CandidateResult, ParamGrid,
                                       optimize_params, select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams, run_single_asset
 
-from conftest import FEB1, INTERVAL, SCRIPT_CLOSES, T0, gbm_series, make_series
+from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
+                      make_series, series_from_bars)
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
@@ -170,7 +170,7 @@ def test_c02_stops_monotone_and_exits_at_first_breach():
         vol = float(rng.uniform(0.2, 0.9))
         series = gbm_series(rng, 160, symbol=f"R{k}", drift=drift, vol=vol)
         res = run_single_asset(series, params)
-        closes = series.arrays().close
+        closes = series.arrays.close
         ts = res.timestamps
 
         # The stop exists exactly while a position is held.
@@ -334,8 +334,8 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
     for t in sorted(int(t) for t in picks):
         cut = date_of_ts(t)
         part_universe = {
-            sym: PriceSeries(symbol=sym, interval=s.interval,
-                             bars=[b for b in s.bars if b.timestamp <= t])
+            sym: series_from_bars(sym, s.interval,
+                                  [b for b in bars_of(s) if b.timestamp <= t])
             for sym, s in universe.items()
         }
         part_caps = [r for r in caps if r.date <= cut]

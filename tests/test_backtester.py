@@ -61,6 +61,11 @@ class TestAggregation:
                                   (T0, T0 + 4 * INTERVAL))
         assert timeline.tolist() == [T0 + INTERVAL, T0 + 2 * INTERVAL,
                                      T0 + 3 * INTERVAL, T0 + 4 * INTERVAL]
+        assert timeline.dtype == np.int64
+        empty = union_timeline({"A": a, "B": b}, (T0 + 9 * INTERVAL,
+                                                  T0 + 12 * INTERVAL))
+        assert empty.dtype == np.int64 and len(empty) == 0
+        assert union_timeline({}, (T0, T0 + INTERVAL)).dtype == np.int64
 
     def test_window_clips_timeline(self):
         a = make_series([10.0] * 10, t0=T0)
@@ -184,7 +189,7 @@ class TestMultiMonthAccounting:
                             vol=0.9, t0=T0)
             for j, sym in enumerate(symbols)
         }
-        end = int(universe[symbols[0]].bars[-1].timestamp)
+        end = int(universe[symbols[0]].arrays.timestamps[-1])
         cfg = BacktestConfig(
             start=FEB1, end=end, initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=2, k_short=2), costs=CostConfig())
@@ -209,7 +214,7 @@ class TestMultiMonthAccounting:
         grid = ParamGrid(theta_entry=(0.01, 0.03), theta_entry_short=(0.01, 0.03),
                          alpha=(1.5, 3.0), lookback=(4, 8), atr_window=5)
         cfg = BacktestConfig(
-            start=FEB1, end=int(universe[symbols[0]].bars[-1].timestamp),
+            start=FEB1, end=int(universe[symbols[0]].arrays.timestamps[-1]),
             initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=3, k_short=2, grid=grid),
             costs=CostConfig())
@@ -245,7 +250,7 @@ class TestBankruptcy:
         caps = [MarketCapRecord("FLAT", FEB28, 9e9),
                 MarketCapRecord("CRSH", FEB28, 1e9)]
         cfg = BacktestConfig(
-            start=MAR1, end=int(faller.bars[-1].timestamp),
+            start=MAR1, end=int(faller.arrays.timestamps[-1]),
             initial_balance=100_000.0, interval=INTERVAL,
             rebalance=reb_cfg(gamma_long=1e9, long_ratio=0.0, grid=grid),
             costs=ZERO_COSTS)

@@ -34,7 +34,7 @@ def drift_series(symbol, rate, n=250, t0=PRE, base=100.0):
 
 class TestHoldPosition:
     def window_of(self, series, n_bars):
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         return int(ts[0]), int(ts[n_bars - 1])
 
     def test_long_decomposition_zero_cost(self):
@@ -43,7 +43,7 @@ class TestHoldPosition:
         res = hold_position(s, "long", 1_000.0, window, ZERO_COSTS, False)
         assert len(res.trades) == 1
         t = res.trades[0]
-        closes = s.arrays().close
+        closes = s.arrays.close
         assert t.entry_px == closes[0] and t.exit_px == closes[5]
         assert t.forced is True
         assert t.gross_pnl == pytest.approx(
@@ -59,7 +59,7 @@ class TestHoldPosition:
         s = drift_series("HLD", 0.01, n=10)
         window = self.window_of(s, 6)
         res = hold_position(s, "short", 1_000.0, window, ZERO_COSTS, False)
-        closes = s.arrays().close
+        closes = s.arrays.close
         assert res.trades[0].gross_pnl == pytest.approx(
             1_000.0 * (1.0 - closes[5] / closes[0]), rel=1e-12)
 
@@ -116,7 +116,7 @@ class TestSignals:
     def test_realized_vol_matches_direct(self):
         s = gbm_series(np.random.default_rng(4), 300, vol=0.6, t0=PRE)
         got = realized_vol(s, FEB1, 60, 1460.0)
-        arr = s.arrays()
+        arr = s.arrays
         lo = int(np.searchsorted(arr.timestamps, FEB1 - 60 * 86_400, "left"))
         hi = int(np.searchsorted(arr.timestamps, FEB1, "right"))
         rets = arr.close[lo + 1:hi] / arr.close[lo:hi - 1] - 1.0
@@ -141,7 +141,7 @@ def three_symbol_universe():
 class TestTsmom:
     def test_signs_and_equal_weights(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         cfg = bench_cfg(universe, end)
         run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps, cfg)
         feb = [t for t in run.trades if t.entry_ts < MAR1]
@@ -153,7 +153,7 @@ class TestTsmom:
 
     def test_monthly_close_and_reopen(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
                             bench_cfg(universe, end))
         # 250 bars from PRE reach into March: two rebalances, 3 trades each
@@ -167,7 +167,7 @@ class TestTsmom:
     def test_flat_symbol_has_no_signal(self):
         universe, caps = three_symbol_universe()
         universe["UPB"] = make_series([100.0] * 250, symbol="UPB", t0=PRE)
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
                             bench_cfg(universe, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
@@ -176,7 +176,7 @@ class TestTsmom:
 
     def test_gross_exposure_at_most_one(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
                             bench_cfg(universe, end))
         feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
@@ -184,7 +184,7 @@ class TestTsmom:
 
     def test_funding_accrues_on_leveraged_kinds(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         costs = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0,
                            funding_rate_per_8h=1e-4)
         cfg = bench_cfg(universe, end, costs=costs)
@@ -200,7 +200,7 @@ class TestVolScaled:
         # constant per-bar growth: positive month return, zero return stddev
         tiny = drift_series("TNY", 5e-5)
         caps = [MarketCapRecord("TNY", JAN31, 1e9)]
-        end = int(tiny.bars[-1].timestamp)
+        end = int(tiny.arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
                             {"TNY": tiny}, caps, bench_cfg({"TNY": tiny}, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
@@ -211,7 +211,7 @@ class TestVolScaled:
         noisy = gbm_series(np.random.default_rng(6), 250, vol=0.8,
                            drift=2.0, t0=PRE, symbol="NSY")
         caps = [MarketCapRecord("NSY", JAN31, 1e9)]
-        end = int(noisy.bars[-1].timestamp)
+        end = int(noisy.arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
                             {"NSY": noisy}, caps,
                             bench_cfg({"NSY": noisy}, end))
@@ -223,7 +223,7 @@ class TestVolScaled:
 
     def test_gross_exposure_at_most_cap(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"), universe,
                             caps, bench_cfg(universe, end))
         feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
@@ -240,34 +240,34 @@ class TestBuyHold:
     def test_full_balance_tracks_price(self):
         universe, caps = self.doubling_universe()
         series = universe["BIG"]
-        end = int(series.bars[-1].timestamp)
+        end = int(series.arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, caps,
                             bench_cfg(universe, end))
         assert len(run.trades) == 1
         t = run.trades[0]
         assert t.size == 100_000.0
-        arr = series.arrays()
+        arr = series.arrays
         i0 = int(np.searchsorted(arr.timestamps, FEB1, "left"))
         expected = 100_000.0 * (arr.close[-1] / arr.close[i0])
         assert run.equity.balances[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_defaults_to_largest_cap(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, caps,
                             bench_cfg(universe, end))
         assert run.trades[0].symbol == "UPA"
 
     def test_explicit_symbol(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="DWN"),
                             universe, caps, bench_cfg(universe, end))
         assert run.trades[0].symbol == "DWN"
 
     def test_unknown_symbol_rejected(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         with pytest.raises(ValueError):
             run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="NOPE"),
                           universe, caps, bench_cfg(universe, end))
@@ -276,7 +276,7 @@ class TestBuyHold:
 class TestEqualWeight:
     def test_literal_universe_size_weights(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="equal_weight_buy_hold",
                                           universe_size=20),
                             universe, caps, bench_cfg(universe, end))
@@ -288,7 +288,7 @@ class TestEqualWeight:
 
     def test_symbol_order_invariance(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         spec = BenchmarkSpec(kind="equal_weight_buy_hold", universe_size=3)
         fwd = run_benchmark(spec, universe, caps, bench_cfg(universe, end))
         rev = run_benchmark(spec, dict(reversed(list(universe.items()))),
@@ -303,7 +303,7 @@ class TestSpecAndRun:
 
     def test_equity_anchor_and_metrics(self):
         universe, caps = three_symbol_universe()
-        end = int(universe["UPA"].bars[-1].timestamp)
+        end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
                             bench_cfg(universe, end))
         assert run.equity.timestamps[0] == FEB1 - INTERVAL

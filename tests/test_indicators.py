@@ -7,7 +7,7 @@ import pytest
 
 from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
                                      sharpe_rows, true_range)
-from conftest import make_series
+from conftest import bars_of, make_series
 
 
 class TestMomentum:
@@ -43,9 +43,10 @@ class TestMomentum:
 
     def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(30))))
-        m = momentum(s.arrays().close, 7)
+        m = momentum(s.arrays.close, 7)
+        b = bars_of(s)
         assert np.all(np.isnan(m[:7]))
-        assert list(m[7:]) == [s.bars[t].close / s.bars[t - 7].close - 1.0
+        assert list(m[7:]) == [b[t].close / b[t - 7].close - 1.0
                                for t in range(7, len(s))]
 
 
@@ -129,9 +130,9 @@ class TestAtr:
 
     def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(25))))
-        arr = s.arrays()
+        arr = s.arrays
         out = atr(arr.high, arr.low, arr.close, 5)
-        b = s.bars
+        b = bars_of(s)
         tr = [b[0].high - b[0].low] + [
             max(b[t].high - b[t].low, abs(b[t].high - b[t - 1].close),
                 abs(b[t].low - b[t - 1].close)) for t in range(1, len(b))]

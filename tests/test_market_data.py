@@ -23,7 +23,9 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        save_price_series, write_csv)
 from adaptivetrend.signal_engine import (LEDGER_HEADER, TradeRecord,
                                          read_ledger, write_ledger)
-from conftest import INTERVAL, T0, make_series
+import scalar_reference
+from conftest import (INTERVAL, T0, bars_of, make_bars, make_series,
+                      series_from_bars)
 
 
 def test_bars_per_year():
@@ -47,24 +49,24 @@ class TestBarValidation:
     def test_high_below_low_names_timestamp(self):
         bar = Bar(timestamp=T0, open=9.5, high=9.0, low=10.0, close=9.5, volume=1.0)
         with pytest.raises(DataError, match=str(T0)):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+            series_from_bars("X", INTERVAL, (bar,))
 
     def test_close_outside_range_rejected(self):
         bar = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=12.0, volume=1.0)
         with pytest.raises(DataError):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+            series_from_bars("X", INTERVAL, (bar,))
 
     def test_negative_volume_rejected(self):
         for volume in (-1.0, math.nan, math.inf):
             bar = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=10.0,
                       volume=volume)
             with pytest.raises(DataError, match=str(T0)):
-                PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+                series_from_bars("X", INTERVAL, (bar,))
 
     def test_nonpositive_price_rejected(self):
         bar = Bar(timestamp=T0, open=0.0, high=1.0, low=0.0, close=1.0, volume=1.0)
         with pytest.raises(DataError):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=(bar,))
+            series_from_bars("X", INTERVAL, (bar,))
         # Non-finite prices pass every OHLC ordering check (comparisons with
         # NaN are false), so the positive-and-finite rule must catch them.
         ok = Bar(timestamp=T0, open=10.0, high=11.0, low=9.0, close=10.0,
@@ -74,29 +76,28 @@ class TestBarValidation:
                     dict(open=math.nan), dict(low=math.nan),
                     dict(close=math.nan), dict(high=math.nan)):
             with pytest.raises(DataError, match=str(T0)):
-                PriceSeries(symbol="X", interval=INTERVAL,
-                            bars=(replace(ok, **bad),))
+                series_from_bars("X", INTERVAL, (ok._replace(**bad),))
 
     def test_duplicate_timestamp_rejected(self):
         s = make_series([100.0, 101.0])
-        dup = (s.bars[0], s.bars[0])
+        dup = bars_of(s)[:1] * 2
         with pytest.raises(DataError):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=dup)
+            series_from_bars("X", INTERVAL, dup)
 
     def test_gap_must_be_interval_multiple(self):
         good = make_series([100.0, 101.0, 102.0])
-        bars = (good.bars[0],
-                Bar(timestamp=good.bars[0].timestamp + INTERVAL + 1, open=100.0,
-                    high=101.0, low=99.0, close=100.0, volume=1.0))
+        first = bars_of(good)[0]
+        bars = (first, Bar(timestamp=first.timestamp + INTERVAL + 1, open=100.0,
+                           high=101.0, low=99.0, close=100.0, volume=1.0))
         with pytest.raises(DataError):
-            PriceSeries(symbol="X", interval=INTERVAL, bars=bars)
+            series_from_bars("X", INTERVAL, bars)
 
     def test_missing_bars_recorded_as_gaps(self):
         b1 = Bar(timestamp=T0 + INTERVAL, open=100.0, high=101.0, low=99.0,
                  close=100.0, volume=1.0)
         b2 = Bar(timestamp=T0 + 3 * INTERVAL, open=100.0, high=101.0, low=99.0,
                  close=100.0, volume=1.0)
-        s = PriceSeries(symbol="X", interval=INTERVAL, bars=(b1, b2))
+        s = series_from_bars("X", INTERVAL, (b1, b2))
         assert len(s.gaps) == 1
         assert s.gaps[0] == (b1.timestamp, b2.timestamp)
 
@@ -109,7 +110,7 @@ class TestPriceCsv:
         save_price_series(s, str(p1))
         loaded = load_price_series(str(p1), interval=INTERVAL)
         assert loaded.symbol == "BTC"
-        assert loaded.bars == s.bars
+        assert bars_of(loaded) == bars_of(s)
         p2 = tmp_path / "again.csv"
         save_price_series(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
@@ -121,8 +122,8 @@ class TestPriceCsv:
                      f"{T0 + 2 * INTERVAL},10.5,12,10,11,120\n"
                      f"{T0 + 3 * INTERVAL},11,11.5,10.5,11.2,90\n")
         s = load_price_series(str(p), interval=INTERVAL)
-        assert len(s.bars) == 3
-        assert s.bars[2].close == 11.2
+        assert len(s) == 3
+        assert s.arrays.close[2] == 11.2
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         p = tmp_path / "AAA.csv"
@@ -130,7 +131,7 @@ class TestPriceCsv:
                      f"{T0 + 2 * INTERVAL},10.5,12,10,11,120\n"
                      f"{T0 + INTERVAL},10,11,9,10.5,100\n")
         s = load_price_series(str(p), interval=INTERVAL)
-        assert [b.timestamp for b in s.bars] == [T0 + INTERVAL, T0 + 2 * INTERVAL]
+        assert s.arrays.timestamps.tolist() == [T0 + INTERVAL, T0 + 2 * INTERVAL]
 
     def test_bad_row_error_names_line(self, tmp_path):
         p = tmp_path / "AAA.csv"
@@ -197,7 +198,7 @@ class TestSyntheticGenerator:
         b_series, b_caps = generate_synthetic_universe(spec)
         assert a_caps == b_caps
         for sa, sb in zip(a_series, b_series):
-            assert sa.bars == sb.bars
+            assert bars_of(sa) == bars_of(sb)
 
     def test_frozen_reference_values(self):
         # Pinned output of the documented RNG scheme; a change here means the
@@ -206,10 +207,10 @@ class TestSyntheticGenerator:
                              regimes=((6, 0.5, 0.6),), interval=INTERVAL, start=T0)
         series, caps = generate_synthetic_universe(spec)
         assert series[0].symbol == "SYM00"
-        assert series[0].bars[0].close == 99.04941559280921
-        assert series[0].bars[1].close == 101.38925804907446
-        assert series[1].bars[0].close == 102.26080386119287
-        assert series[0].bars[0].volume == 717411.7531411527
+        assert series[0].arrays.close[0] == 99.04941559280921
+        assert series[0].arrays.close[1] == 101.38925804907446
+        assert series[1].arrays.close[0] == 102.26080386119287
+        assert series[0].arrays.volume[0] == 717411.7531411527
         assert len(caps) == 4
 
     def test_symbol_independent_of_universe_size(self):
@@ -219,13 +220,13 @@ class TestSyntheticGenerator:
                             regimes=((20, 0.2, 0.4),), interval=INTERVAL, start=T0)
         (s1,), _ = generate_synthetic_universe(small)
         sb, _ = generate_synthetic_universe(big)
-        assert s1.bars == sb[0].bars
+        assert bars_of(s1) == bars_of(sb[0])
 
     def test_tiny_vol_returns_near_drift(self):
         spec = SyntheticSpec(seed=5, n_symbols=1, n_bars=200,
                              regimes=((200, 0.5, 1e-8),), interval=INTERVAL, start=T0)
         (s,), _ = generate_synthetic_universe(spec)
-        closes = np.array([b.close for b in s.bars])
+        closes = s.arrays.close
         per_bar = np.diff(closes) / closes[:-1]
         expected = 0.5 * (INTERVAL / 31_536_000.0)
         assert np.allclose(per_bar, expected, rtol=1e-3)
@@ -235,7 +236,7 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(seed=3, n_symbols=1, n_bars=n,
                              regimes=((n, mu, vol),), interval=INTERVAL, start=T0)
         (s,), _ = generate_synthetic_universe(spec)
-        closes = np.array([b.close for b in s.bars])
+        closes = s.arrays.close
         logret = np.diff(np.log(closes))
         bpy = bars_per_year(INTERVAL)
         ann_mean = float(np.mean(logret)) * bpy
@@ -249,10 +250,16 @@ class TestSyntheticGenerator:
         series, caps = generate_synthetic_universe(spec)
         assert [s.symbol for s in series] == ["SYM00", "SYM01", "SYM02"]
         for s in series:
-            assert [b.timestamp for b in s.bars] == \
+            assert s.arrays.timestamps.tolist() == \
                 [T0 + (i + 1) * INTERVAL for i in range(8)]
         # 8 six-hour bars span two calendar days
         assert len(caps) == 6
+        # A bar belongs to the day containing (ts - 1, ts]; the day's cap
+        # follows its last close.
+        closes = series[0].arrays.close
+        assert [(r.date, r.cap) for r in caps if r.symbol == "SYM00"] == [
+            (date(2022, 1, 1), 1e10 * closes[3] / 100.0),
+            (date(2022, 1, 2), 1e10 * closes[7] / 100.0)]
 
     def test_regime_durations_must_sum(self):
         with pytest.raises(ValueError):
@@ -266,9 +273,9 @@ class TestResample:
         s = make_series(closes, interval=3600, t0=T0)
         r = resample_series(s, 21_600)
         assert r.interval == 21_600
-        assert len(r.bars) == 4
-        for k, bar in enumerate(r.bars):
-            chunk = s.bars[6 * k:6 * (k + 1)]
+        assert len(r) == 4
+        for k, bar in enumerate(bars_of(r)):
+            chunk = bars_of(s)[6 * k:6 * (k + 1)]
             assert bar.timestamp == chunk[-1].timestamp
             assert bar.open == chunk[0].open
             assert bar.close == chunk[-1].close
@@ -280,11 +287,11 @@ class TestResample:
         closes = list(100.0 + np.cumsum(rng.standard_normal(10)))
         s = make_series(closes, interval=3600, t0=T0)
         r = resample_series(s, 21_600)
-        assert len(r.bars) == 1
+        assert len(r) == 1
 
     def test_identity_when_same_interval(self, rng):
         s = make_series([100.0, 101.0, 102.0])
-        assert resample_series(s, INTERVAL).bars == s.bars
+        assert resample_series(s, INTERVAL) is s
 
     def test_non_multiple_target_rejected(self):
         s = make_series([100.0, 101.0])
@@ -294,21 +301,25 @@ class TestResample:
 
 def test_slice_indices_inclusive_window():
     s = make_series([100.0, 101.0, 102.0, 103.0, 104.0])
-    ts = [b.timestamp for b in s.bars]
-    i0, i1 = s.slice_indices(ts[1], ts[3])
+    ts = s.arrays.timestamps.tolist()
+    i0, i1 = s.arrays.slice_indices(ts[1], ts[3])
     assert (i0, i1) == (1, 4)
-    i0, i1 = s.slice_indices(ts[1] + 1, ts[3] - 1)
+    i0, i1 = s.arrays.slice_indices(ts[1] + 1, ts[3] - 1)
     assert (i0, i1) == (2, 3)
-    i0, i1 = s.slice_indices(ts[-1] + 1, ts[-1] + 2)
+    i0, i1 = s.arrays.slice_indices(ts[-1] + 1, ts[-1] + 2)
     assert i0 == i1
 
 
 def test_arrays_view_matches_bars():
-    s = make_series([100.0, 101.0, 99.5])
-    arr = s.arrays()
+    bars = make_bars([100.0, 101.0, 99.5])
+    s = series_from_bars("X", INTERVAL, bars)
+    arr = s.arrays
     assert list(arr.close) == [100.0, 101.0, 99.5]
-    assert list(arr.timestamps) == [b.timestamp for b in s.bars]
-    assert list(arr.volume) == [b.volume for b in s.bars]
+    assert arr.timestamps.dtype == np.int64 and arr.close.dtype == np.float64
+    assert bars_of(s) == bars and arr.bar(1) == bars[1]
+    assert [type(x) for x in arr.bar(0)] == [int] + [float] * 5
+    with pytest.raises(ValueError, match="read-only"):
+        arr.close[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +344,8 @@ def _plain(loaded):
     if isinstance(loaded, EquityCurve):
         return (loaded.timestamps.tolist(), loaded.balances.tolist(),
                 loaded.bankrupt)
+    if isinstance(loaded, PriceSeries):
+        return loaded.symbol, loaded.interval, bars_of(loaded), loaded.gaps
     return loaded
 
 
@@ -395,7 +408,7 @@ def price_series(draw):
         o, c = draw(st.permutations([a, b]))
         volume = draw(st.floats(min_value=0.0, allow_infinity=False))
         bars.append(Bar(ts, o, high, low, c, volume))
-    return PriceSeries(symbol="RT", interval=INTERVAL, bars=bars)
+    return series_from_bars("RT", INTERVAL, bars)
 
 
 @st.composite
@@ -417,7 +430,8 @@ class TestCsvRoundTrip:
     def test_price_series(self, tmp_path_factory, series):
         p = tmp_path_factory.mktemp("rt") / "RT.csv"
         save_price_series(series, str(p))
-        assert load_price_series(str(p), interval=INTERVAL) == series
+        assert _plain(load_price_series(str(p), interval=INTERVAL)) == \
+            _plain(series)
 
     @ROUND_TRIP
     @given(records=st.lists(
@@ -457,3 +471,176 @@ class TestCsvRoundTrip:
         loaded = load_equity(str(p))
         assert loaded.timestamps.dtype == np.int64
         assert _plain(loaded) == _plain(curve)
+
+
+# ---------------------------------------------------------------------------
+# The columnar loader, validator and resampler against the row-by-row ones
+# ---------------------------------------------------------------------------
+
+PRICE = st.floats(min_value=1e-3, max_value=1e6)
+VOLUME = st.one_of(st.floats(min_value=0.0, max_value=1e9), st.just(-0.0))
+BAD_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+# Fields that break a rule (or the parse) of both loaders in the same way.
+ODD_FIELD = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                             "1e400", "0", "-0.0", "-1.5", "x1", "", "1.0",
+                             " 7.25", "+3.5 ", "\t2", "1#2"])
+
+
+@st.composite
+def ohlcv_line(draw):
+    ts = (T0 + draw(st.integers(0, 12)) * INTERVAL
+          + draw(st.sampled_from([0] * 8 + [1, -7])))
+    low, a, b, high = sorted(draw(st.lists(PRICE, min_size=4, max_size=4)))
+    o, c = draw(st.permutations([a, b]))
+    fields = [str(ts)] + [repr(x) for x in (o, high, low, c, draw(VOLUME))]
+    edit = draw(st.sampled_from(["none"] * 6 + ["odd", "swap", "extra",
+                                                "short", "filler"]))
+    if edit == "odd":
+        fields[draw(st.integers(0, 5))] = draw(ODD_FIELD)
+    elif edit == "swap":  # breaks one of the OHLC orderings
+        i, j = draw(st.permutations([1, 2, 3, 4]))[:2]
+        fields[i], fields[j] = fields[j], fields[i]
+    elif edit == "extra":
+        fields.append("1")
+    elif edit == "short":
+        fields.pop()
+    elif edit == "filler":
+        return draw(st.sampled_from(["", " ", "\t", "# note"]))
+    return ",".join(fields)
+
+
+def _loaded(load):
+    """Arrays (dtype and bytes) and gaps of a load, or its DataError message."""
+    try:
+        arrays, gaps = load()
+    except DataError as exc:
+        return "error", str(exc)
+    return [(c.dtype.str, c.tobytes()) for c in arrays.columns()], gaps
+
+
+class TestColumnarLoaderMatchesScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(ohlcv_line(), max_size=10),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           final_newline=st.booleans())
+    def test_same_arrays_or_same_error(self, tmp_path_factory, lines, newline,
+                                       final_newline):
+        p = tmp_path_factory.mktemp("ld") / "SYM.csv"
+        text = newline.join([",".join(OHLCV_HEADER)] + lines)
+        p.write_bytes((text + newline * final_newline).encode())
+
+        def columnar():
+            s = load_price_series(str(p), interval=INTERVAL)
+            return s.arrays, s.gaps
+
+        def scalar():
+            bars, gaps = scalar_reference.load_price_series(str(p), INTERVAL, "SYM")
+            return scalar_reference.columns(bars), gaps
+
+        assert _loaded(columnar) == _loaded(scalar)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        p = tmp_path / "SYM.csv"
+        for body in ("", "\n", "\r\n\r\n"):
+            p.write_text(",".join(OHLCV_HEADER) + body)
+            s = load_price_series(str(p), interval=INTERVAL)
+            assert len(s) == 0 and s.gaps == []
+            assert s.arrays.timestamps.dtype == np.int64
+            assert s.arrays.close.dtype == np.float64
+
+    @pytest.mark.parametrize("row", [
+        f"{T0}_0,10,11,9,10.5,100",
+        f"{T0},1_0,11,9,10.5,100",
+        f'{T0},"10",11,9,10.5,100',
+        f"{T0},10,11,9,10.5,\u0661\u0660\u0660",  # Arabic-Indic 100
+    ], ids=["separator-timestamp", "separator-price", "quoted", "non-ascii"])
+    def test_stricter_than_float_and_int(self, tmp_path, row):
+        # int() and float() accept these fields (csv strips the quotes); the
+        # C parser does not, and the error names the file and the field.
+        p = tmp_path / "SYM.csv"
+        p.write_text(f"{','.join(OHLCV_HEADER)}\n{row}\n")
+        assert scalar_reference.load_price_series(str(p), INTERVAL, "SYM")
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}: could not"
+                                            " convert string"):
+            load_price_series(str(p), interval=INTERVAL)
+
+    def test_quoted_header_rejected(self, tmp_path):
+        p = tmp_path / "SYM.csv"
+        p.write_text(",".join(f'"{h}"' for h in OHLCV_HEADER)
+                     + f"\n{T0},10,11,9,10.5,100\n")
+        assert scalar_reference.load_price_series(str(p), INTERVAL, "SYM")
+        with pytest.raises(DataError, match="line 1: expected header"):
+            load_price_series(str(p), interval=INTERVAL)
+
+    def test_timestamp_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "SYM.csv"
+        p.write_text(f"{','.join(OHLCV_HEADER)}\n{2**63},10,11,9,10.5,100\n")
+        with pytest.raises(DataError, match="could not convert string"):
+            load_price_series(str(p), interval=INTERVAL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bars=st.lists(st.tuples(
+               st.integers(-2, 3), st.lists(PRICE, min_size=5, max_size=5),
+               st.lists(st.tuples(st.integers(0, 4), BAD_FLOAT), max_size=1)),
+               max_size=8),
+           interval=st.sampled_from([INTERVAL] * 8 + [0, -1]))
+    def test_validator_same_error_as_scalar(self, bars, interval):
+        # Constructed series may be unsorted, and unordered prices often
+        # break several OHLC rules at once.
+        series_bars, ts = [], T0
+        for step, fields, bad in bars:
+            ts += step * INTERVAL // 2
+            for k, value in bad:
+                fields[k] = value
+            series_bars.append(Bar(ts, *fields))
+
+        def columnar():
+            s = series_from_bars("SYM", interval, series_bars)
+            return s.arrays, s.gaps
+
+        def scalar():
+            gaps = scalar_reference.check_bars("SYM", interval, series_bars)
+            return scalar_reference.columns(series_bars), gaps
+
+        assert _loaded(columnar) == _loaded(scalar)
+
+
+@st.composite
+def hourly_series(draw):
+    """An hourly series with gaps and an arbitrary phase against the day."""
+    bars, ts = [], T0 + draw(st.integers(0, 23)) * 3600
+    steps = st.sampled_from([1] * 20 + [2, 5])
+    for step in draw(st.lists(steps, min_size=draw(st.sampled_from([0, 30])),
+                              max_size=80)):
+        ts += step * 3600
+        low, a, b, high = sorted(draw(st.lists(PRICE, min_size=4, max_size=4)))
+        o, c = draw(st.permutations([a, b]))
+        # Thirds have full mantissas, so that summing in another order
+        # changes the last bits; -1 stands for a volume of -0.0.
+        k = draw(st.integers(-1, 10**9))
+        bars.append(Bar(ts, o, high, low, c, -0.0 if k < 0 else k / 3))
+    return series_from_bars("H", 3600, bars)
+
+
+class TestResampleMatchesScalar:
+    # 12 and 24 bars per bucket: NumPy's pairwise sum would differ there.
+    @pytest.mark.parametrize("target", [7200, 10800, 21600, 43200, 86400])
+    @settings(max_examples=80, deadline=None)
+    @given(series=hourly_series())
+    def test_same_bars_bit_for_bit(self, series, target):
+        r = resample_series(series, target)
+        expected = scalar_reference.columns(
+            scalar_reference.resample_bars(bars_of(series), 3600, target))
+        assert r.interval == target
+        assert [(c.dtype.str, c.tobytes()) for c in r.arrays.columns()] == \
+            [(c.dtype.str, c.tobytes()) for c in expected.columns()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(series=hourly_series())
+    def test_composition(self, series):
+        # Integer volumes, so that sums in any grouping are exact.
+        arr = series.arrays
+        whole = PriceSeries("H", 3600, replace(arr, volume=np.floor(arr.volume)))
+        twice = resample_series(resample_series(whole, 21_600), 43_200)
+        once = resample_series(whole, 43_200)
+        assert bars_of(twice) == bars_of(once) and twice.gaps == once.gaps

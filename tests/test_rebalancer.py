@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -10,16 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import MarketCapRecord, PriceSeries
-from adaptivetrend.rebalancer import (Allocation, CandidateResult, ParamGrid,
-                                      RebalanceConfig, cap_snapshot,
+from adaptivetrend.market_data import MarketCapRecord
+from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
+                                      ParamGrid, RebalanceConfig, cap_snapshot,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
                                       optimization_window, optimize_params,
                                       params_to_dict, run_rebalance,
                                       select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams
-from conftest import FEB1, INTERVAL, MAR1, caps_for, gbm_series, make_series
+import scalar_reference
+from conftest import (FEB1, INTERVAL, MAR1, bars_of, caps_for, gbm_series,
+                      make_series, series_from_bars)
 
 INF = float("inf")
 JAN31 = date(2022, 1, 31)
@@ -43,6 +44,26 @@ class TestCapSnapshot:
     def test_none_before_first_snapshot(self):
         caps = [MarketCapRecord("A", date(2022, 1, 31), 5.0)]
         assert cap_snapshot(caps, date(2022, 1, 30)) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.builds(
+               MarketCapRecord, symbol=st.sampled_from("ABCD"),
+               date=st.dates(date(2022, 1, 1), date(2022, 1, 20)),
+               cap=st.floats(1.0, 1e12)), max_size=30),
+           days=st.lists(st.dates(date(2021, 12, 25), date(2022, 1, 25)),
+                         max_size=10))
+    def test_index_matches_linear_scan(self, records, days):
+        # Snapshot days are sparse, may repeat a (symbol, date) record (the
+        # last one wins) and the lookups start before the first snapshot.
+        def items(snapshot):
+            return None if snapshot is None else list(snapshot.items())
+
+        index = CapIndex(records)
+        assert list(index) == records
+        for day in days:
+            expected = items(scalar_reference.cap_snapshot(records, day))
+            assert items(cap_snapshot(index, day)) == expected
+            assert items(cap_snapshot(records, day)) == expected
 
 
 class TestFilterUniverse:
@@ -118,7 +139,7 @@ class TestOptimizeParams:
     WINDOW_SERIES_KW = dict(t0=FEB1, vol=1.2)
 
     def window_for(self, series):
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         return int(ts[0]), int(ts[-1])
 
     def test_flat_series_yields_none(self):
@@ -173,7 +194,7 @@ class TestOptimizeParams:
 
 def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045):
     """The optimizer's contract written as a loop over evaluate_cell."""
-    i0, i1 = series.slice_indices(*window)
+    i0, i1 = series.arrays.slice_indices(*window)
     if i1 - i0 < 2 * max(grid.lookback):
         return None
     best, best_sharpe = None, -INF
@@ -200,12 +221,12 @@ ONE_CELL = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
 
 def edited_series(series, zero_volume_every=0, gap_every=0):
     """Copy with every k-th bar's volume zeroed and/or every k-th bar dropped."""
-    bars = [replace(b, volume=0.0) if zero_volume_every
+    bars = [b._replace(volume=0.0) if zero_volume_every
             and i % zero_volume_every == 0 else b
-            for i, b in enumerate(series.bars)]
+            for i, b in enumerate(bars_of(series))]
     if gap_every:
         bars = [b for i, b in enumerate(bars) if i % gap_every != 2]
-    return PriceSeries(series.symbol, series.interval, bars)
+    return series_from_bars(series.symbol, series.interval, bars)
 
 
 class TestBatchedSearchMatchesScalar:
@@ -234,7 +255,7 @@ class TestBatchedSearchMatchesScalar:
         series = edited_series(
             gbm_series(np.random.default_rng(seed), 80, vol=vol, t0=FEB1),
             zero_volume_every, gap_every)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         window = (int(ts[start]), int(ts[-1]))
         self.assert_same_pick(series, window, ONE_CELL if one_cell else SEARCH_GRID,
                               COST_CONFIGS[costs])
@@ -247,7 +268,7 @@ class TestBatchedSearchMatchesScalar:
                 gbm_series(np.random.default_rng(50 + k), 90, vol=1.5, t0=FEB1),
                 zero_volume_every=4 if k == 1 else 0,
                 gap_every=6 if k == 2 else 0)
-            ts = series.arrays().timestamps
+            ts = series.arrays.timestamps
             window = (int(ts[0 if k == 3 else 12]), int(ts[-3]))
             picks = self.assert_same_pick(series, window, SEARCH_GRID,
                                           COST_CONFIGS[costs])
@@ -258,15 +279,15 @@ class TestBatchedSearchMatchesScalar:
         series = edited_series(
             gbm_series(np.random.default_rng(7), 90, vol=1.5, t0=FEB1),
             zero_volume_every=1)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         window = (int(ts[10]), int(ts[-1]))
         picks = self.assert_same_pick(series, window, SEARCH_GRID, CostConfig())
         assert any(p is not None for p in picks)
 
     def test_window_at_first_bar(self):
         series = gbm_series(np.random.default_rng(8), 70, vol=1.5, t0=FEB1)
-        ts = series.arrays().timestamps
-        assert series.slice_indices(int(ts[0]), int(ts[-1]))[0] == 0
+        ts = series.arrays.timestamps
+        assert series.arrays.slice_indices(int(ts[0]), int(ts[-1]))[0] == 0
         for cost_cfg in COST_CONFIGS.values():
             picks = self.assert_same_pick(series, (int(ts[0]), int(ts[-1])),
                                           SEARCH_GRID, cost_cfg)
@@ -277,7 +298,7 @@ class TestBatchedSearchMatchesScalar:
         # (smallest) one must win, on the scalar loop and the batch alike.
         closes = [100.0 * 1.01 ** i for i in range(70)]
         series = make_series(closes, t0=FEB1, wick=0.05)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(40.0, 50.0, 60.0), lookback=(4,), atr_window=3)
         for cost_cfg in COST_CONFIGS.values():
@@ -287,7 +308,7 @@ class TestBatchedSearchMatchesScalar:
 
     def test_no_trade_window_is_none(self):
         series = gbm_series(np.random.default_rng(9), 80, vol=0.2, t0=FEB1)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         grid = ParamGrid(theta_entry=(5.0,), theta_entry_short=(5.0,),
                          alpha=(2.0,), lookback=(4, 8), atr_window=3)
         for cost_cfg in COST_CONFIGS.values():
@@ -301,7 +322,7 @@ class TestBatchedSearchMatchesScalar:
         # return series (Sharpe 0.0 at rf 0, undefined otherwise).
         closes = [100.0 * 1.02 ** i for i in range(30)] + [100.0 * 1.02 ** 30] * 50
         series = make_series(closes, t0=FEB1, wick=0.0)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         window = (int(ts[30]), int(ts[-1]))
         for cost_cfg in COST_CONFIGS.values():
             self.assert_same_pick(series, window, ONE_CELL, cost_cfg, rf)
@@ -312,7 +333,7 @@ class TestBatchedSearchMatchesScalar:
 
     def test_one_cell_grid(self):
         series = gbm_series(np.random.default_rng(10), 80, vol=2.0, t0=FEB1)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         for cost_cfg in COST_CONFIGS.values():
             picks = self.assert_same_pick(series, (int(ts[5]), int(ts[-1])),
                                           ONE_CELL, cost_cfg)
@@ -325,7 +346,7 @@ class TestBatchedSearchMatchesScalar:
             gbm_series(np.random.default_rng(11), 100, vol=1.5, t0=FEB1),
             gap_every=4)
         assert series.gaps
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         for cost_cfg in COST_CONFIGS.values():
             self.assert_same_pick(series, (int(ts[3]), int(ts[-1])),
                                   SEARCH_GRID, cost_cfg)

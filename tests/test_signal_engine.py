@@ -133,7 +133,7 @@ class TestRunSingleAsset:
         assert t.forced is True
         assert t.entry_px == 104.0
         assert t.exit_px == 109.0
-        assert t.exit_ts == s.bars[-1].timestamp
+        assert t.exit_ts == s.arrays.timestamps[-1]
         assert t.gross_pnl == pytest.approx(109.0 / 104.0 - 1.0, rel=1e-12)
         assert t.gross_pnl > 0
 
@@ -174,7 +174,7 @@ class TestRunSingleAsset:
             r = np.random.default_rng(400 + k)
             s = gbm_series(r, 150, vol=1.2)
             res = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS)
-            closes = s.arrays().close
+            closes = s.arrays.close
             pos = res.position
             stops = res.stop
             for i in range(1, len(pos)):
@@ -198,7 +198,7 @@ class TestRunSingleAsset:
 
     def test_window_confines_trades_and_final_bar_entry(self, rng):
         s = gbm_series(np.random.default_rng(77), 200, vol=1.2)
-        ts = s.arrays().timestamps
+        ts = s.arrays.timestamps
         window = (int(ts[50]), int(ts[120]))
         res = run_single_asset(s, PARAMS, window=window, cost_cfg=ZERO_COSTS)
         for t in res.trades:
@@ -343,10 +343,10 @@ class TestGridSharpes:
            side=st.sampled_from(["long", "short"]))
     def test_every_cell_matches_engine(self, seed, vol, cost_cfg, start, side):
         series = gbm_series(np.random.default_rng(seed), 60, vol=vol)
-        ts = series.arrays().timestamps
+        ts = series.arrays.timestamps
         window = (int(ts[start]), int(ts[-1]))
-        got = grid_sharpes(series.arrays(), series.interval, series.symbol,
-                           self.CELLS, side, series.slice_indices(*window),
+        got = grid_sharpes(series.arrays, series.interval, series.symbol,
+                           self.CELLS, side, series.arrays.slice_indices(*window),
                            cost_cfg, 0.045)
         for cell, value in zip(self.CELLS, got):
             want = self.reference(series, cell, side, window, cost_cfg, 0.045)
@@ -354,7 +354,7 @@ class TestGridSharpes:
 
     def test_short_window_and_bad_side(self):
         series = gbm_series(np.random.default_rng(1), 30)
-        arr = series.arrays()
+        arr = series.arrays
         assert np.isnan(grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "long",
                                      (5, 6), None, 0.0)).all()
         with pytest.raises(EngineError):
