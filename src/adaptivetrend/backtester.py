@@ -8,11 +8,13 @@ fully realized before the next month is sized. Capital freed by an intra-
 month exit idles until the month ends (weights are set once per month).
 
 Ablation variants toggle one pipeline component each and reuse the same loop.
+The loop over months itself (``run_windows``: marking, the balance roll and
+the halt at bankruptcy) is shared with the comparison benchmarks.
 """
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +157,89 @@ def _check_history(universe: Dict[str, PriceSeries], first_month: int,
         )
 
 
+def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
+    """(start, end) of each calendar month, the last one cut at ``end``."""
+    return [(m, min(month_add(m, 1) - 1, end)) for m in months]
+
+
+def run_windows(
+    universe: Dict[str, PriceSeries],
+    windows: Sequence[Tuple[int, int]],
+    initial_balance: float,
+    interval: int,
+    simulate: Callable[[Tuple[int, int], float], List[SingleAssetResult]],
+    *,
+    net_first: bool,
+) -> Tuple[EquityCurve, List[TradeRecord], Tuple[np.ndarray, ...]]:
+    """Roll the balance over consecutive windows; the loop every run shares.
+
+    ``simulate(window, balance)`` trades one window with positions sized on
+    the balance at its start and returns their results. The account is
+    marked on the union of every universe symbol's closes in the window (so
+    the timeline does not depend on what was traded), and the balance at the
+    window's last close carries into the next window. A window with no bars
+    is skipped with a warning. A balance <= 0 halts the run there and flags
+    the curve.
+
+    The strategy adds a window's net change to its starting balance in one
+    step (net_first), the benchmarks add realized PnL, open MTM and open
+    costs in turn; the two orders round differently, and both runs' equity
+    is kept bit for bit.
+
+    Returns the equity curve, anchored at initial_balance one interval before
+    the first window, the trades sorted by (entry, exit, symbol, side), and
+    the curve's realized / open_mtm / open_costs decomposition.
+    """
+    balance = initial_balance
+    realized_total = 0.0
+    ts_chunks = [np.array([windows[0][0] - interval], dtype=np.int64)]
+    bal_chunks = [np.array([balance])]
+    realized_chunks = [np.zeros(1)]
+    mtm_chunks = [np.zeros(1)]
+    ocost_chunks = [np.zeros(1)]
+    trades: List[TradeRecord] = []
+    bankrupt = False
+
+    for window in windows:
+        results = simulate(window, balance)
+        for res in results:
+            trades.extend(res.trades)
+        timeline = union_timeline(universe, window)
+        if len(timeline) == 0:
+            logger.warning("%s: no bars in [%d, %d]; period skipped",
+                           month_id(window[0]), window[0], window[1])
+            continue
+        realized, mtm, ocost = aggregate_results(timeline, results)
+        if net_first:
+            balances = balance + (realized + mtm - ocost)
+        else:
+            balances = balance + realized + mtm - ocost
+        nonpositive = np.flatnonzero(balances <= 0.0)
+        if len(nonpositive) > 0:
+            stop_at = nonpositive[0] + 1
+            timeline, balances, realized, mtm, ocost = (
+                a[:stop_at] for a in (timeline, balances, realized, mtm, ocost))
+            bankrupt = True
+            logger.warning("balance depleted at %d; halting run", int(timeline[-1]))
+
+        ts_chunks.append(timeline)
+        bal_chunks.append(balances)
+        realized_chunks.append(realized_total + realized)
+        mtm_chunks.append(mtm)
+        ocost_chunks.append(ocost)
+        if bankrupt:
+            break
+        balance = float(balances[-1])
+        realized_total += float(realized[-1])
+
+    equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
+                         balances=np.concatenate(bal_chunks), bankrupt=bankrupt)
+    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    parts = tuple(np.concatenate(c)
+                  for c in (realized_chunks, mtm_chunks, ocost_chunks))
+    return equity, trades, parts
+
+
 def run_backtest(
     universe: Dict[str, PriceSeries],
     caps: Sequence[MarketCapRecord],
@@ -173,26 +258,16 @@ def run_backtest(
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
         raise DataError("no month boundary inside [start, end]")
-    first_month = month_starts[0]
-    _check_history(universe, first_month, month_starts[-1], cfg.interval)
+    _check_history(universe, month_starts[0], month_starts[-1], cfg.interval)
 
-    balance = cfg.initial_balance
-    realized_total = 0.0
     portfolio: Optional[MonthlyPortfolio] = None
-
-    anchor_ts = first_month - cfg.interval
-    ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
-    bal_chunks = [np.array([balance])]
-    realized_chunks = [np.zeros(1)]
-    mtm_chunks = [np.zeros(1)]
-    ocost_chunks = [np.zeros(1)]
-    trades: List[TradeRecord] = []
     rebalance_log: List[dict] = []
     portfolios: List[MonthlyPortfolio] = []
-    bankrupt = False
 
-    for m in month_starts:
-        window = (m, min(month_add(m, 1) - 1, cfg.end))
+    def simulate(window: Tuple[int, int], balance: float
+                 ) -> List[SingleAssetResult]:
+        nonlocal portfolio
+        m = window[0]
         if cfg.reoptimize_enabled or portfolio is None:
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
@@ -212,66 +287,32 @@ def run_backtest(
         rebalance_log.append(record)
         portfolios.append(portfolio)
 
-        month_results: List[SingleAssetResult] = []
+        results: List[SingleAssetResult] = []
         for side, allocations in (("long", portfolio.longs),
                                   ("short", portfolio.shorts)):
             for alloc in allocations:
                 series = universe.get(alloc.symbol)
                 if series is None:
                     continue
-                res = run_single_asset(
+                results.append(run_single_asset(
                     series, alloc.params, side_enabled=side, window=window,
                     size=alloc.weight * balance, cost_cfg=cfg.costs,
                     trailing=cfg.trailing_stop_enabled,
                     intrabar_stop_fill=cfg.intrabar_stop_fill,
-                )
-                month_results.append(res)
-                trades.extend(res.trades)
+                ))
+        return results
 
-        # Mark to market on the union of every universe symbol's closes so the
-        # equity timeline does not depend on what happened to be selected.
-        month_ts = union_timeline(universe, window)
-        if len(month_ts) == 0:
-            continue
-        realized_m, mtm_m, ocost_m = aggregate_results(month_ts, month_results)
-        contrib = realized_m + mtm_m - ocost_m
-
-        balances_m = balance + contrib
-        nonpositive = np.flatnonzero(balances_m <= 0.0)
-        if len(nonpositive) > 0:
-            stop_at = nonpositive[0] + 1
-            month_ts = month_ts[:stop_at]
-            balances_m = balances_m[:stop_at]
-            realized_m, mtm_m, ocost_m = (a[:stop_at] for a in
-                                          (realized_m, mtm_m, ocost_m))
-            bankrupt = True
-            logger.warning("balance depleted at %d; halting run", int(month_ts[-1]))
-
-        ts_chunks.append(month_ts)
-        bal_chunks.append(balances_m)
-        realized_chunks.append(realized_total + realized_m)
-        mtm_chunks.append(mtm_m)
-        ocost_chunks.append(ocost_m)
-
-        if bankrupt:
-            break
-        balance = float(balances_m[-1])
-        realized_total += float(realized_m[-1])
-
-    equity = EquityCurve(
-        timestamps=np.concatenate(ts_chunks),
-        balances=np.concatenate(bal_chunks),
-        bankrupt=bankrupt,
-    )
-    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    equity, trades, (realized, open_mtm, open_costs) = run_windows(
+        universe, month_windows(month_starts, cfg.end), cfg.initial_balance,
+        cfg.interval, simulate, net_first=True)
     return BacktestResult(
         equity=equity,
         trades=trades,
         rebalance_log=rebalance_log,
         portfolios=portfolios,
-        realized=np.concatenate(realized_chunks),
-        open_mtm=np.concatenate(mtm_chunks),
-        open_costs=np.concatenate(ocost_chunks),
+        realized=realized,
+        open_mtm=open_mtm,
+        open_costs=open_costs,
         initial_balance=cfg.initial_balance,
     )
 

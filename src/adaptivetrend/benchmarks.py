@@ -14,6 +14,14 @@ Monthly variants close and reopen positions at month boundaries, paying the
 fill costs both ways; tsmom variants additionally accrue funding while held
 (they are leveraged long/short exposures), buy-and-hold variants do not
 (plain spot holdings).
+
+There is one accounting path: each position is one forced trade booked by
+the signal engine's ledger (``book_trades``), and the balance rolls over the
+months in the backtester's window loop (``run_windows``), the same code that
+charges, marks and rolls the strategy. Every kind, buy-and-hold included,
+therefore halts at the first balance <= 0. What differs between the
+strategies is only the decision rule: the state machine, the TSMOM signs and
+weights, or a plain hold.
 """
 
 import math
@@ -23,13 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analytics import MetricsReport, compute_metrics
-from .backtester import (BacktestConfig, EquityCurve, aggregate_results,
-                         month_starts_between, union_timeline)
-from .cost_model import LONG, SHORT, CostConfig, fee, funding, slippage
-from .market_data import (MarketCapRecord, PriceSeries, bars_per_year,
-                          date_of_ts, month_add)
+from .backtester import (BacktestConfig, EquityCurve, month_starts_between,
+                         month_windows, run_windows)
+from .cost_model import LONG, SHORT, CostConfig
+from .market_data import (DataError, MarketCapRecord, PriceSeries,
+                          bars_per_year, date_of_ts, month_add)
 from .rebalancer import CapIndex, cap_snapshot
-from .signal_engine import SingleAssetResult, TradeRecord, gross_pnl
+from .signal_engine import SingleAssetResult, TradeRecord, book_trades
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
                    "equal_weight_buy_hold")
@@ -75,74 +83,17 @@ def hold_position(
 ) -> SingleAssetResult:
     """Buy at the window's first bar close, sell at its last; no stops.
 
-    Produces the same per-bar decomposition as the signal engine so the
-    account aggregation code is shared. Fewer than two bars in the window
-    yields an empty result (a position cannot open and close on one bar).
+    One forced trade booked by the engine's ledger, so it is charged and
+    marked to market exactly as the strategy's trades are. Fewer than two bars
+    in the window yields an empty result (a position cannot open and close on
+    one bar).
     """
     arr = series.arrays
     i0, i1 = arr.slice_indices(window[0], window[1])
     n = i1 - i0
-    timestamps = arr.timestamps[i0:i1].copy()
-    empty = SingleAssetResult(
-        symbol=series.symbol, timestamps=timestamps,
-        position=np.zeros(n, dtype=np.int8), stop=np.full(n, np.nan),
-        gross_returns=np.zeros(n), net_returns=np.zeros(n),
-        costs=np.zeros(n), realized_cum=np.zeros(n), open_mtm=np.zeros(n),
-        open_costs=np.zeros(n), trades=[],
-    )
-    if n < 2:
-        return empty
-    res = empty
-    sign = 1 if side == LONG else -1
-    entry_px = float(arr.close[i0])
-    entry_ts = int(arr.timestamps[i0])
-    exit_px = float(arr.close[i1 - 1])
-    exit_ts = int(arr.timestamps[i1 - 1])
-
-    pos_fee = pos_slip = pos_funding = 0.0
-    if cost_cfg is not None:
-        pos_fee = fee(size, cost_cfg)
-        pos_slip = slippage(size, arr.bar(i0), cost_cfg, series.interval)
-    res.costs[0] = pos_fee + pos_slip
-    res.position[:] = sign
-    res.position[-1] = 0
-
-    for local in range(1, n):
-        i = i0 + local
-        bar_cost = 0.0
-        if cost_cfg is not None and charge_funding:
-            f = funding(side, size, int(arr.timestamps[i - 1]),
-                        int(arr.timestamps[i]), cost_cfg, series.symbol)
-            pos_funding += f
-            bar_cost += f
-        res.gross_returns[local] = sign * (arr.close[i] / arr.close[i - 1] - 1.0)
-        if local == n - 1 and cost_cfg is not None:
-            exit_notional = size * exit_px / entry_px
-            exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, arr.bar(i), cost_cfg,
-                                 series.interval)
-            pos_fee += exit_fee
-            pos_slip += exit_slip
-            bar_cost += exit_fee + exit_slip
-        res.costs[local] = bar_cost
-        if local < n - 1:
-            res.open_mtm[local] = gross_pnl(side, size, entry_px,
-                                            float(arr.close[i]))
-            res.open_costs[local] = pos_fee + pos_slip + pos_funding
-
-    gross = gross_pnl(side, size, entry_px, exit_px)
-    net = gross - pos_fee - pos_slip - pos_funding
-    trade = TradeRecord(
-        symbol=series.symbol, side=side, entry_ts=entry_ts, entry_px=entry_px,
-        exit_ts=exit_ts, exit_px=exit_px, size=size, gross_pnl=gross,
-        fee_cost=pos_fee, slippage_cost=pos_slip, funding_cost=pos_funding,
-        net_pnl=net, forced=True,
-    )
-    res.trades.append(trade)
-    res.realized_cum[-1] = net
-    res.net_returns[:] = res.gross_returns - res.costs / size
-    res.open_costs[0] = res.costs[0]
-    return res
+    trades = [(0, n - 1, float(arr.close[i1 - 1]), side, True)] if n >= 2 else []
+    return book_trades(series, (i0, i1), trades, size, cost_cfg,
+                       np.full(n, np.nan), charge_funding=charge_funding)
 
 
 # ---------------------------------------------------------------------------
@@ -230,65 +181,35 @@ def run_benchmark(
     caps = CapIndex(caps)
     months = month_starts_between(cfg.start, cfg.end)
     if not months:
-        raise ValueError("no month boundary inside [start, end]")
-    first_month = months[0]
-    anchor_ts = first_month - cfg.interval
-
-    ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
-    bal_chunks = [np.array([cfg.initial_balance])]
-    trades: List[TradeRecord] = []
+        raise DataError("no month boundary inside [start, end]")
 
     if spec.kind == "buy_hold":
         symbol = spec.symbol
         if symbol is None:
-            snapshot = cap_snapshot(caps, date_of_ts(first_month - 1))
+            snapshot = cap_snapshot(caps, date_of_ts(months[0] - 1))
             if not snapshot:
-                raise ValueError("buy_hold needs a cap snapshot to pick a symbol")
+                raise DataError("buy_hold needs a cap snapshot to pick a symbol")
             symbol = sorted(snapshot, key=lambda s: (-snapshot[s], s))[0]
         series = universe.get(symbol)
         if series is None:
             raise ValueError(f"buy_hold symbol {symbol!r} not in universe")
-        window = (first_month, cfg.end)
-        res = hold_position(series, LONG, cfg.initial_balance, window,
-                            cfg.costs, charge_funding=False)
-        trades.extend(res.trades)
-        timeline = union_timeline(universe, window)
-        realized, mtm, ocost = aggregate_results(timeline, [res])
-        ts_chunks.append(timeline)
-        bal_chunks.append(cfg.initial_balance + realized + mtm - ocost)
+        windows = [(months[0], cfg.end)]
+
+        def simulate(window: Tuple[int, int], balance: float):
+            return [hold_position(series, LONG, balance, window, cfg.costs,
+                                  charge_funding=False)]
     else:
         charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
-        balance = cfg.initial_balance
-        for m in months:
-            window = (m, min(month_add(m, 1) - 1, cfg.end))
-            weights = _month_weights(spec, universe, caps, m, bpy)
-            results = []
-            for sym, side, w in weights:
-                if w <= 0.0:
-                    continue
-                res = hold_position(universe[sym], side, w * balance, window,
-                                    cfg.costs, charge_funding)
-                results.append(res)
-                trades.extend(res.trades)
-            timeline = union_timeline(universe, window)
-            if len(timeline) == 0:
-                continue
-            realized, mtm, ocost = aggregate_results(timeline, results)
-            balances_m = balance + realized + mtm - ocost
-            nonpositive = np.flatnonzero(balances_m <= 0.0)
-            if len(nonpositive) > 0:
-                stop_at = nonpositive[0] + 1
-                timeline, balances_m = timeline[:stop_at], balances_m[:stop_at]
-            ts_chunks.append(timeline)
-            bal_chunks.append(balances_m)
-            balance = float(balances_m[-1])
-            if balance <= 0:
-                break
+        windows = month_windows(months, cfg.end)
 
-    equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
-                         balances=np.concatenate(bal_chunks),
-                         bankrupt=bal_chunks[-1][-1] <= 0)
-    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+        def simulate(window: Tuple[int, int], balance: float):
+            weights = _month_weights(spec, universe, caps, window[0], bpy)
+            return [hold_position(universe[sym], side, w * balance, window,
+                                  cfg.costs, charge_funding)
+                    for sym, side, w in weights if w > 0.0]
+
+    equity, trades, _ = run_windows(universe, windows, cfg.initial_balance,
+                                    cfg.interval, simulate, net_first=False)
     metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
                               bars_per_year=bpy)
     return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,

@@ -402,6 +402,11 @@ def cmd_backtest(args) -> int:
                                   f" of {BENCHMARK_NAMES}")
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, bt_cfg.interval)
+        symbol = cfg["benchmarks.buy_hold_symbol"]
+        if ("btc_bh" in cfg["benchmarks.kinds"] and symbol is not None
+                and symbol not in universe):
+            raise ConfigError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
+                              f" in the universe in {data_dir}")
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

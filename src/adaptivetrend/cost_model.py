@@ -5,7 +5,6 @@ quote currency. Funding is signed: a long position pays when the rate is
 positive, a short position receives the same amount.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,6 +52,8 @@ class CostConfig:
             raise ValueError("slip_cap_bps must be >= 0")
         if any(not 0 <= h < 24 for h in self.funding_hours):
             raise ValueError("funding_hours must lie in [0, 24)")
+        if len(set(self.funding_hours)) != len(self.funding_hours):
+            raise ValueError("funding_hours must not repeat")
 
 
 ZERO_COSTS = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0, slip_cap_bps=0.0,
@@ -107,65 +108,63 @@ def fill_costs(notional: np.ndarray, volume: np.ndarray, close: np.ndarray,
 
 
 def funding_events(start_ts: int, end_ts: int,
-                   hours: Sequence[int] = (0, 8, 16)) -> List[int]:
-    """Funding timestamps strictly inside the half-open-left interval (start, end]."""
-    if end_ts <= start_ts:
-        return []
-    offsets = sorted(h * 3600 for h in hours)
-    events = []
-    day = (start_ts // 86_400) * 86_400
-    while day <= end_ts:
-        for off in offsets:
-            ts = day + off
-            if start_ts < ts <= end_ts:
-                events.append(ts)
-        day += 86_400
-    return events
+                   hours: Sequence[int] = (0, 8, 16)) -> np.ndarray:
+    """Funding timestamps in the half-open-left interval (start, end], ascending."""
+    offsets = np.sort(np.array(hours, dtype=np.int64)) * 3600
+    days = np.arange(start_ts // 86_400 * 86_400, end_ts + 1, 86_400,
+                     dtype=np.int64)
+    events = (days[:, None] + offsets).ravel()
+    return events[(events > start_ts) & (events <= end_ts)]
 
 
-def funding_rate_at(symbol: str, ts: int, cfg: CostConfig) -> float:
-    """Effective 8h funding rate for ``symbol`` at event time ``ts``.
+def funding_schedule(timestamps: np.ndarray, cfg: CostConfig, symbol: str,
+                     side: str, size: float) -> np.ndarray:
+    """Signed funding of a position of quote notional ``size`` on each bar.
 
-    With a per-symbol rate series configured, the latest record at or before
-    ts applies (step function); a symbol with no records, or no record yet at
-    ts, falls back to the flat default rate.
-    """
-    if cfg.funding_rates is not None:
-        records = cfg.funding_rates.get(symbol)
-        if records:
-            idx = bisect.bisect_right(records, (ts, float("inf"))) - 1
-            if idx >= 0:
-                return records[idx][1]
-    return cfg.funding_rate_per_8h
-
-
-def funding(side: str, size: float, entry_ts: int, exit_ts: int,
-            cfg: CostConfig, symbol: str = "") -> float:
-    """Signed funding cost accrued over a holding interval (entry, exit].
-
-    A positive value is paid by the position; negative is a rebate. Long pays
-    size * rate at each event when the rate is positive; short receives it.
+    Element j is the funding of the events in (timestamps[j-1], timestamps[j]],
+    i.e. what a position held entering bar j pays (negative: receives);
+    element 0 is 0.0. Events fall at the daily funding hours
+    (funding_events of the whole window, one call). Each is charged
+    size * rate, the rate being the latest per-symbol record at or before the
+    event (load_funding_rates) or else the flat funding_rate_per_8h; long pays
+    a positive rate and short receives it. A bar's events are summed in event
+    order, starting from 0.0.
     """
     if side not in (LONG, SHORT):
         raise ValueError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
-    total = 0.0
+    paid = np.zeros(len(timestamps))
+    if len(timestamps) < 2:
+        return paid
+    events = funding_events(int(timestamps[0]), int(timestamps[-1]),
+                            cfg.funding_hours)
+    rates = np.full(len(events), cfg.funding_rate_per_8h)
+    records = (cfg.funding_rates or {}).get(symbol)
+    if records:
+        at = np.searchsorted([ts for ts, _ in records], events, side="right") - 1
+        known = at >= 0
+        rates[known] = np.array([rate for _, rate in records])[at[known]]
     sign = 1.0 if side == LONG else -1.0
-    for ts in funding_events(entry_ts, exit_ts, cfg.funding_hours):
-        total += sign * size * funding_rate_at(symbol, ts, cfg)
-    return total
-
-
-def _parse_funding(row: List[str]) -> Tuple[str, int, float]:
-    ts, rate = int(row[0]), float(row[2])
-    if not math.isfinite(rate):
-        raise DataError(f"rate must be finite, got {rate}")
-    return row[1], ts, rate
+    np.add.at(paid, np.searchsorted(timestamps, events), sign * size * rates)
+    return paid
 
 
 def load_funding_rates(path: str) -> Dict[str, List[Tuple[int, float]]]:
-    """Load a per-symbol funding-rate series CSV into a step-function table."""
+    """Load a per-symbol funding-rate series CSV into a step-function table;
+    rejects rates that are not finite and duplicate (symbol, timestamp)
+    records."""
+    seen = set()
+
+    def parse(row: List[str]) -> Tuple[str, int, float]:
+        ts, sym, rate = int(row[0]), row[1], float(row[2])
+        if not math.isfinite(rate):
+            raise DataError(f"rate must be finite, got {rate}")
+        if (sym, ts) in seen:
+            raise DataError(f"duplicate record for {sym} {ts}")
+        seen.add((sym, ts))
+        return sym, ts, rate
+
     table: Dict[str, List[Tuple[int, float]]] = {}
-    for sym, ts, rate in read_csv(path, FUNDING_HEADER, _parse_funding):
+    for sym, ts, rate in read_csv(path, FUNDING_HEADER, parse):
         table.setdefault(sym, []).append((ts, rate))
     for records in table.values():
         records.sort()

@@ -6,23 +6,24 @@ closes; an optional intrabar mode fills stop exits pessimistically at the
 stop level). Re-entry is allowed from the next bar after an exit, never on
 the exit bar itself.
 
-``run_single_asset`` drives the machine over a timestamp window and returns
-both the closed-trade ledger (with full cost attribution) and per-bar series:
-strategy returns for Sharpe evaluation, plus currency-denominated realized /
-mark-to-market / cost components that let a caller audit account equity
-exactly. ``grid_sharpes`` scores many parameter cells of one side at once for
+``run_single_asset`` drives the machine over a timestamp window and hands
+its trades to ``book_trades``, the ledger that the comparison benchmarks
+share. It returns both the closed trades (with full cost attribution) and
+per-bar series: strategy returns for Sharpe evaluation, plus currency-
+denominated realized / mark-to-market / cost components that let a caller
+audit account equity exactly. ``grid_sharpes`` scores many parameter cells of one side at once for
 the monthly grid search, with the same result as running the machine once
 per cell.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import (LONG, SHORT, CostConfig, fee, fill_costs, funding,
-                         slippage)
+from .cost_model import (LONG, SHORT, CostConfig, fee, fill_costs,
+                         funding_schedule, slippage)
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import (Bar, PriceSeries, SeriesArrays, bars_per_year,
                           read_csv, write_csv)
@@ -120,8 +121,9 @@ class TradeRecord:
             )
 
 
-def gross_pnl(side: str, size: float, entry_px: float, exit_px: float) -> float:
-    """Currency PnL of a position of quote notional ``size`` before costs."""
+def gross_pnl(side: str, size: float, entry_px: float, exit_px):
+    """Currency PnL of a position of quote notional ``size`` before costs;
+    ``exit_px`` may be an array of prices."""
     if side == LONG:
         return size * (exit_px / entry_px - 1.0)
     return size * (1.0 - exit_px / entry_px)
@@ -165,46 +167,31 @@ def step(
         raise EngineError(f"bar {bar.timestamp}: indicator undefined (warm-up not skipped)")
 
     if state is not None:
-        if state.side == LONG:
-            if intrabar_stop_fill:
-                # The stop in force during the bar is last bar's; it can only
-                # ratchet once the bar has closed without a breach.
-                if bar.low < state.stop:
-                    px = min(bar.open, state.stop)
-                    return None, _close_position(state, bar.timestamp, px, forced=False)
-                if trailing:
-                    state.stop = max(state.stop, bar.close - params.alpha * atr_value)
-                return state, None
-            if trailing:
-                state.stop = max(state.stop, bar.close - params.alpha * atr_value)
-            if bar.close < state.stop:
-                return None, _close_position(state, bar.timestamp, bar.close, forced=False)
-            return state, None
+        # Prices are compared as sign * price, so the long rule serves both
+        # sides: negation is exact, e.g. -max(-s, -c - x) == min(s, c + x).
+        sign = 1.0 if state.side == LONG else -1.0
         if intrabar_stop_fill:
-            if bar.high > state.stop:
-                px = max(bar.open, state.stop)
+            # The stop in force during the bar is last bar's; it can only
+            # ratchet once the bar has closed without a breach.
+            adverse = bar.low if sign > 0 else bar.high
+            if sign * adverse < sign * state.stop:
+                px = sign * min(sign * bar.open, sign * state.stop)
                 return None, _close_position(state, bar.timestamp, px, forced=False)
-            if trailing:
-                state.stop = min(state.stop, bar.close + params.alpha * atr_value)
-            return state, None
         if trailing:
-            state.stop = min(state.stop, bar.close + params.alpha * atr_value)
-        if bar.close > state.stop:
+            state.stop = sign * max(sign * state.stop,
+                                    sign * bar.close - params.alpha * atr_value)
+        if not intrabar_stop_fill and sign * bar.close < sign * state.stop:
             return None, _close_position(state, bar.timestamp, bar.close, forced=False)
         return state, None
 
-    if side_enabled in ("both", "long") and mom > params.theta_entry:
-        return Position(
-            symbol=symbol, side=LONG, entry_time=bar.timestamp,
-            entry_price=bar.close, size=size,
-            stop=bar.close - params.alpha * atr_value,
-        ), None
-    if side_enabled in ("both", "short") and mom < -params.theta_entry_short:
-        return Position(
-            symbol=symbol, side=SHORT, entry_time=bar.timestamp,
-            entry_price=bar.close, size=size,
-            stop=bar.close + params.alpha * atr_value,
-        ), None
+    for side, sign, theta in ((LONG, 1.0, params.theta_entry),
+                              (SHORT, -1.0, params.theta_entry_short)):
+        if side_enabled in ("both", side) and sign * mom > theta:
+            return Position(
+                symbol=symbol, side=side, entry_time=bar.timestamp,
+                entry_price=bar.close, size=size,
+                stop=bar.close - sign * params.alpha * atr_value,
+            ), None
     return None, None
 
 
@@ -236,8 +223,91 @@ class SingleAssetResult:
     trades: List[TradeRecord]
 
 
-def _mark_to_market(pos: Position, close: float) -> float:
-    return gross_pnl(pos.side, pos.size, pos.entry_price, close)
+# A trade as the ledger takes it: entry bar, exit bar (both local to the
+# window), exit price, side and the forced flag. The entry fills at the entry
+# bar's close.
+Trade = Tuple[int, int, float, str, bool]
+
+
+def book_trades(
+    series: PriceSeries,
+    bounds: Tuple[int, int],
+    trades: Sequence[Trade],
+    size: float,
+    cost_cfg: Optional[CostConfig],
+    stop: np.ndarray,
+    *,
+    charge_funding: bool = True,
+) -> SingleAssetResult:
+    """Account for the trades of one window of bars [i0, i1).
+
+    Every strategy's trades go through here, so all of them pay the same
+    fills and funding and are marked to market the same way. Each trade
+    pays fee and slippage on its entry fill (notional ``size``) and on its
+    exit fill (the position's value at the exit price), plus funding on the
+    bars it is held entering, (entry, exit], when ``charge_funding``. Trades
+    must be in time order and must not overlap; ``stop`` is the stop path to
+    report. With cost_cfg None all costs are zero and net equals gross.
+    """
+    arr = series.arrays
+    i0, i1 = bounds
+    n = i1 - i0
+    close = arr.close[i0:i1]
+    position = np.zeros(n, dtype=np.int8)
+    gross_returns = np.zeros(n)
+    costs = np.zeros(n)
+    realized_cum = np.zeros(n)
+    open_mtm = np.zeros(n)
+    open_costs = np.zeros(n)
+    records: List[TradeRecord] = []
+    funding_of: Dict[str, np.ndarray] = {}
+    realized = 0.0
+    for e, x, exit_px, side, forced in trades:
+        long = side == LONG
+        entry_px = float(close[e])
+        position[e:x] = 1 if long else -1
+        moves = close[e + 1:x + 1] / close[e:x] - 1.0
+        moves[-1] = exit_px / close[x - 1] - 1.0
+        gross_returns[e + 1:x + 1] = moves if long else -moves
+        open_mtm[e:x] = gross_pnl(side, size, entry_px, close[e:x])
+        fees = slips = funded = 0.0
+        if cost_cfg is not None:
+            exit_notional = size * exit_px / entry_px
+            entry_fee = fee(size, cost_cfg)
+            entry_slip = slippage(size, arr.bar(i0 + e), cost_cfg,
+                                  series.interval)
+            exit_fee = fee(exit_notional, cost_cfg)
+            exit_slip = slippage(exit_notional, arr.bar(i0 + x), cost_cfg,
+                                 series.interval)
+            fees, slips = entry_fee + exit_fee, entry_slip + exit_slip
+            costs[e] = entry_fee + entry_slip
+            open_costs[e:x] = costs[e]
+            if charge_funding:
+                if side not in funding_of:
+                    funding_of[side] = funding_schedule(
+                        arr.timestamps[i0:i1], cost_cfg, series.symbol, side,
+                        size)
+                paid = funding_of[side][e + 1:x + 1]
+                accrued = np.cumsum(paid)
+                costs[e + 1:x + 1] = paid
+                open_costs[e + 1:x] += accrued[:-1]
+                funded = float(accrued[-1])
+            costs[x] += exit_fee + exit_slip
+        gross = gross_pnl(side, size, entry_px, exit_px)
+        net = gross - fees - slips - funded
+        realized += net
+        realized_cum[x:] = realized
+        records.append(TradeRecord(
+            symbol=series.symbol, side=side,
+            entry_ts=int(arr.timestamps[i0 + e]), entry_px=entry_px,
+            exit_ts=int(arr.timestamps[i0 + x]), exit_px=exit_px, size=size,
+            gross_pnl=gross, fee_cost=fees, slippage_cost=slips,
+            funding_cost=funded, net_pnl=net, forced=forced,
+        ))
+    return SingleAssetResult(series.symbol, arr.timestamps[i0:i1].copy(),
+                             position, stop, gross_returns,
+                             gross_returns - costs / size, costs, realized_cum,
+                             open_mtm, open_costs, records)
 
 
 def run_single_asset(
@@ -257,7 +327,8 @@ def run_single_asset(
     provides warm-up; bars inside the window whose indicators are still
     undefined are skipped. No entry is taken on the window's final bar (it
     would have to be closed at the same instant); a position still open after
-    the final bar is force-closed at that bar's close and flagged.
+    the final bar is force-closed at that bar's close and flagged. The trades
+    are then accounted by book_trades.
 
     With cost_cfg None, all costs are zero and net equals gross everywhere.
     """
@@ -272,112 +343,35 @@ def run_single_asset(
     else:
         i0, i1 = arr.slice_indices(window[0], window[1])
     n = i1 - i0
-
-    timestamps = arr.timestamps[i0:i1].copy()
-    position = np.zeros(n, dtype=np.int8)
     stop = np.full(n, np.nan)
-    gross_returns = np.zeros(n)
-    net_returns = np.zeros(n)
-    costs = np.zeros(n)
-    realized_cum = np.zeros(n)
-    open_mtm = np.zeros(n)
-    open_costs = np.zeros(n)
-    trades: List[TradeRecord] = []
-
-    if n == 0:
-        return SingleAssetResult(series.symbol, timestamps, position, stop,
-                                 gross_returns, net_returns, costs, realized_cum,
-                                 open_mtm, open_costs, trades)
-
-    mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
-    atr_values = atr(arr.high, arr.low, arr.close, params.atr_window)[i0:i1].tolist()
-    first_defined = params.warmup_bars() - i0  # as an index into the window
-
-    state: Optional[Position] = None
-    realized = 0.0
-    pos_fee = pos_slip = pos_funding = 0.0
-
-    def finalize_trade(trade: TradeRecord, bar: Bar) -> Tuple[TradeRecord, float]:
-        """Attach exit-fill and accrued costs to a gross-only trade record.
-
-        Returns the completed record plus the exit fill's fee+slippage (the
-        only cost not yet charged to the current bar by the caller).
-        """
-        nonlocal realized, pos_fee, pos_slip, pos_funding
-        exit_fill_cost = 0.0
-        if cost_cfg is not None:
-            exit_notional = size * trade.exit_px / trade.entry_px
-            exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, bar, cost_cfg, series.interval)
-            pos_fee += exit_fee
-            pos_slip += exit_slip
-            exit_fill_cost = exit_fee + exit_slip
-        net = trade.gross_pnl - pos_fee - pos_slip - pos_funding
-        trade = replace(trade, fee_cost=pos_fee, slippage_cost=pos_slip,
-                        funding_cost=pos_funding, net_pnl=net)
-        realized += net
-        pos_fee = pos_slip = pos_funding = 0.0
-        return trade, exit_fill_cost
-
-    # A position is never held entering the window's first bar, so `prev`
-    # is always set where it is read.
-    prev: Optional[Bar] = None
-    for local, bar in enumerate(arr.bars(i0, i1)):
-        held = 0 if state is None else (1 if state.side == LONG else -1)
-        bar_cost = 0.0
-
-        # Funding accrues on every bar the position was held entering,
-        # covering events in (previous bar close, this bar close].
-        if held != 0 and cost_cfg is not None:
-            f = funding(state.side, size, prev.timestamp, bar.timestamp,
-                        cost_cfg, series.symbol)
-            pos_funding += f
-            bar_cost += f
-
-        exit_px: Optional[float] = None
-        last_bar = local == n - 1
-        if local >= first_defined and not (state is None and last_bar):
-            prev_state = state
-            state, trade = step(
-                state, bar, mom[local], atr_values[local], params,
-                side_enabled, symbol=series.symbol, size=size,
-                trailing=trailing, intrabar_stop_fill=intrabar_stop_fill,
-            )
-            if trade is not None:
-                trade, exit_fill_cost = finalize_trade(trade, bar)
-                trades.append(trade)
-                exit_px = trade.exit_px
-                bar_cost += exit_fill_cost
-            if state is not None and prev_state is None and cost_cfg is not None:
-                entry_fee = fee(size, cost_cfg)
-                entry_slip = slippage(size, bar, cost_cfg, series.interval)
-                pos_fee += entry_fee
-                pos_slip += entry_slip
-                bar_cost += entry_fee + entry_slip
-
-        if state is not None and last_bar:
-            trade = _close_position(state, bar.timestamp, bar.close, forced=True)
-            state = None
-            trade, exit_fill_cost = finalize_trade(trade, bar)
-            trades.append(trade)
-            bar_cost += exit_fill_cost
-
-        if held != 0:
-            ref_px = exit_px if exit_px is not None else bar.close
-            gross_returns[local] = held * (ref_px / prev.close - 1.0)
-
-        position[local] = 0 if state is None else (1 if state.side == LONG else -1)
-        stop[local] = state.stop if state is not None else np.nan
-        costs[local] = bar_cost
-        net_returns[local] = gross_returns[local] - bar_cost / size
-        realized_cum[local] = realized
-        open_mtm[local] = _mark_to_market(state, bar.close) if state is not None else 0.0
-        open_costs[local] = pos_fee + pos_slip + pos_funding if state is not None else 0.0
-        prev = bar
-
-    return SingleAssetResult(series.symbol, timestamps, position, stop,
-                             gross_returns, net_returns, costs, realized_cum,
-                             open_mtm, open_costs, trades)
+    trades: List[Trade] = []
+    if n > 0:
+        mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
+        atr_values = atr(arr.high, arr.low, arr.close,
+                         params.atr_window)[i0:i1].tolist()
+        first = max(params.warmup_bars() - i0, 0)  # first bar with indicators
+        state: Optional[Position] = None
+        entry = first
+        for local, bar in enumerate(arr.bars(i0 + first, i1), first):
+            last_bar = local == n - 1
+            if state is not None or not last_bar:
+                was_flat = state is None
+                state, closed = step(
+                    state, bar, mom[local], atr_values[local], params,
+                    side_enabled, symbol=series.symbol, size=size,
+                    trailing=trailing, intrabar_stop_fill=intrabar_stop_fill,
+                )
+                if closed is not None:
+                    trades.append((entry, local, closed.exit_px, closed.side,
+                                   False))
+                elif was_flat and state is not None:
+                    entry = local
+            if state is not None:
+                if last_bar:
+                    trades.append((entry, local, bar.close, state.side, True))
+                else:
+                    stop[local] = state.stop
+    return book_trades(series, (i0, i1), trades, size, cost_cfg, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +483,8 @@ def grid_sharpes(
     if cost_cfg is None:
         np.copyto(net, gross, where=held)
     else:
-        # Funding depends only on the bar's timestamps, so it is computed
-        # once per bar that any cell holds, not once per cell.
-        ts = arr.timestamps
-        fund = np.zeros(n)
-        for j in np.flatnonzero(held.any(axis=0)).tolist():
-            fund[j] = funding(side, 1.0, int(ts[i0 + j - 1]), int(ts[i0 + j]),
-                              cost_cfg, symbol)
+        fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol,
+                                side, 1.0)
         np.copyto(net, gross - fund, where=held)
         volume = arr.volume[i0:i1]
         entry_cost = fill_costs(np.ones(len(ent)), volume[ent], close[ent],

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import (Bar, MarketCapRecord, PriceSeries,
                                        SeriesArrays)
 from scalar_reference import columns
@@ -79,6 +80,57 @@ def gbm_series(rng: np.random.Generator, n: int, *, symbol: str = "RND",
     timestamps = t0 + (np.arange(n, dtype=np.int64) + 1) * interval
     return PriceSeries(symbol, interval, SeriesArrays(
         timestamps, opens, body_hi + wicks, body_lo - wicks, closes, volumes))
+
+
+def assert_same_result(got, want):
+    """Every array equal (NaN stops included) with the same dtype, and the
+    same trades."""
+    assert got.symbol == want.symbol
+    for name in ("timestamps", "position", "stop", "gross_returns",
+                 "net_returns", "costs", "realized_cum", "open_mtm",
+                 "open_costs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+    assert got.trades == want.trades
+
+
+def rough_series(rng, n, interval, *, gaps, zero_volume, symbol="RND"):
+    """A lognormal path with optional gaps and zero-volume bars."""
+    closes = gbm_closes(rng, n, vol=1.5, interval=interval)
+    opens = np.concatenate((closes[:1], closes[:-1]))
+    wicks = 0.01 * closes * rng.random(n)
+    steps = rng.integers(1, 4, n) if gaps else np.ones(n, dtype=np.int64)
+    volume = 1e6 * np.exp(rng.normal(0.0, 2.0, n))
+    volume[rng.random(n) < zero_volume] = 0.0
+    return PriceSeries(symbol, interval, SeriesArrays(
+        T0 + np.cumsum(steps).astype(np.int64) * interval, opens,
+        np.maximum(opens, closes) + wicks, np.minimum(opens, closes) - wicks,
+        closes, volume))
+
+
+def jumpy_universe(seed: int, n_symbols: int, jump: float, n: int = 360):
+    """Lognormal symbols from Jan 1 (RND, SYM01, ...) with caps ranked in
+    that order; the first one's price is multiplied by ``jump`` from a random
+    bar in February or March on, which can wipe out a leveraged account."""
+    rng = np.random.default_rng(seed)
+    universe = {}
+    for j in range(n_symbols):
+        symbol = "RND" if j == 0 else f"SYM{j:02d}"
+        closes = gbm_closes(rng, n, vol=float(rng.uniform(0.3, 2.0)),
+                            drift=float(rng.normal(0.0, 2.0)))
+        if j == 0:
+            closes[int(rng.integers(124, 240)):] *= jump
+        universe[symbol] = make_series(closes.tolist(), symbol=symbol,
+                                       t0=T0 - INTERVAL, wick=0.001 * closes[0])
+    return universe, caps_for(list(universe))
+
+
+# Cost models the differential tests draw from: none, zero, the default, and
+# per-symbol funding rates at other funding hours.
+COST_CHOICES = [None, ZERO_COSTS, CostConfig(),
+                CostConfig(funding_hours=(3, 11, 19), funding_rates={"RND": [
+                    (T0 + 10 * 3_600, -4e-4), (T0 + 200 * 3_600, 7e-4)]})]
 
 
 def caps_for(symbols: Sequence[str], snap_date: date = date(2022, 1, 31),

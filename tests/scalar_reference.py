@@ -1,20 +1,43 @@
-"""Row-by-row reference implementations for the columnar data layer.
+"""Row-by-row and bar-by-bar reference implementations.
 
 These are the loader, the resampler and the cap snapshot as they were when a
 series was a tuple of Bar objects: every CSV row parsed with int()/float(),
 every bar validated by its own call, bars grouped into dict buckets, and
-every cap lookup a scan over all records. The tests check the vectorised code
+every cap lookup a scan over all records. Then the accounting as it was
+before the engine and the benchmarks shared one ledger: funding summed per
+holding interval, the state machine with one branch per side, the engine
+charging every cost bar by bar, the benchmarks' own hold loop, and the two
+month loops (the strategy's and the benchmarks'). The tests check the code
 in ``adaptivetrend`` against them.
 """
 
+import bisect
+import logging
 import math
+from dataclasses import replace
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from adaptivetrend.analytics import compute_metrics
+from adaptivetrend.backtester import (BacktestConfig, BacktestResult,
+                                      EquityCurve, _check_history,
+                                      aggregate_results, month_starts_between,
+                                      union_timeline)
+from adaptivetrend.benchmarks import BenchmarkRun, BenchmarkSpec, _month_weights
+from adaptivetrend.cost_model import LONG, SHORT, CostConfig, fee, slippage
+from adaptivetrend.indicators import atr, momentum
 from adaptivetrend.market_data import (OHLCV_HEADER, Bar, DataError,
-                                       MarketCapRecord, SeriesArrays, read_csv)
+                                       MarketCapRecord, PriceSeries,
+                                       SeriesArrays, bars_per_year,
+                                       date_of_ts, month_add, month_id,
+                                       read_csv)
+from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
+from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError, Position,
+                                         SingleAssetResult, StrategyParams,
+                                         TradeRecord, _close_position,
+                                         gross_pnl)
 
 INF = math.inf
 
@@ -119,3 +142,541 @@ def cap_snapshot(caps: Sequence[MarketCapRecord],
         return None
     snapshot_date = max(dates)
     return {r.symbol: r.cap for r in caps if r.date == snapshot_date}
+
+
+def funding_events(start_ts: int, end_ts: int,
+                   hours: Sequence[int] = (0, 8, 16)) -> List[int]:
+    """Funding timestamps strictly inside the half-open-left interval (start, end]."""
+    if end_ts <= start_ts:
+        return []
+    offsets = sorted(h * 3600 for h in hours)
+    events = []
+    day = (start_ts // 86_400) * 86_400
+    while day <= end_ts:
+        for off in offsets:
+            ts = day + off
+            if start_ts < ts <= end_ts:
+                events.append(ts)
+        day += 86_400
+    return events
+
+
+def funding_rate_at(symbol: str, ts: int, cfg: CostConfig) -> float:
+    """Effective 8h funding rate for ``symbol`` at event time ``ts``.
+
+    With a per-symbol rate series configured, the latest record at or before
+    ts applies (step function); a symbol with no records, or no record yet at
+    ts, falls back to the flat default rate.
+    """
+    if cfg.funding_rates is not None:
+        records = cfg.funding_rates.get(symbol)
+        if records:
+            idx = bisect.bisect_right(records, (ts, float("inf"))) - 1
+            if idx >= 0:
+                return records[idx][1]
+    return cfg.funding_rate_per_8h
+
+
+def funding(side: str, size: float, entry_ts: int, exit_ts: int,
+            cfg: CostConfig, symbol: str = "") -> float:
+    """Signed funding cost accrued over a holding interval (entry, exit].
+
+    A positive value is paid by the position; negative is a rebate. Long pays
+    size * rate at each event when the rate is positive; short receives it.
+    """
+    if side not in (LONG, SHORT):
+        raise ValueError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
+    total = 0.0
+    sign = 1.0 if side == LONG else -1.0
+    for ts in funding_events(entry_ts, exit_ts, cfg.funding_hours):
+        total += sign * size * funding_rate_at(symbol, ts, cfg)
+    return total
+
+
+def step(
+    state: Optional[Position],
+    bar: Bar,
+    mom: float,
+    atr_value: float,
+    params: StrategyParams,
+    side_enabled: str = "both",
+    *,
+    symbol: str = "",
+    size: float = 1.0,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
+) -> Tuple[Optional[Position], Optional[TradeRecord]]:
+    """Advance the state machine by one bar.
+
+    Returns the new state and, when a position closes this bar, a TradeRecord
+    carrying gross PnL only (the caller attributes fees/slippage/funding).
+    An open position is managed first (stop ratchet, exit check); entries are
+    evaluated only when flat at the start of the bar, long side first.
+    """
+    if side_enabled not in SIDE_CHOICES:
+        raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
+    if math.isnan(mom) or math.isnan(atr_value):
+        raise EngineError(f"bar {bar.timestamp}: indicator undefined (warm-up not skipped)")
+
+    if state is not None:
+        if state.side == LONG:
+            if intrabar_stop_fill:
+                # The stop in force during the bar is last bar's; it can only
+                # ratchet once the bar has closed without a breach.
+                if bar.low < state.stop:
+                    px = min(bar.open, state.stop)
+                    return None, _close_position(state, bar.timestamp, px, forced=False)
+                if trailing:
+                    state.stop = max(state.stop, bar.close - params.alpha * atr_value)
+                return state, None
+            if trailing:
+                state.stop = max(state.stop, bar.close - params.alpha * atr_value)
+            if bar.close < state.stop:
+                return None, _close_position(state, bar.timestamp, bar.close, forced=False)
+            return state, None
+        if intrabar_stop_fill:
+            if bar.high > state.stop:
+                px = max(bar.open, state.stop)
+                return None, _close_position(state, bar.timestamp, px, forced=False)
+            if trailing:
+                state.stop = min(state.stop, bar.close + params.alpha * atr_value)
+            return state, None
+        if trailing:
+            state.stop = min(state.stop, bar.close + params.alpha * atr_value)
+        if bar.close > state.stop:
+            return None, _close_position(state, bar.timestamp, bar.close, forced=False)
+        return state, None
+
+    if side_enabled in ("both", "long") and mom > params.theta_entry:
+        return Position(
+            symbol=symbol, side=LONG, entry_time=bar.timestamp,
+            entry_price=bar.close, size=size,
+            stop=bar.close - params.alpha * atr_value,
+        ), None
+    if side_enabled in ("both", "short") and mom < -params.theta_entry_short:
+        return Position(
+            symbol=symbol, side=SHORT, entry_time=bar.timestamp,
+            entry_price=bar.close, size=size,
+            stop=bar.close + params.alpha * atr_value,
+        ), None
+    return None, None
+
+
+def run_single_asset(
+    series: PriceSeries,
+    params: StrategyParams,
+    side_enabled: str = "both",
+    window: Optional[Tuple[int, int]] = None,
+    *,
+    size: float = 1.0,
+    cost_cfg: Optional[CostConfig] = None,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
+) -> SingleAssetResult:
+    """Run the state machine over bars with timestamps in [window start, end].
+
+    Indicators are computed on the full series so history before the window
+    provides warm-up; bars inside the window whose indicators are still
+    undefined are skipped. No entry is taken on the window's final bar (it
+    would have to be closed at the same instant); a position still open after
+    the final bar is force-closed at that bar's close and flagged.
+
+    With cost_cfg None, all costs are zero and net equals gross everywhere.
+    """
+    if size <= 0:
+        raise EngineError(f"size must be > 0, got {size}")
+    if side_enabled not in SIDE_CHOICES:
+        raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
+
+    arr = series.arrays
+    if window is None:
+        i0, i1 = 0, len(series)
+    else:
+        i0, i1 = arr.slice_indices(window[0], window[1])
+    n = i1 - i0
+
+    timestamps = arr.timestamps[i0:i1].copy()
+    position = np.zeros(n, dtype=np.int8)
+    stop = np.full(n, np.nan)
+    gross_returns = np.zeros(n)
+    net_returns = np.zeros(n)
+    costs = np.zeros(n)
+    realized_cum = np.zeros(n)
+    open_mtm = np.zeros(n)
+    open_costs = np.zeros(n)
+    trades: List[TradeRecord] = []
+
+    if n == 0:
+        return SingleAssetResult(series.symbol, timestamps, position, stop,
+                                 gross_returns, net_returns, costs, realized_cum,
+                                 open_mtm, open_costs, trades)
+
+    mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
+    atr_values = atr(arr.high, arr.low, arr.close, params.atr_window)[i0:i1].tolist()
+    first_defined = params.warmup_bars() - i0  # as an index into the window
+
+    state: Optional[Position] = None
+    realized = 0.0
+    pos_fee = pos_slip = pos_funding = 0.0
+
+    def finalize_trade(trade: TradeRecord, bar: Bar) -> Tuple[TradeRecord, float]:
+        """Attach exit-fill and accrued costs to a gross-only trade record.
+
+        Returns the completed record plus the exit fill's fee+slippage (the
+        only cost not yet charged to the current bar by the caller).
+        """
+        nonlocal realized, pos_fee, pos_slip, pos_funding
+        exit_fill_cost = 0.0
+        if cost_cfg is not None:
+            exit_notional = size * trade.exit_px / trade.entry_px
+            exit_fee = fee(exit_notional, cost_cfg)
+            exit_slip = slippage(exit_notional, bar, cost_cfg, series.interval)
+            pos_fee += exit_fee
+            pos_slip += exit_slip
+            exit_fill_cost = exit_fee + exit_slip
+        net = trade.gross_pnl - pos_fee - pos_slip - pos_funding
+        trade = replace(trade, fee_cost=pos_fee, slippage_cost=pos_slip,
+                        funding_cost=pos_funding, net_pnl=net)
+        realized += net
+        pos_fee = pos_slip = pos_funding = 0.0
+        return trade, exit_fill_cost
+
+    # A position is never held entering the window's first bar, so `prev`
+    # is always set where it is read.
+    prev: Optional[Bar] = None
+    for local, bar in enumerate(arr.bars(i0, i1)):
+        held = 0 if state is None else (1 if state.side == LONG else -1)
+        bar_cost = 0.0
+
+        # Funding accrues on every bar the position was held entering,
+        # covering events in (previous bar close, this bar close].
+        if held != 0 and cost_cfg is not None:
+            f = funding(state.side, size, prev.timestamp, bar.timestamp,
+                        cost_cfg, series.symbol)
+            pos_funding += f
+            bar_cost += f
+
+        exit_px: Optional[float] = None
+        last_bar = local == n - 1
+        if local >= first_defined and not (state is None and last_bar):
+            prev_state = state
+            state, trade = step(
+                state, bar, mom[local], atr_values[local], params,
+                side_enabled, symbol=series.symbol, size=size,
+                trailing=trailing, intrabar_stop_fill=intrabar_stop_fill,
+            )
+            if trade is not None:
+                trade, exit_fill_cost = finalize_trade(trade, bar)
+                trades.append(trade)
+                exit_px = trade.exit_px
+                bar_cost += exit_fill_cost
+            if state is not None and prev_state is None and cost_cfg is not None:
+                entry_fee = fee(size, cost_cfg)
+                entry_slip = slippage(size, bar, cost_cfg, series.interval)
+                pos_fee += entry_fee
+                pos_slip += entry_slip
+                bar_cost += entry_fee + entry_slip
+
+        if state is not None and last_bar:
+            trade = _close_position(state, bar.timestamp, bar.close, forced=True)
+            state = None
+            trade, exit_fill_cost = finalize_trade(trade, bar)
+            trades.append(trade)
+            bar_cost += exit_fill_cost
+
+        if held != 0:
+            ref_px = exit_px if exit_px is not None else bar.close
+            gross_returns[local] = held * (ref_px / prev.close - 1.0)
+
+        position[local] = 0 if state is None else (1 if state.side == LONG else -1)
+        stop[local] = state.stop if state is not None else np.nan
+        costs[local] = bar_cost
+        net_returns[local] = gross_returns[local] - bar_cost / size
+        realized_cum[local] = realized
+        open_mtm[local] = (gross_pnl(state.side, state.size, state.entry_price,
+                                      bar.close) if state is not None else 0.0)
+        open_costs[local] = pos_fee + pos_slip + pos_funding if state is not None else 0.0
+        prev = bar
+
+    return SingleAssetResult(series.symbol, timestamps, position, stop,
+                             gross_returns, net_returns, costs, realized_cum,
+                             open_mtm, open_costs, trades)
+
+
+def hold_position(
+    series: PriceSeries,
+    side: str,
+    size: float,
+    window: Tuple[int, int],
+    cost_cfg: Optional[CostConfig],
+    charge_funding: bool,
+) -> SingleAssetResult:
+    """Buy at the window's first bar close, sell at its last; no stops.
+
+    Produces the same per-bar decomposition as the signal engine so the
+    account aggregation code is shared. Fewer than two bars in the window
+    yields an empty result (a position cannot open and close on one bar).
+    """
+    arr = series.arrays
+    i0, i1 = arr.slice_indices(window[0], window[1])
+    n = i1 - i0
+    timestamps = arr.timestamps[i0:i1].copy()
+    empty = SingleAssetResult(
+        symbol=series.symbol, timestamps=timestamps,
+        position=np.zeros(n, dtype=np.int8), stop=np.full(n, np.nan),
+        gross_returns=np.zeros(n), net_returns=np.zeros(n),
+        costs=np.zeros(n), realized_cum=np.zeros(n), open_mtm=np.zeros(n),
+        open_costs=np.zeros(n), trades=[],
+    )
+    if n < 2:
+        return empty
+    res = empty
+    sign = 1 if side == LONG else -1
+    entry_px = float(arr.close[i0])
+    entry_ts = int(arr.timestamps[i0])
+    exit_px = float(arr.close[i1 - 1])
+    exit_ts = int(arr.timestamps[i1 - 1])
+
+    pos_fee = pos_slip = pos_funding = 0.0
+    if cost_cfg is not None:
+        pos_fee = fee(size, cost_cfg)
+        pos_slip = slippage(size, arr.bar(i0), cost_cfg, series.interval)
+    res.costs[0] = pos_fee + pos_slip
+    res.position[:] = sign
+    res.position[-1] = 0
+
+    for local in range(1, n):
+        i = i0 + local
+        bar_cost = 0.0
+        if cost_cfg is not None and charge_funding:
+            f = funding(side, size, int(arr.timestamps[i - 1]),
+                        int(arr.timestamps[i]), cost_cfg, series.symbol)
+            pos_funding += f
+            bar_cost += f
+        res.gross_returns[local] = sign * (arr.close[i] / arr.close[i - 1] - 1.0)
+        if local == n - 1 and cost_cfg is not None:
+            exit_notional = size * exit_px / entry_px
+            exit_fee = fee(exit_notional, cost_cfg)
+            exit_slip = slippage(exit_notional, arr.bar(i), cost_cfg,
+                                 series.interval)
+            pos_fee += exit_fee
+            pos_slip += exit_slip
+            bar_cost += exit_fee + exit_slip
+        res.costs[local] = bar_cost
+        if local < n - 1:
+            res.open_mtm[local] = gross_pnl(side, size, entry_px,
+                                            float(arr.close[i]))
+            res.open_costs[local] = pos_fee + pos_slip + pos_funding
+
+    gross = gross_pnl(side, size, entry_px, exit_px)
+    net = gross - pos_fee - pos_slip - pos_funding
+    trade = TradeRecord(
+        symbol=series.symbol, side=side, entry_ts=entry_ts, entry_px=entry_px,
+        exit_ts=exit_ts, exit_px=exit_px, size=size, gross_pnl=gross,
+        fee_cost=pos_fee, slippage_cost=pos_slip, funding_cost=pos_funding,
+        net_pnl=net, forced=True,
+    )
+    res.trades.append(trade)
+    res.realized_cum[-1] = net
+    res.net_returns[:] = res.gross_returns - res.costs / size
+    res.open_costs[0] = res.costs[0]
+    return res
+
+
+logger = logging.getLogger(__name__)
+
+
+def run_backtest(
+    universe: Dict[str, PriceSeries],
+    caps: Sequence[MarketCapRecord],
+    cfg: BacktestConfig,
+) -> BacktestResult:
+    """Run the monthly loop over [start, end] (end-inclusive bar timestamps).
+
+    The start is snapped forward to a calendar month boundary. The balance
+    rolls across months; a balance <= 0 halts the run and flags the curve.
+    """
+    rcfg = cfg.rebalance
+    caps = CapIndex(caps)
+    if not cfg.sharpe_filter_enabled:
+        rcfg = replace(rcfg, gamma_long=float("-inf"), gamma_short=float("-inf"))
+
+    month_starts = month_starts_between(cfg.start, cfg.end)
+    if not month_starts:
+        raise DataError("no month boundary inside [start, end]")
+    first_month = month_starts[0]
+    _check_history(universe, first_month, month_starts[-1], cfg.interval)
+
+    balance = cfg.initial_balance
+    realized_total = 0.0
+    portfolio: Optional[MonthlyPortfolio] = None
+
+    anchor_ts = first_month - cfg.interval
+    ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
+    bal_chunks = [np.array([balance])]
+    realized_chunks = [np.zeros(1)]
+    mtm_chunks = [np.zeros(1)]
+    ocost_chunks = [np.zeros(1)]
+    trades: List[TradeRecord] = []
+    rebalance_log: List[dict] = []
+    portfolios: List[MonthlyPortfolio] = []
+    bankrupt = False
+
+    for m in month_starts:
+        window = (m, min(month_add(m, 1) - 1, cfg.end))
+        if cfg.reoptimize_enabled or portfolio is None:
+            portfolio, record = run_rebalance(
+                universe, caps, m, rcfg, cfg.costs, cfg.interval,
+                jobs=cfg.jobs, cap_filter_enabled=cfg.cap_filter_enabled,
+            )
+        else:
+            carried_from = portfolios[0].month
+            portfolio = replace(portfolio, month=month_id(m))
+            record = {
+                "month": portfolio.month, "reoptimized": False,
+                "carried_from": carried_from,
+                "selected_longs": [a.symbol for a in portfolio.longs],
+                "selected_shorts": [a.symbol for a in portfolio.shorts],
+                "cash_weight": portfolio.cash_weight,
+            }
+        record["balance_start"] = balance
+        rebalance_log.append(record)
+        portfolios.append(portfolio)
+
+        month_results: List[SingleAssetResult] = []
+        for side, allocations in (("long", portfolio.longs),
+                                  ("short", portfolio.shorts)):
+            for alloc in allocations:
+                series = universe.get(alloc.symbol)
+                if series is None:
+                    continue
+                res = run_single_asset(
+                    series, alloc.params, side_enabled=side, window=window,
+                    size=alloc.weight * balance, cost_cfg=cfg.costs,
+                    trailing=cfg.trailing_stop_enabled,
+                    intrabar_stop_fill=cfg.intrabar_stop_fill,
+                )
+                month_results.append(res)
+                trades.extend(res.trades)
+
+        # Mark to market on the union of every universe symbol's closes so the
+        # equity timeline does not depend on what happened to be selected.
+        month_ts = union_timeline(universe, window)
+        if len(month_ts) == 0:
+            continue
+        realized_m, mtm_m, ocost_m = aggregate_results(month_ts, month_results)
+        contrib = realized_m + mtm_m - ocost_m
+
+        balances_m = balance + contrib
+        nonpositive = np.flatnonzero(balances_m <= 0.0)
+        if len(nonpositive) > 0:
+            stop_at = nonpositive[0] + 1
+            month_ts = month_ts[:stop_at]
+            balances_m = balances_m[:stop_at]
+            realized_m, mtm_m, ocost_m = (a[:stop_at] for a in
+                                          (realized_m, mtm_m, ocost_m))
+            bankrupt = True
+            logger.warning("balance depleted at %d; halting run", int(month_ts[-1]))
+
+        ts_chunks.append(month_ts)
+        bal_chunks.append(balances_m)
+        realized_chunks.append(realized_total + realized_m)
+        mtm_chunks.append(mtm_m)
+        ocost_chunks.append(ocost_m)
+
+        if bankrupt:
+            break
+        balance = float(balances_m[-1])
+        realized_total += float(realized_m[-1])
+
+    equity = EquityCurve(
+        timestamps=np.concatenate(ts_chunks),
+        balances=np.concatenate(bal_chunks),
+        bankrupt=bankrupt,
+    )
+    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    return BacktestResult(
+        equity=equity,
+        trades=trades,
+        rebalance_log=rebalance_log,
+        portfolios=portfolios,
+        realized=np.concatenate(realized_chunks),
+        open_mtm=np.concatenate(mtm_chunks),
+        open_costs=np.concatenate(ocost_chunks),
+        initial_balance=cfg.initial_balance,
+    )
+
+
+def run_benchmark(
+    spec: BenchmarkSpec,
+    universe: Dict[str, PriceSeries],
+    caps: Sequence[MarketCapRecord],
+    cfg: BacktestConfig,
+) -> BenchmarkRun:
+    """Run one benchmark over cfg's window with cfg's cost model."""
+    bpy = bars_per_year(cfg.interval)
+    months = month_starts_between(cfg.start, cfg.end)
+    if not months:
+        raise ValueError("no month boundary inside [start, end]")
+    first_month = months[0]
+    anchor_ts = first_month - cfg.interval
+
+    ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
+    bal_chunks = [np.array([cfg.initial_balance])]
+    trades: List[TradeRecord] = []
+
+    if spec.kind == "buy_hold":
+        symbol = spec.symbol
+        if symbol is None:
+            snapshot = cap_snapshot(caps, date_of_ts(first_month - 1))
+            if not snapshot:
+                raise ValueError("buy_hold needs a cap snapshot to pick a symbol")
+            symbol = sorted(snapshot, key=lambda s: (-snapshot[s], s))[0]
+        series = universe.get(symbol)
+        if series is None:
+            raise ValueError(f"buy_hold symbol {symbol!r} not in universe")
+        window = (first_month, cfg.end)
+        res = hold_position(series, LONG, cfg.initial_balance, window,
+                            cfg.costs, charge_funding=False)
+        trades.extend(res.trades)
+        timeline = union_timeline(universe, window)
+        realized, mtm, ocost = aggregate_results(timeline, [res])
+        ts_chunks.append(timeline)
+        bal_chunks.append(cfg.initial_balance + realized + mtm - ocost)
+    else:
+        charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
+        balance = cfg.initial_balance
+        for m in months:
+            window = (m, min(month_add(m, 1) - 1, cfg.end))
+            weights = _month_weights(spec, universe, caps, m, bpy)
+            results = []
+            for sym, side, w in weights:
+                if w <= 0.0:
+                    continue
+                res = hold_position(universe[sym], side, w * balance, window,
+                                    cfg.costs, charge_funding)
+                results.append(res)
+                trades.extend(res.trades)
+            timeline = union_timeline(universe, window)
+            if len(timeline) == 0:
+                continue
+            realized, mtm, ocost = aggregate_results(timeline, results)
+            balances_m = balance + realized + mtm - ocost
+            nonpositive = np.flatnonzero(balances_m <= 0.0)
+            if len(nonpositive) > 0:
+                stop_at = nonpositive[0] + 1
+                timeline, balances_m = timeline[:stop_at], balances_m[:stop_at]
+            ts_chunks.append(timeline)
+            bal_chunks.append(balances_m)
+            balance = float(balances_m[-1])
+            if balance <= 0:
+                break
+
+    equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
+                         balances=np.concatenate(bal_chunks),
+                         bankrupt=bal_chunks[-1][-1] <= 0)
+    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
+                              bars_per_year=bpy)
+    return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,
+                        trades=trades)

@@ -1,5 +1,6 @@
 """Monthly account loop: sizing, aggregation, ablations, serialization."""
 
+import logging
 import math
 from dataclasses import replace
 from datetime import date
@@ -13,12 +14,17 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       month_starts_between, run_ablation,
                                       run_backtest, save_equity, snap_to_month,
                                       union_timeline)
+from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import DataError, MarketCapRecord
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import SingleAssetResult
-from conftest import (FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0, caps_for,
-                      gbm_series, make_series)
+from hypothesis import given, settings, strategies as st
+
+from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
+                      caps_for, gbm_series, jumpy_universe, make_bars,
+                      make_series, series_from_bars)
+import scalar_reference
 
 APR1 = 1_648_771_200
 FEB28 = date(2022, 2, 28)
@@ -229,6 +235,39 @@ class TestMultiMonthAccounting:
         assert parallel.trades == serial.trades
         assert parallel.rebalance_log == serial.rebalance_log
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
+           jump=st.sampled_from([1.0, 0.2, 5.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           long_ratio=st.sampled_from([0.2, 0.7]),
+           trailing=st.booleans(), intrabar=st.booleans(),
+           reoptimize=st.booleans())
+    def test_shared_loop_matches_former_loop(self, seed, n_symbols, jump, cost,
+                                             long_ratio, trailing, intrabar,
+                                             reoptimize):
+        # The whole run, bankruptcies included, equals the month loop as it
+        # was before the benchmarks shared it (tests/scalar_reference.py).
+        universe, caps = jumpy_universe(seed, n_symbols, jump)
+        grid = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
+                         alpha=(1.0, 3.0), lookback=(4,), atr_window=3)
+        cfg = BacktestConfig(
+            start=FEB1, end=int(universe["RND"].arrays.timestamps[-1]),
+            initial_balance=50_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(k_long=2, k_short=2, grid=grid,
+                              long_ratio=long_ratio),
+            costs=COST_CHOICES[cost], trailing_stop_enabled=trailing,
+            intrabar_stop_fill=intrabar, reoptimize_enabled=reoptimize)
+        got = run_backtest(universe, caps, cfg)
+        want = scalar_reference.run_backtest(universe, caps, cfg)
+        for name in ("timestamps", "balances"):
+            assert np.array_equal(getattr(got.equity, name),
+                                  getattr(want.equity, name)), name
+        assert got.equity.bankrupt == want.equity.bankrupt
+        for name in ("realized", "open_mtm", "open_costs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.trades == want.trades
+        assert got.rebalance_log == want.rebalance_log
+
     def test_insufficient_history_raises(self):
         series = gbm_series(np.random.default_rng(3), 50, t0=MAR1)
         caps = [MarketCapRecord(series.symbol, FEB28, 1e9)]
@@ -260,6 +299,78 @@ class TestBankruptcy:
         assert np.all(result.equity.balances[:-1] > 0.0)
         assert result.equity.timestamps[-1] < cfg.end
         assert result.trades[0].side == "short"
+
+    def test_strategy_and_tsmom_halt_at_first_nonpositive_balance(self):
+        # CRSH falls through February, so in March both the strategy's short
+        # sleeve and TSMOM (negative one-month return) are short all of the
+        # balance from the first bar; a squeeze to twice that bar's close then
+        # costs exactly the balance, and both halt at a balance of 0.0. April,
+        # the second month, must never trade.
+        feb = [100.0 * 0.99 ** i for i in range(112)]
+        entry = feb[-1] * 0.99
+        march = [entry, entry * 0.99, entry * 0.98, 2.0 * entry,
+                 190.0, 185.0, 180.0, 178.0]
+        april = [178.0] * (len(feb) + 30 * 4 - len(march))
+        closes = feb + march + april
+        faller = make_series(closes, symbol="CRSH", t0=FEB1 - INTERVAL,
+                             wick=0.05)
+        dummy = make_series([500.0] * len(closes), symbol="FLAT",
+                            t0=FEB1 - INTERVAL)
+        universe = {"CRSH": faller, "FLAT": dummy}
+        caps = [MarketCapRecord("FLAT", FEB28, 9e9),
+                MarketCapRecord("CRSH", FEB28, 1e9)]
+        grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
+                         alpha=(2.0,), lookback=(4,), atr_window=3)
+        cfg = BacktestConfig(
+            start=MAR1, end=int(faller.arrays.timestamps[-1]),
+            initial_balance=100_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(gamma_long=1e9, long_ratio=0.0, grid=grid),
+            costs=ZERO_COSTS)
+        assert cfg.end > APR1
+        squeeze_ts = MAR1 + 3 * INTERVAL
+        strategy = run_backtest(universe, caps, cfg)
+        tsmom = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
+                              cfg)
+        for run in (strategy, tsmom):
+            assert run.equity.bankrupt is True
+            assert run.equity.timestamps[-1] == squeeze_ts
+            assert run.equity.balances[-1] == 0.0
+            assert np.all(run.equity.balances[:-1] > 0.0)
+            first = run.trades[0]
+            assert (first.symbol, first.side, first.entry_ts) == \
+                ("CRSH", "short", MAR1)
+            assert all(t.entry_ts < APR1 for t in run.trades)
+        assert len(strategy.rebalance_log) == 1
+
+
+class TestEmptyMonth:
+    def test_month_without_bars_is_skipped_with_a_warning(self, caplog):
+        # No symbol has a bar in March: January and February, then April.
+        closes = [100.0 + 5.0 * math.sin(i / 5.0) for i in range(276)]
+        series = series_from_bars("GAP", INTERVAL,
+                                  make_bars(closes[:236], t0=T0 - INTERVAL)
+                                  + make_bars(closes[236:], t0=APR1 - INTERVAL))
+        ts = series.arrays.timestamps
+        assert not np.any((ts >= MAR1) & (ts < APR1))
+        universe = {"GAP": series}
+        caps = [MarketCapRecord("GAP", FEB28, 1e9)]
+        cfg = BacktestConfig(start=FEB1, end=int(ts[-1]),
+                             initial_balance=100_000.0, interval=INTERVAL,
+                             rebalance=reb_cfg(), costs=ZERO_COSTS)
+        with caplog.at_level(logging.WARNING, logger="adaptivetrend.backtester"):
+            result = run_backtest(universe, caps, cfg)
+            bench = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
+                                  cfg)
+        skipped = [r.getMessage() for r in caplog.records
+                   if "no bars" in r.getMessage()]
+        assert len(skipped) == 2 and all(m.startswith("2022-03:")
+                                         for m in skipped)
+        for equity in (result.equity, bench.equity):
+            eq_ts = equity.timestamps
+            assert not np.any((eq_ts >= MAR1) & (eq_ts < APR1))
+            assert eq_ts[-1] == ts[-1]
+        assert [r["month"] for r in result.rebalance_log] == \
+            ["2022-02", "2022-03", "2022-04"]
 
 
 class TestAblations:

@@ -5,15 +5,19 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.backtester import BacktestConfig
 from adaptivetrend.benchmarks import (BenchmarkSpec, hold_position,
                                       realized_vol, run_benchmark,
                                       trailing_month_return)
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import MarketCapRecord
+from adaptivetrend.market_data import DataError, MarketCapRecord
 from adaptivetrend.rebalancer import RebalanceConfig
-from conftest import FEB1, INTERVAL, MAR1, T0, gbm_series, make_series
+from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
+                      assert_same_result, gbm_series, jumpy_universe,
+                      make_series, rough_series)
+import scalar_reference
 
 JAN31 = date(2022, 1, 31)
 
@@ -91,6 +95,30 @@ class TestHoldPosition:
         skipped = hold_position(s, "long", 1_000.0, window, costs, False)
         assert charged.trades[0].funding_cost > 0.0
         assert skipped.trades[0].funding_cost == 0.0
+
+
+class TestHoldMatchesPerBar:
+    """A hold booked by the engine's ledger equals the benchmarks' former
+    bar-by-bar hold loop (tests/scalar_reference.py) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(0, 60),
+           interval=st.sampled_from([3_600, 21_600, 86_400]),
+           side=st.sampled_from(["long", "short"]),
+           size=st.sampled_from([1.0, 3_333.3, 250_000.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           charge_funding=st.booleans(), gaps=st.booleans(),
+           bounds=st.tuples(st.integers(0, 60), st.integers(0, 60)))
+    def test_same_arrays_and_trade(self, seed, n, interval, side, size, cost,
+                                   charge_funding, gaps, bounds):
+        series = rough_series(np.random.default_rng(seed), n, interval,
+                              gaps=gaps, zero_volume=0.2)
+        a, b = sorted(bounds)
+        window = (T0 + a * interval, T0 + b * interval)
+        args = (series, side, size, window, COST_CHOICES[cost], charge_funding)
+        assert_same_result(hold_position(*args),
+                           scalar_reference.hold_position(*args))
 
 
 class TestSignals:
@@ -271,6 +299,12 @@ class TestBuyHold:
         with pytest.raises(ValueError):
             run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="NOPE"),
                           universe, caps, bench_cfg(universe, end))
+        with pytest.raises(DataError, match="cap snapshot"):
+            run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, [],
+                          bench_cfg(universe, end))
+        with pytest.raises(DataError, match="no month boundary"):
+            run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
+                          BacktestConfig(start=FEB1 + 1, end=MAR1 - 1))
 
 
 class TestEqualWeight:
@@ -294,6 +328,33 @@ class TestEqualWeight:
         rev = run_benchmark(spec, dict(reversed(list(universe.items()))),
                             list(reversed(caps)), bench_cfg(universe, end))
         np.testing.assert_array_equal(fwd.equity.balances, rev.equity.balances)
+
+
+class TestRunMatchesReference:
+    """Whole benchmark runs, bankruptcies included, equal the benchmarks'
+    former month loop and hold loop (tests/scalar_reference.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
+           jump=st.sampled_from([1.0, 0.2, 5.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           kind=st.sampled_from(["tsmom", "vol_scaled_tsmom", "buy_hold",
+                                 "equal_weight_buy_hold"]),
+           lookback=st.integers(1, 2), universe_size=st.integers(1, 5))
+    def test_equity_and_trades(self, seed, n_symbols, jump, cost, kind,
+                               lookback, universe_size):
+        universe, caps = jumpy_universe(seed, n_symbols, jump)
+        spec = BenchmarkSpec(kind=kind, lookback_months=lookback,
+                             universe_size=universe_size)
+        cfg = bench_cfg(universe, int(universe["RND"].arrays.timestamps[-1]),
+                        costs=COST_CHOICES[cost])
+        got = run_benchmark(spec, universe, caps, cfg)
+        want = scalar_reference.run_benchmark(spec, universe, caps, cfg)
+        np.testing.assert_array_equal(got.equity.timestamps,
+                                      want.equity.timestamps)
+        assert np.array_equal(got.equity.balances, want.equity.balances)
+        assert got.equity.bankrupt == want.equity.bankrupt
+        assert got.trades == want.trades
 
 
 class TestSpecAndRun:

@@ -259,6 +259,18 @@ class TestBacktest:
         assert "carry" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_buy_hold_symbol_rejected(self, ws, tmp_path, capsys):
+        # rejected with the config too, not after the strategy's artifacts
+        cfg = write_config(tmp_path / "c.cfg", ws.data,
+                           extra="benchmarks.kinds = btc_bh\n"
+                                 "benchmarks.buy_hold_symbol = NOPE\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NOPE" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_fee_axis(self, ws, tmp_path):

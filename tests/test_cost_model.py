@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, fill_costs,
-                                      funding, funding_events, funding_rate_at,
+                                      funding_events, funding_schedule,
                                       load_funding_rates, slippage)
 from adaptivetrend.market_data import Bar, DataError
 from conftest import INTERVAL, T0
+from scalar_reference import funding, funding_rate_at
 
 
 def bar_with_volume(volume: float, close: float = 100.0) -> Bar:
@@ -89,17 +91,18 @@ class TestSlippage:
 
 class TestFundingEvents:
     def test_full_day_has_three(self):
-        assert funding_events(0, 86_400) == [28_800, 57_600, 86_400]
+        assert funding_events(0, 86_400).tolist() == [28_800, 57_600, 86_400]
 
     def test_interval_is_half_open(self):
         # an event at the entry instant is settled before the position exists
-        assert funding_events(28_800, 86_400) == [57_600, 86_400]
+        assert funding_events(28_800, 86_400).tolist() == [57_600, 86_400]
 
     def test_between_events_empty(self):
-        assert funding_events(30_000, 50_000) == []
+        assert funding_events(30_000, 50_000).tolist() == []
 
     def test_custom_hours(self):
-        assert funding_events(0, 86_400, hours=(0, 12)) == [43_200, 86_400]
+        assert funding_events(0, 86_400, hours=(12, 0)).tolist() == \
+            [43_200, 86_400]
 
 
 class TestFunding:
@@ -140,6 +143,51 @@ class TestFunding:
         assert cost == pytest.approx(-3.0, rel=1e-12)
 
 
+class TestFundingSchedule:
+    """Per-bar funding of a window equals the per-interval sum, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           interval=st.sampled_from([3_600, 7_200, 14_400, 21_600, 43_200,
+                                     86_400]),
+           n=st.integers(0, 60),
+           hours=st.lists(st.integers(0, 23), unique=True,
+                          max_size=4).map(tuple),
+           side=st.sampled_from(["long", "short"]),
+           per_symbol=st.booleans())
+    def test_matches_interval_sums(self, seed, interval, n, hours, side,
+                                   per_symbol):
+        rng = np.random.default_rng(seed)
+        # Gaps of up to 4 intervals, so one bar may hold a dozen events.
+        steps = rng.integers(1, 5, n) * interval
+        ts = T0 + 3_600 * int(rng.integers(0, 24)) + np.cumsum(steps)
+        rates = None
+        if per_symbol and n:
+            at = np.sort(rng.choice(np.arange(T0 - 86_400, int(ts[-1]) + 1,
+                                              3_600), 6, replace=False))
+            rates = {"BTC": [(int(t), float(r)) for t, r
+                             in zip(at, rng.normal(0.0, 3e-4, 6))],
+                     "ETH": [(T0, 1.0)]}
+        cfg = CostConfig(funding_hours=hours, funding_rates=rates,
+                         funding_rate_per_8h=float(rng.normal(0.0, 1e-4)))
+        size = float(np.exp(rng.normal(8.0, 3.0)))
+        got = funding_schedule(ts.astype(np.int64), cfg, "BTC", side, size)
+        want = [0.0] + [funding(side, size, int(a), int(b), cfg, "BTC")
+                        for a, b in zip(ts[:-1], ts[1:])]
+        assert got.tolist() == want[:n]
+
+    def test_events_on_the_bar_that_covers_them(self):
+        ts = np.array([T0, T0 + 3_600, T0 + 86_400, T0 + 86_400 + 60],
+                      dtype=np.int64)
+        got = funding_schedule(ts, CostConfig(), "", "long", 10_000.0)
+        # (T0, T0+1h]: none; (T0+1h, T0+24h]: 08:00, 16:00 and 00:00.
+        assert got.tolist() == [0.0, 0.0, 3.0 * 10_000.0 * 1e-4, 0.0]
+        short = funding_schedule(ts, CostConfig(), "", "short", 10_000.0)
+        assert short.tolist() == [0.0, 0.0, -got[2], 0.0]
+        with pytest.raises(ValueError):
+            funding_schedule(ts, CostConfig(), "", "both", 1.0)
+
+
 def test_load_funding_rates(tmp_path):
     p = tmp_path / "funding_rates.csv"
     p.write_text("timestamp,symbol,rate_8h\n"
@@ -151,6 +199,12 @@ def test_load_funding_rates(tmp_path):
         p.write_text(f"timestamp,symbol,rate_8h\n{T0},BTC,0.0002\n{T0},ETH,{rate}\n")
         with pytest.raises(DataError, match="funding_rates.csv: line 3"):
             load_funding_rates(str(p))
+    # A repeated (symbol, timestamp) would otherwise resolve to one rate.
+    p.write_text(f"timestamp,symbol,rate_8h\n{T0},BTC,0.0002\n"
+                 f"{T0},ETH,0.0002\n{T0},BTC,0.0003\n")
+    with pytest.raises(DataError,
+                       match=f"funding_rates.csv: line 4: duplicate record for BTC {T0}"):
+        load_funding_rates(str(p))
 
 
 def test_config_validation():
@@ -160,4 +214,6 @@ def test_config_validation():
         CostConfig(slip_cap_bps=-5.0)
     with pytest.raises(ValueError):
         CostConfig(funding_hours=(0, 24))
+    with pytest.raises(ValueError, match="repeat"):
+        CostConfig(funding_hours=(0, 0, 16))  # would charge 00:00 twice
     assert ZERO_COSTS.taker_fee_bps == 0.0

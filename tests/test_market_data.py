@@ -443,7 +443,8 @@ class TestCsvRoundTrip:
         assert load_market_caps(str(p)) == records
 
     @ROUND_TRIP
-    @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL, AMOUNT), max_size=8))
+    @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL, AMOUNT),
+                         unique_by=lambda r: (r[0], r[1]), max_size=8))
     def test_funding_rates(self, tmp_path_factory, rows):
         p = tmp_path_factory.mktemp("rt") / "funding_rates.csv"
         write_csv(str(p), FUNDING_HEADER, rows)

@@ -14,7 +14,10 @@ from adaptivetrend.signal_engine import (EngineError, Position, StrategyParams,
                                          TradeRecord, grid_sharpes, gross_pnl,
                                          read_ledger, run_single_asset, step,
                                          write_ledger)
-from conftest import INTERVAL, SCRIPT_CLOSES, T0, gbm_series, make_series
+from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
+                      assert_same_result, gbm_series, make_series,
+                      rough_series)
+import scalar_reference
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
@@ -35,9 +38,11 @@ class TestStep:
         assert state.stop == pytest.approx(100.0 - 2.0 * 2.0)
 
     def test_entry_below_threshold_stays_flat(self):
-        state, trade = step(None, flat_bar(100.0), mom=0.04, atr_value=2.0,
-                            params=PARAMS)
-        assert state is None and trade is None
+        # momentum must pass the threshold strictly, on either side
+        for mom in (0.04, 0.05, -0.05):
+            state, trade = step(None, flat_bar(100.0), mom=mom, atr_value=2.0,
+                                params=PARAMS)
+            assert state is None and trade is None
 
     def test_short_entry_on_negative_momentum(self):
         state, _ = step(None, flat_bar(100.0), mom=-0.08, atr_value=1.5,
@@ -237,6 +242,45 @@ class TestRunSingleAsset:
             for entry_ts, exit_ts in te.items():
                 if entry_ts in fe:
                     assert fe[entry_ts] >= exit_ts
+
+
+class TestLedgerMatchesPerBar:
+    """The state machine plus the shared ledger reproduce the bar-by-bar
+    engine (tests/scalar_reference.py) bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(0, 70),
+           interval=st.sampled_from([3_600, 14_400, 21_600, 86_400]),
+           side=st.sampled_from(["long", "short", "both"]),
+           size=st.sampled_from([1.0, 0.37, 12_345.6]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           trailing=st.booleans(), intrabar=st.booleans(),
+           gaps=st.booleans(), zero_volume=st.sampled_from([0.0, 0.3]),
+           bounds=st.tuples(st.integers(0, 70), st.integers(0, 70)),
+           theta=st.sampled_from([0.0, 0.005, 0.03]),
+           alpha=st.sampled_from([0.5, 1.5, 4.0]),
+           lookback=st.integers(1, 6), atr_window=st.integers(1, 5))
+    def test_same_arrays_and_trades(self, seed, n, interval, side, size, cost,
+                                    trailing, intrabar, gaps, zero_volume,
+                                    bounds, theta, alpha, lookback, atr_window):
+        series = rough_series(np.random.default_rng(seed), n, interval,
+                              gaps=gaps, zero_volume=zero_volume)
+        params = StrategyParams(theta, max(theta, 1e-4), alpha, lookback,
+                                atr_window)
+        window = None
+        if n:
+            # Windows may start at bar 0, hold one bar, or hold none (past
+            # the last bar).
+            ts = series.arrays.timestamps
+            edge = lambda k: int(ts[min(k, n - 1)]) + (k >= n)  # noqa: E731
+            window = tuple(edge(k) for k in sorted(bounds))
+        kwargs = dict(side_enabled=side, window=window, size=size,
+                      cost_cfg=COST_CHOICES[cost], trailing=trailing,
+                      intrabar_stop_fill=intrabar)
+        assert_same_result(run_single_asset(series, params, **kwargs),
+                           scalar_reference.run_single_asset(series, params,
+                                                             **kwargs))
 
 
 class TestScriptedPath:
