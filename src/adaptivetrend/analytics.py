@@ -109,7 +109,11 @@ def compute_metrics(
     returns = balances[1:] / balances[:-1] - 1.0
     n = len(returns)
 
-    ann_return = float((balances[-1] / balances[0]) ** (bars_per_year / n) - 1.0)
+    growth = balances[-1] / balances[0]
+    # A curve that ends at or below zero lost everything: -100% a year, as
+    # in regime_metrics (a negative base has no real fractional power).
+    ann_return = (float(growth ** (bars_per_year / n) - 1.0) if growth > 0
+                  else -1.0)
     ann_vol = (float(np.std(returns, ddof=1)) * math.sqrt(bars_per_year)
                if n >= 2 else None)
     sharpe = rolling_sharpe(returns, rf_annual, bars_per_year)

@@ -1,11 +1,11 @@
 """Account-level simulation: the monthly rebalance loop over a universe.
 
 Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
-as weight x month-start balance, run the per-symbol state machines over the
-month's bars, and mark the account to market on the union of all symbols'
-bar closes. Positions are force-closed at month end, so each month's PnL is
-fully realized before the next month is sized. Capital freed by an intra-
-month exit idles until the month ends (weights are set once per month).
+as weight x month-start balance, trade each symbol over the month's bars,
+and mark the account to market on the union of all symbols' bar closes.
+Positions are force-closed at month end, so each month's PnL is fully
+realized before the next month is sized. Capital freed by an intra-month
+exit idles until the month ends (weights are set once per month).
 
 Ablation variants toggle one pipeline component each and reuse the same loop.
 The loop over months itself (``run_windows``: marking, the balance roll and
@@ -272,6 +272,8 @@ def run_backtest(
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
                 jobs=cfg.jobs, cap_filter_enabled=cfg.cap_filter_enabled,
+                trailing=cfg.trailing_stop_enabled,
+                intrabar_stop_fill=cfg.intrabar_stop_fill,
             )
         else:
             carried_from = portfolios[0].month

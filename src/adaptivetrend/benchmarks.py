@@ -20,7 +20,7 @@ the signal engine's ledger (``book_trades``), and the balance rolls over the
 months in the backtester's window loop (``run_windows``), the same code that
 charges, marks and rolls the strategy. Every kind, buy-and-hold included,
 therefore halts at the first balance <= 0. What differs between the
-strategies is only the decision rule: the state machine, the TSMOM signs and
+strategies is only the decision rule: the trade search, the TSMOM signs and
 weights, or a plain hold.
 """
 

@@ -93,8 +93,16 @@ def _parse_timestamp(s: str) -> int:
     return int(dt.timestamp())
 
 
+def _parse_float(s: str) -> float:
+    """A finite float (the config is echoed into strict-JSON manifests)."""
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return x
+
+
 def _parse_floats(s: str) -> Tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip())
+    return tuple(_parse_float(x) for x in s.split(",") if x.strip())
 
 
 def _parse_ints(s: str) -> Tuple[int, ...]:
@@ -115,7 +123,7 @@ CONFIG_SCHEMA = {
     "data.interval": (int, "21600"),
     "run.start": (_parse_timestamp, None),
     "run.end": (_parse_timestamp, None),
-    "run.initial_balance": (float, "100000"),
+    "run.initial_balance": (_parse_float, "100000"),
     "run.variant": (_parse_str, "full"),
     "run.label": (_parse_str, None),
     "run.jobs": (int, "1"),
@@ -126,25 +134,25 @@ CONFIG_SCHEMA = {
     "engine.reoptimize": (_parse_bool, "true"),
     "rebalance.k_long": (int, "15"),
     "rebalance.k_short": (int, "15"),
-    "rebalance.gamma_long": (float, "1.3"),
-    "rebalance.gamma_short": (float, "1.7"),
-    "rebalance.long_ratio": (float, "0.7"),
+    "rebalance.gamma_long": (_parse_float, "1.3"),
+    "rebalance.gamma_short": (_parse_float, "1.7"),
+    "rebalance.long_ratio": (_parse_float, "0.7"),
     "rebalance.buffer_bars": (int, "4"),
-    "rebalance.rf_annual": (float, "0.045"),
+    "rebalance.rf_annual": (_parse_float, "0.045"),
     "grid.theta_entry": (_parse_floats, "0.01,0.02,0.03,0.05,0.08"),
     "grid.theta_entry_short": (_parse_floats, "0.01,0.02,0.03,0.05,0.08"),
     "grid.alpha": (_parse_floats, "1.0,1.5,2.0,2.5,3.0,3.5,4.0,4.5,5.0"),
     "grid.lookback": (_parse_ints, "4,8,12,20,28"),
     "grid.atr_window": (int, "14"),
-    "costs.taker_fee_bps": (float, "4"),
-    "costs.slip_coeff": (float, "0.1"),
-    "costs.slip_cap_bps": (float, "50"),
-    "costs.funding_rate_per_8h": (float, "0.0001"),
+    "costs.taker_fee_bps": (_parse_float, "4"),
+    "costs.slip_coeff": (_parse_float, "0.1"),
+    "costs.slip_cap_bps": (_parse_float, "50"),
+    "costs.funding_rate_per_8h": (_parse_float, "0.0001"),
     "costs.funding_hours": (_parse_ints, "0,8,16"),
     "costs.funding_rates_file": (_parse_str, None),
     "benchmarks.kinds": (_parse_strs, ""),
     "benchmarks.universe_size": (int, "20"),
-    "benchmarks.vol_target": (float, "0.10"),
+    "benchmarks.vol_target": (_parse_float, "0.10"),
     "benchmarks.buy_hold_symbol": (_parse_str, None),
     "regimes.enabled": (_parse_bool, "true"),
     "regimes.reference_symbol": (_parse_str, None),
@@ -312,7 +320,9 @@ def digest_dir(data_dir: str) -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_json(path: str, payload: object) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as strict JSON: a NaN or infinity raises ValueError."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def metrics_row(report) -> List[object]:

@@ -11,10 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .market_data import Bar, DataError, DEFAULT_INTERVAL, read_csv
+from .market_data import DataError, read_csv
 
 FIVE_MINUTES = 300
-FUNDING_PERIOD = 8 * 3600
 
 LONG = "long"
 SHORT = "short"
@@ -60,42 +59,16 @@ ZERO_COSTS = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0, slip_cap_bps=0.0,
                         funding_rate_per_8h=0.0)
 
 
-def fee(notional: float, cfg: CostConfig) -> float:
-    """Taker fee for one fill."""
-    if notional < 0:
-        raise ValueError("notional must be >= 0")
-    return notional * cfg.taker_fee_bps * 1e-4
-
-
-def slippage(notional: float, bar: Bar, cfg: CostConfig,
-             interval: int = DEFAULT_INTERVAL) -> float:
-    """Linear-impact slippage for one fill executed on ``bar``.
-
-    The 5-minute traded notional is estimated by spreading the bar's volume
-    evenly over the interval (72 five-minute windows for a 6-hour bar). A
-    zero-volume bar yields the capped rate.
-    """
-    if notional < 0:
-        raise ValueError("notional must be >= 0")
-    if notional == 0.0:
-        return 0.0
-    cap_rate = cfg.slip_cap_bps * 1e-4
-    n_windows = interval / FIVE_MINUTES
-    est_5min_notional = bar.volume * bar.close / n_windows
-    if est_5min_notional <= 0.0:
-        rate = cap_rate
-    else:
-        rate = min(cfg.slip_coeff * notional / est_5min_notional, cap_rate)
-    return rate * notional
-
-
 def fill_costs(notional: np.ndarray, volume: np.ndarray, close: np.ndarray,
-               cfg: CostConfig, interval: int) -> np.ndarray:
-    """Fee plus slippage of many fills, one per element.
+               cfg: CostConfig, interval: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Taker fees and linear-impact slippage of many fills, one per element.
 
-    Element k equals fee(notional[k], cfg) + slippage(notional[k], bar, cfg,
-    interval) bit for bit, for a bar with volume[k] and close[k]; notionals
-    must be positive.
+    Fill k trades quote notional notional[k] (> 0) on a bar with volume[k]
+    and close[k]. Its fee is notional * taker_fee_bps. Its slippage rate is
+    slip_coeff * notional / (estimated 5-minute traded notional), capped at
+    slip_cap_bps; the 5-minute notional spreads the bar's volume evenly over
+    the interval (72 five-minute windows for a 6-hour bar), and a zero-volume
+    bar takes the capped rate. Returns (fees, slippage).
     """
     fees = notional * cfg.taker_fee_bps * 1e-4
     cap_rate = cfg.slip_cap_bps * 1e-4
@@ -104,7 +77,7 @@ def fill_costs(notional: np.ndarray, volume: np.ndarray, close: np.ndarray,
     liquid = est_5min_notional > 0.0
     rate[liquid] = np.minimum(
         cfg.slip_coeff * notional[liquid] / est_5min_notional[liquid], cap_rate)
-    return fees + rate * notional
+    return fees, rate * notional
 
 
 def funding_events(start_ts: int, end_ts: int,

@@ -58,8 +58,8 @@ def bars_per_year(interval: int) -> float:
 class Bar(NamedTuple):
     """One OHLCV observation; timestamp is the bar close instant (UTC seconds).
 
-    Series store columns, not bars: a Bar is a per-bar view that the state
-    machine and the slippage model read, built only for the bars they visit.
+    Series store columns, not bars: a Bar is a per-bar view, built only to
+    write a series out or to name an offending bar in an error message.
     """
 
     timestamp: int

@@ -5,7 +5,8 @@ Four stages, run at each month boundary:
      top-K become long candidates, bottom-K short candidates.
   2. optimize_params: per candidate, grid-search entry/stop parameters on the
      preceding calendar month (ending one buffer before the month start),
-     maximizing the annualized Sharpe of the candidate's net per-bar returns.
+     maximizing the annualized Sharpe of the candidate's net per-bar returns
+     under the execution model the month trades with.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -182,6 +183,9 @@ def evaluate_cell(
     window: Tuple[int, int],
     cost_cfg: Optional[CostConfig],
     rf_annual: float,
+    *,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
 ) -> Optional[float]:
     """Annualized Sharpe of the cell's net per-bar returns; None if unusable.
 
@@ -190,7 +194,8 @@ def evaluate_cell(
     search in optimize_params is tested against.
     """
     result = run_single_asset(series, params, side_enabled=side, window=window,
-                              size=1.0, cost_cfg=cost_cfg)
+                              size=1.0, cost_cfg=cost_cfg, trailing=trailing,
+                              intrabar_stop_fill=intrabar_stop_fill)
     if not result.trades:
         return None
     return rolling_sharpe(result.net_returns, rf_annual,
@@ -204,17 +209,22 @@ def optimize_params(
     grid: ParamGrid,
     cost_cfg: Optional[CostConfig],
     rf_annual: float = 0.045,
+    *,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
 ) -> Optional[CandidateResult]:
     """Exhaustive grid search for one candidate on one side.
 
     Requires the window to hold at least twice the largest momentum lookback
     in bars; shorter windows disqualify the candidate (logged). Returns the
     best cell with its Sharpe, or None when no cell produced a defined one.
-    Every cell is scored as evaluate_cell would score it, in one batched
-    pass (signal_engine.grid_sharpes); the first cell with the maximum wins.
+    Every cell is scored as evaluate_cell would score it under the same
+    execution flags, in one batched pass (signal_engine.grid_sharpes); the
+    first cell with the maximum wins.
     """
     return _optimize(series.symbol, series.interval, series.arrays, side,
-                     window, grid, cost_cfg, rf_annual)
+                     window, grid, cost_cfg, rf_annual, trailing,
+                     intrabar_stop_fill)
 
 
 def _optimize(
@@ -226,6 +236,8 @@ def _optimize(
     grid: ParamGrid,
     cost_cfg: Optional[CostConfig],
     rf_annual: float,
+    trailing: bool,
+    intrabar_stop_fill: bool,
 ) -> Optional[CandidateResult]:
     i0, i1 = arr.slice_indices(window[0], window[1])
     needed = 2 * max(grid.lookback)
@@ -235,7 +247,8 @@ def _optimize(
         return None
     cells = grid_cells(grid, side)
     sharpes = grid_sharpes(arr, interval, symbol, cells, side, (i0, i1),
-                           cost_cfg, rf_annual)
+                           cost_cfg, rf_annual, trailing=trailing,
+                           intrabar_stop_fill=intrabar_stop_fill)
     scores = np.where(np.isnan(sharpes), -INF, sharpes)
     best = int(np.argmax(scores))
     if not scores[best] > -INF:
@@ -257,13 +270,20 @@ def select_and_allocate(
 
     Admission is inclusive (sharpe >= gamma). Each admitted long receives
     long_ratio / n_longs of the balance, each short (1 - long_ratio) /
-    n_shorts; an empty sleeve's share stays in cash.
+    n_shorts; an empty sleeve's share stays in cash. A sleeve whose share is
+    0 (long_ratio 0 or 1) admits nothing, since a position needs a size.
     """
     longs = sorted((r for r in long_results if r.sharpe >= cfg.gamma_long),
                    key=lambda r: r.symbol)
     shorts = sorted((r for r in short_results if r.sharpe >= cfg.gamma_short),
                     key=lambda r: r.symbol)
     lam = cfg.long_ratio
+    for side, admitted, share in (("long", longs, lam),
+                                  ("short", shorts, 1.0 - lam)):
+        if share == 0.0 and admitted:
+            logger.info("%s: the %s sleeve has no capital; %d candidates"
+                        " not admitted", month, side, len(admitted))
+            admitted.clear()
     long_alloc = tuple(Allocation(r.symbol, r.params, lam / len(longs))
                        for r in longs)
     short_alloc = tuple(Allocation(r.symbol, r.params, (1.0 - lam) / len(shorts))
@@ -291,7 +311,7 @@ def has_month_history(series: PriceSeries, window_start: int) -> bool:
 
 
 def _candidate_task(args) -> Tuple[str, Optional[CandidateResult]]:
-    # args: (symbol, interval, arrays, side, window, grid, cost_cfg, rf_annual)
+    # args: _optimize's positional arguments, the symbol first
     return args[0], _optimize(*args)
 
 
@@ -303,6 +323,7 @@ def _optimize_side(
     cfg: RebalanceConfig,
     cost_cfg: Optional[CostConfig],
     jobs: int,
+    execution: Tuple[bool, bool],
 ) -> List[CandidateResult]:
     eligible = []
     for sym in symbols:
@@ -312,7 +333,7 @@ def _optimize_side(
             continue
         eligible.append(series)
     tasks = [(s.symbol, s.interval, s.arrays, side, window, cfg.grid,
-              cost_cfg, cfg.rf_annual) for s in eligible]
+              cost_cfg, cfg.rf_annual, *execution) for s in eligible]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_candidate_task, tasks))
@@ -330,12 +351,15 @@ def run_rebalance(
     interval: int,
     jobs: int = 1,
     cap_filter_enabled: bool = True,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
 ) -> Tuple[MonthlyPortfolio, dict]:
     """One month's full pipeline; returns the portfolio and an audit record.
 
     Caps are snapshotted as of the day before the month starts (the rebalance
     happens at 00:00 UTC on day 1, before that day's data exists). With the
-    cap filter disabled every symbol is a candidate for both sides.
+    cap filter disabled every symbol is a candidate for both sides. The
+    grid search scores cells with the execution flags the month will trade.
     """
     month = month_id(month_start)
     if cap_filter_enabled:
@@ -356,10 +380,11 @@ def run_rebalance(
         }
     long_candidates, short_candidates = filtered
     window = optimization_window(month_start, interval, cfg.buffer_bars)
+    execution = (trailing, intrabar_stop_fill)
     long_results = _optimize_side(long_candidates, "long", universe, window,
-                                  cfg, cost_cfg, jobs)
+                                  cfg, cost_cfg, jobs, execution)
     short_results = _optimize_side(short_candidates, "short", universe, window,
-                                   cfg, cost_cfg, jobs)
+                                   cfg, cost_cfg, jobs, execution)
     portfolio = select_and_allocate(month, long_results, short_results, cfg)
     record = {
         "month": month,

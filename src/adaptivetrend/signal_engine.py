@@ -1,4 +1,4 @@
-"""Per-asset position state machine: momentum entries, ATR trailing stops, exits.
+"""Per-asset trading: momentum entries, ATR trailing stops, exits, and the ledger.
 
 One symbol, one parameter set, at most one open position. Entries and stop
 exits fill at the close of the triggering bar (signals are evaluated on bar
@@ -6,14 +6,15 @@ closes; an optional intrabar mode fills stop exits pessimistically at the
 stop level). Re-entry is allowed from the next bar after an exit, never on
 the exit bar itself.
 
-``run_single_asset`` drives the machine over a timestamp window and hands
-its trades to ``book_trades``, the ledger that the comparison benchmarks
-share. It returns both the closed trades (with full cost attribution) and
-per-bar series: strategy returns for Sharpe evaluation, plus currency-
-denominated realized / mark-to-market / cost components that let a caller
-audit account equity exactly. ``grid_sharpes`` scores many parameter cells of one side at once for
-the monthly grid search, with the same result as running the machine once
-per cell.
+One trade search (``TradeSearch``) finds a cell's trades by jumping from
+each entry to its exit; one ledger (``book_trades``, shared with the
+comparison benchmarks) accounts for them. ``run_single_asset`` is the two in
+turn: it returns the closed trades (with full cost attribution) and per-bar
+series, strategy returns for Sharpe evaluation plus currency-denominated
+realized / mark-to-market / cost components that let a caller audit account
+equity exactly. ``grid_sharpes`` scores many cells of one side at once for
+the monthly grid search with the same search, so the optimizer scores the
+execution model that trades.
 """
 
 import math
@@ -22,11 +23,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import (LONG, SHORT, CostConfig, fee, fill_costs,
-                         funding_schedule, slippage)
+from .cost_model import LONG, SHORT, CostConfig, fill_costs, funding_schedule
 from .indicators import atr, momentum, sharpe_rows
-from .market_data import (Bar, PriceSeries, SeriesArrays, bars_per_year,
-                          read_csv, write_csv)
+from .market_data import (PriceSeries, SeriesArrays, bars_per_year, read_csv,
+                          write_csv)
 
 SIDE_CHOICES = ("long", "short", "both")
 
@@ -37,7 +37,7 @@ LEDGER_HEADER = [
 
 
 class EngineError(RuntimeError):
-    """Caller contract breach inside the trading state machine."""
+    """Caller contract breach inside the trading engine."""
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,6 @@ class StrategyParams:
     def warmup_bars(self) -> int:
         """Bars before momentum and ATR are both defined."""
         return max(self.lookback, self.atr_window - 1)
-
-
-@dataclass
-class Position:
-    """Open position; ``stop`` ratchets in the position's favor while open."""
-
-    symbol: str
-    side: str
-    entry_time: int
-    entry_price: float
-    size: float
-    stop: float
 
 
 @dataclass(frozen=True)
@@ -127,72 +115,6 @@ def gross_pnl(side: str, size: float, entry_px: float, exit_px):
     if side == LONG:
         return size * (exit_px / entry_px - 1.0)
     return size * (1.0 - exit_px / entry_px)
-
-
-def _close_position(pos: Position, exit_ts: int, exit_px: float,
-                    forced: bool) -> TradeRecord:
-    g = gross_pnl(pos.side, pos.size, pos.entry_price, exit_px)
-    return TradeRecord(
-        symbol=pos.symbol, side=pos.side,
-        entry_ts=pos.entry_time, entry_px=pos.entry_price,
-        exit_ts=exit_ts, exit_px=exit_px, size=pos.size,
-        gross_pnl=g, fee_cost=0.0, slippage_cost=0.0, funding_cost=0.0,
-        net_pnl=g, forced=forced,
-    )
-
-
-def step(
-    state: Optional[Position],
-    bar: Bar,
-    mom: float,
-    atr_value: float,
-    params: StrategyParams,
-    side_enabled: str = "both",
-    *,
-    symbol: str = "",
-    size: float = 1.0,
-    trailing: bool = True,
-    intrabar_stop_fill: bool = False,
-) -> Tuple[Optional[Position], Optional[TradeRecord]]:
-    """Advance the state machine by one bar.
-
-    Returns the new state and, when a position closes this bar, a TradeRecord
-    carrying gross PnL only (the caller attributes fees/slippage/funding).
-    An open position is managed first (stop ratchet, exit check); entries are
-    evaluated only when flat at the start of the bar, long side first.
-    """
-    if side_enabled not in SIDE_CHOICES:
-        raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
-    if math.isnan(mom) or math.isnan(atr_value):
-        raise EngineError(f"bar {bar.timestamp}: indicator undefined (warm-up not skipped)")
-
-    if state is not None:
-        # Prices are compared as sign * price, so the long rule serves both
-        # sides: negation is exact, e.g. -max(-s, -c - x) == min(s, c + x).
-        sign = 1.0 if state.side == LONG else -1.0
-        if intrabar_stop_fill:
-            # The stop in force during the bar is last bar's; it can only
-            # ratchet once the bar has closed without a breach.
-            adverse = bar.low if sign > 0 else bar.high
-            if sign * adverse < sign * state.stop:
-                px = sign * min(sign * bar.open, sign * state.stop)
-                return None, _close_position(state, bar.timestamp, px, forced=False)
-        if trailing:
-            state.stop = sign * max(sign * state.stop,
-                                    sign * bar.close - params.alpha * atr_value)
-        if not intrabar_stop_fill and sign * bar.close < sign * state.stop:
-            return None, _close_position(state, bar.timestamp, bar.close, forced=False)
-        return state, None
-
-    for side, sign, theta in ((LONG, 1.0, params.theta_entry),
-                              (SHORT, -1.0, params.theta_entry_short)):
-        if side_enabled in ("both", side) and sign * mom > theta:
-            return Position(
-                symbol=symbol, side=side, entry_time=bar.timestamp,
-                entry_price=bar.close, size=size,
-                stop=bar.close - sign * params.alpha * atr_value,
-            ), None
-    return None, None
 
 
 @dataclass
@@ -262,7 +184,17 @@ def book_trades(
     records: List[TradeRecord] = []
     funding_of: Dict[str, np.ndarray] = {}
     realized = 0.0
-    for e, x, exit_px, side, forced in trades:
+    m = len(trades)
+    if cost_cfg is not None and m:
+        # All of the window's fills at once: the m entries, then the m exits.
+        ent, ext, exit_pxs = (np.array(col) for col in list(zip(*trades))[:3])
+        fill_bars = i0 + np.concatenate((ent, ext))
+        notional = np.concatenate((np.full(m, size),
+                                   size * exit_pxs / close[ent]))
+        fill_fees, fill_slips = (c.tolist() for c in fill_costs(
+            notional, arr.volume[fill_bars], arr.close[fill_bars], cost_cfg,
+            series.interval))
+    for k, (e, x, exit_px, side, forced) in enumerate(trades):
         long = side == LONG
         entry_px = float(close[e])
         position[e:x] = 1 if long else -1
@@ -272,13 +204,8 @@ def book_trades(
         open_mtm[e:x] = gross_pnl(side, size, entry_px, close[e:x])
         fees = slips = funded = 0.0
         if cost_cfg is not None:
-            exit_notional = size * exit_px / entry_px
-            entry_fee = fee(size, cost_cfg)
-            entry_slip = slippage(size, arr.bar(i0 + e), cost_cfg,
-                                  series.interval)
-            exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, arr.bar(i0 + x), cost_cfg,
-                                 series.interval)
+            entry_fee, exit_fee = fill_fees[k], fill_fees[m + k]
+            entry_slip, exit_slip = fill_slips[k], fill_slips[m + k]
             fees, slips = entry_fee + exit_fee, entry_slip + exit_slip
             costs[e] = entry_fee + entry_slip
             open_costs[e:x] = costs[e]
@@ -310,6 +237,142 @@ def book_trades(
                              open_mtm, open_costs, records)
 
 
+# ---------------------------------------------------------------------------
+# The trade search
+# ---------------------------------------------------------------------------
+
+class TradeSearch:
+    """The trades of any number of cells in one window of bars [i0, i1),
+    under one execution model.
+
+    A cell enters at the close of a bar whose momentum passes the side's
+    threshold, from its first bar with defined indicators on, never on the
+    window's final bar, and again only from the bar after an exit; with
+    side_enabled "both" the earlier side's signal enters, long on a tie.
+    Entering on bar e sets the stop to the candidate close -/+ alpha * ATR.
+    With ``trailing`` the stop after bar j is the running max (long) or min
+    (short) of the candidates of bars e..j, else it stays at bar e's. The
+    exit is the first bar j > e that closes beyond the stop after bar j,
+    filled at the close; with ``intrabar_stop_fill``, the first whose low
+    (long) or high (short) breaches the stop after bar j - 1, filled at that
+    stop or at a worse open. A stop hit on the final bar is a stop exit; a
+    position still open after it is forced at the close. Prices are compared
+    as sign * price, so the long rule serves both sides (negation is exact).
+    Indicators, next-signal indexes, stop candidates and exits are memoised
+    by what they depend on, so the cells of a grid share them.
+    """
+
+    def __init__(self, arr: SeriesArrays, bounds: Tuple[int, int],
+                 trailing: bool = True, intrabar_stop_fill: bool = False):
+        self.arr = arr
+        self.i0, i1 = bounds
+        self.n = i1 - self.i0
+        self.trailing = trailing
+        self.intrabar = intrabar_stop_fill
+        close, low, high, open_ = (col[self.i0:i1] for col in
+                                   (arr.close, arr.low, arr.high, arr.open))
+        self.close = close
+        # sign * (close, open, and the price a stop is tested against: the
+        # close, or the adverse extreme of the bar when filling intrabar)
+        self.prices = {
+            LONG: (close, open_, low if intrabar_stop_fill else close),
+            SHORT: (-close, -open_, -high if intrabar_stop_fill else -close)}
+        self._atrs: Dict[int, np.ndarray] = {}
+        self._moms: Dict[int, np.ndarray] = {}
+        self._next_entry: Dict[tuple, List[int]] = {}
+        self._stops: Dict[tuple, Tuple[np.ndarray, Dict[int, Trade]]] = {}
+
+    def trades(self, cell: StrategyParams, side_enabled: str) -> List[Trade]:
+        """The cell's trades in time order."""
+        n = self.n
+        if n < 2:
+            return []
+        if side_enabled == "both":
+            sides = (LONG, SHORT)
+            first = self.next_entries(cell, LONG)
+            nxt = list(map(min, first, self.next_entries(cell, SHORT)))
+            stops = (self.stops(cell, LONG), self.stops(cell, SHORT))
+        else:
+            sides = (side_enabled,)
+            first = nxt = self.next_entries(cell, side_enabled)
+            stops = (self.stops(cell, side_enabled),)
+        found: List[Trade] = []
+        e = nxt[0]
+        while e < n:
+            i = first[e] != e  # the first side unless only the second signals
+            trade = stops[i][1].get(e)
+            if trade is None:
+                trade = stops[i][1][e] = self._trade(stops[i][0], sides[i], e)
+            found.append(trade)
+            e = nxt[trade[1] + 1]
+        return found
+
+    def stop_path(self, cell: StrategyParams,
+                  trades: Sequence[Trade]) -> np.ndarray:
+        """The stop in force after each bar of the window; NaN when flat."""
+        stop = np.full(self.n, np.nan)
+        for e, x, _, side, _ in trades:
+            cand = self.stops(cell, side)[0][e:x]
+            sign = 1.0 if side == LONG else -1.0
+            stop[e:x] = sign * (np.maximum.accumulate(cand) if self.trailing
+                                else cand[0])
+        return stop
+
+    def next_entries(self, cell: StrategyParams, side: str) -> List[int]:
+        """Element j: the first entry signal bar at or after j, n if none."""
+        theta = cell.theta_entry if side == LONG else cell.theta_entry_short
+        key = (side, theta, cell.lookback, cell.atr_window)
+        nxt = self._next_entry.get(key)
+        if nxt is None:
+            n, last = self.n, self.n - 1
+            if cell.lookback not in self._moms:
+                self._moms[cell.lookback] = momentum(
+                    self.arr.close, cell.lookback)[self.i0:self.i0 + n]
+            first = max(cell.warmup_bars() - self.i0, 0)
+            mom = self._moms[cell.lookback][first:last]
+            signal = np.zeros(n + 1, dtype=bool)
+            signal[first:last] = mom > theta if side == LONG else mom < -theta
+            slots = np.where(signal, np.arange(n + 1), n)
+            nxt = np.minimum.accumulate(slots[::-1])[::-1].tolist()
+            self._next_entry[key] = nxt
+        return nxt
+
+    def stops(self, cell: StrategyParams, side: str) -> Tuple[np.ndarray, dict]:
+        """sign * (close -/+ alpha * ATR) of the window's bars, the stop
+        candidates, and the memo of the trades using them by entry bar."""
+        key = (side, cell.alpha, cell.atr_window)
+        memo = self._stops.get(key)
+        if memo is None:
+            if cell.atr_window not in self._atrs:
+                a = self.arr
+                self._atrs[cell.atr_window] = atr(
+                    a.high, a.low, a.close,
+                    cell.atr_window)[self.i0:self.i0 + self.n]
+            cand = self.prices[side][0] - cell.alpha * self._atrs[cell.atr_window]
+            memo = self._stops[key] = (cand, {})
+        return memo
+
+    def _trade(self, cand: np.ndarray, side: str, e: int) -> Trade:
+        """The trade entered on bar e with stop candidates ``cand``."""
+        _, open_, tested = self.prices[side]
+        if not self.trailing:
+            stops = cand[e]
+        elif self.intrabar:  # the stop in force during each bar: last bar's
+            stops = np.maximum.accumulate(cand[e:-1])
+        else:  # the stop set at each bar's close
+            stops = np.maximum.accumulate(cand[e:])[1:]
+        hit = tested[e + 1:] < stops
+        k = int(hit.argmax())
+        x = e + 1 + k
+        if not hit[k]:
+            return e, self.n - 1, float(self.close[-1]), side, True
+        if self.intrabar:
+            stop = stops if not self.trailing else stops[k]
+            sign = 1.0 if side == LONG else -1.0
+            return e, x, sign * min(float(open_[x]), float(stop)), side, False
+        return e, x, float(self.close[x]), side, False
+
+
 def run_single_asset(
     series: PriceSeries,
     params: StrategyParams,
@@ -321,14 +384,12 @@ def run_single_asset(
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> SingleAssetResult:
-    """Run the state machine over bars with timestamps in [window start, end].
+    """Trade one cell over the bars with timestamps in [window start, end].
 
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
-    undefined are skipped. No entry is taken on the window's final bar (it
-    would have to be closed at the same instant); a position still open after
-    the final bar is force-closed at that bar's close and flagged. The trades
-    are then accounted by book_trades.
+    undefined take no entry. TradeSearch finds the trades under the given
+    execution model and book_trades accounts for them.
 
     With cost_cfg None, all costs are zero and net equals gross everywhere.
     """
@@ -336,42 +397,12 @@ def run_single_asset(
         raise EngineError(f"size must be > 0, got {size}")
     if side_enabled not in SIDE_CHOICES:
         raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
-
     arr = series.arrays
-    if window is None:
-        i0, i1 = 0, len(series)
-    else:
-        i0, i1 = arr.slice_indices(window[0], window[1])
-    n = i1 - i0
-    stop = np.full(n, np.nan)
-    trades: List[Trade] = []
-    if n > 0:
-        mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
-        atr_values = atr(arr.high, arr.low, arr.close,
-                         params.atr_window)[i0:i1].tolist()
-        first = max(params.warmup_bars() - i0, 0)  # first bar with indicators
-        state: Optional[Position] = None
-        entry = first
-        for local, bar in enumerate(arr.bars(i0 + first, i1), first):
-            last_bar = local == n - 1
-            if state is not None or not last_bar:
-                was_flat = state is None
-                state, closed = step(
-                    state, bar, mom[local], atr_values[local], params,
-                    side_enabled, symbol=series.symbol, size=size,
-                    trailing=trailing, intrabar_stop_fill=intrabar_stop_fill,
-                )
-                if closed is not None:
-                    trades.append((entry, local, closed.exit_px, closed.side,
-                                   False))
-                elif was_flat and state is not None:
-                    entry = local
-            if state is not None:
-                if last_bar:
-                    trades.append((entry, local, bar.close, state.side, True))
-                else:
-                    stop[local] = state.stop
-    return book_trades(series, (i0, i1), trades, size, cost_cfg, stop)
+    bounds = (0, len(series)) if window is None else arr.slice_indices(*window)
+    search = TradeSearch(arr, bounds, trailing, intrabar_stop_fill)
+    trades = search.trades(params, side_enabled)
+    return book_trades(series, bounds, trades, size, cost_cfg,
+                       search.stop_path(params, trades))
 
 
 # ---------------------------------------------------------------------------
@@ -387,87 +418,35 @@ def grid_sharpes(
     bounds: Tuple[int, int],
     cost_cfg: Optional[CostConfig],
     rf_annual: float,
+    *,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
 ) -> np.ndarray:
     """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if unusable.
 
     Element k equals, bit for bit, the Sharpe of run_single_asset with
-    cells[k], side_enabled=side, size 1.0, trailing stops and close fills
-    over the same bars, and is NaN where that run has no trade or an
-    undefined Sharpe. Indicators come from the whole series, as there.
-
-    Instead of stepping every cell bar by bar, each cell's trades are found
-    by jumping: the next entry is read from a next-signal index of its
-    (threshold, lookback), and the exit is the first close beyond the
-    running max (long) or min (short) of the stop candidates close -/+
-    alpha * ATR since entry, or the final bar. Exits are shared by all cells
-    with the same alpha that enter on the same bar.
+    cells[k], side_enabled=side, size 1.0 and the same execution flags over
+    the same bars, and is NaN where that run has no trade or an undefined
+    Sharpe. One TradeSearch finds every cell's trades, sharing its memos
+    across cells; the returns of all cells are then netted as one matrix.
     """
     if side not in (LONG, SHORT):
         raise EngineError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
     i0, i1 = bounds
     n = i1 - i0
     sharpes = np.full(len(cells), np.nan)
-    if n < 2:
-        return sharpes
-    long = side == LONG
-    close = arr.close[i0:i1]
-    last = n - 1  # local index of the final bar; no entry is taken there
-
-    moms: Dict[int, np.ndarray] = {}
-    atrs: Dict[int, np.ndarray] = {}
-    next_entry: Dict[tuple, List[int]] = {}
-    stop_cands: Dict[tuple, np.ndarray] = {}
-    exits: Dict[tuple, int] = {}
-    slots = np.arange(n + 1)
-
-    def exit_of(stop_key: tuple, e: int) -> int:
-        cand = stop_cands[stop_key]
-        if long:
-            hit = close[e + 1:] < np.maximum.accumulate(cand[e:])[1:]
-        else:
-            hit = close[e + 1:] > np.minimum.accumulate(cand[e:])[1:]
-        k = int(hit.argmax())
-        return e + 1 + k if hit[k] else last
-
+    search = TradeSearch(arr, bounds, trailing, intrabar_stop_fill)
     trade_cell: List[int] = []
-    entries: List[int] = []
-    exit_bars: List[int] = []
+    trades: List[Trade] = []
     for k, cell in enumerate(cells):
-        theta = cell.theta_entry if long else cell.theta_entry_short
-        sig_key = (theta, cell.lookback, cell.atr_window)
-        stop_key = (cell.alpha, cell.atr_window)
-        if cell.atr_window not in atrs:
-            atrs[cell.atr_window] = atr(arr.high, arr.low, arr.close,
-                                        cell.atr_window)[i0:i1]
-        if sig_key not in next_entry:
-            if cell.lookback not in moms:
-                moms[cell.lookback] = momentum(arr.close, cell.lookback)[i0:i1]
-            first = max(cell.warmup_bars() - i0, 0)
-            mom = moms[cell.lookback][first:last]
-            signal = np.zeros(n + 1, dtype=bool)
-            signal[first:last] = mom > theta if long else mom < -theta
-            # nxt[j]: first signal bar at or after j, n when there is none.
-            nxt = np.where(signal, slots, n)
-            next_entry[sig_key] = np.minimum.accumulate(nxt[::-1])[::-1].tolist()
-        if stop_key not in stop_cands:
-            offset = cell.alpha * atrs[cell.atr_window]
-            stop_cands[stop_key] = close - offset if long else close + offset
-        nxt = next_entry[sig_key]
-        e = nxt[0]
-        while e < n:
-            x = exits.get((stop_key, e))
-            if x is None:
-                x = exits[(stop_key, e)] = exit_of(stop_key, e)
-            trade_cell.append(k)
-            entries.append(e)
-            exit_bars.append(x)
-            e = nxt[x + 1]
-    if not trade_cell:
+        found = search.trades(cell, side)
+        trade_cell += [k] * len(found)
+        trades += found
+    if not trades:
         return sharpes
 
     traded, rows = np.unique(trade_cell, return_inverse=True)
-    ent = np.array(entries)
-    ext = np.array(exit_bars)
+    ent, ext, exit_px = (np.array(col) for col in list(zip(*trades))[:3])
     # A trade holds its position entering bars e+1 .. x.
     held = np.zeros((len(traded), n + 1), dtype=np.int8)
     held[rows, ent + 1] = 1
@@ -475,26 +454,30 @@ def grid_sharpes(
     np.cumsum(held, axis=1, out=held)
     held = held[:, :n].astype(bool)
 
+    close = search.close
     gross = np.zeros(n)
     gross[1:] = close[1:] / close[:-1] - 1.0
-    if not long:
+    exit_gross = exit_px / close[ext - 1] - 1.0  # the exit fills at exit_px
+    if side == SHORT:
         np.negative(gross, out=gross)
-    net = np.zeros((len(traded), n))
-    if cost_cfg is None:
-        np.copyto(net, gross, where=held)
+        np.negative(exit_gross, out=exit_gross)
+    m = len(trades)
+    if cost_cfg is None:  # x - 0.0 == x, as in book_trades
+        fund, fill_cost = np.zeros(n), np.zeros(2 * m)
     else:
         fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol,
                                 side, 1.0)
-        np.copyto(net, gross - fund, where=held)
-        volume = arr.volume[i0:i1]
-        entry_cost = fill_costs(np.ones(len(ent)), volume[ent], close[ent],
-                                cost_cfg, interval)
-        exit_cost = fill_costs(close[ext] / close[ent], volume[ext],
-                               close[ext], cost_cfg, interval)
-        # Costs are summed in run_single_asset's order (funding, then the
-        # fill) so that every net return is the same float.
-        net[rows, ent] = 0.0 - entry_cost
-        net[rows, ext] = gross[ext] - (fund[ext] + exit_cost)
+        fill_bars = np.concatenate((ent, ext))
+        fees, slips = fill_costs(
+            np.concatenate((np.ones(m), exit_px / close[ent])),
+            arr.volume[i0:i1][fill_bars], close[fill_bars], cost_cfg, interval)
+        fill_cost = fees + slips
+    net = np.zeros((len(traded), n))
+    np.copyto(net, gross - fund, where=held)
+    # Costs are summed in book_trades' order (funding, then the fill) so
+    # that every net return is the same float.
+    net[rows, ent] = 0.0 - fill_cost[:m]
+    net[rows, ext] = exit_gross - (fund[ext] + fill_cost[m:])
     sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
     return sharpes
 

@@ -4,17 +4,18 @@ These are the loader, the resampler and the cap snapshot as they were when a
 series was a tuple of Bar objects: every CSV row parsed with int()/float(),
 every bar validated by its own call, bars grouped into dict buckets, and
 every cap lookup a scan over all records. Then the accounting as it was
-before the engine and the benchmarks shared one ledger: funding summed per
-holding interval, the state machine with one branch per side, the engine
-charging every cost bar by bar, the benchmarks' own hold loop, and the two
-month loops (the strategy's and the benchmarks'). The tests check the code
-in ``adaptivetrend`` against them.
+before the engine and the benchmarks shared one ledger: the scalar fee and
+slippage of one fill, funding summed per holding interval, the per-bar
+state machine (one branch per side) that trades were found with before
+there was one trade search, the engine charging every cost bar by bar, the
+benchmarks' own hold loop, and the two month loops (the strategy's and the
+benchmarks'). The tests check the code in ``adaptivetrend`` against them.
 """
 
 import bisect
 import logging
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,18 +27,17 @@ from adaptivetrend.backtester import (BacktestConfig, BacktestResult,
                                       aggregate_results, month_starts_between,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkRun, BenchmarkSpec, _month_weights
-from adaptivetrend.cost_model import LONG, SHORT, CostConfig, fee, slippage
+from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
 from adaptivetrend.indicators import atr, momentum
-from adaptivetrend.market_data import (OHLCV_HEADER, Bar, DataError,
-                                       MarketCapRecord, PriceSeries,
-                                       SeriesArrays, bars_per_year,
-                                       date_of_ts, month_add, month_id,
-                                       read_csv)
+from adaptivetrend.market_data import (DEFAULT_INTERVAL, OHLCV_HEADER, Bar,
+                                       DataError, MarketCapRecord,
+                                       PriceSeries, SeriesArrays,
+                                       bars_per_year, date_of_ts, month_add,
+                                       month_id, read_csv)
 from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
-from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError, Position,
+from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
                                          SingleAssetResult, StrategyParams,
-                                         TradeRecord, _close_position,
-                                         gross_pnl)
+                                         TradeRecord, gross_pnl)
 
 INF = math.inf
 
@@ -144,6 +144,35 @@ def cap_snapshot(caps: Sequence[MarketCapRecord],
     return {r.symbol: r.cap for r in caps if r.date == snapshot_date}
 
 
+def fee(notional: float, cfg: CostConfig) -> float:
+    """Taker fee for one fill."""
+    if notional < 0:
+        raise ValueError("notional must be >= 0")
+    return notional * cfg.taker_fee_bps * 1e-4
+
+
+def slippage(notional: float, bar: Bar, cfg: CostConfig,
+             interval: int = DEFAULT_INTERVAL) -> float:
+    """Linear-impact slippage for one fill executed on ``bar``.
+
+    The 5-minute traded notional is estimated by spreading the bar's volume
+    evenly over the interval (72 five-minute windows for a 6-hour bar). A
+    zero-volume bar yields the capped rate.
+    """
+    if notional < 0:
+        raise ValueError("notional must be >= 0")
+    if notional == 0.0:
+        return 0.0
+    cap_rate = cfg.slip_cap_bps * 1e-4
+    n_windows = interval / FIVE_MINUTES
+    est_5min_notional = bar.volume * bar.close / n_windows
+    if est_5min_notional <= 0.0:
+        rate = cap_rate
+    else:
+        rate = min(cfg.slip_coeff * notional / est_5min_notional, cap_rate)
+    return rate * notional
+
+
 def funding_events(start_ts: int, end_ts: int,
                    hours: Sequence[int] = (0, 8, 16)) -> List[int]:
     """Funding timestamps strictly inside the half-open-left interval (start, end]."""
@@ -191,6 +220,30 @@ def funding(side: str, size: float, entry_ts: int, exit_ts: int,
     for ts in funding_events(entry_ts, exit_ts, cfg.funding_hours):
         total += sign * size * funding_rate_at(symbol, ts, cfg)
     return total
+
+
+@dataclass
+class Position:
+    """Open position; ``stop`` ratchets in the position's favor while open."""
+
+    symbol: str
+    side: str
+    entry_time: int
+    entry_price: float
+    size: float
+    stop: float
+
+
+def _close_position(pos: Position, exit_ts: int, exit_px: float,
+                    forced: bool) -> TradeRecord:
+    g = gross_pnl(pos.side, pos.size, pos.entry_price, exit_px)
+    return TradeRecord(
+        symbol=pos.symbol, side=pos.side,
+        entry_ts=pos.entry_time, entry_px=pos.entry_price,
+        exit_ts=exit_ts, exit_px=exit_px, size=pos.size,
+        gross_pnl=g, fee_cost=0.0, slippage_cost=0.0, funding_cost=0.0,
+        net_pnl=g, forced=forced,
+    )
 
 
 def step(
@@ -528,6 +581,8 @@ def run_backtest(
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
                 jobs=cfg.jobs, cap_filter_enabled=cfg.cap_filter_enabled,
+                trailing=cfg.trailing_stop_enabled,
+                intrabar_stop_fill=cfg.intrabar_stop_fill,
             )
         else:
             carried_from = portfolios[0].month

@@ -92,6 +92,15 @@ class TestComputeMetrics:
         assert m.sharpe == pytest.approx(
             rolling_sharpe(returns, 0.0, 1460.0), rel=1e-12)
 
+    def test_bankrupt_curve_loses_everything(self):
+        # A curve that ends below zero has no real annualized growth; it
+        # reads -100% (as in regime_metrics), not NaN with a RuntimeWarning.
+        for final in (0.0, -30.0):
+            m = compute_metrics(curve([100.0, 60.0, 20.0, final]), [],
+                                rf_annual=0.0, bars_per_year=1460.0)
+            assert m.ann_return == -1.0
+            assert json.loads(json.dumps(m.to_dict(), allow_nan=False))
+
     def test_drawdown_and_calmar(self):
         eq = curve([100.0, 120.0, 90.0, 110.0])
         m = compute_metrics(eq, [], rf_annual=0.0, bars_per_year=1460.0)

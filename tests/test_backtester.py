@@ -187,6 +187,37 @@ class TestEmptySelection:
         assert result.portfolios[0].cash_weight == 1.0
 
 
+    @pytest.mark.parametrize("long_ratio", [0.0, 1.0])
+    def test_sleeve_without_capital_admits_nothing(self, long_ratio, caplog):
+        # Long-only and short-only splits are valid: the sleeve with no share
+        # of capital admits no candidate instead of sizing it at 0.
+        symbols = [f"SYM{j:02d}" for j in range(4)]
+        universe = {
+            sym: gbm_series(np.random.default_rng(1000 + j), 356, symbol=sym,
+                            vol=0.9, t0=T0)
+            for j, sym in enumerate(symbols)
+        }
+        cfg = BacktestConfig(
+            start=FEB1, end=int(universe[symbols[0]].arrays.timestamps[-1]),
+            initial_balance=50_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(k_long=2, k_short=2, long_ratio=long_ratio),
+            costs=CostConfig())
+        with caplog.at_level(logging.INFO, logger="adaptivetrend.rebalancer"):
+            result = run_backtest(universe, caps_for(symbols), cfg)
+        empty, live = ("long", "short") if long_ratio == 0.0 else ("short", "long")
+        assert "sleeve has no capital" in caplog.text
+        assert result.trades
+        assert {t.side for t in result.trades} == {live}
+        for portfolio, record in zip(result.portfolios, result.rebalance_log):
+            assert getattr(portfolio, empty + "s") == ()
+            assert record["selected_" + empty + "s"] == []
+            weights = [a.weight for a in getattr(portfolio, live + "s")]
+            assert portfolio.cash_weight == 1.0 - math.fsum(weights)
+            assert portfolio.cash_weight == pytest.approx(0.0 if weights else 1.0,
+                                                          abs=1e-12)
+        assert_accounting_identity(result)
+
+
 class TestMultiMonthAccounting:
     def test_identity_holds_with_costs(self):
         symbols = [f"SYM{j:02d}" for j in range(4)]

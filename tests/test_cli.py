@@ -9,7 +9,7 @@ import pytest
 from adaptivetrend import __version__
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                ConfigError, build_backtest_config, main,
-                               resolve_config, run_label)
+                               resolve_config, run_label, write_json)
 from conftest import FEB1
 
 RUN_END = 1_646_611_200  # 2022-03-07 00:00 UTC
@@ -104,6 +104,14 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("rebalance.k_long = soon\n")
         with pytest.raises(ConfigError, match="rebalance.k_long"):
+            resolve_config(str(path))
+
+    @pytest.mark.parametrize("line", ["rebalance.gamma_long = -inf",
+                                      "grid.alpha = 1.0,nan"])
+    def test_non_finite_number_names_key(self, tmp_path, line):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
             resolve_config(str(path))
 
     def test_missing_equals_names_line(self, tmp_path):
@@ -433,6 +441,15 @@ def test_no_month_boundary_is_a_clean_error(ws, tmp_path, capsys):
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_json_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "metrics.json"
+        with pytest.raises(ValueError):
+            write_json(str(path), {"metrics": {"ann_return": value}})
+        assert not path.exists()
+        write_json(str(path), {"metrics": {"ann_return": -1.0}})
+        assert json.loads(path.read_text()) == {"metrics": {"ann_return": -1.0}}
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

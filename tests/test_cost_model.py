@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fee, fill_costs,
+from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fill_costs,
                                       funding_events, funding_schedule,
-                                      load_funding_rates, slippage)
+                                      load_funding_rates)
 from adaptivetrend.market_data import Bar, DataError
 from conftest import INTERVAL, T0
-from scalar_reference import funding, funding_rate_at
+from scalar_reference import fee, funding, funding_rate_at, slippage
 
 
 def bar_with_volume(volume: float, close: float = 100.0) -> Bar:
@@ -82,11 +82,11 @@ class TestSlippage:
         close = np.exp(rng.normal(4.0, 1.0, 60))
         volume = np.where(rng.random(60) < 0.2, 0.0,
                           np.exp(rng.normal(8.0, 3.0, 60)))
-        got = fill_costs(notional, volume, close, cfg, INTERVAL)
+        fees, slips = fill_costs(notional, volume, close, cfg, INTERVAL)
         for k in range(60):
             bar = bar_with_volume(float(volume[k]), float(close[k]))
-            assert got[k] == fee(float(notional[k]), cfg) \
-                + slippage(float(notional[k]), bar, cfg, INTERVAL)
+            assert fees[k] == fee(float(notional[k]), cfg)
+            assert slips[k] == slippage(float(notional[k]), bar, cfg, INTERVAL)
 
 
 class TestFundingEvents:

@@ -192,14 +192,16 @@ class TestOptimizeParams:
         assert defined >= 12
 
 
-def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045):
+def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045,
+                **execution):
     """The optimizer's contract written as a loop over evaluate_cell."""
     i0, i1 = series.arrays.slice_indices(*window)
     if i1 - i0 < 2 * max(grid.lookback):
         return None
     best, best_sharpe = None, -INF
     for cell in grid_cells(grid, side):
-        sharpe = evaluate_cell(series, cell, side, window, cost_cfg, rf_annual)
+        sharpe = evaluate_cell(series, cell, side, window, cost_cfg, rf_annual,
+                               **execution)
         if sharpe is not None and sharpe > best_sharpe:
             best, best_sharpe = cell, sharpe
     return None if best is None else CandidateResult(series.symbol, best,
@@ -233,11 +235,14 @@ class TestBatchedSearchMatchesScalar:
     """optimize_params scores the grid in one batch; its pick must equal the
     per-cell loop over evaluate_cell exactly (params and Sharpe, with ==)."""
 
-    def assert_same_pick(self, series, window, grid, cost_cfg, rf=0.045):
+    def assert_same_pick(self, series, window, grid, cost_cfg, rf=0.045,
+                         **execution):
         picks = []
         for side in ("long", "short"):
-            want = scalar_pick(series, side, window, grid, cost_cfg, rf)
-            got = optimize_params(series, side, window, grid, cost_cfg, rf)
+            want = scalar_pick(series, side, window, grid, cost_cfg, rf,
+                               **execution)
+            got = optimize_params(series, side, window, grid, cost_cfg, rf,
+                                  **execution)
             assert got == want, side
             picks.append(got)
         return picks
@@ -249,16 +254,18 @@ class TestBatchedSearchMatchesScalar:
            zero_volume_every=st.sampled_from([0, 1, 3]),
            gap_every=st.sampled_from([0, 5]),
            start=st.integers(0, 25),
-           one_cell=st.booleans())
+           one_cell=st.booleans(),
+           trailing=st.booleans(), intrabar=st.booleans())
     def test_random_paths(self, seed, vol, costs, zero_volume_every, gap_every,
-                          start, one_cell):
+                          start, one_cell, trailing, intrabar):
         series = edited_series(
             gbm_series(np.random.default_rng(seed), 80, vol=vol, t0=FEB1),
             zero_volume_every, gap_every)
         ts = series.arrays.timestamps
         window = (int(ts[start]), int(ts[-1]))
         self.assert_same_pick(series, window, ONE_CELL if one_cell else SEARCH_GRID,
-                              COST_CONFIGS[costs])
+                              COST_CONFIGS[costs], trailing=trailing,
+                              intrabar_stop_fill=intrabar)
 
     @pytest.mark.parametrize("costs", sorted(COST_CONFIGS))
     def test_each_cost_config(self, costs):

@@ -1,4 +1,4 @@
-"""Entry/exit state machine, trailing stops, trade ledger accounting."""
+"""Trade search (entries, trailing stops, exits) and trade ledger accounting."""
 
 import math
 
@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import Bar, bars_per_year
-from adaptivetrend.signal_engine import (EngineError, Position, StrategyParams,
+from adaptivetrend.signal_engine import (EngineError, StrategyParams,
                                          TradeRecord, grid_sharpes, gross_pnl,
-                                         read_ledger, run_single_asset, step,
+                                         read_ledger, run_single_asset,
                                          write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
                       rough_series)
 import scalar_reference
+from scalar_reference import Position, step
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
@@ -258,7 +259,7 @@ class TestLedgerMatchesPerBar:
            trailing=st.booleans(), intrabar=st.booleans(),
            gaps=st.booleans(), zero_volume=st.sampled_from([0.0, 0.3]),
            bounds=st.tuples(st.integers(0, 70), st.integers(0, 70)),
-           theta=st.sampled_from([0.0, 0.005, 0.03]),
+           theta=st.sampled_from([-0.01, 0.0, 0.005, 0.03]),
            alpha=st.sampled_from([0.5, 1.5, 4.0]),
            lookback=st.integers(1, 6), atr_window=st.integers(1, 5))
     def test_same_arrays_and_trades(self, seed, n, interval, side, size, cost,
@@ -370,9 +371,9 @@ class TestGridSharpes:
              for alpha in (0.5, 2.0, 6.0)
              for lookback in (1, 3, 9)]
 
-    def reference(self, series, cell, side, window, cost_cfg, rf):
+    def reference(self, series, cell, side, window, cost_cfg, rf, **execution):
         res = run_single_asset(series, cell, side_enabled=side, window=window,
-                               cost_cfg=cost_cfg)
+                               cost_cfg=cost_cfg, **execution)
         if not res.trades:
             return None
         return rolling_sharpe(res.net_returns, rf, bars_per_year(series.interval))
@@ -384,16 +385,20 @@ class TestGridSharpes:
                                      CostConfig(funding_rates={"RND": [
                                          (T0 + 20 * INTERVAL, -5e-4)]})]),
            start=st.integers(0, 30),
-           side=st.sampled_from(["long", "short"]))
-    def test_every_cell_matches_engine(self, seed, vol, cost_cfg, start, side):
+           side=st.sampled_from(["long", "short"]),
+           trailing=st.booleans(), intrabar=st.booleans())
+    def test_every_cell_matches_engine(self, seed, vol, cost_cfg, start, side,
+                                       trailing, intrabar):
         series = gbm_series(np.random.default_rng(seed), 60, vol=vol)
         ts = series.arrays.timestamps
         window = (int(ts[start]), int(ts[-1]))
+        execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
         got = grid_sharpes(series.arrays, series.interval, series.symbol,
                            self.CELLS, side, series.arrays.slice_indices(*window),
-                           cost_cfg, 0.045)
+                           cost_cfg, 0.045, **execution)
         for cell, value in zip(self.CELLS, got):
-            want = self.reference(series, cell, side, window, cost_cfg, 0.045)
+            want = self.reference(series, cell, side, window, cost_cfg, 0.045,
+                                  **execution)
             assert (math.isnan(value) if want is None else value == want), cell
 
     def test_short_window_and_bad_side(self):
