@@ -13,6 +13,7 @@ the halt at bankruptcy) is shared with the comparison benchmarks.
 """
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -22,8 +23,8 @@ from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
                           PriceSeries, month_add, month_floor, month_id,
                           read_csv, write_csv)
-from .rebalancer import (CapIndex, MonthlyPortfolio, RebalanceConfig,
-                         run_rebalance)
+from .rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
+                         RebalanceConfig, run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -244,12 +245,27 @@ def run_backtest(
     universe: Dict[str, PriceSeries],
     caps: Sequence[MarketCapRecord],
     cfg: BacktestConfig,
+    optimizer: Optional[Optimizer] = None,
 ) -> BacktestResult:
     """Run the monthly loop over [start, end] (end-inclusive bar timestamps).
 
     The start is snapped forward to a calendar month boundary. The balance
     rolls across months; a balance <= 0 halts the run and flags the curve.
+    The grid searches go to ``optimizer``, which runs that share it solve a
+    repeated problem once; without one, the run makes its own from cfg.jobs
+    and closes it at the end.
     """
+    with (nullcontext(optimizer) if optimizer is not None
+          else Optimizer(universe, cfg.jobs)) as optimizer:
+        return _run_backtest(universe, caps, cfg, optimizer)
+
+
+def _run_backtest(
+    universe: Dict[str, PriceSeries],
+    caps: Sequence[MarketCapRecord],
+    cfg: BacktestConfig,
+    optimizer: Optimizer,
+) -> BacktestResult:
     rcfg = cfg.rebalance
     caps = CapIndex(caps)
     if not cfg.sharpe_filter_enabled:
@@ -271,7 +287,7 @@ def run_backtest(
         if cfg.reoptimize_enabled or portfolio is None:
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
-                jobs=cfg.jobs, cap_filter_enabled=cfg.cap_filter_enabled,
+                optimizer=optimizer, cap_filter_enabled=cfg.cap_filter_enabled,
                 trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill,
             )
@@ -342,12 +358,17 @@ def run_ablation(
     caps: Sequence[MarketCapRecord],
     cfg: BacktestConfig,
     variant: str,
+    optimizer: Optional[Optimizer] = None,
 ):
-    """Run one ablation variant; returns (MetricsReport, BacktestResult)."""
+    """Run one ablation variant; returns (MetricsReport, BacktestResult).
+
+    ``optimizer`` is passed to run_backtest, so variants that share it
+    share their solved grid searches."""
     from .analytics import compute_metrics  # deferred: analytics uses EquityCurve
     from .market_data import bars_per_year
 
-    result = run_backtest(universe, caps, ablation_config(cfg, variant))
+    result = run_backtest(universe, caps, ablation_config(cfg, variant),
+                          optimizer)
     report = compute_metrics(result.equity, result.trades,
                              rf_annual=cfg.rebalance.rf_annual,
                              bars_per_year=bars_per_year(cfg.interval))

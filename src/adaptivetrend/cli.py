@@ -25,6 +25,8 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +46,8 @@ from .market_data import (DataError, MarketCapRecord, PriceSeries,
                           load_market_caps, load_price_series, read_csv,
                           resample_series, save_market_caps,
                           save_price_series, write_csv)
-from .rebalancer import CapIndex, ParamGrid, RebalanceConfig, cap_snapshot
+from .rebalancer import (CapIndex, Optimizer, ParamGrid, RebalanceConfig,
+                         cap_snapshot)
 from .signal_engine import write_ledger
 
 logger = logging.getLogger(__name__)
@@ -325,6 +328,13 @@ def write_json(path: str, payload: object) -> None:
                                        allow_nan=False) + "\n")
 
 
+def optimizer_counters(optimizer: Optimizer) -> Dict[str, int]:
+    """manifest.json["counters"]: grid-search problems asked, and problems
+    solved (the rest were answered from the optimizer's memo)."""
+    return {"optimizer.problems": optimizer.problems,
+            "optimizer.solved": optimizer.solved}
+
+
 def metrics_row(report) -> List[object]:
     d = report.to_dict()
     return [d[c] for c in METRIC_COLUMNS]
@@ -422,7 +432,9 @@ def cmd_backtest(args) -> int:
         return 1
 
     label = run_label(cfg, bt_cfg)
-    report, result = run_ablation(universe, caps, bt_cfg, variant)
+    with Optimizer(universe, bt_cfg.jobs) as optimizer:
+        report, result = run_ablation(universe, caps, bt_cfg, variant,
+                                      optimizer)
     out = args.out
     _write_run_artifacts(out, label, variant, report, result)
 
@@ -448,6 +460,7 @@ def cmd_backtest(args) -> int:
         "data_dir": os.path.abspath(data_dir),
         "input_digests": digest_dir(data_dir),
         "duration_seconds": round(time.monotonic() - t0, 3),
+        "counters": optimizer_counters(optimizer),
     })
     print(f"backtest complete: {label}; final balance"
           f" {result.equity.balances[-1]:.2f}; artifacts in {out}")
@@ -505,6 +518,35 @@ def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
     write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
 
 
+SWEEP_HEADERS = {"alpha_lambda": ["alpha", "lambda"], "fee_bps": ["fee_bps"],
+                 "timeframe": ["timeframe_s"]}
+
+
+def sweep_groups(axis: str, base: BacktestConfig,
+                 universe: Dict[str, PriceSeries]):
+    """The points of a sweep axis, grouped by the universe they trade: yields
+    (universe, [(row prefix, config), ...]). The points of one group share an
+    optimizer, so they solve a repeated grid search once."""
+    if axis == "alpha_lambda":
+        yield universe, [
+            ([alpha, lam], replace(base, rebalance=replace(
+                base.rebalance, long_ratio=lam,
+                grid=replace(base.rebalance.grid, alpha=(alpha,)))))
+            for alpha in SWEEP_ALPHA_GRID for lam in SWEEP_LAMBDA_GRID]
+    elif axis == "fee_bps":
+        yield universe, [
+            ([fee_bps], replace(base, costs=replace(base.costs,
+                                                    taker_fee_bps=fee_bps)))
+            for fee_bps in SWEEP_FEE_GRID]
+    else:
+        for tf in SWEEP_TIMEFRAME_GRID:
+            resampled = {sym: resample_series(s, tf)
+                         for sym, s in universe.items()}
+            rcfg = replace(base.rebalance, buffer_bars=max(1, 86_400 // tf))
+            yield resampled, [([tf], replace(base, interval=tf,
+                                             rebalance=rcfg))]
+
+
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     try:
@@ -518,48 +560,28 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    from dataclasses import replace as dc_replace
-    rows: List[List[object]] = []
-    variant = str(cfg["run.variant"])
-
-    if args.axis == "alpha_lambda":
-        header = ["alpha", "lambda"] + METRIC_COLUMNS
-        for alpha in SWEEP_ALPHA_GRID:
-            for lam in SWEEP_LAMBDA_GRID:
-                rcfg = dc_replace(base_cfg.rebalance, long_ratio=lam,
-                                  grid=dc_replace(base_cfg.rebalance.grid,
-                                                  alpha=(alpha,)))
-                point = dc_replace(base_cfg, rebalance=rcfg)
-                report, _ = run_ablation(universe, caps, point, variant)
-                rows.append([alpha, lam] + metrics_row(report))
-    elif args.axis == "fee_bps":
-        header = ["fee_bps"] + METRIC_COLUMNS
-        for fee_bps in SWEEP_FEE_GRID:
-            point = dc_replace(base_cfg,
-                               costs=dc_replace(base_cfg.costs,
-                                                taker_fee_bps=fee_bps))
-            report, _ = run_ablation(universe, caps, point, variant)
-            rows.append([fee_bps] + metrics_row(report))
-    elif args.axis == "timeframe":
-        header = ["timeframe_s"] + METRIC_COLUMNS
-        bad = [tf for tf in SWEEP_TIMEFRAME_GRID if tf % base_cfg.interval != 0]
-        if bad:
-            print(f"error: timeframe sweep needs source bars dividing each"
-                  f" target; {base_cfg.interval} does not divide {bad}",
-                  file=sys.stderr)
-            return 1
-        for tf in SWEEP_TIMEFRAME_GRID:
-            resampled = {sym: resample_series(s, tf)
-                         for sym, s in universe.items()}
-            buffer_bars = max(1, 86_400 // tf)
-            rcfg = dc_replace(base_cfg.rebalance, buffer_bars=buffer_bars)
-            point = dc_replace(base_cfg, interval=tf, rebalance=rcfg)
-            report, _ = run_ablation(resampled, caps, point, variant)
-            rows.append([tf] + metrics_row(report))
-    else:
+    if args.axis not in SWEEP_HEADERS:
         print(f"error: unknown axis {args.axis!r}; expected alpha_lambda,"
               f" fee_bps, or timeframe", file=sys.stderr)
         return 1
+    bad = [tf for tf in SWEEP_TIMEFRAME_GRID if tf % base_cfg.interval != 0]
+    if args.axis == "timeframe" and bad:
+        print(f"error: timeframe sweep needs source bars dividing each"
+              f" target; {base_cfg.interval} does not divide {bad}",
+              file=sys.stderr)
+        return 1
+
+    header = SWEEP_HEADERS[args.axis] + METRIC_COLUMNS
+    rows: List[List[object]] = []
+    variant = str(cfg["run.variant"])
+    counters: Counter = Counter()
+    for point_universe, points in sweep_groups(args.axis, base_cfg, universe):
+        with Optimizer(point_universe, base_cfg.jobs) as optimizer:
+            for prefix, point in points:
+                report, _ = run_ablation(point_universe, caps, point, variant,
+                                         optimizer)
+                rows.append(prefix + metrics_row(report))
+        counters.update(optimizer_counters(optimizer))
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
@@ -571,6 +593,7 @@ def cmd_sweep(args) -> int:
         "data_dir": os.path.abspath(data_dir),
         "input_digests": digest_dir(data_dir),
         "duration_seconds": round(time.monotonic() - t0, 3),
+        "counters": dict(counters),
     })
     print(f"sweep complete: {len(rows)} rows in {args.out}/sweep.csv")
     return 0

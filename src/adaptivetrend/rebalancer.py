@@ -6,7 +6,9 @@ Four stages, run at each month boundary:
   2. optimize_params: per candidate, grid-search entry/stop parameters on the
      preceding calendar month (ending one buffer before the month start),
      maximizing the annualized Sharpe of the candidate's net per-bar returns
-     under the execution model the month trades with.
+     under the execution model the month trades with. An Optimizer solves
+     each such problem once for every run that shares it, inline or in one
+     worker pool.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -14,8 +16,11 @@ The result is a MonthlyPortfolio; anything not allocated stays in cash.
 """
 
 import bisect
+import functools
 import logging
 import math
+import multiprocessing
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
@@ -49,9 +54,14 @@ class ParamGrid:
     atr_window: int = 14
 
     def __post_init__(self) -> None:
-        for name in ("theta_entry", "theta_entry_short", "alpha", "lookback"):
-            if not getattr(self, name):
+        # Equal grids must yield identical cells (grid_cells and the
+        # Optimizer memo are keyed by grid), so 2 and 2.0 are stored alike.
+        for name, kind in (("theta_entry", float), ("theta_entry_short", float),
+                           ("alpha", float), ("lookback", operator.index)):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"grid axis {name} must be nonempty")
+            object.__setattr__(self, name, tuple(kind(v) for v in values))
         if self.atr_window < 1:
             raise ValueError("atr_window must be >= 1")
 
@@ -155,12 +165,14 @@ def filter_universe(
 # Stage 2: per-candidate grid search
 # ---------------------------------------------------------------------------
 
-def grid_cells(grid: ParamGrid, side: str) -> List[StrategyParams]:
+@functools.lru_cache(maxsize=64)
+def grid_cells(grid: ParamGrid, side: str) -> Tuple[StrategyParams, ...]:
     """All parameter cells for one side, in tie-break order.
 
     Cells are ordered by (entry threshold, alpha, lookback) ascending; the
     optimizer keeps the first cell achieving the maximum Sharpe, so earlier
     cells win ties. The opposite side's threshold is disabled via +inf.
+    Built once per (grid, side): the result is an immutable tuple.
     """
     thetas = grid.theta_entry if side == "long" else grid.theta_entry_short
     cells = []
@@ -173,7 +185,7 @@ def grid_cells(grid: ParamGrid, side: str) -> List[StrategyParams]:
                 else:
                     cells.append(StrategyParams(INF, theta, alpha, lookback,
                                                 grid.atr_window))
-    return cells
+    return tuple(cells)
 
 
 def evaluate_cell(
@@ -310,36 +322,81 @@ def has_month_history(series: PriceSeries, window_start: int) -> bool:
             and int(series.arrays.timestamps[0]) <= window_start + series.interval)
 
 
-def _candidate_task(args) -> Tuple[str, Optional[CandidateResult]]:
-    # args: _optimize's positional arguments, the symbol first
-    return args[0], _optimize(*args)
+class Optimizer:
+    """Solves the grid-search problems of one universe, each one once.
 
+    A problem is one candidate's search: (symbol, side, window, grid, cost
+    config with the symbol's funding records, rf_annual, execution flags).
+    Its result is memoised, so every month, sweep point and ablation run that
+    shares this optimizer answers a repeated problem from the memo. With
+    jobs > 1, the unsolved problems of a batch go to one process pool,
+    started on the first batch that has at least two and shut down by
+    close(). Use it as a context manager. It answers only for the series of
+    the universe it was made for, which must not change while it is open.
+    """
 
-def _optimize_side(
-    symbols: Sequence[str],
-    side: str,
-    universe: Dict[str, PriceSeries],
-    window: Tuple[int, int],
-    cfg: RebalanceConfig,
-    cost_cfg: Optional[CostConfig],
-    jobs: int,
-    execution: Tuple[bool, bool],
-) -> List[CandidateResult]:
-    eligible = []
-    for sym in symbols:
-        series = universe.get(sym)
-        if series is None or not has_month_history(series, window[0]):
-            logger.info("%s: lacks a full month of history; excluded", sym)
-            continue
-        eligible.append(series)
-    tasks = [(s.symbol, s.interval, s.arrays, side, window, cfg.grid,
-              cost_cfg, cfg.rf_annual, *execution) for s in eligible]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_candidate_task, tasks))
-    else:
-        outcomes = [_candidate_task(t) for t in tasks]
-    return [res for _, res in outcomes if res is not None]
+    def __init__(self, universe: Dict[str, PriceSeries], jobs: int = 1) -> None:
+        self.universe = universe
+        self.jobs = jobs
+        self.problems = 0  # problems asked
+        self.solved = 0    # problems searched, inline or in the pool
+        self._memo: Dict[tuple, Optional[CandidateResult]] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "Optimizer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down, if one was started."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def solve(
+        self,
+        candidates: Sequence[Tuple[PriceSeries, str]],
+        window: Tuple[int, int],
+        grid: ParamGrid,
+        cost_cfg: Optional[CostConfig],
+        rf_annual: float,
+        trailing: bool,
+        intrabar_stop_fill: bool,
+    ) -> List[Optional[CandidateResult]]:
+        """optimize_params for each (series, side), in candidate order."""
+        keys = []
+        todo: Dict[tuple, Tuple[PriceSeries, str]] = {}
+        for series, side in candidates:
+            if self.universe.get(series.symbol) is not series:
+                raise ValueError(f"{series.symbol}: this optimizer was made for"
+                                 " another universe")
+            # CostConfig equality ignores funding_rates: key by the records.
+            funding = (cost_cfg.funding_rates or {}).get(series.symbol) \
+                if cost_cfg is not None else None
+            key = (series.symbol, side, window, grid, cost_cfg,
+                   tuple(funding or ()), rf_annual, trailing, intrabar_stop_fill)
+            keys.append(key)
+            if key not in self._memo:
+                todo[key] = (series, side)
+        self.problems += len(keys)
+        if todo:
+            shared = (window, grid, cost_cfg, rf_annual, trailing,
+                      intrabar_stop_fill)
+            tasks = [(s.symbol, s.interval, s.arrays, side) + shared
+                     for s, side in todo.values()]
+            if self.jobs > 1 and len(tasks) > 1:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.jobs,
+                        mp_context=multiprocessing.get_context("spawn"))
+                results = list(self._pool.map(_optimize, *zip(*tasks)))
+            else:
+                results = [_optimize(*task) for task in tasks]
+            self._memo.update(zip(todo, results))
+            self.solved += len(tasks)
+        return [self._memo[k] for k in keys]
 
 
 def run_rebalance(
@@ -349,7 +406,7 @@ def run_rebalance(
     cfg: RebalanceConfig,
     cost_cfg: Optional[CostConfig],
     interval: int,
-    jobs: int = 1,
+    optimizer: Optional[Optimizer] = None,
     cap_filter_enabled: bool = True,
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
@@ -360,6 +417,8 @@ def run_rebalance(
     happens at 00:00 UTC on day 1, before that day's data exists). With the
     cap filter disabled every symbol is a candidate for both sides. The
     grid search scores cells with the execution flags the month will trade.
+    Both sides' searches go to ``optimizer`` as one batch; without one they
+    run inline.
     """
     month = month_id(month_start)
     if cap_filter_enabled:
@@ -380,11 +439,22 @@ def run_rebalance(
         }
     long_candidates, short_candidates = filtered
     window = optimization_window(month_start, interval, cfg.buffer_bars)
-    execution = (trailing, intrabar_stop_fill)
-    long_results = _optimize_side(long_candidates, "long", universe, window,
-                                  cfg, cost_cfg, jobs, execution)
-    short_results = _optimize_side(short_candidates, "short", universe, window,
-                                   cfg, cost_cfg, jobs, execution)
+    batch = []
+    for side, symbols in (("long", long_candidates),
+                          ("short", short_candidates)):
+        for sym in symbols:
+            series = universe.get(sym)
+            if series is None or not has_month_history(series, window[0]):
+                logger.info("%s: lacks a full month of history; excluded", sym)
+                continue
+            batch.append((series, side))
+    if optimizer is None:
+        optimizer = Optimizer(universe)  # inline: no pool to close
+    solved = optimizer.solve(batch, window, cfg.grid, cost_cfg, cfg.rf_annual,
+                             trailing, intrabar_stop_fill)
+    long_results, short_results = (
+        [r for (_, s), r in zip(batch, solved) if s == side and r is not None]
+        for side in ("long", "short"))
     portfolio = select_and_allocate(month, long_results, short_results, cfg)
     record = {
         "month": month,

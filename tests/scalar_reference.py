@@ -34,7 +34,8 @@ from adaptivetrend.market_data import (DEFAULT_INTERVAL, OHLCV_HEADER, Bar,
                                        PriceSeries, SeriesArrays,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
-from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
+from adaptivetrend.rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
+                                     run_rebalance)
 from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
                                          SingleAssetResult, StrategyParams,
                                          TradeRecord, gross_pnl)
@@ -580,7 +581,8 @@ def run_backtest(
         if cfg.reoptimize_enabled or portfolio is None:
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
-                jobs=cfg.jobs, cap_filter_enabled=cfg.cap_filter_enabled,
+                optimizer=Optimizer(universe),  # inline, no memo across months
+                cap_filter_enabled=cfg.cap_filter_enabled,
                 trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill,
             )

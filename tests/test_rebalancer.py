@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import MarketCapRecord
 from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
-                                      ParamGrid, RebalanceConfig, cap_snapshot,
+                                      Optimizer, ParamGrid, RebalanceConfig,
+                                      cap_snapshot,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
                                       optimization_window, optimize_params,
@@ -504,8 +505,11 @@ class TestRunRebalance:
     def test_parallel_matches_serial(self):
         universe, caps = self.universe()
         port1, rec1 = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                    ZERO_COSTS, INTERVAL, jobs=1)
-        port2, rec2 = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                    ZERO_COSTS, INTERVAL, jobs=2)
+                                    ZERO_COSTS, INTERVAL,
+                                    optimizer=Optimizer(universe, jobs=1))
+        with Optimizer(universe, jobs=2) as optimizer:
+            port2, rec2 = run_rebalance(universe, caps, MAR1, self.rcfg(),
+                                        ZERO_COSTS, INTERVAL,
+                                        optimizer=optimizer)
         assert port1 == port2
         assert rec1 == rec2
