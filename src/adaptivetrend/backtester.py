@@ -13,7 +13,6 @@ the halt at bankruptcy) is shared with the comparison benchmarks.
 """
 
 import logging
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,6 @@ class BacktestConfig:
     sharpe_filter_enabled: bool = True
     reoptimize_enabled: bool = True
     intrabar_stop_fill: bool = False
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
@@ -252,20 +250,10 @@ def run_backtest(
     The start is snapped forward to a calendar month boundary. The balance
     rolls across months; a balance <= 0 halts the run and flags the curve.
     The grid searches go to ``optimizer``, which runs that share it solve a
-    repeated problem once; without one, the run makes its own from cfg.jobs
-    and closes it at the end.
+    repeated problem once; without one, the run makes its own.
     """
-    with (nullcontext(optimizer) if optimizer is not None
-          else Optimizer(universe, cfg.jobs)) as optimizer:
-        return _run_backtest(universe, caps, cfg, optimizer)
-
-
-def _run_backtest(
-    universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
-    cfg: BacktestConfig,
-    optimizer: Optimizer,
-) -> BacktestResult:
+    if optimizer is None:
+        optimizer = Optimizer(universe)
     rcfg = cfg.rebalance
     caps = CapIndex(caps)
     if not cfg.sharpe_filter_enabled:

@@ -40,12 +40,12 @@ from .backtester import (BacktestConfig, BacktestResult, EquityCurve,
                          ABLATION_VARIANTS)
 from .benchmarks import BenchmarkSpec, run_benchmark
 from .cost_model import CostConfig, load_funding_rates
-from .market_data import (DataError, MarketCapRecord, PriceSeries,
-                          SyntheticSpec, atomic_write_text, bars_per_year,
-                          date_of_ts, generate_synthetic_universe,
-                          load_market_caps, load_price_series, read_csv,
-                          resample_series, save_market_caps,
-                          save_price_series, write_csv)
+from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
+                          PriceSeries, SyntheticSpec, atomic_write_text,
+                          bars_per_year, date_of_ts,
+                          generate_synthetic_universe, load_market_caps,
+                          load_price_series, read_csv, resample_series,
+                          save_market_caps, save_price_series, write_csv)
 from .rebalancer import (CapIndex, Optimizer, ParamGrid, RebalanceConfig,
                          cap_snapshot)
 from .signal_engine import write_ledger
@@ -60,6 +60,9 @@ SWEEP_ALPHA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 SWEEP_LAMBDA_GRID = (0.5, 0.7, 0.8)
 SWEEP_FEE_GRID = (0.0, 4.0, 8.0, 12.0)
 SWEEP_TIMEFRAME_GRID = (3600, 14400, 21600, 28800, 43200, 86400)
+# sweep axis -> the sweep.csv columns naming its point
+SWEEP_HEADERS = {"alpha_lambda": ["alpha", "lambda"], "fee_bps": ["fee_bps"],
+                 "timeframe": ["timeframe_s"]}
 
 METRIC_COLUMNS = ["ann_return", "ann_vol", "sharpe", "sortino", "calmar",
                   "mdd", "win_rate", "avg_trade_pnl", "profit_factor",
@@ -123,13 +126,12 @@ def _parse_strs(s: str) -> Tuple[str, ...]:
 # key -> (parser, default string or None for "unset")
 CONFIG_SCHEMA = {
     "data.dir": (_parse_str, None),
-    "data.interval": (int, "21600"),
+    "data.interval": (int, str(DEFAULT_INTERVAL)),
     "run.start": (_parse_timestamp, None),
     "run.end": (_parse_timestamp, None),
     "run.initial_balance": (_parse_float, "100000"),
     "run.variant": (_parse_str, "full"),
     "run.label": (_parse_str, None),
-    "run.jobs": (int, "1"),
     "engine.trailing_stop": (_parse_bool, "true"),
     "engine.intrabar_stop_fill": (_parse_bool, "false"),
     "engine.cap_filter": (_parse_bool, "true"),
@@ -162,7 +164,18 @@ CONFIG_SCHEMA = {
     "regimes.window_days": (int, "60"),
 }
 
-BENCHMARK_NAMES = ("tsmom_1m", "tsmom_3m", "vol_scaled_tsmom", "btc_bh", "ew_bh")
+# benchmarks.kinds name -> (label, fixed BenchmarkSpec arguments,
+# BenchmarkSpec arguments taken from config keys); every spec also takes
+# benchmarks.universe_size
+BENCHMARKS = {
+    "tsmom_1m": ("TSMOM (1M)", {"kind": "tsmom", "lookback_months": 1}, {}),
+    "tsmom_3m": ("TSMOM (3M)", {"kind": "tsmom", "lookback_months": 3}, {}),
+    "vol_scaled_tsmom": ("Vol-Scaled TSMOM", {"kind": "vol_scaled_tsmom"},
+                         {"vol_target_annual": "benchmarks.vol_target"}),
+    "btc_bh": ("BTC Buy & Hold", {"kind": "buy_hold"},
+               {"symbol": "benchmarks.buy_hold_symbol"}),
+    "ew_bh": ("Equal-Weight Buy & Hold", {"kind": "equal_weight_buy_hold"}, {}),
+}
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -249,7 +262,6 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
         sharpe_filter_enabled=cfg["engine.sharpe_filter"],
         reoptimize_enabled=cfg["engine.reoptimize"],
         intrabar_stop_fill=cfg["engine.intrabar_stop_fill"],
-        jobs=cfg["run.jobs"],
     )
 
 
@@ -410,16 +422,14 @@ def cmd_backtest(args) -> int:
     t0 = time.monotonic()
     try:
         cfg = resolve_config(args.config)
-        if args.jobs is not None:
-            cfg["run.jobs"] = args.jobs
         bt_cfg = build_backtest_config(cfg)
         variant = str(cfg["run.variant"])
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"run.variant must be one of {ABLATION_VARIANTS}")
         for name in cfg["benchmarks.kinds"]:
-            if name not in BENCHMARK_NAMES:
+            if name not in BENCHMARKS:
                 raise ConfigError(f"unknown benchmark {name!r}; expected one"
-                                  f" of {BENCHMARK_NAMES}")
+                                  f" of {tuple(BENCHMARKS)}")
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, bt_cfg.interval)
         symbol = cfg["benchmarks.buy_hold_symbol"]
@@ -432,9 +442,8 @@ def cmd_backtest(args) -> int:
         return 1
 
     label = run_label(cfg, bt_cfg)
-    with Optimizer(universe, bt_cfg.jobs) as optimizer:
-        report, result = run_ablation(universe, caps, bt_cfg, variant,
-                                      optimizer)
+    optimizer = Optimizer(universe)
+    report, result = run_ablation(universe, caps, bt_cfg, variant, optimizer)
     out = args.out
     _write_run_artifacts(out, label, variant, report, result)
 
@@ -443,14 +452,17 @@ def cmd_backtest(args) -> int:
         _write_regime_artifacts(out, cfg, universe, caps, bt_cfg, result, bpy)
 
     for name in cfg["benchmarks.kinds"]:
-        spec = _benchmark_spec(name, cfg)
+        bench_label, fixed, from_cfg = BENCHMARKS[name]
+        spec = BenchmarkSpec(
+            universe_size=cfg["benchmarks.universe_size"], **fixed,
+            **{arg: cfg[key] for arg, key in from_cfg.items()})
         run = run_benchmark(spec, universe, caps, bt_cfg)
         bench_dir = os.path.join(out, "benchmarks", name)
         os.makedirs(bench_dir, exist_ok=True)
         save_equity(run.equity, os.path.join(bench_dir, "equity.csv"))
         write_ledger(run.trades, os.path.join(bench_dir, "ledger.csv"))
         write_json(os.path.join(bench_dir, "metrics.json"),
-                   {"label": _benchmark_label(name), "variant": name,
+                   {"label": bench_label, "variant": name,
                     "metrics": run.metrics.to_dict()})
 
     write_json(os.path.join(out, "manifest.json"), {
@@ -465,32 +477,6 @@ def cmd_backtest(args) -> int:
     print(f"backtest complete: {label}; final balance"
           f" {result.equity.balances[-1]:.2f}; artifacts in {out}")
     return 0
-
-
-def _benchmark_spec(name: str, cfg: Dict[str, object]) -> BenchmarkSpec:
-    common = {"universe_size": cfg["benchmarks.universe_size"]}
-    if name == "tsmom_1m":
-        return BenchmarkSpec(kind="tsmom", lookback_months=1, **common)
-    if name == "tsmom_3m":
-        return BenchmarkSpec(kind="tsmom", lookback_months=3, **common)
-    if name == "vol_scaled_tsmom":
-        return BenchmarkSpec(kind="vol_scaled_tsmom",
-                             vol_target_annual=cfg["benchmarks.vol_target"],
-                             **common)
-    if name == "btc_bh":
-        return BenchmarkSpec(kind="buy_hold",
-                             symbol=cfg["benchmarks.buy_hold_symbol"], **common)
-    return BenchmarkSpec(kind="equal_weight_buy_hold", **common)
-
-
-def _benchmark_label(name: str) -> str:
-    return {
-        "tsmom_1m": "TSMOM (1M)",
-        "tsmom_3m": "TSMOM (3M)",
-        "vol_scaled_tsmom": "Vol-Scaled TSMOM",
-        "btc_bh": "BTC Buy & Hold",
-        "ew_bh": "Equal-Weight Buy & Hold",
-    }[name]
 
 
 def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
@@ -516,10 +502,6 @@ def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
                                 rf_annual=bt_cfg.rebalance.rf_annual,
                                 bars_per_year=bpy)
     write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
-
-
-SWEEP_HEADERS = {"alpha_lambda": ["alpha", "lambda"], "fee_bps": ["fee_bps"],
-                 "timeframe": ["timeframe_s"]}
 
 
 def sweep_groups(axis: str, base: BacktestConfig,
@@ -551,8 +533,6 @@ def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     try:
         cfg = resolve_config(args.config)
-        if args.jobs is not None:
-            cfg["run.jobs"] = args.jobs
         base_cfg = build_backtest_config(cfg)
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, base_cfg.interval)
@@ -560,10 +540,6 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.axis not in SWEEP_HEADERS:
-        print(f"error: unknown axis {args.axis!r}; expected alpha_lambda,"
-              f" fee_bps, or timeframe", file=sys.stderr)
-        return 1
     bad = [tf for tf in SWEEP_TIMEFRAME_GRID if tf % base_cfg.interval != 0]
     if args.axis == "timeframe" and bad:
         print(f"error: timeframe sweep needs source bars dividing each"
@@ -576,11 +552,11 @@ def cmd_sweep(args) -> int:
     variant = str(cfg["run.variant"])
     counters: Counter = Counter()
     for point_universe, points in sweep_groups(args.axis, base_cfg, universe):
-        with Optimizer(point_universe, base_cfg.jobs) as optimizer:
-            for prefix, point in points:
-                report, _ = run_ablation(point_universe, caps, point, variant,
-                                         optimizer)
-                rows.append(prefix + metrics_row(report))
+        optimizer = Optimizer(point_universe)
+        for prefix, point in points:
+            report, _ = run_ablation(point_universe, caps, point, variant,
+                                     optimizer)
+            rows.append(prefix + metrics_row(report))
         counters.update(optimizer_counters(optimizer))
 
     os.makedirs(args.out, exist_ok=True)
@@ -601,7 +577,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     try:
-        cfg = resolve_config(args.config) if args.config else None
+        cfg = resolve_config(args.config)
         eq_a = load_equity(os.path.join(args.run_a, "equity.csv"))
         eq_b = load_equity(os.path.join(args.run_b, "equity.csv"))
     except (ConfigError, DataError, OSError) as exc:
@@ -618,13 +594,12 @@ def cmd_bootstrap(args) -> int:
               f" {int(eq_a.timestamps[i])} vs {int(eq_b.timestamps[i])}",
               file=sys.stderr)
         return 1
-    interval = cfg["data.interval"] if cfg else 21_600
-    rf = cfg["rebalance.rf_annual"] if cfg else 0.045
     try:
         result = bootstrap_sharpe_test(
             eq_a.returns(), eq_b.returns(), n_reps=args.reps,
-            block_len=args.block, seed=args.seed, rf_annual=rf,
-            bars_per_year=bars_per_year(interval),
+            block_len=args.block, seed=args.seed,
+            rf_annual=cfg["rebalance.rf_annual"],
+            bars_per_year=bars_per_year(cfg["data.interval"]),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -814,15 +789,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-data", help="validate every file in a data dir")
     p.add_argument("--data-dir", help=f"data directory (or ${DATA_DIR_ENV})")
-    p.add_argument("--interval", type=int, default=21_600,
-                   help="bar interval in seconds (default 21600)")
+    p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL,
+                   help=f"bar interval in seconds (default {DEFAULT_INTERVAL})")
     p.set_defaults(func=cmd_validate_data)
 
     p = sub.add_parser("synth", help="generate a synthetic data directory")
     p.add_argument("--out", required=True, help="output data directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbols", type=int, default=25)
-    p.add_argument("--interval", type=int, default=21_600)
+    p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
     p.add_argument("--start", type=_parse_timestamp, default="2022-01-01",
                    help="series start (bars begin one interval later)")
     p.add_argument("--regimes", default="360:0.5:0.6,360:-0.4:0.8,360:0.1:0.4",
@@ -832,15 +807,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run the strategy and write artifacts")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    # No effect (the grid search is in-process); perfbench/run.py passes it.
+    p.add_argument("--jobs", type=int, default=None, help="ignored")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("sweep", help="rerun the backtest along one axis")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--axis", required=True,
-                   choices=["alpha_lambda", "fee_bps", "timeframe"])
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--axis", required=True, choices=list(SWEEP_HEADERS))
+    # No effect (the grid search is in-process); perfbench/run.py passes it.
+    p.add_argument("--jobs", type=int, default=None, help="ignored")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bootstrap",

@@ -7,8 +7,7 @@ Four stages, run at each month boundary:
      preceding calendar month (ending one buffer before the month start),
      maximizing the annualized Sharpe of the candidate's net per-bar returns
      under the execution model the month trades with. An Optimizer solves
-     each such problem once for every run that shares it, inline or in one
-     worker pool.
+     each such problem once for every run that shares it.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -19,9 +18,7 @@ import bisect
 import functools
 import logging
 import math
-import multiprocessing
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -30,8 +27,8 @@ import numpy as np
 
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
-from .market_data import (MarketCapRecord, PriceSeries, SeriesArrays,
-                          bars_per_year, date_of_ts, month_add, month_id)
+from .market_data import (MarketCapRecord, PriceSeries, bars_per_year,
+                          date_of_ts, month_add, month_id)
 from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -234,38 +231,22 @@ def optimize_params(
     execution flags, in one batched pass (signal_engine.grid_sharpes); the
     first cell with the maximum wins.
     """
-    return _optimize(series.symbol, series.interval, series.arrays, side,
-                     window, grid, cost_cfg, rf_annual, trailing,
-                     intrabar_stop_fill)
-
-
-def _optimize(
-    symbol: str,
-    interval: int,
-    arr: SeriesArrays,
-    side: str,
-    window: Tuple[int, int],
-    grid: ParamGrid,
-    cost_cfg: Optional[CostConfig],
-    rf_annual: float,
-    trailing: bool,
-    intrabar_stop_fill: bool,
-) -> Optional[CandidateResult]:
+    arr = series.arrays
     i0, i1 = arr.slice_indices(window[0], window[1])
     needed = 2 * max(grid.lookback)
     if i1 - i0 < needed:
         logger.info("%s: optimization window has %d bars, needs %d; excluded",
-                    symbol, i1 - i0, needed)
+                    series.symbol, i1 - i0, needed)
         return None
     cells = grid_cells(grid, side)
-    sharpes = grid_sharpes(arr, interval, symbol, cells, side, (i0, i1),
-                           cost_cfg, rf_annual, trailing=trailing,
+    sharpes = grid_sharpes(arr, series.interval, series.symbol, cells, side,
+                           (i0, i1), cost_cfg, rf_annual, trailing=trailing,
                            intrabar_stop_fill=intrabar_stop_fill)
     scores = np.where(np.isnan(sharpes), -INF, sharpes)
     best = int(np.argmax(scores))
     if not scores[best] > -INF:
         return None
-    return CandidateResult(symbol, cells[best], float(sharpes[best]))
+    return CandidateResult(series.symbol, cells[best], float(sharpes[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,32 +309,17 @@ class Optimizer:
     A problem is one candidate's search: (symbol, side, window, grid, cost
     config with the symbol's funding records, rf_annual, execution flags).
     Its result is memoised, so every month, sweep point and ablation run that
-    shares this optimizer answers a repeated problem from the memo. With
-    jobs > 1, the unsolved problems of a batch go to one process pool,
-    started on the first batch that has at least two and shut down by
-    close(). Use it as a context manager. It answers only for the series of
-    the universe it was made for, which must not change while it is open.
+    shares this optimizer answers a repeated problem from the memo; the rest
+    go to optimize_params in the calling process. It answers only for the
+    series of the universe it was made for, which must not change while the
+    optimizer is in use.
     """
 
-    def __init__(self, universe: Dict[str, PriceSeries], jobs: int = 1) -> None:
+    def __init__(self, universe: Dict[str, PriceSeries]) -> None:
         self.universe = universe
-        self.jobs = jobs
         self.problems = 0  # problems asked
-        self.solved = 0    # problems searched, inline or in the pool
+        self.solved = 0    # problems searched
         self._memo: Dict[tuple, Optional[CandidateResult]] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def __enter__(self) -> "Optimizer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the worker pool down, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def solve(
         self,
@@ -366,8 +332,7 @@ class Optimizer:
         intrabar_stop_fill: bool,
     ) -> List[Optional[CandidateResult]]:
         """optimize_params for each (series, side), in candidate order."""
-        keys = []
-        todo: Dict[tuple, Tuple[PriceSeries, str]] = {}
+        results = []
         for series, side in candidates:
             if self.universe.get(series.symbol) is not series:
                 raise ValueError(f"{series.symbol}: this optimizer was made for"
@@ -377,26 +342,14 @@ class Optimizer:
                 if cost_cfg is not None else None
             key = (series.symbol, side, window, grid, cost_cfg,
                    tuple(funding or ()), rf_annual, trailing, intrabar_stop_fill)
-            keys.append(key)
+            self.problems += 1
             if key not in self._memo:
-                todo[key] = (series, side)
-        self.problems += len(keys)
-        if todo:
-            shared = (window, grid, cost_cfg, rf_annual, trailing,
-                      intrabar_stop_fill)
-            tasks = [(s.symbol, s.interval, s.arrays, side) + shared
-                     for s, side in todo.values()]
-            if self.jobs > 1 and len(tasks) > 1:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs,
-                        mp_context=multiprocessing.get_context("spawn"))
-                results = list(self._pool.map(_optimize, *zip(*tasks)))
-            else:
-                results = [_optimize(*task) for task in tasks]
-            self._memo.update(zip(todo, results))
-            self.solved += len(tasks)
-        return [self._memo[k] for k in keys]
+                self._memo[key] = optimize_params(
+                    series, side, window, grid, cost_cfg, rf_annual,
+                    trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
+                self.solved += 1
+            results.append(self._memo[key])
+        return results
 
 
 def run_rebalance(
@@ -417,8 +370,8 @@ def run_rebalance(
     happens at 00:00 UTC on day 1, before that day's data exists). With the
     cap filter disabled every symbol is a candidate for both sides. The
     grid search scores cells with the execution flags the month will trade.
-    Both sides' searches go to ``optimizer`` as one batch; without one they
-    run inline.
+    Both sides' searches go to ``optimizer``; without one, a fresh optimizer
+    solves them.
     """
     month = month_id(month_start)
     if cap_filter_enabled:
@@ -449,7 +402,7 @@ def run_rebalance(
                 continue
             batch.append((series, side))
     if optimizer is None:
-        optimizer = Optimizer(universe)  # inline: no pool to close
+        optimizer = Optimizer(universe)
     solved = optimizer.solve(batch, window, cfg.grid, cost_cfg, cfg.rf_annual,
                              trailing, intrabar_stop_fill)
     long_results, short_results = (

@@ -581,7 +581,7 @@ def run_backtest(
         if cfg.reoptimize_enabled or portfolio is None:
             portfolio, record = run_rebalance(
                 universe, caps, m, rcfg, cfg.costs, cfg.interval,
-                optimizer=Optimizer(universe),  # inline, no memo across months
+                optimizer=Optimizer(universe),  # no memo across months
                 cap_filter_enabled=cfg.cap_filter_enabled,
                 trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill,

@@ -2,7 +2,6 @@
 
 import logging
 import math
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -240,31 +239,6 @@ class TestMultiMonthAccounting:
         entry_keys = [(t.entry_ts, t.exit_ts, t.symbol, t.side)
                       for t in result.trades]
         assert entry_keys == sorted(entry_keys)
-
-    def test_parallel_run_matches_serial(self):
-        symbols = [f"SYM{j:02d}" for j in range(5)]
-        universe = {
-            sym: gbm_series(np.random.default_rng(2000 + j), 356, symbol=sym,
-                            vol=1.2, t0=T0)
-            for j, sym in enumerate(symbols)
-        }
-        grid = ParamGrid(theta_entry=(0.01, 0.03), theta_entry_short=(0.01, 0.03),
-                         alpha=(1.5, 3.0), lookback=(4, 8), atr_window=5)
-        cfg = BacktestConfig(
-            start=FEB1, end=int(universe[symbols[0]].arrays.timestamps[-1]),
-            initial_balance=50_000.0, interval=INTERVAL,
-            rebalance=reb_cfg(k_long=3, k_short=2, grid=grid),
-            costs=CostConfig())
-        serial = run_backtest(universe, caps_for(symbols), cfg)
-        parallel = run_backtest(universe, caps_for(symbols),
-                                replace(cfg, jobs=2))
-        assert len(serial.trades) > 0
-        np.testing.assert_array_equal(parallel.equity.timestamps,
-                                      serial.equity.timestamps)
-        np.testing.assert_array_equal(parallel.equity.balances,
-                                      serial.equity.balances)
-        assert parallel.trades == serial.trades
-        assert parallel.rebalance_log == serial.rebalance_log
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),

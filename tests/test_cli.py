@@ -242,7 +242,7 @@ class TestBacktest:
     def test_rerun_is_byte_identical(self, ws):
         rerun = ws.root / "run_repeat"
         assert main(["backtest", "--config", str(ws.cfg),
-                     "--out", str(rerun)]) == 0
+                     "--out", str(rerun), "--jobs", "2"]) == 0
         same = ["equity.csv", "ledger.csv", "metrics.json",
                 "rebalance_log.json", "regime_metrics.csv",
                 "benchmarks/tsmom_1m/equity.csv",

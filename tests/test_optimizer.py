@@ -1,4 +1,4 @@
-"""The shared Optimizer: a memo and one worker pool that change no result."""
+"""The shared Optimizer: a memo that changes no result."""
 
 from dataclasses import replace
 
@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaptivetrend import rebalancer
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
-                                      ablation_config, run_ablation,
-                                      run_backtest)
+                                      ablation_config, run_backtest)
 from adaptivetrend.cost_model import CostConfig
 from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
                                       grid_cells, optimization_window,
                                       optimize_params)
 
-from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, caps_for,
-                      gbm_series, jumpy_universe)
+from conftest import COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
@@ -24,7 +21,7 @@ BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
 
 def point_cfg(universe, *, long_ratio=0.7, gamma=-100.0, alphas=(1.0, 3.0),
               cost=None, rf=0.045, trailing=True, intrabar=False,
-              variant="full", jobs=1):
+              variant="full"):
     grid = replace(BASE_GRID, alpha=alphas)
     return ablation_config(BacktestConfig(
         start=FEB1, end=int(universe["RND"].arrays.timestamps[-1]),
@@ -33,7 +30,7 @@ def point_cfg(universe, *, long_ratio=0.7, gamma=-100.0, alphas=(1.0, 3.0),
                                   gamma_short=gamma, long_ratio=long_ratio,
                                   grid=grid, rf_annual=rf),
         costs=cost, trailing_stop_enabled=trailing,
-        intrabar_stop_fill=intrabar, jobs=jobs), variant)
+        intrabar_stop_fill=intrabar), variant)
 
 
 def assert_same_run(got, want):
@@ -77,24 +74,24 @@ class TestSharedOptimizer:
            jump=st.sampled_from([1.0, 0.2]), points=point_walks())
     def test_shared_memo_changes_no_result(self, seed, n_symbols, jump, points):
         universe, caps = jumpy_universe(seed, n_symbols, jump)
-        with Optimizer(universe) as shared:
-            for point in points:
-                cfg = point_cfg(universe, **point)
-                assert_same_run(run_backtest(universe, caps, cfg, shared),
-                                run_backtest(universe, caps, cfg))
-            # A repeat of the first point is answered from the memo.
-            solved = shared.solved
-            run_backtest(universe, caps, point_cfg(universe, **points[0]),
-                         shared)
-            assert shared.solved == solved
-            assert shared.problems >= shared.solved
+        shared = Optimizer(universe)
+        for point in points:
+            cfg = point_cfg(universe, **point)
+            assert_same_run(run_backtest(universe, caps, cfg, shared),
+                            run_backtest(universe, caps, cfg))
+        # A repeat of the first point is answered from the memo.
+        solved = shared.solved
+        run_backtest(universe, caps, point_cfg(universe, **points[0]),
+                     shared)
+        assert shared.solved == solved
+        assert shared.problems >= shared.solved
 
     def test_lambda_points_share_every_problem(self):
         universe, caps = jumpy_universe(7, 4, 1.0)
-        with Optimizer(universe) as shared:
-            for lam in (0.5, 0.7, 0.8):
-                run_backtest(universe, caps, point_cfg(universe, long_ratio=lam),
-                             shared)
+        shared = Optimizer(universe)
+        for lam in (0.5, 0.7, 0.8):
+            run_backtest(universe, caps, point_cfg(universe, long_ratio=lam),
+                         shared)
         assert shared.solved > 0
         assert shared.problems == 3 * shared.solved
 
@@ -108,9 +105,9 @@ class TestSharedOptimizer:
                  replace(flat, funding_rates={"RND": [(T0, -0.02)]}),
                  replace(flat, funding_rates={"RND": [(T0, 0.02)]})]
         assert costs[1] == costs[2]  # CostConfig equality ignores the table
-        with Optimizer(universe) as opt:
-            got = [opt.solve([(series, "long")], window, BASE_GRID, cost,
-                             0.045, True, False)[0] for cost in costs]
+        opt = Optimizer(universe)
+        got = [opt.solve([(series, "long")], window, BASE_GRID, cost,
+                         0.045, True, False)[0] for cost in costs]
         assert opt.solved == 3  # the last table's records equal the second's
         for cost, result in zip(costs, got):
             assert result == optimize_params(series, "long", window, BASE_GRID,
@@ -120,73 +117,10 @@ class TestSharedOptimizer:
     def test_refuses_another_universe(self):
         first, caps = jumpy_universe(3, 2, 1.0)
         second, _ = jumpy_universe(3, 2, 1.0)  # same symbols, other objects
-        with Optimizer(first) as opt:
-            run_backtest(first, caps, point_cfg(first), opt)
-            with pytest.raises(ValueError, match="another universe"):
-                run_backtest(second, caps, point_cfg(second), opt)
-
-
-class CountingPool:
-    """Stands in for ProcessPoolExecutor: counts pools, runs tasks inline."""
-
-    made = 0
-    shut = 0
-
-    def __init__(self, max_workers, mp_context):
-        CountingPool.made += 1
-        self.max_workers = max_workers
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def shutdown(self):
-        CountingPool.shut += 1
-
-
-class TestPool:
-    def test_one_pool_per_optimizer(self, monkeypatch):
-        monkeypatch.setattr(rebalancer, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(CountingPool, "made", 0)
-        monkeypatch.setattr(CountingPool, "shut", 0)
-        universe, caps = jumpy_universe(5, 4, 1.0)
-        with Optimizer(universe, jobs=2) as shared:
-            for variant in ("full", "no_cap_filter", "no_trailing_stop"):
-                run_ablation(universe, caps, point_cfg(universe), variant,
-                             shared)
-            assert shared.solved > 0
-            assert (CountingPool.made, CountingPool.shut) == (1, 0)
-        assert (CountingPool.made, CountingPool.shut) == (1, 1)
-
-    def test_no_pool_without_two_unsolved_problems(self, monkeypatch):
-        monkeypatch.setattr(rebalancer, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(CountingPool, "made", 0)
-        universe, caps = jumpy_universe(5, 4, 1.0)
-        run_backtest(universe, caps, point_cfg(universe, jobs=1))
-        one, one_caps = jumpy_universe(5, 1, 1.0)
-        with Optimizer(one, jobs=2) as opt:  # one long candidate a month
-            run_backtest(one, one_caps, point_cfg(one), opt)
-        assert opt.solved > 0
-        assert CountingPool.made == 0
-
-    def test_sweep_points_match_at_two_jobs(self):
-        # Three sweep points sharing one optimizer, solved inline and in a
-        # real worker pool.
-        symbols = ["RND", "SYM01", "SYM02", "SYM03"]
-        universe = {s: gbm_series(np.random.default_rng(300 + j), 356,
-                                  symbol=s, vol=1.2, t0=T0)
-                    for j, s in enumerate(symbols)}
-        caps = caps_for(symbols)
-        points = [point_cfg(universe, long_ratio=0.5),
-                  point_cfg(universe, alphas=(3.0,), cost=CostConfig()),
-                  point_cfg(universe, long_ratio=0.8, intrabar=True)]
-        runs = {}
-        for jobs in (1, 2):
-            with Optimizer(universe, jobs=jobs) as opt:
-                runs[jobs] = [run_backtest(universe, caps, p, opt)
-                              for p in points]
-        assert any(r.trades for r in runs[1])
-        for got, want in zip(runs[2], runs[1]):
-            assert_same_run(got, want)
+        opt = Optimizer(first)
+        run_backtest(first, caps, point_cfg(first), opt)
+        with pytest.raises(ValueError, match="another universe"):
+            run_backtest(second, caps, point_cfg(second), opt)
 
 
 def test_equal_grids_build_identical_cells():

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import MarketCapRecord
 from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
-                                      Optimizer, ParamGrid, RebalanceConfig,
-                                      cap_snapshot,
+                                      ParamGrid, RebalanceConfig, cap_snapshot,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
                                       optimization_window, optimize_params,
@@ -501,15 +500,3 @@ class TestRunRebalance:
                                      ZERO_COSTS, INTERVAL)
         assert port.longs == ()
         assert all(o["symbol"] != "UP" for o in record["optimized"])
-
-    def test_parallel_matches_serial(self):
-        universe, caps = self.universe()
-        port1, rec1 = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                    ZERO_COSTS, INTERVAL,
-                                    optimizer=Optimizer(universe, jobs=1))
-        with Optimizer(universe, jobs=2) as optimizer:
-            port2, rec2 = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                        ZERO_COSTS, INTERVAL,
-                                        optimizer=optimizer)
-        assert port1 == port2
-        assert rec1 == rec2
