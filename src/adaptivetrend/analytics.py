@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .indicators import rolling_sharpe
+from .indicators import rolling_sharpe, sharpe_rows
 from .market_data import SECONDS_PER_YEAR, PriceSeries, write_csv
 from .signal_engine import TradeRecord
 
@@ -233,6 +233,9 @@ def write_regime_csv(per_regime: Dict[str, dict], path: str) -> None:
 # Circular block bootstrap
 # ---------------------------------------------------------------------------
 
+BOOTSTRAP_CHUNK = 256  # replicates scored per sharpe_rows call
+
+
 def _circular_block_indices(rng: np.random.Generator, n: int,
                             block_len: int) -> np.ndarray:
     n_blocks = -(-n // block_len)
@@ -273,17 +276,26 @@ def bootstrap_sharpe_test(
     delta = sr_a - sr_b
 
     deltas = np.empty(n_reps)
-    for rep in range(n_reps):
-        rng = np.random.default_rng([seed, rep])
-        for attempt in range(11):
-            idx = _circular_block_indices(rng, n, block_len)
-            sr_ra = rolling_sharpe(a[idx], rf_annual, bars_per_year)
-            sr_rb = rolling_sharpe(b[idx], rf_annual, bars_per_year)
-            if sr_ra is not None and sr_rb is not None:
-                deltas[rep] = sr_ra - sr_rb
-                break
-        else:
-            raise ValueError(f"replicate {rep}: Sharpe undefined after 10 redraws")
+    for lo in range(0, n_reps, BOOTSTRAP_CHUNK):
+        rngs = [np.random.default_rng([seed, rep])
+                for rep in range(lo, min(lo + BOOTSTRAP_CHUNK, n_reps))]
+        idx = np.stack([_circular_block_indices(rng, n, block_len)
+                        for rng in rngs])
+        sr_ra = sharpe_rows(a[idx], rf_annual, bars_per_year)
+        sr_rb = sharpe_rows(b[idx], rf_annual, bars_per_year)
+        deltas[lo:lo + len(rngs)] = sr_ra - sr_rb
+        # A replicate with an undefined Sharpe redraws from its own stream.
+        for k in np.flatnonzero(np.isnan(sr_ra) | np.isnan(sr_rb)).tolist():
+            for _ in range(10):
+                row = _circular_block_indices(rngs[k], n, block_len)
+                ra = rolling_sharpe(a[row], rf_annual, bars_per_year)
+                rb = rolling_sharpe(b[row], rf_annual, bars_per_year)
+                if ra is not None and rb is not None:
+                    deltas[lo + k] = ra - rb
+                    break
+            else:
+                raise ValueError(f"replicate {lo + k}: Sharpe undefined"
+                                 " after 10 redraws")
 
     centered = deltas - delta
     # Tail offsets use |delta| so relabeling (a, b) -> (b, a) flips both

@@ -21,7 +21,7 @@ import numpy as np
 from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
                           PriceSeries, month_add, month_floor, month_id,
-                          read_csv, write_csv)
+                          read_csv, write_columns)
 from .rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
                          RebalanceConfig, run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
@@ -110,7 +110,12 @@ def union_timeline(universe: Dict[str, PriceSeries],
     for series in universe.values():
         i0, i1 = series.arrays.slice_indices(window[0], window[1])
         chunks.append(series.arrays.timestamps[i0:i1])
-    return np.unique(np.concatenate(chunks))
+    # The chunks are sorted runs, which a stable sort merges faster than
+    # np.unique's hash; then drop the repeats.
+    merged = np.sort(np.concatenate(chunks), kind="stable")
+    first = np.ones(len(merged), dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    return merged[first]
 
 
 def aggregate_results(
@@ -189,6 +194,9 @@ def run_windows(
     the first window, the trades sorted by (entry, exit, symbol, side), and
     the curve's realized / open_mtm / open_costs decomposition.
     """
+    # Windows are consecutive, so each one's timeline is a slice of the
+    # timeline of the span from the first window to the last.
+    span = union_timeline(universe, (windows[0][0], windows[-1][1]))
     balance = initial_balance
     realized_total = 0.0
     ts_chunks = [np.array([windows[0][0] - interval], dtype=np.int64)]
@@ -203,7 +211,8 @@ def run_windows(
         results = simulate(window, balance)
         for res in results:
             trades.extend(res.trades)
-        timeline = union_timeline(universe, window)
+        timeline = span[np.searchsorted(span, window[0]):
+                        np.searchsorted(span, window[1], side="right")]
         if len(timeline) == 0:
             logger.warning("%s: no bars in [%d, %d]; period skipped",
                            month_id(window[0]), window[0], window[1])
@@ -368,8 +377,8 @@ def run_ablation(
 # ---------------------------------------------------------------------------
 
 def save_equity(curve: EquityCurve, path: str) -> None:
-    write_csv(path, EQUITY_HEADER, ([int(ts), bal] for ts, bal
-                                    in zip(curve.timestamps, curve.balances)))
+    write_columns(path, EQUITY_HEADER,
+                  [curve.timestamps.tolist(), curve.balances.tolist()])
 
 
 def load_equity(path: str) -> EquityCurve:

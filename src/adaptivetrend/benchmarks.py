@@ -100,6 +100,16 @@ def hold_position(
 # Signals
 # ---------------------------------------------------------------------------
 
+def top_cap_symbol(caps: Sequence[MarketCapRecord],
+                   month_start: int) -> Optional[str]:
+    """The largest-cap symbol (ties: the smaller name) on the latest cap
+    snapshot before month_start; None without one. buy_hold holds it."""
+    snapshot = cap_snapshot(caps, date_of_ts(month_start - 1))
+    if not snapshot:
+        return None
+    return min(snapshot, key=lambda s: (-snapshot[s], s))
+
+
 def trailing_month_return(series: PriceSeries, month_start: int,
                           lookback_months: int) -> Optional[float]:
     """Return over the trailing lookback calendar months ending at month_start."""
@@ -186,10 +196,9 @@ def run_benchmark(
     if spec.kind == "buy_hold":
         symbol = spec.symbol
         if symbol is None:
-            snapshot = cap_snapshot(caps, date_of_ts(months[0] - 1))
-            if not snapshot:
+            symbol = top_cap_symbol(caps, months[0])
+            if symbol is None:
                 raise DataError("buy_hold needs a cap snapshot to pick a symbol")
-            symbol = sorted(snapshot, key=lambda s: (-snapshot[s], s))[0]
         series = universe.get(symbol)
         if series is None:
             raise ValueError(f"buy_hold symbol {symbol!r} not in universe")

@@ -38,16 +38,15 @@ from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve,
                          load_equity, run_ablation, save_equity, snap_to_month,
                          ABLATION_VARIANTS)
-from .benchmarks import BenchmarkSpec, run_benchmark
+from .benchmarks import BenchmarkSpec, run_benchmark, top_cap_symbol
 from .cost_model import CostConfig, load_funding_rates
-from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
-                          PriceSeries, SyntheticSpec, atomic_write_text,
-                          bars_per_year, date_of_ts,
+from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
+                          SyntheticSpec, atomic_write_text, bars_per_year,
                           generate_synthetic_universe, load_market_caps,
-                          load_price_series, read_csv, resample_series,
-                          save_market_caps, save_price_series, write_csv)
-from .rebalancer import (CapIndex, Optimizer, ParamGrid, RebalanceConfig,
-                         cap_snapshot)
+                          load_price_series, month_id, read_csv,
+                          resample_series, save_market_caps,
+                          save_price_series, write_csv)
+from .rebalancer import Optimizer, ParamGrid, RebalanceConfig
 from .signal_engine import write_ledger
 
 logger = logging.getLogger(__name__)
@@ -299,7 +298,7 @@ def load_universe(data_dir: str, interval: int
     if not os.path.isdir(data_dir):
         raise DataError(f"data directory not found: {data_dir}")
     universe: Dict[str, PriceSeries] = {}
-    caps: List[MarketCapRecord] = []
+    caps = CapIndex()
     for name in sorted(os.listdir(data_dir)):
         if not name.endswith(".csv"):
             continue
@@ -313,7 +312,7 @@ def load_universe(data_dir: str, interval: int
             universe[series.symbol] = series
     if not universe:
         raise DataError(f"no OHLCV files found in {data_dir}")
-    return universe, CapIndex(caps)
+    return universe, caps
 
 
 def digest_dir(data_dir: str) -> Dict[str, str]:
@@ -406,6 +405,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_buy_hold_symbol(cfg, bt_cfg: BacktestConfig, data_dir: str,
+                           universe: Dict[str, PriceSeries],
+                           caps: CapIndex) -> None:
+    """Fail before the run if btc_bh has no symbol to buy in the universe."""
+    symbol = cfg["benchmarks.buy_hold_symbol"]
+    if symbol is not None:
+        if symbol not in universe:
+            raise ConfigError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
+                              f" in the universe in {data_dir}")
+        return
+    first = snap_to_month(bt_cfg.start)
+    if first > bt_cfg.end:
+        return  # the run itself reports the missing month boundary
+    symbol = top_cap_symbol(caps, first)
+    if symbol is None:
+        raise DataError(f"btc_bh: no market-cap snapshot in {data_dir} before"
+                        f" {month_id(first)} to pick a symbol from; set"
+                        " benchmarks.buy_hold_symbol")
+    if symbol not in universe:
+        raise DataError(f"btc_bh: largest-cap symbol {symbol!r} before"
+                        f" {month_id(first)} has no OHLCV file in {data_dir}")
+
+
 def _write_run_artifacts(out_dir: str, label: str, variant: str,
                          report, result: BacktestResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -432,11 +454,8 @@ def cmd_backtest(args) -> int:
                                   f" of {tuple(BENCHMARKS)}")
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, bt_cfg.interval)
-        symbol = cfg["benchmarks.buy_hold_symbol"]
-        if ("btc_bh" in cfg["benchmarks.kinds"] and symbol is not None
-                and symbol not in universe):
-            raise ConfigError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
-                              f" in the universe in {data_dir}")
+        if "btc_bh" in cfg["benchmarks.kinds"]:
+            _check_buy_hold_symbol(cfg, bt_cfg, data_dir, universe, caps)
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -483,11 +502,10 @@ def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
                             result: BacktestResult, bpy: float) -> None:
     ref_symbol = cfg["regimes.reference_symbol"]
     if ref_symbol is None:
-        snapshot = cap_snapshot(caps, date_of_ts(snap_to_month(bt_cfg.start) - 1))
-        if not snapshot:
+        ref_symbol = top_cap_symbol(caps, snap_to_month(bt_cfg.start))
+        if ref_symbol is None:
             logger.warning("regimes: no cap snapshot to pick a reference symbol")
             return
-        ref_symbol = sorted(snapshot, key=lambda s: (-snapshot[s], s))[0]
     ref = universe.get(ref_symbol)
     if ref is None:
         logger.warning("regimes: reference symbol %s not in universe", ref_symbol)

@@ -13,15 +13,15 @@ SeedSequence, so a fixed seed reproduces the universe bit for bit.
 """
 
 import csv
-import io
 import math
 import os
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, date, timezone
-from itertools import starmap
-from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, TextIO, Tuple, TypeVar)
+from functools import partial
+from itertools import chain, starmap
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, TypeVar)
 
 import numpy as np
 
@@ -167,6 +167,52 @@ class MarketCapRecord:
     cap: float
 
 
+class CapIndex:
+    """Daily market caps as parallel columns, with each date's snapshot in
+    date order so that cap_snapshot bisects instead of scanning.
+
+    Iterating yields MarketCapRecords in input order. A snapshot keeps input
+    order within its date, and a repeated (symbol, date) keeps its last cap.
+    Build one per run; building one from a CapIndex returns it unchanged.
+    """
+
+    def __new__(cls, caps: Iterable[MarketCapRecord] = ()) -> "CapIndex":
+        if isinstance(caps, CapIndex):
+            return caps
+        records = list(caps)
+        return cls.from_columns(
+            np.array([r.date for r in records], dtype="datetime64[D]"),
+            [r.symbol for r in records],
+            np.array([r.cap for r in records], dtype=np.float64))
+
+    @classmethod
+    def from_columns(cls, days: np.ndarray, symbols: Sequence[str],
+                     caps: np.ndarray) -> "CapIndex":
+        """Index datetime64[D] days, symbols and caps given in input order."""
+        self = super().__new__(cls)
+        symbols = list(symbols)
+        self._columns = (days, symbols, caps)
+        order = np.argsort(days, kind="stable")
+        day_sorted = days[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = day_sorted[1:] != day_sorted[:-1]
+        starts = np.flatnonzero(first).tolist()
+        sym_sorted = [symbols[i] for i in order.tolist()]
+        cap_sorted = caps[order].tolist()
+        self.dates: List[date] = day_sorted[starts].tolist()
+        self.snapshots: Dict[date, Dict[str, float]] = {
+            day: dict(zip(sym_sorted[a:b], cap_sorted[a:b]))
+            for day, a, b in zip(self.dates, starts, starts[1:] + [len(order)])}
+        return self
+
+    def __iter__(self) -> Iterator[MarketCapRecord]:
+        days, symbols, caps = self._columns
+        return map(MarketCapRecord, symbols, days.tolist(), caps.tolist())
+
+    def __len__(self) -> int:
+        return len(self._columns[1])
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a deterministic synthetic universe.
@@ -248,14 +294,13 @@ def read_csv(path: str, header: Sequence[str],
     return out
 
 
-@contextmanager
-def _atomic_file(path: str) -> Iterator[TextIO]:
-    """Text handle on a per-process temp file that is renamed over ``path``
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to a per-process temp file that is renamed over ``path``
     on success and removed on failure, so readers never see a partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            yield fh
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -263,31 +308,85 @@ def _atomic_file(path: str) -> Iterator[TextIO]:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(text)
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _cell(value: object) -> object:
+def _cell(value: object) -> str:
+    """One value as csv.writer writes it: None is an empty cell, a float is
+    its repr, so it reads back bit for bit (float.__repr__ also formats
+    NumPy's float scalars, whose own repr does not parse), and anything else
+    is its str, quoted when it holds a comma, a quote or a line break."""
     if value is None:
         return ""
     if isinstance(value, float):
-        # float() strips numpy scalar types whose repr is not parseable
-        return repr(float(value))
-    return value
+        return float.__repr__(value)
+    text = value if isinstance(value, str) else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(values: Sequence[object]) -> List[str]:
+    """_cell of every value; a column of plain floats or plain ints (bools
+    excluded) is formatted in one pass."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map(float.__repr__, values))
+    if kinds <= {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_cell, values))
+
+
+def _line(cells: Sequence[str]) -> str:
+    # A lone empty cell is quoted, as csv.writer does, or it reads back as a
+    # blank line.
+    return '""' if len(cells) == 1 and not cells[0] else ",".join(cells)
+
+
+def _write_lines(path: str, header: Sequence[str],
+                 lines: Iterable[str]) -> None:
+    """Header and lines, each ended by the \\r\\n csv.writer ends rows with,
+    written atomically once every line is formatted."""
+    text = "\r\n".join(chain([_line([_cell(h) for h in header])], lines))
+    atomic_write_text(path, text + "\r\n")
 
 
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
-    """Stream rows to ``path`` atomically; None is an empty cell and a float
-    is written as its repr, so every float reads back bit for bit."""
-    with _atomic_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+    """Write rows to ``path`` atomically, every value formatted by _cell."""
+    _write_lines(path, header, (_line([_cell(v) for v in row]) for row in rows))
+
+
+def write_columns(path: str, header: Sequence[str],
+                  columns: Sequence[Sequence[object]]) -> None:
+    """write_csv of the rows these equal-length columns make up, byte for
+    byte, formatting a whole column at a time."""
+    if len(columns) < 2:
+        return write_csv(path, header, zip(*columns))
+    cells = [_column_cells(col) for col in columns]
+    _write_lines(path, header, map(",".join, zip(*cells)))
 
 
 _OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
+# Dates are read one character wider than YYYY-MM-DD, so that a longer
+# field shows as one.
+_CAP_DTYPE = np.dtype([("date", "U11"), ("symbol", "O"), ("cap", "f8")])
+
+
+def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
+    """The rows after an exact header line, parsed by one np.loadtxt call on
+    the file itself. A header-only file gives no rows (loadtxt would warn);
+    a field that NumPy's C parser rejects raises its ValueError."""
+    with open(path, "r") as fh:
+        first = fh.readline()
+        has_rows = any(chunk.strip("\n")
+                       for chunk in iter(partial(fh.read, 1 << 16), ""))
+    if first.rstrip("\n") != ",".join(header):
+        raise DataError(f"{path}: line 1: expected header {','.join(header)}")
+    if not has_rows:
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                      skiprows=1, ndmin=1)
 
 
 def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
@@ -304,21 +403,16 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
     if symbol is None:
         stem = str(path).rsplit("/", 1)[-1]
         symbol = stem[:-4] if stem.endswith(".csv") else stem
-    with open(path, "r") as fh:
-        header, body = fh.readline(), fh.read()
-    if header.rstrip("\n") != ",".join(OHLCV_HEADER):
-        raise DataError(f"{path}: line 1: expected header {','.join(OHLCV_HEADER)}")
-    rows = np.zeros(0, dtype=_OHLCV_DTYPE)
-    if body.strip("\n"):  # else header-only, and loadtxt would warn
-        try:
-            rows = np.loadtxt(io.StringIO(body), dtype=_OHLCV_DTYPE,
-                              delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            # The row-by-row reader names the line of any malformed row;
-            # only what it accepts and the C parser does not gets here.
-            read_csv(path, OHLCV_HEADER,
-                     lambda row: (int(row[0]), [float(x) for x in row[1:]]))
-            raise DataError(f"{path}: {exc}") from exc
+    try:
+        rows = _load_rows(path, OHLCV_HEADER, _OHLCV_DTYPE)
+    except DataError:
+        raise
+    except ValueError as exc:
+        # The row-by-row reader names the line of any malformed row; only
+        # what it accepts and the C parser does not gets here.
+        read_csv(path, OHLCV_HEADER,
+                 lambda row: (int(row[0]), [float(x) for x in row[1:]]))
+        raise DataError(f"{path}: {exc}") from exc
     order = np.argsort(rows["timestamp"], kind="stable")
     arrays = SeriesArrays(*(rows[name][order] for name in OHLCV_HEADER))
     try:
@@ -329,12 +423,48 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
 
 def save_price_series(series: PriceSeries, path: str) -> None:
     """Write a series back to the OHLCV CSV schema (round-trips exactly)."""
-    write_csv(path, OHLCV_HEADER, series.arrays.bars(0, len(series)))
+    write_columns(path, OHLCV_HEADER,
+                  [col.tolist() for col in series.arrays.columns()])
 
 
-def load_market_caps(path: str) -> List[MarketCapRecord]:
-    """Load daily market-cap records; rejects caps that are not positive and
-    finite, and duplicate (symbol, date) records."""
+def _plain_caps(path: str) -> CapIndex:
+    """load_market_caps' columnar path: one np.loadtxt call, then checks over
+    whole columns. It takes only a plain file, valid with YYYY-MM-DD dates
+    and no quotes, and raises ValueError for anything else, valid or not."""
+    rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE)
+    text, day_of_row = np.unique(rows["date"], return_inverse=True)
+    caps = rows["cap"].copy()
+    symbols = rows["symbol"].tolist()
+    del rows  # and with it the fixed-width date strings
+    chars = text.view("U1").reshape(-1, 11)
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
+    plain = (((digits >= "0") & (digits <= "9")).all()
+             and (chars[:, [4, 7]] == "-").all() and (chars[:, 10] == "").all()
+             and ((caps > 0) & (caps < INF)).all()
+             and not any('"' in sym for sym in set(symbols)))
+    if not plain:
+        raise ValueError("not a plain market-cap file")
+    days = text.astype("datetime64[D]")  # a ValueError for a day out of range
+    if not (days >= np.datetime64(date.min)).all():
+        raise ValueError("year 0")
+    index = CapIndex.from_columns(days[day_of_row], symbols, caps)
+    if sum(map(len, index.snapshots.values())) != len(symbols):
+        raise ValueError("duplicate (symbol, date) record")
+    return index
+
+
+def load_market_caps(path: str) -> CapIndex:
+    """Load daily market caps; rejects caps that are not positive and finite,
+    and duplicate (symbol, date) records.
+
+    A plain file is parsed in columns. Anything else, bad rows included, is
+    read again row by row: that names the line of a bad row, and loads what
+    only the CSV reader takes, such as quoted symbols.
+    """
+    try:
+        return _plain_caps(path)
+    except ValueError:
+        pass
     seen = set()
 
     def parse(row: List[str]) -> MarketCapRecord:
@@ -346,7 +476,7 @@ def load_market_caps(path: str) -> List[MarketCapRecord]:
         seen.add((sym, day))
         return MarketCapRecord(symbol=sym, date=day, cap=cap)
 
-    return read_csv(path, MARKET_CAP_HEADER, parse)
+    return CapIndex(read_csv(path, MARKET_CAP_HEADER, parse))
 
 
 def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:

@@ -21,14 +21,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
-from .market_data import (MarketCapRecord, PriceSeries, bars_per_year,
-                          date_of_ts, month_add, month_id)
+from .market_data import (CapIndex, MarketCapRecord, PriceSeries,
+                          bars_per_year, date_of_ts, month_add, month_id)
 from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -110,22 +110,6 @@ class MonthlyPortfolio:
 # ---------------------------------------------------------------------------
 # Stage 1: market-cap filtering
 # ---------------------------------------------------------------------------
-
-class CapIndex(tuple):
-    """Cap records (a tuple) plus each date's snapshot in date order, so that
-    cap_snapshot bisects instead of scanning. Build one per run; building one
-    from a CapIndex returns it unchanged."""
-
-    def __new__(cls, caps: Iterable[MarketCapRecord]) -> "CapIndex":
-        if isinstance(caps, cls):
-            return caps
-        self = super().__new__(cls, caps)
-        self.snapshots: Dict[date, Dict[str, float]] = {}
-        for r in sorted(self, key=lambda r: r.date):  # stable: file order
-            self.snapshots.setdefault(r.date, {})[r.symbol] = r.cap
-        self.dates = list(self.snapshots)
-        return self
-
 
 def cap_snapshot(caps: Sequence[MarketCapRecord],
                  as_of: date) -> Optional[Dict[str, float]]:

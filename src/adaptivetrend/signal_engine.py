@@ -18,7 +18,7 @@ execution model that trades.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .cost_model import LONG, SHORT, CostConfig, fill_costs, funding_schedule
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import (PriceSeries, SeriesArrays, bars_per_year, read_csv,
-                          write_csv)
+                          write_columns)
 
 SIDE_CHOICES = ("long", "short", "both")
 
@@ -487,11 +487,11 @@ def grid_sharpes(
 # ---------------------------------------------------------------------------
 
 def write_ledger(trades: List[TradeRecord], path: str) -> None:
-    write_csv(path, LEDGER_HEADER, (
-        [t.symbol, t.side, t.entry_ts, t.entry_px, t.exit_ts, t.exit_px,
-         t.size, t.gross_pnl, t.fee_cost, t.slippage_cost, t.funding_cost,
-         t.net_pnl, int(t.forced)]
-        for t in trades))
+    # TradeRecord's fields are the ledger's columns, in order.
+    columns = [[getattr(t, f.name) for t in trades]
+               for f in fields(TradeRecord)]
+    columns[-1] = [int(forced) for forced in columns[-1]]
+    write_columns(path, LEDGER_HEADER, columns)
 
 
 def _parse_trade(row: List[str]) -> TradeRecord:

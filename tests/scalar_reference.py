@@ -3,42 +3,50 @@
 These are the loader, the resampler and the cap snapshot as they were when a
 series was a tuple of Bar objects: every CSV row parsed with int()/float(),
 every bar validated by its own call, bars grouped into dict buckets, and
-every cap lookup a scan over all records. Then the accounting as it was
-before the engine and the benchmarks shared one ledger: the scalar fee and
-slippage of one fill, funding summed per holding interval, the per-bar
-state machine (one branch per side) that trades were found with before
-there was one trade search, the engine charging every cost bar by bar, the
-benchmarks' own hold loop, and the two month loops (the strategy's and the
-benchmarks'). The tests check the code in ``adaptivetrend`` against them.
+every cap lookup a scan over all records. Then the cap loader and the CSV
+writer as they were before they worked in columns (one record per cap row,
+csv.writer for every file), and the bootstrap scoring one replicate at a
+time. Then the accounting as it was before the engine and the benchmarks
+shared one ledger: the scalar fee and slippage of one fill, funding summed
+per holding interval, the per-bar state machine (one branch per side) that
+trades were found with before there was one trade search, the engine
+charging every cost bar by bar, the benchmarks' own hold loop, and the two
+month loops (the strategy's and the benchmarks'). The tests check the code
+in ``adaptivetrend`` against them.
 """
 
 import bisect
+import csv
 import logging
 import math
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from adaptivetrend.analytics import compute_metrics
-from adaptivetrend.backtester import (BacktestConfig, BacktestResult,
-                                      EquityCurve, _check_history,
+from adaptivetrend.analytics import (BootstrapResult, _circular_block_indices,
+                                     compute_metrics)
+from adaptivetrend.backtester import (EQUITY_HEADER, BacktestConfig,
+                                      BacktestResult, EquityCurve,
+                                      _check_history,
                                       aggregate_results, month_starts_between,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkRun, BenchmarkSpec, _month_weights
 from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
-from adaptivetrend.indicators import atr, momentum
-from adaptivetrend.market_data import (DEFAULT_INTERVAL, OHLCV_HEADER, Bar,
-                                       DataError, MarketCapRecord,
+from adaptivetrend.indicators import atr, momentum, rolling_sharpe
+from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
+                                       OHLCV_HEADER, Bar, DataError,
+                                       MarketCapRecord,
                                        PriceSeries, SeriesArrays,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
 from adaptivetrend.rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
                                      run_rebalance)
-from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
-                                         SingleAssetResult, StrategyParams,
-                                         TradeRecord, gross_pnl)
+from adaptivetrend.signal_engine import (LEDGER_HEADER, SIDE_CHOICES,
+                                         EngineError, SingleAssetResult,
+                                         StrategyParams, TradeRecord,
+                                         gross_pnl)
 
 INF = math.inf
 
@@ -143,6 +151,104 @@ def cap_snapshot(caps: Sequence[MarketCapRecord],
         return None
     snapshot_date = max(dates)
     return {r.symbol: r.cap for r in caps if r.date == snapshot_date}
+
+
+def load_market_caps(path: str) -> List[MarketCapRecord]:
+    """Cap records of a market-cap file, one csv row at a time."""
+    seen = set()
+
+    def parse(row: List[str]) -> MarketCapRecord:
+        day, sym, cap = date.fromisoformat(row[0]), row[1], float(row[2])
+        if not 0 < cap < INF:
+            raise DataError(f"cap must be positive and finite, got {cap}")
+        if (sym, day) in seen:
+            raise DataError(f"duplicate record for {sym} {day}")
+        seen.add((sym, day))
+        return MarketCapRecord(symbol=sym, date=day, cap=cap)
+
+    return read_csv(path, MARKET_CAP_HEADER, parse)
+
+
+def cap_snapshots(caps: Sequence[MarketCapRecord]
+                  ) -> Dict[date, Dict[str, float]]:
+    """Each date's snapshot, records sorted by date (stably) and filed one
+    at a time, as the record-tuple CapIndex built them."""
+    snapshots: Dict[date, Dict[str, float]] = {}
+    for r in sorted(caps, key=lambda r: r.date):
+        snapshots.setdefault(r.date, {})[r.symbol] = r.cap
+    return snapshots
+
+
+def _cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence[object]]) -> None:
+    """csv.writer's rows, every cell through _cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def save_equity(curve: EquityCurve, path: str) -> None:
+    write_csv(path, EQUITY_HEADER, ([int(ts), bal] for ts, bal
+                                    in zip(curve.timestamps, curve.balances)))
+
+
+def write_ledger(trades: Sequence[TradeRecord], path: str) -> None:
+    write_csv(path, LEDGER_HEADER, (
+        [t.symbol, t.side, t.entry_ts, t.entry_px, t.exit_ts, t.exit_px,
+         t.size, t.gross_pnl, t.fee_cost, t.slippage_cost, t.funding_cost,
+         t.net_pnl, int(t.forced)]
+        for t in trades))
+
+
+def bootstrap_sharpe_test(returns_a: Sequence[float],
+                          returns_b: Sequence[float], n_reps: int = 10_000,
+                          block_len: int = 20, seed: int = 0,
+                          rf_annual: float = 0.045,
+                          bars_per_year: float = 1460.0) -> BootstrapResult:
+    """The bootstrap scoring one replicate at a time, two rolling_sharpe
+    calls each."""
+    a = np.asarray(returns_a, dtype=np.float64)
+    b = np.asarray(returns_b, dtype=np.float64)
+    if len(a) != len(b):
+        raise ValueError("return series must have equal length")
+    n = len(a)
+    if n < 2 * block_len:
+        raise ValueError(f"need at least {2 * block_len} observations, got {n}")
+    sr_a = rolling_sharpe(a, rf_annual, bars_per_year)
+    sr_b = rolling_sharpe(b, rf_annual, bars_per_year)
+    if sr_a is None or sr_b is None:
+        raise ValueError("Sharpe undefined on an input series")
+    delta = sr_a - sr_b
+
+    deltas = np.empty(n_reps)
+    for rep in range(n_reps):
+        rng = np.random.default_rng([seed, rep])
+        for attempt in range(11):
+            idx = _circular_block_indices(rng, n, block_len)
+            sr_ra = rolling_sharpe(a[idx], rf_annual, bars_per_year)
+            sr_rb = rolling_sharpe(b[idx], rf_annual, bars_per_year)
+            if sr_ra is not None and sr_rb is not None:
+                deltas[rep] = sr_ra - sr_rb
+                break
+        else:
+            raise ValueError(f"replicate {rep}: Sharpe undefined after 10 redraws")
+
+    centered = deltas - delta
+    mag = abs(delta)
+    p_hi = float(np.mean(centered >= mag))
+    p_lo = float(np.mean(centered <= -mag))
+    p_value = min(1.0, 2.0 * min(p_hi, p_lo))
+    return BootstrapResult(delta_sr=delta, p_value=p_value,
+                           n_reps=n_reps, block_len=block_len)
 
 
 def fee(notional: float, cfg: CostConfig) -> float:

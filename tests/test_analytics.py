@@ -17,6 +17,7 @@ from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import SECONDS_PER_YEAR
 from adaptivetrend.signal_engine import TradeRecord
 from conftest import INTERVAL, T0, make_series
+import scalar_reference
 
 
 def curve(balances, timestamps=None) -> EquityCurve:
@@ -349,6 +350,22 @@ class TestBootstrap:
         wiggly = np.random.default_rng(0).normal(0.0, 0.01, size=100)
         with pytest.raises(ValueError):
             bootstrap_sharpe_test(rigid, wiggly, n_reps=10, block_len=10)
+
+    @pytest.mark.parametrize("n_reps", [1, 255, 257, 600])
+    def test_chunks_match_one_replicate_at_a_time(self, n_reps):
+        # a is zero but for one spike, so that many replicates miss it, are
+        # constant, have no Sharpe and are redrawn from their own streams.
+        r = np.random.default_rng(7)
+        a = np.zeros(60)
+        a[17] = 0.05
+        b = r.normal(0.0, 0.01, size=60)
+        args = dict(n_reps=n_reps, block_len=20, seed=11)
+        assert bootstrap_sharpe_test(a, b, **args) == \
+            scalar_reference.bootstrap_sharpe_test(a, b, **args)
+        a, b = self.returns_pair(seed=3)
+        args = dict(n_reps=n_reps, block_len=10, seed=4)
+        assert bootstrap_sharpe_test(a, b, **args) == \
+            scalar_reference.bootstrap_sharpe_test(a, b, **args)
 
     def test_result_is_frozen_dataclass(self):
         res = BootstrapResult(delta_sr=0.5, p_value=0.04, n_reps=100,

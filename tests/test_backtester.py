@@ -15,7 +15,8 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import DataError, MarketCapRecord
+from adaptivetrend.market_data import (DataError, MarketCapRecord,
+                                       PriceSeries, SeriesArrays)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import SingleAssetResult
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,25 @@ class TestAggregation:
                                              T0 + 5 * INTERVAL))
         assert timeline.tolist() == [T0 + 3 * INTERVAL, T0 + 4 * INTERVAL,
                                      T0 + 5 * INTERVAL]
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(st.lists(st.integers(1, 3), max_size=20),
+                          max_size=5),
+           window=st.tuples(st.integers(-2, 40), st.integers(-2, 40)))
+    def test_union_timeline_is_the_unique_timestamps(self, steps, window):
+        # Overlapping symbols with gaps, each a sorted run of timestamps.
+        universe = {}
+        for j, symbol_steps in enumerate(steps):
+            ts = T0 + (j + np.cumsum(symbol_steps, dtype=np.int64)) * INTERVAL
+            flat = np.full(len(ts), 10.0)
+            universe[f"S{j}"] = PriceSeries(f"S{j}", INTERVAL, SeriesArrays(
+                ts, flat, flat, flat, flat, flat))
+        lo, hi = (T0 + k * INTERVAL for k in window)
+        inside = [ts[(ts >= lo) & (ts <= hi)]
+                  for ts in (u.arrays.timestamps for u in universe.values())]
+        expected = np.unique(np.concatenate([np.empty(0, np.int64)] + inside))
+        got = union_timeline(universe, (lo, hi))
+        assert got.dtype == np.int64 and got.tolist() == expected.tolist()
 
     def _result(self, timestamps, realized, mtm, ocost):
         n = len(timestamps)

@@ -283,6 +283,37 @@ class TestBacktest:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_buy_hold_without_cap_snapshot_rejected(self, ws, tmp_path,
+                                                    capsys):
+        # no buy_hold_symbol and no market_caps.csv: nothing to buy, found
+        # before the strategy runs and writes its artifacts
+        data = tmp_path / "data"
+        shutil.copytree(ws.data, data)
+        (data / "market_caps.csv").unlink()
+        cfg = write_config(tmp_path / "c.cfg", data,
+                           extra="benchmarks.kinds = btc_bh\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: btc_bh: no market-cap snapshot")
+        assert str(data) in err and "2022-02" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_buy_hold_largest_cap_without_prices_rejected(self, ws, tmp_path,
+                                                          capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ws.data, data)
+        (data / "market_caps.csv").write_text(
+            "date,symbol,market_cap_usd\n2022-01-31,GHOST,1e15\n")
+        cfg = write_config(tmp_path / "c.cfg", data,
+                           extra="benchmarks.kinds = btc_bh\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: btc_bh: largest-cap symbol 'GHOST'")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_fee_axis(self, ws, tmp_path):

@@ -1,8 +1,10 @@
 """Data layer: bar validation, CSV IO, synthetic generation, resampling."""
 
+import csv
 import math
 import re
 import string
+import warnings
 from dataclasses import replace
 from datetime import date
 
@@ -12,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
                                       save_equity)
+from adaptivetrend import market_data
 from adaptivetrend.cost_model import FUNDING_HEADER, load_funding_rates
 from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
-                                       DataError, MarketCapRecord,
+                                       CapIndex, DataError, MarketCapRecord,
                                        PriceSeries, SyntheticSpec, bars_per_year,
                                        date_of_ts, generate_synthetic_universe,
                                        load_market_caps, load_price_series,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
-                                       save_price_series, write_csv)
+                                       save_price_series, write_columns,
+                                       write_csv)
 from adaptivetrend.signal_engine import (LEDGER_HEADER, TradeRecord,
                                          read_ledger, write_ledger)
 import scalar_reference
@@ -163,7 +167,7 @@ class TestCapsCsv:
         p.write_text("date,symbol,market_cap_usd\n"
                      "2022-01-01,BTC,9e11\n2022-01-01,ETH,4e11\n"
                      "2022-01-02,BTC,9.1e11\n2022-01-02,ETH,4.1e11\n")
-        records = load_market_caps(str(p))
+        records = list(load_market_caps(str(p)))
         assert len(records) == 4
         assert {r.symbol for r in records} == {"BTC", "ETH"}
         assert records[0].date == date(2022, 1, 1)
@@ -187,7 +191,7 @@ class TestCapsCsv:
                    MarketCapRecord(symbol="ETH", date=date(2022, 1, 2), cap=4e11)]
         p = tmp_path / "caps.csv"
         save_market_caps(records, str(p))
-        assert load_market_caps(str(p)) == records
+        assert list(load_market_caps(str(p))) == records
 
 
 class TestSyntheticGenerator:
@@ -346,6 +350,8 @@ def _plain(loaded):
                 loaded.bankrupt)
     if isinstance(loaded, PriceSeries):
         return loaded.symbol, loaded.interval, bars_of(loaded), loaded.gaps
+    if isinstance(loaded, CapIndex):
+        return list(loaded)
     return loaded
 
 
@@ -440,7 +446,7 @@ class TestCsvRoundTrip:
     def test_market_caps(self, tmp_path_factory, records):
         p = tmp_path_factory.mktemp("rt") / "caps.csv"
         save_market_caps(records, str(p))
-        assert load_market_caps(str(p)) == records
+        assert list(load_market_caps(str(p))) == records
 
     @ROUND_TRIP
     @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL, AMOUNT),
@@ -604,6 +610,203 @@ class TestColumnarLoaderMatchesScalar:
             return scalar_reference.columns(series_bars), gaps
 
         assert _loaded(columnar) == _loaded(scalar)
+
+
+# A mix of plain symbols, which the columnar path reads, and symbols that
+# csv.writer quotes, which only the row parser reads.
+CAP_SYMBOL = st.one_of(st.sampled_from(["BTC", "ETH", "SOL", "a b", ""]), SYMBOL)
+# Fields that both cap loaders must read alike: dates that only
+# date.fromisoformat takes or that neither does, and caps that break a rule
+# or the parse.
+ODD_CAP_FIELD = {
+    0: st.sampled_from(["2022-02-30", "2022-1-1", "20220101", "0000-01-01",
+                        "10000-01-01", "2022-01-01T00", " 2022-01-01", "NaT",
+                        "", "x"]),
+    2: st.sampled_from(["0", "-0.0", "-1e9", "inf", "-inf", "nan", "1e400",
+                        "x1", "", "1_000", "\u0661", " 5", "5e-324"]),
+}
+
+
+@st.composite
+def caps_rows(draw):
+    """Rows of a market-cap file in file order, dates out of order and
+    several symbols to a date, with at most one edit."""
+    records = draw(st.lists(
+        st.tuples(st.dates(date(2021, 12, 30), date(2022, 1, 2)), CAP_SYMBOL,
+                  POSITIVE),
+        unique_by=lambda r: (r[0], r[1]), max_size=12))
+    rows = [[day.isoformat(), sym, repr(cap)] for day, sym, cap in records]
+    edit = draw(st.sampled_from(["none"] * 4 + ["odd", "duplicate", "extra",
+                                                "short", "blank"]))
+    if rows and edit != "none":
+        k = draw(st.integers(0, len(rows) - 1))
+        if edit == "odd":
+            col = draw(st.sampled_from(sorted(ODD_CAP_FIELD)))
+            rows[k][col] = draw(ODD_CAP_FIELD[col])
+        elif edit == "duplicate":  # a later row repeats (date, symbol)
+            rows.insert(draw(st.integers(k + 1, len(rows))),
+                        rows[k][:2] + ["1e9"])
+        elif edit == "extra":
+            rows[k].append("1")
+        elif edit == "short":
+            rows[k].pop()
+        else:
+            rows.insert(k, [])
+    return rows
+
+
+def _cap_snapshot_items(snapshots):
+    return [(day, list(snapshot.items())) for day, snapshot in snapshots.items()]
+
+
+class TestColumnarCapsLoaderMatchesRowParser:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=caps_rows(), newline=st.sampled_from(["\n", "\r\n"]),
+           quoting=st.sampled_from([csv.QUOTE_MINIMAL] * 4 + [csv.QUOTE_ALL]))
+    def test_same_snapshots_or_same_error(self, tmp_path_factory, rows,
+                                          newline, quoting):
+        p = tmp_path_factory.mktemp("caps") / "market_caps.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=newline, quoting=quoting)
+            writer.writerow(MARKET_CAP_HEADER)
+            writer.writerows(rows)
+
+        def columnar():
+            index = load_market_caps(str(p))
+            return list(index), index.dates, _cap_snapshot_items(index.snapshots)
+
+        def rows_parsed():
+            records = scalar_reference.load_market_caps(str(p))
+            snapshots = scalar_reference.cap_snapshots(records)
+            return records, list(snapshots), _cap_snapshot_items(snapshots)
+
+        def outcome(load):
+            try:
+                return load()
+            except DataError as exc:
+                return "error", str(exc)
+
+        assert outcome(columnar) == outcome(rows_parsed)
+
+    def test_plain_file_is_read_in_columns(self, tmp_path, monkeypatch):
+        p = tmp_path / "market_caps.csv"
+        p.write_text("date,symbol,market_cap_usd\n2022-01-02,ETH,4e11\n"
+                     "2022-01-01,BTC,9e11\n2022-01-02,BTC,9.1e11\n")
+
+        def no_row_parser(*args):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(market_data, "read_csv", no_row_parser)
+        index = load_market_caps(str(p))
+        assert index.dates == [date(2022, 1, 1), date(2022, 1, 2)]
+        assert _cap_snapshot_items(index.snapshots) == [
+            (date(2022, 1, 1), [("BTC", 9e11)]),
+            (date(2022, 1, 2), [("ETH", 4e11), ("BTC", 9.1e11)])]
+        assert [r.symbol for r in index] == ["ETH", "BTC", "BTC"]
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
+    def test_header_only_file_is_empty(self, tmp_path, body):
+        p = tmp_path / "market_caps.csv"
+        p.write_bytes((",".join(MARKET_CAP_HEADER) + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = load_market_caps(str(p))
+        assert list(index) == [] and index.dates == [] and len(index) == 0
+
+    def test_crlf_loads_like_lf(self, tmp_path):
+        lines = [",".join(MARKET_CAP_HEADER), "2022-01-02,ETH,4e11",
+                 "2022-01-01,BTC,9e11"]
+        ohlcv = [",".join(OHLCV_HEADER), f"{T0 + INTERVAL},10,11,9,10.5,100",
+                 f"{T0},10,11,9,10.5,100"]
+        loaded = {}
+        for newline in ("\n", "\r\n"):
+            caps, prices = tmp_path / "market_caps.csv", tmp_path / "SYM.csv"
+            caps.write_bytes((newline.join(lines) + newline).encode())
+            prices.write_bytes((newline.join(ohlcv) + newline).encode())
+            index = load_market_caps(str(caps))
+            loaded[newline] = (list(index), index.dates,
+                               _cap_snapshot_items(index.snapshots),
+                               _plain(load_price_series(str(prices),
+                                                        interval=INTERVAL)))
+        assert loaded["\n"] == loaded["\r\n"]
+
+
+# ---------------------------------------------------------------------------
+# The column writer against csv.writer
+# ---------------------------------------------------------------------------
+
+EDGE_FLOAT = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,  # subnormals
+    2.2250738585072014e-308, 1e-4, 9.999999999999999e-05, -1e-4,
+    1e16, 9999999999999998.0, -1e16, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.inf, -math.inf, math.nan])
+ANY_FLOAT = st.one_of(EDGE_FLOAT, st.floats())
+FINITE = st.one_of(EDGE_FLOAT.filter(math.isfinite),
+                   st.floats(allow_nan=False, allow_infinity=False))
+INT64 = st.integers(-2**63, 2**63 - 1)
+CSV_TEXT = st.text(alphabet=',"\r\n\t ab-', max_size=4)
+CELL = st.one_of(st.none(), st.booleans(), INT64, ANY_FLOAT,
+                 ANY_FLOAT.map(np.float64), CSV_TEXT)
+WRITER = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def ledger_trade(draw):
+    entry_ts, exit_ts = sorted(draw(st.lists(INT64, min_size=2, max_size=2,
+                                             unique=True)))
+    gross, fee, slip, funding = (draw(FINITE) for _ in range(4))
+    size = draw(ANY_FLOAT)
+    return TradeRecord(
+        symbol=draw(CSV_TEXT), side=draw(st.sampled_from(["long", "short"])),
+        entry_ts=entry_ts, entry_px=draw(ANY_FLOAT), exit_ts=exit_ts,
+        exit_px=draw(ANY_FLOAT),
+        size=np.float64(size) if draw(st.booleans()) else size,
+        gross_pnl=gross, fee_cost=fee, slippage_cost=slip,
+        funding_cost=funding, net_pnl=gross - fee - slip - funding,
+        forced=draw(st.booleans()))
+
+
+class TestColumnWriterMatchesCsvWriter:
+    @staticmethod
+    def written(tmp_path_factory, write_new, write_old):
+        d = tmp_path_factory.mktemp("w")
+        write_new(str(d / "new.csv"))
+        write_old(str(d / "old.csv"))
+        return (d / "new.csv").read_bytes(), (d / "old.csv").read_bytes()
+
+    @WRITER
+    @given(points=st.lists(st.tuples(INT64, ANY_FLOAT), max_size=12))
+    def test_equity(self, tmp_path_factory, points):
+        curve = EquityCurve(
+            timestamps=np.array([t for t, _ in points], dtype=np.int64),
+            balances=np.array([b for _, b in points], dtype=np.float64))
+        new, old = self.written(
+            tmp_path_factory, lambda p: save_equity(curve, p),
+            lambda p: scalar_reference.save_equity(curve, p))
+        assert new == old
+
+    @WRITER
+    @given(trades=st.lists(ledger_trade(), max_size=6))
+    def test_ledger(self, tmp_path_factory, trades):
+        new, old = self.written(
+            tmp_path_factory, lambda p: write_ledger(trades, p),
+            lambda p: scalar_reference.write_ledger(trades, p))
+        assert new == old
+
+    @WRITER
+    @given(width=st.integers(1, 4), data=st.data())
+    def test_any_cells(self, tmp_path_factory, width, data):
+        rows = data.draw(st.lists(st.lists(CELL, min_size=width,
+                                           max_size=width), max_size=6))
+        header = [f"c{i}" for i in range(width)]
+        columns = [list(col) for col in zip(*rows)] or [[]] * width
+        d = tmp_path_factory.mktemp("w")
+        scalar_reference.write_csv(str(d / "old.csv"), header, rows)
+        write_csv(str(d / "rows.csv"), header, rows)
+        write_columns(str(d / "columns.csv"), header, columns)
+        old = (d / "old.csv").read_bytes()
+        assert (d / "rows.csv").read_bytes() == old
+        assert (d / "columns.csv").read_bytes() == old
 
 
 @st.composite
