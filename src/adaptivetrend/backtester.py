@@ -9,7 +9,9 @@ exit idles until the month ends (weights are set once per month).
 
 Ablation variants toggle one pipeline component each and reuse the same loop.
 The loop over months itself (``run_windows``: marking, the balance roll and
-the halt at bankruptcy) is shared with the comparison benchmarks.
+the halt at bankruptcy) is shared with the comparison benchmarks. Every run
+over one loaded universe reads it through one ``Market``, which builds what
+the runs share once: the cap index, the timeline and the optimizer.
 """
 
 import logging
@@ -18,12 +20,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .analytics import compute_metrics
 from .cost_model import CostConfig
-from .market_data import (DEFAULT_INTERVAL, DataError, MarketCapRecord,
-                          PriceSeries, month_add, month_floor, month_id,
+from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
+                          bars_per_year, month_add, month_floor, month_id,
                           read_csv, write_columns)
-from .rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
-                         RebalanceConfig, run_rebalance)
+from .rebalancer import (MonthlyPortfolio, Optimizer, RebalanceConfig,
+                         run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -118,6 +121,25 @@ def union_timeline(universe: Dict[str, PriceSeries],
     return merged[first]
 
 
+class Market:
+    """One loaded universe and what every run over it shares, each built once.
+
+    ``series`` maps symbol to PriceSeries, ``caps`` is their CapIndex,
+    ``timeline`` the sorted union of every bar close (run_windows slices each
+    window out of it), and ``optimizer`` the Optimizer whose memo every run
+    over the market shares, so no month, sweep point or ablation solves a
+    grid search that another has solved. The series must not change while
+    the market is in use.
+    """
+
+    def __init__(self, series: Dict[str, PriceSeries], caps: CapIndex) -> None:
+        self.series = series
+        self.caps = caps
+        every = np.iinfo(np.int64)
+        self.timeline = union_timeline(series, (every.min, every.max))
+        self.optimizer = Optimizer(series)
+
+
 def aggregate_results(
     timeline: np.ndarray,
     results: Sequence[SingleAssetResult],
@@ -142,13 +164,11 @@ def aggregate_results(
     return realized, mtm, ocost
 
 
-def _check_history(universe: Dict[str, PriceSeries], first_month: int,
+def _check_history(timeline: np.ndarray, first_month: int,
                    last_month: int, interval: int) -> None:
-    live = [s for s in universe.values() if len(s) > 0]
-    if not live:
+    if len(timeline) == 0:
         raise DataError("universe has no bars")
-    earliest = min(int(s.arrays.timestamps[0]) for s in live)
-    latest = max(int(s.arrays.timestamps[-1]) for s in live)
+    earliest, latest = int(timeline[0]), int(timeline[-1])
     prev = month_add(first_month, -1)
     if earliest > prev + interval:
         raise DataError(
@@ -167,7 +187,7 @@ def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
 
 
 def run_windows(
-    universe: Dict[str, PriceSeries],
+    timeline: np.ndarray,
     windows: Sequence[Tuple[int, int]],
     initial_balance: float,
     interval: int,
@@ -179,11 +199,11 @@ def run_windows(
 
     ``simulate(window, balance)`` trades one window with positions sized on
     the balance at its start and returns their results. The account is
-    marked on the union of every universe symbol's closes in the window (so
-    the timeline does not depend on what was traded), and the balance at the
-    window's last close carries into the next window. A window with no bars
-    is skipped with a warning. A balance <= 0 halts the run there and flags
-    the curve.
+    marked on the window's slice of ``timeline``, the union of every universe
+    symbol's closes (so it does not depend on what was traded), and the
+    balance at the window's last close carries into the next window. A
+    window with no bars is skipped with a warning. A balance <= 0 halts the
+    run there and flags the curve.
 
     The strategy adds a window's net change to its starting balance in one
     step (net_first), the benchmarks add realized PnL, open MTM and open
@@ -194,9 +214,6 @@ def run_windows(
     the first window, the trades sorted by (entry, exit, symbol, side), and
     the curve's realized / open_mtm / open_costs decomposition.
     """
-    # Windows are consecutive, so each one's timeline is a slice of the
-    # timeline of the span from the first window to the last.
-    span = union_timeline(universe, (windows[0][0], windows[-1][1]))
     balance = initial_balance
     realized_total = 0.0
     ts_chunks = [np.array([windows[0][0] - interval], dtype=np.int64)]
@@ -211,13 +228,13 @@ def run_windows(
         results = simulate(window, balance)
         for res in results:
             trades.extend(res.trades)
-        timeline = span[np.searchsorted(span, window[0]):
-                        np.searchsorted(span, window[1], side="right")]
-        if len(timeline) == 0:
+        marks = timeline[np.searchsorted(timeline, window[0]):
+                         np.searchsorted(timeline, window[1], side="right")]
+        if len(marks) == 0:
             logger.warning("%s: no bars in [%d, %d]; period skipped",
                            month_id(window[0]), window[0], window[1])
             continue
-        realized, mtm, ocost = aggregate_results(timeline, results)
+        realized, mtm, ocost = aggregate_results(marks, results)
         if net_first:
             balances = balance + (realized + mtm - ocost)
         else:
@@ -225,12 +242,13 @@ def run_windows(
         nonpositive = np.flatnonzero(balances <= 0.0)
         if len(nonpositive) > 0:
             stop_at = nonpositive[0] + 1
-            timeline, balances, realized, mtm, ocost = (
-                a[:stop_at] for a in (timeline, balances, realized, mtm, ocost))
+            marks, balances, realized, mtm, ocost = (
+                a[:stop_at] for a in (marks, balances, realized, mtm, ocost))
             bankrupt = True
-            logger.warning("balance depleted at %d; halting run", int(timeline[-1]))
+            logger.warning("balance depleted at %d; halting run",
+                           int(marks[-1]))
 
-        ts_chunks.append(timeline)
+        ts_chunks.append(marks)
         bal_chunks.append(balances)
         realized_chunks.append(realized_total + realized)
         mtm_chunks.append(mtm)
@@ -248,30 +266,24 @@ def run_windows(
     return equity, trades, parts
 
 
-def run_backtest(
-    universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
-    cfg: BacktestConfig,
-    optimizer: Optional[Optimizer] = None,
-) -> BacktestResult:
+def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
     """Run the monthly loop over [start, end] (end-inclusive bar timestamps).
 
     The start is snapped forward to a calendar month boundary. The balance
     rolls across months; a balance <= 0 halts the run and flags the curve.
-    The grid searches go to ``optimizer``, which runs that share it solve a
-    repeated problem once; without one, the run makes its own.
+    The grid searches go to the market's optimizer, so runs over one market
+    solve a repeated problem once.
     """
-    if optimizer is None:
-        optimizer = Optimizer(universe)
+    universe = market.series
     rcfg = cfg.rebalance
-    caps = CapIndex(caps)
     if not cfg.sharpe_filter_enabled:
         rcfg = replace(rcfg, gamma_long=float("-inf"), gamma_short=float("-inf"))
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
         raise DataError("no month boundary inside [start, end]")
-    _check_history(universe, month_starts[0], month_starts[-1], cfg.interval)
+    _check_history(market.timeline, month_starts[0], month_starts[-1],
+                   cfg.interval)
 
     portfolio: Optional[MonthlyPortfolio] = None
     rebalance_log: List[dict] = []
@@ -283,8 +295,9 @@ def run_backtest(
         m = window[0]
         if cfg.reoptimize_enabled or portfolio is None:
             portfolio, record = run_rebalance(
-                universe, caps, m, rcfg, cfg.costs, cfg.interval,
-                optimizer=optimizer, cap_filter_enabled=cfg.cap_filter_enabled,
+                universe, market.caps, m, rcfg, cfg.costs, cfg.interval,
+                optimizer=market.optimizer,
+                cap_filter_enabled=cfg.cap_filter_enabled,
                 trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill,
             )
@@ -318,8 +331,8 @@ def run_backtest(
         return results
 
     equity, trades, (realized, open_mtm, open_costs) = run_windows(
-        universe, month_windows(month_starts, cfg.end), cfg.initial_balance,
-        cfg.interval, simulate, net_first=True)
+        market.timeline, month_windows(month_starts, cfg.end),
+        cfg.initial_balance, cfg.interval, simulate, net_first=True)
     return BacktestResult(
         equity=equity,
         trades=trades,
@@ -350,22 +363,11 @@ def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
                      f" expected one of {ABLATION_VARIANTS}")
 
 
-def run_ablation(
-    universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
-    cfg: BacktestConfig,
-    variant: str,
-    optimizer: Optional[Optimizer] = None,
-):
+def run_ablation(market: Market, cfg: BacktestConfig, variant: str):
     """Run one ablation variant; returns (MetricsReport, BacktestResult).
 
-    ``optimizer`` is passed to run_backtest, so variants that share it
-    share their solved grid searches."""
-    from .analytics import compute_metrics  # deferred: analytics uses EquityCurve
-    from .market_data import bars_per_year
-
-    result = run_backtest(universe, caps, ablation_config(cfg, variant),
-                          optimizer)
+    Variants run over one market share its solved grid searches."""
+    result = run_backtest(market, ablation_config(cfg, variant))
     report = compute_metrics(result.equity, result.trades,
                              rf_annual=cfg.rebalance.rf_annual,
                              bars_per_year=bars_per_year(cfg.interval))

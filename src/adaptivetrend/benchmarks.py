@@ -26,21 +26,26 @@ weights, or a plain hold.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .analytics import MetricsReport, compute_metrics
-from .backtester import (BacktestConfig, EquityCurve, month_starts_between,
-                         month_windows, run_windows)
+from .backtester import (BacktestConfig, EquityCurve, Market,
+                         month_starts_between, month_windows, run_windows)
 from .cost_model import LONG, SHORT, CostConfig
-from .market_data import (DataError, MarketCapRecord, PriceSeries,
-                          bars_per_year, date_of_ts, month_add)
-from .rebalancer import CapIndex, cap_snapshot
+from .market_data import (CapIndex, DataError, PriceSeries, bars_per_year,
+                          date_of_ts, month_add)
+from .rebalancer import cap_snapshot
 from .signal_engine import SingleAssetResult, TradeRecord, book_trades
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
                    "equal_weight_buy_hold")
+
+# vol_scaled_tsmom: realized vol over the trailing 60 days, and a weight of
+# at most 4x equal weight.
+VOL_WINDOW_DAYS = 60
+VOL_RATIO_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,6 @@ class BenchmarkSpec:
     vol_target_annual: float = 0.10
     universe_size: int = 20
     symbol: Optional[str] = None
-    vol_window_days: int = 60
-    vol_ratio_cap: float = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in BENCHMARK_KINDS:
@@ -78,7 +81,7 @@ def hold_position(
     side: str,
     size: float,
     window: Tuple[int, int],
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     charge_funding: bool,
 ) -> SingleAssetResult:
     """Buy at the window's first bar close, sell at its last; no stops.
@@ -100,8 +103,7 @@ def hold_position(
 # Signals
 # ---------------------------------------------------------------------------
 
-def top_cap_symbol(caps: Sequence[MarketCapRecord],
-                   month_start: int) -> Optional[str]:
+def top_cap_symbol(caps: CapIndex, month_start: int) -> Optional[str]:
     """The largest-cap symbol (ties: the smaller name) on the latest cap
     snapshot before month_start; None without one. buy_hold holds it."""
     snapshot = cap_snapshot(caps, date_of_ts(month_start - 1))
@@ -138,7 +140,7 @@ def realized_vol(series: PriceSeries, month_start: int, window_days: int,
 def _month_weights(
     spec: BenchmarkSpec,
     universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
+    caps: CapIndex,
     month_start: int,
     bpy: float,
 ) -> List[Tuple[str, str, float]]:
@@ -164,11 +166,11 @@ def _month_weights(
         if spec.kind == "tsmom":
             signals.append((sym, side, 1.0))
         else:
-            sigma = realized_vol(series, month_start, spec.vol_window_days, bpy)
+            sigma = realized_vol(series, month_start, VOL_WINDOW_DAYS, bpy)
             if sigma is None:
                 continue
-            ratio = (spec.vol_ratio_cap if sigma == 0.0
-                     else min(spec.vol_target_annual / sigma, spec.vol_ratio_cap))
+            ratio = (VOL_RATIO_CAP if sigma == 0.0
+                     else min(spec.vol_target_annual / sigma, VOL_RATIO_CAP))
             signals.append((sym, side, ratio))
     if not signals:
         return []
@@ -180,15 +182,11 @@ def _month_weights(
 # Runner
 # ---------------------------------------------------------------------------
 
-def run_benchmark(
-    spec: BenchmarkSpec,
-    universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
-    cfg: BacktestConfig,
-) -> BenchmarkRun:
+def run_benchmark(spec: BenchmarkSpec, market: Market,
+                  cfg: BacktestConfig) -> BenchmarkRun:
     """Run one benchmark over cfg's window with cfg's cost model."""
+    universe, caps = market.series, market.caps
     bpy = bars_per_year(cfg.interval)
-    caps = CapIndex(caps)
     months = month_starts_between(cfg.start, cfg.end)
     if not months:
         raise DataError("no month boundary inside [start, end]")
@@ -217,8 +215,9 @@ def run_benchmark(
                                   cfg.costs, charge_funding)
                     for sym, side, w in weights if w > 0.0]
 
-    equity, trades, _ = run_windows(universe, windows, cfg.initial_balance,
-                                    cfg.interval, simulate, net_first=False)
+    equity, trades, _ = run_windows(market.timeline, windows,
+                                    cfg.initial_balance, cfg.interval,
+                                    simulate, net_first=False)
     metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
                               bars_per_year=bpy)
     return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
                         write_regime_csv, REGIME_CSV_HEADER)
-from .backtester import (BacktestConfig, BacktestResult, EquityCurve,
+from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
                          load_equity, run_ablation, save_equity, snap_to_month,
                          ABLATION_VARIANTS)
 from .benchmarks import BenchmarkSpec, run_benchmark, top_cap_symbol
@@ -406,24 +406,23 @@ def cmd_synth(args) -> int:
 
 
 def _check_buy_hold_symbol(cfg, bt_cfg: BacktestConfig, data_dir: str,
-                           universe: Dict[str, PriceSeries],
-                           caps: CapIndex) -> None:
+                           market: Market) -> None:
     """Fail before the run if btc_bh has no symbol to buy in the universe."""
     symbol = cfg["benchmarks.buy_hold_symbol"]
     if symbol is not None:
-        if symbol not in universe:
+        if symbol not in market.series:
             raise ConfigError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
                               f" in the universe in {data_dir}")
         return
     first = snap_to_month(bt_cfg.start)
     if first > bt_cfg.end:
         return  # the run itself reports the missing month boundary
-    symbol = top_cap_symbol(caps, first)
+    symbol = top_cap_symbol(market.caps, first)
     if symbol is None:
         raise DataError(f"btc_bh: no market-cap snapshot in {data_dir} before"
                         f" {month_id(first)} to pick a symbol from; set"
                         " benchmarks.buy_hold_symbol")
-    if symbol not in universe:
+    if symbol not in market.series:
         raise DataError(f"btc_bh: largest-cap symbol {symbol!r} before"
                         f" {month_id(first)} has no OHLCV file in {data_dir}")
 
@@ -453,29 +452,28 @@ def cmd_backtest(args) -> int:
                 raise ConfigError(f"unknown benchmark {name!r}; expected one"
                                   f" of {tuple(BENCHMARKS)}")
         data_dir = data_dir_from(cfg, None)
-        universe, caps = load_universe(data_dir, bt_cfg.interval)
+        market = Market(*load_universe(data_dir, bt_cfg.interval))
         if "btc_bh" in cfg["benchmarks.kinds"]:
-            _check_buy_hold_symbol(cfg, bt_cfg, data_dir, universe, caps)
+            _check_buy_hold_symbol(cfg, bt_cfg, data_dir, market)
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     label = run_label(cfg, bt_cfg)
-    optimizer = Optimizer(universe)
-    report, result = run_ablation(universe, caps, bt_cfg, variant, optimizer)
+    report, result = run_ablation(market, bt_cfg, variant)
     out = args.out
     _write_run_artifacts(out, label, variant, report, result)
 
     bpy = bars_per_year(bt_cfg.interval)
     if cfg["regimes.enabled"]:
-        _write_regime_artifacts(out, cfg, universe, caps, bt_cfg, result, bpy)
+        _write_regime_artifacts(out, cfg, market, bt_cfg, result, bpy)
 
     for name in cfg["benchmarks.kinds"]:
         bench_label, fixed, from_cfg = BENCHMARKS[name]
         spec = BenchmarkSpec(
             universe_size=cfg["benchmarks.universe_size"], **fixed,
             **{arg: cfg[key] for arg, key in from_cfg.items()})
-        run = run_benchmark(spec, universe, caps, bt_cfg)
+        run = run_benchmark(spec, market, bt_cfg)
         bench_dir = os.path.join(out, "benchmarks", name)
         os.makedirs(bench_dir, exist_ok=True)
         save_equity(run.equity, os.path.join(bench_dir, "equity.csv"))
@@ -491,22 +489,22 @@ def cmd_backtest(args) -> int:
         "data_dir": os.path.abspath(data_dir),
         "input_digests": digest_dir(data_dir),
         "duration_seconds": round(time.monotonic() - t0, 3),
-        "counters": optimizer_counters(optimizer),
+        "counters": optimizer_counters(market.optimizer),
     })
     print(f"backtest complete: {label}; final balance"
           f" {result.equity.balances[-1]:.2f}; artifacts in {out}")
     return 0
 
 
-def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
+def _write_regime_artifacts(out: str, cfg, market: Market, bt_cfg,
                             result: BacktestResult, bpy: float) -> None:
     ref_symbol = cfg["regimes.reference_symbol"]
     if ref_symbol is None:
-        ref_symbol = top_cap_symbol(caps, snap_to_month(bt_cfg.start))
+        ref_symbol = top_cap_symbol(market.caps, snap_to_month(bt_cfg.start))
         if ref_symbol is None:
             logger.warning("regimes: no cap snapshot to pick a reference symbol")
             return
-    ref = universe.get(ref_symbol)
+    ref = market.series.get(ref_symbol)
     if ref is None:
         logger.warning("regimes: reference symbol %s not in universe", ref_symbol)
         return
@@ -523,18 +521,19 @@ def _write_regime_artifacts(out: str, cfg, universe, caps, bt_cfg,
 
 
 def sweep_groups(axis: str, base: BacktestConfig,
-                 universe: Dict[str, PriceSeries]):
+                 universe: Dict[str, PriceSeries], caps: CapIndex):
     """The points of a sweep axis, grouped by the universe they trade: yields
-    (universe, [(row prefix, config), ...]). The points of one group share an
-    optimizer, so they solve a repeated grid search once."""
+    (Market, [(row prefix, config), ...]). The points of one group share the
+    market's timeline and optimizer, so they solve a repeated grid search
+    once."""
     if axis == "alpha_lambda":
-        yield universe, [
+        yield Market(universe, caps), [
             ([alpha, lam], replace(base, rebalance=replace(
                 base.rebalance, long_ratio=lam,
                 grid=replace(base.rebalance.grid, alpha=(alpha,)))))
             for alpha in SWEEP_ALPHA_GRID for lam in SWEEP_LAMBDA_GRID]
     elif axis == "fee_bps":
-        yield universe, [
+        yield Market(universe, caps), [
             ([fee_bps], replace(base, costs=replace(base.costs,
                                                     taker_fee_bps=fee_bps)))
             for fee_bps in SWEEP_FEE_GRID]
@@ -543,8 +542,8 @@ def sweep_groups(axis: str, base: BacktestConfig,
             resampled = {sym: resample_series(s, tf)
                          for sym, s in universe.items()}
             rcfg = replace(base.rebalance, buffer_bars=max(1, 86_400 // tf))
-            yield resampled, [([tf], replace(base, interval=tf,
-                                             rebalance=rcfg))]
+            yield Market(resampled, caps), [
+                ([tf], replace(base, interval=tf, rebalance=rcfg))]
 
 
 def cmd_sweep(args) -> int:
@@ -569,13 +568,11 @@ def cmd_sweep(args) -> int:
     rows: List[List[object]] = []
     variant = str(cfg["run.variant"])
     counters: Counter = Counter()
-    for point_universe, points in sweep_groups(args.axis, base_cfg, universe):
-        optimizer = Optimizer(point_universe)
+    for market, points in sweep_groups(args.axis, base_cfg, universe, caps):
         for prefix, point in points:
-            report, _ = run_ablation(point_universe, caps, point, variant,
-                                     optimizer)
+            report, _ = run_ablation(market, point, variant)
             rows.append(prefix + metrics_row(report))
-        counters.update(optimizer_counters(optimizer))
+        counters.update(optimizer_counters(market.optimizer))
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "sweep.csv"), header, rows)

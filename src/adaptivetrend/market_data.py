@@ -173,12 +173,10 @@ class CapIndex:
 
     Iterating yields MarketCapRecords in input order. A snapshot keeps input
     order within its date, and a repeated (symbol, date) keeps its last cap.
-    Build one per run; building one from a CapIndex returns it unchanged.
+    Build one per loaded universe.
     """
 
     def __new__(cls, caps: Iterable[MarketCapRecord] = ()) -> "CapIndex":
-        if isinstance(caps, CapIndex):
-            return caps
         records = list(caps)
         return cls.from_columns(
             np.array([r.date for r in records], dtype="datetime64[D]"),

@@ -27,8 +27,8 @@ import numpy as np
 
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
-from .market_data import (CapIndex, MarketCapRecord, PriceSeries,
-                          bars_per_year, date_of_ts, month_add, month_id)
+from .market_data import (CapIndex, PriceSeries, bars_per_year, date_of_ts,
+                          month_add, month_id)
 from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -111,16 +111,14 @@ class MonthlyPortfolio:
 # Stage 1: market-cap filtering
 # ---------------------------------------------------------------------------
 
-def cap_snapshot(caps: Sequence[MarketCapRecord],
-                 as_of: date) -> Optional[Dict[str, float]]:
+def cap_snapshot(caps: CapIndex, as_of: date) -> Optional[Dict[str, float]]:
     """symbol -> cap on the most recent snapshot date at or before as_of."""
-    index = CapIndex(caps)
-    k = bisect.bisect_right(index.dates, as_of)
-    return dict(index.snapshots[index.dates[k - 1]]) if k else None
+    k = bisect.bisect_right(caps.dates, as_of)
+    return dict(caps.snapshots[caps.dates[k - 1]]) if k else None
 
 
 def filter_universe(
-    caps: Sequence[MarketCapRecord],
+    caps: CapIndex,
     as_of: date,
     cfg: RebalanceConfig,
 ) -> Optional[Tuple[List[str], List[str]]]:
@@ -174,7 +172,7 @@ def evaluate_cell(
     params: StrategyParams,
     side: str,
     window: Tuple[int, int],
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     rf_annual: float,
     *,
     trailing: bool = True,
@@ -200,7 +198,7 @@ def optimize_params(
     side: str,
     window: Tuple[int, int],
     grid: ParamGrid,
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     rf_annual: float = 0.045,
     *,
     trailing: bool = True,
@@ -310,7 +308,7 @@ class Optimizer:
         candidates: Sequence[Tuple[PriceSeries, str]],
         window: Tuple[int, int],
         grid: ParamGrid,
-        cost_cfg: Optional[CostConfig],
+        cost_cfg: CostConfig,
         rf_annual: float,
         trailing: bool,
         intrabar_stop_fill: bool,
@@ -322,8 +320,7 @@ class Optimizer:
                 raise ValueError(f"{series.symbol}: this optimizer was made for"
                                  " another universe")
             # CostConfig equality ignores funding_rates: key by the records.
-            funding = (cost_cfg.funding_rates or {}).get(series.symbol) \
-                if cost_cfg is not None else None
+            funding = (cost_cfg.funding_rates or {}).get(series.symbol)
             key = (series.symbol, side, window, grid, cost_cfg,
                    tuple(funding or ()), rf_annual, trailing, intrabar_stop_fill)
             self.problems += 1
@@ -338,10 +335,10 @@ class Optimizer:
 
 def run_rebalance(
     universe: Dict[str, PriceSeries],
-    caps: Sequence[MarketCapRecord],
+    caps: CapIndex,
     month_start: int,
     cfg: RebalanceConfig,
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     interval: int,
     optimizer: Optional[Optimizer] = None,
     cap_filter_enabled: bool = True,

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import LONG, SHORT, CostConfig, fill_costs, funding_schedule
+from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, fill_costs,
+                         funding_schedule)
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import (PriceSeries, SeriesArrays, bars_per_year, read_csv,
                           write_columns)
@@ -156,7 +157,7 @@ def book_trades(
     bounds: Tuple[int, int],
     trades: Sequence[Trade],
     size: float,
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     stop: np.ndarray,
     *,
     charge_funding: bool = True,
@@ -169,7 +170,7 @@ def book_trades(
     exit fill (the position's value at the exit price), plus funding on the
     bars it is held entering, (entry, exit], when ``charge_funding``. Trades
     must be in time order and must not overlap; ``stop`` is the stop path to
-    report. With cost_cfg None all costs are zero and net equals gross.
+    report.
     """
     arr = series.arrays
     i0, i1 = bounds
@@ -185,7 +186,7 @@ def book_trades(
     funding_of: Dict[str, np.ndarray] = {}
     realized = 0.0
     m = len(trades)
-    if cost_cfg is not None and m:
+    if m:
         # All of the window's fills at once: the m entries, then the m exits.
         ent, ext, exit_pxs = (np.array(col) for col in list(zip(*trades))[:3])
         fill_bars = i0 + np.concatenate((ent, ext))
@@ -202,24 +203,22 @@ def book_trades(
         moves[-1] = exit_px / close[x - 1] - 1.0
         gross_returns[e + 1:x + 1] = moves if long else -moves
         open_mtm[e:x] = gross_pnl(side, size, entry_px, close[e:x])
-        fees = slips = funded = 0.0
-        if cost_cfg is not None:
-            entry_fee, exit_fee = fill_fees[k], fill_fees[m + k]
-            entry_slip, exit_slip = fill_slips[k], fill_slips[m + k]
-            fees, slips = entry_fee + exit_fee, entry_slip + exit_slip
-            costs[e] = entry_fee + entry_slip
-            open_costs[e:x] = costs[e]
-            if charge_funding:
-                if side not in funding_of:
-                    funding_of[side] = funding_schedule(
-                        arr.timestamps[i0:i1], cost_cfg, series.symbol, side,
-                        size)
-                paid = funding_of[side][e + 1:x + 1]
-                accrued = np.cumsum(paid)
-                costs[e + 1:x + 1] = paid
-                open_costs[e + 1:x] += accrued[:-1]
-                funded = float(accrued[-1])
-            costs[x] += exit_fee + exit_slip
+        entry_fee, exit_fee = fill_fees[k], fill_fees[m + k]
+        entry_slip, exit_slip = fill_slips[k], fill_slips[m + k]
+        fees, slips = entry_fee + exit_fee, entry_slip + exit_slip
+        costs[e] = entry_fee + entry_slip
+        open_costs[e:x] = costs[e]
+        funded = 0.0
+        if charge_funding:
+            if side not in funding_of:
+                funding_of[side] = funding_schedule(
+                    arr.timestamps[i0:i1], cost_cfg, series.symbol, side, size)
+            paid = funding_of[side][e + 1:x + 1]
+            accrued = np.cumsum(paid)
+            costs[e + 1:x + 1] = paid
+            open_costs[e + 1:x] += accrued[:-1]
+            funded = float(accrued[-1])
+        costs[x] += exit_fee + exit_slip
         gross = gross_pnl(side, size, entry_px, exit_px)
         net = gross - fees - slips - funded
         realized += net
@@ -380,7 +379,7 @@ def run_single_asset(
     window: Optional[Tuple[int, int]] = None,
     *,
     size: float = 1.0,
-    cost_cfg: Optional[CostConfig] = None,
+    cost_cfg: CostConfig = ZERO_COSTS,
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> SingleAssetResult:
@@ -390,8 +389,6 @@ def run_single_asset(
     provides warm-up; bars inside the window whose indicators are still
     undefined take no entry. TradeSearch finds the trades under the given
     execution model and book_trades accounts for them.
-
-    With cost_cfg None, all costs are zero and net equals gross everywhere.
     """
     if size <= 0:
         raise EngineError(f"size must be > 0, got {size}")
@@ -416,7 +413,7 @@ def grid_sharpes(
     cells: Sequence[StrategyParams],
     side: str,
     bounds: Tuple[int, int],
-    cost_cfg: Optional[CostConfig],
+    cost_cfg: CostConfig,
     rf_annual: float,
     *,
     trailing: bool = True,
@@ -462,16 +459,12 @@ def grid_sharpes(
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
     m = len(trades)
-    if cost_cfg is None:  # x - 0.0 == x, as in book_trades
-        fund, fill_cost = np.zeros(n), np.zeros(2 * m)
-    else:
-        fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol,
-                                side, 1.0)
-        fill_bars = np.concatenate((ent, ext))
-        fees, slips = fill_costs(
-            np.concatenate((np.ones(m), exit_px / close[ent])),
-            arr.volume[i0:i1][fill_bars], close[fill_bars], cost_cfg, interval)
-        fill_cost = fees + slips
+    fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol, side, 1.0)
+    fill_bars = np.concatenate((ent, ext))
+    fees, slips = fill_costs(
+        np.concatenate((np.ones(m), exit_px / close[ent])),
+        arr.volume[i0:i1][fill_bars], close[fill_bars], cost_cfg, interval)
+    fill_cost = fees + slips
     net = np.zeros((len(traded), n))
     np.copyto(net, gross - fund, where=held)
     # Costs are summed in book_trades' order (funding, then the fill) so

@@ -2,14 +2,15 @@
 
 import math
 from datetime import date
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pytest
 
+from adaptivetrend.backtester import Market
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import (Bar, MarketCapRecord, PriceSeries,
-                                       SeriesArrays)
+from adaptivetrend.market_data import (Bar, CapIndex, MarketCapRecord,
+                                       PriceSeries, SeriesArrays)
 from scalar_reference import columns
 
 INTERVAL = 21_600
@@ -126,9 +127,9 @@ def jumpy_universe(seed: int, n_symbols: int, jump: float, n: int = 360):
     return universe, caps_for(list(universe))
 
 
-# Cost models the differential tests draw from: none, zero, the default, and
+# Cost models the differential tests draw from: zero, the default, and
 # per-symbol funding rates at other funding hours.
-COST_CHOICES = [None, ZERO_COSTS, CostConfig(),
+COST_CHOICES = [ZERO_COSTS, CostConfig(),
                 CostConfig(funding_hours=(3, 11, 19), funding_rates={"RND": [
                     (T0 + 10 * 3_600, -4e-4), (T0 + 200 * 3_600, 7e-4)]})]
 
@@ -138,6 +139,12 @@ def caps_for(symbols: Sequence[str], snap_date: date = date(2022, 1, 31),
     """One snapshot date; cap rank follows symbol order, largest first."""
     return [MarketCapRecord(symbol=s, date=snap_date, cap=top / (j + 1))
             for j, s in enumerate(symbols)]
+
+
+def market_of(universe: Dict[str, PriceSeries],
+              caps: Sequence[MarketCapRecord]) -> Market:
+    """A Market over a test universe and a list of its cap records."""
+    return Market(universe, CapIndex(caps))
 
 
 @pytest.fixture

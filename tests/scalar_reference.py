@@ -665,7 +665,8 @@ def run_backtest(
     if not month_starts:
         raise DataError("no month boundary inside [start, end]")
     first_month = month_starts[0]
-    _check_history(universe, first_month, month_starts[-1], cfg.interval)
+    _check_history(union_timeline(universe, (-2 ** 63, 2 ** 63 - 1)),
+                   first_month, month_starts[-1], cfg.interval)
 
     balance = cfg.initial_balance
     realized_total = 0.0
@@ -809,9 +810,10 @@ def run_benchmark(
     else:
         charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
         balance = cfg.initial_balance
+        index = CapIndex(caps)
         for m in months:
             window = (m, min(month_add(m, 1) - 1, cfg.end))
-            weights = _month_weights(spec, universe, caps, m, bpy)
+            weights = _month_weights(spec, universe, index, m, bpy)
             results = []
             for sym, side, w in weights:
                 if w <= 0.0:

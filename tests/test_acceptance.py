@@ -29,7 +29,7 @@ from adaptivetrend.rebalancer import (CandidateResult, ParamGrid,
 from adaptivetrend.signal_engine import StrategyParams, run_single_asset
 
 from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
-                      make_series, series_from_bars)
+                      make_series, market_of, series_from_bars)
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
@@ -275,10 +275,11 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
                                          (0.15, 0.45)))]
     for series in month:
         for side in ("long", "short"):
-            got = optimize_params(series, side, window, grid, None, rf)
+            got = optimize_params(series, side, window, grid, ZERO_COSTS, rf)
             best = None
             for cell in grid_cells(grid, side):
-                sharpe = evaluate_cell(series, cell, side, window, None, rf)
+                sharpe = evaluate_cell(series, cell, side, window, ZERO_COSTS,
+                                       rf)
                 if sharpe is not None and (best is None or sharpe > best[0]):
                     best = (sharpe, cell)
             if best is None:
@@ -298,11 +299,11 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
     # cell in (threshold, alpha, lookback) order must win.
     steady = make_series([100.0 * 1.003 ** i for i in range(140)],
                          symbol="UPX")
-    got = optimize_params(steady, "long", window, grid, None, rf)
+    got = optimize_params(steady, "long", window, grid, ZERO_COSTS, rf)
     assert got is not None
     assert got.params.theta_entry == 0.01 and got.params.alpha == 1.5
     tied = [cell for cell in grid_cells(grid, "long")
-            if evaluate_cell(steady, cell, "long", window, None, rf)
+            if evaluate_cell(steady, cell, "long", window, ZERO_COSTS, rf)
             == got.sharpe]
     assert len(tied) >= 2 and tied[0] == got.params
     check_budget(started, 10.0)
@@ -324,7 +325,7 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
                           gamma_short=-100.0, grid=grid)
     cfg = BacktestConfig(start=FEB1, end=AUG1, initial_balance=50_000.0,
                          rebalance=reb, costs=ZERO_COSTS)
-    full = run_backtest(universe, caps, cfg)
+    full = run_backtest(market_of(universe, caps), cfg)
     assert len(full.trades) > 100  # fixture sanity: decisions to compare
 
     stamps = full.equity.timestamps
@@ -339,7 +340,8 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
             for sym, s in universe.items()
         }
         part_caps = [r for r in caps if r.date <= cut]
-        part = run_backtest(part_universe, part_caps, replace(cfg, end=t))
+        part = run_backtest(market_of(part_universe, part_caps),
+                            replace(cfg, end=t))
 
         n_months = len(month_starts_between(FEB1, t))
         assert len(part.rebalance_log) == n_months
@@ -377,7 +379,7 @@ def test_c06_balance_decomposition_holds_at_every_bar():
     cfg = BacktestConfig(start=FEB1, end=1_675_209_599,
                          initial_balance=100_000.0, rebalance=reb,
                          costs=CostConfig())
-    res = run_backtest(universe, caps, cfg)
+    res = run_backtest(market_of(universe, caps), cfg)
 
     assert len(res.rebalance_log) == 12
     assert not res.equity.bankrupt
@@ -417,7 +419,7 @@ def test_c07_higher_fees_never_raise_annual_return():
                            funding_rate_per_8h=0.0)
         cfg = BacktestConfig(start=FEB1, end=JUN30, initial_balance=100_000.0,
                              rebalance=reb, costs=costs)
-        report, result = run_ablation(universe, caps, cfg, "full")
+        report, result = run_ablation(market_of(universe, caps), cfg, "full")
         anns.append(report.ann_return)
         counts.append(len(result.trades))
 
@@ -449,7 +451,8 @@ def test_c08_long_bias_outperforms_even_split_on_uptrend():
             cfg = BacktestConfig(start=FEB1, end=AUG1,
                                  initial_balance=10_000.0, rebalance=reb,
                                  costs=CostConfig())
-            report, result = run_ablation(universe, caps, cfg, "full")
+            report, result = run_ablation(market_of(universe, caps), cfg,
+                                          "full")
             assert len(result.trades) > 0
             anns[lam] = report.ann_return
         assert anns[0.7] >= anns[0.5], f"seed {seed}: {anns}"
@@ -533,7 +536,7 @@ def test_c12_all_ablation_variants_complete_and_differ():
     assert len(ABLATION_VARIANTS) == 6
     reports = {}
     for variant in ABLATION_VARIANTS:
-        report, result = run_ablation(universe, caps, cfg, variant)
+        report, result = run_ablation(market_of(universe, caps), cfg, variant)
         assert not result.equity.bankrupt, variant
         assert len(result.trades) > 0, variant
         reports[variant] = report.to_dict()

@@ -8,22 +8,24 @@ import numpy as np
 import pytest
 
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
-                                      EquityCurve, ablation_config,
+                                      EquityCurve, Market, ablation_config,
                                       aggregate_results, load_equity,
-                                      month_starts_between, run_ablation,
-                                      run_backtest, save_equity, snap_to_month,
+                                      month_starts_between, month_windows,
+                                      run_ablation, run_backtest, run_windows,
+                                      save_equity, snap_to_month,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import (DataError, MarketCapRecord,
-                                       PriceSeries, SeriesArrays)
+from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
+                                       PriceSeries, SeriesArrays, month_add,
+                                       month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import SingleAssetResult
 from hypothesis import given, settings, strategies as st
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
                       caps_for, gbm_series, jumpy_universe, make_bars,
-                      make_series, series_from_bars)
+                      make_series, market_of, series_from_bars)
 import scalar_reference
 
 APR1 = 1_648_771_200
@@ -147,7 +149,8 @@ class TestSingleMonthRun:
 
     def test_zero_cost_run(self):
         universe, caps = month_oracle_universe()
-        result = run_backtest(universe, caps, month_oracle_cfg(ZERO_COSTS))
+        result = run_backtest(market_of(universe, caps),
+                              month_oracle_cfg(ZERO_COSTS))
         assert len(result.trades) == 1
         t = result.trades[0]
         assert (t.side, t.entry_ts, t.entry_px) == ("long", 1646200800, 106.0)
@@ -163,7 +166,8 @@ class TestSingleMonthRun:
         universe, caps = month_oracle_universe()
         costs = CostConfig(taker_fee_bps=4.0, slip_coeff=0.0, slip_cap_bps=50.0,
                            funding_rate_per_8h=0.0)
-        result = run_backtest(universe, caps, month_oracle_cfg(costs))
+        result = run_backtest(market_of(universe, caps),
+                              month_oracle_cfg(costs))
         t = result.trades[0]
         assert t.fee_cost == pytest.approx(55.20754716981132, rel=1e-12)
         assert t.net_pnl == pytest.approx(t.gross_pnl - t.fee_cost, rel=1e-12)
@@ -173,7 +177,8 @@ class TestSingleMonthRun:
 
     def test_equity_timeline_and_anchor(self):
         universe, caps = month_oracle_universe()
-        result = run_backtest(universe, caps, month_oracle_cfg(ZERO_COSTS))
+        result = run_backtest(market_of(universe, caps),
+                              month_oracle_cfg(ZERO_COSTS))
         eq = result.equity
         assert eq.timestamps[0] == MAR1 - INTERVAL
         assert eq.balances[0] == 100_000.0
@@ -184,7 +189,8 @@ class TestSingleMonthRun:
 
     def test_rebalance_log(self):
         universe, caps = month_oracle_universe()
-        result = run_backtest(universe, caps, month_oracle_cfg(ZERO_COSTS))
+        result = run_backtest(market_of(universe, caps),
+                              month_oracle_cfg(ZERO_COSTS))
         assert len(result.rebalance_log) == 1
         rec = result.rebalance_log[0]
         assert rec["month"] == "2022-03"
@@ -200,7 +206,7 @@ class TestEmptySelection:
         series = make_series([100.0] * 131, symbol="FLT", t0=FEB1)
         caps = [MarketCapRecord("FLT", FEB28, 1e9)]
         cfg = month_oracle_cfg(ZERO_COSTS)
-        result = run_backtest({"FLT": series}, caps, cfg)
+        result = run_backtest(market_of({"FLT": series}, caps), cfg)
         assert result.trades == []
         assert np.all(result.equity.balances == 100_000.0)
         assert result.portfolios[0].cash_weight == 1.0
@@ -222,7 +228,7 @@ class TestEmptySelection:
             rebalance=reb_cfg(k_long=2, k_short=2, long_ratio=long_ratio),
             costs=CostConfig())
         with caplog.at_level(logging.INFO, logger="adaptivetrend.rebalancer"):
-            result = run_backtest(universe, caps_for(symbols), cfg)
+            result = run_backtest(market_of(universe, caps_for(symbols)), cfg)
         empty, live = ("long", "short") if long_ratio == 0.0 else ("short", "long")
         assert "sleeve has no capital" in caplog.text
         assert result.trades
@@ -249,7 +255,7 @@ class TestMultiMonthAccounting:
         cfg = BacktestConfig(
             start=FEB1, end=end, initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=2, k_short=2), costs=CostConfig())
-        result = run_backtest(universe, caps_for(symbols), cfg)
+        result = run_backtest(market_of(universe, caps_for(symbols)), cfg)
         assert_accounting_identity(result)
         assert len(result.rebalance_log) == 2
         assert [r["month"] for r in result.rebalance_log] == \
@@ -282,7 +288,7 @@ class TestMultiMonthAccounting:
                               long_ratio=long_ratio),
             costs=COST_CHOICES[cost], trailing_stop_enabled=trailing,
             intrabar_stop_fill=intrabar, reoptimize_enabled=reoptimize)
-        got = run_backtest(universe, caps, cfg)
+        got = run_backtest(market_of(universe, caps), cfg)
         want = scalar_reference.run_backtest(universe, caps, cfg)
         for name in ("timestamps", "balances"):
             assert np.array_equal(getattr(got.equity, name),
@@ -299,7 +305,7 @@ class TestMultiMonthAccounting:
         cfg = BacktestConfig(start=MAR1, end=MAR1 + 40 * INTERVAL,
                              rebalance=reb_cfg(), costs=ZERO_COSTS)
         with pytest.raises(DataError):
-            run_backtest({series.symbol: series}, caps, cfg)
+            run_backtest(market_of({series.symbol: series}, caps), cfg)
 
 
 class TestBankruptcy:
@@ -318,7 +324,8 @@ class TestBankruptcy:
             initial_balance=100_000.0, interval=INTERVAL,
             rebalance=reb_cfg(gamma_long=1e9, long_ratio=0.0, grid=grid),
             costs=ZERO_COSTS)
-        result = run_backtest({"CRSH": faller, "FLAT": dummy}, caps, cfg)
+        result = run_backtest(
+            market_of({"CRSH": faller, "FLAT": dummy}, caps), cfg)
         assert result.equity.bankrupt is True
         assert result.equity.balances[-1] <= 0.0
         assert np.all(result.equity.balances[:-1] > 0.0)
@@ -353,9 +360,9 @@ class TestBankruptcy:
             costs=ZERO_COSTS)
         assert cfg.end > APR1
         squeeze_ts = MAR1 + 3 * INTERVAL
-        strategy = run_backtest(universe, caps, cfg)
-        tsmom = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                              cfg)
+        market = market_of(universe, caps)
+        strategy = run_backtest(market, cfg)
+        tsmom = run_benchmark(BenchmarkSpec(kind="tsmom"), market, cfg)
         for run in (strategy, tsmom):
             assert run.equity.bankrupt is True
             assert run.equity.timestamps[-1] == squeeze_ts
@@ -383,9 +390,9 @@ class TestEmptyMonth:
                              initial_balance=100_000.0, interval=INTERVAL,
                              rebalance=reb_cfg(), costs=ZERO_COSTS)
         with caplog.at_level(logging.WARNING, logger="adaptivetrend.backtester"):
-            result = run_backtest(universe, caps, cfg)
-            bench = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                                  cfg)
+            market = market_of(universe, caps)
+            result = run_backtest(market, cfg)
+            bench = run_benchmark(BenchmarkSpec(kind="tsmom"), market, cfg)
         skipped = [r.getMessage() for r in caplog.records
                    if "no bars" in r.getMessage()]
         assert len(skipped) == 2 and all(m.startswith("2022-03:")
@@ -396,6 +403,60 @@ class TestEmptyMonth:
             assert eq_ts[-1] == ts[-1]
         assert [r["month"] for r in result.rebalance_log] == \
             ["2022-02", "2022-03", "2022-04"]
+
+
+DAY = 86_400
+
+
+@st.composite
+def spread_universes(draw):
+    """Daily symbols that start and end on different bars with gaps, plus
+    one symbol with no bars."""
+    universe = {"NONE": PriceSeries("NONE", DAY, SeriesArrays(
+        *([np.empty(0, np.int64)] + [np.empty(0)] * 5)))}
+    for j in range(draw(st.integers(1, 4))):
+        first = draw(st.integers(0, 150))
+        days = draw(st.lists(st.integers(first, first + 120), max_size=90,
+                             unique=True))
+        ts = T0 + np.sort(np.array(days, dtype=np.int64)) * DAY
+        flat = np.full(len(ts), 10.0)
+        universe[f"S{j}"] = PriceSeries(f"S{j}", DAY, SeriesArrays(
+            ts, flat, flat, flat, flat, flat))
+    return universe
+
+
+class TestOneTimeline:
+    @settings(max_examples=100, deadline=None)
+    @given(universe=spread_universes(), first=st.integers(0, 7),
+           n_months=st.integers(1, 4), cut=st.integers(0, 40))
+    def test_window_slices_equal_the_per_window_union(self, universe, first,
+                                                      n_months, cut):
+        market = Market(universe, CapIndex())
+        stamps = [s.arrays.timestamps for s in universe.values()]
+        assert market.timeline.tolist() == np.unique(
+            np.concatenate(stamps)).tolist()
+        start = month_add(T0, first)
+        end = month_add(start, n_months - 1) + cut * DAY
+        windows = month_windows(month_starts_between(start, end), end)
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("adaptivetrend.backtester")
+        logger.addHandler(handler)
+        try:
+            equity, trades, _ = run_windows(
+                market.timeline, windows, 1_000.0, DAY, lambda w, b: [],
+                net_first=True)
+        finally:
+            logger.removeHandler(handler)
+        unions = [union_timeline(universe, w) for w in windows]
+        assert equity.timestamps.tolist() == [windows[0][0] - DAY] + [
+            t for union in unions for t in union.tolist()]
+        assert equity.balances.tolist() == [1_000.0] * len(equity)
+        assert trades == []
+        assert [r.getMessage() for r in records] == [
+            f"{month_id(w[0])}: no bars in [{w[0]}, {w[1]}]; period skipped"
+            for w, union in zip(windows, unions) if len(union) == 0]
 
 
 class TestAblations:
@@ -435,8 +496,8 @@ class TestAblations:
     def test_full_variant_matches_plain_run(self):
         universe, caps = self.universe_two_months()
         cfg = self.base_cfg()
-        report, result = run_ablation(universe, caps, cfg, "full")
-        plain = run_backtest(universe, caps, cfg)
+        report, result = run_ablation(market_of(universe, caps), cfg, "full")
+        plain = run_backtest(market_of(universe, caps), cfg)
         np.testing.assert_array_equal(result.equity.balances,
                                       plain.equity.balances)
         assert result.trades == plain.trades
@@ -444,7 +505,7 @@ class TestAblations:
 
     def test_symmetric_allocation_weights(self):
         universe, caps = self.universe_two_months()
-        _, result = run_ablation(universe, caps, self.base_cfg(),
+        _, result = run_ablation(market_of(universe, caps), self.base_cfg(),
                                  "symmetric_allocation")
         for port in result.portfolios:
             assert math.fsum(a.weight for a in port.longs) == \
@@ -454,7 +515,7 @@ class TestAblations:
 
     def test_fixed_params_carries_first_month(self):
         universe, caps = self.universe_two_months()
-        _, result = run_ablation(universe, caps, self.base_cfg(),
+        _, result = run_ablation(market_of(universe, caps), self.base_cfg(),
                                  "fixed_params")
         flags = [r["reoptimized"] for r in result.rebalance_log]
         assert flags == [True, False]
@@ -470,9 +531,10 @@ class TestAblations:
             gamma_long=1e9, gamma_short=1e9,
             grid=ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                            alpha=(3.0,), lookback=(4,), atr_window=3)))
-        gated = run_backtest(universe, caps, cfg)
+        gated = run_backtest(market_of(universe, caps), cfg)
         assert gated.trades == []
-        _, bypassed = run_ablation(universe, caps, cfg, "no_sharpe_filter")
+        _, bypassed = run_ablation(market_of(universe, caps), cfg,
+                                   "no_sharpe_filter")
         assert len(bypassed.trades) > 0
 
 

@@ -16,7 +16,7 @@ from adaptivetrend.market_data import DataError, MarketCapRecord
 from adaptivetrend.rebalancer import RebalanceConfig
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
                       assert_same_result, gbm_series, jumpy_universe,
-                      make_series, rough_series)
+                      make_series, market_of, rough_series)
 import scalar_reference
 
 JAN31 = date(2022, 1, 31)
@@ -171,7 +171,8 @@ class TestTsmom:
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
         cfg = bench_cfg(universe, end)
-        run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps, cfg)
+        run = run_benchmark(BenchmarkSpec(kind="tsmom"),
+                            market_of(universe, caps), cfg)
         feb = [t for t in run.trades if t.entry_ts < MAR1]
         assert len(feb) == 3
         sides = {t.symbol: t.side for t in feb}
@@ -182,8 +183,8 @@ class TestTsmom:
     def test_monthly_close_and_reopen(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="tsmom"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         # 250 bars from PRE reach into March: two rebalances, 3 trades each
         assert len(run.trades) == 6
         feb = [t for t in run.trades if t.entry_ts < MAR1]
@@ -196,8 +197,8 @@ class TestTsmom:
         universe, caps = three_symbol_universe()
         universe["UPB"] = make_series([100.0] * 250, symbol="UPB", t0=PRE)
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="tsmom"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
         assert {t.symbol for t in feb} == {"UPA", "DWN"}
         assert all(t.size == pytest.approx(50_000.0, rel=1e-12) for t in feb)
@@ -205,8 +206,8 @@ class TestTsmom:
     def test_gross_exposure_at_most_one(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="tsmom"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
         assert feb_notional <= 100_000.0 * (1.0 + 1e-12)
 
@@ -216,10 +217,11 @@ class TestTsmom:
         costs = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0,
                            funding_rate_per_8h=1e-4)
         cfg = bench_cfg(universe, end, costs=costs)
-        mom = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps, cfg)
+        market = market_of(universe, caps)
+        mom = run_benchmark(BenchmarkSpec(kind="tsmom"), market, cfg)
         assert all(t.funding_cost != 0.0 for t in mom.trades)
         ew = run_benchmark(BenchmarkSpec(kind="equal_weight_buy_hold",
-                                         universe_size=3), universe, caps, cfg)
+                                         universe_size=3), market, cfg)
         assert all(t.funding_cost == 0.0 for t in ew.trades)
 
 
@@ -230,7 +232,8 @@ class TestVolScaled:
         caps = [MarketCapRecord("TNY", JAN31, 1e9)]
         end = int(tiny.arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
-                            {"TNY": tiny}, caps, bench_cfg({"TNY": tiny}, end))
+                            market_of({"TNY": tiny}, caps),
+                            bench_cfg({"TNY": tiny}, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
         assert len(feb) == 1
         assert feb[0].size == pytest.approx(4.0 * 100_000.0, rel=1e-12)
@@ -241,7 +244,7 @@ class TestVolScaled:
         caps = [MarketCapRecord("NSY", JAN31, 1e9)]
         end = int(noisy.arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
-                            {"NSY": noisy}, caps,
+                            market_of({"NSY": noisy}, caps),
                             bench_cfg({"NSY": noisy}, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
         sigma = realized_vol(noisy, FEB1, 60, 1460.0)
@@ -252,8 +255,8 @@ class TestVolScaled:
     def test_gross_exposure_at_most_cap(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"), universe,
-                            caps, bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
         assert feb_notional <= 4.0 * 100_000.0 * (1.0 + 1e-12)
 
@@ -269,8 +272,8 @@ class TestBuyHold:
         universe, caps = self.doubling_universe()
         series = universe["BIG"]
         end = int(series.arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="buy_hold"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         assert len(run.trades) == 1
         t = run.trades[0]
         assert t.size == 100_000.0
@@ -282,15 +285,15 @@ class TestBuyHold:
     def test_defaults_to_largest_cap(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="buy_hold"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         assert run.trades[0].symbol == "UPA"
 
     def test_explicit_symbol(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="DWN"),
-                            universe, caps, bench_cfg(universe, end))
+                            market_of(universe, caps), bench_cfg(universe, end))
         assert run.trades[0].symbol == "DWN"
 
     def test_unknown_symbol_rejected(self):
@@ -298,12 +301,13 @@ class TestBuyHold:
         end = int(universe["UPA"].arrays.timestamps[-1])
         with pytest.raises(ValueError):
             run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="NOPE"),
-                          universe, caps, bench_cfg(universe, end))
+                          market_of(universe, caps), bench_cfg(universe, end))
         with pytest.raises(DataError, match="cap snapshot"):
-            run_benchmark(BenchmarkSpec(kind="buy_hold"), universe, [],
-                          bench_cfg(universe, end))
+            run_benchmark(BenchmarkSpec(kind="buy_hold"),
+                          market_of(universe, []), bench_cfg(universe, end))
         with pytest.raises(DataError, match="no month boundary"):
-            run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
+            run_benchmark(BenchmarkSpec(kind="tsmom"),
+                          market_of(universe, caps),
                           BacktestConfig(start=FEB1 + 1, end=MAR1 - 1))
 
 
@@ -313,7 +317,7 @@ class TestEqualWeight:
         end = int(universe["UPA"].arrays.timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="equal_weight_buy_hold",
                                           universe_size=20),
-                            universe, caps, bench_cfg(universe, end))
+                            market_of(universe, caps), bench_cfg(universe, end))
         feb = [t for t in run.trades if t.entry_ts < MAR1]
         assert len(feb) == 3
         assert all(t.size == pytest.approx(100_000.0 / 20.0, rel=1e-12)
@@ -324,9 +328,12 @@ class TestEqualWeight:
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
         spec = BenchmarkSpec(kind="equal_weight_buy_hold", universe_size=3)
-        fwd = run_benchmark(spec, universe, caps, bench_cfg(universe, end))
-        rev = run_benchmark(spec, dict(reversed(list(universe.items()))),
-                            list(reversed(caps)), bench_cfg(universe, end))
+        fwd = run_benchmark(spec, market_of(universe, caps),
+                            bench_cfg(universe, end))
+        rev = run_benchmark(spec,
+                            market_of(dict(reversed(list(universe.items()))),
+                                      list(reversed(caps))),
+                            bench_cfg(universe, end))
         np.testing.assert_array_equal(fwd.equity.balances, rev.equity.balances)
 
 
@@ -348,7 +355,7 @@ class TestRunMatchesReference:
                              universe_size=universe_size)
         cfg = bench_cfg(universe, int(universe["RND"].arrays.timestamps[-1]),
                         costs=COST_CHOICES[cost])
-        got = run_benchmark(spec, universe, caps, cfg)
+        got = run_benchmark(spec, market_of(universe, caps), cfg)
         want = scalar_reference.run_benchmark(spec, universe, caps, cfg)
         np.testing.assert_array_equal(got.equity.timestamps,
                                       want.equity.timestamps)
@@ -365,8 +372,8 @@ class TestSpecAndRun:
     def test_equity_anchor_and_metrics(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].arrays.timestamps[-1])
-        run = run_benchmark(BenchmarkSpec(kind="tsmom"), universe, caps,
-                            bench_cfg(universe, end))
+        run = run_benchmark(BenchmarkSpec(kind="tsmom"),
+                            market_of(universe, caps), bench_cfg(universe, end))
         assert run.equity.timestamps[0] == FEB1 - INTERVAL
         assert run.equity.balances[0] == 100_000.0
         assert np.all(np.diff(run.equity.timestamps) > 0)

@@ -8,19 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       ablation_config, run_backtest)
-from adaptivetrend.cost_model import CostConfig
-from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
-                                      grid_cells, optimization_window,
-                                      optimize_params)
+from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
+from adaptivetrend.rebalancer import (CapIndex, Optimizer, ParamGrid,
+                                      RebalanceConfig, grid_cells,
+                                      optimization_window, optimize_params,
+                                      run_rebalance)
 
-from conftest import COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe
+from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
+                      market_of)
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
 
 
 def point_cfg(universe, *, long_ratio=0.7, gamma=-100.0, alphas=(1.0, 3.0),
-              cost=None, rf=0.045, trailing=True, intrabar=False,
+              cost=ZERO_COSTS, rf=0.045, trailing=True, intrabar=False,
               variant="full"):
     grid = replace(BASE_GRID, alpha=alphas)
     return ablation_config(BacktestConfig(
@@ -74,26 +76,24 @@ class TestSharedOptimizer:
            jump=st.sampled_from([1.0, 0.2]), points=point_walks())
     def test_shared_memo_changes_no_result(self, seed, n_symbols, jump, points):
         universe, caps = jumpy_universe(seed, n_symbols, jump)
-        shared = Optimizer(universe)
+        shared = market_of(universe, caps)
         for point in points:
             cfg = point_cfg(universe, **point)
-            assert_same_run(run_backtest(universe, caps, cfg, shared),
-                            run_backtest(universe, caps, cfg))
+            assert_same_run(run_backtest(shared, cfg),
+                            run_backtest(market_of(universe, caps), cfg))
         # A repeat of the first point is answered from the memo.
-        solved = shared.solved
-        run_backtest(universe, caps, point_cfg(universe, **points[0]),
-                     shared)
-        assert shared.solved == solved
-        assert shared.problems >= shared.solved
+        solved = shared.optimizer.solved
+        run_backtest(shared, point_cfg(universe, **points[0]))
+        assert shared.optimizer.solved == solved
+        assert shared.optimizer.problems >= shared.optimizer.solved
 
     def test_lambda_points_share_every_problem(self):
         universe, caps = jumpy_universe(7, 4, 1.0)
-        shared = Optimizer(universe)
+        shared = market_of(universe, caps)
         for lam in (0.5, 0.7, 0.8):
-            run_backtest(universe, caps, point_cfg(universe, long_ratio=lam),
-                         shared)
-        assert shared.solved > 0
-        assert shared.problems == 3 * shared.solved
+            run_backtest(shared, point_cfg(universe, long_ratio=lam))
+        assert shared.optimizer.solved > 0
+        assert shared.optimizer.problems == 3 * shared.optimizer.solved
 
     def test_funding_schedules_do_not_share_an_entry(self):
         universe, _ = jumpy_universe(11, 1, 1.0)
@@ -118,9 +118,12 @@ class TestSharedOptimizer:
         first, caps = jumpy_universe(3, 2, 1.0)
         second, _ = jumpy_universe(3, 2, 1.0)  # same symbols, other objects
         opt = Optimizer(first)
-        run_backtest(first, caps, point_cfg(first), opt)
+        args = (CapIndex(caps), MAR1, point_cfg(first).rebalance, ZERO_COSTS,
+                INTERVAL)
+        run_rebalance(first, *args, optimizer=opt)
+        assert opt.solved > 0
         with pytest.raises(ValueError, match="another universe"):
-            run_backtest(second, caps, point_cfg(second), opt)
+            run_rebalance(second, *args, optimizer=opt)
 
 
 def test_equal_grids_build_identical_cells():

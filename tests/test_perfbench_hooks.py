@@ -2,10 +2,12 @@
 through the ones behind the load, aggregate and write layers, so a refactor
 cannot silently blank or zero its per-layer metrics (perfbench/tracer.py
 reports a missing hook as an absent metric, not as a failure, and a hook
-that is never called reads 0)."""
+that is never called reads 0). The loaded universe's timeline is built once
+per backtest and once per sweep group."""
 
 import importlib
 import importlib.util
+import json
 import os
 
 from adaptivetrend.cli import main
@@ -30,11 +32,8 @@ def test_every_tracer_hook_resolves():
     assert missing == []
 
 
-def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
-                                                            monkeypatch):
-    tracer = load_tracer()
-    watched = {("cli", "load_universe"), ("backtester", "union_timeline"),
-               ("cli", "save_equity"), ("cli", "write_ledger")}
+def watch(monkeypatch, tracer, watched):
+    """Wrap the watched hooks in one trace, as the tracer does."""
     trace = tracer.Trace()
     for module_name, attr, name, _kind, _after in tracer.HOOKS:
         if (module_name, attr) in watched:
@@ -42,6 +41,11 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
             monkeypatch.setattr(module, attr,
                                 trace.timed(f"{module_name}.{attr}",
                                             getattr(module, attr)))
+    return trace
+
+
+def tiny_run_config(tmp_path):
+    """A 3-symbol universe and a one-month, one-cell config over it."""
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--seed", "3", "--symbols", "3",
                  "--regimes", "200:0.5:0.4"]) == 0
@@ -50,11 +54,38 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
                    "run.end = 2022-02-20\nbenchmarks.kinds = btc_bh\n"
                    "grid.theta_entry = 0.02\ngrid.theta_entry_short = 0.02\n"
                    "grid.alpha = 2.0\ngrid.lookback = 4\n")
+    return cfg
+
+
+def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
+                                                            monkeypatch):
+    tracer = load_tracer()
+    watched = {("cli", "load_universe"), ("backtester", "union_timeline"),
+               ("cli", "save_equity"), ("cli", "write_ledger")}
+    trace = watch(monkeypatch, tracer, watched)
+    cfg = tiny_run_config(tmp_path)
     assert main(["backtest", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
     called = {span[0] for span in trace.spans}
     assert called == {f"{m}.{a}" for m, a in watched}
-    # strategy and benchmark: one timeline and one of each file per run
+    # strategy and benchmark share one timeline; one of each file per run
     names = [span[0] for span in trace.spans]
-    assert names.count("backtester.union_timeline") == 2
+    assert names.count("backtester.union_timeline") == 1
     assert names.count("cli.save_equity") == names.count("cli.write_ledger") == 2
+
+
+def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):
+    tracer = load_tracer()
+    trace = watch(monkeypatch, tracer, {("backtester", "union_timeline")})
+    cfg = tiny_run_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "alpha_lambda"]) == 0
+    assert [span[0] for span in trace.spans] == ["backtester.union_timeline"]
+    with open(out / "sweep.csv") as fh:
+        assert len(fh.read().splitlines()) == 1 + 27
+    with open(out / "manifest.json") as fh:
+        counters = json.load(fh)["counters"]
+    # the three lambda points of each alpha share every search
+    assert counters["optimizer.solved"] > 0
+    assert counters["optimizer.problems"] == 3 * counters["optimizer.solved"]

@@ -38,12 +38,13 @@ class TestCapSnapshot:
         caps = [MarketCapRecord("A", date(2022, 1, 31), 5.0),
                 MarketCapRecord("A", date(2022, 2, 28), 7.0),
                 MarketCapRecord("B", date(2022, 1, 31), 3.0)]
-        assert cap_snapshot(caps, date(2022, 2, 28)) == {"A": 7.0}
-        assert cap_snapshot(caps, date(2022, 2, 27)) == {"A": 5.0, "B": 3.0}
+        index = CapIndex(caps)
+        assert cap_snapshot(index, date(2022, 2, 28)) == {"A": 7.0}
+        assert cap_snapshot(index, date(2022, 2, 27)) == {"A": 5.0, "B": 3.0}
 
     def test_none_before_first_snapshot(self):
         caps = [MarketCapRecord("A", date(2022, 1, 31), 5.0)]
-        assert cap_snapshot(caps, date(2022, 1, 30)) is None
+        assert cap_snapshot(CapIndex(caps), date(2022, 1, 30)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(st.builds(
@@ -63,13 +64,12 @@ class TestCapSnapshot:
         for day in days:
             expected = items(scalar_reference.cap_snapshot(records, day))
             assert items(cap_snapshot(index, day)) == expected
-            assert items(cap_snapshot(records, day)) == expected
 
 
 class TestFilterUniverse:
     def test_wide_universe_splits_cleanly(self):
         symbols = [f"SYM{j:02d}" for j in range(40)]
-        caps = caps_for(symbols)  # cap decreasing with index
+        caps = CapIndex(caps_for(symbols))  # cap decreasing with index
         longs, shorts = filter_universe(caps, JAN31,
                                         cfg_with(k_long=15, k_short=15))
         assert longs == symbols[:15]
@@ -78,14 +78,15 @@ class TestFilterUniverse:
 
     def test_small_universe_longs_absorb_everything(self):
         symbols = [f"SYM{j:02d}" for j in range(10)]
-        longs, shorts = filter_universe(caps_for(symbols), JAN31,
+        longs, shorts = filter_universe(CapIndex(caps_for(symbols)), JAN31,
                                         cfg_with(k_long=15, k_short=15))
         assert longs == symbols
         assert shorts == []
 
     def test_partial_overlap_drops_from_short_side(self):
         symbols = ["A", "B", "C", "D", "E"]
-        longs, shorts = filter_universe(caps_for(symbols), JAN31, cfg_with())
+        longs, shorts = filter_universe(CapIndex(caps_for(symbols)), JAN31,
+                                        cfg_with())
         assert longs == ["A", "B", "C"]
         assert shorts == ["E", "D"]
 
@@ -94,19 +95,19 @@ class TestFilterUniverse:
                 MarketCapRecord("AAA", JAN31, 100.0),
                 MarketCapRecord("MMM", JAN31, 50.0),
                 MarketCapRecord("NNN", JAN31, 10.0)]
-        longs, shorts = filter_universe(caps, JAN31,
+        longs, shorts = filter_universe(CapIndex(caps), JAN31,
                                         cfg_with(k_long=1, k_short=1))
         assert longs == ["AAA"]
         assert shorts == ["NNN"]
 
     def test_no_snapshot_returns_none(self):
         caps = [MarketCapRecord("A", date(2022, 3, 31), 1.0)]
-        assert filter_universe(caps, JAN31, cfg_with()) is None
+        assert filter_universe(CapIndex(caps), JAN31, cfg_with()) is None
 
     def test_only_latest_snapshot_counts(self):
         caps = [MarketCapRecord("OLD", date(2022, 1, 1), 9e9),
                 MarketCapRecord("NEW", JAN31, 1.0)]
-        longs, shorts = filter_universe(caps, JAN31,
+        longs, shorts = filter_universe(CapIndex(caps), JAN31,
                                         cfg_with(k_long=5, k_short=5))
         assert longs == ["NEW"] and "OLD" not in longs
 
@@ -209,7 +210,6 @@ def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045,
 
 
 COST_CONFIGS = {
-    "none": None,
     "zero": ZERO_COSTS,
     "default": CostConfig(),
     "table": CostConfig(funding_rates={
@@ -334,7 +334,7 @@ class TestBatchedSearchMatchesScalar:
         for cost_cfg in COST_CONFIGS.values():
             self.assert_same_pick(series, window, ONE_CELL, cost_cfg, rf)
         long_pick, short_pick = self.assert_same_pick(series, window,
-                                                      ONE_CELL, None, rf)
+                                                      ONE_CELL, ZERO_COSTS, rf)
         assert short_pick is None
         assert (long_pick is not None and long_pick.sharpe == 0.0) == (rf == 0.0)
 
@@ -446,8 +446,8 @@ class TestRunRebalance:
                             symbol="UP", t0=FEB1 - 10 * INTERVAL, wick=0.05)
         faller = make_series([100.0 * 0.99 ** i for i in range(130)],
                              symbol="DN", t0=FEB1 - 10 * INTERVAL, wick=0.05)
-        caps = [MarketCapRecord("UP", JAN31, 2e9),
-                MarketCapRecord("DN", JAN31, 1e9)]
+        caps = CapIndex([MarketCapRecord("UP", JAN31, 2e9),
+                         MarketCapRecord("DN", JAN31, 1e9)])
         return {"UP": riser, "DN": faller}, caps
 
     def rcfg(self, **kw):
@@ -475,7 +475,7 @@ class TestRunRebalance:
 
     def test_missing_caps_skips_month(self):
         universe, _ = self.universe()
-        caps = [MarketCapRecord("UP", date(2022, 3, 31), 2e9)]
+        caps = CapIndex([MarketCapRecord("UP", date(2022, 3, 31), 2e9)])
         port, record = run_rebalance(universe, caps, MAR1, self.rcfg(),
                                      ZERO_COSTS, INTERVAL)
         assert port.longs == () and port.shorts == ()

@@ -381,7 +381,7 @@ class TestGridSharpes:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            vol=st.sampled_from([0.2, 1.0, 3.0]),
-           cost_cfg=st.sampled_from([None, ZERO_COSTS, CostConfig(),
+           cost_cfg=st.sampled_from([ZERO_COSTS, CostConfig(),
                                      CostConfig(funding_rates={"RND": [
                                          (T0 + 20 * INTERVAL, -5e-4)]})]),
            start=st.integers(0, 30),
@@ -405,10 +405,10 @@ class TestGridSharpes:
         series = gbm_series(np.random.default_rng(1), 30)
         arr = series.arrays
         assert np.isnan(grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "long",
-                                     (5, 6), None, 0.0)).all()
+                                     (5, 6), ZERO_COSTS, 0.0)).all()
         with pytest.raises(EngineError):
             grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "both", (0, 30),
-                         None, 0.0)
+                         ZERO_COSTS, 0.0)
 
 
 class TestLedgerIo:
