@@ -236,7 +236,7 @@ def write_regime_csv(per_regime: Dict[str, dict], path: str) -> None:
 BOOTSTRAP_CHUNK = 256  # replicates scored per sharpe_rows call
 
 
-def _circular_block_indices(rng: np.random.Generator, n: int,
+def _circular_block_indices(rng: "np.random.Generator", n: int,
                             block_len: int) -> np.ndarray:
     n_blocks = -(-n // block_len)
     starts = rng.integers(0, n, size=n_blocks)

@@ -6,9 +6,13 @@ closes; an optional intrabar mode fills stop exits pessimistically at the
 stop level). Re-entry is allowed from the next bar after an exit, never on
 the exit bar itself.
 
-One trade search (``TradeSearch``) finds a cell's trades by jumping from
-each entry to its exit; one ledger (``book_trades``, shared with the
-comparison benchmarks) accounts for them. ``run_single_asset`` is the two in
+One trade search (``find_trades``) finds the trades of any number of cells
+at once, in array passes: a next-entry table per entry rule, an exit table
+per stop rule (binary lifting over a sparse table of minima), then one walk
+in which every cell jumps from entry to exit to next entry. Each series'
+ATR is computed once per ATR window (``series_atr``) and shared by every
+search over it. One ledger (``book_trades``, shared with the comparison
+benchmarks) accounts for the trades. ``run_single_asset`` is the two in
 turn: it returns the closed trades (with full cost attribution) and per-bar
 series, strategy returns for Sharpe evaluation plus currency-denominated
 realized / mark-to-market / cost components that let a caller audit account
@@ -18,8 +22,9 @@ execution model that trades.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,9 +245,64 @@ def book_trades(
 # The trade search
 # ---------------------------------------------------------------------------
 
-class TradeSearch:
-    """The trades of any number of cells in one window of bars [i0, i1),
-    under one execution model.
+class Trades(NamedTuple):
+    """Found trades as columns, grouped by cell and in time order within a
+    cell: the cell's index, the entry and exit bars (local to the window), the
+    exit fill price, whether the window's end forced the exit, and whether
+    the trade is short."""
+
+    cell: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    exit_px: np.ndarray
+    forced: np.ndarray
+    short: np.ndarray
+
+
+NO_TRADES = Trades(*(np.zeros(0, dtype=t)
+                     for t in (np.intp, np.intp, np.intp, float, bool, bool)))
+
+_atr_memo: "weakref.WeakKeyDictionary[SeriesArrays, Dict[int, np.ndarray]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def series_atr(arr: SeriesArrays, window: int) -> np.ndarray:
+    """ATR of the whole series, computed once per (series, ATR window) and
+    shared by every search over it: the optimizer's and the trader's. A
+    window-only ATR would differ in its last bits, because the running sum
+    starts at the series' first bar. The memo is keyed weakly by the
+    series' columns, so an entry lives as long as its series and holds only
+    what that series' prices determine."""
+    memo = _atr_memo.setdefault(arr, {})
+    if window not in memo:
+        memo[window] = atr(arr.high, arr.low, arr.close, window)
+    return memo[window]
+
+
+def _rows(keys: List[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in first-seen order, one row each, and the row of
+    each key."""
+    rows: Dict[tuple, int] = {}
+    row_of = np.fromiter((rows.setdefault(k, len(rows)) for k in keys),
+                         np.intp, len(keys))
+    return np.array(list(rows)), row_of
+
+
+def _reversed_min(a: np.ndarray) -> np.ndarray:
+    """Row-wise running minimum from the right."""
+    return np.minimum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
+
+
+def find_trades(
+    arr: SeriesArrays,
+    bounds: Tuple[int, int],
+    cells: Sequence[StrategyParams],
+    side_enabled: str,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
+) -> Trades:
+    """The trades of every cell in one window of bars [i0, i1), under one
+    execution model.
 
     A cell enters at the close of a bar whose momentum passes the side's
     threshold, from its first bar with defined indicators on, never on the
@@ -256,120 +316,170 @@ class TradeSearch:
     (long) or high (short) breaches the stop after bar j - 1, filled at that
     stop or at a worse open. A stop hit on the final bar is a stop exit; a
     position still open after it is forced at the close. Prices are compared
-    as sign * price, so the long rule serves both sides (negation is exact).
-    Indicators, next-signal indexes, stop candidates and exits are memoised
-    by what they depend on, so the cells of a grid share them.
+    as s * price with s = +1 long and -1 short, so the long rule serves both
+    sides (negation is exact).
+
+    The search is a few array passes shared by all cells. Cells with equal
+    entry parameters share a row of next-entry slots, cells with equal
+    (alpha, ATR window) a row of exits for every entry bar (see _exits).
+    All cells then walk their chains together, one trade per step: a gather
+    of the exit of (the cell's exit row, entry), then of the next entry of
+    (the cell's entry row, exit + 1). No arithmetic beyond the stop
+    candidates is done on prices, so the trades are exact.
     """
+    i0, i1 = bounds
+    n = i1 - i0
+    if n < 2 or not cells:
+        return NO_TRADES
+    both = side_enabled == "both"
+    shorts = (False, True) if both else (side_enabled == SHORT,)
+    entry_keys, entry_of = _rows([
+        (c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
+        for c in cells])
+    exit_keys, exit_of = _rows([(c.alpha, c.atr_window) for c in cells])
 
-    def __init__(self, arr: SeriesArrays, bounds: Tuple[int, int],
-                 trailing: bool = True, intrabar_stop_fill: bool = False):
-        self.arr = arr
-        self.i0, i1 = bounds
-        self.n = i1 - self.i0
-        self.trailing = trailing
-        self.intrabar = intrabar_stop_fill
-        close, low, high, open_ = (col[self.i0:i1] for col in
-                                   (arr.close, arr.low, arr.high, arr.open))
-        self.close = close
-        # sign * (close, open, and the price a stop is tested against: the
-        # close, or the adverse extreme of the bar when filling intrabar)
-        self.prices = {
-            LONG: (close, open_, low if intrabar_stop_fill else close),
-            SHORT: (-close, -open_, -high if intrabar_stop_fill else -close)}
-        self._atrs: Dict[int, np.ndarray] = {}
-        self._moms: Dict[int, np.ndarray] = {}
-        self._next_entry: Dict[tuple, List[int]] = {}
-        self._stops: Dict[tuple, Tuple[np.ndarray, Dict[int, Trade]]] = {}
+    # Entry slots: row u, column p is the first entry at or after bar p of
+    # the cells of entry row u. A slot is the entry bar, plus n + 1 for a
+    # short entry of a "both" search; the last slot, ``none``, means none.
+    # Columns n and n + 1 hold it, so a walk that reaches them stops.
+    none = len(shorts) * (n + 1) - 1
+    theta_long, theta_short, lookback, atr_window = entry_keys.T
+    lookbacks = lookback.astype(int).tolist()
+    moms: Dict[int, np.ndarray] = {}
+    for bars in lookbacks:
+        if bars not in moms:
+            lo = max(i0 - bars, 0)  # the bars momentum reads, no more
+            moms[bars] = momentum(arr.close[lo:i1 - 1], bars)[i0 - lo:]
+    mom = np.full((len(entry_keys), n + 2), np.nan)  # NaN enters nowhere
+    mom[:, :n - 1] = [moms[bars] for bars in lookbacks]
+    # StrategyParams.warmup_bars, local to the window
+    warm = np.maximum(lookback, atr_window - 1) - i0
+    if warm.max() > 0:
+        mom[np.arange(n + 2) < warm[:, None]] = np.nan
+    nexts = []
+    for short in shorts:
+        signal = (mom < -theta_short[:, None] if short
+                  else mom > theta_long[:, None])
+        nexts.append(_reversed_min(np.where(signal, np.arange(n + 2), n)))
+    slots = nexts[0]
+    if both:
+        slots = np.where(nexts[0] <= nexts[1], nexts[0], nexts[1] + n + 1)
+        slots[slots == n] = none
 
-    def trades(self, cell: StrategyParams, side_enabled: str) -> List[Trade]:
-        """The cell's trades in time order."""
-        n = self.n
-        if n < 2:
-            return []
-        if side_enabled == "both":
-            sides = (LONG, SHORT)
-            first = self.next_entries(cell, LONG)
-            nxt = list(map(min, first, self.next_entries(cell, SHORT)))
-            stops = (self.stops(cell, LONG), self.stops(cell, SHORT))
-        else:
-            sides = (side_enabled,)
-            first = nxt = self.next_entries(cell, side_enabled)
-            stops = (self.stops(cell, side_enabled),)
-        found: List[Trade] = []
-        e = nxt[0]
-        while e < n:
-            i = first[e] != e  # the first side unless only the second signals
-            trade = stops[i][1].get(e)
-            if trade is None:
-                trade = stops[i][1][e] = self._trade(stops[i][0], sides[i], e)
-            found.append(trade)
-            e = nxt[trade[1] + 1]
-        return found
+    # Exits: row a holds, for each side, the exit bar of a trade entered on
+    # each bar, n if none, with n in column n.
+    close = arr.close[i0:i1]
+    alpha, exit_atr_window = exit_keys.T
+    atrs = np.array([series_atr(arr, w)[i0:i1]
+                     for w in exit_atr_window.astype(int).tolist()])
+    cands, exit_tables = [], []
+    for short in shorts:
+        price = -close if short else close
+        tested = price
+        if intrabar_stop_fill:
+            tested = -arr.high[i0:i1] if short else arr.low[i0:i1]
+        cands.append(price - alpha[:, None] * atrs)
+        exit_tables.append(_exits(tested, cands[-1], trailing))
+    exits = np.concatenate(exit_tables, axis=1)
 
-    def stop_path(self, cell: StrategyParams,
-                  trades: Sequence[Trade]) -> np.ndarray:
-        """The stop in force after each bar of the window; NaN when flat."""
-        stop = np.full(self.n, np.nan)
-        for e, x, _, side, _ in trades:
-            cand = self.stops(cell, side)[0][e:x]
-            sign = 1.0 if side == LONG else -1.0
-            stop[e:x] = sign * (np.maximum.accumulate(cand) if self.trailing
-                                else cand[0])
-        return stop
+    # The walk, one step per trade. A cell with no entry left sits on slot
+    # ``none``, whose exit is n and whose next entry is ``none`` again.
+    exit_flat, slot_flat = exits.ravel(), slots.ravel()
+    exit_row = exit_of * (none + 1)
+    slot_row = entry_of * (n + 2)
+    slot = slot_flat[slot_row]
+    slot_row += 1  # the next entry is looked up from the bar after the exit
+    walked, exited = [], []
+    while slot.min() < none:
+        x = exit_flat[exit_row + slot]
+        walked.append(slot)
+        exited.append(x)
+        slot = slot_flat[slot_row + x]
+    if not walked:
+        return NO_TRADES
+    steps = np.array(walked).T  # each cell's slots, in cell order
+    live = steps != none
+    cell = live.nonzero()[0]
+    slot = steps[live]
+    x = np.array(exited).T[live]
+    if both:  # a short slot is past the long side's n + 1
+        short = slot > n
+        entry = slot - short * (n + 1)
+    else:
+        short = np.full(len(slot), shorts[0])
+        entry = slot
+    forced = x == n
+    exit_bar = np.minimum(x, n - 1)
+    exit_px = close[exit_bar]
+    if intrabar_stop_fill:
+        hit = ~forced
+        side = short[hit].astype(np.intp) if both else 0  # rows of cands
+        args = (side, exit_of[cell[hit]], entry[hit], x[hit])
+        stop = (_stop_max(np.stack(cands), *args) if trailing
+                else np.stack(cands)[args[:3]])
+        sign = np.where(short[hit], -1.0, 1.0)
+        exit_px[hit] = sign * np.minimum(sign * arr.open[i0:i1][x[hit]], stop)
+    return Trades(cell, entry, exit_bar, exit_px, forced, short)
 
-    def next_entries(self, cell: StrategyParams, side: str) -> List[int]:
-        """Element j: the first entry signal bar at or after j, n if none."""
-        theta = cell.theta_entry if side == LONG else cell.theta_entry_short
-        key = (side, theta, cell.lookback, cell.atr_window)
-        nxt = self._next_entry.get(key)
-        if nxt is None:
-            n, last = self.n, self.n - 1
-            if cell.lookback not in self._moms:
-                self._moms[cell.lookback] = momentum(
-                    self.arr.close, cell.lookback)[self.i0:self.i0 + n]
-            first = max(cell.warmup_bars() - self.i0, 0)
-            mom = self._moms[cell.lookback][first:last]
-            signal = np.zeros(n + 1, dtype=bool)
-            signal[first:last] = mom > theta if side == LONG else mom < -theta
-            slots = np.where(signal, np.arange(n + 1), n)
-            nxt = np.minimum.accumulate(slots[::-1])[::-1].tolist()
-            self._next_entry[key] = nxt
-        return nxt
 
-    def stops(self, cell: StrategyParams, side: str) -> Tuple[np.ndarray, dict]:
-        """sign * (close -/+ alpha * ATR) of the window's bars, the stop
-        candidates, and the memo of the trades using them by entry bar."""
-        key = (side, cell.alpha, cell.atr_window)
-        memo = self._stops.get(key)
-        if memo is None:
-            if cell.atr_window not in self._atrs:
-                a = self.arr
-                self._atrs[cell.atr_window] = atr(
-                    a.high, a.low, a.close,
-                    cell.atr_window)[self.i0:self.i0 + self.n]
-            cand = self.prices[side][0] - cell.alpha * self._atrs[cell.atr_window]
-            memo = self._stops[key] = (cand, {})
-        return memo
+def _exits(tested: np.ndarray, cand: np.ndarray,
+           trailing: bool) -> np.ndarray:
+    """Row a, column e: the exit bar of a trade entered on bar e with stop
+    candidates cand[a] (s * close - alpha * ATR) against tested prices
+    ``tested`` (s * the close or the bar's adverse extreme), n if the stop
+    is never hit; column n holds n.
 
-    def _trade(self, cand: np.ndarray, side: str, e: int) -> Trade:
-        """The trade entered on bar e with stop candidates ``cand``."""
-        _, open_, tested = self.prices[side]
-        if not self.trailing:
-            stops = cand[e]
-        elif self.intrabar:  # the stop in force during each bar: last bar's
-            stops = np.maximum.accumulate(cand[e:-1])
-        else:  # the stop set at each bar's close
-            stops = np.maximum.accumulate(cand[e:])[1:]
-        hit = tested[e + 1:] < stops
-        k = int(hit.argmax())
-        x = e + 1 + k
-        if not hit[k]:
-            return e, self.n - 1, float(self.close[-1]), side, True
-        if self.intrabar:
-            stop = stops if not self.trailing else stops[k]
-            sign = 1.0 if side == LONG else -1.0
-            return e, x, sign * min(float(open_[x]), float(stop)), side, False
-        return e, x, float(self.close[x]), side, False
+    f(e), the first j > e with tested[j] < cand[e], is found for every
+    (a, e) at once by binary lifting: level k of a sparse table holds the
+    minimum of ``tested`` over bars [i, i + 2^k), padded with +inf so that
+    every gather fits, and each level moves every position past a block
+    with no breach. A fixed stop exits at f(e).
+
+    A trailing stop's level is the running max of the trade's candidates,
+    and x < max(a, b) exactly when x < a or x < b, so a trailing stop exits
+    on the first bar that breaches any one candidate of the trade so far:
+    at min(f(i) for i >= e). Filling intrabar, bar j is tested against the
+    candidates of bars e..j-1, which is that rule. At the close it is also
+    tested against its own candidate, which a close never breaches (alpha *
+    ATR >= 0), so the rule is the same.
+
+    Neither f nor the identity holds for a NaN candidate: a comparison with
+    NaN is false, so the lifting stops at f(e) = e + 1, and max(NaN, b) is
+    NaN. NaN candidates exist only before the ATR warm-up, where no cell
+    enters, and the running minimum from the right never reaches back past
+    an entry, so no trade reads them.
+    """
+    rows, n = cand.shape
+    levels = n.bit_length()  # 2^levels > n - 1, the longest run to skip
+    mins = np.full((levels, n + (1 << levels)), np.inf)
+    mins[0, :n] = tested
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        np.minimum(mins[k - 1, :n], mins[k - 1, half:n + half],
+                   out=mins[k, :n])
+    pos = np.repeat(np.arange(1, n + 1)[None], rows, axis=0)
+    for k in reversed(range(levels)):
+        pos += (mins[k][pos] >= cand).astype(np.intp) << k
+    exits = np.full((rows, n + 1), n)
+    np.minimum(_reversed_min(pos) if trailing else pos, n, out=exits[:, :n])
+    return exits
+
+
+def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
+              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(cands[side, row, lo:hi]) for each query (lo < hi), exactly, from
+    a sparse table of maxima over blocks of 2^k bars."""
+    n = cands.shape[-1]
+    table = np.empty(((n - 1).bit_length(),) + cands.shape)
+    table[0] = cands
+    for k in range(1, len(table)):
+        half, width = 1 << (k - 1), n - (1 << k) + 1
+        np.maximum(table[k - 1, ..., :width],
+                   table[k - 1, ..., half:half + width],
+                   out=table[k, ..., :width])
+    k = np.frexp(hi - lo)[1] - 1  # the largest 2^k <= hi - lo
+    return np.maximum(table[k, side, row, lo],
+                      table[k, side, row, hi - np.left_shift(1, k)])
 
 
 def run_single_asset(
@@ -387,7 +497,7 @@ def run_single_asset(
 
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
-    undefined take no entry. TradeSearch finds the trades under the given
+    undefined take no entry. find_trades finds the trades under the given
     execution model and book_trades accounts for them.
     """
     if size <= 0:
@@ -396,10 +506,27 @@ def run_single_asset(
         raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
     arr = series.arrays
     bounds = (0, len(series)) if window is None else arr.slice_indices(*window)
-    search = TradeSearch(arr, bounds, trailing, intrabar_stop_fill)
-    trades = search.trades(params, side_enabled)
-    return book_trades(series, bounds, trades, size, cost_cfg,
-                       search.stop_path(params, trades))
+    i0, i1 = bounds
+    found = find_trades(arr, bounds, (params,), side_enabled, trailing,
+                        intrabar_stop_fill)
+    trades: List[Trade] = list(zip(
+        found.entry.tolist(), found.exit.tolist(), found.exit_px.tolist(),
+        [SHORT if s else LONG for s in found.short.tolist()],
+        found.forced.tolist()))
+    # The stop in force after each bar of the window; NaN when flat.
+    stop = np.full(i1 - i0, np.nan)
+    if trades:
+        close = arr.close[i0:i1]
+        risk = params.alpha * series_atr(arr, params.atr_window)[i0:i1]
+        cands = {LONG: close - risk, SHORT: -close - risk}
+        for e, x, _, side, _ in trades:
+            if trailing:
+                np.maximum.accumulate(cands[side][e:x], out=stop[e:x])
+            else:
+                stop[e:x] = cands[side][e]
+            if side == SHORT:
+                np.negative(stop[e:x], out=stop[e:x])
+    return book_trades(series, bounds, trades, size, cost_cfg, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -424,41 +551,41 @@ def grid_sharpes(
     Element k equals, bit for bit, the Sharpe of run_single_asset with
     cells[k], side_enabled=side, size 1.0 and the same execution flags over
     the same bars, and is NaN where that run has no trade or an undefined
-    Sharpe. One TradeSearch finds every cell's trades, sharing its memos
-    across cells; the returns of all cells are then netted as one matrix.
+    Sharpe. One find_trades call finds every cell's trades; the returns of
+    all cells are then netted as one matrix.
     """
     if side not in (LONG, SHORT):
         raise EngineError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
     i0, i1 = bounds
     n = i1 - i0
     sharpes = np.full(len(cells), np.nan)
-    search = TradeSearch(arr, bounds, trailing, intrabar_stop_fill)
-    trade_cell: List[int] = []
-    trades: List[Trade] = []
-    for k, cell in enumerate(cells):
-        found = search.trades(cell, side)
-        trade_cell += [k] * len(found)
-        trades += found
-    if not trades:
+    found = find_trades(arr, bounds, cells, side, trailing, intrabar_stop_fill)
+    m = len(found.cell)
+    if not m:
         return sharpes
 
-    traded, rows = np.unique(trade_cell, return_inverse=True)
-    ent, ext, exit_px = (np.array(col) for col in list(zip(*trades))[:3])
-    # A trade holds its position entering bars e+1 .. x.
-    held = np.zeros((len(traded), n + 1), dtype=np.int8)
-    held[rows, ent + 1] = 1
-    held[rows, ext + 1] = -1
-    np.cumsum(held, axis=1, out=held)
-    held = held[:, :n].astype(bool)
+    # The trades come grouped by cell: one row of returns per traded cell.
+    starts = np.empty(m, dtype=bool)
+    starts[0] = True
+    np.not_equal(found.cell[1:], found.cell[:-1], out=starts[1:])
+    traded = found.cell[starts]
+    rows = np.cumsum(starts) - 1
+    ent, ext, exit_px = found.entry, found.exit, found.exit_px
+    # A trade holds its position entering bars e+1 .. x: the held flag
+    # flips at e+1 and back at x+1, and the next entry flips it at x+2 at
+    # the earliest.
+    held = np.zeros((len(traded), n + 1), dtype=bool)
+    held[rows, ent + 1] = True
+    held[rows, ext + 1] = True
+    held = np.logical_xor.accumulate(held, axis=1)[:, :n]
 
-    close = search.close
+    close = arr.close[i0:i1]
     gross = np.zeros(n)
     gross[1:] = close[1:] / close[:-1] - 1.0
     exit_gross = exit_px / close[ext - 1] - 1.0  # the exit fills at exit_px
     if side == SHORT:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
-    m = len(trades)
     fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol, side, 1.0)
     fill_bars = np.concatenate((ent, ext))
     fees, slips = fill_costs(

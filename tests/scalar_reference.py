@@ -11,8 +11,10 @@ shared one ledger: the scalar fee and slippage of one fill, funding summed
 per holding interval, the per-bar state machine (one branch per side) that
 trades were found with before there was one trade search, the engine
 charging every cost bar by bar, the benchmarks' own hold loop, and the two
-month loops (the strategy's and the benchmarks'). The tests check the code
-in ``adaptivetrend`` against them.
+month loops (the strategy's and the benchmarks'). Last, the trade search
+that jumped from each entry to its exit one cell at a time, before it found
+the trades of all cells in array passes. The tests check the code in
+``adaptivetrend`` against them.
 """
 
 import bisect
@@ -45,7 +47,7 @@ from adaptivetrend.rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
                                      run_rebalance)
 from adaptivetrend.signal_engine import (LEDGER_HEADER, SIDE_CHOICES,
                                          EngineError, SingleAssetResult,
-                                         StrategyParams, TradeRecord,
+                                         StrategyParams, Trade, TradeRecord,
                                          gross_pnl)
 
 INF = math.inf
@@ -845,3 +847,139 @@ def run_benchmark(
                               bars_per_year=bpy)
     return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,
                         trades=trades)
+
+
+# ---------------------------------------------------------------------------
+# The trade search as it was before it worked in array passes
+# ---------------------------------------------------------------------------
+
+class TradeSearch:
+    """The trades of any number of cells in one window of bars [i0, i1),
+    under one execution model.
+
+    A cell enters at the close of a bar whose momentum passes the side's
+    threshold, from its first bar with defined indicators on, never on the
+    window's final bar, and again only from the bar after an exit; with
+    side_enabled "both" the earlier side's signal enters, long on a tie.
+    Entering on bar e sets the stop to the candidate close -/+ alpha * ATR.
+    With ``trailing`` the stop after bar j is the running max (long) or min
+    (short) of the candidates of bars e..j, else it stays at bar e's. The
+    exit is the first bar j > e that closes beyond the stop after bar j,
+    filled at the close; with ``intrabar_stop_fill``, the first whose low
+    (long) or high (short) breaches the stop after bar j - 1, filled at that
+    stop or at a worse open. A stop hit on the final bar is a stop exit; a
+    position still open after it is forced at the close. Prices are compared
+    as sign * price, so the long rule serves both sides (negation is exact).
+    Indicators, next-signal indexes, stop candidates and exits are memoised
+    by what they depend on, so the cells of a grid share them.
+    """
+
+    def __init__(self, arr: SeriesArrays, bounds: Tuple[int, int],
+                 trailing: bool = True, intrabar_stop_fill: bool = False):
+        self.arr = arr
+        self.i0, i1 = bounds
+        self.n = i1 - self.i0
+        self.trailing = trailing
+        self.intrabar = intrabar_stop_fill
+        close, low, high, open_ = (col[self.i0:i1] for col in
+                                   (arr.close, arr.low, arr.high, arr.open))
+        self.close = close
+        # sign * (close, open, and the price a stop is tested against: the
+        # close, or the adverse extreme of the bar when filling intrabar)
+        self.prices = {
+            LONG: (close, open_, low if intrabar_stop_fill else close),
+            SHORT: (-close, -open_, -high if intrabar_stop_fill else -close)}
+        self._atrs: Dict[int, np.ndarray] = {}
+        self._moms: Dict[int, np.ndarray] = {}
+        self._next_entry: Dict[tuple, List[int]] = {}
+        self._stops: Dict[tuple, Tuple[np.ndarray, Dict[int, Trade]]] = {}
+
+    def trades(self, cell: StrategyParams, side_enabled: str) -> List[Trade]:
+        """The cell's trades in time order."""
+        n = self.n
+        if n < 2:
+            return []
+        if side_enabled == "both":
+            sides = (LONG, SHORT)
+            first = self.next_entries(cell, LONG)
+            nxt = list(map(min, first, self.next_entries(cell, SHORT)))
+            stops = (self.stops(cell, LONG), self.stops(cell, SHORT))
+        else:
+            sides = (side_enabled,)
+            first = nxt = self.next_entries(cell, side_enabled)
+            stops = (self.stops(cell, side_enabled),)
+        found: List[Trade] = []
+        e = nxt[0]
+        while e < n:
+            i = first[e] != e  # the first side unless only the second signals
+            trade = stops[i][1].get(e)
+            if trade is None:
+                trade = stops[i][1][e] = self._trade(stops[i][0], sides[i], e)
+            found.append(trade)
+            e = nxt[trade[1] + 1]
+        return found
+
+    def stop_path(self, cell: StrategyParams,
+                  trades: Sequence[Trade]) -> np.ndarray:
+        """The stop in force after each bar of the window; NaN when flat."""
+        stop = np.full(self.n, np.nan)
+        for e, x, _, side, _ in trades:
+            cand = self.stops(cell, side)[0][e:x]
+            sign = 1.0 if side == LONG else -1.0
+            stop[e:x] = sign * (np.maximum.accumulate(cand) if self.trailing
+                                else cand[0])
+        return stop
+
+    def next_entries(self, cell: StrategyParams, side: str) -> List[int]:
+        """Element j: the first entry signal bar at or after j, n if none."""
+        theta = cell.theta_entry if side == LONG else cell.theta_entry_short
+        key = (side, theta, cell.lookback, cell.atr_window)
+        nxt = self._next_entry.get(key)
+        if nxt is None:
+            n, last = self.n, self.n - 1
+            if cell.lookback not in self._moms:
+                self._moms[cell.lookback] = momentum(
+                    self.arr.close, cell.lookback)[self.i0:self.i0 + n]
+            first = max(cell.warmup_bars() - self.i0, 0)
+            mom = self._moms[cell.lookback][first:last]
+            signal = np.zeros(n + 1, dtype=bool)
+            signal[first:last] = mom > theta if side == LONG else mom < -theta
+            slots = np.where(signal, np.arange(n + 1), n)
+            nxt = np.minimum.accumulate(slots[::-1])[::-1].tolist()
+            self._next_entry[key] = nxt
+        return nxt
+
+    def stops(self, cell: StrategyParams, side: str) -> Tuple[np.ndarray, dict]:
+        """sign * (close -/+ alpha * ATR) of the window's bars, the stop
+        candidates, and the memo of the trades using them by entry bar."""
+        key = (side, cell.alpha, cell.atr_window)
+        memo = self._stops.get(key)
+        if memo is None:
+            if cell.atr_window not in self._atrs:
+                a = self.arr
+                self._atrs[cell.atr_window] = atr(
+                    a.high, a.low, a.close,
+                    cell.atr_window)[self.i0:self.i0 + self.n]
+            cand = self.prices[side][0] - cell.alpha * self._atrs[cell.atr_window]
+            memo = self._stops[key] = (cand, {})
+        return memo
+
+    def _trade(self, cand: np.ndarray, side: str, e: int) -> Trade:
+        """The trade entered on bar e with stop candidates ``cand``."""
+        _, open_, tested = self.prices[side]
+        if not self.trailing:
+            stops = cand[e]
+        elif self.intrabar:  # the stop in force during each bar: last bar's
+            stops = np.maximum.accumulate(cand[e:-1])
+        else:  # the stop set at each bar's close
+            stops = np.maximum.accumulate(cand[e:])[1:]
+        hit = tested[e + 1:] < stops
+        k = int(hit.argmax())
+        x = e + 1 + k
+        if not hit[k]:
+            return e, self.n - 1, float(self.close[-1]), side, True
+        if self.intrabar:
+            stop = stops if not self.trailing else stops[k]
+            sign = 1.0 if side == LONG else -1.0
+            return e, x, sign * min(float(open_[x]), float(stop)), side, False
+        return e, x, float(self.close[x]), side, False

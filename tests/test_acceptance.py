@@ -19,7 +19,7 @@ from adaptivetrend.analytics import (BEAR, BULL, SIDEWAYS,
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       month_starts_between, run_ablation,
                                       run_backtest)
-from adaptivetrend.cost_model import CostConfig
+from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import (SyntheticSpec, bars_per_year, date_of_ts,
                                        generate_synthetic_universe)
 from adaptivetrend.rebalancer import (CandidateResult, ParamGrid,
@@ -33,9 +33,6 @@ from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
-
-ZERO_COSTS = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0,
-                        funding_rate_per_8h=0.0)
 
 
 def check_budget(started: float, limit: float) -> None:

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior against small synthetic data sets."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import adaptivetrend
 from adaptivetrend import __version__
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                ConfigError, build_backtest_config, main,
@@ -495,6 +499,16 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random takes milliseconds to import, and only the bootstrap
+        # and the synthetic generator draw random numbers.
+        src = os.path.dirname(os.path.dirname(adaptivetrend.__file__))
+        code = "import sys, adaptivetrend.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     def test_unknown_axis_rejected_by_parser(self):
         with pytest.raises(SystemExit):

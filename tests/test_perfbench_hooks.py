@@ -3,7 +3,8 @@ through the ones behind the load, aggregate and write layers, so a refactor
 cannot silently blank or zero its per-layer metrics (perfbench/tracer.py
 reports a missing hook as an absent metric, not as a failure, and a hook
 that is never called reads 0). The loaded universe's timeline is built once
-per backtest and once per sweep group."""
+per backtest and once per sweep group, and each series' ATR once per ATR
+window, through the hook the tracer counts."""
 
 import importlib
 import importlib.util
@@ -72,6 +73,27 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
     names = [span[0] for span in trace.spans]
     assert names.count("backtester.union_timeline") == 1
     assert names.count("cli.save_equity") == names.count("cli.write_ledger") == 2
+
+
+def test_a_backtest_computes_each_atr_once(tmp_path, monkeypatch):
+    # The optimizer and the trader share one ATR per (series, ATR window);
+    # a series is known by its close column.
+    tracer = load_tracer()
+    trace = tracer.Trace()
+    calls = []
+    for module_name, attr, name, _kind, _after in tracer.HOOKS:
+        if (module_name, attr) == ("signal_engine", "atr"):
+            module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+            monkeypatch.setattr(module, attr, trace.counted(
+                name, getattr(module, attr),
+                lambda _trace, args, _result: calls.append(
+                    (id(args[2]), args[3]))))
+    cfg = tiny_run_config(tmp_path)
+    assert main(["backtest", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert trace.counts["indicators.atr_calls"] == [len(calls)]
 
 
 def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.indicators import rolling_sharpe
-from adaptivetrend.market_data import Bar, bars_per_year
-from adaptivetrend.signal_engine import (EngineError, StrategyParams,
-                                         TradeRecord, grid_sharpes, gross_pnl,
+from adaptivetrend.market_data import (Bar, PriceSeries, SeriesArrays,
+                                       bars_per_year)
+from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
+                                         StrategyParams, TradeRecord,
+                                         find_trades, grid_sharpes, gross_pnl,
                                          read_ledger, run_single_asset,
                                          write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
@@ -361,6 +363,102 @@ class TestIntrabarMode:
                             params=PARAMS, intrabar_stop_fill=True)
         assert trade is None
         assert state.stop == pytest.approx(101.0)
+
+
+def flat_series(rng, n, *, gaps):
+    """rough_series with up to two flat stretches, bars whose every price is
+    the last close: after atr_window of them the ATR is exactly 0, so a stop
+    sits exactly on the close (or the low) without breaching it."""
+    arr = rough_series(rng, n, INTERVAL, gaps=gaps, zero_volume=0.0).arrays
+    o, h, lo, c = (col.copy() for col in (arr.open, arr.high, arr.low,
+                                          arr.close))
+    for _ in range(int(rng.integers(0, 3)) if n > 1 else 0):
+        a = int(rng.integers(1, n))
+        b = min(n, a + int(rng.integers(1, 12)))
+        c[a:b] = o[a:b] = h[a:b] = lo[a:b] = c[a - 1]
+        if b < n:  # the next bar opens where the stretch ended
+            o[b] = c[a - 1]
+            h[b], lo[b] = max(h[b], o[b], c[b]), min(lo[b], o[b], c[b])
+    return PriceSeries("RND", INTERVAL, SeriesArrays(arr.timestamps, o, h, lo,
+                                                     c, arr.volume))
+
+
+def per_cell(found, n_cells):
+    """find_trades' columns as each cell's list of (entry, exit, exit price,
+    side, forced), the form the scalar search returns."""
+    lists = [[] for _ in range(n_cells)]
+    for cell, e, x, px, forced, short in zip(*(col.tolist() for col in found)):
+        lists[cell].append((e, x, px, "short" if short else "long", forced))
+    return lists
+
+
+CELL = st.builds(StrategyParams,
+                 theta_entry=st.sampled_from([-0.01, 0.0, 0.004, 0.03, math.inf]),
+                 theta_entry_short=st.sampled_from([1e-4, 0.01, 0.03, math.inf]),
+                 alpha=st.sampled_from([0.5, 1.5, 4.0]),
+                 lookback=st.integers(1, 6), atr_window=st.integers(1, 8))
+
+
+class TestFindTrades:
+    """The array search finds the trades of the scalar search it replaced
+    (tests/scalar_reference.py), cell for cell and float for float."""
+
+    def check(self, series, bounds, cells, side, trailing, intrabar):
+        found = find_trades(series.arrays, bounds, cells, side, trailing,
+                            intrabar)
+        assert (np.diff(found.cell) >= 0).all()  # grouped by cell
+        search = scalar_reference.TradeSearch(series.arrays, bounds, trailing,
+                                              intrabar)
+        want = [search.trades(cell, side) for cell in cells]
+        assert per_cell(found, len(cells)) == want
+        return want
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+           gaps=st.booleans(), start=st.integers(0, 60),
+           length=st.one_of(st.sampled_from([0, 1, 2, 3]),
+                            st.integers(0, 60)),
+           side=st.sampled_from(SIDE_CHOICES), trailing=st.booleans(),
+           intrabar=st.booleans(), cells=st.lists(CELL, min_size=1,
+                                                  max_size=6))
+    def test_same_trades_as_scalar_search(self, seed, n, gaps, start, length,
+                                          side, trailing, intrabar, cells):
+        # Windows may start inside the momentum and ATR warm-up, and hold
+        # no bar, one or two.
+        series = flat_series(np.random.default_rng(seed), n, gaps=gaps)
+        i0 = min(start, n)
+        self.check(series, (i0, min(i0 + length, n)), cells, side, trailing,
+                   intrabar)
+
+    def test_no_entry_before_the_atr_warm_up(self):
+        # Momentum is defined from bar 1 and passes the threshold on every
+        # bar, but the stop candidates are NaN until bar 6: the first trade
+        # enters there, in every execution mode.
+        series = gbm_series(np.random.default_rng(5), 40)
+        cell = StrategyParams(-1.0, 1e-4, 1.5, 1, 7)
+        for trailing in (True, False):
+            for intrabar in (True, False):
+                trades = self.check(series, (0, 40), [cell], "long",
+                                    trailing, intrabar)[0]
+                assert trades and trades[0][0] == 6
+
+    def test_a_close_on_the_stop_is_no_breach(self):
+        # A rise, then flat bars (the ATR falls to 0 and the trailing stop
+        # onto the close), then one bar a cent lower: the long holds
+        # through the flat bars and exits on the lower one.
+        closes = [100.0 + k for k in range(10)] + [110.0] * 12 + [109.99] * 3
+        c = np.array(closes)
+        o = np.concatenate(([100.0], c[:-1]))
+        h = np.maximum(o, c) + np.where(c == 110.0, 0.0, 0.5)
+        lo = np.minimum(o, c) - np.where(c == 110.0, 0.0, 0.5)
+        ts = T0 + INTERVAL * np.arange(1, len(c) + 1, dtype=np.int64)
+        series = PriceSeries("RND", INTERVAL, SeriesArrays(
+            ts, o, h, lo, c, np.full(len(c), 1e6)))
+        cell = StrategyParams(0.001, 1e-4, 2.0, 2, 3)
+        for intrabar in (False, True):
+            trades = self.check(series, (0, len(c)), [cell], "long", True,
+                                intrabar)[0]
+            assert trades[0][1] == 22 and not trades[0][4]
 
 
 class TestGridSharpes:
