@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .indicators import rolling_sharpe, sharpe_rows
-from .market_data import SECONDS_PER_YEAR, PriceSeries, write_csv
+from .market_data import SECONDS_PER_YEAR, PriceSeries, write_columns
 from .signal_engine import TradeRecord
 
 if TYPE_CHECKING:
@@ -224,9 +224,9 @@ def regime_metrics(
 
 
 def write_regime_csv(per_regime: Dict[str, dict], path: str) -> None:
-    write_csv(path, REGIME_CSV_HEADER, (
-        [regime] + [per_regime[regime][k] for k in REGIME_CSV_HEADER[1:]]
-        for regime in (BULL, BEAR, SIDEWAYS) if regime in per_regime))
+    regimes = [r for r in (BULL, BEAR, SIDEWAYS) if r in per_regime]
+    write_columns(path, REGIME_CSV_HEADER, [regimes] + [
+        [per_regime[r][k] for r in regimes] for k in REGIME_CSV_HEADER[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Four kinds:
     across assets with a signal.
   - vol_scaled_tsmom: tsmom signs with weight magnitude scaled by
     vol_target / realized vol, capped at a multiple of equal weight.
-  - buy_hold: the whole balance in one symbol for the whole run.
+  - buy_hold: the whole balance in one symbol for the whole run
+    (``buy_hold_symbol``).
   - equal_weight_buy_hold: 1/universe_size in each top-cap asset,
     re-equal-weighted at every month boundary.
 
@@ -35,9 +36,10 @@ from .backtester import (BacktestConfig, EquityCurve, Market,
                          month_starts_between, month_windows, run_windows)
 from .cost_model import LONG, SHORT, CostConfig
 from .market_data import (CapIndex, DataError, PriceSeries, bars_per_year,
-                          date_of_ts, month_add)
+                          date_of_ts, month_add, month_id)
 from .rebalancer import cap_snapshot
-from .signal_engine import SingleAssetResult, TradeRecord, book_trades
+from .signal_engine import (NO_TRADES, SingleAssetResult, TradeRecord, Trades,
+                            book_trades)
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
                    "equal_weight_buy_hold")
@@ -94,8 +96,12 @@ def hold_position(
     arr = series.arrays
     i0, i1 = arr.slice_indices(window[0], window[1])
     n = i1 - i0
-    trades = [(0, n - 1, float(arr.close[i1 - 1]), side, True)] if n >= 2 else []
-    return book_trades(series, (i0, i1), trades, size, cost_cfg,
+    found = NO_TRADES
+    if n >= 2:
+        found = Trades(cell=np.zeros(1, np.intp), entry=np.zeros(1, np.intp),
+                       exit=np.array([n - 1]), exit_px=arr.close[i1 - 1:i1],
+                       forced=np.array([True]), short=np.array([side == SHORT]))
+    return book_trades(series, (i0, i1), found, size, cost_cfg,
                        np.full(n, np.nan), charge_funding=charge_funding)
 
 
@@ -105,11 +111,33 @@ def hold_position(
 
 def top_cap_symbol(caps: CapIndex, month_start: int) -> Optional[str]:
     """The largest-cap symbol (ties: the smaller name) on the latest cap
-    snapshot before month_start; None without one. buy_hold holds it."""
+    snapshot before month_start; None without one."""
     snapshot = cap_snapshot(caps, date_of_ts(month_start - 1))
     if not snapshot:
         return None
     return min(snapshot, key=lambda s: (-snapshot[s], s))
+
+
+def buy_hold_symbol(symbol: Optional[str], market: Market, month_start: int,
+                    data_dir: str = "the loaded data") -> str:
+    """The symbol buy_hold holds from month_start: ``symbol`` when given,
+    else the top_cap_symbol. Raises ValueError (DataError when the data
+    lacks it) if there is none or it has no series in the market."""
+    if symbol is not None:
+        if symbol not in market.series:
+            raise ValueError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
+                             f" in the universe in {data_dir}")
+        return symbol
+    symbol = top_cap_symbol(market.caps, month_start)
+    if symbol is None:
+        raise DataError(f"btc_bh: no market-cap snapshot in {data_dir} before"
+                        f" {month_id(month_start)} to pick a symbol from; set"
+                        " benchmarks.buy_hold_symbol")
+    if symbol not in market.series:
+        raise DataError(f"btc_bh: largest-cap symbol {symbol!r} before"
+                        f" {month_id(month_start)} has no OHLCV file in"
+                        f" {data_dir}")
+    return symbol
 
 
 def trailing_month_return(series: PriceSeries, month_start: int,
@@ -192,14 +220,7 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
         raise DataError("no month boundary inside [start, end]")
 
     if spec.kind == "buy_hold":
-        symbol = spec.symbol
-        if symbol is None:
-            symbol = top_cap_symbol(caps, months[0])
-            if symbol is None:
-                raise DataError("buy_hold needs a cap snapshot to pick a symbol")
-        series = universe.get(symbol)
-        if series is None:
-            raise ValueError(f"buy_hold symbol {symbol!r} not in universe")
+        series = universe[buy_hold_symbol(spec.symbol, market, months[0])]
         windows = [(months[0], cfg.end)]
 
         def simulate(window: Tuple[int, int], balance: float):

@@ -38,14 +38,15 @@ from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
                          load_equity, run_ablation, save_equity, snap_to_month,
                          ABLATION_VARIANTS)
-from .benchmarks import BenchmarkSpec, run_benchmark, top_cap_symbol
+from .benchmarks import (BenchmarkSpec, buy_hold_symbol, run_benchmark,
+                         top_cap_symbol)
 from .cost_model import CostConfig, load_funding_rates
 from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
                           SyntheticSpec, atomic_write_text, bars_per_year,
                           generate_synthetic_universe, load_market_caps,
-                          load_price_series, month_id, read_csv,
-                          resample_series, save_market_caps,
-                          save_price_series, write_csv)
+                          load_price_series, read_csv, resample_series,
+                          save_market_caps, save_price_series,
+                          write_columns)
 from .rebalancer import Optimizer, ParamGrid, RebalanceConfig
 from .signal_engine import write_ledger
 
@@ -405,28 +406,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_buy_hold_symbol(cfg, bt_cfg: BacktestConfig, data_dir: str,
-                           market: Market) -> None:
-    """Fail before the run if btc_bh has no symbol to buy in the universe."""
-    symbol = cfg["benchmarks.buy_hold_symbol"]
-    if symbol is not None:
-        if symbol not in market.series:
-            raise ConfigError(f"benchmarks.buy_hold_symbol {symbol!r} is not"
-                              f" in the universe in {data_dir}")
-        return
-    first = snap_to_month(bt_cfg.start)
-    if first > bt_cfg.end:
-        return  # the run itself reports the missing month boundary
-    symbol = top_cap_symbol(market.caps, first)
-    if symbol is None:
-        raise DataError(f"btc_bh: no market-cap snapshot in {data_dir} before"
-                        f" {month_id(first)} to pick a symbol from; set"
-                        " benchmarks.buy_hold_symbol")
-    if symbol not in market.series:
-        raise DataError(f"btc_bh: largest-cap symbol {symbol!r} before"
-                        f" {month_id(first)} has no OHLCV file in {data_dir}")
-
-
 def _write_run_artifacts(out_dir: str, label: str, variant: str,
                          report, result: BacktestResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -453,8 +432,11 @@ def cmd_backtest(args) -> int:
                                   f" of {tuple(BENCHMARKS)}")
         data_dir = data_dir_from(cfg, None)
         market = Market(*load_universe(data_dir, bt_cfg.interval))
-        if "btc_bh" in cfg["benchmarks.kinds"]:
-            _check_buy_hold_symbol(cfg, bt_cfg, data_dir, market)
+        first = snap_to_month(bt_cfg.start)
+        # Without a month boundary the run itself reports it.
+        if "btc_bh" in cfg["benchmarks.kinds"] and first <= bt_cfg.end:
+            buy_hold_symbol(cfg["benchmarks.buy_hold_symbol"], market, first,
+                            data_dir)
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -575,7 +557,8 @@ def cmd_sweep(args) -> int:
         counters.update(optimizer_counters(market.optimizer))
 
     os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
+    write_columns(os.path.join(args.out, "sweep.csv"), header,
+                  list(zip(*rows)))
     write_json(os.path.join(args.out, "manifest.json"), {
         "engine_version": __version__,
         "command": "sweep",
@@ -750,10 +733,11 @@ def cmd_report(args) -> int:
             if os.path.isfile(eq_path) and meta is not None:
                 curves.append((meta["label"], load_equity(eq_path)))
     if curves:
-        write_csv(os.path.join(out, "report_equity.csv"),
-                  ["strategy", "timestamp", "balance"],
-                  ([label, int(ts), bal] for label, curve in curves
-                   for ts, bal in zip(curve.timestamps, curve.balances)))
+        write_columns(os.path.join(out, "report_equity.csv"),
+                      ["strategy", "timestamp", "balance"],
+                      [[label for label, c in curves for _ in c.timestamps],
+                       [t for _, c in curves for t in c.timestamps.tolist()],
+                       [b for _, c in curves for b in c.balances.tolist()]])
         sections.append(f"Equity curves: report_equity.csv"
                         f" ({len(curves)} strategies).")
     else:
@@ -766,12 +750,11 @@ def cmd_report(args) -> int:
         with open(sweep_path, newline="") as fh:
             sweep_rows = list(csv.reader(fh))
         header = sweep_rows[0] if sweep_rows else []
-        if {"alpha", "lambda", "sharpe"} <= set(header):
-            ia, il = header.index("alpha"), header.index("lambda")
-            ish = header.index("sharpe")
-            sens = [[r[ia], r[il], r[ish]] for r in sweep_rows[1:]]
-            write_csv(os.path.join(out, "sensitivity.csv"),
-                      ["alpha", "lambda", "sharpe"], sens)
+        surface = ["alpha", "lambda", "sharpe"]
+        if set(surface) <= set(header):
+            write_columns(os.path.join(out, "sensitivity.csv"), surface,
+                          [[r[i] for r in sweep_rows[1:]]
+                           for i in map(header.index, surface)])
             sections.append("Sensitivity surface: sensitivity.csv.")
     sections.append("")
 

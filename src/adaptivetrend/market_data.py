@@ -341,28 +341,15 @@ def _line(cells: Sequence[str]) -> str:
     return '""' if len(cells) == 1 and not cells[0] else ",".join(cells)
 
 
-def _write_lines(path: str, header: Sequence[str],
-                 lines: Iterable[str]) -> None:
-    """Header and lines, each ended by the \\r\\n csv.writer ends rows with,
-    written atomically once every line is formatted."""
-    text = "\r\n".join(chain([_line([_cell(h) for h in header])], lines))
-    atomic_write_text(path, text + "\r\n")
-
-
-def write_csv(path: str, header: Sequence[str],
-              rows: Iterable[Sequence[object]]) -> None:
-    """Write rows to ``path`` atomically, every value formatted by _cell."""
-    _write_lines(path, header, (_line([_cell(v) for v in row]) for row in rows))
-
-
 def write_columns(path: str, header: Sequence[str],
                   columns: Sequence[Sequence[object]]) -> None:
-    """write_csv of the rows these equal-length columns make up, byte for
-    byte, formatting a whole column at a time."""
-    if len(columns) < 2:
-        return write_csv(path, header, zip(*columns))
+    """Write the header and the rows these equal-length columns make up to
+    ``path`` as csv.writer writes them, each line ended by \\r\\n and every
+    value formatted by _cell a whole column at a time; the file is written
+    atomically once every line is formatted."""
     cells = [_column_cells(col) for col in columns]
-    _write_lines(path, header, map(",".join, zip(*cells)))
+    lines = chain([[_cell(h) for h in header]], zip(*cells))
+    atomic_write_text(path, "\r\n".join(map(_line, lines)) + "\r\n")
 
 
 _OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
@@ -478,8 +465,9 @@ def load_market_caps(path: str) -> CapIndex:
 
 
 def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:
-    write_csv(path, MARKET_CAP_HEADER,
-              ([r.date.isoformat(), r.symbol, r.cap] for r in records))
+    write_columns(path, MARKET_CAP_HEADER,
+                  [[r.date.isoformat() for r in records],
+                   [r.symbol for r in records], [r.cap for r in records]])
 
 
 # ---------------------------------------------------------------------------

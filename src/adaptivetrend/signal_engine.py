@@ -11,14 +11,17 @@ at once, in array passes: a next-entry table per entry rule, an exit table
 per stop rule (binary lifting over a sparse table of minima), then one walk
 in which every cell jumps from entry to exit to next entry. Each series'
 ATR is computed once per ATR window (``series_atr``) and shared by every
-search over it. One ledger (``book_trades``, shared with the comparison
-benchmarks) accounts for the trades. ``run_single_asset`` is the two in
-turn: it returns the closed trades (with full cost attribution) and per-bar
-series, strategy returns for Sharpe evaluation plus currency-denominated
-realized / mark-to-market / cost components that let a caller audit account
-equity exactly. ``grid_sharpes`` scores many cells of one side at once for
-the monthly grid search with the same search, so the optimizer scores the
-execution model that trades.
+search over it. The trades stay the search's ``Trades`` columns up to one
+ledger (``book_trades``, shared with the comparison benchmarks, whose
+positions are one-row ``Trades``), which accounts for them.
+``run_single_asset`` is the two in turn: it returns the closed trades (with
+full cost attribution) and per-bar series, strategy returns for Sharpe
+evaluation plus currency-denominated realized / mark-to-market / cost
+components that let a caller audit account equity exactly. ``grid_sharpes``
+scores many cells of one side at once for the monthly grid search with the
+same search, so the optimizer scores the execution model that trades. It
+and the ledger price fills with one step (``_fills``), so both pay the same
+costs.
 """
 
 import math
@@ -151,23 +154,51 @@ class SingleAssetResult:
     trades: List[TradeRecord]
 
 
-# A trade as the ledger takes it: entry bar, exit bar (both local to the
-# window), exit price, side and the forced flag. The entry fills at the entry
-# bar's close.
-Trade = Tuple[int, int, float, str, bool]
+class Trades(NamedTuple):
+    """Found trades as columns, grouped by cell and in time order within a
+    cell: the cell's index, the entry and exit bars (local to the window), the
+    exit fill price, whether the window's end forced the exit, and whether
+    the trade is short. The entry fills at the entry bar's close."""
+
+    cell: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    exit_px: np.ndarray
+    forced: np.ndarray
+    short: np.ndarray
+
+
+NO_TRADES = Trades(*(np.zeros(0, dtype=t)
+                     for t in (np.intp, np.intp, np.intp, float, bool, bool)))
+
+
+def _fills(arr: SeriesArrays, interval: int, bounds: Tuple[int, int],
+           found: Trades, size: float,
+           cost_cfg: CostConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Fee and slippage of every fill of the found trades: the m entries,
+    then the m exits. An entry's notional is ``size``, an exit's the
+    position's value at its fill price."""
+    i0, i1 = bounds
+    close = arr.close[i0:i1]
+    fill_bars = np.concatenate((found.entry, found.exit))
+    notional = np.concatenate((np.full(len(found.cell), size),
+                               size * found.exit_px / close[found.entry]))
+    return fill_costs(notional, arr.volume[i0:i1][fill_bars],
+                      close[fill_bars], cost_cfg, interval)
 
 
 def book_trades(
     series: PriceSeries,
     bounds: Tuple[int, int],
-    trades: Sequence[Trade],
+    found: Trades,
     size: float,
     cost_cfg: CostConfig,
     stop: np.ndarray,
     *,
     charge_funding: bool = True,
 ) -> SingleAssetResult:
-    """Account for the trades of one window of bars [i0, i1).
+    """Account for one cell's trades in one window of bars [i0, i1); the
+    ``cell`` column is not read.
 
     Every strategy's trades go through here, so all of them pay the same
     fills and funding and are marked to market the same way. Each trade
@@ -190,23 +221,20 @@ def book_trades(
     records: List[TradeRecord] = []
     funding_of: Dict[str, np.ndarray] = {}
     realized = 0.0
-    m = len(trades)
+    m = len(found.cell)
     if m:
-        # All of the window's fills at once: the m entries, then the m exits.
-        ent, ext, exit_pxs = (np.array(col) for col in list(zip(*trades))[:3])
-        fill_bars = i0 + np.concatenate((ent, ext))
-        notional = np.concatenate((np.full(m, size),
-                                   size * exit_pxs / close[ent]))
-        fill_fees, fill_slips = (c.tolist() for c in fill_costs(
-            notional, arr.volume[fill_bars], arr.close[fill_bars], cost_cfg,
-            series.interval))
-    for k, (e, x, exit_px, side, forced) in enumerate(trades):
-        long = side == LONG
+        fill_fees, fill_slips = (c.tolist() for c in _fills(
+            arr, series.interval, bounds, found, size, cost_cfg))
+    for k, (e, x, exit_px, short, forced) in enumerate(zip(
+            found.entry.tolist(), found.exit.tolist(),
+            found.exit_px.tolist(), found.short.tolist(),
+            found.forced.tolist())):
+        side = SHORT if short else LONG
         entry_px = float(close[e])
-        position[e:x] = 1 if long else -1
+        position[e:x] = -1 if short else 1
         moves = close[e + 1:x + 1] / close[e:x] - 1.0
         moves[-1] = exit_px / close[x - 1] - 1.0
-        gross_returns[e + 1:x + 1] = moves if long else -moves
+        gross_returns[e + 1:x + 1] = -moves if short else moves
         open_mtm[e:x] = gross_pnl(side, size, entry_px, close[e:x])
         entry_fee, exit_fee = fill_fees[k], fill_fees[m + k]
         entry_slip, exit_slip = fill_slips[k], fill_slips[m + k]
@@ -244,23 +272,6 @@ def book_trades(
 # ---------------------------------------------------------------------------
 # The trade search
 # ---------------------------------------------------------------------------
-
-class Trades(NamedTuple):
-    """Found trades as columns, grouped by cell and in time order within a
-    cell: the cell's index, the entry and exit bars (local to the window), the
-    exit fill price, whether the window's end forced the exit, and whether
-    the trade is short."""
-
-    cell: np.ndarray
-    entry: np.ndarray
-    exit: np.ndarray
-    exit_px: np.ndarray
-    forced: np.ndarray
-    short: np.ndarray
-
-
-NO_TRADES = Trades(*(np.zeros(0, dtype=t)
-                     for t in (np.intp, np.intp, np.intp, float, bool, bool)))
 
 _atr_memo: "weakref.WeakKeyDictionary[SeriesArrays, Dict[int, np.ndarray]]" = (
     weakref.WeakKeyDictionary())
@@ -467,19 +478,16 @@ def _exits(tested: np.ndarray, cand: np.ndarray,
 
 def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(cands[side, row, lo:hi]) for each query (lo < hi), exactly, from
-    a sparse table of maxima over blocks of 2^k bars."""
+    """max(cands[side, row, lo:hi]) for each query (lo < hi < n), exactly.
+
+    One np.maximum.reduceat over the flattened candidates takes the queries'
+    (lo, hi) flat offsets interleaved: every second result is a query's max,
+    and the ones between, over the gap to the next query (or a single value
+    when the next query lies before), are dropped."""
     n = cands.shape[-1]
-    table = np.empty(((n - 1).bit_length(),) + cands.shape)
-    table[0] = cands
-    for k in range(1, len(table)):
-        half, width = 1 << (k - 1), n - (1 << k) + 1
-        np.maximum(table[k - 1, ..., :width],
-                   table[k - 1, ..., half:half + width],
-                   out=table[k, ..., :width])
-    k = np.frexp(hi - lo)[1] - 1  # the largest 2^k <= hi - lo
-    return np.maximum(table[k, side, row, lo],
-                      table[k, side, row, hi - np.left_shift(1, k)])
+    base = (side * cands.shape[1] + row) * n
+    offsets = np.stack((base + lo, base + hi), axis=1).ravel()
+    return np.maximum.reduceat(cands.ravel(), offsets)[::2]
 
 
 def run_single_asset(
@@ -509,24 +517,21 @@ def run_single_asset(
     i0, i1 = bounds
     found = find_trades(arr, bounds, (params,), side_enabled, trailing,
                         intrabar_stop_fill)
-    trades: List[Trade] = list(zip(
-        found.entry.tolist(), found.exit.tolist(), found.exit_px.tolist(),
-        [SHORT if s else LONG for s in found.short.tolist()],
-        found.forced.tolist()))
     # The stop in force after each bar of the window; NaN when flat.
     stop = np.full(i1 - i0, np.nan)
-    if trades:
+    if len(found.cell):
         close = arr.close[i0:i1]
         risk = params.alpha * series_atr(arr, params.atr_window)[i0:i1]
-        cands = {LONG: close - risk, SHORT: -close - risk}
-        for e, x, _, side, _ in trades:
+        cands = (close - risk, -close - risk)  # long, short
+        for e, x, short in zip(found.entry.tolist(), found.exit.tolist(),
+                               found.short.tolist()):
             if trailing:
-                np.maximum.accumulate(cands[side][e:x], out=stop[e:x])
+                np.maximum.accumulate(cands[short][e:x], out=stop[e:x])
             else:
-                stop[e:x] = cands[side][e]
-            if side == SHORT:
+                stop[e:x] = cands[short][e]
+            if short:
                 np.negative(stop[e:x], out=stop[e:x])
-    return book_trades(series, bounds, trades, size, cost_cfg, stop)
+    return book_trades(series, bounds, found, size, cost_cfg, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +592,7 @@ def grid_sharpes(
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
     fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol, side, 1.0)
-    fill_bars = np.concatenate((ent, ext))
-    fees, slips = fill_costs(
-        np.concatenate((np.ones(m), exit_px / close[ent])),
-        arr.volume[i0:i1][fill_bars], close[fill_bars], cost_cfg, interval)
+    fees, slips = _fills(arr, interval, bounds, found, 1.0, cost_cfg)
     fill_cost = fees + slips
     net = np.zeros((len(traded), n))
     np.copyto(net, gross - fund, where=held)

@@ -47,10 +47,14 @@ from adaptivetrend.rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
                                      run_rebalance)
 from adaptivetrend.signal_engine import (LEDGER_HEADER, SIDE_CHOICES,
                                          EngineError, SingleAssetResult,
-                                         StrategyParams, Trade, TradeRecord,
+                                         StrategyParams, TradeRecord,
                                          gross_pnl)
 
 INF = math.inf
+
+# A trade as TradeSearch finds it: entry bar, exit bar (both local to the
+# window), exit price, side and the forced flag.
+Trade = Tuple[int, int, float, str, bool]
 
 
 def validate_bar(bar: Bar) -> None:

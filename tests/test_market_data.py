@@ -10,7 +10,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
                                       save_equity)
@@ -23,8 +23,7 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        load_market_caps, load_price_series,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
-                                       save_price_series, write_columns,
-                                       write_csv)
+                                       save_price_series, write_columns)
 from adaptivetrend.signal_engine import (LEDGER_HEADER, TradeRecord,
                                          read_ledger, write_ledger)
 import scalar_reference
@@ -375,23 +374,21 @@ def test_reader_framing_errors_name_path_and_line(kind, tmp_path):
 
 
 def test_write_csv_failure_keeps_target(tmp_path):
+    # A lone surrogate cannot be encoded, so the write fails after the
+    # temporary file is opened: it is removed and the target is kept.
     target = tmp_path / "equity.csv"
     target.write_bytes(b"timestamp,balance\r\n1,2.0\r\n")
-
-    def rows():
-        yield [3, 4.0]
-        raise RuntimeError("row source failed")
-
-    with pytest.raises(RuntimeError, match="row source failed"):
-        write_csv(str(target), EQUITY_HEADER, rows())
+    with pytest.raises(UnicodeEncodeError):
+        write_columns(str(target), EQUITY_HEADER, [[3, 5], [4.0, "\ud800"]])
     assert target.read_bytes() == b"timestamp,balance\r\n1,2.0\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["equity.csv"]
 
 
 def test_write_csv_cells(tmp_path):
     p = tmp_path / "cells.csv"
-    write_csv(str(p), ["a", "b", "c", "d"],
-              [[None, 0.1, np.float64(1e-300), "x,y"], [3, -0.0, 2.5, ""]])
+    write_columns(str(p), ["a", "b", "c", "d"],
+                  [[None, 3], [0.1, -0.0], [np.float64(1e-300), 2.5],
+                   ["x,y", ""]])
     assert p.read_bytes() == (b'a,b,c,d\r\n,0.1,1e-300,"x,y"\r\n'
                               b"3,-0.0,2.5,\r\n")
 
@@ -453,7 +450,7 @@ class TestCsvRoundTrip:
                          unique_by=lambda r: (r[0], r[1]), max_size=8))
     def test_funding_rates(self, tmp_path_factory, rows):
         p = tmp_path_factory.mktemp("rt") / "funding_rates.csv"
-        write_csv(str(p), FUNDING_HEADER, rows)
+        write_columns(str(p), FUNDING_HEADER, list(zip(*rows)))
         expected = {}
         for ts, sym, rate in rows:
             expected.setdefault(sym, []).append((ts, rate))
@@ -794,19 +791,21 @@ class TestColumnWriterMatchesCsvWriter:
         assert new == old
 
     @WRITER
-    @given(width=st.integers(1, 4), data=st.data())
-    def test_any_cells(self, tmp_path_factory, width, data):
-        rows = data.draw(st.lists(st.lists(CELL, min_size=width,
-                                           max_size=width), max_size=6))
+    @given(table=st.integers(1, 4).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.lists(CELL, min_size=width,
+                                          max_size=width), max_size=6))))
+    @example(table=(1, []))
+    @example(table=(3, []))
+    @example(table=(1, [[""]]))  # a lone empty cell
+    @example(table=(1, [[None], ["a"], [""], [1.5]]))
+    def test_any_cells(self, tmp_path_factory, table):
+        width, rows = table
         header = [f"c{i}" for i in range(width)]
-        columns = [list(col) for col in zip(*rows)] or [[]] * width
-        d = tmp_path_factory.mktemp("w")
-        scalar_reference.write_csv(str(d / "old.csv"), header, rows)
-        write_csv(str(d / "rows.csv"), header, rows)
-        write_columns(str(d / "columns.csv"), header, columns)
-        old = (d / "old.csv").read_bytes()
-        assert (d / "rows.csv").read_bytes() == old
-        assert (d / "columns.csv").read_bytes() == old
+        columns = [[row[i] for row in rows] for i in range(width)]
+        new, old = self.written(
+            tmp_path_factory, lambda p: write_columns(p, header, columns),
+            lambda p: scalar_reference.write_csv(p, header, rows))
+        assert new == old
 
 
 @st.composite

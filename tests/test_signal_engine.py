@@ -13,9 +13,9 @@ from adaptivetrend.market_data import (Bar, PriceSeries, SeriesArrays,
                                        bars_per_year)
 from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
                                          StrategyParams, TradeRecord,
-                                         find_trades, grid_sharpes, gross_pnl,
-                                         read_ledger, run_single_asset,
-                                         write_ledger)
+                                         _stop_max, find_trades, grid_sharpes,
+                                         gross_pnl, read_ledger,
+                                         run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
                       rough_series)
@@ -390,6 +390,35 @@ def per_cell(found, n_cells):
     for cell, e, x, px, forced, short in zip(*(col.tolist() for col in found)):
         lists[cell].append((e, x, px, "short" if short else "long", forced))
     return lists
+
+
+class TestStopMax:
+    """The intrabar fill's trailing stop, max(cands[side, row, lo:hi]) per
+    query, against a brute-force max."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, n, count = int(rng.integers(1, 4)), int(rng.integers(2, 30)), 40
+        cands = rng.normal(size=(2, rows, n))
+        side = rng.integers(0, 2, count)
+        row = rng.integers(0, rows, count)
+        lo = rng.integers(0, n - 1, count)
+        hi = rng.integers(lo + 1, n)
+        # Queries on the last row of each side ending on the last bar, and
+        # one-bar segments.
+        side[:4], row[:4] = (1, 0, 1, 0), rows - 1
+        hi[:2] = n - 1
+        hi[2:4] = lo[2:4] + 1
+        flat = (side * rows + row) * n + lo
+        assert (np.diff(flat) < 0).any()  # queries out of flat order
+        want = [cands[s, r, a:b].max() for s, r, a, b
+                in zip(side.tolist(), row.tolist(), lo.tolist(), hi.tolist())]
+        assert _stop_max(cands, side, row, lo, hi).tolist() == want
+        # One side's search passes its only side as 0.
+        want = [cands[1, r, a:b].max() for r, a, b
+                in zip(row.tolist(), lo.tolist(), hi.tolist())]
+        assert _stop_max(cands[1:], 0, row, lo, hi).tolist() == want
 
 
 CELL = st.builds(StrategyParams,
