@@ -262,6 +262,10 @@ def bootstrap_sharpe_test(
     Replicate streams derive from (seed, replicate) so parallel and serial
     evaluation, or any evaluation order, give identical results.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if block_len < 1:
+        raise ValueError(f"block_len must be >= 1, got {block_len}")
     a = np.asarray(returns_a, dtype=np.float64)
     b = np.asarray(returns_b, dtype=np.float64)
     if len(a) != len(b):

@@ -11,7 +11,9 @@ Ablation variants toggle one pipeline component each and reuse the same loop.
 The loop over months itself (``run_windows``: marking, the balance roll and
 the halt at bankruptcy) is shared with the comparison benchmarks. Every run
 over one loaded universe reads it through one ``Market``, which builds what
-the runs share once: the cap index, the timeline and the optimizer.
+the runs share once: the cap index, the timeline and the optimizer. A
+month's rebalance takes that market and the run's BacktestConfig whole
+(``run_rebalance(market, month_start, cfg)``).
 """
 
 import logging
@@ -275,9 +277,10 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
     solve a repeated problem once.
     """
     universe = market.series
-    rcfg = cfg.rebalance
     if not cfg.sharpe_filter_enabled:
-        rcfg = replace(rcfg, gamma_long=float("-inf"), gamma_short=float("-inf"))
+        cfg = replace(cfg, rebalance=replace(cfg.rebalance,
+                                             gamma_long=float("-inf"),
+                                             gamma_short=float("-inf")))
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
@@ -294,13 +297,7 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
         nonlocal portfolio
         m = window[0]
         if cfg.reoptimize_enabled or portfolio is None:
-            portfolio, record = run_rebalance(
-                universe, market.caps, m, rcfg, cfg.costs, cfg.interval,
-                optimizer=market.optimizer,
-                cap_filter_enabled=cfg.cap_filter_enabled,
-                trailing=cfg.trailing_stop_enabled,
-                intrabar_stop_fill=cfg.intrabar_stop_fill,
-            )
+            portfolio, record = run_rebalance(market, m, cfg)
         else:
             carried_from = portfolios[0].month
             portfolio = replace(portfolio, month=month_id(m))

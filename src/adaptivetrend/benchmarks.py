@@ -27,7 +27,7 @@ weights, or a plain hold.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -165,15 +165,11 @@ def realized_vol(series: PriceSeries, month_start: int, window_days: int,
     return float(np.std(rets, ddof=1)) * math.sqrt(bpy)
 
 
-def _month_weights(
-    spec: BenchmarkSpec,
-    universe: Dict[str, PriceSeries],
-    caps: CapIndex,
-    month_start: int,
-    bpy: float,
-) -> List[Tuple[str, str, float]]:
+def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int,
+                   bpy: float) -> List[Tuple[str, str, float]]:
     """(symbol, side, |weight|) rows for one month of a monthly-rebalanced kind."""
-    snapshot = cap_snapshot(caps, date_of_ts(month_start - 1))
+    universe = market.series
+    snapshot = cap_snapshot(market.caps, date_of_ts(month_start - 1))
     if snapshot is None:
         return []
     members = sorted(snapshot, key=lambda s: (-snapshot[s], s))[: spec.universe_size]
@@ -213,7 +209,7 @@ def _month_weights(
 def run_benchmark(spec: BenchmarkSpec, market: Market,
                   cfg: BacktestConfig) -> BenchmarkRun:
     """Run one benchmark over cfg's window with cfg's cost model."""
-    universe, caps = market.series, market.caps
+    universe = market.series
     bpy = bars_per_year(cfg.interval)
     months = month_starts_between(cfg.start, cfg.end)
     if not months:
@@ -231,7 +227,7 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
         windows = month_windows(months, cfg.end)
 
         def simulate(window: Tuple[int, int], balance: float):
-            weights = _month_weights(spec, universe, caps, window[0], bpy)
+            weights = _month_weights(spec, market, window[0], bpy)
             return [hold_position(universe[sym], side, w * balance, window,
                                   cfg.costs, charge_funding)
                     for sym, side, w in weights if w > 0.0]

@@ -36,8 +36,8 @@ from . import __version__
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
                         write_regime_csv, REGIME_CSV_HEADER)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
-                         load_equity, run_ablation, save_equity, snap_to_month,
-                         ABLATION_VARIANTS)
+                         ablation_config, load_equity, run_ablation,
+                         save_equity, snap_to_month, ABLATION_VARIANTS)
 from .benchmarks import (BenchmarkSpec, buy_hold_symbol, run_benchmark,
                          top_cap_symbol)
 from .cost_model import CostConfig, load_funding_rates
@@ -121,6 +121,20 @@ def _parse_str(s: str) -> str:
 
 def _parse_strs(s: str) -> Tuple[str, ...]:
     return tuple(x.strip() for x in s.split(",") if x.strip())
+
+
+def _parse_regimes(s: str) -> Tuple[Tuple[int, float, float], ...]:
+    """synth --regimes: comma-separated bars:annual_drift:annual_vol."""
+    regimes = []
+    for part in s.split(","):
+        try:
+            dur, drift, vol = part.split(":")
+            regimes.append((int(dur), _parse_float(drift), _parse_float(vol)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad regime segment {part!r}; expected finite"
+                " bars:annual_drift:annual_vol") from None
+    return tuple(regimes)
 
 
 # key -> (parser, default string or None for "unset")
@@ -268,12 +282,11 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
 def run_label(cfg: Dict[str, object], bt_cfg: BacktestConfig) -> str:
     if cfg["run.label"]:
         return str(cfg["run.label"])
-    lam = bt_cfg.rebalance.long_ratio
-    if cfg["run.variant"] == "symmetric_allocation":
-        lam = 0.5
+    variant = cfg["run.variant"]
+    lam = ablation_config(bt_cfg, variant).rebalance.long_ratio
     label = f"AdaptiveTrend ({round(lam * 100)}/{round(100 - lam * 100)})"
-    if cfg["run.variant"] not in (None, "full"):
-        label += f" [{cfg['run.variant']}]"
+    if variant != "full":
+        label += f" [{variant}]"
     return label
 
 
@@ -347,6 +360,23 @@ def optimizer_counters(optimizer: Optimizer) -> Dict[str, int]:
             "optimizer.solved": optimizer.solved}
 
 
+def _write_manifest(out: str, command: str, cfg: Dict[str, object],
+                    data_dir: str, t0: float, counters: Dict[str, int],
+                    **extra: object) -> None:
+    """manifest.json of a run directory: what ran, on which inputs, for how
+    long (since the monotonic time t0), with ``extra`` keys per command."""
+    write_json(os.path.join(out, "manifest.json"), {
+        "engine_version": __version__,
+        "command": command,
+        "config": config_snapshot(cfg),
+        "data_dir": os.path.abspath(data_dir),
+        "input_digests": digest_dir(data_dir),
+        "duration_seconds": round(time.monotonic() - t0, 3),
+        "counters": counters,
+        **extra,
+    })
+
+
 def metrics_row(report) -> List[object]:
     d = report.to_dict()
     return [d[c] for c in METRIC_COLUMNS]
@@ -388,13 +418,9 @@ def cmd_validate_data(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    regimes = []
-    for part in args.regimes.split(","):
-        dur, drift, vol = part.split(":")
-        regimes.append((int(dur), float(drift), float(vol)))
     spec = SyntheticSpec(
         seed=args.seed, n_symbols=args.symbols,
-        n_bars=sum(d for d, _, _ in regimes), regimes=tuple(regimes),
+        n_bars=sum(d for d, _, _ in args.regimes), regimes=args.regimes,
         interval=args.interval, start=args.start,
     )
     series_list, caps = generate_synthetic_universe(spec)
@@ -464,15 +490,8 @@ def cmd_backtest(args) -> int:
                    {"label": bench_label, "variant": name,
                     "metrics": run.metrics.to_dict()})
 
-    write_json(os.path.join(out, "manifest.json"), {
-        "engine_version": __version__,
-        "command": "backtest",
-        "config": config_snapshot(cfg),
-        "data_dir": os.path.abspath(data_dir),
-        "input_digests": digest_dir(data_dir),
-        "duration_seconds": round(time.monotonic() - t0, 3),
-        "counters": optimizer_counters(market.optimizer),
-    })
+    _write_manifest(out, "backtest", cfg, data_dir, t0,
+                    optimizer_counters(market.optimizer))
     print(f"backtest complete: {label}; final balance"
           f" {result.equity.balances[-1]:.2f}; artifacts in {out}")
     return 0
@@ -559,16 +578,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_columns(os.path.join(args.out, "sweep.csv"), header,
                   list(zip(*rows)))
-    write_json(os.path.join(args.out, "manifest.json"), {
-        "engine_version": __version__,
-        "command": "sweep",
-        "axis": args.axis,
-        "config": config_snapshot(cfg),
-        "data_dir": os.path.abspath(data_dir),
-        "input_digests": digest_dir(data_dir),
-        "duration_seconds": round(time.monotonic() - t0, 3),
-        "counters": dict(counters),
-    })
+    _write_manifest(args.out, "sweep", cfg, data_dir, t0, dict(counters),
+                    axis=args.axis)
     print(f"sweep complete: {len(rows)} rows in {args.out}/sweep.csv")
     return 0
 
@@ -664,20 +675,24 @@ def cmd_report(args) -> int:
     gaps: List[str] = []
     sections: List[str] = ["# Backtest Report", ""]
 
-    # Main comparison table (strategy + any benchmarks present).
+    # One pass over the strategy's and each benchmark's directory reads its
+    # metrics (a table row) and its equity curve (for the plot CSV).
     entries: List[dict] = []
-    main = _read_metrics_json(os.path.join(out, "metrics.json"))
-    if main is None:
-        gaps.append("metrics.json missing: no strategy metrics")
-    else:
-        entries.append(main)
+    curves: List[Tuple[str, EquityCurve]] = []
     bench_root = os.path.join(out, "benchmarks")
-    if os.path.isdir(bench_root):
-        for name in sorted(os.listdir(bench_root)):
-            bench = _read_metrics_json(os.path.join(bench_root, name,
-                                                    "metrics.json"))
-            if bench is not None:
-                entries.append(bench)
+    names = sorted(os.listdir(bench_root)) if os.path.isdir(bench_root) else []
+    for run_dir in [out] + [os.path.join(bench_root, n) for n in names]:
+        meta = _read_metrics_json(os.path.join(run_dir, "metrics.json"))
+        if meta is None:
+            if run_dir == out:
+                gaps.append("metrics.json missing: no strategy metrics")
+            continue
+        entries.append(meta)
+        eq_path = os.path.join(run_dir, "equity.csv")
+        if os.path.isfile(eq_path):
+            curves.append((meta["label"], load_equity(eq_path)))
+
+    # Main comparison table (strategy + any benchmarks present).
     sections.append("## Performance comparison")
     sections.append("")
     if entries:
@@ -722,16 +737,6 @@ def cmd_report(args) -> int:
     sections.append("")
 
     # Plot-ready equity CSV.
-    curves: List[Tuple[str, EquityCurve]] = []
-    if main is not None and os.path.isfile(os.path.join(out, "equity.csv")):
-        curves.append((main["label"], load_equity(os.path.join(out, "equity.csv"))))
-    if os.path.isdir(bench_root):
-        for name in sorted(os.listdir(bench_root)):
-            eq_path = os.path.join(bench_root, name, "equity.csv")
-            meta = _read_metrics_json(os.path.join(bench_root, name,
-                                                   "metrics.json"))
-            if os.path.isfile(eq_path) and meta is not None:
-                curves.append((meta["label"], load_equity(eq_path)))
     if curves:
         write_columns(os.path.join(out, "report_equity.csv"),
                       ["strategy", "timestamp", "balance"],
@@ -798,7 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
     p.add_argument("--start", type=_parse_timestamp, default="2022-01-01",
                    help="series start (bars begin one interval later)")
-    p.add_argument("--regimes", default="360:0.5:0.6,360:-0.4:0.8,360:0.1:0.4",
+    p.add_argument("--regimes", type=_parse_regimes,
+                   default="360:0.5:0.6,360:-0.4:0.8,360:0.1:0.4",
                    help="comma list of bars:annual_drift:annual_vol segments")
     p.set_defaults(func=cmd_synth)
 

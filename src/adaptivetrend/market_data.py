@@ -230,6 +230,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_symbols < 1 or self.n_bars < 1:
             raise DataError("n_symbols and n_bars must be positive")
+        if self.interval <= 0:
+            raise DataError(f"interval must be > 0, got {self.interval}")
         if sum(d for d, _, _ in self.regimes) != self.n_bars:
             raise DataError("regime durations must sum to n_bars")
         if any(d <= 0 for d, _, _ in self.regimes):

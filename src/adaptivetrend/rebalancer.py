@@ -1,13 +1,16 @@
 """Monthly portfolio construction.
 
-Four stages, run at each month boundary:
+Three stages, run at each month boundary by run_rebalance(market,
+month_start, cfg), which reads everything it needs from one Market (caps,
+series, optimizer) and one BacktestConfig:
   1. filter_universe: rank symbols by the most recent market-cap snapshot;
      top-K become long candidates, bottom-K short candidates.
   2. optimize_params: per candidate, grid-search entry/stop parameters on the
      preceding calendar month (ending one buffer before the month start),
      maximizing the annualized Sharpe of the candidate's net per-bar returns
-     under the execution model the month trades with. An Optimizer solves
-     each such problem once for every run that shares it.
+     under the execution model the month trades with. The market's
+     Optimizer, asked by symbol, solves each such problem once for every run
+     that shares it.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -21,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +33,9 @@ from .indicators import rolling_sharpe
 from .market_data import (CapIndex, PriceSeries, bars_per_year, date_of_ts,
                           month_add, month_id)
 from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
+
+if TYPE_CHECKING:
+    from .backtester import BacktestConfig, Market
 
 logger = logging.getLogger(__name__)
 
@@ -248,21 +254,21 @@ def select_and_allocate(
     n_shorts; an empty sleeve's share stays in cash. A sleeve whose share is
     0 (long_ratio 0 or 1) admits nothing, since a position needs a size.
     """
-    longs = sorted((r for r in long_results if r.sharpe >= cfg.gamma_long),
-                   key=lambda r: r.symbol)
-    shorts = sorted((r for r in short_results if r.sharpe >= cfg.gamma_short),
-                    key=lambda r: r.symbol)
     lam = cfg.long_ratio
-    for side, admitted, share in (("long", longs, lam),
-                                  ("short", shorts, 1.0 - lam)):
+    sleeves = []
+    for side, results, gamma, share in (
+            ("long", long_results, cfg.gamma_long, lam),
+            ("short", short_results, cfg.gamma_short, 1.0 - lam)):
+        admitted = sorted((r for r in results if r.sharpe >= gamma),
+                          key=lambda r: r.symbol)
         if share == 0.0 and admitted:
             logger.info("%s: the %s sleeve has no capital; %d candidates"
                         " not admitted", month, side, len(admitted))
-            admitted.clear()
-    long_alloc = tuple(Allocation(r.symbol, r.params, lam / len(longs))
-                       for r in longs)
-    short_alloc = tuple(Allocation(r.symbol, r.params, (1.0 - lam) / len(shorts))
-                        for r in shorts)
+            admitted = []
+        sleeves.append(tuple(Allocation(r.symbol, r.params,
+                                        share / len(admitted))
+                             for r in admitted))
+    long_alloc, short_alloc = sleeves
     cash = 1.0 - math.fsum(a.weight for a in long_alloc) \
                - math.fsum(a.weight for a in short_alloc)
     return MonthlyPortfolio(month=month, longs=long_alloc, shorts=short_alloc,
@@ -292,9 +298,9 @@ class Optimizer:
     config with the symbol's funding records, rf_annual, execution flags).
     Its result is memoised, so every month, sweep point and ablation run that
     shares this optimizer answers a repeated problem from the memo; the rest
-    go to optimize_params in the calling process. It answers only for the
-    series of the universe it was made for, which must not change while the
-    optimizer is in use.
+    go to optimize_params in the calling process. Candidates are named by
+    symbol and looked up in the optimizer's own universe, which must not
+    change while the optimizer is in use.
     """
 
     def __init__(self, universe: Dict[str, PriceSeries]) -> None:
@@ -305,60 +311,49 @@ class Optimizer:
 
     def solve(
         self,
-        candidates: Sequence[Tuple[PriceSeries, str]],
+        candidates: Sequence[Tuple[str, str]],
         window: Tuple[int, int],
-        grid: ParamGrid,
-        cost_cfg: CostConfig,
-        rf_annual: float,
-        trailing: bool,
-        intrabar_stop_fill: bool,
+        cfg: "BacktestConfig",
     ) -> List[Optional[CandidateResult]]:
-        """optimize_params for each (series, side), in candidate order."""
+        """optimize_params for each (symbol, side), in candidate order, with
+        cfg's grid, rf, costs and execution flags."""
+        grid, rf = cfg.rebalance.grid, cfg.rebalance.rf_annual
+        trailing, intrabar = cfg.trailing_stop_enabled, cfg.intrabar_stop_fill
         results = []
-        for series, side in candidates:
-            if self.universe.get(series.symbol) is not series:
-                raise ValueError(f"{series.symbol}: this optimizer was made for"
-                                 " another universe")
+        for symbol, side in candidates:
             # CostConfig equality ignores funding_rates: key by the records.
-            funding = (cost_cfg.funding_rates or {}).get(series.symbol)
-            key = (series.symbol, side, window, grid, cost_cfg,
-                   tuple(funding or ()), rf_annual, trailing, intrabar_stop_fill)
+            funding = (cfg.costs.funding_rates or {}).get(symbol)
+            key = (symbol, side, window, grid, cfg.costs, tuple(funding or ()),
+                   rf, trailing, intrabar)
             self.problems += 1
             if key not in self._memo:
                 self._memo[key] = optimize_params(
-                    series, side, window, grid, cost_cfg, rf_annual,
-                    trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
+                    self.universe[symbol], side, window, grid, cfg.costs, rf,
+                    trailing=trailing, intrabar_stop_fill=intrabar)
                 self.solved += 1
             results.append(self._memo[key])
         return results
 
 
-def run_rebalance(
-    universe: Dict[str, PriceSeries],
-    caps: CapIndex,
-    month_start: int,
-    cfg: RebalanceConfig,
-    cost_cfg: CostConfig,
-    interval: int,
-    optimizer: Optional[Optimizer] = None,
-    cap_filter_enabled: bool = True,
-    trailing: bool = True,
-    intrabar_stop_fill: bool = False,
-) -> Tuple[MonthlyPortfolio, dict]:
+def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
+                  ) -> Tuple[MonthlyPortfolio, dict]:
     """One month's full pipeline; returns the portfolio and an audit record.
 
-    Caps are snapshotted as of the day before the month starts (the rebalance
-    happens at 00:00 UTC on day 1, before that day's data exists). With the
-    cap filter disabled every symbol is a candidate for both sides. The
-    grid search scores cells with the execution flags the month will trade.
-    Both sides' searches go to ``optimizer``; without one, a fresh optimizer
-    solves them.
+    Caps, series and the optimizer come from ``market``; grid, rf, buffer,
+    k and gamma from ``cfg.rebalance``; costs, interval, the cap filter and
+    the execution flags the month will trade (which the grid search scores
+    with) from ``cfg``. Caps are snapshotted as of the day before the month
+    starts (the rebalance happens at 00:00 UTC on day 1, before that day's
+    data exists). Without the cap filter every symbol is a candidate for
+    both sides.
     """
+    rcfg = cfg.rebalance
     month = month_id(month_start)
-    if cap_filter_enabled:
-        filtered = filter_universe(caps, date_of_ts(month_start - 1), cfg)
+    if cfg.cap_filter_enabled:
+        filtered = filter_universe(market.caps, date_of_ts(month_start - 1),
+                                   rcfg)
     else:
-        everything = sorted(universe)
+        everything = sorted(market.series)
         filtered = (everything, list(everything))
     if filtered is None:
         logger.warning("%s: no market-cap snapshot on or before month start;"
@@ -372,47 +367,37 @@ def run_rebalance(
             "cash_weight": 1.0,
         }
     long_candidates, short_candidates = filtered
-    window = optimization_window(month_start, interval, cfg.buffer_bars)
+    window = optimization_window(month_start, cfg.interval, rcfg.buffer_bars)
     batch = []
     for side, symbols in (("long", long_candidates),
                           ("short", short_candidates)):
         for sym in symbols:
-            series = universe.get(sym)
+            series = market.series.get(sym)
             if series is None or not has_month_history(series, window[0]):
                 logger.info("%s: lacks a full month of history; excluded", sym)
                 continue
-            batch.append((series, side))
-    if optimizer is None:
-        optimizer = Optimizer(universe)
-    solved = optimizer.solve(batch, window, cfg.grid, cost_cfg, cfg.rf_annual,
-                             trailing, intrabar_stop_fill)
-    long_results, short_results = (
-        [r for (_, s), r in zip(batch, solved) if s == side and r is not None]
-        for side in ("long", "short"))
-    portfolio = select_and_allocate(month, long_results, short_results, cfg)
-    record = {
+            batch.append((sym, side))
+    solved = market.optimizer.solve(batch, window, cfg)
+    found = {side: [r for (_, s), r in zip(batch, solved)
+                    if s == side and r is not None]
+             for side in ("long", "short")}
+    portfolio = select_and_allocate(month, found["long"], found["short"], rcfg)
+    allocated = {"long": portfolio.longs, "short": portfolio.shorts}
+    return portfolio, {
         "month": month,
         "reoptimized": True,
         "window": list(window),
         "long_candidates": list(long_candidates),
         "short_candidates": list(short_candidates),
-        "optimized": (
-            [{"symbol": r.symbol, "side": "long", "sharpe": r.sharpe,
-              "params": params_to_dict(r.params)} for r in long_results]
-            + [{"symbol": r.symbol, "side": "short", "sharpe": r.sharpe,
-                "params": params_to_dict(r.params)} for r in short_results]
-        ),
-        "selected_longs": [
-            {"symbol": a.symbol, "weight": a.weight,
-             "params": params_to_dict(a.params)} for a in portfolio.longs
-        ],
-        "selected_shorts": [
-            {"symbol": a.symbol, "weight": a.weight,
-             "params": params_to_dict(a.params)} for a in portfolio.shorts
-        ],
+        "optimized": [{"symbol": r.symbol, "side": side, "sharpe": r.sharpe,
+                       "params": params_to_dict(r.params)}
+                      for side, results in found.items() for r in results],
+        **{f"selected_{side}s": [{"symbol": a.symbol, "weight": a.weight,
+                                  "params": params_to_dict(a.params)}
+                                 for a in allocs]
+           for side, allocs in allocated.items()},
         "cash_weight": portfolio.cash_weight,
     }
-    return portfolio, record
 
 
 def params_to_dict(params: StrategyParams) -> dict:

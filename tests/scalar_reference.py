@@ -30,7 +30,7 @@ import numpy as np
 from adaptivetrend.analytics import (BootstrapResult, _circular_block_indices,
                                      compute_metrics)
 from adaptivetrend.backtester import (EQUITY_HEADER, BacktestConfig,
-                                      BacktestResult, EquityCurve,
+                                      BacktestResult, EquityCurve, Market,
                                       _check_history,
                                       aggregate_results, month_starts_between,
                                       union_timeline)
@@ -43,8 +43,7 @@ from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
                                        PriceSeries, SeriesArrays,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
-from adaptivetrend.rebalancer import (CapIndex, MonthlyPortfolio, Optimizer,
-                                     run_rebalance)
+from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
 from adaptivetrend.signal_engine import (LEDGER_HEADER, SIDE_CHOICES,
                                          EngineError, SingleAssetResult,
                                          StrategyParams, TradeRecord,
@@ -662,10 +661,11 @@ def run_backtest(
     The start is snapped forward to a calendar month boundary. The balance
     rolls across months; a balance <= 0 halts the run and flags the curve.
     """
-    rcfg = cfg.rebalance
     caps = CapIndex(caps)
     if not cfg.sharpe_filter_enabled:
-        rcfg = replace(rcfg, gamma_long=float("-inf"), gamma_short=float("-inf"))
+        cfg = replace(cfg, rebalance=replace(cfg.rebalance,
+                                             gamma_long=float("-inf"),
+                                             gamma_short=float("-inf")))
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
@@ -692,13 +692,8 @@ def run_backtest(
     for m in month_starts:
         window = (m, min(month_add(m, 1) - 1, cfg.end))
         if cfg.reoptimize_enabled or portfolio is None:
-            portfolio, record = run_rebalance(
-                universe, caps, m, rcfg, cfg.costs, cfg.interval,
-                optimizer=Optimizer(universe),  # no memo across months
-                cap_filter_enabled=cfg.cap_filter_enabled,
-                trailing=cfg.trailing_stop_enabled,
-                intrabar_stop_fill=cfg.intrabar_stop_fill,
-            )
+            # A fresh market each month: no memo across months.
+            portfolio, record = run_rebalance(Market(universe, caps), m, cfg)
         else:
             carried_from = portfolios[0].month
             portfolio = replace(portfolio, month=month_id(m))
@@ -816,10 +811,10 @@ def run_benchmark(
     else:
         charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
         balance = cfg.initial_balance
-        index = CapIndex(caps)
+        market = Market(universe, CapIndex(caps))
         for m in months:
             window = (m, min(month_add(m, 1) - 1, cfg.end))
-            weights = _month_weights(spec, universe, index, m, bpy)
+            weights = _month_weights(spec, market, m, bpy)
             results = []
             for sym, side, w in weights:
                 if w <= 0.0:

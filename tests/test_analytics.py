@@ -351,6 +351,15 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_sharpe_test(rigid, wiggly, n_reps=10, block_len=10)
 
+    @pytest.mark.parametrize("arg", ["n_reps", "block_len"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_degenerate_counts_rejected_by_name(self, arg, value):
+        a, b = self.returns_pair()
+        args = dict(n_reps=10, block_len=10)
+        args[arg] = value
+        with pytest.raises(ValueError, match=f"{arg} must be >= 1"):
+            bootstrap_sharpe_test(a, b, **args)
+
     @pytest.mark.parametrize("n_reps", [1, 255, 257, 600])
     def test_chunks_match_one_replicate_at_a_time(self, n_reps):
         # a is zero but for one spike, so that many replicates miss it, are

@@ -205,6 +205,26 @@ class TestSynth:
         rows = (out / "SYM00.csv").read_text().splitlines()
         assert len(rows) == 1 + 13
 
+    @pytest.mark.parametrize("regimes, segment", [("10:0.1", "10:0.1"),
+                                                  ("20:0.3:0.5,10:x:0.2",
+                                                   "10:x:0.2"),
+                                                  ("10:0.1:inf", "10:0.1:inf")])
+    def test_malformed_regime_is_a_usage_error(self, tmp_path, capsys,
+                                               regimes, segment):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--out", str(tmp_path / "d"), "--regimes", regimes])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"bad regime segment {segment!r}" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_nonpositive_interval_reported(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--interval", "-5"]
+                    + self.ARGS) == 1
+        assert "error: interval must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestBacktest:
     def test_artifacts_written(self, ws):
@@ -416,6 +436,17 @@ class TestBootstrap:
                      str(clone), "--out", str(tmp_path / "o"),
                      "--reps", "50", "--block", "5"]) == 1
         assert "misaligned at index 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, arg", [("--reps", "n_reps"),
+                                           ("--block", "block_len")])
+    def test_degenerate_counts_reported(self, ws, tmp_path, capsys, flag, arg):
+        out = tmp_path / "o"
+        args = {"--reps": "50", "--block": "5", flag: "0"}
+        assert main(["bootstrap", "--run-a", str(ws.run), "--run-b",
+                     str(ws.run), "--out", str(out)]
+                    + [x for kv in args.items() for x in kv]) == 1
+        assert f"error: {arg} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -269,6 +269,12 @@ class TestSyntheticGenerator:
             SyntheticSpec(seed=1, n_symbols=1, n_bars=10,
                           regimes=((4, 0.1, 0.3),), interval=INTERVAL, start=T0)
 
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_interval_must_be_positive(self, interval):
+        with pytest.raises(DataError, match="interval must be > 0"):
+            SyntheticSpec(seed=1, n_symbols=1, n_bars=4,
+                          regimes=((4, 0.1, 0.3),), interval=interval, start=T0)
+
 
 class TestResample:
     def test_hourly_to_six_hour_aggregation(self, rng):

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.rebalancer import (CapIndex, Optimizer, ParamGrid,
-                                      RebalanceConfig, grid_cells,
-                                      optimization_window, optimize_params,
-                                      run_rebalance)
+from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
+                                      grid_cells, optimization_window,
+                                      optimize_params)
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
                       market_of)
@@ -106,24 +105,15 @@ class TestSharedOptimizer:
                  replace(flat, funding_rates={"RND": [(T0, 0.02)]})]
         assert costs[1] == costs[2]  # CostConfig equality ignores the table
         opt = Optimizer(universe)
-        got = [opt.solve([(series, "long")], window, BASE_GRID, cost,
-                         0.045, True, False)[0] for cost in costs]
+        got = [opt.solve([("RND", "long")], window,
+                         point_cfg(universe, alphas=BASE_GRID.alpha,
+                                   cost=cost))[0]
+               for cost in costs]
         assert opt.solved == 3  # the last table's records equal the second's
         for cost, result in zip(costs, got):
             assert result == optimize_params(series, "long", window, BASE_GRID,
                                              cost, 0.045)
         assert got[1] != got[2]
-
-    def test_refuses_another_universe(self):
-        first, caps = jumpy_universe(3, 2, 1.0)
-        second, _ = jumpy_universe(3, 2, 1.0)  # same symbols, other objects
-        opt = Optimizer(first)
-        args = (CapIndex(caps), MAR1, point_cfg(first).rebalance, ZERO_COSTS,
-                INTERVAL)
-        run_rebalance(first, *args, optimizer=opt)
-        assert opt.solved > 0
-        with pytest.raises(ValueError, match="another universe"):
-            run_rebalance(second, *args, optimizer=opt)
 
 
 def test_equal_grids_build_identical_cells():

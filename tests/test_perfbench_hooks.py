@@ -1,10 +1,10 @@
 """Every function the benchmark's tracer hooks exists, and a run still goes
-through the ones behind the load, aggregate and write layers, so a refactor
-cannot silently blank or zero its per-layer metrics (perfbench/tracer.py
-reports a missing hook as an absent metric, not as a failure, and a hook
-that is never called reads 0). The loaded universe's timeline is built once
-per backtest and once per sweep group, and each series' ATR once per ATR
-window, through the hook the tracer counts."""
+through the ones behind the load, rebalance, aggregate and write layers, so
+a refactor cannot silently blank or zero its per-layer metrics
+(perfbench/tracer.py reports a missing hook as an absent metric, not as a
+failure, and a hook that is never called reads 0). The loaded universe's
+timeline is built once per backtest and once per sweep group, and each
+series' ATR once per ATR window, through the hook the tracer counts."""
 
 import importlib
 import importlib.util
@@ -62,7 +62,8 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
                                                             monkeypatch):
     tracer = load_tracer()
     watched = {("cli", "load_universe"), ("backtester", "union_timeline"),
-               ("cli", "save_equity"), ("cli", "write_ledger")}
+               ("backtester", "run_rebalance"), ("cli", "save_equity"),
+               ("cli", "write_ledger")}
     trace = watch(monkeypatch, tracer, watched)
     cfg = tiny_run_config(tmp_path)
     assert main(["backtest", "--config", str(cfg),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import MarketCapRecord
 from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
@@ -450,16 +451,19 @@ class TestRunRebalance:
                          MarketCapRecord("DN", JAN31, 1e9)])
         return {"UP": riser, "DN": faller}, caps
 
-    def rcfg(self, **kw):
-        base = dict(k_long=1, k_short=1, gamma_long=-100.0, gamma_short=-100.0,
-                    long_ratio=0.7, grid=self.GRID, buffer_bars=4)
-        base.update(kw)
-        return RebalanceConfig(**base)
+    def rebalance(self, universe, caps, **kw):
+        """run_rebalance at MAR1 over a fresh market, zero costs."""
+        rcfg = RebalanceConfig(k_long=1, k_short=1, gamma_long=-100.0,
+                               gamma_short=-100.0, long_ratio=0.7,
+                               grid=self.GRID, buffer_bars=4)
+        cfg = BacktestConfig(start=MAR1, end=MAR1 + INTERVAL,
+                             interval=INTERVAL, rebalance=rcfg,
+                             costs=ZERO_COSTS, **kw)
+        return run_rebalance(Market(universe, caps), MAR1, cfg)
 
     def test_full_pipeline(self):
         universe, caps = self.universe()
-        port, record = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                     ZERO_COSTS, INTERVAL)
+        port, record = self.rebalance(universe, caps)
         assert port.month == "2022-03"
         assert [a.symbol for a in port.longs] == ["UP"]
         assert [a.symbol for a in port.shorts] == ["DN"]
@@ -476,8 +480,7 @@ class TestRunRebalance:
     def test_missing_caps_skips_month(self):
         universe, _ = self.universe()
         caps = CapIndex([MarketCapRecord("UP", date(2022, 3, 31), 2e9)])
-        port, record = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                     ZERO_COSTS, INTERVAL)
+        port, record = self.rebalance(universe, caps)
         assert port.longs == () and port.shorts == ()
         assert port.cash_weight == 1.0
         assert record["skipped"] == "no market-cap data"
@@ -485,9 +488,7 @@ class TestRunRebalance:
 
     def test_cap_filter_disabled_uses_everything(self):
         universe, caps = self.universe()
-        _, record = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                  ZERO_COSTS, INTERVAL,
-                                  cap_filter_enabled=False)
+        _, record = self.rebalance(universe, caps, cap_filter_enabled=False)
         assert record["long_candidates"] == ["DN", "UP"]
         assert record["short_candidates"] == ["DN", "UP"]
 
@@ -496,7 +497,6 @@ class TestRunRebalance:
         universe["UP"] = make_series(
             [100.0 * 1.01 ** i for i in range(40)], symbol="UP",
             t0=FEB1 + 5 * INTERVAL, wick=0.05)
-        port, record = run_rebalance(universe, caps, MAR1, self.rcfg(),
-                                     ZERO_COSTS, INTERVAL)
+        port, record = self.rebalance(universe, caps)
         assert port.longs == ()
         assert all(o["symbol"] != "UP" for o in record["optimized"])
