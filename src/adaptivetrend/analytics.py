@@ -164,7 +164,8 @@ def classify_regimes(btc: PriceSeries,
     arr = btc.arrays
     w = round(window_days * 86_400 / btc.interval)
     if w < 1:
-        raise ValueError("window too short for this bar interval")
+        raise ValueError(f"regime window of {window_days} days is shorter than"
+                         f" one {btc.interval} s bar")
     n = len(btc)
     if n <= w:
         return RegimeSeries(np.array([], dtype=np.int64),

@@ -8,11 +8,13 @@ realized before the next month is sized. Capital freed by an intra-month
 exit idles until the month ends (weights are set once per month).
 
 Ablation variants toggle one pipeline component each and reuse the same loop.
-The loop over months itself (``run_windows``: marking, the balance roll and
-the halt at bankruptcy) is shared with the comparison benchmarks. Every run
-over one loaded universe reads it through one ``Market``, which builds what
-the runs share once: the cap index, the timeline and the optimizer. A
-month's rebalance takes that market and the run's BacktestConfig whole
+The loop over months itself (``run_windows``: marking, the balance roll, the
+halt at bankruptcy and the metrics) is shared with the comparison benchmarks,
+and its ``BacktestResult`` is the one result of every run. Every run over one
+loaded universe reads it through one ``Market``, which builds what the runs
+share once (the cap index, the timeline and the optimizer) and checks each
+run's month calendar (``Market.months``). A month's rebalance takes that
+market and the run's BacktestConfig whole
 (``run_rebalance(market, month_start, cfg)``).
 """
 
@@ -22,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytics import compute_metrics
+from .analytics import MetricsReport, compute_metrics
 from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
                           bars_per_year, month_add, month_floor, month_id,
@@ -80,16 +82,18 @@ class EquityCurve:
 
 @dataclass
 class BacktestResult:
+    """A strategy's or a benchmark's run; a benchmark has no rebalance log."""
+
     equity: EquityCurve
     trades: List[TradeRecord]
-    rebalance_log: List[dict]
-    portfolios: List[MonthlyPortfolio]
-    # Currency decomposition aligned with equity: balance = initial
+    # Currency decomposition aligned with equity: balance = equity.balances[0]
     # + realized + open_mtm - open_costs at every sample.
     realized: np.ndarray
     open_mtm: np.ndarray
     open_costs: np.ndarray
-    initial_balance: float
+    metrics: MetricsReport
+    rebalance_log: List[dict] = field(default_factory=list)
+    portfolios: List[MonthlyPortfolio] = field(default_factory=list)
 
 
 def snap_to_month(ts: int) -> int:
@@ -141,6 +145,26 @@ class Market:
         self.timeline = union_timeline(series, (every.min, every.max))
         self.optimizer = Optimizer(series)
 
+    def months(self, cfg: BacktestConfig) -> List[int]:
+        """The month starts of a run over [cfg.start, cfg.end]; DataError
+        unless the bars reach from the month before the first into the last."""
+        months = month_starts_between(cfg.start, cfg.end)
+        if not months:
+            raise DataError("no month boundary inside [start, end]")
+        if len(self.timeline) == 0:
+            raise DataError("universe has no bars")
+        earliest, latest = int(self.timeline[0]), int(self.timeline[-1])
+        prev = month_add(months[0], -1)
+        if earliest > prev + cfg.interval:
+            raise DataError(
+                "insufficient history: need data from the month before the"
+                f" first rebalance ({prev}), earliest bar is {earliest}"
+            )
+        if latest < months[-1]:
+            raise DataError("insufficient history: no data in the final month"
+                            f" ({months[-1]})")
+        return months
+
 
 def aggregate_results(
     timeline: np.ndarray,
@@ -166,23 +190,6 @@ def aggregate_results(
     return realized, mtm, ocost
 
 
-def _check_history(timeline: np.ndarray, first_month: int,
-                   last_month: int, interval: int) -> None:
-    if len(timeline) == 0:
-        raise DataError("universe has no bars")
-    earliest, latest = int(timeline[0]), int(timeline[-1])
-    prev = month_add(first_month, -1)
-    if earliest > prev + interval:
-        raise DataError(
-            "insufficient history: need data from the month before the first"
-            f" rebalance ({prev}), earliest bar is {earliest}"
-        )
-    if latest < last_month:
-        raise DataError(
-            f"insufficient history: no data in the final month ({last_month})"
-        )
-
-
 def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
     """(start, end) of each calendar month, the last one cut at ``end``."""
     return [(m, min(month_add(m, 1) - 1, end)) for m in months]
@@ -191,12 +198,11 @@ def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
 def run_windows(
     timeline: np.ndarray,
     windows: Sequence[Tuple[int, int]],
-    initial_balance: float,
-    interval: int,
+    cfg: BacktestConfig,
     simulate: Callable[[Tuple[int, int], float], List[SingleAssetResult]],
     *,
     net_first: bool,
-) -> Tuple[EquityCurve, List[TradeRecord], Tuple[np.ndarray, ...]]:
+) -> BacktestResult:
     """Roll the balance over consecutive windows; the loop every run shares.
 
     ``simulate(window, balance)`` trades one window with positions sized on
@@ -204,21 +210,23 @@ def run_windows(
     marked on the window's slice of ``timeline``, the union of every universe
     symbol's closes (so it does not depend on what was traded), and the
     balance at the window's last close carries into the next window. A
-    window with no bars is skipped with a warning. A balance <= 0 halts the
-    run there and flags the curve.
+    window with no bars is skipped with a warning; if every window is, there
+    is nothing to score and DataError is raised. A balance <= 0 halts the run
+    there and flags the curve.
 
     The strategy adds a window's net change to its starting balance in one
     step (net_first), the benchmarks add realized PnL, open MTM and open
     costs in turn; the two orders round differently, and both runs' equity
     is kept bit for bit.
 
-    Returns the equity curve, anchored at initial_balance one interval before
-    the first window, the trades sorted by (entry, exit, symbol, side), and
-    the curve's realized / open_mtm / open_costs decomposition.
+    Returns the result: the equity curve, anchored at cfg.initial_balance one
+    interval before the first window, the trades sorted by (entry, exit,
+    symbol, side), the curve's realized / open_mtm / open_costs decomposition,
+    and its metrics at cfg's risk-free rate and bar interval.
     """
-    balance = initial_balance
+    balance = cfg.initial_balance
     realized_total = 0.0
-    ts_chunks = [np.array([windows[0][0] - interval], dtype=np.int64)]
+    ts_chunks = [np.array([windows[0][0] - cfg.interval], dtype=np.int64)]
     bal_chunks = [np.array([balance])]
     realized_chunks = [np.zeros(1)]
     mtm_chunks = [np.zeros(1)]
@@ -260,12 +268,17 @@ def run_windows(
         balance = float(balances[-1])
         realized_total += float(realized[-1])
 
+    if len(ts_chunks) == 1:
+        raise DataError(f"no bars in [{windows[0][0]}, {windows[-1][1]}]:"
+                        " nothing to backtest")
     equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
                          balances=np.concatenate(bal_chunks), bankrupt=bankrupt)
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
-    parts = tuple(np.concatenate(c)
-                  for c in (realized_chunks, mtm_chunks, ocost_chunks))
-    return equity, trades, parts
+    metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
+                              bars_per_year=bars_per_year(cfg.interval))
+    return BacktestResult(
+        equity, trades, np.concatenate(realized_chunks),
+        np.concatenate(mtm_chunks), np.concatenate(ocost_chunks), metrics)
 
 
 def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
@@ -282,12 +295,7 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
                                              gamma_long=float("-inf"),
                                              gamma_short=float("-inf")))
 
-    month_starts = month_starts_between(cfg.start, cfg.end)
-    if not month_starts:
-        raise DataError("no month boundary inside [start, end]")
-    _check_history(market.timeline, month_starts[0], month_starts[-1],
-                   cfg.interval)
-
+    month_starts = market.months(cfg)
     portfolio: Optional[MonthlyPortfolio] = None
     rebalance_log: List[dict] = []
     portfolios: List[MonthlyPortfolio] = []
@@ -327,19 +335,9 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
                 ))
         return results
 
-    equity, trades, (realized, open_mtm, open_costs) = run_windows(
-        market.timeline, month_windows(month_starts, cfg.end),
-        cfg.initial_balance, cfg.interval, simulate, net_first=True)
-    return BacktestResult(
-        equity=equity,
-        trades=trades,
-        rebalance_log=rebalance_log,
-        portfolios=portfolios,
-        realized=realized,
-        open_mtm=open_mtm,
-        open_costs=open_costs,
-        initial_balance=cfg.initial_balance,
-    )
+    result = run_windows(market.timeline, month_windows(month_starts, cfg.end),
+                         cfg, simulate, net_first=True)
+    return replace(result, rebalance_log=rebalance_log, portfolios=portfolios)
 
 
 def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
@@ -360,15 +358,12 @@ def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
                      f" expected one of {ABLATION_VARIANTS}")
 
 
-def run_ablation(market: Market, cfg: BacktestConfig, variant: str):
-    """Run one ablation variant; returns (MetricsReport, BacktestResult).
+def run_ablation(market: Market, cfg: BacktestConfig,
+                 variant: str) -> BacktestResult:
+    """Run one ablation variant.
 
     Variants run over one market share its solved grid searches."""
-    result = run_backtest(market, ablation_config(cfg, variant))
-    report = compute_metrics(result.equity, result.trades,
-                             rf_annual=cfg.rebalance.rf_annual,
-                             bars_per_year=bars_per_year(cfg.interval))
-    return report, result
+    return run_backtest(market, ablation_config(cfg, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ fill costs both ways; tsmom variants additionally accrue funding while held
 There is one accounting path: each position is one forced trade booked by
 the signal engine's ledger (``book_trades``), and the balance rolls over the
 months in the backtester's window loop (``run_windows``), the same code that
-charges, marks and rolls the strategy. Every kind, buy-and-hold included,
-therefore halts at the first balance <= 0. What differs between the
-strategies is only the decision rule: the trade search, the TSMOM signs and
-weights, or a plain hold.
+charges, marks, rolls and scores the strategy. A benchmark run therefore
+returns the strategy's ``BacktestResult``, balance decomposition and metrics
+included, over the same month calendar (``Market.months``), and every kind,
+buy-and-hold included, halts at the first balance <= 0. What differs between
+the strategies is only the decision rule: the trade search, the TSMOM signs
+and weights, or a plain hold.
 """
 
 import math
@@ -31,15 +33,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analytics import MetricsReport, compute_metrics
-from .backtester import (BacktestConfig, EquityCurve, Market,
-                         month_starts_between, month_windows, run_windows)
+from .backtester import (BacktestConfig, BacktestResult, Market,
+                         month_windows, run_windows)
 from .cost_model import LONG, SHORT, CostConfig
 from .market_data import (CapIndex, DataError, PriceSeries, bars_per_year,
                           date_of_ts, month_add, month_id)
 from .rebalancer import cap_snapshot
-from .signal_engine import (NO_TRADES, SingleAssetResult, TradeRecord, Trades,
-                            book_trades)
+from .signal_engine import NO_TRADES, SingleAssetResult, Trades, book_trades
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
                    "equal_weight_buy_hold")
@@ -68,14 +68,6 @@ class BenchmarkSpec:
             raise ValueError("vol_target_annual must be > 0")
         if self.universe_size < 1:
             raise ValueError("universe_size must be >= 1")
-
-
-@dataclass
-class BenchmarkRun:
-    kind: str
-    equity: EquityCurve
-    metrics: MetricsReport
-    trades: List[TradeRecord]
 
 
 def hold_position(
@@ -207,13 +199,11 @@ def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int,
 # ---------------------------------------------------------------------------
 
 def run_benchmark(spec: BenchmarkSpec, market: Market,
-                  cfg: BacktestConfig) -> BenchmarkRun:
+                  cfg: BacktestConfig) -> BacktestResult:
     """Run one benchmark over cfg's window with cfg's cost model."""
     universe = market.series
     bpy = bars_per_year(cfg.interval)
-    months = month_starts_between(cfg.start, cfg.end)
-    if not months:
-        raise DataError("no month boundary inside [start, end]")
+    months = market.months(cfg)
 
     if spec.kind == "buy_hold":
         series = universe[buy_hold_symbol(spec.symbol, market, months[0])]
@@ -232,10 +222,5 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
                                   cfg.costs, charge_funding)
                     for sym, side, w in weights if w > 0.0]
 
-    equity, trades, _ = run_windows(market.timeline, windows,
-                                    cfg.initial_balance, cfg.interval,
-                                    simulate, net_first=False)
-    metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
-                              bars_per_year=bpy)
-    return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,
-                        trades=trades)
+    return run_windows(market.timeline, windows, cfg, simulate,
+                       net_first=False)

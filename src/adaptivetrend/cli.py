@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
-                        write_regime_csv, REGIME_CSV_HEADER)
+                        write_regime_csv, RegimeSeries, REGIME_CSV_HEADER)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
                          ablation_config, load_equity, run_ablation,
-                         save_equity, snap_to_month, ABLATION_VARIANTS)
+                         save_equity, ABLATION_VARIANTS)
 from .benchmarks import (BenchmarkSpec, buy_hold_symbol, run_benchmark,
                          top_cap_symbol)
 from .cost_model import CostConfig, load_funding_rates
@@ -123,6 +123,13 @@ def _parse_strs(s: str) -> Tuple[str, ...]:
     return tuple(x.strip() for x in s.split(",") if x.strip())
 
 
+def _known(what: str, name: str, names: Sequence[str]) -> str:
+    if name not in names:
+        raise ValueError(f"unknown {what} {name!r}; expected one of"
+                         f" {tuple(names)}")
+    return name
+
+
 def _parse_regimes(s: str) -> Tuple[Tuple[int, float, float], ...]:
     """synth --regimes: comma-separated bars:annual_drift:annual_vol."""
     regimes = []
@@ -144,7 +151,8 @@ CONFIG_SCHEMA = {
     "run.start": (_parse_timestamp, None),
     "run.end": (_parse_timestamp, None),
     "run.initial_balance": (_parse_float, "100000"),
-    "run.variant": (_parse_str, "full"),
+    "run.variant": (lambda s: _known("ablation variant", s.strip(),
+                                     ABLATION_VARIANTS), "full"),
     "run.label": (_parse_str, None),
     "engine.trailing_stop": (_parse_bool, "true"),
     "engine.intrabar_stop_fill": (_parse_bool, "false"),
@@ -169,7 +177,8 @@ CONFIG_SCHEMA = {
     "costs.funding_rate_per_8h": (_parse_float, "0.0001"),
     "costs.funding_hours": (_parse_ints, "0,8,16"),
     "costs.funding_rates_file": (_parse_str, None),
-    "benchmarks.kinds": (_parse_strs, ""),
+    "benchmarks.kinds": (lambda s: tuple(_known("benchmark", name, BENCHMARKS)
+                                         for name in _parse_strs(s)), ""),
     "benchmarks.universe_size": (int, "20"),
     "benchmarks.vol_target": (_parse_float, "0.10"),
     "benchmarks.buy_hold_symbol": (_parse_str, None),
@@ -433,15 +442,16 @@ def cmd_synth(args) -> int:
 
 
 def _write_run_artifacts(out_dir: str, label: str, variant: str,
-                         report, result: BacktestResult) -> None:
+                         result: BacktestResult) -> None:
+    """equity.csv, ledger.csv and metrics.json of one run: the strategy's
+    or a benchmark's."""
     os.makedirs(out_dir, exist_ok=True)
     save_equity(result.equity, os.path.join(out_dir, "equity.csv"))
     write_ledger(result.trades, os.path.join(out_dir, "ledger.csv"))
     write_json(os.path.join(out_dir, "metrics.json"),
                {"label": label, "variant": variant,
                 "bankrupt": result.equity.bankrupt,
-                "metrics": report.to_dict()})
-    write_json(os.path.join(out_dir, "rebalance_log.json"), result.rebalance_log)
+                "metrics": result.metrics.to_dict()})
 
 
 def cmd_backtest(args) -> int:
@@ -450,45 +460,41 @@ def cmd_backtest(args) -> int:
         cfg = resolve_config(args.config)
         bt_cfg = build_backtest_config(cfg)
         variant = str(cfg["run.variant"])
-        if variant not in ABLATION_VARIANTS:
-            raise ConfigError(f"run.variant must be one of {ABLATION_VARIANTS}")
+        benchmarks = []
         for name in cfg["benchmarks.kinds"]:
-            if name not in BENCHMARKS:
-                raise ConfigError(f"unknown benchmark {name!r}; expected one"
-                                  f" of {tuple(BENCHMARKS)}")
+            bench_label, fixed, from_cfg = BENCHMARKS[name]
+            benchmarks.append((name, bench_label, BenchmarkSpec(
+                universe_size=cfg["benchmarks.universe_size"], **fixed,
+                **{arg: cfg[key] for arg, key in from_cfg.items()})))
         data_dir = data_dir_from(cfg, None)
         market = Market(*load_universe(data_dir, bt_cfg.interval))
-        first = snap_to_month(bt_cfg.start)
-        # Without a month boundary the run itself reports it.
-        if "btc_bh" in cfg["benchmarks.kinds"] and first <= bt_cfg.end:
+        first = market.months(bt_cfg)[0]
+        if "btc_bh" in cfg["benchmarks.kinds"]:
             buy_hold_symbol(cfg["benchmarks.buy_hold_symbol"], market, first,
                             data_dir)
+        regimes = (_regime_labels(cfg, market, first)
+                   if cfg["regimes.enabled"] else None)
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     label = run_label(cfg, bt_cfg)
-    report, result = run_ablation(market, bt_cfg, variant)
+    result = run_ablation(market, bt_cfg, variant)
     out = args.out
-    _write_run_artifacts(out, label, variant, report, result)
+    _write_run_artifacts(out, label, variant, result)
+    write_json(os.path.join(out, "rebalance_log.json"), result.rebalance_log)
 
-    bpy = bars_per_year(bt_cfg.interval)
-    if cfg["regimes.enabled"]:
-        _write_regime_artifacts(out, cfg, market, bt_cfg, result, bpy)
+    if regimes is not None:
+        eq = result.equity
+        per_regime = regime_metrics(
+            eq.timestamps[1:], eq.returns(), regimes, ledger=result.trades,
+            rf_annual=bt_cfg.rebalance.rf_annual,
+            bars_per_year=bars_per_year(bt_cfg.interval))
+        write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
 
-    for name in cfg["benchmarks.kinds"]:
-        bench_label, fixed, from_cfg = BENCHMARKS[name]
-        spec = BenchmarkSpec(
-            universe_size=cfg["benchmarks.universe_size"], **fixed,
-            **{arg: cfg[key] for arg, key in from_cfg.items()})
-        run = run_benchmark(spec, market, bt_cfg)
-        bench_dir = os.path.join(out, "benchmarks", name)
-        os.makedirs(bench_dir, exist_ok=True)
-        save_equity(run.equity, os.path.join(bench_dir, "equity.csv"))
-        write_ledger(run.trades, os.path.join(bench_dir, "ledger.csv"))
-        write_json(os.path.join(bench_dir, "metrics.json"),
-                   {"label": bench_label, "variant": name,
-                    "metrics": run.metrics.to_dict()})
+    for name, bench_label, spec in benchmarks:
+        _write_run_artifacts(os.path.join(out, "benchmarks", name), bench_label,
+                             name, run_benchmark(spec, market, bt_cfg))
 
     _write_manifest(out, "backtest", cfg, data_dir, t0,
                     optimizer_counters(market.optimizer))
@@ -497,28 +503,25 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _write_regime_artifacts(out: str, cfg, market: Market, bt_cfg,
-                            result: BacktestResult, bpy: float) -> None:
+def _regime_labels(cfg, market: Market,
+                   first_month: int) -> Optional[RegimeSeries]:
+    """The reference series' regime labels, taken before the run so that a
+    bad window fails first; None, with a warning, without a series to label."""
     ref_symbol = cfg["regimes.reference_symbol"]
     if ref_symbol is None:
-        ref_symbol = top_cap_symbol(market.caps, snap_to_month(bt_cfg.start))
+        ref_symbol = top_cap_symbol(market.caps, first_month)
         if ref_symbol is None:
             logger.warning("regimes: no cap snapshot to pick a reference symbol")
-            return
+            return None
     ref = market.series.get(ref_symbol)
     if ref is None:
         logger.warning("regimes: reference symbol %s not in universe", ref_symbol)
-        return
+        return None
     regimes = classify_regimes(ref, window_days=cfg["regimes.window_days"])
     if len(regimes.timestamps) == 0:
         logger.warning("regimes: reference series too short to label")
-        return
-    eq = result.equity
-    per_regime = regime_metrics(eq.timestamps[1:], eq.returns(), regimes,
-                                ledger=result.trades,
-                                rf_annual=bt_cfg.rebalance.rf_annual,
-                                bars_per_year=bpy)
-    write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
+        return None
+    return regimes
 
 
 def sweep_groups(axis: str, base: BacktestConfig,
@@ -571,8 +574,8 @@ def cmd_sweep(args) -> int:
     counters: Counter = Counter()
     for market, points in sweep_groups(args.axis, base_cfg, universe, caps):
         for prefix, point in points:
-            report, _ = run_ablation(market, point, variant)
-            rows.append(prefix + metrics_row(report))
+            rows.append(prefix + metrics_row(
+                run_ablation(market, point, variant).metrics))
         counters.update(optimizer_counters(market.optimizer))
 
     os.makedirs(args.out, exist_ok=True)

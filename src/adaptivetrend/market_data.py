@@ -228,6 +228,8 @@ class SyntheticSpec:
     start: int = SYNTH_DEFAULT_START
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_symbols < 1 or self.n_bars < 1:
             raise DataError("n_symbols and n_bars must be positive")
         if self.interval <= 0:

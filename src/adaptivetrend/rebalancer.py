@@ -67,6 +67,10 @@ class ParamGrid:
             object.__setattr__(self, name, tuple(kind(v) for v in values))
         if self.atr_window < 1:
             raise ValueError("atr_window must be >= 1")
+        # A value that StrategyParams rejects fails with the grid, not
+        # mid-run when the optimizer first builds the cells.
+        for side in ("long", "short"):
+            grid_cells(self, side)
 
 
 @dataclass(frozen=True)

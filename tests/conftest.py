@@ -96,6 +96,15 @@ def assert_same_result(got, want):
     assert got.trades == want.trades
 
 
+def assert_accounting_identity(result, rel=1e-9):
+    """A run's balance is its initial balance plus its realized PnL and open
+    mark-to-market, less its open costs, at every sample."""
+    expected = (result.equity.balances[0] + result.realized + result.open_mtm
+                - result.open_costs)
+    np.testing.assert_allclose(result.equity.balances, expected, rtol=rel)
+    assert len(result.equity.balances) == len(result.realized)
+
+
 def rough_series(rng, n, interval, *, gaps, zero_volume, symbol="RND"):
     """A lognormal path with optional gaps and zero-volume bars."""
     closes = gbm_closes(rng, n, vol=1.5, interval=interval)

@@ -27,14 +27,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from adaptivetrend.analytics import (BootstrapResult, _circular_block_indices,
-                                     compute_metrics)
+from adaptivetrend.analytics import (BootstrapResult, MetricsReport,
+                                     _circular_block_indices, compute_metrics)
 from adaptivetrend.backtester import (EQUITY_HEADER, BacktestConfig,
                                       BacktestResult, EquityCurve, Market,
-                                      _check_history,
                                       aggregate_results, month_starts_between,
                                       union_timeline)
-from adaptivetrend.benchmarks import BenchmarkRun, BenchmarkSpec, _month_weights
+from adaptivetrend.benchmarks import BenchmarkSpec, _month_weights
 from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
 from adaptivetrend.indicators import atr, momentum, rolling_sharpe
 from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
@@ -651,6 +650,31 @@ def hold_position(
 logger = logging.getLogger(__name__)
 
 
+@dataclass
+class BenchmarkRun:
+    kind: str
+    equity: EquityCurve
+    metrics: MetricsReport
+    trades: List[TradeRecord]
+
+
+def _check_history(timeline: np.ndarray, first_month: int,
+                   last_month: int, interval: int) -> None:
+    if len(timeline) == 0:
+        raise DataError("universe has no bars")
+    earliest, latest = int(timeline[0]), int(timeline[-1])
+    prev = month_add(first_month, -1)
+    if earliest > prev + interval:
+        raise DataError(
+            "insufficient history: need data from the month before the first"
+            f" rebalance ({prev}), earliest bar is {earliest}"
+        )
+    if latest < last_month:
+        raise DataError(
+            f"insufficient history: no data in the final month ({last_month})"
+        )
+
+
 def run_backtest(
     universe: Dict[str, PriceSeries],
     caps: Sequence[MarketCapRecord],
@@ -763,12 +787,14 @@ def run_backtest(
     return BacktestResult(
         equity=equity,
         trades=trades,
-        rebalance_log=rebalance_log,
-        portfolios=portfolios,
         realized=np.concatenate(realized_chunks),
         open_mtm=np.concatenate(mtm_chunks),
         open_costs=np.concatenate(ocost_chunks),
-        initial_balance=cfg.initial_balance,
+        metrics=compute_metrics(equity, trades,
+                                rf_annual=cfg.rebalance.rf_annual,
+                                bars_per_year=bars_per_year(cfg.interval)),
+        rebalance_log=rebalance_log,
+        portfolios=portfolios,
     )
 
 

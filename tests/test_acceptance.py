@@ -382,7 +382,7 @@ def test_c06_balance_decomposition_holds_at_every_bar():
     assert not res.equity.bankrupt
     assert len(res.trades) > 200
 
-    recon = (res.initial_balance + res.realized + res.open_mtm
+    recon = (cfg.initial_balance + res.realized + res.open_mtm
              - res.open_costs)
     np.testing.assert_allclose(res.equity.balances, recon, rtol=1e-9)
 
@@ -416,8 +416,8 @@ def test_c07_higher_fees_never_raise_annual_return():
                            funding_rate_per_8h=0.0)
         cfg = BacktestConfig(start=FEB1, end=JUN30, initial_balance=100_000.0,
                              rebalance=reb, costs=costs)
-        report, result = run_ablation(market_of(universe, caps), cfg, "full")
-        anns.append(report.ann_return)
+        result = run_ablation(market_of(universe, caps), cfg, "full")
+        anns.append(result.metrics.ann_return)
         counts.append(len(result.trades))
 
     # The one-cell grid and disabled Sharpe gate pin the trade set, so the
@@ -448,10 +448,9 @@ def test_c08_long_bias_outperforms_even_split_on_uptrend():
             cfg = BacktestConfig(start=FEB1, end=AUG1,
                                  initial_balance=10_000.0, rebalance=reb,
                                  costs=CostConfig())
-            report, result = run_ablation(market_of(universe, caps), cfg,
-                                          "full")
+            result = run_ablation(market_of(universe, caps), cfg, "full")
             assert len(result.trades) > 0
-            anns[lam] = report.ann_return
+            anns[lam] = result.metrics.ann_return
         assert anns[0.7] >= anns[0.5], f"seed {seed}: {anns}"
     check_budget(started, 300.0)
 
@@ -533,10 +532,10 @@ def test_c12_all_ablation_variants_complete_and_differ():
     assert len(ABLATION_VARIANTS) == 6
     reports = {}
     for variant in ABLATION_VARIANTS:
-        report, result = run_ablation(market_of(universe, caps), cfg, variant)
+        result = run_ablation(market_of(universe, caps), cfg, variant)
         assert not result.equity.bankrupt, variant
         assert len(result.trades) > 0, variant
-        reports[variant] = report.to_dict()
+        reports[variant] = result.metrics.to_dict()
         flags = [rec["reoptimized"] for rec in result.rebalance_log]
         if variant == "fixed_params":
             assert flags == [True, False, False, False, False]

@@ -24,8 +24,9 @@ from adaptivetrend.signal_engine import SingleAssetResult
 from hypothesis import given, settings, strategies as st
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
-                      caps_for, gbm_series, jumpy_universe, make_bars,
-                      make_series, market_of, series_from_bars)
+                      assert_accounting_identity, caps_for, gbm_series,
+                      jumpy_universe, make_bars, make_series, market_of,
+                      series_from_bars)
 import scalar_reference
 
 APR1 = 1_648_771_200
@@ -40,13 +41,6 @@ def reb_cfg(**kw) -> RebalanceConfig:
                 long_ratio=0.7, grid=SMALL_GRID)
     base.update(kw)
     return RebalanceConfig(**base)
-
-
-def assert_accounting_identity(result, rel=1e-9):
-    expected = (result.initial_balance + result.realized + result.open_mtm
-                - result.open_costs)
-    np.testing.assert_allclose(result.equity.balances, expected, rtol=rel)
-    assert len(result.equity.balances) == len(result.realized)
 
 
 class TestMonthHelpers:
@@ -438,25 +432,39 @@ class TestOneTimeline:
         start = month_add(T0, first)
         end = month_add(start, n_months - 1) + cut * DAY
         windows = month_windows(month_starts_between(start, end), end)
+        # run_windows reads the balance, interval and rf of the config; its
+        # start and end are the windows' (end + DAY keeps end > start).
+        cfg = BacktestConfig(start=start, end=end + DAY,
+                             initial_balance=1_000.0, interval=DAY)
+        unions = [union_timeline(universe, w) for w in windows]
+        all_empty = all(len(union) == 0 for union in unions)
         records = []
         handler = logging.Handler(logging.WARNING)
         handler.emit = records.append
         logger = logging.getLogger("adaptivetrend.backtester")
         logger.addHandler(handler)
         try:
-            equity, trades, _ = run_windows(
-                market.timeline, windows, 1_000.0, DAY, lambda w, b: [],
-                net_first=True)
+            if all_empty:
+                with pytest.raises(DataError, match=(
+                        rf"no bars in \[{windows[0][0]}, {windows[-1][1]}\]")):
+                    run_windows(market.timeline, windows, cfg,
+                                lambda w, b: [], net_first=True)
+            else:
+                result = run_windows(market.timeline, windows, cfg,
+                                     lambda w, b: [], net_first=True)
         finally:
             logger.removeHandler(handler)
-        unions = [union_timeline(universe, w) for w in windows]
-        assert equity.timestamps.tolist() == [windows[0][0] - DAY] + [
-            t for union in unions for t in union.tolist()]
-        assert equity.balances.tolist() == [1_000.0] * len(equity)
-        assert trades == []
         assert [r.getMessage() for r in records] == [
             f"{month_id(w[0])}: no bars in [{w[0]}, {w[1]}]; period skipped"
             for w, union in zip(windows, unions) if len(union) == 0]
+        if all_empty:
+            return
+        equity = result.equity
+        assert equity.timestamps.tolist() == [windows[0][0] - DAY] + [
+            t for union in unions for t in union.tolist()]
+        assert equity.balances.tolist() == [1_000.0] * len(equity)
+        assert result.trades == []
+        assert_accounting_identity(result)
 
 
 class TestAblations:
@@ -496,17 +504,17 @@ class TestAblations:
     def test_full_variant_matches_plain_run(self):
         universe, caps = self.universe_two_months()
         cfg = self.base_cfg()
-        report, result = run_ablation(market_of(universe, caps), cfg, "full")
+        result = run_ablation(market_of(universe, caps), cfg, "full")
         plain = run_backtest(market_of(universe, caps), cfg)
         np.testing.assert_array_equal(result.equity.balances,
                                       plain.equity.balances)
         assert result.trades == plain.trades
-        assert report.sharpe is not None
+        assert result.metrics.sharpe is not None
 
     def test_symmetric_allocation_weights(self):
         universe, caps = self.universe_two_months()
-        _, result = run_ablation(market_of(universe, caps), self.base_cfg(),
-                                 "symmetric_allocation")
+        result = run_ablation(market_of(universe, caps), self.base_cfg(),
+                              "symmetric_allocation")
         for port in result.portfolios:
             assert math.fsum(a.weight for a in port.longs) == \
                 pytest.approx(0.5, abs=1e-15)
@@ -515,8 +523,8 @@ class TestAblations:
 
     def test_fixed_params_carries_first_month(self):
         universe, caps = self.universe_two_months()
-        _, result = run_ablation(market_of(universe, caps), self.base_cfg(),
-                                 "fixed_params")
+        result = run_ablation(market_of(universe, caps), self.base_cfg(),
+                              "fixed_params")
         flags = [r["reoptimized"] for r in result.rebalance_log]
         assert flags == [True, False]
         assert result.rebalance_log[1]["carried_from"] == "2022-02"
@@ -533,8 +541,8 @@ class TestAblations:
                            alpha=(3.0,), lookback=(4,), atr_window=3)))
         gated = run_backtest(market_of(universe, caps), cfg)
         assert gated.trades == []
-        _, bypassed = run_ablation(market_of(universe, caps), cfg,
-                                   "no_sharpe_filter")
+        bypassed = run_ablation(market_of(universe, caps), cfg,
+                                "no_sharpe_filter")
         assert len(bypassed.trades) > 0
 
 

@@ -15,8 +15,9 @@ from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import DataError, MarketCapRecord
 from adaptivetrend.rebalancer import RebalanceConfig
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
-                      assert_same_result, gbm_series, jumpy_universe,
-                      make_series, market_of, rough_series)
+                      assert_accounting_identity, assert_same_result,
+                      gbm_series, jumpy_universe, make_series, market_of,
+                      rough_series)
 import scalar_reference
 
 JAN31 = date(2022, 1, 31)
@@ -363,6 +364,24 @@ class TestRunMatchesReference:
         assert got.equity.bankrupt == want.equity.bankrupt
         assert got.trades == want.trades
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
+           jump=st.sampled_from([1.0, 0.2, 5.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           kind=st.sampled_from(["tsmom", "vol_scaled_tsmom", "buy_hold",
+                                 "equal_weight_buy_hold"]))
+    def test_accounting_identity(self, seed, n_symbols, jump, cost, kind):
+        # Halted runs included: the identity holds at every sample up to the
+        # halt (their final balance need not equal initial + the ledger's net
+        # PnL, which still lists trades entered after the halt).
+        universe, caps = jumpy_universe(seed, n_symbols, jump)
+        cfg = bench_cfg(universe, int(universe["RND"].arrays.timestamps[-1]),
+                        costs=COST_CHOICES[cost])
+        run = run_benchmark(BenchmarkSpec(kind=kind, universe_size=n_symbols),
+                            market_of(universe, caps), cfg)
+        assert run.equity.balances[0] == cfg.initial_balance
+        assert_accounting_identity(run)
+
 
 class TestSpecAndRun:
     def test_bad_kind_rejected(self):
@@ -378,4 +397,3 @@ class TestSpecAndRun:
         assert run.equity.balances[0] == 100_000.0
         assert np.all(np.diff(run.equity.timestamps) > 0)
         assert run.metrics.ann_return is not None
-        assert run.kind == "tsmom"

@@ -219,10 +219,15 @@ class TestSynth:
         assert f"bad regime segment {segment!r}" in err
         assert not (tmp_path / "d").exists()
 
-    def test_nonpositive_interval_reported(self, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "d"), "--interval", "-5"]
-                    + self.ARGS) == 1
-        assert "error: interval must be > 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--interval", "-5", "error: interval must be > 0"),
+        ("--seed", "-1", "error: seed must be >= 0")], ids=["interval", "seed"])
+    def test_nonpositive_interval_reported(self, tmp_path, capsys, flag,
+                                           value, message):
+        assert main(["synth", "--out", str(tmp_path / "d")] + self.ARGS
+                    + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
 
@@ -275,16 +280,52 @@ class TestBacktest:
             assert (ws.run / name).read_bytes() == \
                 (rerun / name).read_bytes(), name
 
+    def test_benchmark_metrics_json_shape(self, ws):
+        payload = json.loads(
+            (ws.run / "benchmarks" / "btc_bh" / "metrics.json").read_text())
+        assert payload["label"] == "BTC Buy & Hold"
+        assert payload["variant"] == "btc_bh"
+        assert payload["bankrupt"] is False
+        assert set(payload["metrics"]) == set(METRIC_COLUMNS)
+
     def test_half_split_label(self, half_run):
         payload = json.loads((half_run / "metrics.json").read_text())
         assert payload["label"] == "AdaptiveTrend (50/50)"
 
-    def test_bad_variant_rejected(self, ws, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["backtest"],
+                                         ["sweep", "--axis", "fee_bps"]],
+                             ids=["backtest", "sweep"])
+    def test_bad_variant_rejected(self, ws, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "c.cfg", ws.data,
                            extra="run.variant = sideways\n")
-        assert main(["backtest", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 1
-        assert "run.variant" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config key run.variant: unknown ablation variant")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("benchmarks.kinds = tsmom_1m\nbenchmarks.universe_size = 0",
+         "universe_size must be >= 1"),
+        ("benchmarks.kinds = vol_scaled_tsmom\nbenchmarks.vol_target = 0",
+         "vol_target_annual must be > 0"),
+        ("grid.alpha = 0", "alpha must be > 0"),
+        ("grid.lookback = 0", "lookback must be >= 1"),
+        ("grid.theta_entry_short = 0", "theta_entry_short must be > 0"),
+        ("regimes.window_days = 0", "shorter than one 21600 s bar")],
+        ids=["universe_size", "vol_target", "alpha", "lookback",
+             "theta_entry_short", "window_days"])
+    def test_value_failing_mid_run_rejected_up_front(self, ws, tmp_path,
+                                                     capsys, extra, message):
+        # The config template sets the grid axes; a later line overrides.
+        cfg = tmp_path / "c.cfg"
+        write_config(cfg, ws.data)
+        cfg.write_text(cfg.read_text() + extra + "\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_unknown_benchmark_rejected(self, ws, tmp_path, capsys):
         # rejected with the config, before the run writes any artifact

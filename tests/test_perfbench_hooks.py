@@ -62,18 +62,28 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
                                                             monkeypatch):
     tracer = load_tracer()
     watched = {("cli", "load_universe"), ("backtester", "union_timeline"),
-               ("backtester", "run_rebalance"), ("cli", "save_equity"),
-               ("cli", "write_ledger")}
+               ("backtester", "run_backtest"), ("backtester", "run_rebalance"),
+               ("cli", "run_benchmark"), ("cli", "_write_run_artifacts"),
+               ("cli", "save_equity"), ("cli", "write_ledger")}
     trace = watch(monkeypatch, tracer, watched)
     cfg = tiny_run_config(tmp_path)
     assert main(["backtest", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
     called = {span[0] for span in trace.spans}
     assert called == {f"{m}.{a}" for m, a in watched}
-    # strategy and benchmark share one timeline; one of each file per run
+    # strategy and benchmark share one timeline; one writer and one of each
+    # file per run, the strategy's and btc_bh's
     names = [span[0] for span in trace.spans]
     assert names.count("backtester.union_timeline") == 1
-    assert names.count("cli.save_equity") == names.count("cli.write_ledger") == 2
+    assert names.count("backtester.run_backtest") == 1
+    assert names.count("cli.run_benchmark") == 1
+    writers = [i for i, span in enumerate(trace.spans)
+               if span[0] == "cli._write_run_artifacts"]
+    assert len(writers) == 2
+    for name in ("cli.save_equity", "cli.write_ledger"):
+        assert sorted(trace.spans[i][3] for i, span in enumerate(trace.spans)
+                      if span[0] == name) == writers
+    assert (tmp_path / "run" / "benchmarks" / "btc_bh" / "equity.csv").is_file()
 
 
 def test_a_backtest_computes_each_atr_once(tmp_path, monkeypatch):
