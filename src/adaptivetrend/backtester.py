@@ -24,13 +24,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytics import MetricsReport, compute_metrics
+from . import analytics
+from .analytics import MetricsReport
 from .cost_model import CostConfig
 from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
                           bars_per_year, month_add, month_floor, month_id,
                           read_csv, write_columns)
-from .rebalancer import (MonthlyPortfolio, Optimizer, RebalanceConfig,
-                         run_rebalance)
+from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
+                         RebalanceConfig, run_rebalance)
 from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 
 logger = logging.getLogger(__name__)
@@ -134,16 +135,19 @@ class Market:
     ``timeline`` the sorted union of every bar close (run_windows slices each
     window out of it), and ``optimizer`` the Optimizer whose memo every run
     over the market shares, so no month, sweep point or ablation solves a
-    grid search that another has solved. The series must not change while
-    the market is in use.
+    grid search that another has solved. ``grids`` are the grids of the runs
+    that will go over the market, if they are known: the optimizer then
+    searches the problems of all of them at once (see Optimizer). The series
+    must not change while the market is in use.
     """
 
-    def __init__(self, series: Dict[str, PriceSeries], caps: CapIndex) -> None:
+    def __init__(self, series: Dict[str, PriceSeries], caps: CapIndex,
+                 grids: Sequence[ParamGrid] = ()) -> None:
         self.series = series
         self.caps = caps
         every = np.iinfo(np.int64)
         self.timeline = union_timeline(series, (every.min, every.max))
-        self.optimizer = Optimizer(series)
+        self.optimizer = Optimizer(series, grids)
 
     def months(self, cfg: BacktestConfig) -> List[int]:
         """The month starts of a run over [cfg.start, cfg.end]; DataError
@@ -274,8 +278,9 @@ def run_windows(
     equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
                          balances=np.concatenate(bal_chunks), bankrupt=bankrupt)
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
-    metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
-                              bars_per_year=bars_per_year(cfg.interval))
+    metrics = analytics.compute_metrics(
+        equity, trades, rf_annual=cfg.rebalance.rf_annual,
+        bars_per_year=bars_per_year(cfg.interval))
     return BacktestResult(
         equity, trades, np.concatenate(realized_chunks),
         np.concatenate(mtm_chunks), np.concatenate(ocost_chunks), metrics)

@@ -363,10 +363,12 @@ def write_json(path: str, payload: object) -> None:
 
 
 def optimizer_counters(optimizer: Optimizer) -> Dict[str, int]:
-    """manifest.json["counters"]: grid-search problems asked, and problems
-    solved (the rest were answered from the optimizer's memo)."""
+    """manifest.json["counters"]: grid-search problems asked, distinct
+    problems solved (the rest were answered from the optimizer's memo), and
+    the grid searches (grid_sharpes calls) that solved them."""
     return {"optimizer.problems": optimizer.problems,
-            "optimizer.solved": optimizer.solved}
+            "optimizer.solved": optimizer.solved,
+            "optimizer.searches": optimizer.searches}
 
 
 def _write_manifest(out: str, command: str, cfg: Dict[str, object],
@@ -525,19 +527,20 @@ def _regime_labels(cfg, market: Market,
 
 
 def sweep_groups(axis: str, base: BacktestConfig,
-                 universe: Dict[str, PriceSeries], caps: CapIndex):
+                 universe: Dict[str, PriceSeries]):
     """The points of a sweep axis, grouped by the universe they trade: yields
-    (Market, [(row prefix, config), ...]). The points of one group share the
-    market's timeline and optimizer, so they solve a repeated grid search
-    once."""
+    (series, [(row prefix, config), ...]). cmd_sweep runs each group over one
+    Market, told every point's grid, so the points solve a repeated grid
+    search once, and problems that differ only in the grid (the alpha points
+    of an alpha_lambda sweep) share one search."""
     if axis == "alpha_lambda":
-        yield Market(universe, caps), [
+        yield universe, [
             ([alpha, lam], replace(base, rebalance=replace(
                 base.rebalance, long_ratio=lam,
                 grid=replace(base.rebalance.grid, alpha=(alpha,)))))
             for alpha in SWEEP_ALPHA_GRID for lam in SWEEP_LAMBDA_GRID]
     elif axis == "fee_bps":
-        yield Market(universe, caps), [
+        yield universe, [
             ([fee_bps], replace(base, costs=replace(base.costs,
                                                     taker_fee_bps=fee_bps)))
             for fee_bps in SWEEP_FEE_GRID]
@@ -546,8 +549,7 @@ def sweep_groups(axis: str, base: BacktestConfig,
             resampled = {sym: resample_series(s, tf)
                          for sym, s in universe.items()}
             rcfg = replace(base.rebalance, buffer_bars=max(1, 86_400 // tf))
-            yield Market(resampled, caps), [
-                ([tf], replace(base, interval=tf, rebalance=rcfg))]
+            yield resampled, [([tf], replace(base, interval=tf, rebalance=rcfg))]
 
 
 def cmd_sweep(args) -> int:
@@ -572,7 +574,8 @@ def cmd_sweep(args) -> int:
     rows: List[List[object]] = []
     variant = str(cfg["run.variant"])
     counters: Counter = Counter()
-    for market, points in sweep_groups(args.axis, base_cfg, universe, caps):
+    for series, points in sweep_groups(args.axis, base_cfg, universe):
+        market = Market(series, caps, [p.rebalance.grid for _, p in points])
         for prefix, point in points:
             rows.append(prefix + metrics_row(
                 run_ablation(market, point, variant).metrics))

@@ -10,7 +10,8 @@ series, optimizer) and one BacktestConfig:
      maximizing the annualized Sharpe of the candidate's net per-bar returns
      under the execution model the month trades with. The market's
      Optimizer, asked by symbol, solves each such problem once for every run
-     that shares it.
+     that shares it, and searches the problems of runs that differ only in
+     the grid once, over the union of their grids.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -177,6 +178,14 @@ def grid_cells(grid: ParamGrid, side: str) -> Tuple[StrategyParams, ...]:
     return tuple(cells)
 
 
+@functools.lru_cache(maxsize=64)
+def _columns(grid: ParamGrid, search: ParamGrid, side: str) -> np.ndarray:
+    """The position of each of grid's cells among search's, for a grid
+    whose every cell is one of search's."""
+    column = {cell: k for k, cell in enumerate(grid_cells(search, side))}
+    return np.array([column[cell] for cell in grid_cells(grid, side)])
+
+
 def evaluate_cell(
     series: PriceSeries,
     params: StrategyParams,
@@ -203,6 +212,30 @@ def evaluate_cell(
                           bars_per_year(series.interval))
 
 
+def _window_bounds(series: PriceSeries, window: Tuple[int, int],
+                   grid: ParamGrid) -> Optional[Tuple[int, int]]:
+    """The window's bar bounds, or None (logged) when it holds fewer than
+    twice the grid's largest momentum lookback."""
+    i0, i1 = series.arrays.slice_indices(window[0], window[1])
+    needed = 2 * max(grid.lookback)
+    if i1 - i0 < needed:
+        logger.info("%s: optimization window has %d bars, needs %d; excluded",
+                    series.symbol, i1 - i0, needed)
+        return None
+    return i0, i1
+
+
+def _pick_best(symbol: str, cells: Sequence[StrategyParams],
+              sharpes: np.ndarray) -> Optional[CandidateResult]:
+    """The first of ``cells`` with the maximum Sharpe (NaN is unusable), or
+    None when no cell has a defined one."""
+    scores = np.where(np.isnan(sharpes), -INF, sharpes)
+    best = int(np.argmax(scores))
+    if not scores[best] > -INF:
+        return None
+    return CandidateResult(symbol, cells[best], float(sharpes[best]))
+
+
 def optimize_params(
     series: PriceSeries,
     side: str,
@@ -223,22 +256,15 @@ def optimize_params(
     execution flags, in one batched pass (signal_engine.grid_sharpes); the
     first cell with the maximum wins.
     """
-    arr = series.arrays
-    i0, i1 = arr.slice_indices(window[0], window[1])
-    needed = 2 * max(grid.lookback)
-    if i1 - i0 < needed:
-        logger.info("%s: optimization window has %d bars, needs %d; excluded",
-                    series.symbol, i1 - i0, needed)
+    bounds = _window_bounds(series, window, grid)
+    if bounds is None:
         return None
     cells = grid_cells(grid, side)
-    sharpes = grid_sharpes(arr, series.interval, series.symbol, cells, side,
-                           (i0, i1), cost_cfg, rf_annual, trailing=trailing,
+    sharpes = grid_sharpes(series.arrays, series.interval, series.symbol,
+                           cells, side, bounds, cost_cfg, rf_annual,
+                           trailing=trailing,
                            intrabar_stop_fill=intrabar_stop_fill)
-    scores = np.where(np.isnan(sharpes), -INF, sharpes)
-    best = int(np.argmax(scores))
-    if not scores[best] > -INF:
-        return None
-    return CandidateResult(series.symbol, cells[best], float(sharpes[best]))
+    return _pick_best(series.symbol, cells, sharpes)
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +321,49 @@ def has_month_history(series: PriceSeries, window_start: int) -> bool:
             and int(series.arrays.timestamps[0]) <= window_start + series.interval)
 
 
+def union_grid(grids: Sequence[ParamGrid]) -> Optional[ParamGrid]:
+    """The per-axis union of grids that share one ATR window, or None when
+    there are none or their ATR windows differ."""
+    if len({g.atr_window for g in grids}) != 1:
+        return None
+    return ParamGrid(**{
+        name: tuple(sorted({v for g in grids for v in getattr(g, name)}))
+        for name in ("theta_entry", "theta_entry_short", "alpha", "lookback")
+    }, atr_window=grids[0].atr_window)
+
+
 class Optimizer:
     """Solves the grid-search problems of one universe, each one once.
 
     A problem is one candidate's search: (symbol, side, window, grid, cost
     config with the symbol's funding records, rf_annual, execution flags).
     Its result is memoised, so every month, sweep point and ablation run that
-    shares this optimizer answers a repeated problem from the memo; the rest
-    go to optimize_params in the calling process. Candidates are named by
-    symbol and looked up in the optimizer's own universe, which must not
-    change while the optimizer is in use.
+    shares this optimizer answers a repeated problem from the memo.
+    Candidates are named by symbol and looked up in the optimizer's own
+    universe, which must not change while the optimizer is in use.
+
+    ``grids`` are the grids of the runs that will share the optimizer. When
+    they share one ATR window, a problem with any of them is searched over
+    their per-axis union (union_grid), and the search's Sharpe row is kept
+    under the problem's key with the union in place of the grid; problems
+    that differ only in their told grid then share one grid_sharpes call.
+    Any other grid is searched alone. A cell's Sharpe does not depend on the
+    other cells of its search, and each grid picks from its own cells of the
+    row in its own order, with optimize_params' window check and tie-break,
+    so every result equals optimize_params'.
     """
 
-    def __init__(self, universe: Dict[str, PriceSeries]) -> None:
+    def __init__(self, universe: Dict[str, PriceSeries],
+                 grids: Sequence[ParamGrid] = ()) -> None:
         self.universe = universe
         self.problems = 0  # problems asked
-        self.solved = 0    # problems searched
+        self.solved = 0    # distinct problems answered
+        self.searches = 0  # grid_sharpes calls
         self._memo: Dict[tuple, Optional[CandidateResult]] = {}
+        self._rows: Dict[tuple, np.ndarray] = {}
+        union = union_grid(grids)
+        self._search_grid = ({} if union is None
+                             else dict.fromkeys(grids, union))
 
     def solve(
         self,
@@ -321,22 +373,40 @@ class Optimizer:
     ) -> List[Optional[CandidateResult]]:
         """optimize_params for each (symbol, side), in candidate order, with
         cfg's grid, rf, costs and execution flags."""
-        grid, rf = cfg.rebalance.grid, cfg.rebalance.rf_annual
-        trailing, intrabar = cfg.trailing_stop_enabled, cfg.intrabar_stop_fill
+        grid = cfg.rebalance.grid
         results = []
         for symbol, side in candidates:
             # CostConfig equality ignores funding_rates: key by the records.
             funding = (cfg.costs.funding_rates or {}).get(symbol)
-            key = (symbol, side, window, grid, cfg.costs, tuple(funding or ()),
-                   rf, trailing, intrabar)
+            scoring = (cfg.costs, tuple(funding or ()), cfg.rebalance.rf_annual,
+                       cfg.trailing_stop_enabled, cfg.intrabar_stop_fill)
+            key = (symbol, side, window, grid, scoring)
             self.problems += 1
             if key not in self._memo:
-                self._memo[key] = optimize_params(
-                    self.universe[symbol], side, window, grid, cfg.costs, rf,
-                    trailing=trailing, intrabar_stop_fill=intrabar)
+                self._memo[key] = self._solve(symbol, side, window, grid, cfg,
+                                              scoring)
                 self.solved += 1
             results.append(self._memo[key])
         return results
+
+    def _solve(self, symbol: str, side: str, window: Tuple[int, int],
+               grid: ParamGrid, cfg: "BacktestConfig",
+               scoring: tuple) -> Optional[CandidateResult]:
+        series = self.universe[symbol]
+        bounds = _window_bounds(series, window, grid)
+        if bounds is None:
+            return None
+        search = self._search_grid.get(grid, grid)
+        row_key = (symbol, side, window, search, scoring)
+        if row_key not in self._rows:
+            self._rows[row_key] = grid_sharpes(
+                series.arrays, series.interval, symbol,
+                grid_cells(search, side), side, bounds, cfg.costs,
+                cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
+                intrabar_stop_fill=cfg.intrabar_stop_fill)
+            self.searches += 1
+        return _pick_best(symbol, grid_cells(grid, side),
+                          self._rows[row_key][_columns(grid, search, side)])
 
 
 def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"

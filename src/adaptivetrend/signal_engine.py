@@ -490,6 +490,29 @@ def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
     return np.maximum.reduceat(cands.ravel(), offsets)[::2]
 
 
+_trades_memo: "weakref.WeakKeyDictionary[SeriesArrays, Dict[tuple, Trades]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _cell_trades(arr: SeriesArrays, bounds: Tuple[int, int],
+                 params: StrategyParams, side_enabled: str, trailing: bool,
+                 intrabar_stop_fill: bool) -> Trades:
+    """find_trades of one cell, run once per (series, bounds, cell, side,
+    execution flags): the runs that trade a cell at different sizes (the
+    lambda points of a sweep) share it, since only the ledger reads the
+    size. Keyed weakly by the series' columns, as series_atr is; the
+    columns are made read-only, since every caller shares them."""
+    memo = _trades_memo.setdefault(arr, {})
+    key = (bounds, params, side_enabled, trailing, intrabar_stop_fill)
+    if key not in memo:
+        found = find_trades(arr, bounds, (params,), side_enabled, trailing,
+                            intrabar_stop_fill)
+        for column in found:
+            column.flags.writeable = False
+        memo[key] = found
+    return memo[key]
+
+
 def run_single_asset(
     series: PriceSeries,
     params: StrategyParams,
@@ -506,7 +529,8 @@ def run_single_asset(
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
     undefined take no entry. find_trades finds the trades under the given
-    execution model and book_trades accounts for them.
+    execution model, once for every size (_cell_trades), and book_trades
+    accounts for them.
     """
     if size <= 0:
         raise EngineError(f"size must be > 0, got {size}")
@@ -515,8 +539,8 @@ def run_single_asset(
     arr = series.arrays
     bounds = (0, len(series)) if window is None else arr.slice_indices(*window)
     i0, i1 = bounds
-    found = find_trades(arr, bounds, (params,), side_enabled, trailing,
-                        intrabar_stop_fill)
+    found = _cell_trades(arr, bounds, params, side_enabled, trailing,
+                         intrabar_stop_fill)
     # The stop in force after each bar of the window; NaN when flat.
     stop = np.full(i1 - i0, np.nan)
     if len(found.cell):

@@ -263,10 +263,11 @@ class TestBacktest:
         assert set(manifest["input_digests"]) == \
             {f"SYM{i:02d}.csv" for i in range(6)} | {"market_caps.csv"}
         assert manifest["duration_seconds"] >= 0
-        # Each month's problems are distinct: none is answered from the memo.
+        # Each month's problems are distinct: none is answered from the memo,
+        # and each is one search of its own grid.
         counters = manifest["counters"]
         assert counters["optimizer.problems"] == \
-            counters["optimizer.solved"] > 0
+            counters["optimizer.solved"] == counters["optimizer.searches"] > 0
 
     def test_rerun_is_byte_identical(self, ws):
         rerun = ws.root / "run_repeat"
@@ -396,10 +397,13 @@ class TestSweep:
         assert rows[0] == ",".join(["alpha", "lambda"] + METRIC_COLUMNS)
         assert len(rows) == 1 + 9 * 3
         # Lambda never reaches the optimizer: its three points share problems.
+        # The nine alpha points of a problem share one union-grid search.
         counters = json.loads(
             (alpha_sweep / "manifest.json").read_text())["counters"]
         assert counters["optimizer.problems"] == \
             3 * counters["optimizer.solved"] > 0
+        assert counters["optimizer.solved"] == \
+            9 * counters["optimizer.searches"]
 
     def test_timeframe_axis_needs_divisible_source(self, ws, tmp_path,
                                                    capsys):

@@ -1,20 +1,22 @@
-"""The shared Optimizer: a memo that changes no result."""
+"""The shared Optimizer: a memo and a union-grid search that change no
+result."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
+from adaptivetrend.market_data import PriceSeries, SeriesArrays
 from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
                                       grid_cells, optimization_window,
-                                      optimize_params)
+                                      optimize_params, union_grid)
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
-                      market_of)
+                      market_of, rough_series)
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
@@ -126,3 +128,133 @@ def test_equal_grids_build_identical_cells():
         assert all(type(c.alpha) is float for c in grid_cells(ints, side))
     with pytest.raises(TypeError):
         ParamGrid(lookback=(4.5,))
+
+
+# The union the sub-grids below are drawn from. Its largest lookback needs a
+# 24-bar window, its smallest a 4-bar one.
+UNION = ParamGrid(theta_entry=(-0.01, 0.0, 0.01, 0.03),
+                  theta_entry_short=(0.005, 0.02), alpha=(0.5, 1.0, 2.0, 3.0),
+                  lookback=(2, 4, 8, 12), atr_window=3)
+
+
+@st.composite
+def sub_grids(draw):
+    """A grid whose every axis is a nonempty subset of UNION's, in any
+    order."""
+    axes = {name: tuple(draw(st.lists(st.sampled_from(getattr(UNION, name)),
+                                      min_size=1, unique=True)))
+            for name in ("theta_entry", "theta_entry_short", "alpha",
+                         "lookback")}
+    return ParamGrid(**axes, atr_window=UNION.atr_window)
+
+
+@st.composite
+def cost_configs(draw):
+    """Fees, slippage and a flat or per-symbol funding table."""
+    table = draw(st.sampled_from([None, "flat", "steps"]))
+    rates = None
+    if table is not None:
+        times = sorted(draw(st.lists(st.integers(0, 60), min_size=1,
+                                     max_size=4, unique=True)))
+        rates = {"RND": [(T0 + k * 8 * 3_600,
+                          draw(st.sampled_from([-7e-4, 0.0, 2e-4, 1e-3])))
+                         for k in (times[:1] if table == "flat" else times)]}
+    return CostConfig(
+        taker_fee_bps=draw(st.sampled_from([0.0, 4.0, 10.0])),
+        slip_coeff=draw(st.sampled_from([0.0, 0.1, 5.0])),
+        funding_rate_per_8h=draw(st.sampled_from([0.0, 1e-4, -3e-4])),
+        funding_hours=draw(st.sampled_from([(0, 8, 16), (3, 11, 19)])),
+        funding_rates=rates)
+
+
+def union_series(kind: str, seed: int, n: int) -> PriceSeries:
+    """"rough": a lognormal path with gaps and zero-volume bars; "flat": one
+    price throughout, so no cell has a defined Sharpe; "steps": flat
+    stretches between a few jumps, so that many cells make the same trades
+    and tie."""
+    rng = np.random.default_rng(seed)
+    if kind == "rough":
+        return rough_series(rng, n, INTERVAL, gaps=True, zero_volume=0.2)
+    closes = np.full(n, 100.0)
+    if kind == "steps":
+        jumps = np.zeros(n)
+        jumps[rng.integers(0, n, 4)] = rng.choice([-0.08, 0.05, 0.12], 4)
+        closes = 100.0 * np.cumprod(1.0 + jumps)
+    ts = T0 + np.arange(1, n + 1, dtype=np.int64) * INTERVAL
+    opens = np.concatenate((closes[:1], closes[:-1]))
+    return PriceSeries("RND", INTERVAL, SeriesArrays(
+        ts, opens, np.maximum(opens, closes) + 0.5,
+        np.minimum(opens, closes) - 0.5, closes, np.full(n, 1e6)))
+
+
+def solve_cfg(grid, cost, rf, trailing, intrabar):
+    return BacktestConfig(
+        start=FEB1, end=MAR1, interval=INTERVAL,
+        rebalance=RebalanceConfig(grid=grid, rf_annual=rf), costs=cost,
+        trailing_stop_enabled=trailing, intrabar_stop_fill=intrabar)
+
+
+class TestUnionSearch:
+    """An Optimizer told several grids searches their union once per
+    problem; each grid's pick must equal optimize_params' on that grid."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["rough", "flat", "steps"]),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 70),
+           bounds=st.tuples(st.integers(0, 69), st.integers(0, 69)),
+           grids=st.lists(sub_grids(), min_size=1, max_size=4),
+           cost=cost_configs(), rf=st.sampled_from([0.0, 0.045]),
+           trailing=st.booleans(), intrabar=st.booleans())
+    # A 10-bar window holds the 4 bars a lookback of 2 needs, and not the 24
+    # of the union's lookback of 12.
+    @example(kind="rough", seed=5, n=60, bounds=(30, 39),
+             grids=[replace(UNION, lookback=(2,)), UNION],
+             cost=ZERO_COSTS, rf=0.0, trailing=True, intrabar=False)
+    def test_every_pick_equals_optimize_params(self, kind, seed, n, bounds,
+                                               grids, cost, rf, trailing,
+                                               intrabar):
+        series = union_series(kind, seed, n)
+        ts = series.arrays.timestamps
+        lo, hi = sorted(min(b, n - 1) for b in bounds)
+        window = (int(ts[lo]), int(ts[hi]))
+        opt = Optimizer({"RND": series}, grids)
+
+        def check(asked):
+            for grid in asked:
+                cfg = solve_cfg(grid, cost, rf, trailing, intrabar)
+                for side in ("long", "short"):
+                    got = opt.solve([("RND", side)], window, cfg)[0]
+                    assert got == optimize_params(
+                        series, side, window, grid, cost, rf,
+                        trailing=trailing, intrabar_stop_fill=intrabar)
+
+        check(grids)
+        assert opt.solved == 2 * len(set(grids))
+        assert opt.searches <= 2  # one per side serves every told grid
+        # Grids the optimizer was not told search alone: one outside the
+        # union, and one with another ATR window.
+        check([replace(grids[0], alpha=(0.75,)),
+               replace(grids[0], atr_window=5)])
+        assert opt.searches <= 2 + 2 * 2
+
+    def test_a_window_short_for_the_union_serves_a_grid_it_fits(self):
+        series = union_series("rough", 5, 60)
+        ts = series.arrays.timestamps
+        window = (int(ts[30]), int(ts[39]))
+        short = replace(UNION, lookback=(2,))
+        opt = Optimizer({"RND": series}, [short, UNION])
+        got = {grid: opt.solve([("RND", "long")], window,
+                               solve_cfg(grid, ZERO_COSTS, 0.0, True,
+                                         False))[0]
+               for grid in (short, UNION)}
+        assert got[UNION] is None  # 10 bars < 2 * 12
+        assert got[short] is not None
+        assert got[short] == optimize_params(series, "long", window, short,
+                                             ZERO_COSTS, 0.0)
+        assert opt.searches == 1
+
+    def test_union_grid(self):
+        grids = [replace(UNION, alpha=(3.0, 1.0)), replace(UNION, alpha=(2.0,))]
+        assert union_grid(grids) == replace(UNION, alpha=(1.0, 2.0, 3.0))
+        assert union_grid(grids + [replace(UNION, atr_window=5)]) is None
+        assert union_grid([]) is None

@@ -3,14 +3,17 @@ through the ones behind the load, rebalance, aggregate and write layers, so
 a refactor cannot silently blank or zero its per-layer metrics
 (perfbench/tracer.py reports a missing hook as an absent metric, not as a
 failure, and a hook that is never called reads 0). The loaded universe's
-timeline is built once per backtest and once per sweep group, and each
-series' ATR once per ATR window, through the hook the tracer counts."""
+timeline is built once per backtest and once per sweep group, each series'
+ATR once per ATR window, through the hook the tracer counts, and the month
+simulations of a sweep (the tracer's month_sim span) search each traded
+cell once."""
 
 import importlib
 import importlib.util
 import json
 import os
 
+from adaptivetrend import backtester, signal_engine
 from adaptivetrend.cli import main
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -64,7 +67,8 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
     watched = {("cli", "load_universe"), ("backtester", "union_timeline"),
                ("backtester", "run_backtest"), ("backtester", "run_rebalance"),
                ("cli", "run_benchmark"), ("cli", "_write_run_artifacts"),
-               ("cli", "save_equity"), ("cli", "write_ledger")}
+               ("cli", "save_equity"), ("cli", "write_ledger"),
+               ("analytics", "compute_metrics")}
     trace = watch(monkeypatch, tracer, watched)
     cfg = tiny_run_config(tmp_path)
     assert main(["backtest", "--config", str(cfg),
@@ -77,6 +81,7 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
     assert names.count("backtester.union_timeline") == 1
     assert names.count("backtester.run_backtest") == 1
     assert names.count("cli.run_benchmark") == 1
+    assert names.count("analytics.compute_metrics") == 2
     writers = [i for i, span in enumerate(trace.spans)
                if span[0] == "cli._write_run_artifacts"]
     assert len(writers) == 2
@@ -119,6 +124,39 @@ def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):
         assert len(fh.read().splitlines()) == 1 + 27
     with open(out / "manifest.json") as fh:
         counters = json.load(fh)["counters"]
-    # the three lambda points of each alpha share every search
+    # the three lambda points of each alpha share every problem, and the
+    # nine alpha points of a problem share one search of their union grid
     assert counters["optimizer.solved"] > 0
     assert counters["optimizer.problems"] == 3 * counters["optimizer.solved"]
+    assert counters["optimizer.solved"] == 9 * counters["optimizer.searches"]
+
+
+def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
+    # The lambda points of an alpha trade the same cells at other sizes;
+    # only the ledger reads the size, so each (symbol, cell, window, side)
+    # of the month simulations is searched once.
+    month_sim = backtester.run_single_asset
+    find_trades = signal_engine.find_trades
+    sims, searches, inside = [], [], []
+
+    def traded(series, params, **kwargs):
+        sims.append((series.symbol, params, kwargs["window"],
+                     kwargs["side_enabled"]))
+        inside.append(True)
+        try:
+            return month_sim(series, params, **kwargs)
+        finally:
+            inside.pop()
+
+    def searched(arr, bounds, cells, side, *args):
+        if inside:
+            searches.append((id(arr), bounds, tuple(cells), side))
+        return find_trades(arr, bounds, cells, side, *args)
+
+    monkeypatch.setattr(backtester, "run_single_asset", traded)
+    monkeypatch.setattr(signal_engine, "find_trades", searched)
+    cfg = tiny_run_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out",
+                 str(tmp_path / "sweep"), "--axis", "alpha_lambda"]) == 0
+    assert len(sims) > len(set(sims))  # the sweep repeats simulations
+    assert len(searches) == len(set(searches)) == len(set(sims))

@@ -1,6 +1,7 @@
 """Trade search (entries, trailing stops, exits) and trade ledger accounting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import (Bar, PriceSeries, SeriesArrays,
                                        bars_per_year)
+from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
                                          StrategyParams, TradeRecord,
                                          _stop_max, find_trades, grid_sharpes,
@@ -284,6 +286,68 @@ class TestLedgerMatchesPerBar:
         assert_same_result(run_single_asset(series, params, **kwargs),
                            scalar_reference.run_single_asset(series, params,
                                                              **kwargs))
+
+
+# Month-simulation points: each field takes one of these values. Windows are
+# bar ranges of a 60-bar series, one of them with one bar.
+SIM_VALUES = {
+    "size": [1.0, 0.37, 12_345.6],
+    "window": [(0, 59), (10, 40), (25, 25), (30, 59)],
+    "cell": [PARAMS, StrategyParams(0.01, 0.02, 1.0, 2, 3),
+             StrategyParams(-0.01, 0.005, 4.0, 8, 5)],
+    "side": list(SIDE_CHOICES),
+    "cost": list(range(len(COST_CHOICES))),
+    "trailing": [False, True],
+    "intrabar": [False, True],
+}
+
+
+@st.composite
+def sim_walks(draw):
+    """Month simulations that change every field once each, in a random
+    order, as the backtest points of test_optimizer's point_walks do."""
+    point = {k: draw(st.sampled_from(v)) for k, v in SIM_VALUES.items()}
+    walk = [point]
+    for name in draw(st.permutations(sorted(SIM_VALUES))):
+        other = [v for v in SIM_VALUES[name] if v is not point[name]]
+        point = dict(point, **{name: draw(st.sampled_from(other))})
+        walk.append(point)
+    return walk
+
+
+class TestTradeSearchMemo:
+    """run_single_asset finds a cell's trades once per (series, window,
+    cell, side, execution flags) and books them at every size; no run may
+    get the trades of another."""
+
+    @staticmethod
+    def simulate(series, point):
+        ts = series.arrays.timestamps
+        lo, hi = point["window"]
+        return run_single_asset(
+            series, point["cell"], point["side"], (int(ts[lo]), int(ts[hi])),
+            size=point["size"], cost_cfg=COST_CHOICES[point["cost"]],
+            trailing=point["trailing"], intrabar_stop_fill=point["intrabar"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), walk=sim_walks())
+    def test_shared_search_changes_no_result(self, seed, walk):
+        series = rough_series(np.random.default_rng(seed), 60, INTERVAL,
+                              gaps=True, zero_volume=0.2)
+        with mock.patch.object(signal_engine, "find_trades",
+                               wraps=signal_engine.find_trades) as search:
+            for point in walk + walk[:1]:
+                # A fresh copy of the series shares no memo entry.
+                fresh = PriceSeries(series.symbol, series.interval,
+                                    SeriesArrays(*(c.copy() for c in
+                                                   series.arrays.columns())))
+                assert_same_result(self.simulate(series, point),
+                                   self.simulate(fresh, point))
+        searched = {(p["window"], p["cell"], p["side"], p["trailing"],
+                     p["intrabar"]) for p in walk}
+        # One search per distinct key on the shared series, one per point
+        # on the fresh copies.
+        assert search.call_count == len(searched) + len(walk) + 1
 
 
 class TestScriptedPath:
