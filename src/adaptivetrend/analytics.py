@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .indicators import rolling_sharpe, sharpe_rows
-from .market_data import SECONDS_PER_YEAR, PriceSeries, write_columns
+from .market_data import (DEFAULT_BARS_PER_YEAR, DEFAULT_RF_ANNUAL,
+                          SECONDS_PER_YEAR, PriceSeries, write_columns)
 from .signal_engine import TradeRecord
 
 if TYPE_CHECKING:
@@ -91,6 +92,21 @@ def sortino_ratio(returns: np.ndarray, rf_annual: float,
     return excess / downside * math.sqrt(bars_per_year)
 
 
+def annual_return(growth: float, n_bars: int, bars_per_year: float) -> float:
+    """Geometric annual return of growth over n_bars; -100% when growth <= 0:
+    all is lost, and a negative base has no real fractional power."""
+    return (float(growth ** (bars_per_year / n_bars) - 1.0) if growth > 0
+            else -1.0)
+
+
+def trade_stats(ledger: Sequence[TradeRecord]) -> tuple:
+    """(win rate, mean net PnL per unit of size) of trades; None without."""
+    if not ledger:
+        return None, None
+    return (sum(1 for t in ledger if t.net_pnl > 0) / len(ledger),
+            float(np.mean([t.net_pnl / t.size for t in ledger])))
+
+
 def compute_metrics(
     equity: "EquityCurve",
     ledger: Sequence[TradeRecord],
@@ -109,11 +125,7 @@ def compute_metrics(
     returns = balances[1:] / balances[:-1] - 1.0
     n = len(returns)
 
-    growth = balances[-1] / balances[0]
-    # A curve that ends at or below zero lost everything: -100% a year, as
-    # in regime_metrics (a negative base has no real fractional power).
-    ann_return = (float(growth ** (bars_per_year / n) - 1.0) if growth > 0
-                  else -1.0)
+    ann_return = annual_return(balances[-1] / balances[0], n, bars_per_year)
     ann_vol = (float(np.std(returns, ddof=1)) * math.sqrt(bars_per_year)
                if n >= 2 else None)
     sharpe = rolling_sharpe(returns, rf_annual, bars_per_year)
@@ -121,20 +133,15 @@ def compute_metrics(
     mdd = max_drawdown(balances)
     calmar = ann_return / abs(mdd) if mdd < 0.0 else None
 
-    nets = [t.net_pnl for t in ledger]
-    if nets:
-        wins = sum(1 for x in nets if x > 0)
-        win_rate = wins / len(nets)
-        avg_trade_pnl = float(np.mean([t.net_pnl / t.size for t in ledger]))
-        gains = math.fsum(x for x in nets if x > 0)
-        losses = math.fsum(-x for x in nets if x < 0)
-        profit_factor = gains / losses if losses > 0 else None
-    else:
-        win_rate = avg_trade_pnl = profit_factor = None
+    win_rate, avg_trade_pnl = trade_stats(ledger)
+    gains = math.fsum(t.net_pnl for t in ledger if t.net_pnl > 0)
+    losses = math.fsum(-t.net_pnl for t in ledger if t.net_pnl < 0)
+    profit_factor = gains / losses if losses > 0 else None
 
     span_years = (int(equity.timestamps[-1]) - int(equity.timestamps[0])) \
         / SECONDS_PER_YEAR
-    trades_per_month = len(nets) / (span_years * 12.0) if span_years > 0 else 0.0
+    trades_per_month = (len(ledger) / (span_years * 12.0) if span_years > 0
+                        else 0.0)
     fill_notional = math.fsum(t.size * (1.0 + t.exit_px / t.entry_px)
                               for t in ledger)
     mean_balance = float(np.mean(balances))
@@ -182,8 +189,8 @@ def regime_metrics(
     returns: np.ndarray,
     regimes: RegimeSeries,
     ledger: Sequence[TradeRecord] = (),
-    rf_annual: float = 0.045,
-    bars_per_year: float = 1460.0,
+    rf_annual: float = DEFAULT_RF_ANNUAL,
+    bars_per_year: float = DEFAULT_BARS_PER_YEAR,
 ) -> Dict[str, dict]:
     """Per-regime performance of a return series aligned by exact timestamp.
 
@@ -204,22 +211,16 @@ def regime_metrics(
         if len(sub) == 0:
             continue
         path = np.cumprod(1.0 + sub)
-        growth = float(path[-1])
-        ann_return = (growth ** (bars_per_year / len(sub)) - 1.0
-                      if growth > 0 else -1.0)
-        regime_trades = [t for t in ledger
-                         if label_at.get(t.exit_ts) == regime]
-        nets = [t.net_pnl for t in regime_trades]
+        win_rate, avg_trade_pnl = trade_stats(
+            [t for t in ledger if label_at.get(t.exit_ts) == regime])
         out[regime] = {
             "bars": int(len(sub)),
-            "ann_return": ann_return,
+            "ann_return": annual_return(float(path[-1]), len(sub),
+                                        bars_per_year),
             "sharpe": rolling_sharpe(sub, rf_annual, bars_per_year),
             "mdd": max_drawdown(np.concatenate(([1.0], path))),
-            "win_rate": (sum(1 for x in nets if x > 0) / len(nets)
-                         if nets else None),
-            "avg_trade_pnl": (float(np.mean([t.net_pnl / t.size
-                                             for t in regime_trades]))
-                              if nets else None),
+            "win_rate": win_rate,
+            "avg_trade_pnl": avg_trade_pnl,
         }
     return out
 
@@ -251,8 +252,8 @@ def bootstrap_sharpe_test(
     n_reps: int = 10_000,
     block_len: int = 20,
     seed: int = 0,
-    rf_annual: float = 0.045,
-    bars_per_year: float = 1460.0,
+    rf_annual: float = DEFAULT_RF_ANNUAL,
+    bars_per_year: float = DEFAULT_BARS_PER_YEAR,
 ) -> BootstrapResult:
     """Two-sided circular-block-bootstrap test of a Sharpe-ratio difference.
 

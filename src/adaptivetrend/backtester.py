@@ -52,7 +52,6 @@ class BacktestConfig:
     costs: CostConfig = field(default_factory=CostConfig)
     trailing_stop_enabled: bool = True
     cap_filter_enabled: bool = True
-    sharpe_filter_enabled: bool = True
     reoptimize_enabled: bool = True
     intrabar_stop_fill: bool = False
 
@@ -294,12 +293,6 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
     The grid searches go to the market's optimizer, so runs over one market
     solve a repeated problem once.
     """
-    universe = market.series
-    if not cfg.sharpe_filter_enabled:
-        cfg = replace(cfg, rebalance=replace(cfg.rebalance,
-                                             gamma_long=float("-inf"),
-                                             gamma_short=float("-inf")))
-
     month_starts = market.months(cfg)
     portfolio: Optional[MonthlyPortfolio] = None
     rebalance_log: List[dict] = []
@@ -329,11 +322,9 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
         for side, allocations in (("long", portfolio.longs),
                                   ("short", portfolio.shorts)):
             for alloc in allocations:
-                series = universe.get(alloc.symbol)
-                if series is None:
-                    continue
                 results.append(run_single_asset(
-                    series, alloc.params, side_enabled=side, window=window,
+                    market.series[alloc.symbol], alloc.params,
+                    side_enabled=side, window=window,
                     size=alloc.weight * balance, cost_cfg=cfg.costs,
                     trailing=cfg.trailing_stop_enabled,
                     intrabar_stop_fill=cfg.intrabar_stop_fill,
@@ -354,7 +345,10 @@ def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
     if variant == "no_cap_filter":
         return replace(cfg, cap_filter_enabled=False)
     if variant == "no_sharpe_filter":
-        return replace(cfg, sharpe_filter_enabled=False)
+        # Thresholds of -inf admit every candidate with a defined Sharpe.
+        return replace(cfg, rebalance=replace(cfg.rebalance,
+                                              gamma_long=float("-inf"),
+                                              gamma_short=float("-inf")))
     if variant == "symmetric_allocation":
         return replace(cfg, rebalance=replace(cfg.rebalance, long_ratio=0.5))
     if variant == "fixed_params":

@@ -20,13 +20,14 @@ which records wall-clock duration, is the one exception).
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import os
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
-                        write_regime_csv, RegimeSeries, REGIME_CSV_HEADER)
+                        write_regime_csv, RegimeSeries, REGIME_CSV_HEADER,
+                        REGIME_WINDOW_DAYS)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
                          ablation_config, load_equity, run_ablation,
                          save_equity, ABLATION_VARIANTS)
@@ -144,47 +146,51 @@ def _parse_regimes(s: str) -> Tuple[Tuple[int, float, float], ...]:
     return tuple(regimes)
 
 
-# key -> (parser, default string or None for "unset")
+# key -> (parser, default value or None for "unset"). A default that lands
+# in a library dataclass field is read from that field, so it is defined once.
 CONFIG_SCHEMA = {
     "data.dir": (_parse_str, None),
-    "data.interval": (int, str(DEFAULT_INTERVAL)),
+    "data.interval": (int, BacktestConfig.interval),
     "run.start": (_parse_timestamp, None),
     "run.end": (_parse_timestamp, None),
-    "run.initial_balance": (_parse_float, "100000"),
+    "run.initial_balance": (_parse_float, BacktestConfig.initial_balance),
     "run.variant": (lambda s: _known("ablation variant", s.strip(),
                                      ABLATION_VARIANTS), "full"),
     "run.label": (_parse_str, None),
-    "engine.trailing_stop": (_parse_bool, "true"),
-    "engine.intrabar_stop_fill": (_parse_bool, "false"),
-    "engine.cap_filter": (_parse_bool, "true"),
-    "engine.sharpe_filter": (_parse_bool, "true"),
-    "engine.reoptimize": (_parse_bool, "true"),
-    "rebalance.k_long": (int, "15"),
-    "rebalance.k_short": (int, "15"),
-    "rebalance.gamma_long": (_parse_float, "1.3"),
-    "rebalance.gamma_short": (_parse_float, "1.7"),
-    "rebalance.long_ratio": (_parse_float, "0.7"),
-    "rebalance.buffer_bars": (int, "4"),
-    "rebalance.rf_annual": (_parse_float, "0.045"),
-    "grid.theta_entry": (_parse_floats, "0.01,0.02,0.03,0.05,0.08"),
-    "grid.theta_entry_short": (_parse_floats, "0.01,0.02,0.03,0.05,0.08"),
-    "grid.alpha": (_parse_floats, "1.0,1.5,2.0,2.5,3.0,3.5,4.0,4.5,5.0"),
-    "grid.lookback": (_parse_ints, "4,8,12,20,28"),
-    "grid.atr_window": (int, "14"),
-    "costs.taker_fee_bps": (_parse_float, "4"),
-    "costs.slip_coeff": (_parse_float, "0.1"),
-    "costs.slip_cap_bps": (_parse_float, "50"),
-    "costs.funding_rate_per_8h": (_parse_float, "0.0001"),
-    "costs.funding_hours": (_parse_ints, "0,8,16"),
+    "engine.trailing_stop": (_parse_bool,
+                             BacktestConfig.trailing_stop_enabled),
+    "engine.intrabar_stop_fill": (_parse_bool,
+                                  BacktestConfig.intrabar_stop_fill),
+    "engine.cap_filter": (_parse_bool, BacktestConfig.cap_filter_enabled),
+    "engine.sharpe_filter": (_parse_bool, True),
+    "engine.reoptimize": (_parse_bool, BacktestConfig.reoptimize_enabled),
+    "rebalance.k_long": (int, RebalanceConfig.k_long),
+    "rebalance.k_short": (int, RebalanceConfig.k_short),
+    "rebalance.gamma_long": (_parse_float, RebalanceConfig.gamma_long),
+    "rebalance.gamma_short": (_parse_float, RebalanceConfig.gamma_short),
+    "rebalance.long_ratio": (_parse_float, RebalanceConfig.long_ratio),
+    "rebalance.buffer_bars": (int, RebalanceConfig.buffer_bars),
+    "rebalance.rf_annual": (_parse_float, RebalanceConfig.rf_annual),
+    "grid.theta_entry": (_parse_floats, ParamGrid.theta_entry),
+    "grid.theta_entry_short": (_parse_floats, ParamGrid.theta_entry_short),
+    "grid.alpha": (_parse_floats, ParamGrid.alpha),
+    "grid.lookback": (_parse_ints, ParamGrid.lookback),
+    "grid.atr_window": (int, ParamGrid.atr_window),
+    "costs.taker_fee_bps": (_parse_float, CostConfig.taker_fee_bps),
+    "costs.slip_coeff": (_parse_float, CostConfig.slip_coeff),
+    "costs.slip_cap_bps": (_parse_float, CostConfig.slip_cap_bps),
+    "costs.funding_rate_per_8h": (_parse_float,
+                                  CostConfig.funding_rate_per_8h),
+    "costs.funding_hours": (_parse_ints, CostConfig.funding_hours),
     "costs.funding_rates_file": (_parse_str, None),
     "benchmarks.kinds": (lambda s: tuple(_known("benchmark", name, BENCHMARKS)
-                                         for name in _parse_strs(s)), ""),
-    "benchmarks.universe_size": (int, "20"),
-    "benchmarks.vol_target": (_parse_float, "0.10"),
-    "benchmarks.buy_hold_symbol": (_parse_str, None),
-    "regimes.enabled": (_parse_bool, "true"),
+                                         for name in _parse_strs(s)), ()),
+    "benchmarks.universe_size": (int, BenchmarkSpec.universe_size),
+    "benchmarks.vol_target": (_parse_float, BenchmarkSpec.vol_target_annual),
+    "benchmarks.buy_hold_symbol": (_parse_str, BenchmarkSpec.symbol),
+    "regimes.enabled": (_parse_bool, True),
     "regimes.reference_symbol": (_parse_str, None),
-    "regimes.window_days": (int, "60"),
+    "regimes.window_days": (int, REGIME_WINDOW_DAYS),
 }
 
 # benchmarks.kinds name -> (label, fixed BenchmarkSpec arguments,
@@ -226,12 +232,11 @@ def resolve_config(path: Optional[str],
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     resolved: Dict[str, object] = {}
     for key, (parse, default) in CONFIG_SCHEMA.items():
-        text = raw.get(key, default)
-        if text is None:
-            resolved[key] = None
+        if key not in raw:
+            resolved[key] = default
             continue
         try:
-            resolved[key] = parse(text)
+            resolved[key] = parse(raw[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
     return resolved
@@ -242,38 +247,25 @@ def config_snapshot(cfg: Dict[str, object]) -> Dict[str, object]:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
 
 
+def _fields(cfg: Dict[str, object], section: str, cls: type) -> dict:
+    """The dataclass cls's fields that config keys ``section.<field>`` set,
+    by field name."""
+    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    return {name: cfg[key] for name, key in keys.items() if key in cfg}
+
+
 def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
     if cfg["run.start"] is None or cfg["run.end"] is None:
         raise ConfigError("run.start and run.end are required")
-    grid = ParamGrid(
-        theta_entry=cfg["grid.theta_entry"],
-        theta_entry_short=cfg["grid.theta_entry_short"],
-        alpha=cfg["grid.alpha"],
-        lookback=cfg["grid.lookback"],
-        atr_window=cfg["grid.atr_window"],
-    )
-    rebalance = RebalanceConfig(
-        k_long=cfg["rebalance.k_long"],
-        k_short=cfg["rebalance.k_short"],
-        gamma_long=cfg["rebalance.gamma_long"],
-        gamma_short=cfg["rebalance.gamma_short"],
-        long_ratio=cfg["rebalance.long_ratio"],
-        grid=grid,
-        buffer_bars=cfg["rebalance.buffer_bars"],
-        rf_annual=cfg["rebalance.rf_annual"],
-    )
+    grid = ParamGrid(**_fields(cfg, "grid", ParamGrid))
+    rebalance = RebalanceConfig(grid=grid,
+                                **_fields(cfg, "rebalance", RebalanceConfig))
     funding_rates = None
     if cfg["costs.funding_rates_file"]:
         funding_rates = load_funding_rates(cfg["costs.funding_rates_file"])
-    costs = CostConfig(
-        taker_fee_bps=cfg["costs.taker_fee_bps"],
-        slip_coeff=cfg["costs.slip_coeff"],
-        slip_cap_bps=cfg["costs.slip_cap_bps"],
-        funding_rate_per_8h=cfg["costs.funding_rate_per_8h"],
-        funding_hours=tuple(cfg["costs.funding_hours"]),
-        funding_rates=funding_rates,
-    )
-    return BacktestConfig(
+    costs = CostConfig(funding_rates=funding_rates,
+                       **_fields(cfg, "costs", CostConfig))
+    bt_cfg = BacktestConfig(
         start=cfg["run.start"],
         end=cfg["run.end"],
         initial_balance=cfg["run.initial_balance"],
@@ -282,10 +274,11 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
         costs=costs,
         trailing_stop_enabled=cfg["engine.trailing_stop"],
         cap_filter_enabled=cfg["engine.cap_filter"],
-        sharpe_filter_enabled=cfg["engine.sharpe_filter"],
         reoptimize_enabled=cfg["engine.reoptimize"],
         intrabar_stop_fill=cfg["engine.intrabar_stop_fill"],
     )
+    return (bt_cfg if cfg["engine.sharpe_filter"]
+            else ablation_config(bt_cfg, "no_sharpe_filter"))
 
 
 def run_label(cfg: Dict[str, object], bt_cfg: BacktestConfig) -> str:
@@ -807,7 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbols", type=int, default=25)
     p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
-    p.add_argument("--start", type=_parse_timestamp, default="2022-01-01",
+    p.add_argument("--start", type=_parse_timestamp,
+                   default=SyntheticSpec.start,
                    help="series start (bars begin one interval later)")
     p.add_argument("--regimes", type=_parse_regimes,
                    default="360:0.5:0.6,360:-0.4:0.8,360:0.1:0.4",
@@ -835,9 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", required=True, help="second run directory")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--block", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    boot = inspect.signature(bootstrap_sharpe_test).parameters
+    p.add_argument("--reps", type=int, default=boot["n_reps"].default)
+    p.add_argument("--block", type=int, default=boot["block_len"].default)
+    p.add_argument("--seed", type=int, default=boot["seed"].default)
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("report", help="render run artifacts to markdown")

@@ -81,7 +81,8 @@ def fill_costs(notional: np.ndarray, volume: np.ndarray, close: np.ndarray,
 
 
 def funding_events(start_ts: int, end_ts: int,
-                   hours: Sequence[int] = (0, 8, 16)) -> np.ndarray:
+                   hours: Sequence[int] = CostConfig.funding_hours
+                   ) -> np.ndarray:
     """Funding timestamps in the half-open-left interval (start, end], ascending."""
     offsets = np.sort(np.array(hours, dtype=np.int64)) * 3600
     days = np.arange(start_ts // 86_400 * 86_400, end_ts + 1, 86_400,

@@ -28,6 +28,7 @@ import numpy as np
 SECONDS_PER_YEAR = 31_536_000  # 365 days; crypto trades continuously
 SECONDS_PER_DAY = 86_400
 DEFAULT_INTERVAL = 21_600  # 6-hour bars
+DEFAULT_RF_ANNUAL = 0.045  # annual risk-free rate for Sharpe and Sortino
 
 OHLCV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 MARKET_CAP_HEADER = ["date", "symbol", "market_cap_usd"]
@@ -49,6 +50,9 @@ class DataError(ValueError):
 
 def bars_per_year(interval: int) -> float:
     return SECONDS_PER_YEAR / interval
+
+
+DEFAULT_BARS_PER_YEAR = bars_per_year(DEFAULT_INTERVAL)
 
 
 # ---------------------------------------------------------------------------

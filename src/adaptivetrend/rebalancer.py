@@ -31,8 +31,8 @@ import numpy as np
 
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
-from .market_data import (CapIndex, PriceSeries, bars_per_year, date_of_ts,
-                          month_add, month_id)
+from .market_data import (DEFAULT_RF_ANNUAL, CapIndex, PriceSeries,
+                          bars_per_year, date_of_ts, month_add, month_id)
 from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
 
 if TYPE_CHECKING:
@@ -42,20 +42,16 @@ logger = logging.getLogger(__name__)
 
 INF = float("inf")
 
-DEFAULT_THETA_GRID = (0.01, 0.02, 0.03, 0.05, 0.08)
-DEFAULT_ALPHA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
-DEFAULT_LOOKBACK_GRID = (4, 8, 12, 20, 28)
-
 
 @dataclass(frozen=True)
 class ParamGrid:
     """Candidate values for the grid search; the ATR window is held fixed."""
 
-    theta_entry: Tuple[float, ...] = DEFAULT_THETA_GRID
-    theta_entry_short: Tuple[float, ...] = DEFAULT_THETA_GRID
-    alpha: Tuple[float, ...] = DEFAULT_ALPHA_GRID
-    lookback: Tuple[int, ...] = DEFAULT_LOOKBACK_GRID
-    atr_window: int = 14
+    theta_entry: Tuple[float, ...] = (0.01, 0.02, 0.03, 0.05, 0.08)
+    theta_entry_short: Tuple[float, ...] = theta_entry
+    alpha: Tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
+    lookback: Tuple[int, ...] = (4, 8, 12, 20, 28)
+    atr_window: int = StrategyParams.atr_window
 
     def __post_init__(self) -> None:
         # Equal grids must yield identical cells (grid_cells and the
@@ -83,7 +79,7 @@ class RebalanceConfig:
     long_ratio: float = 0.7
     grid: ParamGrid = field(default_factory=ParamGrid)
     buffer_bars: int = 4
-    rf_annual: float = 0.045
+    rf_annual: float = DEFAULT_RF_ANNUAL
 
     def __post_init__(self) -> None:
         if self.k_long < 1 or self.k_short < 1:
@@ -242,7 +238,7 @@ def optimize_params(
     window: Tuple[int, int],
     grid: ParamGrid,
     cost_cfg: CostConfig,
-    rf_annual: float = 0.045,
+    rf_annual: float = DEFAULT_RF_ANNUAL,
     *,
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
@@ -343,14 +339,16 @@ class Optimizer:
     universe, which must not change while the optimizer is in use.
 
     ``grids`` are the grids of the runs that will share the optimizer. When
-    they share one ATR window, a problem with any of them is searched over
-    their per-axis union (union_grid), and the search's Sharpe row is kept
-    under the problem's key with the union in place of the grid; problems
-    that differ only in their told grid then share one grid_sharpes call.
-    Any other grid is searched alone. A cell's Sharpe does not depend on the
-    other cells of its search, and each grid picks from its own cells of the
-    row in its own order, with optimize_params' window check and tie-break,
-    so every result equals optimize_params'.
+    they hold two or more distinct grids that share one ATR window, a
+    problem with any of them is searched over their per-axis union
+    (union_grid), and the search's Sharpe row is kept under the problem's
+    key with the union in place of the grid; problems that differ only in
+    their told grid then share one grid_sharpes call. Any other grid is
+    searched alone, and its row, which no other problem reads, is not kept.
+    A cell's Sharpe does not depend on the other cells of its search, and
+    each grid picks from its own cells of the row in its own order, with
+    optimize_params' window check and tie-break, so every result equals
+    optimize_params'.
     """
 
     def __init__(self, universe: Dict[str, PriceSeries],
@@ -361,7 +359,7 @@ class Optimizer:
         self.searches = 0  # grid_sharpes calls
         self._memo: Dict[tuple, Optional[CandidateResult]] = {}
         self._rows: Dict[tuple, np.ndarray] = {}
-        union = union_grid(grids)
+        union = union_grid(grids) if len(set(grids)) > 1 else None
         self._search_grid = ({} if union is None
                              else dict.fromkeys(grids, union))
 
@@ -398,15 +396,18 @@ class Optimizer:
             return None
         search = self._search_grid.get(grid, grid)
         row_key = (symbol, side, window, search, scoring)
-        if row_key not in self._rows:
-            self._rows[row_key] = grid_sharpes(
+        row = self._rows.get(row_key)
+        if row is None:
+            row = grid_sharpes(
                 series.arrays, series.interval, symbol,
                 grid_cells(search, side), side, bounds, cfg.costs,
                 cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill)
             self.searches += 1
+            if grid in self._search_grid:
+                self._rows[row_key] = row
         return _pick_best(symbol, grid_cells(grid, side),
-                          self._rows[row_key][_columns(grid, search, side)])
+                          row[_columns(grid, search, side)])
 
 
 def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"

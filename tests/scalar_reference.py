@@ -686,10 +686,6 @@ def run_backtest(
     rolls across months; a balance <= 0 halts the run and flags the curve.
     """
     caps = CapIndex(caps)
-    if not cfg.sharpe_filter_enabled:
-        cfg = replace(cfg, rebalance=replace(cfg.rebalance,
-                                             gamma_long=float("-inf"),
-                                             gamma_short=float("-inf")))
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -492,8 +493,12 @@ class TestAblations:
         assert ablation_config(cfg, "no_trailing_stop") \
             .trailing_stop_enabled is False
         assert ablation_config(cfg, "no_cap_filter").cap_filter_enabled is False
-        assert ablation_config(cfg, "no_sharpe_filter") \
-            .sharpe_filter_enabled is False
+        # The gate is gone whatever the thresholds were, 0 and negative too.
+        for gamma in (-100.0, 0.0, 1.3):
+            gated = replace(cfg, rebalance=replace(
+                cfg.rebalance, gamma_long=gamma, gamma_short=-gamma))
+            ungated = ablation_config(gated, "no_sharpe_filter").rebalance
+            assert ungated.gamma_long == ungated.gamma_short == -math.inf
         assert ablation_config(cfg, "symmetric_allocation") \
             .rebalance.long_ratio == 0.5
         assert ablation_config(cfg, "fixed_params").reoptimize_enabled is False

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior against small synthetic data sets."""
 
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,12 +13,18 @@ import pytest
 
 import adaptivetrend
 from adaptivetrend import __version__
+from adaptivetrend.analytics import REGIME_WINDOW_DAYS
+from adaptivetrend.backtester import BacktestConfig
+from adaptivetrend.benchmarks import BenchmarkSpec
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                ConfigError, build_backtest_config, main,
                                resolve_config, run_label, write_json)
 from conftest import FEB1
 
 RUN_END = 1_646_611_200  # 2022-03-07 00:00 UTC
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# README default cells that name no single value
+NO_LITERAL_DEFAULT = ("required", "derived", "top cap", "empty", "–")
 
 CONFIG_TEMPLATE = """\
 # compact run configuration for the test suite
@@ -89,6 +97,54 @@ class TestConfig:
         assert cfg["regimes.enabled"] is True
         assert cfg["run.start"] is None
         assert set(cfg) == set(CONFIG_SCHEMA)
+
+    def test_defaults_are_the_library_defaults(self):
+        """A config that sets nothing builds the library's own defaults: each
+        schema default is its dataclass field's."""
+        cfg = resolve_config(None)
+        cfg.update({"run.start": FEB1, "run.end": RUN_END})
+        assert build_backtest_config(cfg) == BacktestConfig(FEB1, RUN_END)
+        assert BenchmarkSpec(
+            kind="tsmom", universe_size=cfg["benchmarks.universe_size"],
+            vol_target_annual=cfg["benchmarks.vol_target"],
+            symbol=cfg["benchmarks.buy_hold_symbol"]) == BenchmarkSpec("tsmom")
+        assert cfg["regimes.window_days"] == REGIME_WINDOW_DAYS
+
+    @pytest.mark.parametrize("gamma", ["1.3", "0", "-2"])
+    def test_sharpe_filter_off_admits_every_candidate(self, gamma):
+        cfg = resolve_config(None, {
+            "run.start": "2022-02-01", "run.end": str(RUN_END),
+            "engine.sharpe_filter": "false", "rebalance.gamma_long": gamma,
+            "rebalance.gamma_short": gamma})
+        rebalance = build_backtest_config(cfg).rebalance
+        assert rebalance.gamma_long == rebalance.gamma_short == -math.inf
+
+    def test_readme_table_matches_the_schema(self):
+        """The README's Configuration table has a row for every key and no
+        other, and each default it shows as a literal is the resolved one
+        (cells that name no value or abbreviate one with ... are skipped)."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("\n## Configuration\n")[1].split("\n## ")[0]
+        defaults = resolve_config(None)
+        seen = []
+        for line in table.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue
+            keys = re.findall(r"`([^`]+)`", cells[0])
+            seen += keys
+            if cells[1] in NO_LITERAL_DEFAULT or "..." in cells[1]:
+                continue
+            values = re.findall(r"`([^`]+)`", cells[1])
+            if len(values) == 1:
+                values *= len(keys)
+            assert len(values) == len(keys), line
+            for key, value in zip(keys, values):
+                parsed = CONFIG_SCHEMA[key][0](value)
+                assert parsed == defaults[key], line
+                assert type(parsed) is type(defaults[key]), line
+        assert sorted(seen) == sorted(CONFIG_SCHEMA)
 
     def test_file_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
-                                      ablation_config, run_backtest)
+                                      Market, ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import PriceSeries, SeriesArrays
+from adaptivetrend.market_data import CapIndex, PriceSeries, SeriesArrays
 from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
                                       grid_cells, optimization_window,
                                       optimize_params, union_grid)
@@ -116,6 +116,35 @@ class TestSharedOptimizer:
             assert result == optimize_params(series, "long", window, BASE_GRID,
                                              cost, 0.045)
         assert got[1] != got[2]
+
+
+class TestKeptRows:
+    """A search's Sharpe row is kept only when it was searched over the
+    union of two or more told grids: only then can another problem read it."""
+
+    # A plain backtest tells no grid; a fee_bps sweep tells its one grid
+    # once per point.
+    @pytest.mark.parametrize("told", [0, 2])
+    def test_a_grid_searched_alone_keeps_no_row(self, told):
+        universe, caps = jumpy_universe(7, 4, 1.0)
+        cfg = point_cfg(universe)
+        market = Market(universe, CapIndex(caps), [cfg.rebalance.grid] * told)
+        for fee in (0.0, 4.0):
+            run_backtest(market, replace(cfg, costs=replace(
+                cfg.costs, taker_fee_bps=fee)))
+        opt = market.optimizer
+        assert opt.problems == opt.solved == opt.searches > 0
+        assert opt._rows == {}
+
+    def test_a_union_search_keeps_its_row(self):
+        universe, caps = jumpy_universe(7, 4, 1.0)
+        points = [point_cfg(universe, alphas=(a,)) for a in (1.0, 3.0)]
+        market = Market(universe, CapIndex(caps),
+                        [p.rebalance.grid for p in points])
+        for cfg in points:
+            run_backtest(market, cfg)
+        opt = market.optimizer
+        assert opt.solved == 2 * opt.searches == 2 * len(opt._rows) > 0
 
 
 def test_equal_grids_build_identical_cells():
