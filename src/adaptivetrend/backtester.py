@@ -19,6 +19,7 @@ market and the run's BacktestConfig whole
 """
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +59,9 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError("start must precede end")
-        if self.initial_balance <= 0:
-            raise ValueError("initial_balance must be > 0")
+        if not 0 < self.initial_balance < math.inf:
+            raise ValueError("initial_balance must be > 0 and finite, got"
+                             f" {self.initial_balance}")
         if self.interval <= 0:
             raise ValueError("interval must be > 0")
 

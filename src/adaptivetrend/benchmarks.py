@@ -94,7 +94,7 @@ def hold_position(
                        exit=np.array([n - 1]), exit_px=arr.close[i1 - 1:i1],
                        forced=np.array([True]), short=np.array([side == SHORT]))
     return book_trades(series, (i0, i1), found, size, cost_cfg,
-                       np.full(n, np.nan), charge_funding=charge_funding)
+                       charge_funding=charge_funding)
 
 
 # ---------------------------------------------------------------------------

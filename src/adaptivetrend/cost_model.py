@@ -43,12 +43,13 @@ class CostConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.taker_fee_bps < 0:
-            raise ValueError("taker_fee_bps must be >= 0")
-        if self.slip_coeff < 0:
-            raise ValueError("slip_coeff must be >= 0")
-        if self.slip_cap_bps < 0:
-            raise ValueError("slip_cap_bps must be >= 0")
+        for name in ("taker_fee_bps", "slip_coeff", "slip_cap_bps"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+        if not math.isfinite(self.funding_rate_per_8h):
+            raise ValueError("funding_rate_per_8h must be finite, got"
+                             f" {self.funding_rate_per_8h}")
         if any(not 0 <= h < 24 for h in self.funding_hours):
             raise ValueError("funding_hours must lie in [0, 24)")
         if len(set(self.funding_hours)) != len(self.funding_hours):

@@ -5,10 +5,10 @@ month_start, cfg), which reads everything it needs from one Market (caps,
 series, optimizer) and one BacktestConfig:
   1. filter_universe: rank symbols by the most recent market-cap snapshot;
      top-K become long candidates, bottom-K short candidates.
-  2. optimize_params: per candidate, grid-search entry/stop parameters on the
-     preceding calendar month (ending one buffer before the month start),
-     maximizing the annualized Sharpe of the candidate's net per-bar returns
-     under the execution model the month trades with. The market's
+  2. Optimizer.solve: per candidate, grid-search entry/stop parameters on
+     the preceding calendar month (ending one buffer before the month
+     start), maximizing the annualized Sharpe of the candidate's net per-bar
+     returns under the execution model the month trades with. The market's
      Optimizer, asked by symbol, solves each such problem once for every run
      that shares it, and searches the problems of runs that differ only in
      the grid once, over the union of their grids.
@@ -88,6 +88,12 @@ class RebalanceConfig:
             raise ValueError("long_ratio must lie in [0, 1]")
         if self.buffer_bars < 0:
             raise ValueError("buffer_bars must be >= 0")
+        # -inf gamma admits every candidate (the no_sharpe_filter variant).
+        for name in ("gamma_long", "gamma_short"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+        if not math.isfinite(self.rf_annual):
+            raise ValueError(f"rf_annual must be finite, got {self.rf_annual}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,8 @@ def evaluate_cell(
     """Annualized Sharpe of the cell's net per-bar returns; None if unusable.
 
     Zero trades in the window, or a return series whose Sharpe is undefined,
-    disqualify the cell. This is the one-cell reference that the batched
-    search in optimize_params is tested against.
+    disqualify the cell. This is the one-cell reference that the
+    Optimizer's batched search is tested against.
     """
     result = run_single_asset(series, params, side_enabled=side, window=window,
                               size=1.0, cost_cfg=cost_cfg, trailing=trailing,
@@ -208,59 +214,113 @@ def evaluate_cell(
                           bars_per_year(series.interval))
 
 
-def _window_bounds(series: PriceSeries, window: Tuple[int, int],
-                   grid: ParamGrid) -> Optional[Tuple[int, int]]:
-    """The window's bar bounds, or None (logged) when it holds fewer than
-    twice the grid's largest momentum lookback."""
-    i0, i1 = series.arrays.slice_indices(window[0], window[1])
-    needed = 2 * max(grid.lookback)
-    if i1 - i0 < needed:
-        logger.info("%s: optimization window has %d bars, needs %d; excluded",
-                    series.symbol, i1 - i0, needed)
+def union_grid(grids: Sequence[ParamGrid]) -> Optional[ParamGrid]:
+    """The per-axis union of grids that share one ATR window, or None when
+    there are none or their ATR windows differ."""
+    if len({g.atr_window for g in grids}) != 1:
         return None
-    return i0, i1
+    return ParamGrid(**{
+        name: tuple(sorted({v for g in grids for v in getattr(g, name)}))
+        for name in ("theta_entry", "theta_entry_short", "alpha", "lookback")
+    }, atr_window=grids[0].atr_window)
 
 
-def _pick_best(symbol: str, cells: Sequence[StrategyParams],
-              sharpes: np.ndarray) -> Optional[CandidateResult]:
-    """The first of ``cells`` with the maximum Sharpe (NaN is unusable), or
-    None when no cell has a defined one."""
-    scores = np.where(np.isnan(sharpes), -INF, sharpes)
-    best = int(np.argmax(scores))
-    if not scores[best] > -INF:
-        return None
-    return CandidateResult(symbol, cells[best], float(sharpes[best]))
+class Optimizer:
+    """Solves the grid-search problems of one universe, each one once.
 
+    A problem is one candidate's search: (symbol, side, window, grid, cost
+    config with the symbol's funding records, rf_annual, execution flags).
+    Its result is memoised, so every month, sweep point and ablation run that
+    shares this optimizer answers a repeated problem from the memo.
+    Candidates are named by symbol and looked up in the optimizer's own
+    universe, which must not change while the optimizer is in use.
 
-def optimize_params(
-    series: PriceSeries,
-    side: str,
-    window: Tuple[int, int],
-    grid: ParamGrid,
-    cost_cfg: CostConfig,
-    rf_annual: float = DEFAULT_RF_ANNUAL,
-    *,
-    trailing: bool = True,
-    intrabar_stop_fill: bool = False,
-) -> Optional[CandidateResult]:
-    """Exhaustive grid search for one candidate on one side.
-
-    Requires the window to hold at least twice the largest momentum lookback
-    in bars; shorter windows disqualify the candidate (logged). Returns the
-    best cell with its Sharpe, or None when no cell produced a defined one.
-    Every cell is scored as evaluate_cell would score it under the same
-    execution flags, in one batched pass (signal_engine.grid_sharpes); the
-    first cell with the maximum wins.
+    ``grids`` are the grids of the runs that will share the optimizer. When
+    they hold two or more distinct grids that share one ATR window, a
+    problem with any of them is searched over their per-axis union
+    (union_grid), and the search's Sharpe row is kept under the problem's
+    key with the union in place of the grid; problems that differ only in
+    their told grid then share one grid_sharpes call. Any other grid is
+    searched alone, and its row, which no other problem reads, is not kept.
+    A cell's Sharpe does not depend on the other cells of its search, and
+    each grid picks from its own cells of the row in its own order, so every
+    result equals that of the grid searched alone.
     """
-    bounds = _window_bounds(series, window, grid)
-    if bounds is None:
-        return None
-    cells = grid_cells(grid, side)
-    sharpes = grid_sharpes(series.arrays, series.interval, series.symbol,
-                           cells, side, bounds, cost_cfg, rf_annual,
-                           trailing=trailing,
-                           intrabar_stop_fill=intrabar_stop_fill)
-    return _pick_best(series.symbol, cells, sharpes)
+
+    def __init__(self, universe: Dict[str, PriceSeries],
+                 grids: Sequence[ParamGrid] = ()) -> None:
+        self.universe = universe
+        self.problems = 0  # problems asked
+        self.solved = 0    # distinct problems answered
+        self.searches = 0  # grid_sharpes calls
+        self._memo: Dict[tuple, Optional[CandidateResult]] = {}
+        self._rows: Dict[tuple, np.ndarray] = {}
+        union = union_grid(grids) if len(set(grids)) > 1 else None
+        self._search_grid = ({} if union is None
+                             else dict.fromkeys(grids, union))
+
+    def solve(
+        self,
+        candidates: Sequence[Tuple[str, str]],
+        window: Tuple[int, int],
+        cfg: "BacktestConfig",
+    ) -> List[Optional[CandidateResult]]:
+        """The best cell of each (symbol, side), in candidate order, for
+        cfg's grid, rf, costs and execution flags; None for a candidate
+        without one.
+
+        A candidate's window must hold at least twice the grid's largest
+        momentum lookback in bars; a shorter one disqualifies it (logged).
+        Every cell is scored as evaluate_cell would score it under the same
+        execution flags, in one batched pass (signal_engine.grid_sharpes),
+        and the first cell with the maximum Sharpe wins; a cell without a
+        defined Sharpe never does.
+        """
+        grid = cfg.rebalance.grid
+        results = []
+        for symbol, side in candidates:
+            # CostConfig equality ignores funding_rates: key by the records.
+            funding = (cfg.costs.funding_rates or {}).get(symbol)
+            scoring = (cfg.costs, tuple(funding or ()), cfg.rebalance.rf_annual,
+                       cfg.trailing_stop_enabled, cfg.intrabar_stop_fill)
+            key = (symbol, side, window, grid, scoring)
+            self.problems += 1
+            if key not in self._memo:
+                self._memo[key] = self._solve(symbol, side, window, grid, cfg,
+                                              scoring)
+                self.solved += 1
+            results.append(self._memo[key])
+        return results
+
+    def _solve(self, symbol: str, side: str, window: Tuple[int, int],
+               grid: ParamGrid, cfg: "BacktestConfig",
+               scoring: tuple) -> Optional[CandidateResult]:
+        series = self.universe[symbol]
+        i0, i1 = series.arrays.slice_indices(*window)
+        needed = 2 * max(grid.lookback)
+        if i1 - i0 < needed:
+            logger.info("%s: optimization window has %d bars, needs %d;"
+                        " excluded", symbol, i1 - i0, needed)
+            return None
+        search = self._search_grid.get(grid, grid)
+        row_key = (symbol, side, window, search, scoring)
+        row = self._rows.get(row_key)
+        if row is None:
+            row = grid_sharpes(
+                series.arrays, series.interval, symbol,
+                grid_cells(search, side), side, (i0, i1), cfg.costs,
+                cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
+                intrabar_stop_fill=cfg.intrabar_stop_fill)
+            self.searches += 1
+            if grid in self._search_grid:
+                self._rows[row_key] = row
+        sharpes = row[_columns(grid, search, side)]
+        scores = np.where(np.isnan(sharpes), -INF, sharpes)
+        best = int(np.argmax(scores))
+        if not scores[best] > -INF:
+            return None
+        return CandidateResult(symbol, grid_cells(grid, side)[best],
+                               float(sharpes[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,99 +375,6 @@ def has_month_history(series: PriceSeries, window_start: int) -> bool:
     """True when the series starts early enough to cover the whole window."""
     return (len(series) > 0
             and int(series.arrays.timestamps[0]) <= window_start + series.interval)
-
-
-def union_grid(grids: Sequence[ParamGrid]) -> Optional[ParamGrid]:
-    """The per-axis union of grids that share one ATR window, or None when
-    there are none or their ATR windows differ."""
-    if len({g.atr_window for g in grids}) != 1:
-        return None
-    return ParamGrid(**{
-        name: tuple(sorted({v for g in grids for v in getattr(g, name)}))
-        for name in ("theta_entry", "theta_entry_short", "alpha", "lookback")
-    }, atr_window=grids[0].atr_window)
-
-
-class Optimizer:
-    """Solves the grid-search problems of one universe, each one once.
-
-    A problem is one candidate's search: (symbol, side, window, grid, cost
-    config with the symbol's funding records, rf_annual, execution flags).
-    Its result is memoised, so every month, sweep point and ablation run that
-    shares this optimizer answers a repeated problem from the memo.
-    Candidates are named by symbol and looked up in the optimizer's own
-    universe, which must not change while the optimizer is in use.
-
-    ``grids`` are the grids of the runs that will share the optimizer. When
-    they hold two or more distinct grids that share one ATR window, a
-    problem with any of them is searched over their per-axis union
-    (union_grid), and the search's Sharpe row is kept under the problem's
-    key with the union in place of the grid; problems that differ only in
-    their told grid then share one grid_sharpes call. Any other grid is
-    searched alone, and its row, which no other problem reads, is not kept.
-    A cell's Sharpe does not depend on the other cells of its search, and
-    each grid picks from its own cells of the row in its own order, with
-    optimize_params' window check and tie-break, so every result equals
-    optimize_params'.
-    """
-
-    def __init__(self, universe: Dict[str, PriceSeries],
-                 grids: Sequence[ParamGrid] = ()) -> None:
-        self.universe = universe
-        self.problems = 0  # problems asked
-        self.solved = 0    # distinct problems answered
-        self.searches = 0  # grid_sharpes calls
-        self._memo: Dict[tuple, Optional[CandidateResult]] = {}
-        self._rows: Dict[tuple, np.ndarray] = {}
-        union = union_grid(grids) if len(set(grids)) > 1 else None
-        self._search_grid = ({} if union is None
-                             else dict.fromkeys(grids, union))
-
-    def solve(
-        self,
-        candidates: Sequence[Tuple[str, str]],
-        window: Tuple[int, int],
-        cfg: "BacktestConfig",
-    ) -> List[Optional[CandidateResult]]:
-        """optimize_params for each (symbol, side), in candidate order, with
-        cfg's grid, rf, costs and execution flags."""
-        grid = cfg.rebalance.grid
-        results = []
-        for symbol, side in candidates:
-            # CostConfig equality ignores funding_rates: key by the records.
-            funding = (cfg.costs.funding_rates or {}).get(symbol)
-            scoring = (cfg.costs, tuple(funding or ()), cfg.rebalance.rf_annual,
-                       cfg.trailing_stop_enabled, cfg.intrabar_stop_fill)
-            key = (symbol, side, window, grid, scoring)
-            self.problems += 1
-            if key not in self._memo:
-                self._memo[key] = self._solve(symbol, side, window, grid, cfg,
-                                              scoring)
-                self.solved += 1
-            results.append(self._memo[key])
-        return results
-
-    def _solve(self, symbol: str, side: str, window: Tuple[int, int],
-               grid: ParamGrid, cfg: "BacktestConfig",
-               scoring: tuple) -> Optional[CandidateResult]:
-        series = self.universe[symbol]
-        bounds = _window_bounds(series, window, grid)
-        if bounds is None:
-            return None
-        search = self._search_grid.get(grid, grid)
-        row_key = (symbol, side, window, search, scoring)
-        row = self._rows.get(row_key)
-        if row is None:
-            row = grid_sharpes(
-                series.arrays, series.interval, symbol,
-                grid_cells(search, side), side, bounds, cfg.costs,
-                cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
-                intrabar_stop_fill=cfg.intrabar_stop_fill)
-            self.searches += 1
-            if grid in self._search_grid:
-                self._rows[row_key] = row
-        return _pick_best(symbol, grid_cells(grid, side),
-                          row[_columns(grid, search, side)])
 
 
 def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"

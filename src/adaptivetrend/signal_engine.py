@@ -71,8 +71,8 @@ class StrategyParams:
             raise ValueError("entry thresholds must not be NaN")
         if self.theta_entry_short <= 0:
             raise ValueError("theta_entry_short must be > 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
         if self.lookback < 1:
             raise ValueError("lookback must be >= 1")
         if self.atr_window < 1:
@@ -193,7 +193,6 @@ def book_trades(
     found: Trades,
     size: float,
     cost_cfg: CostConfig,
-    stop: np.ndarray,
     *,
     charge_funding: bool = True,
 ) -> SingleAssetResult:
@@ -205,14 +204,15 @@ def book_trades(
     pays fee and slippage on its entry fill (notional ``size``) and on its
     exit fill (the position's value at the exit price), plus funding on the
     bars it is held entering, (entry, exit], when ``charge_funding``. Trades
-    must be in time order and must not overlap; ``stop`` is the stop path to
-    report.
+    must be in time order and must not overlap. The ledger knows no stop
+    rule: the result's stop path is all NaN for the caller to fill.
     """
     arr = series.arrays
     i0, i1 = bounds
     n = i1 - i0
     close = arr.close[i0:i1]
     position = np.zeros(n, dtype=np.int8)
+    stop = np.full(n, np.nan)
     gross_returns = np.zeros(n)
     costs = np.zeros(n)
     realized_cum = np.zeros(n)
@@ -541,8 +541,10 @@ def run_single_asset(
     i0, i1 = bounds
     found = _cell_trades(arr, bounds, params, side_enabled, trailing,
                          intrabar_stop_fill)
-    # The stop in force after each bar of the window; NaN when flat.
-    stop = np.full(i1 - i0, np.nan)
+    result = book_trades(series, bounds, found, size, cost_cfg)
+    # The stop in force after each bar of a trade, into the ledger's
+    # all-NaN stop path (NaN when flat).
+    stop = result.stop
     if len(found.cell):
         close = arr.close[i0:i1]
         risk = params.alpha * series_atr(arr, params.atr_window)[i0:i1]
@@ -555,7 +557,7 @@ def run_single_asset(
                 stop[e:x] = cands[short][e]
             if short:
                 np.negative(stop[e:x], out=stop[e:x])
-    return book_trades(series, bounds, found, size, cost_cfg, stop)
+    return result
 
 
 # ---------------------------------------------------------------------------

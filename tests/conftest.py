@@ -7,10 +7,12 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 import pytest
 
-from adaptivetrend.backtester import Market
+from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import (Bar, CapIndex, MarketCapRecord,
-                                       PriceSeries, SeriesArrays)
+from adaptivetrend.market_data import (DEFAULT_RF_ANNUAL, Bar, CapIndex,
+                                       MarketCapRecord, PriceSeries,
+                                       SeriesArrays)
+from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
 from scalar_reference import columns
 
 INTERVAL = 21_600
@@ -154,6 +156,23 @@ def market_of(universe: Dict[str, PriceSeries],
               caps: Sequence[MarketCapRecord]) -> Market:
     """A Market over a test universe and a list of its cap records."""
     return Market(universe, CapIndex(caps))
+
+
+def solve_cfg(grid, cost=ZERO_COSTS, rf=DEFAULT_RF_ANNUAL, trailing=True,
+              intrabar=False):
+    """A config that sets what a grid search reads: the grid, costs, rf and
+    execution flags."""
+    return BacktestConfig(
+        start=FEB1, end=MAR1, interval=INTERVAL,
+        rebalance=RebalanceConfig(grid=grid, rf_annual=rf), costs=cost,
+        trailing_stop_enabled=trailing, intrabar_stop_fill=intrabar)
+
+
+def solve_alone(series: PriceSeries, side: str, window, cfg):
+    """One candidate's pick by a fresh Optimizer over ``series`` alone,
+    told no grid."""
+    return Optimizer({series.symbol: series}).solve(
+        [(series.symbol, side)], window, cfg)[0]
 
 
 @pytest.fixture

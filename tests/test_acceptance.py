@@ -25,11 +25,12 @@ from adaptivetrend.market_data import (SyntheticSpec, bars_per_year, date_of_ts,
 from adaptivetrend.rebalancer import (CandidateResult, ParamGrid,
                                       RebalanceConfig, evaluate_cell,
                                       grid_cells, optimization_window,
-                                      optimize_params, select_and_allocate)
+                                      select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams, run_single_asset
 
 from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
-                      make_series, market_of, series_from_bars)
+                      make_series, market_of, series_from_bars, solve_alone,
+                      solve_cfg)
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
@@ -263,6 +264,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
                      alpha=(1.5, 2.5, 3.5), lookback=(4, 6, 8), atr_window=5)
     window = optimization_window(FEB1, INTERVAL, 4)
     rf = 0.045
+    cfg = solve_cfg(grid, ZERO_COSTS, rf)
     bpy = bars_per_year(INTERVAL)
     defined = 0
 
@@ -272,7 +274,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
                                          (0.15, 0.45)))]
     for series in month:
         for side in ("long", "short"):
-            got = optimize_params(series, side, window, grid, ZERO_COSTS, rf)
+            got = solve_alone(series, side, window, cfg)
             best = None
             for cell in grid_cells(grid, side):
                 sharpe = evaluate_cell(series, cell, side, window, ZERO_COSTS,
@@ -296,7 +298,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
     # cell in (threshold, alpha, lookback) order must win.
     steady = make_series([100.0 * 1.003 ** i for i in range(140)],
                          symbol="UPX")
-    got = optimize_params(steady, "long", window, grid, ZERO_COSTS, rf)
+    got = solve_alone(steady, "long", window, cfg)
     assert got is not None
     assert got.params.theta_entry == 0.01 and got.params.alpha == 1.5
     tied = [cell for cell in grid_cells(grid, "long")

@@ -21,7 +21,7 @@ from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
                                        PriceSeries, SeriesArrays, month_add,
                                        month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
-from adaptivetrend.signal_engine import SingleAssetResult
+from adaptivetrend.signal_engine import SingleAssetResult, StrategyParams
 from hypothesis import given, settings, strategies as st
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
@@ -549,6 +549,33 @@ class TestAblations:
         bypassed = run_ablation(market_of(universe, caps), cfg,
                                 "no_sharpe_filter")
         assert len(bypassed.trades) > 0
+
+
+def _non_finite_cases():
+    builders = {
+        CostConfig: ("taker_fee_bps", "slip_coeff", "slip_cap_bps",
+                     "funding_rate_per_8h"),
+        (lambda **kw: StrategyParams(theta_entry=0.01, theta_entry_short=1.0,
+                                     lookback=4, **kw)): ("alpha",),
+        (lambda **kw: BacktestConfig(start=FEB1, end=MAR1, **kw)):
+            ("initial_balance",),
+        RebalanceConfig: ("gamma_long", "gamma_short", "rf_annual"),
+    }
+    for build, names in builders.items():
+        for name in names:
+            # +inf gamma is kept: it admits nothing, as -inf admits all.
+            values = [math.nan] if name.startswith("gamma") else [
+                math.nan, math.inf, -math.inf]
+            for value in values:
+                yield pytest.param(build, name, value, id=f"{name}={value}")
+
+
+@pytest.mark.parametrize("build, name, value", _non_finite_cases())
+def test_configs_reject_non_finite_values_when_built(build, name, value):
+    # Accepted, a NaN fee failed mid-run in the engine's accounting check, an
+    # infinite funding rate ran to a NaN balance and a NaN alpha traded.
+    with pytest.raises(ValueError, match=name):
+        build(**{name: value})
 
 
 class TestEquityIo:

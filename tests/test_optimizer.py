@@ -13,10 +13,10 @@ from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import CapIndex, PriceSeries, SeriesArrays
 from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
                                       grid_cells, optimization_window,
-                                      optimize_params, union_grid)
+                                      union_grid)
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
-                      market_of, rough_series)
+                      market_of, rough_series, solve_alone, solve_cfg)
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
@@ -113,8 +113,8 @@ class TestSharedOptimizer:
                for cost in costs]
         assert opt.solved == 3  # the last table's records equal the second's
         for cost, result in zip(costs, got):
-            assert result == optimize_params(series, "long", window, BASE_GRID,
-                                             cost, 0.045)
+            assert result == solve_alone(series, "long", window,
+                                         solve_cfg(BASE_GRID, cost, 0.045))
         assert got[1] != got[2]
 
 
@@ -216,16 +216,10 @@ def union_series(kind: str, seed: int, n: int) -> PriceSeries:
         np.minimum(opens, closes) - 0.5, closes, np.full(n, 1e6)))
 
 
-def solve_cfg(grid, cost, rf, trailing, intrabar):
-    return BacktestConfig(
-        start=FEB1, end=MAR1, interval=INTERVAL,
-        rebalance=RebalanceConfig(grid=grid, rf_annual=rf), costs=cost,
-        trailing_stop_enabled=trailing, intrabar_stop_fill=intrabar)
-
-
 class TestUnionSearch:
     """An Optimizer told several grids searches their union once per
-    problem; each grid's pick must equal optimize_params' on that grid."""
+    problem; each grid's pick must equal that of a fresh Optimizer told no
+    grid, which searches that grid alone."""
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["rough", "flat", "steps"]),
@@ -239,9 +233,9 @@ class TestUnionSearch:
     @example(kind="rough", seed=5, n=60, bounds=(30, 39),
              grids=[replace(UNION, lookback=(2,)), UNION],
              cost=ZERO_COSTS, rf=0.0, trailing=True, intrabar=False)
-    def test_every_pick_equals_optimize_params(self, kind, seed, n, bounds,
-                                               grids, cost, rf, trailing,
-                                               intrabar):
+    def test_every_pick_equals_a_search_alone(self, kind, seed, n, bounds,
+                                              grids, cost, rf, trailing,
+                                              intrabar):
         series = union_series(kind, seed, n)
         ts = series.arrays.timestamps
         lo, hi = sorted(min(b, n - 1) for b in bounds)
@@ -253,9 +247,7 @@ class TestUnionSearch:
                 cfg = solve_cfg(grid, cost, rf, trailing, intrabar)
                 for side in ("long", "short"):
                     got = opt.solve([("RND", side)], window, cfg)[0]
-                    assert got == optimize_params(
-                        series, side, window, grid, cost, rf,
-                        trailing=trailing, intrabar_stop_fill=intrabar)
+                    assert got == solve_alone(series, side, window, cfg)
 
         check(grids)
         assert opt.solved == 2 * len(set(grids))
@@ -273,13 +265,12 @@ class TestUnionSearch:
         short = replace(UNION, lookback=(2,))
         opt = Optimizer({"RND": series}, [short, UNION])
         got = {grid: opt.solve([("RND", "long")], window,
-                               solve_cfg(grid, ZERO_COSTS, 0.0, True,
-                                         False))[0]
+                               solve_cfg(grid, ZERO_COSTS, 0.0))[0]
                for grid in (short, UNION)}
         assert got[UNION] is None  # 10 bars < 2 * 12
         assert got[short] is not None
-        assert got[short] == optimize_params(series, "long", window, short,
-                                             ZERO_COSTS, 0.0)
+        assert got[short] == solve_alone(series, "long", window,
+                                         solve_cfg(short, ZERO_COSTS, 0.0))
         assert opt.searches == 1
 
     def test_union_grid(self):

@@ -15,13 +15,12 @@ from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
                                       ParamGrid, RebalanceConfig, cap_snapshot,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
-                                      optimization_window, optimize_params,
-                                      params_to_dict, run_rebalance,
-                                      select_and_allocate)
+                                      optimization_window, params_to_dict,
+                                      run_rebalance, select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams
 import scalar_reference
 from conftest import (FEB1, INTERVAL, MAR1, bars_of, caps_for, gbm_series,
-                      make_series, series_from_bars)
+                      make_series, series_from_bars, solve_alone, solve_cfg)
 
 INF = float("inf")
 JAN31 = date(2022, 1, 31)
@@ -138,6 +137,8 @@ class TestGridCells:
 
 
 class TestOptimizeParams:
+    """One candidate's grid search, asked of a fresh Optimizer."""
+
     WINDOW_SERIES_KW = dict(t0=FEB1, vol=1.2)
 
     def window_for(self, series):
@@ -148,15 +149,15 @@ class TestOptimizeParams:
         s = make_series([100.0] * 60, t0=FEB1)
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(2.0,), lookback=(4,), atr_window=3)
-        assert optimize_params(s, "long", self.window_for(s), grid,
-                               ZERO_COSTS) is None
+        assert solve_alone(s, "long", self.window_for(s),
+                           solve_cfg(grid)) is None
 
     def test_short_window_yields_none(self):
         s = gbm_series(np.random.default_rng(1), 30, **self.WINDOW_SERIES_KW)
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(2.0,), lookback=(28,), atr_window=3)
-        assert optimize_params(s, "long", self.window_for(s), grid,
-                               ZERO_COSTS) is None
+        assert solve_alone(s, "long", self.window_for(s),
+                           solve_cfg(grid)) is None
 
     def test_tie_keeps_first_cell(self):
         # both alphas leave the stop untouched on a clean rise, so their
@@ -165,7 +166,7 @@ class TestOptimizeParams:
         s = make_series(closes, t0=FEB1, wick=0.05)
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(40.0, 50.0), lookback=(4,), atr_window=3)
-        res = optimize_params(s, "long", self.window_for(s), grid, ZERO_COSTS)
+        res = solve_alone(s, "long", self.window_for(s), solve_cfg(grid))
         assert res is not None
         assert res.params.alpha == 40.0
 
@@ -185,7 +186,7 @@ class TestOptimizeParams:
                                            0.045)
                     if sharpe is not None and sharpe > best_sharpe:
                         best, best_sharpe = cell, sharpe
-                got = optimize_params(s, side, window, grid, ZERO_COSTS)
+                got = solve_alone(s, side, window, solve_cfg(grid))
                 if best is None:
                     assert got is None
                 else:
@@ -233,17 +234,18 @@ def edited_series(series, zero_volume_every=0, gap_every=0):
 
 
 class TestBatchedSearchMatchesScalar:
-    """optimize_params scores the grid in one batch; its pick must equal the
+    """The Optimizer scores the grid in one batch; its pick must equal the
     per-cell loop over evaluate_cell exactly (params and Sharpe, with ==)."""
 
     def assert_same_pick(self, series, window, grid, cost_cfg, rf=0.045,
-                         **execution):
+                         trailing=True, intrabar_stop_fill=False):
+        cfg = solve_cfg(grid, cost_cfg, rf, trailing, intrabar_stop_fill)
         picks = []
         for side in ("long", "short"):
             want = scalar_pick(series, side, window, grid, cost_cfg, rf,
-                               **execution)
-            got = optimize_params(series, side, window, grid, cost_cfg, rf,
-                                  **execution)
+                               trailing=trailing,
+                               intrabar_stop_fill=intrabar_stop_fill)
+            got = solve_alone(series, side, window, cfg)
             assert got == want, side
             picks.append(got)
         return picks

@@ -14,9 +14,9 @@ from adaptivetrend.market_data import (Bar, PriceSeries, SeriesArrays,
                                        bars_per_year)
 from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
-                                         StrategyParams, TradeRecord,
-                                         _stop_max, find_trades, grid_sharpes,
-                                         gross_pnl, read_ledger,
+                                         StrategyParams, TradeRecord, Trades,
+                                         _stop_max, book_trades, find_trades,
+                                         grid_sharpes, gross_pnl, read_ledger,
                                          run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
@@ -633,3 +633,23 @@ class TestLedgerIo:
         header = path.read_text().splitlines()[0]
         assert header == ("symbol,side,entry_ts,entry_px,exit_ts,exit_px,size,"
                           "gross_pnl,fee,slippage,funding,net_pnl,forced")
+
+    def test_short_without_funding_event_books_positive_zero(self, tmp_path):
+        # Held from 00:00 to 06:00, the short meets none of the 0/8/16 h
+        # funding events (the window's 08:00 one falls after its exit). Its
+        # funding is +0.0 and prints as 0.0; a -0.0 would print as -0.0 and
+        # change the ledger's bytes.
+        series = make_series([100.0, 99.0, 98.0], t0=T0 - INTERVAL)
+        assert series.arrays.timestamps[0] == T0
+        found = Trades(cell=np.zeros(1, np.intp), entry=np.array([0]),
+                       exit=np.array([1]), exit_px=np.array([99.0]),
+                       forced=np.array([False]), short=np.array([True]))
+        trade, = book_trades(series, (0, 3), found, 1_000.0,
+                             CostConfig()).trades
+        assert trade.side == "short" and trade.funding_cost == 0.0
+        assert math.copysign(1.0, trade.funding_cost) == 1.0
+        path = tmp_path / "ledger.csv"
+        write_ledger([trade], str(path))
+        row = dict(zip(*(line.split(",")
+                         for line in path.read_text().splitlines())))
+        assert row["funding"] == "0.0"
