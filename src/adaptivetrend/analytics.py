@@ -168,7 +168,6 @@ def classify_regimes(btc: PriceSeries,
     otherwise (boundaries inclusive to Sideways). Bars without a full trailing
     window are excluded rather than defaulted.
     """
-    arr = btc.arrays
     w = round(window_days * 86_400 / btc.interval)
     if w < 1:
         raise ValueError(f"regime window of {window_days} days is shorter than"
@@ -177,11 +176,11 @@ def classify_regimes(btc: PriceSeries,
     if n <= w:
         return RegimeSeries(np.array([], dtype=np.int64),
                             np.array([], dtype="<U8"), w)
-    trailing = arr.close[w:] / arr.close[:-w] - 1.0
+    trailing = btc.close[w:] / btc.close[:-w] - 1.0
     labels = np.full(n - w, SIDEWAYS, dtype="<U8")
     labels[trailing > REGIME_THRESHOLD] = BULL
     labels[trailing < -REGIME_THRESHOLD] = BEAR
-    return RegimeSeries(arr.timestamps[w:].copy(), labels, w)
+    return RegimeSeries(btc.timestamps[w:].copy(), labels, w)
 
 
 def regime_metrics(

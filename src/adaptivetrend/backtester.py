@@ -119,8 +119,8 @@ def union_timeline(universe: Dict[str, PriceSeries],
     """Sorted union of every symbol's bar timestamps inside the window."""
     chunks = [np.empty(0, dtype=np.int64)]
     for series in universe.values():
-        i0, i1 = series.arrays.slice_indices(window[0], window[1])
-        chunks.append(series.arrays.timestamps[i0:i1])
+        i0, i1 = series.slice_indices(window[0], window[1])
+        chunks.append(series.timestamps[i0:i1])
     # The chunks are sorted runs, which a stable sort merges faster than
     # np.unique's hash; then drop the repeats.
     merged = np.sort(np.concatenate(chunks), kind="stable")
@@ -152,7 +152,12 @@ class Market:
 
     def months(self, cfg: BacktestConfig) -> List[int]:
         """The month starts of a run over [cfg.start, cfg.end]; DataError
-        unless the bars reach from the month before the first into the last."""
+        unless every series has the run's bar interval and the bars reach
+        from the month before the first into the last."""
+        for symbol, series in self.series.items():
+            if series.interval != cfg.interval:
+                raise DataError(f"{symbol}: bar interval {series.interval} s"
+                                f" differs from the run's {cfg.interval} s")
         months = month_starts_between(cfg.start, cfg.end)
         if not months:
             raise DataError("no month boundary inside [start, end]")

@@ -85,13 +85,12 @@ def hold_position(
     in the window yields an empty result (a position cannot open and close on
     one bar).
     """
-    arr = series.arrays
-    i0, i1 = arr.slice_indices(window[0], window[1])
+    i0, i1 = series.slice_indices(window[0], window[1])
     n = i1 - i0
     found = NO_TRADES
     if n >= 2:
         found = Trades(cell=np.zeros(1, np.intp), entry=np.zeros(1, np.intp),
-                       exit=np.array([n - 1]), exit_px=arr.close[i1 - 1:i1],
+                       exit=np.array([n - 1]), exit_px=series.close[i1 - 1:i1],
                        forced=np.array([True]), short=np.array([side == SHORT]))
     return book_trades(series, (i0, i1), found, size, cost_cfg,
                        charge_funding=charge_funding)
@@ -135,7 +134,7 @@ def buy_hold_symbol(symbol: Optional[str], market: Market, month_start: int,
 def trailing_month_return(series: PriceSeries, month_start: int,
                           lookback_months: int) -> Optional[float]:
     """Return over the trailing lookback calendar months ending at month_start."""
-    ts, close = series.arrays.timestamps, series.arrays.close
+    ts, close = series.timestamps, series.close
     i_now = int(np.searchsorted(ts, month_start, side="right")) - 1
     past = month_add(month_start, -lookback_months)
     i_past = int(np.searchsorted(ts, past, side="right")) - 1
@@ -144,21 +143,22 @@ def trailing_month_return(series: PriceSeries, month_start: int,
     return float(close[i_now] / close[i_past] - 1.0)
 
 
-def realized_vol(series: PriceSeries, month_start: int, window_days: int,
-                 bpy: float) -> Optional[float]:
+def realized_vol(series: PriceSeries, month_start: int,
+                 window_days: int) -> Optional[float]:
     """Annualized close-to-close volatility over the trailing window_days."""
-    ts, close = series.arrays.timestamps, series.arrays.close
+    ts, close = series.timestamps, series.close
     lo = int(np.searchsorted(ts, month_start - window_days * 86_400, side="left"))
     hi = int(np.searchsorted(ts, month_start, side="right"))
     if hi - lo < 3:
         return None
     window = close[lo:hi]
     rets = window[1:] / window[:-1] - 1.0
-    return float(np.std(rets, ddof=1)) * math.sqrt(bpy)
+    return (float(np.std(rets, ddof=1))
+            * math.sqrt(bars_per_year(series.interval)))
 
 
-def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int,
-                   bpy: float) -> List[Tuple[str, str, float]]:
+def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int
+                   ) -> List[Tuple[str, str, float]]:
     """(symbol, side, |weight|) rows for one month of a monthly-rebalanced kind."""
     universe = market.series
     snapshot = cap_snapshot(market.caps, date_of_ts(month_start - 1))
@@ -182,7 +182,7 @@ def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int,
         if spec.kind == "tsmom":
             signals.append((sym, side, 1.0))
         else:
-            sigma = realized_vol(series, month_start, VOL_WINDOW_DAYS, bpy)
+            sigma = realized_vol(series, month_start, VOL_WINDOW_DAYS)
             if sigma is None:
                 continue
             ratio = (VOL_RATIO_CAP if sigma == 0.0
@@ -202,7 +202,6 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
                   cfg: BacktestConfig) -> BacktestResult:
     """Run one benchmark over cfg's window with cfg's cost model."""
     universe = market.series
-    bpy = bars_per_year(cfg.interval)
     months = market.months(cfg)
 
     if spec.kind == "buy_hold":
@@ -217,7 +216,7 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
         windows = month_windows(months, cfg.end)
 
         def simulate(window: Tuple[int, int], balance: float):
-            weights = _month_weights(spec, market, window[0], bpy)
+            weights = _month_weights(spec, market, window[0])
             return [hold_position(universe[sym], side, w * balance, window,
                                   cfg.costs, charge_funding)
                     for sym, side, w in weights if w > 0.0]

@@ -381,11 +381,6 @@ def _write_manifest(out: str, command: str, cfg: Dict[str, object],
     })
 
 
-def metrics_row(report) -> List[object]:
-    d = report.to_dict()
-    return [d[c] for c in METRIC_COLUMNS]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -423,8 +418,7 @@ def cmd_validate_data(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = SyntheticSpec(
-        seed=args.seed, n_symbols=args.symbols,
-        n_bars=sum(d for d, _, _ in args.regimes), regimes=args.regimes,
+        seed=args.seed, n_symbols=args.symbols, regimes=args.regimes,
         interval=args.interval, start=args.start,
     )
     series_list, caps = generate_synthetic_universe(spec)
@@ -570,8 +564,8 @@ def cmd_sweep(args) -> int:
     for series, points in sweep_groups(args.axis, base_cfg, universe):
         market = Market(series, caps, [p.rebalance.grid for _, p in points])
         for prefix, point in points:
-            rows.append(prefix + metrics_row(
-                run_ablation(market, point, variant).metrics))
+            metrics = run_ablation(market, point, variant).metrics.to_dict()
+            rows.append(prefix + [metrics[c] for c in METRIC_COLUMNS])
         counters.update(optimizer_counters(market.optimizer))
 
     os.makedirs(args.out, exist_ok=True)
@@ -632,11 +626,8 @@ def cmd_bootstrap(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    lines = [header, ["---"] * len(header)] + list(rows)
+    return "\n".join("| " + " | ".join(line) + " |" for line in lines)
 
 
 def _fmt_metric(value: object) -> str:
@@ -659,11 +650,24 @@ def _fmt_regime_cell(cell: str) -> str:
         return cell
 
 
-def _read_metrics_json(path: str) -> Optional[dict]:
+def _read_json(path: str, keys: Sequence[str]) -> Optional[dict]:
+    """The JSON object in ``path``, None without the file; a DataError naming
+    the path when it is not valid JSON or lacks one of ``keys`` (a dotted
+    key names a field of a nested object)."""
     if not os.path.isfile(path):
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    for key in keys:
+        obj = data
+        for part in key.split("."):
+            if not isinstance(obj, dict) or part not in obj:
+                raise DataError(f"{path}: missing key {key!r}")
+            obj = obj[part]
+    return data
 
 
 def cmd_report(args) -> int:
@@ -681,7 +685,8 @@ def cmd_report(args) -> int:
     bench_root = os.path.join(out, "benchmarks")
     names = sorted(os.listdir(bench_root)) if os.path.isdir(bench_root) else []
     for run_dir in [out] + [os.path.join(bench_root, n) for n in names]:
-        meta = _read_metrics_json(os.path.join(run_dir, "metrics.json"))
+        meta = _read_json(os.path.join(run_dir, "metrics.json"),
+                          ["label"] + [f"metrics.{c}" for c in METRIC_COLUMNS])
         if meta is None:
             if run_dir == out:
                 gaps.append("metrics.json missing: no strategy metrics")
@@ -692,21 +697,16 @@ def cmd_report(args) -> int:
             curves.append((meta["label"], load_equity(eq_path)))
 
     # Main comparison table (strategy + any benchmarks present).
-    sections.append("## Performance comparison")
-    sections.append("")
+    sections += ["## Performance comparison", ""]
     if entries:
-        header = ["strategy"] + METRIC_COLUMNS
         rows = [[e["label"]] + [_fmt_metric(e["metrics"][c])
-                                for c in METRIC_COLUMNS]
-                for e in entries]
-        sections.append(_md_table(header, rows))
+                                for c in METRIC_COLUMNS] for e in entries]
+        sections.append(_md_table(["strategy"] + METRIC_COLUMNS, rows))
     else:
         sections.append("_no metrics available_")
-    sections.append("")
 
     # Regime table.
-    sections.append("## Regime decomposition")
-    sections.append("")
+    sections += ["", "## Regime decomposition", ""]
     regime_path = os.path.join(out, "regime_metrics.csv")
     if os.path.isfile(regime_path):
         rows = read_csv(regime_path, REGIME_CSV_HEADER,
@@ -718,21 +718,16 @@ def cmd_report(args) -> int:
     else:
         gaps.append("regime_metrics.csv missing: regime table omitted")
         sections.append("_regime decomposition: not available_")
-    sections.append("")
 
     # Significance.
-    sections.append("## Significance")
-    sections.append("")
-    boot_path = os.path.join(out, "bootstrap.json")
-    if os.path.isfile(boot_path):
-        with open(boot_path) as fh:
-            boot = json.load(fh)
-        sections.append(
-            f"Sharpe difference {boot['delta_sr']:.4f}, two-sided"
-            f" p = {boot['p_value']:.4f} (circular block bootstrap,"
-            f" {boot['n_reps']} replications, block length {boot['block_len']}).")
-    else:
-        sections.append("significance: not run")
+    sections += ["", "## Significance", ""]
+    boot = _read_json(os.path.join(out, "bootstrap.json"),
+                      ["delta_sr", "p_value", "n_reps", "block_len"])
+    sections.append("significance: not run" if boot is None else
+                    f"Sharpe difference {boot['delta_sr']:.4f}, two-sided"
+                    f" p = {boot['p_value']:.4f} (circular block bootstrap,"
+                    f" {boot['n_reps']} replications, block length"
+                    f" {boot['block_len']}).")
     sections.append("")
 
     # Plot-ready equity CSV.
@@ -763,11 +758,7 @@ def cmd_report(args) -> int:
     sections.append("")
 
     if gaps:
-        sections.append("## Gaps")
-        sections.append("")
-        for gap in gaps:
-            sections.append(f"- {gap}")
-        sections.append("")
+        sections += ["## Gaps", ""] + [f"- {gap}" for gap in gaps] + [""]
 
     atomic_write_text(os.path.join(out, "report.md"),
                       "\n".join(sections).rstrip() + "\n")

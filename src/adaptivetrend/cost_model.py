@@ -30,7 +30,7 @@ class CostConfig:
     capped at slip_cap_bps. funding_hours are the daily UTC hours at which
     funding is exchanged. funding_rates optionally overrides the flat
     funding_rate_per_8h with a per-symbol step function (see
-    load_funding_rates).
+    load_funding_rates): finite rates at strictly ascending timestamps.
     """
 
     taker_fee_bps: float = 4.0
@@ -54,6 +54,14 @@ class CostConfig:
             raise ValueError("funding_hours must lie in [0, 24)")
         if len(set(self.funding_hours)) != len(self.funding_hours):
             raise ValueError("funding_hours must not repeat")
+        # funding_schedule bisects each table, so it must be sorted.
+        for symbol, records in (self.funding_rates or {}).items():
+            if not all(math.isfinite(rate) for _, rate in records):
+                raise ValueError(f"funding_rates[{symbol!r}]: rates must be"
+                                 " finite")
+            if any(b <= a for (a, _), (b, _) in zip(records, records[1:])):
+                raise ValueError(f"funding_rates[{symbol!r}]: timestamps must"
+                                 " be strictly ascending")
 
 
 ZERO_COSTS = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0, slip_cap_bps=0.0,

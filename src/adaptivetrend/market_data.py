@@ -4,7 +4,8 @@ Conventions used throughout the engine:
   - Bar timestamps are UTC epoch seconds and mark the *close* instant of the
     bar. All fills, indicator values and funding accruals are anchored to
     these instants.
-  - Series are immutable after construction and safe to share across threads.
+  - A PriceSeries (read-only columns) is immutable after construction,
+    safe to share across threads, and hashed by identity.
   - Gaps (missing bars) are preserved and flagged, never filled.
 
 Synthetic universes are geometric Brownian motion per regime segment, driven
@@ -74,41 +75,12 @@ class Bar(NamedTuple):
     volume: float
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesArrays:
-    """The columns of a PriceSeries: int64 timestamps, float64 OHLCV."""
-
-    timestamps: np.ndarray
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    volume: np.ndarray
-
-    def columns(self) -> Tuple[np.ndarray, ...]:
-        return (self.timestamps, self.open, self.high, self.low, self.close,
-                self.volume)
-
-    def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
-        """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
-        i0 = int(np.searchsorted(self.timestamps, start_ts, side="left"))
-        i1 = int(np.searchsorted(self.timestamps, end_ts, side="right"))
-        return i0, i1
-
-    def bars(self, i0: int, i1: int) -> Iterator[Bar]:
-        """Bar views of rows [i0, i1), with plain int and float fields."""
-        return starmap(Bar, zip(*(col[i0:i1].tolist() for col in self.columns())))
-
-    def bar(self, i: int) -> Bar:
-        return next(self.bars(i, i + 1))
-
-
-def _check_bars(symbol: str, interval: int, arr: SeriesArrays
-                ) -> List[Tuple[int, int]]:
+def _check_bars(series: "PriceSeries") -> List[Tuple[int, int]]:
     """Check every bar's invariants at once and return the gaps. The first
     offending bar raises a DataError for the first rule listed that it breaks;
     timestamp rules compare a bar with its predecessor."""
-    ts, o, h, lo, c, v = arr.columns()
+    symbol, interval = series.symbol, series.interval
+    ts, o, h, lo, c, v = series.columns()
     prices = np.stack([o, h, lo, c])
     # The first bar gets a step of one interval, which breaks no rule.
     step = np.diff(ts, prepend=ts[:1] - interval)
@@ -131,35 +103,57 @@ def _check_bars(symbol: str, interval: int, arr: SeriesArrays
     if bad.any():
         i = int(bad.argmax())
         message = next(msg for mask, msg in rules if mask[i])
-        raise DataError(message.format(b=arr.bar(i), symbol=symbol,
+        raise DataError(message.format(b=series.bar(i), symbol=symbol,
                                        prev=int(ts[i - 1]), interval=interval))
     k = np.flatnonzero(step > interval)
     return list(zip(ts[k - 1].tolist(), ts[k].tolist()))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Validated, ascending OHLCV series at a fixed bar interval.
-
-    The columns are read-only once validated. Gaps larger than one interval
-    are recorded in ``gaps`` as (prev_ts, next_ts) pairs; indicators treat a
-    gap as a normal adjacent-bar transition.
+    """Validated, ascending OHLCV series at a fixed bar interval: int64
+    timestamps and float64 open, high, low, close, volume columns, read-only
+    once validated. Gaps larger than one interval are recorded in ``gaps``
+    as (prev_ts, next_ts) pairs; indicators treat a gap as a normal
+    adjacent-bar transition.
     """
 
     symbol: str
     interval: int
-    arrays: SeriesArrays
-    gaps: List[Tuple[int, int]] = field(init=False, default_factory=list)
+    timestamps: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+    gaps: List[Tuple[int, int]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise DataError(f"{self.symbol}: interval must be positive")
-        self.gaps = _check_bars(self.symbol, self.interval, self.arrays)
-        for col in self.arrays.columns():
+        object.__setattr__(self, "gaps", _check_bars(self))
+        for col in self.columns():
             col.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.arrays.timestamps)
+        return len(self.timestamps)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.timestamps, self.open, self.high, self.low, self.close,
+                self.volume)
+
+    def slice_indices(self, start_ts: int, end_ts: int) -> Tuple[int, int]:
+        """Half-open index range [i0, i1) of bars with start_ts <= ts <= end_ts."""
+        i0 = int(np.searchsorted(self.timestamps, start_ts, side="left"))
+        i1 = int(np.searchsorted(self.timestamps, end_ts, side="right"))
+        return i0, i1
+
+    def bars(self, i0: int, i1: int) -> Iterator[Bar]:
+        """Bar views of rows [i0, i1), with plain int and float fields."""
+        return starmap(Bar, zip(*(col[i0:i1].tolist() for col in self.columns())))
+
+    def bar(self, i: int) -> Bar:
+        return next(self.bars(i, i + 1))
 
 
 @dataclass(frozen=True)
@@ -219,14 +213,14 @@ class CapIndex:
 class SyntheticSpec:
     """Recipe for a deterministic synthetic universe.
 
-    ``regimes`` is an ordered schedule of (duration_bars, annual_drift,
-    annual_vol) segments; drift is the annualized mean log return and vol the
-    annualized log-return volatility. Durations must sum to ``n_bars``.
+    ``regimes`` is an ordered, non-empty schedule of (duration_bars,
+    annual_drift, annual_vol) segments; drift is the annualized mean log
+    return and vol the annualized log-return volatility. The universe has
+    ``n_bars``, the durations' sum, bars per symbol.
     """
 
     seed: int
     n_symbols: int
-    n_bars: int
     regimes: Tuple[Tuple[int, float, float], ...]
     interval: int = DEFAULT_INTERVAL
     start: int = SYNTH_DEFAULT_START
@@ -234,16 +228,20 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if self.n_symbols < 1 or self.n_bars < 1:
-            raise DataError("n_symbols and n_bars must be positive")
+        if self.n_symbols < 1:
+            raise DataError("n_symbols must be positive")
         if self.interval <= 0:
             raise DataError(f"interval must be > 0, got {self.interval}")
-        if sum(d for d, _, _ in self.regimes) != self.n_bars:
-            raise DataError("regime durations must sum to n_bars")
+        if not self.regimes:
+            raise DataError("the regime schedule must not be empty")
         if any(d <= 0 for d, _, _ in self.regimes):
             raise DataError("regime durations must be positive")
         if any(v <= 0 for _, _, v in self.regimes):
             raise DataError("regime volatilities must be positive")
+
+    @property
+    def n_bars(self) -> int:
+        return sum(d for d, _, _ in self.regimes)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +405,9 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
                  lambda row: (int(row[0]), [float(x) for x in row[1:]]))
         raise DataError(f"{path}: {exc}") from exc
     order = np.argsort(rows["timestamp"], kind="stable")
-    arrays = SeriesArrays(*(rows[name][order] for name in OHLCV_HEADER))
     try:
-        return PriceSeries(symbol=symbol, interval=interval, arrays=arrays)
+        return PriceSeries(symbol, interval,
+                           *(rows[name][order] for name in OHLCV_HEADER))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -417,7 +415,7 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
 def save_price_series(series: PriceSeries, path: str) -> None:
     """Write a series back to the OHLCV CSV schema (round-trips exactly)."""
     write_columns(path, OHLCV_HEADER,
-                  [col.tolist() for col in series.arrays.columns()])
+                  [col.tolist() for col in series.columns()])
 
 
 def _plain_caps(path: str) -> CapIndex:
@@ -527,9 +525,8 @@ def generate_synthetic_universe(
         volume = SYNTH_BASE_VOLUME * np.exp(0.5 * vol_noise)
 
         symbol = f"SYM{j:0{width}d}"
-        series_list.append(PriceSeries(
-            symbol=symbol, interval=spec.interval,
-            arrays=SeriesArrays(ts, open_, high, low, close, volume)))
+        series_list.append(PriceSeries(symbol, spec.interval, ts, open_, high,
+                                       low, close, volume))
         base_cap = SYNTH_BASE_CAP / (j + 1)
         cap_records.extend(
             MarketCapRecord(symbol=symbol, date=day,
@@ -556,8 +553,7 @@ def resample_series(series: PriceSeries, target_interval: int) -> PriceSeries:
             f" {target_interval} (not a multiple)"
         )
     m = target_interval // series.interval
-    arr = series.arrays
-    bucket = -(-arr.timestamps // target_interval)  # ceil division
+    bucket = -(-series.timestamps // target_interval)  # ceil division
     # Bars are ascending, so each bucket is one run of bars; a run of m bars
     # is a complete bucket and is kept.
     starts = np.flatnonzero(np.diff(bucket, prepend=bucket[:1] - 1))
@@ -565,10 +561,10 @@ def resample_series(series: PriceSeries, target_interval: int) -> PriceSeries:
     rows = first[:, None] + np.arange(m)
     volume = np.zeros(len(first))
     for k in range(m):  # summed bar by bar, left to right
-        volume += arr.volume[first + k]
-    return PriceSeries(symbol=series.symbol, interval=target_interval,
-                       arrays=SeriesArrays(
-                           timestamps=bucket[first] * target_interval,
-                           open=arr.open[first], high=arr.high[rows].max(axis=1),
-                           low=arr.low[rows].min(axis=1),
-                           close=arr.close[first + m - 1], volume=volume))
+        volume += series.volume[first + k]
+    return PriceSeries(series.symbol, target_interval,
+                       timestamps=bucket[first] * target_interval,
+                       open=series.open[first],
+                       high=series.high[rows].max(axis=1),
+                       low=series.low[rows].min(axis=1),
+                       close=series.close[first + m - 1], volume=volume)

@@ -296,7 +296,7 @@ class Optimizer:
                grid: ParamGrid, cfg: "BacktestConfig",
                scoring: tuple) -> Optional[CandidateResult]:
         series = self.universe[symbol]
-        i0, i1 = series.arrays.slice_indices(*window)
+        i0, i1 = series.slice_indices(*window)
         needed = 2 * max(grid.lookback)
         if i1 - i0 < needed:
             logger.info("%s: optimization window has %d bars, needs %d;"
@@ -307,8 +307,7 @@ class Optimizer:
         row = self._rows.get(row_key)
         if row is None:
             row = grid_sharpes(
-                series.arrays, series.interval, symbol,
-                grid_cells(search, side), side, (i0, i1), cfg.costs,
+                series, grid_cells(search, side), side, (i0, i1), cfg.costs,
                 cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill)
             self.searches += 1
@@ -374,7 +373,7 @@ def optimization_window(month_start: int, interval: int,
 def has_month_history(series: PriceSeries, window_start: int) -> bool:
     """True when the series starts early enough to cover the whole window."""
     return (len(series) > 0
-            and int(series.arrays.timestamps[0]) <= window_start + series.interval)
+            and int(series.timestamps[0]) <= window_start + series.interval)
 
 
 def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"

@@ -11,17 +11,18 @@ at once, in array passes: a next-entry table per entry rule, an exit table
 per stop rule (binary lifting over a sparse table of minima), then one walk
 in which every cell jumps from entry to exit to next entry. Each series'
 ATR is computed once per ATR window (``series_atr``) and shared by every
-search over it. The trades stay the search's ``Trades`` columns up to one
-ledger (``book_trades``, shared with the comparison benchmarks, whose
-positions are one-row ``Trades``), which accounts for them.
-``run_single_asset`` is the two in turn: it returns the closed trades (with
-full cost attribution) and per-bar series, strategy returns for Sharpe
-evaluation plus currency-denominated realized / mark-to-market / cost
-components that let a caller audit account equity exactly. ``grid_sharpes``
-scores many cells of one side at once for the monthly grid search with the
-same search, so the optimizer scores the execution model that trades. It
-and the ledger price fills with one step (``_fills``), so both pay the same
-costs.
+search over it; that memo and the one-cell trade memo (``_cell_trades``)
+are keyed weakly by the series. The trades stay the search's ``Trades``
+columns up to one ledger (``book_trades``, shared with the comparison
+benchmarks, whose positions are one-row ``Trades``), which accounts for
+them. ``run_single_asset`` is the two in turn: it returns the closed
+trades (with full cost attribution) and per-bar series, strategy returns
+for Sharpe evaluation plus currency-denominated realized / mark-to-market /
+cost components that let a caller audit account equity exactly.
+``grid_sharpes`` scores many cells of one side at once for the monthly
+grid search with the same search, so the optimizer scores the execution
+model that trades. It and the ledger price fills with one step
+(``_fills``), so both pay the same costs.
 """
 
 import math
@@ -34,8 +35,7 @@ import numpy as np
 from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, fill_costs,
                          funding_schedule)
 from .indicators import atr, momentum, sharpe_rows
-from .market_data import (PriceSeries, SeriesArrays, bars_per_year, read_csv,
-                          write_columns)
+from .market_data import PriceSeries, bars_per_year, read_csv, write_columns
 
 SIDE_CHOICES = ("long", "short", "both")
 
@@ -172,19 +172,18 @@ NO_TRADES = Trades(*(np.zeros(0, dtype=t)
                      for t in (np.intp, np.intp, np.intp, float, bool, bool)))
 
 
-def _fills(arr: SeriesArrays, interval: int, bounds: Tuple[int, int],
-           found: Trades, size: float,
-           cost_cfg: CostConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _fills(series: PriceSeries, bounds: Tuple[int, int], found: Trades,
+           size: float, cost_cfg: CostConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Fee and slippage of every fill of the found trades: the m entries,
     then the m exits. An entry's notional is ``size``, an exit's the
     position's value at its fill price."""
     i0, i1 = bounds
-    close = arr.close[i0:i1]
+    close = series.close[i0:i1]
     fill_bars = np.concatenate((found.entry, found.exit))
     notional = np.concatenate((np.full(len(found.cell), size),
                                size * found.exit_px / close[found.entry]))
-    return fill_costs(notional, arr.volume[i0:i1][fill_bars],
-                      close[fill_bars], cost_cfg, interval)
+    return fill_costs(notional, series.volume[i0:i1][fill_bars],
+                      close[fill_bars], cost_cfg, series.interval)
 
 
 def book_trades(
@@ -207,10 +206,10 @@ def book_trades(
     must be in time order and must not overlap. The ledger knows no stop
     rule: the result's stop path is all NaN for the caller to fill.
     """
-    arr = series.arrays
     i0, i1 = bounds
     n = i1 - i0
-    close = arr.close[i0:i1]
+    timestamps = series.timestamps[i0:i1]
+    close = series.close[i0:i1]
     position = np.zeros(n, dtype=np.int8)
     stop = np.full(n, np.nan)
     gross_returns = np.zeros(n)
@@ -224,7 +223,7 @@ def book_trades(
     m = len(found.cell)
     if m:
         fill_fees, fill_slips = (c.tolist() for c in _fills(
-            arr, series.interval, bounds, found, size, cost_cfg))
+            series, bounds, found, size, cost_cfg))
     for k, (e, x, exit_px, short, forced) in enumerate(zip(
             found.entry.tolist(), found.exit.tolist(),
             found.exit_px.tolist(), found.short.tolist(),
@@ -245,7 +244,7 @@ def book_trades(
         if charge_funding:
             if side not in funding_of:
                 funding_of[side] = funding_schedule(
-                    arr.timestamps[i0:i1], cost_cfg, series.symbol, side, size)
+                    timestamps, cost_cfg, series.symbol, side, size)
             paid = funding_of[side][e + 1:x + 1]
             accrued = np.cumsum(paid)
             costs[e + 1:x + 1] = paid
@@ -258,12 +257,12 @@ def book_trades(
         realized_cum[x:] = realized
         records.append(TradeRecord(
             symbol=series.symbol, side=side,
-            entry_ts=int(arr.timestamps[i0 + e]), entry_px=entry_px,
-            exit_ts=int(arr.timestamps[i0 + x]), exit_px=exit_px, size=size,
+            entry_ts=int(timestamps[e]), entry_px=entry_px,
+            exit_ts=int(timestamps[x]), exit_px=exit_px, size=size,
             gross_pnl=gross, fee_cost=fees, slippage_cost=slips,
             funding_cost=funded, net_pnl=net, forced=forced,
         ))
-    return SingleAssetResult(series.symbol, arr.timestamps[i0:i1].copy(),
+    return SingleAssetResult(series.symbol, timestamps.copy(),
                              position, stop, gross_returns,
                              gross_returns - costs / size, costs, realized_cum,
                              open_mtm, open_costs, records)
@@ -273,20 +272,20 @@ def book_trades(
 # The trade search
 # ---------------------------------------------------------------------------
 
-_atr_memo: "weakref.WeakKeyDictionary[SeriesArrays, Dict[int, np.ndarray]]" = (
+_atr_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[int, np.ndarray]]" = (
     weakref.WeakKeyDictionary())
 
 
-def series_atr(arr: SeriesArrays, window: int) -> np.ndarray:
+def series_atr(series: PriceSeries, window: int) -> np.ndarray:
     """ATR of the whole series, computed once per (series, ATR window) and
     shared by every search over it: the optimizer's and the trader's. A
     window-only ATR would differ in its last bits, because the running sum
     starts at the series' first bar. The memo is keyed weakly by the
-    series' columns, so an entry lives as long as its series and holds only
-    what that series' prices determine."""
-    memo = _atr_memo.setdefault(arr, {})
+    series (hashed by identity), so an entry lives as long as its series and
+    holds only what that series' prices determine."""
+    memo = _atr_memo.setdefault(series, {})
     if window not in memo:
-        memo[window] = atr(arr.high, arr.low, arr.close, window)
+        memo[window] = atr(series.high, series.low, series.close, window)
     return memo[window]
 
 
@@ -305,7 +304,7 @@ def _reversed_min(a: np.ndarray) -> np.ndarray:
 
 
 def find_trades(
-    arr: SeriesArrays,
+    series: PriceSeries,
     bounds: Tuple[int, int],
     cells: Sequence[StrategyParams],
     side_enabled: str,
@@ -360,7 +359,7 @@ def find_trades(
     for bars in lookbacks:
         if bars not in moms:
             lo = max(i0 - bars, 0)  # the bars momentum reads, no more
-            moms[bars] = momentum(arr.close[lo:i1 - 1], bars)[i0 - lo:]
+            moms[bars] = momentum(series.close[lo:i1 - 1], bars)[i0 - lo:]
     mom = np.full((len(entry_keys), n + 2), np.nan)  # NaN enters nowhere
     mom[:, :n - 1] = [moms[bars] for bars in lookbacks]
     # StrategyParams.warmup_bars, local to the window
@@ -379,16 +378,16 @@ def find_trades(
 
     # Exits: row a holds, for each side, the exit bar of a trade entered on
     # each bar, n if none, with n in column n.
-    close = arr.close[i0:i1]
+    close = series.close[i0:i1]
     alpha, exit_atr_window = exit_keys.T
-    atrs = np.array([series_atr(arr, w)[i0:i1]
+    atrs = np.array([series_atr(series, w)[i0:i1]
                      for w in exit_atr_window.astype(int).tolist()])
     cands, exit_tables = [], []
     for short in shorts:
         price = -close if short else close
         tested = price
         if intrabar_stop_fill:
-            tested = -arr.high[i0:i1] if short else arr.low[i0:i1]
+            tested = -series.high[i0:i1] if short else series.low[i0:i1]
         cands.append(price - alpha[:, None] * atrs)
         exit_tables.append(_exits(tested, cands[-1], trailing))
     exits = np.concatenate(exit_tables, axis=1)
@@ -429,7 +428,8 @@ def find_trades(
         stop = (_stop_max(np.stack(cands), *args) if trailing
                 else np.stack(cands)[args[:3]])
         sign = np.where(short[hit], -1.0, 1.0)
-        exit_px[hit] = sign * np.minimum(sign * arr.open[i0:i1][x[hit]], stop)
+        exit_px[hit] = sign * np.minimum(sign * series.open[i0:i1][x[hit]],
+                                         stop)
     return Trades(cell, entry, exit_bar, exit_px, forced, short)
 
 
@@ -490,22 +490,22 @@ def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
     return np.maximum.reduceat(cands.ravel(), offsets)[::2]
 
 
-_trades_memo: "weakref.WeakKeyDictionary[SeriesArrays, Dict[tuple, Trades]]" = (
+_trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
     weakref.WeakKeyDictionary())
 
 
-def _cell_trades(arr: SeriesArrays, bounds: Tuple[int, int],
+def _cell_trades(series: PriceSeries, bounds: Tuple[int, int],
                  params: StrategyParams, side_enabled: str, trailing: bool,
                  intrabar_stop_fill: bool) -> Trades:
     """find_trades of one cell, run once per (series, bounds, cell, side,
     execution flags): the runs that trade a cell at different sizes (the
     lambda points of a sweep) share it, since only the ledger reads the
-    size. Keyed weakly by the series' columns, as series_atr is; the
-    columns are made read-only, since every caller shares them."""
-    memo = _trades_memo.setdefault(arr, {})
+    size. Keyed weakly by the series, as series_atr is; the found columns
+    are made read-only, since every caller shares them."""
+    memo = _trades_memo.setdefault(series, {})
     key = (bounds, params, side_enabled, trailing, intrabar_stop_fill)
     if key not in memo:
-        found = find_trades(arr, bounds, (params,), side_enabled, trailing,
+        found = find_trades(series, bounds, (params,), side_enabled, trailing,
                             intrabar_stop_fill)
         for column in found:
             column.flags.writeable = False
@@ -536,18 +536,18 @@ def run_single_asset(
         raise EngineError(f"size must be > 0, got {size}")
     if side_enabled not in SIDE_CHOICES:
         raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
-    arr = series.arrays
-    bounds = (0, len(series)) if window is None else arr.slice_indices(*window)
+    bounds = ((0, len(series)) if window is None
+              else series.slice_indices(*window))
     i0, i1 = bounds
-    found = _cell_trades(arr, bounds, params, side_enabled, trailing,
+    found = _cell_trades(series, bounds, params, side_enabled, trailing,
                          intrabar_stop_fill)
     result = book_trades(series, bounds, found, size, cost_cfg)
     # The stop in force after each bar of a trade, into the ledger's
     # all-NaN stop path (NaN when flat).
     stop = result.stop
     if len(found.cell):
-        close = arr.close[i0:i1]
-        risk = params.alpha * series_atr(arr, params.atr_window)[i0:i1]
+        close = series.close[i0:i1]
+        risk = params.alpha * series_atr(series, params.atr_window)[i0:i1]
         cands = (close - risk, -close - risk)  # long, short
         for e, x, short in zip(found.entry.tolist(), found.exit.tolist(),
                                found.short.tolist()):
@@ -565,9 +565,7 @@ def run_single_asset(
 # ---------------------------------------------------------------------------
 
 def grid_sharpes(
-    arr: SeriesArrays,
-    interval: int,
-    symbol: str,
+    series: PriceSeries,
     cells: Sequence[StrategyParams],
     side: str,
     bounds: Tuple[int, int],
@@ -590,7 +588,8 @@ def grid_sharpes(
     i0, i1 = bounds
     n = i1 - i0
     sharpes = np.full(len(cells), np.nan)
-    found = find_trades(arr, bounds, cells, side, trailing, intrabar_stop_fill)
+    found = find_trades(series, bounds, cells, side, trailing,
+                        intrabar_stop_fill)
     m = len(found.cell)
     if not m:
         return sharpes
@@ -610,15 +609,16 @@ def grid_sharpes(
     held[rows, ext + 1] = True
     held = np.logical_xor.accumulate(held, axis=1)[:, :n]
 
-    close = arr.close[i0:i1]
+    close = series.close[i0:i1]
     gross = np.zeros(n)
     gross[1:] = close[1:] / close[:-1] - 1.0
     exit_gross = exit_px / close[ext - 1] - 1.0  # the exit fills at exit_px
     if side == SHORT:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
-    fund = funding_schedule(arr.timestamps[i0:i1], cost_cfg, symbol, side, 1.0)
-    fees, slips = _fills(arr, interval, bounds, found, 1.0, cost_cfg)
+    fund = funding_schedule(series.timestamps[i0:i1], cost_cfg, series.symbol,
+                            side, 1.0)
+    fees, slips = _fills(series, bounds, found, 1.0, cost_cfg)
     fill_cost = fees + slips
     net = np.zeros((len(traded), n))
     np.copyto(net, gross - fund, where=held)
@@ -626,7 +626,8 @@ def grid_sharpes(
     # that every net return is the same float.
     net[rows, ent] = 0.0 - fill_cost[:m]
     net[rows, ext] = exit_gross - (fund[ext] + fill_cost[m:])
-    sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
+    sharpes[traded] = sharpe_rows(net, rf_annual,
+                                  bars_per_year(series.interval))
     return sharpes
 
 

@@ -10,8 +10,7 @@ import pytest
 from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import (DEFAULT_RF_ANNUAL, Bar, CapIndex,
-                                       MarketCapRecord, PriceSeries,
-                                       SeriesArrays)
+                                       MarketCapRecord, PriceSeries)
 from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
 from scalar_reference import columns
 
@@ -45,11 +44,11 @@ def make_bars(closes: Sequence[float], *, interval: int = INTERVAL,
 def series_from_bars(symbol: str, interval: int,
                      bars: Sequence[Bar]) -> PriceSeries:
     """A PriceSeries whose columns hold the fields of ``bars``."""
-    return PriceSeries(symbol, interval, columns(bars))
+    return PriceSeries(symbol, interval, *columns(bars))
 
 
 def bars_of(series: PriceSeries) -> tuple:
-    return tuple(series.arrays.bars(0, len(series)))
+    return tuple(series.bars(0, len(series)))
 
 
 def make_series(closes: Sequence[float], *, symbol: str = "TST",
@@ -81,8 +80,8 @@ def gbm_series(rng: np.random.Generator, n: int, *, symbol: str = "RND",
     body_lo = np.minimum(opens, closes)
     volumes = 1e6 * np.exp(0.3 * rng.standard_normal(n))
     timestamps = t0 + (np.arange(n, dtype=np.int64) + 1) * interval
-    return PriceSeries(symbol, interval, SeriesArrays(
-        timestamps, opens, body_hi + wicks, body_lo - wicks, closes, volumes))
+    return PriceSeries(symbol, interval, timestamps, opens, body_hi + wicks,
+                       body_lo - wicks, closes, volumes)
 
 
 def assert_same_result(got, want):
@@ -115,10 +114,10 @@ def rough_series(rng, n, interval, *, gaps, zero_volume, symbol="RND"):
     steps = rng.integers(1, 4, n) if gaps else np.ones(n, dtype=np.int64)
     volume = 1e6 * np.exp(rng.normal(0.0, 2.0, n))
     volume[rng.random(n) < zero_volume] = 0.0
-    return PriceSeries(symbol, interval, SeriesArrays(
-        T0 + np.cumsum(steps).astype(np.int64) * interval, opens,
-        np.maximum(opens, closes) + wicks, np.minimum(opens, closes) - wicks,
-        closes, volume))
+    return PriceSeries(
+        symbol, interval, T0 + np.cumsum(steps).astype(np.int64) * interval,
+        opens, np.maximum(opens, closes) + wicks,
+        np.minimum(opens, closes) - wicks, closes, volume)
 
 
 def jumpy_universe(seed: int, n_symbols: int, jump: float, n: int = 360):

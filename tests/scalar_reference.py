@@ -39,7 +39,7 @@ from adaptivetrend.indicators import atr, momentum, rolling_sharpe
 from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
                                        OHLCV_HEADER, Bar, DataError,
                                        MarketCapRecord,
-                                       PriceSeries, SeriesArrays,
+                                       PriceSeries,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
 from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
@@ -113,11 +113,11 @@ def load_price_series(path: str, interval: int, symbol: str
         raise DataError(f"{path}: {exc}") from exc
 
 
-def columns(bars: Sequence[Bar]) -> SeriesArrays:
-    """The columns a series of these bars holds."""
+def columns(bars: Sequence[Bar]) -> Tuple[np.ndarray, ...]:
+    """The columns a series of these bars holds, in PriceSeries order."""
     cols = list(zip(*bars)) or [()] * len(Bar._fields)
-    return SeriesArrays(np.array(cols[0], dtype=np.int64),
-                        *(np.array(col, dtype=np.float64) for col in cols[1:]))
+    return (np.array(cols[0], dtype=np.int64),
+            *(np.array(col, dtype=np.float64) for col in cols[1:]))
 
 
 def resample_bars(bars: Sequence[Bar], interval: int,
@@ -452,14 +452,13 @@ def run_single_asset(
     if side_enabled not in SIDE_CHOICES:
         raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
 
-    arr = series.arrays
     if window is None:
         i0, i1 = 0, len(series)
     else:
-        i0, i1 = arr.slice_indices(window[0], window[1])
+        i0, i1 = series.slice_indices(window[0], window[1])
     n = i1 - i0
 
-    timestamps = arr.timestamps[i0:i1].copy()
+    timestamps = series.timestamps[i0:i1].copy()
     position = np.zeros(n, dtype=np.int8)
     stop = np.full(n, np.nan)
     gross_returns = np.zeros(n)
@@ -475,8 +474,8 @@ def run_single_asset(
                                  gross_returns, net_returns, costs, realized_cum,
                                  open_mtm, open_costs, trades)
 
-    mom = momentum(arr.close, params.lookback)[i0:i1].tolist()
-    atr_values = atr(arr.high, arr.low, arr.close, params.atr_window)[i0:i1].tolist()
+    mom = momentum(series.close, params.lookback)[i0:i1].tolist()
+    atr_values = atr(series.high, series.low, series.close, params.atr_window)[i0:i1].tolist()
     first_defined = params.warmup_bars() - i0  # as an index into the window
 
     state: Optional[Position] = None
@@ -508,7 +507,7 @@ def run_single_asset(
     # A position is never held entering the window's first bar, so `prev`
     # is always set where it is read.
     prev: Optional[Bar] = None
-    for local, bar in enumerate(arr.bars(i0, i1)):
+    for local, bar in enumerate(series.bars(i0, i1)):
         held = 0 if state is None else (1 if state.side == LONG else -1)
         bar_cost = 0.0
 
@@ -581,10 +580,9 @@ def hold_position(
     account aggregation code is shared. Fewer than two bars in the window
     yields an empty result (a position cannot open and close on one bar).
     """
-    arr = series.arrays
-    i0, i1 = arr.slice_indices(window[0], window[1])
+    i0, i1 = series.slice_indices(window[0], window[1])
     n = i1 - i0
-    timestamps = arr.timestamps[i0:i1].copy()
+    timestamps = series.timestamps[i0:i1].copy()
     empty = SingleAssetResult(
         symbol=series.symbol, timestamps=timestamps,
         position=np.zeros(n, dtype=np.int8), stop=np.full(n, np.nan),
@@ -596,15 +594,15 @@ def hold_position(
         return empty
     res = empty
     sign = 1 if side == LONG else -1
-    entry_px = float(arr.close[i0])
-    entry_ts = int(arr.timestamps[i0])
-    exit_px = float(arr.close[i1 - 1])
-    exit_ts = int(arr.timestamps[i1 - 1])
+    entry_px = float(series.close[i0])
+    entry_ts = int(series.timestamps[i0])
+    exit_px = float(series.close[i1 - 1])
+    exit_ts = int(series.timestamps[i1 - 1])
 
     pos_fee = pos_slip = pos_funding = 0.0
     if cost_cfg is not None:
         pos_fee = fee(size, cost_cfg)
-        pos_slip = slippage(size, arr.bar(i0), cost_cfg, series.interval)
+        pos_slip = slippage(size, series.bar(i0), cost_cfg, series.interval)
     res.costs[0] = pos_fee + pos_slip
     res.position[:] = sign
     res.position[-1] = 0
@@ -613,15 +611,15 @@ def hold_position(
         i = i0 + local
         bar_cost = 0.0
         if cost_cfg is not None and charge_funding:
-            f = funding(side, size, int(arr.timestamps[i - 1]),
-                        int(arr.timestamps[i]), cost_cfg, series.symbol)
+            f = funding(side, size, int(series.timestamps[i - 1]),
+                        int(series.timestamps[i]), cost_cfg, series.symbol)
             pos_funding += f
             bar_cost += f
-        res.gross_returns[local] = sign * (arr.close[i] / arr.close[i - 1] - 1.0)
+        res.gross_returns[local] = sign * (series.close[i] / series.close[i - 1] - 1.0)
         if local == n - 1 and cost_cfg is not None:
             exit_notional = size * exit_px / entry_px
             exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, arr.bar(i), cost_cfg,
+            exit_slip = slippage(exit_notional, series.bar(i), cost_cfg,
                                  series.interval)
             pos_fee += exit_fee
             pos_slip += exit_slip
@@ -629,7 +627,7 @@ def hold_position(
         res.costs[local] = bar_cost
         if local < n - 1:
             res.open_mtm[local] = gross_pnl(side, size, entry_px,
-                                            float(arr.close[i]))
+                                            float(series.close[i]))
             res.open_costs[local] = pos_fee + pos_slip + pos_funding
 
     gross = gross_pnl(side, size, entry_px, exit_px)
@@ -836,7 +834,7 @@ def run_benchmark(
         market = Market(universe, CapIndex(caps))
         for m in months:
             window = (m, min(month_add(m, 1) - 1, cfg.end))
-            weights = _month_weights(spec, market, m, bpy)
+            weights = _month_weights(spec, market, m)
             results = []
             for sym, side, w in weights:
                 if w <= 0.0:
@@ -895,15 +893,16 @@ class TradeSearch:
     by what they depend on, so the cells of a grid share them.
     """
 
-    def __init__(self, arr: SeriesArrays, bounds: Tuple[int, int],
+    def __init__(self, series: PriceSeries, bounds: Tuple[int, int],
                  trailing: bool = True, intrabar_stop_fill: bool = False):
-        self.arr = arr
+        self.series = series
         self.i0, i1 = bounds
         self.n = i1 - self.i0
         self.trailing = trailing
         self.intrabar = intrabar_stop_fill
         close, low, high, open_ = (col[self.i0:i1] for col in
-                                   (arr.close, arr.low, arr.high, arr.open))
+                                   (series.close, series.low, series.high,
+                                    series.open))
         self.close = close
         # sign * (close, open, and the price a stop is tested against: the
         # close, or the adverse extreme of the bar when filling intrabar)
@@ -960,7 +959,7 @@ class TradeSearch:
             n, last = self.n, self.n - 1
             if cell.lookback not in self._moms:
                 self._moms[cell.lookback] = momentum(
-                    self.arr.close, cell.lookback)[self.i0:self.i0 + n]
+                    self.series.close, cell.lookback)[self.i0:self.i0 + n]
             first = max(cell.warmup_bars() - self.i0, 0)
             mom = self._moms[cell.lookback][first:last]
             signal = np.zeros(n + 1, dtype=bool)
@@ -977,7 +976,7 @@ class TradeSearch:
         memo = self._stops.get(key)
         if memo is None:
             if cell.atr_window not in self._atrs:
-                a = self.arr
+                a = self.series
                 self._atrs[cell.atr_window] = atr(
                     a.high, a.low, a.close,
                     cell.atr_window)[self.i0:self.i0 + self.n]

@@ -168,7 +168,7 @@ def test_c02_stops_monotone_and_exits_at_first_breach():
         vol = float(rng.uniform(0.2, 0.9))
         series = gbm_series(rng, 160, symbol=f"R{k}", drift=drift, vol=vol)
         res = run_single_asset(series, params)
-        closes = series.arrays.close
+        closes = series.close
         ts = res.timestamps
 
         # The stop exists exactly while a position is held.
@@ -315,7 +315,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
 def test_c05_truncation_leaves_past_decisions_unchanged():
     started = time.perf_counter()
     series_list, caps = generate_synthetic_universe(SyntheticSpec(
-        seed=99, n_symbols=8, n_bars=848,
+        seed=99, n_symbols=8,
         regimes=((424, 0.5, 0.45), (424, -0.3, 0.55))))
     universe = {s.symbol: s for s in series_list}
     grid = ParamGrid(theta_entry=(0.01, 0.03), theta_entry_short=(0.01, 0.03),
@@ -368,7 +368,7 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
 def test_c06_balance_decomposition_holds_at_every_bar():
     started = time.perf_counter()
     series_list, caps = generate_synthetic_universe(SyntheticSpec(
-        seed=6, n_symbols=10, n_bars=1584,
+        seed=6, n_symbols=10,
         regimes=((528, 0.5, 0.5), (528, -0.4, 0.6), (528, 0.1, 0.4))))
     universe = {s.symbol: s for s in series_list}
     grid = ParamGrid(theta_entry=(0.01, 0.03), theta_entry_short=(0.01, 0.03),
@@ -404,7 +404,7 @@ def test_c06_balance_decomposition_holds_at_every_bar():
 def test_c07_higher_fees_never_raise_annual_return():
     started = time.perf_counter()
     series_list, caps = generate_synthetic_universe(SyntheticSpec(
-        seed=7, n_symbols=6, n_bars=720, regimes=((720, 0.4, 0.5),)))
+        seed=7, n_symbols=6, regimes=((720, 0.4, 0.5),)))
     universe = {s.symbol: s for s in series_list}
     grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                      alpha=(3.0,), lookback=(4,), atr_window=3)
@@ -440,7 +440,7 @@ def test_c08_long_bias_outperforms_even_split_on_uptrend():
 
     for seed in range(1, 6):
         series_list, caps = generate_synthetic_universe(SyntheticSpec(
-            seed=seed, n_symbols=8, n_bars=848,
+            seed=seed, n_symbols=8,
             regimes=((848, 0.30, 0.04),)))
         universe = {s.symbol: s for s in series_list}
         anns = {}
@@ -521,7 +521,7 @@ def test_c11_trailing_return_thresholds_label_regimes():
 def test_c12_all_ablation_variants_complete_and_differ():
     started = time.perf_counter()
     series_list, caps = generate_synthetic_universe(SyntheticSpec(
-        seed=21, n_symbols=12, n_bars=720,
+        seed=21, n_symbols=12,
         regimes=((240, 0.6, 0.5), (240, -0.5, 0.7), (240, 0.1, 0.35))))
     universe = {s.symbol: s for s in series_list}
     grid = ParamGrid(theta_entry=(0.01, 0.03), theta_entry_short=(0.01, 0.03),

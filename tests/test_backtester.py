@@ -18,7 +18,7 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
 from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
-                                       PriceSeries, SeriesArrays, month_add,
+                                       PriceSeries, month_add,
                                        month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import SingleAssetResult, StrategyParams
@@ -55,6 +55,21 @@ class TestMonthHelpers:
         assert month_starts_between(T0 + 5, APR1) == [FEB1, MAR1, APR1]
         assert month_starts_between(MAR1 + 1, APR1 - 1) == []
 
+    def test_months_reject_a_series_at_another_interval(self):
+        # Run silently, hourly bars under the 6-hour default would have been
+        # annualized as 6-hour bars.
+        six = gbm_series(np.random.default_rng(0), 4 * 120, symbol="SIX")
+        hourly = gbm_series(np.random.default_rng(1), 24 * 120, symbol="HRLY",
+                            interval=3600)
+        cfg = BacktestConfig(start=FEB1, end=MAR1)
+        assert Market({"SIX": six}, CapIndex()).months(cfg) == [FEB1, MAR1]
+        market = Market({"SIX": six, "HRLY": hourly}, CapIndex())
+        message = "HRLY: bar interval 3600 s differs from the run's 21600 s"
+        with pytest.raises(DataError, match=message):
+            market.months(cfg)
+        with pytest.raises(DataError, match=message):
+            run_backtest(market, cfg)
+
 
 class TestAggregation:
     def test_union_timeline(self):
@@ -87,11 +102,11 @@ class TestAggregation:
         for j, symbol_steps in enumerate(steps):
             ts = T0 + (j + np.cumsum(symbol_steps, dtype=np.int64)) * INTERVAL
             flat = np.full(len(ts), 10.0)
-            universe[f"S{j}"] = PriceSeries(f"S{j}", INTERVAL, SeriesArrays(
-                ts, flat, flat, flat, flat, flat))
+            universe[f"S{j}"] = PriceSeries(f"S{j}", INTERVAL, ts, flat, flat,
+                                            flat, flat, flat)
         lo, hi = (T0 + k * INTERVAL for k in window)
         inside = [ts[(ts >= lo) & (ts <= hi)]
-                  for ts in (u.arrays.timestamps for u in universe.values())]
+                  for ts in (u.timestamps for u in universe.values())]
         expected = np.unique(np.concatenate([np.empty(0, np.int64)] + inside))
         got = union_timeline(universe, (lo, hi))
         assert got.dtype == np.int64 and got.tolist() == expected.tolist()
@@ -218,7 +233,7 @@ class TestEmptySelection:
             for j, sym in enumerate(symbols)
         }
         cfg = BacktestConfig(
-            start=FEB1, end=int(universe[symbols[0]].arrays.timestamps[-1]),
+            start=FEB1, end=int(universe[symbols[0]].timestamps[-1]),
             initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=2, k_short=2, long_ratio=long_ratio),
             costs=CostConfig())
@@ -246,7 +261,7 @@ class TestMultiMonthAccounting:
                             vol=0.9, t0=T0)
             for j, sym in enumerate(symbols)
         }
-        end = int(universe[symbols[0]].arrays.timestamps[-1])
+        end = int(universe[symbols[0]].timestamps[-1])
         cfg = BacktestConfig(
             start=FEB1, end=end, initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=2, k_short=2), costs=CostConfig())
@@ -277,7 +292,7 @@ class TestMultiMonthAccounting:
         grid = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                          alpha=(1.0, 3.0), lookback=(4,), atr_window=3)
         cfg = BacktestConfig(
-            start=FEB1, end=int(universe["RND"].arrays.timestamps[-1]),
+            start=FEB1, end=int(universe["RND"].timestamps[-1]),
             initial_balance=50_000.0, interval=INTERVAL,
             rebalance=reb_cfg(k_long=2, k_short=2, grid=grid,
                               long_ratio=long_ratio),
@@ -315,7 +330,7 @@ class TestBankruptcy:
         caps = [MarketCapRecord("FLAT", FEB28, 9e9),
                 MarketCapRecord("CRSH", FEB28, 1e9)]
         cfg = BacktestConfig(
-            start=MAR1, end=int(faller.arrays.timestamps[-1]),
+            start=MAR1, end=int(faller.timestamps[-1]),
             initial_balance=100_000.0, interval=INTERVAL,
             rebalance=reb_cfg(gamma_long=1e9, long_ratio=0.0, grid=grid),
             costs=ZERO_COSTS)
@@ -349,7 +364,7 @@ class TestBankruptcy:
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(2.0,), lookback=(4,), atr_window=3)
         cfg = BacktestConfig(
-            start=MAR1, end=int(faller.arrays.timestamps[-1]),
+            start=MAR1, end=int(faller.timestamps[-1]),
             initial_balance=100_000.0, interval=INTERVAL,
             rebalance=reb_cfg(gamma_long=1e9, long_ratio=0.0, grid=grid),
             costs=ZERO_COSTS)
@@ -377,7 +392,7 @@ class TestEmptyMonth:
         series = series_from_bars("GAP", INTERVAL,
                                   make_bars(closes[:236], t0=T0 - INTERVAL)
                                   + make_bars(closes[236:], t0=APR1 - INTERVAL))
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         assert not np.any((ts >= MAR1) & (ts < APR1))
         universe = {"GAP": series}
         caps = [MarketCapRecord("GAP", FEB28, 1e9)]
@@ -407,16 +422,16 @@ DAY = 86_400
 def spread_universes(draw):
     """Daily symbols that start and end on different bars with gaps, plus
     one symbol with no bars."""
-    universe = {"NONE": PriceSeries("NONE", DAY, SeriesArrays(
-        *([np.empty(0, np.int64)] + [np.empty(0)] * 5)))}
+    universe = {"NONE": PriceSeries("NONE", DAY, np.empty(0, np.int64),
+                                    *[np.empty(0)] * 5)}
     for j in range(draw(st.integers(1, 4))):
         first = draw(st.integers(0, 150))
         days = draw(st.lists(st.integers(first, first + 120), max_size=90,
                              unique=True))
         ts = T0 + np.sort(np.array(days, dtype=np.int64)) * DAY
         flat = np.full(len(ts), 10.0)
-        universe[f"S{j}"] = PriceSeries(f"S{j}", DAY, SeriesArrays(
-            ts, flat, flat, flat, flat, flat))
+        universe[f"S{j}"] = PriceSeries(f"S{j}", DAY, ts, flat, flat, flat,
+                                        flat, flat)
     return universe
 
 
@@ -427,7 +442,7 @@ class TestOneTimeline:
     def test_window_slices_equal_the_per_window_union(self, universe, first,
                                                       n_months, cut):
         market = Market(universe, CapIndex())
-        stamps = [s.arrays.timestamps for s in universe.values()]
+        stamps = [s.timestamps for s in universe.values()]
         assert market.timeline.tolist() == np.unique(
             np.concatenate(stamps)).tolist()
         start = month_add(T0, first)

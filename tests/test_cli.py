@@ -146,6 +146,25 @@ class TestConfig:
                 assert type(parsed) is type(defaults[key]), line
         assert sorted(seen) == sorted(CONFIG_SCHEMA)
 
+    def test_readme_library_use_runs_as_written(self):
+        """The README's Library use example runs in a fresh interpreter and
+        prints its five values: the strategy's final balance, trade count
+        and Sharpe, then TSMOM's final balance and Sharpe."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("\n## Library use\n")[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        src = os.path.dirname(os.path.dirname(adaptivetrend.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        values = out.stdout.split()
+        assert len(values) == 5, out.stdout
+        balance, trades, sharpe, tsmom_balance, tsmom_sharpe = values
+        assert int(trades) > 0
+        assert float(balance) > 0 and float(tsmom_balance) > 0
+        assert math.isfinite(float(sharpe)) and math.isfinite(float(tsmom_sharpe))
+
     def test_file_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\n\nrun.start = 2022-02-01\n"
@@ -587,6 +606,37 @@ class TestReport:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 1
         assert "no such run directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("metrics.json", lambda meta: "{not json", "not valid JSON"),
+        ("metrics.json", lambda meta: {**meta, "metrics": {
+            k: v for k, v in meta["metrics"].items() if k != "ann_return"}},
+         "missing key 'metrics.ann_return'"),
+        ("benchmarks/btc_bh/metrics.json",
+         lambda meta: {k: v for k, v in meta.items() if k != "label"},
+         "missing key 'label'"),
+        ("bootstrap.json", lambda boot: "[1, 2", "not valid JSON"),
+        ("bootstrap.json",
+         lambda boot: {k: v for k, v in boot.items() if k != "p_value"},
+         "missing key 'p_value'"),
+    ], ids=["metrics-json", "metrics-key", "benchmark-label", "bootstrap-json",
+            "bootstrap-key"])
+    def test_bad_json_is_a_clean_error(self, ws, tmp_path, capsys, name, edit,
+                                       message):
+        run = tmp_path / "run"
+        shutil.copytree(ws.run, run, ignore=shutil.ignore_patterns(
+            "report*", "sensitivity.csv"))
+        (run / "bootstrap.json").write_text(json.dumps(
+            {"delta_sr": 0.0, "p_value": 1.0, "n_reps": 10, "block_len": 5}))
+        target = run / name
+        edited = edit(json.loads(target.read_text()))
+        target.write_text(edited if isinstance(edited, str)
+                          else json.dumps(edited))
+        assert main(["report", "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: {message}")
+        assert not [p for p in os.listdir(run)
+                    if p.startswith("report") or p == "sensitivity.csv"]
 
 
 @pytest.mark.parametrize("command", [["backtest"],

@@ -1,5 +1,7 @@
 """Fees, volume-scaled slippage, and perp funding transfers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +207,20 @@ def test_load_funding_rates(tmp_path):
     with pytest.raises(DataError,
                        match=f"funding_rates.csv: line 4: duplicate record for BTC {T0}"):
         load_funding_rates(str(p))
+
+
+@pytest.mark.parametrize("records, message", [
+    ([(T0, math.nan)], "rates must be finite"),
+    ([(T0, 1e-4), (T0 + 3600, math.inf)], "rates must be finite"),
+    ([(T0, -math.inf)], "rates must be finite"),
+    ([(T0 + 3600, 1e-4), (T0, 2e-4)], "timestamps must be strictly ascending"),
+    ([(T0, 1e-4), (T0, 2e-4)], "timestamps must be strictly ascending"),
+], ids=["nan", "inf", "-inf", "descending", "repeated"])
+def test_config_rejects_a_bad_funding_table(records, message):
+    # Accepted, a NaN rate was charged as NaN funding, and an unsorted table
+    # made funding_schedule's bisection pick the wrong rates.
+    with pytest.raises(ValueError, match=rf"funding_rates\['ETH'\]: {message}"):
+        CostConfig(funding_rates={"BTC": [(T0, 1e-4)], "ETH": records})
 
 
 def test_config_validation():

@@ -43,7 +43,7 @@ class TestMomentum:
 
     def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(30))))
-        m = momentum(s.arrays.close, 7)
+        m = momentum(s.close, 7)
         b = bars_of(s)
         assert np.all(np.isnan(m[:7]))
         assert list(m[7:]) == [b[t].close / b[t - 7].close - 1.0
@@ -130,8 +130,7 @@ class TestAtr:
 
     def test_on_series_arrays(self, rng):
         s = make_series(list(50.0 + np.cumsum(rng.standard_normal(25))))
-        arr = s.arrays
-        out = atr(arr.high, arr.low, arr.close, 5)
+        out = atr(s.high, s.low, s.close, 5)
         b = bars_of(s)
         tr = [b[0].high - b[0].low] + [
             max(b[t].high - b[t].low, abs(b[t].high - b[t - 1].close),

@@ -5,7 +5,8 @@ import math
 import re
 import string
 import warnings
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, replace
 from datetime import date
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestPriceCsv:
                      f"{T0 + 3 * INTERVAL},11,11.5,10.5,11.2,90\n")
         s = load_price_series(str(p), interval=INTERVAL)
         assert len(s) == 3
-        assert s.arrays.close[2] == 11.2
+        assert s.close[2] == 11.2
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         p = tmp_path / "AAA.csv"
@@ -134,7 +135,7 @@ class TestPriceCsv:
                      f"{T0 + 2 * INTERVAL},10.5,12,10,11,120\n"
                      f"{T0 + INTERVAL},10,11,9,10.5,100\n")
         s = load_price_series(str(p), interval=INTERVAL)
-        assert s.arrays.timestamps.tolist() == [T0 + INTERVAL, T0 + 2 * INTERVAL]
+        assert s.timestamps.tolist() == [T0 + INTERVAL, T0 + 2 * INTERVAL]
 
     def test_bad_row_error_names_line(self, tmp_path):
         p = tmp_path / "AAA.csv"
@@ -195,7 +196,7 @@ class TestCapsCsv:
 
 class TestSyntheticGenerator:
     def test_same_seed_bit_identical(self):
-        spec = SyntheticSpec(seed=42, n_symbols=3, n_bars=40,
+        spec = SyntheticSpec(seed=42, n_symbols=3,
                              regimes=((40, 0.3, 0.5),), interval=INTERVAL, start=T0)
         a_series, a_caps = generate_synthetic_universe(spec)
         b_series, b_caps = generate_synthetic_universe(spec)
@@ -206,40 +207,40 @@ class TestSyntheticGenerator:
     def test_frozen_reference_values(self):
         # Pinned output of the documented RNG scheme; a change here means the
         # generator's bit stream moved and every seeded fixture shifts.
-        spec = SyntheticSpec(seed=7, n_symbols=2, n_bars=6,
+        spec = SyntheticSpec(seed=7, n_symbols=2,
                              regimes=((6, 0.5, 0.6),), interval=INTERVAL, start=T0)
         series, caps = generate_synthetic_universe(spec)
         assert series[0].symbol == "SYM00"
-        assert series[0].arrays.close[0] == 99.04941559280921
-        assert series[0].arrays.close[1] == 101.38925804907446
-        assert series[1].arrays.close[0] == 102.26080386119287
-        assert series[0].arrays.volume[0] == 717411.7531411527
+        assert series[0].close[0] == 99.04941559280921
+        assert series[0].close[1] == 101.38925804907446
+        assert series[1].close[0] == 102.26080386119287
+        assert series[0].volume[0] == 717411.7531411527
         assert len(caps) == 4
 
     def test_symbol_independent_of_universe_size(self):
-        small = SyntheticSpec(seed=9, n_symbols=1, n_bars=20,
+        small = SyntheticSpec(seed=9, n_symbols=1,
                               regimes=((20, 0.2, 0.4),), interval=INTERVAL, start=T0)
-        big = SyntheticSpec(seed=9, n_symbols=5, n_bars=20,
+        big = SyntheticSpec(seed=9, n_symbols=5,
                             regimes=((20, 0.2, 0.4),), interval=INTERVAL, start=T0)
         (s1,), _ = generate_synthetic_universe(small)
         sb, _ = generate_synthetic_universe(big)
         assert bars_of(s1) == bars_of(sb[0])
 
     def test_tiny_vol_returns_near_drift(self):
-        spec = SyntheticSpec(seed=5, n_symbols=1, n_bars=200,
+        spec = SyntheticSpec(seed=5, n_symbols=1,
                              regimes=((200, 0.5, 1e-8),), interval=INTERVAL, start=T0)
         (s,), _ = generate_synthetic_universe(spec)
-        closes = s.arrays.close
+        closes = s.close
         per_bar = np.diff(closes) / closes[:-1]
         expected = 0.5 * (INTERVAL / 31_536_000.0)
         assert np.allclose(per_bar, expected, rtol=1e-3)
 
     def test_drift_statistics_within_three_stderr(self):
         mu, vol, n = 0.5, 0.2, 100_000
-        spec = SyntheticSpec(seed=3, n_symbols=1, n_bars=n,
+        spec = SyntheticSpec(seed=3, n_symbols=1,
                              regimes=((n, mu, vol),), interval=INTERVAL, start=T0)
         (s,), _ = generate_synthetic_universe(spec)
-        closes = s.arrays.close
+        closes = s.close
         logret = np.diff(np.log(closes))
         bpy = bars_per_year(INTERVAL)
         ann_mean = float(np.mean(logret)) * bpy
@@ -248,31 +249,35 @@ class TestSyntheticGenerator:
         assert abs(ann_mean - target) < 3 * stderr
 
     def test_bars_and_caps_shapes(self):
-        spec = SyntheticSpec(seed=1, n_symbols=3, n_bars=8,
+        spec = SyntheticSpec(seed=1, n_symbols=3,
                              regimes=((8, 0.1, 0.3),), interval=INTERVAL, start=T0)
         series, caps = generate_synthetic_universe(spec)
         assert [s.symbol for s in series] == ["SYM00", "SYM01", "SYM02"]
         for s in series:
-            assert s.arrays.timestamps.tolist() == \
+            assert s.timestamps.tolist() == \
                 [T0 + (i + 1) * INTERVAL for i in range(8)]
         # 8 six-hour bars span two calendar days
         assert len(caps) == 6
         # A bar belongs to the day containing (ts - 1, ts]; the day's cap
         # follows its last close.
-        closes = series[0].arrays.close
+        closes = series[0].close
         assert [(r.date, r.cap) for r in caps if r.symbol == "SYM00"] == [
             (date(2022, 1, 1), 1e10 * closes[3] / 100.0),
             (date(2022, 1, 2), 1e10 * closes[7] / 100.0)]
 
-    def test_regime_durations_must_sum(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(seed=1, n_symbols=1, n_bars=10,
-                          regimes=((4, 0.1, 0.3),), interval=INTERVAL, start=T0)
+    def test_n_bars_is_the_schedules_sum(self):
+        spec = SyntheticSpec(seed=1, n_symbols=1,
+                             regimes=((4, 0.1, 0.3), (6, -0.2, 0.5)))
+        assert spec.n_bars == 10
+        (s,), _ = generate_synthetic_universe(spec)
+        assert len(s) == 10
+        with pytest.raises(DataError, match="regime schedule must not be empty"):
+            SyntheticSpec(seed=1, n_symbols=1, regimes=())
 
     @pytest.mark.parametrize("interval", [0, -5])
     def test_interval_must_be_positive(self, interval):
         with pytest.raises(DataError, match="interval must be > 0"):
-            SyntheticSpec(seed=1, n_symbols=1, n_bars=4,
+            SyntheticSpec(seed=1, n_symbols=1,
                           regimes=((4, 0.1, 0.3),), interval=interval, start=T0)
 
 
@@ -310,25 +315,34 @@ class TestResample:
 
 def test_slice_indices_inclusive_window():
     s = make_series([100.0, 101.0, 102.0, 103.0, 104.0])
-    ts = s.arrays.timestamps.tolist()
-    i0, i1 = s.arrays.slice_indices(ts[1], ts[3])
+    ts = s.timestamps.tolist()
+    i0, i1 = s.slice_indices(ts[1], ts[3])
     assert (i0, i1) == (1, 4)
-    i0, i1 = s.arrays.slice_indices(ts[1] + 1, ts[3] - 1)
+    i0, i1 = s.slice_indices(ts[1] + 1, ts[3] - 1)
     assert (i0, i1) == (2, 3)
-    i0, i1 = s.arrays.slice_indices(ts[-1] + 1, ts[-1] + 2)
+    i0, i1 = s.slice_indices(ts[-1] + 1, ts[-1] + 2)
     assert i0 == i1
 
 
 def test_arrays_view_matches_bars():
     bars = make_bars([100.0, 101.0, 99.5])
     s = series_from_bars("X", INTERVAL, bars)
-    arr = s.arrays
-    assert list(arr.close) == [100.0, 101.0, 99.5]
-    assert arr.timestamps.dtype == np.int64 and arr.close.dtype == np.float64
-    assert bars_of(s) == bars and arr.bar(1) == bars[1]
-    assert [type(x) for x in arr.bar(0)] == [int] + [float] * 5
+    assert list(s.close) == [100.0, 101.0, 99.5]
+    assert s.timestamps.dtype == np.int64 and s.close.dtype == np.float64
+    assert bars_of(s) == bars and s.bar(1) == bars[1]
+    assert [type(x) for x in s.bar(0)] == [int] + [float] * 5
     with pytest.raises(ValueError, match="read-only"):
-        arr.close[0] = 1.0
+        s.close[0] = 1.0
+
+
+def test_series_is_an_identity_key():
+    # The ATR and trade-search memos are keyed weakly by the series.
+    s = make_series([100.0, 101.0, 99.5])
+    twin = PriceSeries(s.symbol, s.interval, *s.columns())
+    assert s != twin and len({s, twin}) == 2
+    assert weakref.ref(s)() is s
+    with pytest.raises(FrozenInstanceError):
+        s.close = twin.close
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +534,12 @@ def ohlcv_line(draw):
 
 
 def _loaded(load):
-    """Arrays (dtype and bytes) and gaps of a load, or its DataError message."""
+    """Columns (dtype and bytes) and gaps of a load, or its DataError message."""
     try:
-        arrays, gaps = load()
+        columns, gaps = load()
     except DataError as exc:
         return "error", str(exc)
-    return [(c.dtype.str, c.tobytes()) for c in arrays.columns()], gaps
+    return [(c.dtype.str, c.tobytes()) for c in columns], gaps
 
 
 class TestColumnarLoaderMatchesScalar:
@@ -541,7 +555,7 @@ class TestColumnarLoaderMatchesScalar:
 
         def columnar():
             s = load_price_series(str(p), interval=INTERVAL)
-            return s.arrays, s.gaps
+            return s.columns(), s.gaps
 
         def scalar():
             bars, gaps = scalar_reference.load_price_series(str(p), INTERVAL, "SYM")
@@ -555,8 +569,8 @@ class TestColumnarLoaderMatchesScalar:
             p.write_text(",".join(OHLCV_HEADER) + body)
             s = load_price_series(str(p), interval=INTERVAL)
             assert len(s) == 0 and s.gaps == []
-            assert s.arrays.timestamps.dtype == np.int64
-            assert s.arrays.close.dtype == np.float64
+            assert s.timestamps.dtype == np.int64
+            assert s.close.dtype == np.float64
 
     @pytest.mark.parametrize("row", [
         f"{T0}_0,10,11,9,10.5,100",
@@ -606,7 +620,7 @@ class TestColumnarLoaderMatchesScalar:
 
         def columnar():
             s = series_from_bars("SYM", interval, series_bars)
-            return s.arrays, s.gaps
+            return s.columns(), s.gaps
 
         def scalar():
             gaps = scalar_reference.check_bars("SYM", interval, series_bars)
@@ -841,15 +855,14 @@ class TestResampleMatchesScalar:
         expected = scalar_reference.columns(
             scalar_reference.resample_bars(bars_of(series), 3600, target))
         assert r.interval == target
-        assert [(c.dtype.str, c.tobytes()) for c in r.arrays.columns()] == \
-            [(c.dtype.str, c.tobytes()) for c in expected.columns()]
+        assert [(c.dtype.str, c.tobytes()) for c in r.columns()] == \
+            [(c.dtype.str, c.tobytes()) for c in expected]
 
     @settings(max_examples=100, deadline=None)
     @given(series=hourly_series())
     def test_composition(self, series):
         # Integer volumes, so that sums in any grouping are exact.
-        arr = series.arrays
-        whole = PriceSeries("H", 3600, replace(arr, volume=np.floor(arr.volume)))
+        whole = replace(series, volume=np.floor(series.volume))
         twice = resample_series(resample_series(whole, 21_600), 43_200)
         once = resample_series(whole, 43_200)
         assert bars_of(twice) == bars_of(once) and twice.gaps == once.gaps

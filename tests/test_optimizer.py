@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       Market, ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import CapIndex, PriceSeries, SeriesArrays
+from adaptivetrend.market_data import CapIndex, PriceSeries
 from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
                                       grid_cells, optimization_window,
                                       union_grid)
@@ -27,7 +27,7 @@ def point_cfg(universe, *, long_ratio=0.7, gamma=-100.0, alphas=(1.0, 3.0),
               variant="full"):
     grid = replace(BASE_GRID, alpha=alphas)
     return ablation_config(BacktestConfig(
-        start=FEB1, end=int(universe["RND"].arrays.timestamps[-1]),
+        start=FEB1, end=int(universe["RND"].timestamps[-1]),
         initial_balance=50_000.0, interval=INTERVAL,
         rebalance=RebalanceConfig(k_long=2, k_short=2, gamma_long=gamma,
                                   gamma_short=gamma, long_ratio=long_ratio,
@@ -211,9 +211,9 @@ def union_series(kind: str, seed: int, n: int) -> PriceSeries:
         closes = 100.0 * np.cumprod(1.0 + jumps)
     ts = T0 + np.arange(1, n + 1, dtype=np.int64) * INTERVAL
     opens = np.concatenate((closes[:1], closes[:-1]))
-    return PriceSeries("RND", INTERVAL, SeriesArrays(
-        ts, opens, np.maximum(opens, closes) + 0.5,
-        np.minimum(opens, closes) - 0.5, closes, np.full(n, 1e6)))
+    return PriceSeries("RND", INTERVAL, ts, opens,
+                       np.maximum(opens, closes) + 0.5,
+                       np.minimum(opens, closes) - 0.5, closes, np.full(n, 1e6))
 
 
 class TestUnionSearch:
@@ -237,7 +237,7 @@ class TestUnionSearch:
                                               grids, cost, rf, trailing,
                                               intrabar):
         series = union_series(kind, seed, n)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         lo, hi = sorted(min(b, n - 1) for b in bounds)
         window = (int(ts[lo]), int(ts[hi]))
         opt = Optimizer({"RND": series}, grids)
@@ -260,7 +260,7 @@ class TestUnionSearch:
 
     def test_a_window_short_for_the_union_serves_a_grid_it_fits(self):
         series = union_series("rough", 5, 60)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         window = (int(ts[30]), int(ts[39]))
         short = replace(UNION, lookback=(2,))
         opt = Optimizer({"RND": series}, [short, UNION])

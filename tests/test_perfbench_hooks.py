@@ -148,10 +148,10 @@ def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
         finally:
             inside.pop()
 
-    def searched(arr, bounds, cells, side, *args):
+    def searched(series, bounds, cells, side, *args):
         if inside:
-            searches.append((id(arr), bounds, tuple(cells), side))
-        return find_trades(arr, bounds, cells, side, *args)
+            searches.append((id(series), bounds, tuple(cells), side))
+        return find_trades(series, bounds, cells, side, *args)
 
     monkeypatch.setattr(backtester, "run_single_asset", traded)
     monkeypatch.setattr(signal_engine, "find_trades", searched)

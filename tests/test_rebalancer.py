@@ -142,7 +142,7 @@ class TestOptimizeParams:
     WINDOW_SERIES_KW = dict(t0=FEB1, vol=1.2)
 
     def window_for(self, series):
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         return int(ts[0]), int(ts[-1])
 
     def test_flat_series_yields_none(self):
@@ -198,7 +198,7 @@ class TestOptimizeParams:
 def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045,
                 **execution):
     """The optimizer's contract written as a loop over evaluate_cell."""
-    i0, i1 = series.arrays.slice_indices(*window)
+    i0, i1 = series.slice_indices(*window)
     if i1 - i0 < 2 * max(grid.lookback):
         return None
     best, best_sharpe = None, -INF
@@ -264,7 +264,7 @@ class TestBatchedSearchMatchesScalar:
         series = edited_series(
             gbm_series(np.random.default_rng(seed), 80, vol=vol, t0=FEB1),
             zero_volume_every, gap_every)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         window = (int(ts[start]), int(ts[-1]))
         self.assert_same_pick(series, window, ONE_CELL if one_cell else SEARCH_GRID,
                               COST_CONFIGS[costs], trailing=trailing,
@@ -278,7 +278,7 @@ class TestBatchedSearchMatchesScalar:
                 gbm_series(np.random.default_rng(50 + k), 90, vol=1.5, t0=FEB1),
                 zero_volume_every=4 if k == 1 else 0,
                 gap_every=6 if k == 2 else 0)
-            ts = series.arrays.timestamps
+            ts = series.timestamps
             window = (int(ts[0 if k == 3 else 12]), int(ts[-3]))
             picks = self.assert_same_pick(series, window, SEARCH_GRID,
                                           COST_CONFIGS[costs])
@@ -289,15 +289,15 @@ class TestBatchedSearchMatchesScalar:
         series = edited_series(
             gbm_series(np.random.default_rng(7), 90, vol=1.5, t0=FEB1),
             zero_volume_every=1)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         window = (int(ts[10]), int(ts[-1]))
         picks = self.assert_same_pick(series, window, SEARCH_GRID, CostConfig())
         assert any(p is not None for p in picks)
 
     def test_window_at_first_bar(self):
         series = gbm_series(np.random.default_rng(8), 70, vol=1.5, t0=FEB1)
-        ts = series.arrays.timestamps
-        assert series.arrays.slice_indices(int(ts[0]), int(ts[-1]))[0] == 0
+        ts = series.timestamps
+        assert series.slice_indices(int(ts[0]), int(ts[-1]))[0] == 0
         for cost_cfg in COST_CONFIGS.values():
             picks = self.assert_same_pick(series, (int(ts[0]), int(ts[-1])),
                                           SEARCH_GRID, cost_cfg)
@@ -308,7 +308,7 @@ class TestBatchedSearchMatchesScalar:
         # (smallest) one must win, on the scalar loop and the batch alike.
         closes = [100.0 * 1.01 ** i for i in range(70)]
         series = make_series(closes, t0=FEB1, wick=0.05)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         grid = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(40.0, 50.0, 60.0), lookback=(4,), atr_window=3)
         for cost_cfg in COST_CONFIGS.values():
@@ -318,7 +318,7 @@ class TestBatchedSearchMatchesScalar:
 
     def test_no_trade_window_is_none(self):
         series = gbm_series(np.random.default_rng(9), 80, vol=0.2, t0=FEB1)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         grid = ParamGrid(theta_entry=(5.0,), theta_entry_short=(5.0,),
                          alpha=(2.0,), lookback=(4, 8), atr_window=3)
         for cost_cfg in COST_CONFIGS.values():
@@ -332,7 +332,7 @@ class TestBatchedSearchMatchesScalar:
         # return series (Sharpe 0.0 at rf 0, undefined otherwise).
         closes = [100.0 * 1.02 ** i for i in range(30)] + [100.0 * 1.02 ** 30] * 50
         series = make_series(closes, t0=FEB1, wick=0.0)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         window = (int(ts[30]), int(ts[-1]))
         for cost_cfg in COST_CONFIGS.values():
             self.assert_same_pick(series, window, ONE_CELL, cost_cfg, rf)
@@ -343,7 +343,7 @@ class TestBatchedSearchMatchesScalar:
 
     def test_one_cell_grid(self):
         series = gbm_series(np.random.default_rng(10), 80, vol=2.0, t0=FEB1)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         for cost_cfg in COST_CONFIGS.values():
             picks = self.assert_same_pick(series, (int(ts[5]), int(ts[-1])),
                                           ONE_CELL, cost_cfg)
@@ -356,7 +356,7 @@ class TestBatchedSearchMatchesScalar:
             gbm_series(np.random.default_rng(11), 100, vol=1.5, t0=FEB1),
             gap_every=4)
         assert series.gaps
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         for cost_cfg in COST_CONFIGS.values():
             self.assert_same_pick(series, (int(ts[3]), int(ts[-1])),
                                   SEARCH_GRID, cost_cfg)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.indicators import rolling_sharpe
-from adaptivetrend.market_data import (Bar, PriceSeries, SeriesArrays,
+from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
@@ -143,7 +143,7 @@ class TestRunSingleAsset:
         assert t.forced is True
         assert t.entry_px == 104.0
         assert t.exit_px == 109.0
-        assert t.exit_ts == s.arrays.timestamps[-1]
+        assert t.exit_ts == s.timestamps[-1]
         assert t.gross_pnl == pytest.approx(109.0 / 104.0 - 1.0, rel=1e-12)
         assert t.gross_pnl > 0
 
@@ -184,7 +184,7 @@ class TestRunSingleAsset:
             r = np.random.default_rng(400 + k)
             s = gbm_series(r, 150, vol=1.2)
             res = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS)
-            closes = s.arrays.close
+            closes = s.close
             pos = res.position
             stops = res.stop
             for i in range(1, len(pos)):
@@ -208,7 +208,7 @@ class TestRunSingleAsset:
 
     def test_window_confines_trades_and_final_bar_entry(self, rng):
         s = gbm_series(np.random.default_rng(77), 200, vol=1.2)
-        ts = s.arrays.timestamps
+        ts = s.timestamps
         window = (int(ts[50]), int(ts[120]))
         res = run_single_asset(s, PARAMS, window=window, cost_cfg=ZERO_COSTS)
         for t in res.trades:
@@ -277,7 +277,7 @@ class TestLedgerMatchesPerBar:
         if n:
             # Windows may start at bar 0, hold one bar, or hold none (past
             # the last bar).
-            ts = series.arrays.timestamps
+            ts = series.timestamps
             edge = lambda k: int(ts[min(k, n - 1)]) + (k >= n)  # noqa: E731
             window = tuple(edge(k) for k in sorted(bounds))
         kwargs = dict(side_enabled=side, window=window, size=size,
@@ -322,7 +322,7 @@ class TestTradeSearchMemo:
 
     @staticmethod
     def simulate(series, point):
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         lo, hi = point["window"]
         return run_single_asset(
             series, point["cell"], point["side"], (int(ts[lo]), int(ts[hi])),
@@ -339,8 +339,7 @@ class TestTradeSearchMemo:
             for point in walk + walk[:1]:
                 # A fresh copy of the series shares no memo entry.
                 fresh = PriceSeries(series.symbol, series.interval,
-                                    SeriesArrays(*(c.copy() for c in
-                                                   series.arrays.columns())))
+                                    *(c.copy() for c in series.columns()))
                 assert_same_result(self.simulate(series, point),
                                    self.simulate(fresh, point))
         searched = {(p["window"], p["cell"], p["side"], p["trailing"],
@@ -433,9 +432,9 @@ def flat_series(rng, n, *, gaps):
     """rough_series with up to two flat stretches, bars whose every price is
     the last close: after atr_window of them the ATR is exactly 0, so a stop
     sits exactly on the close (or the low) without breaching it."""
-    arr = rough_series(rng, n, INTERVAL, gaps=gaps, zero_volume=0.0).arrays
-    o, h, lo, c = (col.copy() for col in (arr.open, arr.high, arr.low,
-                                          arr.close))
+    rough = rough_series(rng, n, INTERVAL, gaps=gaps, zero_volume=0.0)
+    o, h, lo, c = (col.copy() for col in (rough.open, rough.high, rough.low,
+                                          rough.close))
     for _ in range(int(rng.integers(0, 3)) if n > 1 else 0):
         a = int(rng.integers(1, n))
         b = min(n, a + int(rng.integers(1, 12)))
@@ -443,8 +442,8 @@ def flat_series(rng, n, *, gaps):
         if b < n:  # the next bar opens where the stretch ended
             o[b] = c[a - 1]
             h[b], lo[b] = max(h[b], o[b], c[b]), min(lo[b], o[b], c[b])
-    return PriceSeries("RND", INTERVAL, SeriesArrays(arr.timestamps, o, h, lo,
-                                                     c, arr.volume))
+    return PriceSeries("RND", INTERVAL, rough.timestamps, o, h, lo, c,
+                       rough.volume)
 
 
 def per_cell(found, n_cells):
@@ -497,10 +496,9 @@ class TestFindTrades:
     (tests/scalar_reference.py), cell for cell and float for float."""
 
     def check(self, series, bounds, cells, side, trailing, intrabar):
-        found = find_trades(series.arrays, bounds, cells, side, trailing,
-                            intrabar)
+        found = find_trades(series, bounds, cells, side, trailing, intrabar)
         assert (np.diff(found.cell) >= 0).all()  # grouped by cell
-        search = scalar_reference.TradeSearch(series.arrays, bounds, trailing,
+        search = scalar_reference.TradeSearch(series, bounds, trailing,
                                               intrabar)
         want = [search.trades(cell, side) for cell in cells]
         assert per_cell(found, len(cells)) == want
@@ -545,8 +543,8 @@ class TestFindTrades:
         h = np.maximum(o, c) + np.where(c == 110.0, 0.0, 0.5)
         lo = np.minimum(o, c) - np.where(c == 110.0, 0.0, 0.5)
         ts = T0 + INTERVAL * np.arange(1, len(c) + 1, dtype=np.int64)
-        series = PriceSeries("RND", INTERVAL, SeriesArrays(
-            ts, o, h, lo, c, np.full(len(c), 1e6)))
+        series = PriceSeries("RND", INTERVAL, ts, o, h, lo, c,
+                             np.full(len(c), 1e6))
         cell = StrategyParams(0.001, 1e-4, 2.0, 2, 3)
         for intrabar in (False, True):
             trades = self.check(series, (0, len(c)), [cell], "long", True,
@@ -581,12 +579,12 @@ class TestGridSharpes:
     def test_every_cell_matches_engine(self, seed, vol, cost_cfg, start, side,
                                        trailing, intrabar):
         series = gbm_series(np.random.default_rng(seed), 60, vol=vol)
-        ts = series.arrays.timestamps
+        ts = series.timestamps
         window = (int(ts[start]), int(ts[-1]))
         execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
-        got = grid_sharpes(series.arrays, series.interval, series.symbol,
-                           self.CELLS, side, series.arrays.slice_indices(*window),
-                           cost_cfg, 0.045, **execution)
+        got = grid_sharpes(series, self.CELLS, side,
+                           series.slice_indices(*window), cost_cfg, 0.045,
+                           **execution)
         for cell, value in zip(self.CELLS, got):
             want = self.reference(series, cell, side, window, cost_cfg, 0.045,
                                   **execution)
@@ -594,12 +592,10 @@ class TestGridSharpes:
 
     def test_short_window_and_bad_side(self):
         series = gbm_series(np.random.default_rng(1), 30)
-        arr = series.arrays
-        assert np.isnan(grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "long",
-                                     (5, 6), ZERO_COSTS, 0.0)).all()
+        assert np.isnan(grid_sharpes(series, self.CELLS, "long", (5, 6),
+                                     ZERO_COSTS, 0.0)).all()
         with pytest.raises(EngineError):
-            grid_sharpes(arr, INTERVAL, "RND", self.CELLS, "both", (0, 30),
-                         ZERO_COSTS, 0.0)
+            grid_sharpes(series, self.CELLS, "both", (0, 30), ZERO_COSTS, 0.0)
 
 
 class TestLedgerIo:
@@ -640,7 +636,7 @@ class TestLedgerIo:
         # funding is +0.0 and prints as 0.0; a -0.0 would print as -0.0 and
         # change the ledger's bytes.
         series = make_series([100.0, 99.0, 98.0], t0=T0 - INTERVAL)
-        assert series.arrays.timestamps[0] == T0
+        assert series.timestamps[0] == T0
         found = Trades(cell=np.zeros(1, np.intp), entry=np.array([0]),
                        exit=np.array([1]), exit_px=np.array([99.0]),
                        forced=np.array([False]), short=np.array([True]))
