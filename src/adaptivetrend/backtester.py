@@ -325,18 +325,12 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
         rebalance_log.append(record)
         portfolios.append(portfolio)
 
-        results: List[SingleAssetResult] = []
-        for side, allocations in (("long", portfolio.longs),
-                                  ("short", portfolio.shorts)):
-            for alloc in allocations:
-                results.append(run_single_asset(
-                    market.series[alloc.symbol], alloc.params,
-                    side_enabled=side, window=window,
-                    size=alloc.weight * balance, cost_cfg=cfg.costs,
-                    trailing=cfg.trailing_stop_enabled,
-                    intrabar_stop_fill=cfg.intrabar_stop_fill,
-                ))
-        return results
+        return [run_single_asset(
+            market.series[alloc.symbol], alloc.params, window=window,
+            size=alloc.weight * balance, cost_cfg=cfg.costs,
+            trailing=cfg.trailing_stop_enabled,
+            intrabar_stop_fill=cfg.intrabar_stop_fill)
+            for alloc in portfolio.longs + portfolio.shorts]
 
     result = run_windows(market.timeline, month_windows(month_starts, cfg.end),
                          cfg, simulate, net_first=True)

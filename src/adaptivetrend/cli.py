@@ -670,6 +670,22 @@ def _read_json(path: str, keys: Sequence[str]) -> Optional[dict]:
     return data
 
 
+def _read_sweep(path: str) -> Optional[Tuple[List[str], List[List[str]]]]:
+    """sweep.csv's alpha, lambda and sharpe names and columns; None without
+    the file or those columns. Rows are checked against the file's own
+    header, which depends on the sweep's axis: a DataError names the path
+    and line of a row of another width."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    surface = ["alpha", "lambda", "sharpe"]
+    if not set(surface) <= set(header):
+        return None
+    rows = read_csv(path, header, list)
+    return surface, [[row[header.index(c)] for row in rows] for c in surface]
+
+
 def cmd_report(args) -> int:
     out = args.out
     if not os.path.isdir(out):
@@ -729,6 +745,7 @@ def cmd_report(args) -> int:
                     f" {boot['n_reps']} replications, block length"
                     f" {boot['block_len']}).")
     sections.append("")
+    sweep = _read_sweep(os.path.join(out, "sweep.csv"))
 
     # Plot-ready equity CSV.
     if curves:
@@ -743,18 +760,9 @@ def cmd_report(args) -> int:
         gaps.append("equity.csv missing: no equity export")
 
     # Sensitivity surface from an alpha x lambda sweep.
-    sweep_path = os.path.join(out, "sweep.csv")
-    if os.path.isfile(sweep_path):
-        # The sweep header depends on its axis, so read_csv cannot check it.
-        with open(sweep_path, newline="") as fh:
-            sweep_rows = list(csv.reader(fh))
-        header = sweep_rows[0] if sweep_rows else []
-        surface = ["alpha", "lambda", "sharpe"]
-        if set(surface) <= set(header):
-            write_columns(os.path.join(out, "sensitivity.csv"), surface,
-                          [[r[i] for r in sweep_rows[1:]]
-                           for i in map(header.index, surface)])
-            sections.append("Sensitivity surface: sensitivity.csv.")
+    if sweep is not None:
+        write_columns(os.path.join(out, "sensitivity.csv"), *sweep)
+        sections.append("Sensitivity surface: sensitivity.csv.")
     sections.append("")
 
     if gaps:

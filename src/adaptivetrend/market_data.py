@@ -238,6 +238,12 @@ class SyntheticSpec:
             raise DataError("regime durations must be positive")
         if any(v <= 0 for _, _, v in self.regimes):
             raise DataError("regime volatilities must be positive")
+        last = self.start + self.n_bars * self.interval
+        for name, ts in (("start", self.start), ("last bar", last)):
+            try:
+                date_of_ts(ts)
+            except (OverflowError, ValueError) as exc:
+                raise DataError(f"{name} {ts} has no UTC date") from exc
 
     @property
     def n_bars(self) -> int:

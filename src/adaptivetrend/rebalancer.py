@@ -163,21 +163,15 @@ def grid_cells(grid: ParamGrid, side: str) -> Tuple[StrategyParams, ...]:
 
     Cells are ordered by (entry threshold, alpha, lookback) ascending; the
     optimizer keeps the first cell achieving the maximum Sharpe, so earlier
-    cells win ties. The opposite side's threshold is disabled via +inf.
+    cells win ties. The opposite side's threshold is +inf, which turns it off.
     Built once per (grid, side): the result is an immutable tuple.
     """
-    thetas = grid.theta_entry if side == "long" else grid.theta_entry_short
-    cells = []
-    for theta in sorted(thetas):
-        for alpha in sorted(grid.alpha):
-            for lookback in sorted(grid.lookback):
-                if side == "long":
-                    cells.append(StrategyParams(theta, INF, alpha, lookback,
-                                                grid.atr_window))
-                else:
-                    cells.append(StrategyParams(INF, theta, alpha, lookback,
-                                                grid.atr_window))
-    return tuple(cells)
+    long = side == "long"
+    return tuple(
+        StrategyParams(theta if long else INF, INF if long else theta, alpha,
+                       lookback, grid.atr_window)
+        for theta in sorted(grid.theta_entry if long else grid.theta_entry_short)
+        for alpha in sorted(grid.alpha) for lookback in sorted(grid.lookback))
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,7 +185,6 @@ def _columns(grid: ParamGrid, search: ParamGrid, side: str) -> np.ndarray:
 def evaluate_cell(
     series: PriceSeries,
     params: StrategyParams,
-    side: str,
     window: Tuple[int, int],
     cost_cfg: CostConfig,
     rf_annual: float,
@@ -199,14 +192,15 @@ def evaluate_cell(
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> Optional[float]:
-    """Annualized Sharpe of the cell's net per-bar returns; None if unusable.
+    """Annualized Sharpe of the cell's net per-bar returns on the sides its
+    thresholds turn on (below +inf); None if unusable.
 
     Zero trades in the window, or a return series whose Sharpe is undefined,
     disqualify the cell. This is the one-cell reference that the
     Optimizer's batched search is tested against.
     """
-    result = run_single_asset(series, params, side_enabled=side, window=window,
-                              size=1.0, cost_cfg=cost_cfg, trailing=trailing,
+    result = run_single_asset(series, params, window=window, size=1.0,
+                              cost_cfg=cost_cfg, trailing=trailing,
                               intrabar_stop_fill=intrabar_stop_fill)
     if not result.trades:
         return None
@@ -307,7 +301,7 @@ class Optimizer:
         row = self._rows.get(row_key)
         if row is None:
             row = grid_sharpes(
-                series, grid_cells(search, side), side, (i0, i1), cfg.costs,
+                series, grid_cells(search, side), (i0, i1), cfg.costs,
                 cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
                 intrabar_stop_fill=cfg.intrabar_stop_fill)
             self.searches += 1
@@ -442,13 +436,6 @@ def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
 
 
 def params_to_dict(params: StrategyParams) -> dict:
-    """JSON-safe form; disabled (+inf) thresholds serialize as null."""
-    def enc(x: float) -> Optional[float]:
-        return None if math.isinf(x) else x
-    return {
-        "theta_entry": enc(params.theta_entry),
-        "theta_entry_short": enc(params.theta_entry_short),
-        "alpha": params.alpha,
-        "lookback": params.lookback,
-        "atr_window": params.atr_window,
-    }
+    """JSON-safe form, in field order; disabled (+inf) thresholds serialize
+    as null."""
+    return {k: None if math.isinf(v) else v for k, v in vars(params).items()}

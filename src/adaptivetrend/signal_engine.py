@@ -9,19 +9,20 @@ the exit bar itself.
 One trade search (``find_trades``) finds the trades of any number of cells
 at once, in array passes: a next-entry table per entry rule, an exit table
 per stop rule (binary lifting over a sparse table of minima), then one walk
-in which every cell jumps from entry to exit to next entry. Each series'
-ATR is computed once per ATR window (``series_atr``) and shared by every
-search over it; that memo and the one-cell trade memo (``_cell_trades``)
-are keyed weakly by the series. The trades stay the search's ``Trades``
-columns up to one ledger (``book_trades``, shared with the comparison
-benchmarks, whose positions are one-row ``Trades``), which accounts for
-them. ``run_single_asset`` is the two in turn: it returns the closed
-trades (with full cost attribution) and per-bar series, strategy returns
-for Sharpe evaluation plus currency-denominated realized / mark-to-market /
-cost components that let a caller audit account equity exactly.
-``grid_sharpes`` scores many cells of one side at once for the monthly
-grid search with the same search, so the optimizer scores the execution
-model that trades. It and the ledger price fills with one step
+in which every cell jumps from entry to exit to next entry. A cell trades
+the sides whose thresholds are below +inf; no caller names a side. Each
+series' ATR is computed once per ATR window (``series_atr``) and shared by
+every search over it; that memo and the one-cell trade memo
+(``_cell_trades``) are keyed weakly by the series. The trades stay the
+search's ``Trades`` columns up to one ledger (``book_trades``, shared with
+the comparison benchmarks, whose positions are one-row ``Trades``), which
+accounts for them. ``run_single_asset`` is the two in turn: it returns the
+closed trades (with full cost attribution) and per-bar series, strategy
+returns for Sharpe evaluation plus currency-denominated realized /
+mark-to-market / cost components that let a caller audit account equity
+exactly. ``grid_sharpes`` scores many one-sided cells at once for the
+monthly grid search with the same search, so the optimizer scores the
+execution model that trades. It and the ledger price fills with one step
 (``_fills``), so both pay the same costs.
 """
 
@@ -36,8 +37,6 @@ from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, fill_costs,
                          funding_schedule)
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import PriceSeries, bars_per_year, read_csv, write_columns
-
-SIDE_CHOICES = ("long", "short", "both")
 
 LEDGER_HEADER = [
     "symbol", "side", "entry_ts", "entry_px", "exit_ts", "exit_px", "size",
@@ -55,9 +54,10 @@ class StrategyParams:
 
     theta_entry / theta_entry_short are fractional-return entry thresholds
     (momentum must exceed theta_entry to open a long, fall below
-    -theta_entry_short to open a short); +inf disables the side. alpha scales
-    the ATR stop distance; lookback is the momentum window and atr_window the
-    ATR window, both in bars.
+    -theta_entry_short to open a short); +inf turns the side off, the only
+    switch there is: every search reads a cell's sides off its thresholds.
+    alpha scales the ATR stop distance; lookback is the momentum window and
+    atr_window the ATR window, both in bars.
     """
 
     theta_entry: float
@@ -307,17 +307,19 @@ def find_trades(
     series: PriceSeries,
     bounds: Tuple[int, int],
     cells: Sequence[StrategyParams],
-    side_enabled: str,
+    *,
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> Trades:
     """The trades of every cell in one window of bars [i0, i1), under one
     execution model.
 
-    A cell enters at the close of a bar whose momentum passes the side's
-    threshold, from its first bar with defined indicators on, never on the
-    window's final bar, and again only from the bar after an exit; with
-    side_enabled "both" the earlier side's signal enters, long on a tie.
+    A cell enters at the close of a bar whose momentum passes one of its
+    thresholds, from its first bar with defined indicators on, never on the
+    window's final bar, and again only from the bar after an exit. A +inf
+    threshold turns its side off; a cell with both sides on enters on the
+    earlier side's signal, long on a tie. The search covers every side that
+    any of its cells turns on.
     Entering on bar e sets the stop to the candidate close -/+ alpha * ATR.
     With ``trailing`` the stop after bar j is the running max (long) or min
     (short) of the candidates of bars e..j, else it stays at bar e's. The
@@ -341,19 +343,23 @@ def find_trades(
     n = i1 - i0
     if n < 2 or not cells:
         return NO_TRADES
-    both = side_enabled == "both"
-    shorts = (False, True) if both else (side_enabled == SHORT,)
     entry_keys, entry_of = _rows([
         (c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
         for c in cells])
+    theta_long, theta_short, lookback, atr_window = entry_keys.T
+    # The sides that any cell turns on: side k holds row k of the stop
+    # candidates and block k of the exits and entry slots.
+    shorts = [short for short in (False, True)
+              if ((theta_short if short else theta_long) < math.inf).any()]
+    if not shorts:
+        return NO_TRADES
     exit_keys, exit_of = _rows([(c.alpha, c.atr_window) for c in cells])
 
     # Entry slots: row u, column p is the first entry at or after bar p of
-    # the cells of entry row u. A slot is the entry bar, plus n + 1 for a
-    # short entry of a "both" search; the last slot, ``none``, means none.
-    # Columns n and n + 1 hold it, so a walk that reaches them stops.
+    # the cells of entry row u. A slot is the entry bar plus k * (n + 1) for
+    # side k; the last slot, ``none``, means none. Columns n and n + 1 hold
+    # it, so a walk that reaches them stops.
     none = len(shorts) * (n + 1) - 1
-    theta_long, theta_short, lookback, atr_window = entry_keys.T
     lookbacks = lookback.astype(int).tolist()
     moms: Dict[int, np.ndarray] = {}
     for bars in lookbacks:
@@ -372,7 +378,7 @@ def find_trades(
                   else mom > theta_long[:, None])
         nexts.append(_reversed_min(np.where(signal, np.arange(n + 2), n)))
     slots = nexts[0]
-    if both:
+    if len(nexts) == 2:
         slots = np.where(nexts[0] <= nexts[1], nexts[0], nexts[1] + n + 1)
         slots[slots == n] = none
 
@@ -412,19 +418,15 @@ def find_trades(
     cell = live.nonzero()[0]
     slot = steps[live]
     x = np.array(exited).T[live]
-    if both:  # a short slot is past the long side's n + 1
-        short = slot > n
-        entry = slot - short * (n + 1)
-    else:
-        short = np.full(len(slot), shorts[0])
-        entry = slot
+    side = (slot > n).astype(np.intp)
+    entry = slot - side * (n + 1)
+    short = np.array(shorts)[side]
     forced = x == n
     exit_bar = np.minimum(x, n - 1)
     exit_px = close[exit_bar]
     if intrabar_stop_fill:
         hit = ~forced
-        side = short[hit].astype(np.intp) if both else 0  # rows of cands
-        args = (side, exit_of[cell[hit]], entry[hit], x[hit])
+        args = (side[hit], exit_of[cell[hit]], entry[hit], x[hit])
         stop = (_stop_max(np.stack(cands), *args) if trailing
                 else np.stack(cands)[args[:3]])
         sign = np.where(short[hit], -1.0, 1.0)
@@ -495,18 +497,18 @@ _trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
 
 
 def _cell_trades(series: PriceSeries, bounds: Tuple[int, int],
-                 params: StrategyParams, side_enabled: str, trailing: bool,
+                 params: StrategyParams, trailing: bool,
                  intrabar_stop_fill: bool) -> Trades:
-    """find_trades of one cell, run once per (series, bounds, cell, side,
+    """find_trades of one cell, run once per (series, bounds, cell,
     execution flags): the runs that trade a cell at different sizes (the
     lambda points of a sweep) share it, since only the ledger reads the
     size. Keyed weakly by the series, as series_atr is; the found columns
     are made read-only, since every caller shares them."""
     memo = _trades_memo.setdefault(series, {})
-    key = (bounds, params, side_enabled, trailing, intrabar_stop_fill)
+    key = (bounds, params, trailing, intrabar_stop_fill)
     if key not in memo:
-        found = find_trades(series, bounds, (params,), side_enabled, trailing,
-                            intrabar_stop_fill)
+        found = find_trades(series, bounds, (params,), trailing=trailing,
+                            intrabar_stop_fill=intrabar_stop_fill)
         for column in found:
             column.flags.writeable = False
         memo[key] = found
@@ -516,15 +518,15 @@ def _cell_trades(series: PriceSeries, bounds: Tuple[int, int],
 def run_single_asset(
     series: PriceSeries,
     params: StrategyParams,
-    side_enabled: str = "both",
-    window: Optional[Tuple[int, int]] = None,
     *,
+    window: Optional[Tuple[int, int]] = None,
     size: float = 1.0,
     cost_cfg: CostConfig = ZERO_COSTS,
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> SingleAssetResult:
-    """Trade one cell over the bars with timestamps in [window start, end].
+    """Trade one cell over the bars with timestamps in [window start, end],
+    on the sides whose thresholds are below +inf.
 
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
@@ -534,13 +536,10 @@ def run_single_asset(
     """
     if size <= 0:
         raise EngineError(f"size must be > 0, got {size}")
-    if side_enabled not in SIDE_CHOICES:
-        raise EngineError(f"side_enabled must be one of {SIDE_CHOICES}")
     bounds = ((0, len(series)) if window is None
               else series.slice_indices(*window))
     i0, i1 = bounds
-    found = _cell_trades(series, bounds, params, side_enabled, trailing,
-                         intrabar_stop_fill)
+    found = _cell_trades(series, bounds, params, trailing, intrabar_stop_fill)
     result = book_trades(series, bounds, found, size, cost_cfg)
     # The stop in force after each bar of a trade, into the ledger's
     # all-NaN stop path (NaN when flat).
@@ -567,7 +566,6 @@ def run_single_asset(
 def grid_sharpes(
     series: PriceSeries,
     cells: Sequence[StrategyParams],
-    side: str,
     bounds: Tuple[int, int],
     cost_cfg: CostConfig,
     rf_annual: float,
@@ -577,19 +575,25 @@ def grid_sharpes(
 ) -> np.ndarray:
     """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if unusable.
 
+    Every cell must turn on one side, the same for all, by its threshold
+    below +inf, and the other off with +inf; an EngineError says otherwise.
     Element k equals, bit for bit, the Sharpe of run_single_asset with
-    cells[k], side_enabled=side, size 1.0 and the same execution flags over
-    the same bars, and is NaN where that run has no trade or an undefined
-    Sharpe. One find_trades call finds every cell's trades; the returns of
-    all cells are then netted as one matrix.
+    cells[k], size 1.0 and the same execution flags over the same bars, and
+    is NaN where that run has no trade or an undefined Sharpe. One
+    find_trades call finds every cell's trades; the returns of all cells are
+    then netted as one matrix.
     """
-    if side not in (LONG, SHORT):
-        raise EngineError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
+    sides = {(c.theta_entry < math.inf, c.theta_entry_short < math.inf)
+             for c in cells}
+    if sides not in ({(True, False)}, {(False, True)}):
+        raise EngineError("grid_sharpes needs cells that all turn on one"
+                          " side, long or short, and the other off with +inf")
+    side = LONG if sides == {(True, False)} else SHORT
     i0, i1 = bounds
     n = i1 - i0
     sharpes = np.full(len(cells), np.nan)
-    found = find_trades(series, bounds, cells, side, trailing,
-                        intrabar_stop_fill)
+    found = find_trades(series, bounds, cells, trailing=trailing,
+                        intrabar_stop_fill=intrabar_stop_fill)
     m = len(found.cell)
     if not m:
         return sharpes

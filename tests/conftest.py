@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import math
+from dataclasses import replace
 from datetime import date
 from typing import Dict, Optional, Sequence
 
@@ -12,6 +13,7 @@ from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import (DEFAULT_RF_ANNUAL, Bar, CapIndex,
                                        MarketCapRecord, PriceSeries)
 from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
+from adaptivetrend.signal_engine import StrategyParams
 from scalar_reference import columns
 
 INTERVAL = 21_600
@@ -165,6 +167,17 @@ def solve_cfg(grid, cost=ZERO_COSTS, rf=DEFAULT_RF_ANNUAL, trailing=True,
         start=FEB1, end=MAR1, interval=INTERVAL,
         rebalance=RebalanceConfig(grid=grid, rf_annual=rf), costs=cost,
         trailing_stop_enabled=trailing, intrabar_stop_fill=intrabar)
+
+
+def sided(params: StrategyParams, side: str) -> StrategyParams:
+    """The cell that trades what a reference run with ``side_enabled=side``
+    trades: the other side's threshold at +inf for "long" or "short", the
+    cell itself for "both"."""
+    if side == "long":
+        return replace(params, theta_entry_short=math.inf)
+    if side == "short":
+        return replace(params, theta_entry=math.inf)
+    return params
 
 
 def solve_alone(series: PriceSeries, side: str, window, cfg):

@@ -43,12 +43,15 @@ from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
 from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
-from adaptivetrend.signal_engine import (LEDGER_HEADER, SIDE_CHOICES,
-                                         EngineError, SingleAssetResult,
-                                         StrategyParams, TradeRecord,
-                                         gross_pnl)
+from adaptivetrend.signal_engine import (LEDGER_HEADER, EngineError,
+                                         SingleAssetResult, StrategyParams,
+                                         TradeRecord, gross_pnl)
 
 INF = math.inf
+
+# The sides a reference run may trade. The engine itself has no such
+# switch: a cell's +inf threshold turns its side off.
+SIDE_CHOICES = ("long", "short", "both")
 
 # A trade as TradeSearch finds it: entry bar, exit bar (both local to the
 # window), exit price, side and the forced flag.

@@ -277,8 +277,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
             got = solve_alone(series, side, window, cfg)
             best = None
             for cell in grid_cells(grid, side):
-                sharpe = evaluate_cell(series, cell, side, window, ZERO_COSTS,
-                                       rf)
+                sharpe = evaluate_cell(series, cell, window, ZERO_COSTS, rf)
                 if sharpe is not None and (best is None or sharpe > best[0]):
                     best = (sharpe, cell)
             if best is None:
@@ -286,7 +285,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
                 continue
             assert got == CandidateResult(series.symbol, best[1], best[0])
             # Cross-check the winning Sharpe by direct recomputation.
-            res = run_single_asset(series, best[1], side, window)
+            res = run_single_asset(series, best[1], window=window)
             r = res.net_returns
             manual = ((float(np.mean(r)) - rf / bpy)
                       / float(np.std(r, ddof=1)) * math.sqrt(bpy))
@@ -302,7 +301,7 @@ def test_c04_optimizer_pick_matches_exhaustive_rescan():
     assert got is not None
     assert got.params.theta_entry == 0.01 and got.params.alpha == 1.5
     tied = [cell for cell in grid_cells(grid, "long")
-            if evaluate_cell(steady, cell, "long", window, ZERO_COSTS, rf)
+            if evaluate_cell(steady, cell, window, ZERO_COSTS, rf)
             == got.sharpe]
     assert len(tied) >= 2 and tied[0] == got.params
     check_budget(started, 10.0)

@@ -296,7 +296,11 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--interval", "-5", "error: interval must be > 0"),
-        ("--seed", "-1", "error: seed must be >= 0")], ids=["interval", "seed"])
+        ("--seed", "-1", "error: seed must be >= 0"),
+        ("--start", "-99999999999999",
+         "error: start -99999999999999 has no UTC date"),
+        ("--start", "253402300000", "error: last bar 253402732000 has no"
+         " UTC date")], ids=["interval", "seed", "start", "last-bar"])
     def test_nonpositive_interval_reported(self, tmp_path, capsys, flag,
                                            value, message):
         assert main(["synth", "--out", str(tmp_path / "d")] + self.ARGS
@@ -635,6 +639,23 @@ class TestReport:
         assert main(["report", "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target}: {message}")
+        assert not [p for p in os.listdir(run)
+                    if p.startswith("report") or p == "sensitivity.csv"]
+
+    @pytest.mark.parametrize("text, line, width", [
+        ("alpha,lambda,sharpe\n1.0\n", 2, 1),
+        ("alpha,lambda,sharpe\n1.0,0.7,0.5\n\n2.0,0.7\n", 4, 2),
+    ], ids=["first-row", "later-row"])
+    def test_bad_sweep_is_a_clean_error(self, ws, tmp_path, capsys, text,
+                                        line, width):
+        run = tmp_path / "run"
+        shutil.copytree(ws.run, run, ignore=shutil.ignore_patterns(
+            "report*", "sensitivity.csv"))
+        (run / "sweep.csv").write_text(text)
+        assert main(["report", "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {run / 'sweep.csv'}: line {line}: expected 3"
+                       f" columns, got {width}\n")
         assert not [p for p in os.listdir(run)
                     if p.startswith("report") or p == "sensitivity.csv"]
 

@@ -133,25 +133,24 @@ def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):
 
 def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
     # The lambda points of an alpha trade the same cells at other sizes;
-    # only the ledger reads the size, so each (symbol, cell, window, side)
-    # of the month simulations is searched once.
+    # only the ledger reads the size, so each (symbol, cell, window) of the
+    # month simulations is searched once.
     month_sim = backtester.run_single_asset
     find_trades = signal_engine.find_trades
     sims, searches, inside = [], [], []
 
     def traded(series, params, **kwargs):
-        sims.append((series.symbol, params, kwargs["window"],
-                     kwargs["side_enabled"]))
+        sims.append((series.symbol, params, kwargs["window"]))
         inside.append(True)
         try:
             return month_sim(series, params, **kwargs)
         finally:
             inside.pop()
 
-    def searched(series, bounds, cells, side, *args):
+    def searched(series, bounds, cells, **kwargs):
         if inside:
-            searches.append((id(series), bounds, tuple(cells), side))
-        return find_trades(series, bounds, cells, side, *args)
+            searches.append((id(series), bounds, tuple(cells)))
+        return find_trades(series, bounds, cells, **kwargs)
 
     monkeypatch.setattr(backtester, "run_single_asset", traded)
     monkeypatch.setattr(signal_engine, "find_trades", searched)

@@ -182,8 +182,7 @@ class TestOptimizeParams:
                 best = None
                 best_sharpe = -INF
                 for cell in grid_cells(grid, side):
-                    sharpe = evaluate_cell(s, cell, side, window, ZERO_COSTS,
-                                           0.045)
+                    sharpe = evaluate_cell(s, cell, window, ZERO_COSTS, 0.045)
                     if sharpe is not None and sharpe > best_sharpe:
                         best, best_sharpe = cell, sharpe
                 got = solve_alone(s, side, window, solve_cfg(grid))
@@ -203,7 +202,7 @@ def scalar_pick(series, side, window, grid, cost_cfg, rf_annual=0.045,
         return None
     best, best_sharpe = None, -INF
     for cell in grid_cells(grid, side):
-        sharpe = evaluate_cell(series, cell, side, window, cost_cfg, rf_annual,
+        sharpe = evaluate_cell(series, cell, window, cost_cfg, rf_annual,
                                **execution)
         if sharpe is not None and sharpe > best_sharpe:
             best, best_sharpe = cell, sharpe

@@ -1,6 +1,7 @@
 """Trade search (entries, trailing stops, exits) and trade ledger accounting."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,16 +14,16 @@ from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
-from adaptivetrend.signal_engine import (SIDE_CHOICES, EngineError,
-                                         StrategyParams, TradeRecord, Trades,
-                                         _stop_max, book_trades, find_trades,
+from adaptivetrend.signal_engine import (EngineError, StrategyParams,
+                                         TradeRecord, Trades, _stop_max,
+                                         book_trades, find_trades,
                                          grid_sharpes, gross_pnl, read_ledger,
                                          run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
-                      rough_series)
+                      rough_series, sided)
 import scalar_reference
-from scalar_reference import Position, step
+from scalar_reference import SIDE_CHOICES, Position, step
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
@@ -280,12 +281,12 @@ class TestLedgerMatchesPerBar:
             ts = series.timestamps
             edge = lambda k: int(ts[min(k, n - 1)]) + (k >= n)  # noqa: E731
             window = tuple(edge(k) for k in sorted(bounds))
-        kwargs = dict(side_enabled=side, window=window, size=size,
-                      cost_cfg=COST_CHOICES[cost], trailing=trailing,
-                      intrabar_stop_fill=intrabar)
-        assert_same_result(run_single_asset(series, params, **kwargs),
-                           scalar_reference.run_single_asset(series, params,
-                                                             **kwargs))
+        kwargs = dict(window=window, size=size, cost_cfg=COST_CHOICES[cost],
+                      trailing=trailing, intrabar_stop_fill=intrabar)
+        assert_same_result(run_single_asset(series, sided(params, side),
+                                            **kwargs),
+                           scalar_reference.run_single_asset(
+                               series, params, side_enabled=side, **kwargs))
 
 
 # Month-simulation points: each field takes one of these values. Windows are
@@ -317,17 +318,19 @@ def sim_walks(draw):
 
 class TestTradeSearchMemo:
     """run_single_asset finds a cell's trades once per (series, window,
-    cell, side, execution flags) and books them at every size; no run may
-    get the trades of another."""
+    cell, execution flags) and books them at every size; no run may get the
+    trades of another. A point's side picks which of the cell's thresholds
+    stay below +inf."""
 
     @staticmethod
     def simulate(series, point):
         ts = series.timestamps
         lo, hi = point["window"]
         return run_single_asset(
-            series, point["cell"], point["side"], (int(ts[lo]), int(ts[hi])),
-            size=point["size"], cost_cfg=COST_CHOICES[point["cost"]],
-            trailing=point["trailing"], intrabar_stop_fill=point["intrabar"])
+            series, sided(point["cell"], point["side"]),
+            window=(int(ts[lo]), int(ts[hi])), size=point["size"],
+            cost_cfg=COST_CHOICES[point["cost"]], trailing=point["trailing"],
+            intrabar_stop_fill=point["intrabar"])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), walk=sim_walks())
@@ -342,7 +345,7 @@ class TestTradeSearchMemo:
                                     *(c.copy() for c in series.columns()))
                 assert_same_result(self.simulate(series, point),
                                    self.simulate(fresh, point))
-        searched = {(p["window"], p["cell"], p["side"], p["trailing"],
+        searched = {(p["window"], sided(p["cell"], p["side"]), p["trailing"],
                      p["intrabar"]) for p in walk}
         # One search per distinct key on the shared series, one per point
         # on the fresh copies.
@@ -496,7 +499,8 @@ class TestFindTrades:
     (tests/scalar_reference.py), cell for cell and float for float."""
 
     def check(self, series, bounds, cells, side, trailing, intrabar):
-        found = find_trades(series, bounds, cells, side, trailing, intrabar)
+        found = find_trades(series, bounds, [sided(c, side) for c in cells],
+                            trailing=trailing, intrabar_stop_fill=intrabar)
         assert (np.diff(found.cell) >= 0).all()  # grouped by cell
         search = scalar_reference.TradeSearch(series, bounds, trailing,
                                               intrabar)
@@ -520,6 +524,31 @@ class TestFindTrades:
         i0 = min(start, n)
         self.check(series, (i0, min(i0 + length, n)), cells, side, trailing,
                    intrabar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+           gaps=st.booleans(), start=st.integers(0, 60),
+           trailing=st.booleans(), intrabar=st.booleans(),
+           cells=st.lists(CELL, min_size=1, max_size=3), data=st.data())
+    def test_mixed_sides_trade_as_each_cell_alone(self, seed, n, gaps, start,
+                                                  trailing, intrabar, cells,
+                                                  data):
+        # Each cell long-only, short-only, two-sided and with both
+        # thresholds at +inf, in a random order: one search covers both
+        # sides, and every cell trades only the sides it turns on.
+        mixed = data.draw(st.permutations([
+            kind for c in cells for kind in (
+                sided(c, "long"), sided(c, "short"), c,
+                replace(c, theta_entry=math.inf, theta_entry_short=math.inf))
+        ]))
+        series = flat_series(np.random.default_rng(seed), n, gaps=gaps)
+        bounds = (min(start, n), n)
+        execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
+        found = find_trades(series, bounds, mixed, **execution)
+        assert (np.diff(found.cell) >= 0).all()  # grouped by cell
+        alone = [per_cell(find_trades(series, bounds, [c], **execution), 1)[0]
+                 for c in mixed]
+        assert per_cell(found, len(mixed)) == alone
 
     def test_no_entry_before_the_atr_warm_up(self):
         # Momentum is defined from bar 1 and passes the threshold on every
@@ -560,9 +589,9 @@ class TestGridSharpes:
              for alpha in (0.5, 2.0, 6.0)
              for lookback in (1, 3, 9)]
 
-    def reference(self, series, cell, side, window, cost_cfg, rf, **execution):
-        res = run_single_asset(series, cell, side_enabled=side, window=window,
-                               cost_cfg=cost_cfg, **execution)
+    def reference(self, series, cell, window, cost_cfg, rf, **execution):
+        res = run_single_asset(series, cell, window=window, cost_cfg=cost_cfg,
+                               **execution)
         if not res.trades:
             return None
         return rolling_sharpe(res.net_returns, rf, bars_per_year(series.interval))
@@ -582,20 +611,24 @@ class TestGridSharpes:
         ts = series.timestamps
         window = (int(ts[start]), int(ts[-1]))
         execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
-        got = grid_sharpes(series, self.CELLS, side,
-                           series.slice_indices(*window), cost_cfg, 0.045,
-                           **execution)
-        for cell, value in zip(self.CELLS, got):
-            want = self.reference(series, cell, side, window, cost_cfg, 0.045,
+        cells = [sided(cell, side) for cell in self.CELLS]
+        got = grid_sharpes(series, cells, series.slice_indices(*window),
+                           cost_cfg, 0.045, **execution)
+        for cell, value in zip(cells, got):
+            want = self.reference(series, cell, window, cost_cfg, 0.045,
                                   **execution)
             assert (math.isnan(value) if want is None else value == want), cell
 
     def test_short_window_and_bad_side(self):
         series = gbm_series(np.random.default_rng(1), 30)
-        assert np.isnan(grid_sharpes(series, self.CELLS, "long", (5, 6),
+        longs = [sided(cell, "long") for cell in self.CELLS]
+        assert np.isnan(grid_sharpes(series, longs, (5, 6),
                                      ZERO_COSTS, 0.0)).all()
-        with pytest.raises(EngineError):
-            grid_sharpes(series, self.CELLS, "both", (0, 30), ZERO_COSTS, 0.0)
+        # Every cell must turn on the one side that all of them trade.
+        for cells in (self.CELLS, longs[:3] + [sided(self.CELLS[3], "short")],
+                      longs + [sided(longs[0], "short")], []):
+            with pytest.raises(EngineError):
+                grid_sharpes(series, cells, (0, 30), ZERO_COSTS, 0.0)
 
 
 class TestLedgerIo:
