@@ -7,7 +7,8 @@ Positions are force-closed at month end, so each month's PnL is fully
 realized before the next month is sized. Capital freed by an intra-month
 exit idles until the month ends (weights are set once per month).
 
-Ablation variants toggle one pipeline component each and reuse the same loop.
+An ablation variant is a config, ``ablation_config(cfg, variant)``, with one
+pipeline component toggled, and ``run_backtest`` runs it like any other.
 The loop over months itself (``run_windows``: marking, the balance roll, the
 halt at bankruptcy and the metrics) is shared with the comparison benchmarks,
 and its ``BacktestResult`` is the one result of every run. Every run over one
@@ -356,14 +357,6 @@ def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
         return replace(cfg, reoptimize_enabled=False)
     raise ValueError(f"unknown ablation variant {variant!r};"
                      f" expected one of {ABLATION_VARIANTS}")
-
-
-def run_ablation(market: Market, cfg: BacktestConfig,
-                 variant: str) -> BacktestResult:
-    """Run one ablation variant.
-
-    Variants run over one market share its solved grid searches."""
-    return run_backtest(market, ablation_config(cfg, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+# run_backtest is called as backtester.run_backtest, so that a hook patched
+# onto the module (perfbench's tracer) sees every run.
+from . import __version__, backtester
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
                         write_regime_csv, RegimeSeries, REGIME_CSV_HEADER,
                         REGIME_WINDOW_DAYS)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
-                         ablation_config, load_equity, run_ablation,
-                         save_equity, ABLATION_VARIANTS)
+                         ablation_config, load_equity, save_equity,
+                         ABLATION_VARIANTS)
 from .benchmarks import (BenchmarkSpec, buy_hold_symbol, run_benchmark,
                          top_cap_symbol)
 from .cost_model import CostConfig, load_funding_rates
@@ -157,13 +159,8 @@ CONFIG_SCHEMA = {
     "run.variant": (lambda s: _known("ablation variant", s.strip(),
                                      ABLATION_VARIANTS), "full"),
     "run.label": (_parse_str, None),
-    "engine.trailing_stop": (_parse_bool,
-                             BacktestConfig.trailing_stop_enabled),
     "engine.intrabar_stop_fill": (_parse_bool,
                                   BacktestConfig.intrabar_stop_fill),
-    "engine.cap_filter": (_parse_bool, BacktestConfig.cap_filter_enabled),
-    "engine.sharpe_filter": (_parse_bool, True),
-    "engine.reoptimize": (_parse_bool, BacktestConfig.reoptimize_enabled),
     "rebalance.k_long": (int, RebalanceConfig.k_long),
     "rebalance.k_short": (int, RebalanceConfig.k_short),
     "rebalance.gamma_long": (_parse_float, RebalanceConfig.gamma_long),
@@ -272,20 +269,17 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
         interval=cfg["data.interval"],
         rebalance=rebalance,
         costs=costs,
-        trailing_stop_enabled=cfg["engine.trailing_stop"],
-        cap_filter_enabled=cfg["engine.cap_filter"],
-        reoptimize_enabled=cfg["engine.reoptimize"],
         intrabar_stop_fill=cfg["engine.intrabar_stop_fill"],
     )
-    return (bt_cfg if cfg["engine.sharpe_filter"]
-            else ablation_config(bt_cfg, "no_sharpe_filter"))
+    return ablation_config(bt_cfg, cfg["run.variant"])
 
 
 def run_label(cfg: Dict[str, object], bt_cfg: BacktestConfig) -> str:
+    """run.label, or the long/short split that bt_cfg runs and the variant."""
     if cfg["run.label"]:
         return str(cfg["run.label"])
     variant = cfg["run.variant"]
-    lam = ablation_config(bt_cfg, variant).rebalance.long_ratio
+    lam = bt_cfg.rebalance.long_ratio
     label = f"AdaptiveTrend ({round(lam * 100)}/{round(100 - lam * 100)})"
     if variant != "full":
         label += f" [{variant}]"
@@ -468,7 +462,7 @@ def cmd_backtest(args) -> int:
         return 1
 
     label = run_label(cfg, bt_cfg)
-    result = run_ablation(market, bt_cfg, variant)
+    result = backtester.run_backtest(market, bt_cfg)
     out = args.out
     _write_run_artifacts(out, label, variant, result)
     write_json(os.path.join(out, "rebalance_log.json"), result.rebalance_log)
@@ -543,6 +537,10 @@ def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     try:
         cfg = resolve_config(args.config)
+        if (args.axis == "alpha_lambda"
+                and cfg["run.variant"] == "symmetric_allocation"):
+            raise ConfigError("the alpha_lambda axis sets the long ratio that"
+                              " run.variant symmetric_allocation fixes at 0.5")
         base_cfg = build_backtest_config(cfg)
         data_dir = data_dir_from(cfg, None)
         universe, caps = load_universe(data_dir, base_cfg.interval)
@@ -559,12 +557,11 @@ def cmd_sweep(args) -> int:
 
     header = SWEEP_HEADERS[args.axis] + METRIC_COLUMNS
     rows: List[List[object]] = []
-    variant = str(cfg["run.variant"])
     counters: Counter = Counter()
     for series, points in sweep_groups(args.axis, base_cfg, universe):
         market = Market(series, caps, [p.rebalance.grid for _, p in points])
         for prefix, point in points:
-            metrics = run_ablation(market, point, variant).metrics.to_dict()
+            metrics = backtester.run_backtest(market, point).metrics.to_dict()
             rows.append(prefix + [metrics[c] for c in METRIC_COLUMNS])
         counters.update(optimizer_counters(market.optimizer))
 

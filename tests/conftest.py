@@ -193,21 +193,30 @@ def rng():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One pass/fail line per acceptance criterion (tests/test_acceptance.py)."""
+    """One pass/fail line per acceptance criterion (tests/test_acceptance.py),
+    or one line saying that the criteria file failed to collect."""
     outcomes = {}
+    uncollected = False
     for reports in terminalreporter.stats.values():
         for rep in reports:
             nodeid = getattr(rep, "nodeid", "")
             if "test_acceptance.py" not in nodeid:
+                continue
+            if "::" not in nodeid:
+                # the file's own collection report, not a criterion
+                uncollected |= getattr(rep, "failed", False)
                 continue
             name = nodeid.split("::")[-1]
             if getattr(rep, "failed", False):
                 outcomes[name] = "FAIL"
             elif getattr(rep, "passed", False) and rep.when == "call":
                 outcomes.setdefault(name, "PASS")
-    if not outcomes:
+    if not outcomes and not uncollected:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
+    if uncollected:
+        terminalreporter.write_line(
+            "test_acceptance.py failed to collect: no criterion ran")
     for name in sorted(outcomes):
         parts = name.split("_")
         number = int(parts[1].lstrip("c"))

@@ -17,7 +17,7 @@ from adaptivetrend.analytics import (BEAR, BULL, SIDEWAYS,
                                      bootstrap_sharpe_test, classify_regimes,
                                      max_drawdown)
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
-                                      month_starts_between, run_ablation,
+                                      ablation_config, month_starts_between,
                                       run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import (SyntheticSpec, bars_per_year, date_of_ts,
@@ -417,7 +417,8 @@ def test_c07_higher_fees_never_raise_annual_return():
                            funding_rate_per_8h=0.0)
         cfg = BacktestConfig(start=FEB1, end=JUN30, initial_balance=100_000.0,
                              rebalance=reb, costs=costs)
-        result = run_ablation(market_of(universe, caps), cfg, "full")
+        result = run_backtest(market_of(universe, caps),
+                              ablation_config(cfg, "full"))
         anns.append(result.metrics.ann_return)
         counts.append(len(result.trades))
 
@@ -449,7 +450,8 @@ def test_c08_long_bias_outperforms_even_split_on_uptrend():
             cfg = BacktestConfig(start=FEB1, end=AUG1,
                                  initial_balance=10_000.0, rebalance=reb,
                                  costs=CostConfig())
-            result = run_ablation(market_of(universe, caps), cfg, "full")
+            result = run_backtest(market_of(universe, caps),
+                                  ablation_config(cfg, "full"))
             assert len(result.trades) > 0
             anns[lam] = result.metrics.ann_return
         assert anns[0.7] >= anns[0.5], f"seed {seed}: {anns}"
@@ -533,7 +535,8 @@ def test_c12_all_ablation_variants_complete_and_differ():
     assert len(ABLATION_VARIANTS) == 6
     reports = {}
     for variant in ABLATION_VARIANTS:
-        result = run_ablation(market_of(universe, caps), cfg, variant)
+        result = run_backtest(market_of(universe, caps),
+                              ablation_config(cfg, variant))
         assert not result.equity.bankrupt, variant
         assert len(result.trades) > 0, variant
         reports[variant] = result.metrics.to_dict()

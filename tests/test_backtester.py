@@ -12,7 +12,7 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       EquityCurve, Market, ablation_config,
                                       aggregate_results, load_equity,
                                       month_starts_between, month_windows,
-                                      run_ablation, run_backtest, run_windows,
+                                      run_backtest, run_windows,
                                       save_equity, snap_to_month,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
@@ -521,20 +521,10 @@ class TestAblations:
             ablation_config(cfg, "bogus")
         assert len(ABLATION_VARIANTS) == 6
 
-    def test_full_variant_matches_plain_run(self):
-        universe, caps = self.universe_two_months()
-        cfg = self.base_cfg()
-        result = run_ablation(market_of(universe, caps), cfg, "full")
-        plain = run_backtest(market_of(universe, caps), cfg)
-        np.testing.assert_array_equal(result.equity.balances,
-                                      plain.equity.balances)
-        assert result.trades == plain.trades
-        assert result.metrics.sharpe is not None
-
     def test_symmetric_allocation_weights(self):
         universe, caps = self.universe_two_months()
-        result = run_ablation(market_of(universe, caps), self.base_cfg(),
-                              "symmetric_allocation")
+        result = run_backtest(market_of(universe, caps), ablation_config(
+            self.base_cfg(), "symmetric_allocation"))
         for port in result.portfolios:
             assert math.fsum(a.weight for a in port.longs) == \
                 pytest.approx(0.5, abs=1e-15)
@@ -543,8 +533,8 @@ class TestAblations:
 
     def test_fixed_params_carries_first_month(self):
         universe, caps = self.universe_two_months()
-        result = run_ablation(market_of(universe, caps), self.base_cfg(),
-                              "fixed_params")
+        result = run_backtest(market_of(universe, caps), ablation_config(
+            self.base_cfg(), "fixed_params"))
         flags = [r["reoptimized"] for r in result.rebalance_log]
         assert flags == [True, False]
         assert result.rebalance_log[1]["carried_from"] == "2022-02"
@@ -561,8 +551,8 @@ class TestAblations:
                            alpha=(3.0,), lookback=(4,), atr_window=3)))
         gated = run_backtest(market_of(universe, caps), cfg)
         assert gated.trades == []
-        bypassed = run_ablation(market_of(universe, caps), cfg,
-                                "no_sharpe_filter")
+        bypassed = run_backtest(market_of(universe, caps),
+                                ablation_config(cfg, "no_sharpe_filter"))
         assert len(bypassed.trades) > 0
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior against small synthetic data sets."""
 
+import csv
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import pytest
 import adaptivetrend
 from adaptivetrend import __version__
 from adaptivetrend.analytics import REGIME_WINDOW_DAYS
-from adaptivetrend.backtester import BacktestConfig
+from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
+                                      ablation_config)
 from adaptivetrend.benchmarks import BenchmarkSpec
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                ConfigError, build_backtest_config, main,
@@ -114,7 +116,7 @@ class TestConfig:
     def test_sharpe_filter_off_admits_every_candidate(self, gamma):
         cfg = resolve_config(None, {
             "run.start": "2022-02-01", "run.end": str(RUN_END),
-            "engine.sharpe_filter": "false", "rebalance.gamma_long": gamma,
+            "run.variant": "no_sharpe_filter", "rebalance.gamma_long": gamma,
             "rebalance.gamma_short": gamma})
         rebalance = build_backtest_config(cfg).rebalance
         assert rebalance.gamma_long == rebalance.gamma_short == -math.inf
@@ -210,15 +212,49 @@ class TestConfig:
         assert run_label(cfg, bt) == "AdaptiveTrend (70/30)"
 
         cfg["run.variant"] = "fixed_params"
+        bt = build_backtest_config(cfg)
         assert run_label(cfg, bt) == "AdaptiveTrend (70/30) [fixed_params]"
 
         cfg["run.variant"] = "symmetric_allocation"
+        bt = build_backtest_config(cfg)
         assert run_label(cfg, bt) == \
             "AdaptiveTrend (50/50) [symmetric_allocation]"
 
         cfg["run.variant"] = "full"
         cfg["run.label"] = "My Run"
+        bt = build_backtest_config(cfg)
         assert run_label(cfg, bt) == "My Run"
+
+    @pytest.mark.parametrize("variant, label", [
+        ("full", "AdaptiveTrend (60/40)"),
+        ("no_cap_filter", "AdaptiveTrend (60/40) [no_cap_filter]"),
+        ("symmetric_allocation",
+         "AdaptiveTrend (50/50) [symmetric_allocation]")])
+    def test_run_label_shows_the_split_the_run_uses(self, variant, label):
+        cfg = resolve_config(None, {
+            "run.start": "2022-02-01", "run.end": str(RUN_END),
+            "rebalance.long_ratio": "0.6", "run.variant": variant})
+        assert run_label(cfg, build_backtest_config(cfg)) == label
+
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_variant_is_applied_by_the_config_builder(self, variant):
+        overrides = {"run.start": "2022-02-01", "run.end": str(RUN_END),
+                     "rebalance.gamma_long": "0.5"}
+        full = build_backtest_config(resolve_config(None, overrides))
+        cfg = resolve_config(None, dict(overrides, **{"run.variant": variant}))
+        assert build_backtest_config(cfg) == ablation_config(full, variant)
+
+    @pytest.mark.parametrize("key", ["engine.trailing_stop",
+                                     "engine.cap_filter",
+                                     "engine.sharpe_filter",
+                                     "engine.reoptimize"])
+    def test_removed_ablation_keys_rejected_by_name(self, tmp_path, key):
+        # run.variant is the one way to turn a pipeline component off
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = false\n")
+        with pytest.raises(ConfigError,
+                           match=f"unknown config keys: {re.escape(key)}$"):
+            resolve_config(str(path))
 
 
 class TestValidateData:
@@ -372,6 +408,25 @@ class TestBacktest:
         payload = json.loads((half_run / "metrics.json").read_text())
         assert payload["label"] == "AdaptiveTrend (50/50)"
 
+    def test_funding_rates_file_replaces_the_flat_rate(self, ws, tmp_path):
+        # A table of zero rates from before the data charges no funding where
+        # the flat rate charges some. A funding_rates.csv in the data
+        # directory is not read; the config key is the one way in.
+        table = tmp_path / "funding.csv"
+        table.write_text("timestamp,symbol,rate_8h\n" + "".join(
+            f"1600000000,SYM{i:02d},0\n" for i in range(6)))
+        cfg = write_config(tmp_path / "c.cfg", ws.data,
+                           extra=f"costs.funding_rates_file = {table}\n")
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 0
+
+        def funding(run):
+            with open(run / "ledger.csv", newline="") as fh:
+                return [float(row["funding"]) for row in csv.DictReader(fh)]
+        flat, tabled = funding(ws.run), funding(out)
+        assert tabled and all(f == 0.0 for f in tabled)
+        assert any(f != 0.0 for f in flat)
+
     @pytest.mark.parametrize("command", [["backtest"],
                                          ["sweep", "--axis", "fee_bps"]],
                              ids=["backtest", "sweep"])
@@ -483,6 +538,18 @@ class TestSweep:
             3 * counters["optimizer.solved"] > 0
         assert counters["optimizer.solved"] == \
             9 * counters["optimizer.searches"]
+
+    def test_alpha_lambda_axis_rejects_symmetric_allocation(self, ws,
+                                                            tmp_path, capsys):
+        # the axis sets the long ratio that the variant fixes at 0.5
+        cfg = write_config(tmp_path / "c.cfg", ws.data,
+                           extra="run.variant = symmetric_allocation\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--axis", "alpha_lambda"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "symmetric_allocation" in err
+        assert not out.exists()
 
     def test_timeframe_axis_needs_divisible_source(self, ws, tmp_path,
                                                    capsys):
