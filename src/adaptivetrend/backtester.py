@@ -14,7 +14,9 @@ halt at bankruptcy and the metrics) is shared with the comparison benchmarks,
 and its ``BacktestResult`` is the one result of every run. Every run over one
 loaded universe reads it through one ``Market``, which builds what the runs
 share once (the cap index, the timeline and the optimizer) and checks each
-run's month calendar (``Market.months``). A month's rebalance takes that
+run's month calendar (``Market.months``). Runs read the bar interval from
+the market (``Market.interval``); a BacktestConfig's ``interval`` is a
+declaration that only the loader checks. A month's rebalance takes that
 market and the run's BacktestConfig whole
 (``run_rebalance(market, month_start, cfg)``).
 """
@@ -29,7 +31,7 @@ import numpy as np
 from . import analytics
 from .analytics import MetricsReport
 from .cost_model import CostConfig
-from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
+from .market_data import (CapIndex, DataError, PriceSeries,
                           bars_per_year, month_add, month_floor, month_id,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
@@ -49,7 +51,8 @@ class BacktestConfig:
     start: int
     end: int
     initial_balance: float = 100_000.0
-    interval: int = DEFAULT_INTERVAL
+    # data.interval, a declaration only the loader checks (None: the data's)
+    interval: Optional[int] = None
     rebalance: RebalanceConfig = field(default_factory=RebalanceConfig)
     costs: CostConfig = field(default_factory=CostConfig)
     trailing_stop_enabled: bool = True
@@ -63,7 +66,7 @@ class BacktestConfig:
         if not 0 < self.initial_balance < math.inf:
             raise ValueError("initial_balance must be > 0 and finite, got"
                              f" {self.initial_balance}")
-        if self.interval <= 0:
+        if self.interval is not None and self.interval <= 0:
             raise ValueError("interval must be > 0")
 
 
@@ -133,7 +136,8 @@ def union_timeline(universe: Dict[str, PriceSeries],
 class Market:
     """One loaded universe and what every run over it shares, each built once.
 
-    ``series`` maps symbol to PriceSeries, ``caps`` is their CapIndex,
+    ``series`` maps symbol to PriceSeries, ``interval`` is the bar interval
+    they all share (DataError unless they share one), ``caps`` their CapIndex,
     ``timeline`` the sorted union of every bar close (run_windows slices each
     window out of it), and ``optimizer`` the Optimizer whose memo every run
     over the market shares, so no month, sweep point or ablation solves a
@@ -145,7 +149,11 @@ class Market:
 
     def __init__(self, series: Dict[str, PriceSeries], caps: CapIndex,
                  grids: Sequence[ParamGrid] = ()) -> None:
+        intervals = sorted({s.interval for s in series.values()})
+        if len(intervals) != 1:
+            raise DataError(f"series at bar intervals {intervals} s")
         self.series = series
+        self.interval = intervals[0]
         self.caps = caps
         every = np.iinfo(np.int64)
         self.timeline = union_timeline(series, (every.min, every.max))
@@ -153,12 +161,7 @@ class Market:
 
     def months(self, cfg: BacktestConfig) -> List[int]:
         """The month starts of a run over [cfg.start, cfg.end]; DataError
-        unless every series has the run's bar interval and the bars reach
-        from the month before the first into the last."""
-        for symbol, series in self.series.items():
-            if series.interval != cfg.interval:
-                raise DataError(f"{symbol}: bar interval {series.interval} s"
-                                f" differs from the run's {cfg.interval} s")
+        unless the bars reach from the month before the first into the last."""
         months = month_starts_between(cfg.start, cfg.end)
         if not months:
             raise DataError("no month boundary inside [start, end]")
@@ -166,7 +169,7 @@ class Market:
             raise DataError("universe has no bars")
         earliest, latest = int(self.timeline[0]), int(self.timeline[-1])
         prev = month_add(months[0], -1)
-        if earliest > prev + cfg.interval:
+        if earliest > prev + self.interval:
             raise DataError(
                 "insufficient history: need data from the month before the"
                 f" first rebalance ({prev}), earliest bar is {earliest}"
@@ -207,7 +210,7 @@ def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
 
 
 def run_windows(
-    timeline: np.ndarray,
+    market: Market,
     windows: Sequence[Tuple[int, int]],
     cfg: BacktestConfig,
     simulate: Callable[[Tuple[int, int], float], List[SingleAssetResult]],
@@ -218,9 +221,9 @@ def run_windows(
 
     ``simulate(window, balance)`` trades one window with positions sized on
     the balance at its start and returns their results. The account is
-    marked on the window's slice of ``timeline``, the union of every universe
-    symbol's closes (so it does not depend on what was traded), and the
-    balance at the window's last close carries into the next window. A
+    marked on the window's slice of ``market.timeline``, the union of every
+    universe symbol's closes (so it does not depend on what was traded), and
+    the balance at the window's last close carries into the next window. A
     window with no bars is skipped with a warning; if every window is, there
     is nothing to score and DataError is raised. A balance <= 0 halts the run
     there and flags the curve.
@@ -231,13 +234,14 @@ def run_windows(
     is kept bit for bit.
 
     Returns the result: the equity curve, anchored at cfg.initial_balance one
-    interval before the first window, the trades sorted by (entry, exit,
+    bar interval before the first window, the trades sorted by (entry, exit,
     symbol, side), the curve's realized / open_mtm / open_costs decomposition,
-    and its metrics at cfg's risk-free rate and bar interval.
+    and its metrics at cfg's risk-free rate and the market's interval.
     """
+    timeline = market.timeline
     balance = cfg.initial_balance
     realized_total = 0.0
-    ts_chunks = [np.array([windows[0][0] - cfg.interval], dtype=np.int64)]
+    ts_chunks = [np.array([windows[0][0] - market.interval], dtype=np.int64)]
     bal_chunks = [np.array([balance])]
     realized_chunks = [np.zeros(1)]
     mtm_chunks = [np.zeros(1)]
@@ -287,7 +291,7 @@ def run_windows(
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
     metrics = analytics.compute_metrics(
         equity, trades, rf_annual=cfg.rebalance.rf_annual,
-        bars_per_year=bars_per_year(cfg.interval))
+        bars_per_year=bars_per_year(market.interval))
     return BacktestResult(
         equity, trades, np.concatenate(realized_chunks),
         np.concatenate(mtm_chunks), np.concatenate(ocost_chunks), metrics)
@@ -333,8 +337,8 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
             intrabar_stop_fill=cfg.intrabar_stop_fill)
             for alloc in portfolio.longs + portfolio.shorts]
 
-    result = run_windows(market.timeline, month_windows(month_starts, cfg.end),
-                         cfg, simulate, net_first=True)
+    result = run_windows(market, month_windows(month_starts, cfg.end), cfg,
+                         simulate, net_first=True)
     return replace(result, rebalance_log=rebalance_log, portfolios=portfolios)
 
 

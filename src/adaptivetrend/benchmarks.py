@@ -221,5 +221,4 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
                                   cfg.costs, charge_funding)
                     for sym, side, w in weights if w > 0.0]
 
-    return run_windows(market.timeline, windows, cfg, simulate,
-                       net_first=False)
+    return run_windows(market, windows, cfg, simulate, net_first=False)

@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
                           SyntheticSpec, atomic_write_text, bars_per_year,
                           generate_synthetic_universe, load_market_caps,
                           load_price_series, read_csv, resample_series,
-                          save_market_caps, save_price_series,
+                          save_market_caps, save_price_series, step_gcd,
                           write_columns)
 from .rebalancer import Optimizer, ParamGrid, RebalanceConfig
 from .signal_engine import write_ledger
@@ -204,6 +204,15 @@ BENCHMARKS = {
 }
 
 
+def read_input(read: Callable[[str], object], path: str):
+    """read(path), with the errors that do not name the file (it is missing
+    or a directory, its bytes are not UTF-8) raised as a DataError that does."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def read_config_file(path: str) -> Dict[str, str]:
     raw: Dict[str, str] = {}
     with open(path, "r") as fh:
@@ -221,7 +230,7 @@ def read_config_file(path: str) -> Dict[str, str]:
 def resolve_config(path: Optional[str],
                    overrides: Optional[Dict[str, str]] = None) -> Dict[str, object]:
     """Merge file values over schema defaults; reject unknown keys by name."""
-    raw = read_config_file(path) if path else {}
+    raw = read_input(read_config_file, path) if path else {}
     if overrides:
         raw.update(overrides)
     unknown = sorted(k for k in raw if k not in CONFIG_SCHEMA)
@@ -257,10 +266,9 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
     grid = ParamGrid(**_fields(cfg, "grid", ParamGrid))
     rebalance = RebalanceConfig(grid=grid,
                                 **_fields(cfg, "rebalance", RebalanceConfig))
-    funding_rates = None
-    if cfg["costs.funding_rates_file"]:
-        funding_rates = load_funding_rates(cfg["costs.funding_rates_file"])
-    costs = CostConfig(funding_rates=funding_rates,
+    path = cfg["costs.funding_rates_file"]
+    costs = CostConfig(funding_rates=read_input(load_funding_rates, path)
+                       if path else None,
                        **_fields(cfg, "costs", CostConfig))
     bt_cfg = BacktestConfig(
         start=cfg["run.start"],
@@ -303,26 +311,49 @@ def data_dir_from(cfg: Optional[Dict[str, object]],
         f"no data directory: set data.dir, --data-dir, or ${DATA_DIR_ENV}")
 
 
-def load_universe(data_dir: str, interval: int
-                  ) -> Tuple[Dict[str, PriceSeries], CapIndex]:
+def read_data_dir(data_dir: str, declared: Optional[int] = None,
+                  funding: bool = False) -> Tuple[Dict[str, object], int]:
+    """Each *.csv file of data_dir by name, parsed once: market_caps.csv as a
+    CapIndex, funding_rates.csv (when ``funding``) as its table, any other as
+    a PriceSeries, a bad file as a DataError naming it; and the bar interval
+    found, the gcd of every series' steps (0 without a step). Every series is
+    at it (else at ``declared`` or the default), so a sparse one loads with
+    gaps. A declared interval that differs is a DataError."""
     if not os.path.isdir(data_dir):
         raise DataError(f"data directory not found: {data_dir}")
-    universe: Dict[str, PriceSeries] = {}
-    caps = CapIndex()
+    readers = {CAPS_FILE: load_market_caps, FUNDING_FILE: load_funding_rates}
+    files: Dict[str, object] = {}
     for name in sorted(os.listdir(data_dir)):
-        if not name.endswith(".csv"):
+        if not name.endswith(".csv") or (name == FUNDING_FILE and not funding):
             continue
         path = os.path.join(data_dir, name)
-        if name == CAPS_FILE:
-            caps = load_market_caps(path)
-        elif name == FUNDING_FILE:
-            continue
-        else:
-            series = load_price_series(path, interval=interval)
-            universe[series.symbol] = series
+        read = readers.get(name, lambda p: load_price_series(p, None))
+        try:
+            files[name] = read_input(read, path)
+        except DataError as exc:
+            files[name] = exc
+    found = step_gcd(s.timestamps for s in files.values() if isinstance(s, PriceSeries))
+    if found and declared not in (None, found):
+        raise DataError(f"bars are {found} s apart; data.interval is {declared}")
+    interval = found or declared or DEFAULT_INTERVAL
+    for name, s in files.items():  # the columns are shared, not copied
+        if isinstance(s, PriceSeries) and s.interval != interval:
+            files[name] = PriceSeries(s.symbol, interval, *s.columns())
+    return files, found
+
+
+def load_universe(data_dir: str, interval: Optional[int] = None
+                  ) -> Tuple[Dict[str, PriceSeries], CapIndex]:
+    """The series and caps of data_dir (see read_data_dir), checked against
+    a declared ``interval`` if one is given; the first bad file raises."""
+    files, _ = read_data_dir(data_dir, interval)
+    for item in files.values():
+        if isinstance(item, DataError):
+            raise item
+    universe = {s.symbol: s for s in files.values() if isinstance(s, PriceSeries)}
     if not universe:
         raise DataError(f"no OHLCV files found in {data_dir}")
-    return universe, caps
+    return universe, files.get(CAPS_FILE, CapIndex())
 
 
 def digest_dir(data_dir: str) -> Dict[str, str]:
@@ -382,32 +413,20 @@ def _write_manifest(out: str, command: str, cfg: Dict[str, object],
 def cmd_validate_data(args) -> int:
     try:
         data_dir = data_dir_from(None, args.data_dir)
-    except ConfigError as exc:
+        files, found = read_data_dir(data_dir, funding=True)
+    except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not os.path.isdir(data_dir):
-        print(f"error: unreadable directory: {data_dir}", file=sys.stderr)
-        return 1
-    names = sorted(n for n in os.listdir(data_dir) if n.endswith(".csv"))
-    if not names:
+    if not files:
         print("error: no data files found", file=sys.stderr)
         return 1
-    failures = 0
-    for name in names:
-        path = os.path.join(data_dir, name)
-        try:
-            if name == CAPS_FILE:
-                load_market_caps(path)
-            elif name == FUNDING_FILE:
-                load_funding_rates(path)
-            else:
-                load_price_series(path, interval=args.interval)
-            print(f"{name}: OK")
-        except DataError as exc:
-            failures += 1
-            print(f"{name}: FAIL: {exc}")
-    print(f"{len(names) - failures}/{len(names)} files valid")
-    return 0 if failures == 0 else 1
+    failed = [n for n, item in files.items() if isinstance(item, DataError)]
+    for name, item in files.items():
+        print(f"{name}: FAIL: {item}" if name in failed else f"{name}: OK")
+    print(f"bar interval: {found} s" if found
+          else "bar interval: none (no series has two bars)")
+    print(f"{len(files) - len(failed)}/{len(files)} files valid")
+    return 1 if failed else 0
 
 
 def cmd_synth(args) -> int:
@@ -472,7 +491,7 @@ def cmd_backtest(args) -> int:
         per_regime = regime_metrics(
             eq.timestamps[1:], eq.returns(), regimes, ledger=result.trades,
             rf_annual=bt_cfg.rebalance.rf_annual,
-            bars_per_year=bars_per_year(bt_cfg.interval))
+            bars_per_year=bars_per_year(market.interval))
         write_regime_csv(per_regime, os.path.join(out, "regime_metrics.csv"))
 
     for name, bench_label, spec in benchmarks:
@@ -530,7 +549,7 @@ def sweep_groups(axis: str, base: BacktestConfig,
             resampled = {sym: resample_series(s, tf)
                          for sym, s in universe.items()}
             rcfg = replace(base.rebalance, buffer_bars=max(1, 86_400 // tf))
-            yield resampled, [([tf], replace(base, interval=tf, rebalance=rcfg))]
+            yield resampled, [([tf], replace(base, rebalance=rcfg))]
 
 
 def cmd_sweep(args) -> int:
@@ -546,13 +565,6 @@ def cmd_sweep(args) -> int:
         universe, caps = load_universe(data_dir, base_cfg.interval)
     except (ConfigError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    bad = [tf for tf in SWEEP_TIMEFRAME_GRID if tf % base_cfg.interval != 0]
-    if args.axis == "timeframe" and bad:
-        print(f"error: timeframe sweep needs source bars dividing each"
-              f" target; {base_cfg.interval} does not divide {bad}",
-              file=sys.stderr)
         return 1
 
     header = SWEEP_HEADERS[args.axis] + METRIC_COLUMNS
@@ -593,12 +605,16 @@ def cmd_bootstrap(args) -> int:
               f" {int(eq_a.timestamps[i])} vs {int(eq_b.timestamps[i])}",
               file=sys.stderr)
         return 1
+    # The anchor sample may be off the bars' phase, so it is left out.
+    interval = step_gcd([eq_a.timestamps[1:]])
     try:
+        if interval == 0:
+            raise ValueError("no two equity samples after the anchor")
         result = bootstrap_sharpe_test(
             eq_a.returns(), eq_b.returns(), n_reps=args.reps,
             block_len=args.block, seed=args.seed,
             rf_annual=cfg["rebalance.rf_annual"],
-            bars_per_year=bars_per_year(cfg["data.interval"]),
+            bars_per_year=bars_per_year(interval),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -787,8 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-data", help="validate every file in a data dir")
     p.add_argument("--data-dir", help=f"data directory (or ${DATA_DIR_ENV})")
-    p.add_argument("--interval", type=int, default=DEFAULT_INTERVAL,
-                   help=f"bar interval in seconds (default {DEFAULT_INTERVAL})")
     p.set_defaults(func=cmd_validate_data)
 
     p = sub.add_parser("synth", help="generate a synthetic data directory")

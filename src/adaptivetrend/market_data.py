@@ -386,9 +386,10 @@ def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
                       skiprows=1, ndmin=1)
 
 
-def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
+def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
                       symbol: Optional[str] = None) -> PriceSeries:
-    """Load one symbol's OHLCV CSV into a validated PriceSeries.
+    """Load one symbol's OHLCV CSV into a validated PriceSeries at ``interval``
+    (None: the gcd of its steps, or the default interval without one).
 
     Rows may be out of order on disk; the returned series is sorted ascending
     (stably). Malformed rows, bar-invariant violations (non-finite values
@@ -411,11 +412,18 @@ def load_price_series(path: str, interval: int = DEFAULT_INTERVAL,
                  lambda row: (int(row[0]), [float(x) for x in row[1:]]))
         raise DataError(f"{path}: {exc}") from exc
     order = np.argsort(rows["timestamp"], kind="stable")
+    columns = [rows[name][order] for name in OHLCV_HEADER]
+    if interval is None:
+        interval = step_gcd(columns[:1]) or DEFAULT_INTERVAL
     try:
-        return PriceSeries(symbol, interval,
-                           *(rows[name][order] for name in OHLCV_HEADER))
+        return PriceSeries(symbol, interval, *columns)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def step_gcd(timestamps: Iterable[np.ndarray]) -> int:
+    """The gcd of the steps within every array (their bar interval), or 0."""
+    return math.gcd(*(int(np.gcd.reduce(np.diff(ts))) for ts in timestamps))
 
 
 def save_price_series(series: PriceSeries, path: str) -> None:

@@ -374,9 +374,9 @@ def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
                   ) -> Tuple[MonthlyPortfolio, dict]:
     """One month's full pipeline; returns the portfolio and an audit record.
 
-    Caps, series and the optimizer come from ``market``; grid, rf, buffer,
-    k and gamma from ``cfg.rebalance``; costs, interval, the cap filter and
-    the execution flags the month will trade (which the grid search scores
+    Caps, series, their bar interval and the optimizer come from ``market``;
+    grid, rf, buffer, k and gamma from ``cfg.rebalance``; costs, the cap
+    filter and the execution flags the month will trade (which the grid search scores
     with) from ``cfg``. Caps are snapshotted as of the day before the month
     starts (the rebalance happens at 00:00 UTC on day 1, before that day's
     data exists). Without the cap filter every symbol is a candidate for
@@ -402,7 +402,7 @@ def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
             "cash_weight": 1.0,
         }
     long_candidates, short_candidates = filtered
-    window = optimization_window(month_start, cfg.interval, rcfg.buffer_bars)
+    window = optimization_window(month_start, market.interval, rcfg.buffer_bars)
     batch = []
     for side, symbols in (("long", long_candidates),
                           ("short", short_candidates)):

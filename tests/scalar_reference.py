@@ -659,6 +659,12 @@ class BenchmarkRun:
     trades: List[TradeRecord]
 
 
+def universe_interval(universe: Dict[str, PriceSeries]) -> int:
+    """The one bar interval of a universe's series, which a run reads."""
+    (interval,) = {series.interval for series in universe.values()}
+    return interval
+
+
 def _check_history(timeline: np.ndarray, first_month: int,
                    last_month: int, interval: int) -> None:
     if len(timeline) == 0:
@@ -692,14 +698,15 @@ def run_backtest(
     if not month_starts:
         raise DataError("no month boundary inside [start, end]")
     first_month = month_starts[0]
+    interval = universe_interval(universe)
     _check_history(union_timeline(universe, (-2 ** 63, 2 ** 63 - 1)),
-                   first_month, month_starts[-1], cfg.interval)
+                   first_month, month_starts[-1], interval)
 
     balance = cfg.initial_balance
     realized_total = 0.0
     portfolio: Optional[MonthlyPortfolio] = None
 
-    anchor_ts = first_month - cfg.interval
+    anchor_ts = first_month - interval
     ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
     bal_chunks = [np.array([balance])]
     realized_chunks = [np.zeros(1)]
@@ -789,7 +796,7 @@ def run_backtest(
         open_costs=np.concatenate(ocost_chunks),
         metrics=compute_metrics(equity, trades,
                                 rf_annual=cfg.rebalance.rf_annual,
-                                bars_per_year=bars_per_year(cfg.interval)),
+                                bars_per_year=bars_per_year(interval)),
         rebalance_log=rebalance_log,
         portfolios=portfolios,
     )
@@ -802,12 +809,13 @@ def run_benchmark(
     cfg: BacktestConfig,
 ) -> BenchmarkRun:
     """Run one benchmark over cfg's window with cfg's cost model."""
-    bpy = bars_per_year(cfg.interval)
+    interval = universe_interval(universe)
+    bpy = bars_per_year(interval)
     months = month_starts_between(cfg.start, cfg.end)
     if not months:
         raise ValueError("no month boundary inside [start, end]")
     first_month = months[0]
-    anchor_ts = first_month - cfg.interval
+    anchor_ts = first_month - interval
 
     ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
     bal_chunks = [np.array([cfg.initial_balance])]

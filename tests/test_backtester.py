@@ -55,20 +55,20 @@ class TestMonthHelpers:
         assert month_starts_between(T0 + 5, APR1) == [FEB1, MAR1, APR1]
         assert month_starts_between(MAR1 + 1, APR1 - 1) == []
 
-    def test_months_reject_a_series_at_another_interval(self):
-        # Run silently, hourly bars under the 6-hour default would have been
-        # annualized as 6-hour bars.
+    def test_market_rejects_series_at_two_intervals(self):
+        # Run silently, hourly bars among 6-hour bars would have been
+        # annualized at one of the two intervals.
         six = gbm_series(np.random.default_rng(0), 4 * 120, symbol="SIX")
         hourly = gbm_series(np.random.default_rng(1), 24 * 120, symbol="HRLY",
                             interval=3600)
         cfg = BacktestConfig(start=FEB1, end=MAR1)
-        assert Market({"SIX": six}, CapIndex()).months(cfg) == [FEB1, MAR1]
-        market = Market({"SIX": six, "HRLY": hourly}, CapIndex())
-        message = "HRLY: bar interval 3600 s differs from the run's 21600 s"
-        with pytest.raises(DataError, match=message):
-            market.months(cfg)
-        with pytest.raises(DataError, match=message):
-            run_backtest(market, cfg)
+        for series in (six, hourly):
+            market = Market({series.symbol: series}, CapIndex())
+            assert market.interval == series.interval
+            assert market.months(cfg) == [FEB1, MAR1]
+        with pytest.raises(DataError,
+                           match=r"series at bar intervals \[3600, 21600\] s"):
+            Market({"SIX": six, "HRLY": hourly}, CapIndex())
 
 
 class TestAggregation:
@@ -448,10 +448,11 @@ class TestOneTimeline:
         start = month_add(T0, first)
         end = month_add(start, n_months - 1) + cut * DAY
         windows = month_windows(month_starts_between(start, end), end)
-        # run_windows reads the balance, interval and rf of the config; its
-        # start and end are the windows' (end + DAY keeps end > start).
+        # run_windows reads the balance and rf of the config and the
+        # market's (daily) interval; its start and end are the windows'
+        # (end + DAY keeps end > start).
         cfg = BacktestConfig(start=start, end=end + DAY,
-                             initial_balance=1_000.0, interval=DAY)
+                             initial_balance=1_000.0)
         unions = [union_timeline(universe, w) for w in windows]
         all_empty = all(len(union) == 0 for union in unions)
         records = []
@@ -463,11 +464,11 @@ class TestOneTimeline:
             if all_empty:
                 with pytest.raises(DataError, match=(
                         rf"no bars in \[{windows[0][0]}, {windows[-1][1]}\]")):
-                    run_windows(market.timeline, windows, cfg,
-                                lambda w, b: [], net_first=True)
+                    run_windows(market, windows, cfg, lambda w, b: [],
+                                net_first=True)
             else:
-                result = run_windows(market.timeline, windows, cfg,
-                                     lambda w, b: [], net_first=True)
+                result = run_windows(market, windows, cfg, lambda w, b: [],
+                                     net_first=True)
         finally:
             logger.removeHandler(handler)
         assert [r.getMessage() for r in records] == [

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior against small synthetic data sets."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,9 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adaptivetrend
 from adaptivetrend import __version__
@@ -19,14 +23,17 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       ablation_config)
 from adaptivetrend.benchmarks import BenchmarkSpec
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
-                               ConfigError, build_backtest_config, main,
+                               ConfigError, build_backtest_config,
+                               build_parser, load_universe, main,
                                resolve_config, run_label, write_json)
-from conftest import FEB1
+from adaptivetrend.market_data import DataError, PriceSeries, save_price_series
+from conftest import FEB1, T0
 
 RUN_END = 1_646_611_200  # 2022-03-07 00:00 UTC
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # README default cells that name no single value
-NO_LITERAL_DEFAULT = ("required", "derived", "top cap", "empty", "–")
+NO_LITERAL_DEFAULT = ("required", "derived", "top cap", "empty", "–",
+                      "the data's")
 
 CONFIG_TEMPLATE = """\
 # compact run configuration for the test suite
@@ -78,6 +85,16 @@ def half_run(ws, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def hourly(tmp_path_factory):
+    """A data directory of 1-hour bars: 4 symbols from 2022-01-01 to
+    2022-03-07, and their caps."""
+    data = tmp_path_factory.mktemp("hourly") / "data"
+    assert main(["synth", "--out", str(data), "--seed", "3", "--symbols",
+                 "4", "--interval", "3600", "--regimes", "1560:0.4:0.5"]) == 0
+    return data
+
+
+@pytest.fixture(scope="module")
 def alpha_sweep(ws):
     out = ws.root / "sweep_alpha"
     assert main(["sweep", "--config", str(ws.cfg), "--out", str(out),
@@ -88,7 +105,7 @@ def alpha_sweep(ws):
 class TestConfig:
     def test_defaults(self):
         cfg = resolve_config(None)
-        assert cfg["data.interval"] == 21_600
+        assert cfg["data.interval"] is None  # the data's
         assert cfg["rebalance.long_ratio"] == 0.7
         assert cfg["rebalance.gamma_long"] == 1.3
         assert cfg["rebalance.gamma_short"] == 1.7
@@ -263,7 +280,25 @@ class TestValidateData:
         out = capsys.readouterr().out
         assert "SYM00.csv: OK" in out
         assert "market_caps.csv: OK" in out
+        assert "bar interval: 21600 s\n" in out
         assert "7/7 files valid" in out
+
+    def test_hourly_data_needs_no_flag(self, hourly, capsys):
+        # The interval is measured, not declared: 1-hour files are valid
+        # as they are, and the interval found is printed.
+        assert main(["validate-data", "--data-dir", str(hourly)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": OK\n") == 5
+        assert "bar interval: 3600 s\n5/5 files valid\n" in out
+
+    def test_no_interval_without_two_bars(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "A.csv").write_text("timestamp,open,high,low,close,volume\n")
+        assert main(["validate-data", "--data-dir", str(data)]) == 0
+        assert capsys.readouterr().out == (
+            "A.csv: OK\nbar interval: none (no series has two bars)\n"
+            "1/1 files valid\n")
 
     def test_corrupt_file_fails_with_location(self, ws, tmp_path, capsys):
         bad_dir = tmp_path / "bad"
@@ -347,6 +382,36 @@ class TestSynth:
 
 
 class TestBacktest:
+    def test_declared_interval_must_be_the_datas(self, tmp_path, capsys):
+        # Declared as 1-hour bars, these 6-hour bars once ran to a Sharpe of
+        # +3.46, annualized, looked back and buffered at six times the
+        # wrong scale; at their own interval the run gives -0.48.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7",
+                     "--symbols", "12"]) == 0
+        outputs = []
+        for declared in ("3600", "21600", None):
+            cfg = tmp_path / f"{declared}.cfg"
+            cfg.write_text(f"data.dir = {data}\nrun.start = 2022-03-01\n"
+                           "run.end = 2022-04-30\n"
+                           + (f"data.interval = {declared}\n" if declared
+                              else ""))
+            out = tmp_path / f"run_{declared}"
+            status = main(["backtest", "--config", str(cfg), "--out",
+                           str(out)])
+            if declared == "3600":
+                assert status == 1
+                assert capsys.readouterr().err == (
+                    "error: bars are 21600 s apart; data.interval is 3600\n")
+                assert not out.exists()
+                continue
+            assert status == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("equity.csv", "ledger.csv",
+                                         "metrics.json")])
+        # Declaring the data's own interval is the same as declaring none.
+        assert outputs[0] == outputs[1]
+
     def test_artifacts_written(self, ws):
         for name in ("equity.csv", "ledger.csv", "metrics.json",
                      "rebalance_log.json", "manifest.json",
@@ -553,17 +618,18 @@ class TestSweep:
 
     def test_timeframe_axis_needs_divisible_source(self, ws, tmp_path,
                                                    capsys):
+        # 6-hour bars cannot make the first target, 1-hour bars: the sweep
+        # stops there, before any run or write.
         out = tmp_path / "sweep_tf"
         assert main(["sweep", "--config", str(ws.cfg), "--out", str(out),
                      "--axis", "timeframe"]) == 1
-        assert "does not divide" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: SYM00: cannot resample"
+                                           " interval 21600 to 3600 (not a"
+                                           " multiple)\n")
+        assert not out.exists()
 
-    def test_timeframe_axis_on_hourly_data(self, tmp_path):
-        data = tmp_path / "hourly"
-        assert main(["synth", "--out", str(data), "--seed", "3", "--symbols",
-                     "4", "--interval", "3600",
-                     "--regimes", "1560:0.4:0.5"]) == 0
-        cfg = write_config(tmp_path / "tf.cfg", data,
+    def test_timeframe_axis_on_hourly_data(self, hourly, tmp_path):
+        cfg = write_config(tmp_path / "tf.cfg", hourly,
                            extra="data.interval = 3600\n")
         out = tmp_path / "sweep_tf"
         assert main(["sweep", "--config", cfg, "--out", str(out),
@@ -575,6 +641,26 @@ class TestSweep:
 
 
 class TestBootstrap:
+    def test_hourly_runs_annualized_at_their_interval(self, hourly, tmp_path):
+        # Without --config the interval is the curves' own, so delta_sr is
+        # the difference of the two runs' Sharpes (once it annualized 1-hour
+        # returns as 6-hour ones).
+        runs, sharpes = [], []
+        for ratio in ("0.7", "0.5"):
+            cfg = write_config(tmp_path / f"{ratio}.cfg", hourly,
+                               extra=f"rebalance.long_ratio = {ratio}\n")
+            out = tmp_path / f"run_{ratio}"
+            assert main(["backtest", "--config", cfg, "--out", str(out)]) == 0
+            runs.append(str(out))
+            sharpes.append(json.loads((out / "metrics.json").read_text())
+                           ["metrics"]["sharpe"])
+        out = tmp_path / "boot"
+        assert main(["bootstrap", "--run-a", runs[0], "--run-b", runs[1],
+                     "--out", str(out), "--reps", "50"]) == 0
+        delta = json.loads((out / "bootstrap.json").read_text())["delta_sr"]
+        assert delta != 0.0
+        assert delta == pytest.approx(sharpes[0] - sharpes[1], rel=1e-12)
+
     def test_run_against_itself(self, ws, tmp_path, capsys):
         out = tmp_path / "boot"
         assert main(["bootstrap", "--run-a", str(ws.run), "--run-b",
@@ -754,7 +840,109 @@ def test_no_month_boundary_is_a_clean_error(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+# entry -> (file name, how the file is spoiled, the reason named after it)
+BAD_ENTRIES = {
+    "directory": ("x.csv", lambda p: p.mkdir(), "Is a directory"),
+    "caps-not-utf8": ("market_caps.csv",
+                      lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
+                      "'utf-8' codec can't decode byte 0xff in position 0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
+def test_unreadable_data_entry_is_named(entry, ws, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(ws.data, data)
+    name, spoil, reason = BAD_ENTRIES[entry]
+    spoil(data / name)
+    total = len(os.listdir(data))
+    assert main(["validate-data", "--data-dir", str(data)]) == 1
+    out = capsys.readouterr().out
+    assert f"{name}: FAIL: {data / name}: {reason}" in out
+    assert out.count(": OK\n") == total - 1
+    assert f"{total - 1}/{total} files valid" in out
+    cfg = write_config(tmp_path / "run.cfg", data)
+    run = tmp_path / "run"
+    assert main(["backtest", "--config", cfg, "--out", str(run)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data / name}: {reason}")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", [["backtest"],
+                                     ["sweep", "--axis", "fee_bps"]])
+@pytest.mark.parametrize("missing", ["config", "funding"])
+def test_missing_input_file_is_named(command, missing, ws, tmp_path, capsys):
+    absent = tmp_path / "absent.csv"
+    if missing == "config":
+        cfg = path = str(tmp_path / "absent.cfg")
+    else:
+        path = str(absent)
+        cfg = write_config(tmp_path / "run.cfg", ws.data,
+                           extra=f"costs.funding_rates_file = {absent}\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: No such file or directory\n"
+    assert not out.exists()
+
+
+class TestMeasuredInterval:
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.sampled_from([60, 3600, 21600]), k=st.integers(1, 4),
+           data=st.data())
+    def test_declared_interval_is_checked(self, base, k, data):
+        """Bars k * base apart load at that interval, and a declared base
+        fails for every k >= 2. Every series has random gaps, the first has
+        one step of a single interval, and one series is sparse (2-5
+        intervals apart); each keeps its gaps, on the universe's interval."""
+        step = k * base
+        stamps = {}
+        n_dense = data.draw(st.integers(1, 3), label="dense series")
+        for j in range(n_dense + 1):
+            sparse = j == n_dense
+            gaps = data.draw(st.lists(st.integers(2, 5) if sparse
+                                      else st.integers(1, 3), max_size=30))
+            stamps[f"S{j}"] = T0 + np.cumsum([1] + ([1] if j == 0 else [])
+                                             + gaps) * step
+        with tempfile.TemporaryDirectory() as d:
+            for sym, ts in stamps.items():
+                flat = np.full(len(ts), 10.0)
+                save_price_series(PriceSeries(sym, step, ts, flat, flat, flat,
+                                              flat, flat),
+                                  os.path.join(d, f"{sym}.csv"))
+            if k >= 2:
+                with pytest.raises(DataError, match=(
+                        f"^bars are {step} s apart; data.interval is {base}$")):
+                    load_universe(d, base)
+            universe, _ = load_universe(d, base if k == 1 else None)
+        assert sorted(universe) == sorted(stamps)
+        for sym, ts in stamps.items():
+            series = universe[sym]
+            assert series.interval == step
+            assert series.timestamps.tolist() == ts.tolist()
+            assert series.gaps == [(a, b) for a, b in zip(ts[:-1].tolist(),
+                                                          ts[1:].tolist())
+                                   if b - a > step]
+
+
 class TestTopLevel:
+    def test_readme_cli_table_matches_the_parser(self):
+        """Each row of the README's command-line table names exactly the
+        options of its subcommand's parser, and every subcommand has one."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("\n## Command-line interface\n")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `adaptivetrend ([\w-]+)([^`]*)` \|", table,
+                          re.M)
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert sorted(name for name, _ in rows) == sorted(commands)
+        for name, usage in rows:
+            options = {option for action in commands[name]._actions
+                       for option in action.option_strings
+                       if option.startswith("--")} - {"--help"}
+            assert set(re.findall(r"--[\w-]+", usage)) == options, name
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_write_json_rejects_non_finite(self, tmp_path, value):
         path = tmp_path / "metrics.json"
