@@ -41,6 +41,7 @@ from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
 logger = logging.getLogger(__name__)
 
 EQUITY_HEADER = ["timestamp", "balance"]
+MAX_INITIAL_BALANCE = 1e15  # keeps compute_metrics' sums far from overflow
 
 ABLATION_VARIANTS = ("full", "no_trailing_stop", "no_cap_filter",
                      "no_sharpe_filter", "symmetric_allocation", "fixed_params")
@@ -63,8 +64,9 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError("start must precede end")
-        if not 0 < self.initial_balance < math.inf:
-            raise ValueError("initial_balance must be > 0 and finite, got"
+        if not 0 < self.initial_balance <= MAX_INITIAL_BALANCE:
+            raise ValueError(f"initial_balance must be > 0 and at most"
+                             f" {MAX_INITIAL_BALANCE:g}, got"
                              f" {self.initial_balance}")
         if self.interval is not None and self.interval <= 0:
             raise ValueError("interval must be > 0")
@@ -373,7 +375,10 @@ def save_equity(curve: EquityCurve, path: str) -> None:
 
 
 def load_equity(path: str) -> EquityCurve:
+    """An equity.csv; a balance that is not finite is a DataError."""
     rows = read_csv(path, EQUITY_HEADER,
                     lambda row: (int(row[0]), float(row[1])))
-    return EquityCurve(timestamps=np.array([t for t, _ in rows], dtype=np.int64),
-                       balances=np.array([b for _, b in rows], dtype=np.float64))
+    balances = np.array([b for _, b in rows], dtype=np.float64)
+    if not np.isfinite(balances).all():
+        raise DataError(f"{path}: balances must be finite")
+    return EquityCurve(np.array([t for t, _ in rows], dtype=np.int64), balances)

@@ -11,10 +11,11 @@ Subcommands:
 Configuration is a flat text file of `key = value` lines with dotted keys
 (full-line # comments allowed). Every strategy constant is a key with its
 default documented in CONFIG_SCHEMA; unknown keys are rejected by name.
-Every file written, run artifacts and `synth` output alike, is written
-atomically (a per-process temp file renamed over the target), and reruns
-with identical inputs produce byte-identical results (the run manifest,
-which records wall-clock duration, is the one exception).
+Every file is written atomically, into a directory made by the first
+write, and reruns with identical inputs produce byte-identical results
+(the run manifest, which records wall-clock duration, is the one
+exception). Commands raise on rejected input (a ValueError) or a failed
+write (an OSError); `main` alone turns either into `error: …` and exit 1.
 """
 
 import argparse
@@ -29,7 +30,7 @@ import time
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +49,9 @@ from .cost_model import CostConfig, load_funding_rates
 from .market_data import (DEFAULT_INTERVAL, CapIndex, DataError, PriceSeries,
                           SyntheticSpec, atomic_write_text, bars_per_year,
                           generate_synthetic_universe, load_market_caps,
-                          load_price_series, read_csv, resample_series,
-                          save_market_caps, save_price_series, step_gcd,
-                          write_columns)
+                          load_price_series, opened, read_csv,
+                          resample_series, save_market_caps, save_price_series,
+                          step_gcd, write_columns)
 from .rebalancer import Optimizer, ParamGrid, RebalanceConfig
 from .signal_engine import write_ledger
 
@@ -204,18 +205,9 @@ BENCHMARKS = {
 }
 
 
-def read_input(read: Callable[[str], object], path: str):
-    """read(path), with the errors that do not name the file (it is missing
-    or a directory, its bytes are not UTF-8) raised as a DataError that does."""
-    try:
-        return read(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
 def read_config_file(path: str) -> Dict[str, str]:
     raw: Dict[str, str] = {}
-    with open(path, "r") as fh:
+    with opened(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -230,7 +222,7 @@ def read_config_file(path: str) -> Dict[str, str]:
 def resolve_config(path: Optional[str],
                    overrides: Optional[Dict[str, str]] = None) -> Dict[str, object]:
     """Merge file values over schema defaults; reject unknown keys by name."""
-    raw = read_input(read_config_file, path) if path else {}
+    raw = read_config_file(path) if path else {}
     if overrides:
         raw.update(overrides)
     unknown = sorted(k for k in raw if k not in CONFIG_SCHEMA)
@@ -267,8 +259,8 @@ def build_backtest_config(cfg: Dict[str, object]) -> BacktestConfig:
     rebalance = RebalanceConfig(grid=grid,
                                 **_fields(cfg, "rebalance", RebalanceConfig))
     path = cfg["costs.funding_rates_file"]
-    costs = CostConfig(funding_rates=read_input(load_funding_rates, path)
-                       if path else None,
+    costs = CostConfig(funding_rates=load_funding_rates(path) if path
+                       else None,
                        **_fields(cfg, "costs", CostConfig))
     bt_cfg = BacktestConfig(
         start=cfg["run.start"],
@@ -329,7 +321,7 @@ def read_data_dir(data_dir: str, declared: Optional[int] = None,
         path = os.path.join(data_dir, name)
         read = readers.get(name, lambda p: load_price_series(p, None))
         try:
-            files[name] = read_input(read, path)
+            files[name] = read(path)
         except DataError as exc:
             files[name] = exc
     found = step_gcd(s.timestamps for s in files.values() if isinstance(s, PriceSeries))
@@ -374,6 +366,15 @@ def digest_dir(data_dir: str) -> Dict[str, str]:
 # Artifact writing
 # ---------------------------------------------------------------------------
 
+def check_out(out: str) -> None:
+    """Reject an --out that is a file or lies below one, before any run."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):  # the nearest part of it that exists
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is not a directory")
+
+
 def write_json(path: str, payload: object) -> None:
     """Write payload as strict JSON: a NaN or infinity raises ValueError."""
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
@@ -411,22 +412,19 @@ def _write_manifest(out: str, command: str, cfg: Dict[str, object],
 # ---------------------------------------------------------------------------
 
 def cmd_validate_data(args) -> int:
-    try:
-        data_dir = data_dir_from(None, args.data_dir)
-        files, found = read_data_dir(data_dir, funding=True)
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data_dir = data_dir_from(None, args.data_dir)
+    files, found = read_data_dir(data_dir, funding=True)
     if not files:
-        print("error: no data files found", file=sys.stderr)
-        return 1
+        raise DataError(f"no data files found in {data_dir}")
     failed = [n for n, item in files.items() if isinstance(item, DataError)]
     for name, item in files.items():
         print(f"{name}: FAIL: {item}" if name in failed else f"{name}: OK")
     print(f"bar interval: {found} s" if found
           else "bar interval: none (no series has two bars)")
     print(f"{len(files) - len(failed)}/{len(files)} files valid")
-    return 1 if failed else 0
+    if failed:
+        raise DataError(f"{len(failed)} of {len(files)} files invalid")
+    return 0
 
 
 def cmd_synth(args) -> int:
@@ -435,7 +433,6 @@ def cmd_synth(args) -> int:
         interval=args.interval, start=args.start,
     )
     series_list, caps = generate_synthetic_universe(spec)
-    os.makedirs(args.out, exist_ok=True)
     for series in series_list:
         save_price_series(series, os.path.join(args.out, f"{series.symbol}.csv"))
     save_market_caps(caps, os.path.join(args.out, CAPS_FILE))
@@ -447,7 +444,6 @@ def _write_run_artifacts(out_dir: str, label: str, variant: str,
                          result: BacktestResult) -> None:
     """equity.csv, ledger.csv and metrics.json of one run: the strategy's
     or a benchmark's."""
-    os.makedirs(out_dir, exist_ok=True)
     save_equity(result.equity, os.path.join(out_dir, "equity.csv"))
     write_ledger(result.trades, os.path.join(out_dir, "ledger.csv"))
     write_json(os.path.join(out_dir, "metrics.json"),
@@ -458,27 +454,24 @@ def _write_run_artifacts(out_dir: str, label: str, variant: str,
 
 def cmd_backtest(args) -> int:
     t0 = time.monotonic()
-    try:
-        cfg = resolve_config(args.config)
-        bt_cfg = build_backtest_config(cfg)
-        variant = str(cfg["run.variant"])
-        benchmarks = []
-        for name in cfg["benchmarks.kinds"]:
-            bench_label, fixed, from_cfg = BENCHMARKS[name]
-            benchmarks.append((name, bench_label, BenchmarkSpec(
-                universe_size=cfg["benchmarks.universe_size"], **fixed,
-                **{arg: cfg[key] for arg, key in from_cfg.items()})))
-        data_dir = data_dir_from(cfg, None)
-        market = Market(*load_universe(data_dir, bt_cfg.interval))
-        first = market.months(bt_cfg)[0]
-        if "btc_bh" in cfg["benchmarks.kinds"]:
-            buy_hold_symbol(cfg["benchmarks.buy_hold_symbol"], market, first,
-                            data_dir)
-        regimes = (_regime_labels(cfg, market, first)
-                   if cfg["regimes.enabled"] else None)
-    except (ConfigError, DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    check_out(args.out)
+    cfg = resolve_config(args.config)
+    bt_cfg = build_backtest_config(cfg)
+    variant = str(cfg["run.variant"])
+    benchmarks = []
+    for name in cfg["benchmarks.kinds"]:
+        bench_label, fixed, from_cfg = BENCHMARKS[name]
+        benchmarks.append((name, bench_label, BenchmarkSpec(
+            universe_size=cfg["benchmarks.universe_size"], **fixed,
+            **{arg: cfg[key] for arg, key in from_cfg.items()})))
+    data_dir = data_dir_from(cfg, None)
+    market = Market(*load_universe(data_dir, bt_cfg.interval))
+    first = market.months(bt_cfg)[0]
+    if "btc_bh" in cfg["benchmarks.kinds"]:
+        buy_hold_symbol(cfg["benchmarks.buy_hold_symbol"], market, first,
+                        data_dir)
+    regimes = (_regime_labels(cfg, market, first)
+               if cfg["regimes.enabled"] else None)
 
     label = run_label(cfg, bt_cfg)
     result = backtester.run_backtest(market, bt_cfg)
@@ -554,18 +547,15 @@ def sweep_groups(axis: str, base: BacktestConfig,
 
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
-    try:
-        cfg = resolve_config(args.config)
-        if (args.axis == "alpha_lambda"
-                and cfg["run.variant"] == "symmetric_allocation"):
-            raise ConfigError("the alpha_lambda axis sets the long ratio that"
-                              " run.variant symmetric_allocation fixes at 0.5")
-        base_cfg = build_backtest_config(cfg)
-        data_dir = data_dir_from(cfg, None)
-        universe, caps = load_universe(data_dir, base_cfg.interval)
-    except (ConfigError, DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    check_out(args.out)
+    cfg = resolve_config(args.config)
+    if (args.axis == "alpha_lambda"
+            and cfg["run.variant"] == "symmetric_allocation"):
+        raise ConfigError("the alpha_lambda axis sets the long ratio that"
+                          " run.variant symmetric_allocation fixes at 0.5")
+    base_cfg = build_backtest_config(cfg)
+    data_dir = data_dir_from(cfg, None)
+    universe, caps = load_universe(data_dir, base_cfg.interval)
 
     header = SWEEP_HEADERS[args.axis] + METRIC_COLUMNS
     rows: List[List[object]] = []
@@ -577,7 +567,6 @@ def cmd_sweep(args) -> int:
             rows.append(prefix + [metrics[c] for c in METRIC_COLUMNS])
         counters.update(optimizer_counters(market.optimizer))
 
-    os.makedirs(args.out, exist_ok=True)
     write_columns(os.path.join(args.out, "sweep.csv"), header,
                   list(zip(*rows)))
     _write_manifest(args.out, "sweep", cfg, data_dir, t0, dict(counters),
@@ -587,39 +576,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    try:
-        cfg = resolve_config(args.config)
-        eq_a = load_equity(os.path.join(args.run_a, "equity.csv"))
-        eq_b = load_equity(os.path.join(args.run_b, "equity.csv"))
-    except (ConfigError, DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    check_out(args.out)
+    cfg = resolve_config(args.config)
+    eq_a = load_equity(os.path.join(args.run_a, "equity.csv"))
+    eq_b = load_equity(os.path.join(args.run_b, "equity.csv"))
     if len(eq_a) != len(eq_b):
-        print(f"error: equity curves differ in length"
-              f" ({len(eq_a)} vs {len(eq_b)})", file=sys.stderr)
-        return 1
+        raise DataError(f"equity curves differ in length"
+                        f" ({len(eq_a)} vs {len(eq_b)})")
     mismatch = np.flatnonzero(eq_a.timestamps != eq_b.timestamps)
     if len(mismatch) > 0:
         i = int(mismatch[0])
-        print(f"error: timestamps misaligned at index {i}:"
-              f" {int(eq_a.timestamps[i])} vs {int(eq_b.timestamps[i])}",
-              file=sys.stderr)
-        return 1
+        raise DataError(f"timestamps misaligned at index {i}:"
+                        f" {int(eq_a.timestamps[i])} vs {int(eq_b.timestamps[i])}")
     # The anchor sample may be off the bars' phase, so it is left out.
     interval = step_gcd([eq_a.timestamps[1:]])
-    try:
-        if interval == 0:
-            raise ValueError("no two equity samples after the anchor")
-        result = bootstrap_sharpe_test(
-            eq_a.returns(), eq_b.returns(), n_reps=args.reps,
-            block_len=args.block, seed=args.seed,
-            rf_annual=cfg["rebalance.rf_annual"],
-            bars_per_year=bars_per_year(interval),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    os.makedirs(args.out, exist_ok=True)
+    if interval == 0:
+        raise DataError("no two equity samples after the anchor")
+    result = bootstrap_sharpe_test(
+        eq_a.returns(), eq_b.returns(), n_reps=args.reps,
+        block_len=args.block, seed=args.seed,
+        rf_annual=cfg["rebalance.rf_annual"],
+        bars_per_year=bars_per_year(interval),
+    )
     write_json(os.path.join(args.out, "bootstrap.json"), {
         "delta_sr": result.delta_sr,
         "p_value": result.p_value,
@@ -667,13 +645,13 @@ def _read_json(path: str, keys: Sequence[str]) -> Optional[dict]:
     """The JSON object in ``path``, None without the file; a DataError naming
     the path when it is not valid JSON or lacks one of ``keys`` (a dotted
     key names a field of a nested object)."""
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         return None
-    try:
-        with open(path) as fh:
+    with opened(path) as fh:
+        try:
             data = json.load(fh)
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
     for key in keys:
         obj = data
         for part in key.split("."):
@@ -688,9 +666,9 @@ def _read_sweep(path: str) -> Optional[Tuple[List[str], List[List[str]]]]:
     the file or those columns. Rows are checked against the file's own
     header, which depends on the sweep's axis: a DataError names the path
     and line of a row of another width."""
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         return None
-    with open(path, newline="") as fh:
+    with opened(path, newline="") as fh:
         header = next(csv.reader(fh), [])
     surface = ["alpha", "lambda", "sharpe"]
     if not set(surface) <= set(header):
@@ -702,8 +680,7 @@ def _read_sweep(path: str) -> Optional[Tuple[List[str], List[List[str]]]]:
 def cmd_report(args) -> int:
     out = args.out
     if not os.path.isdir(out):
-        print(f"error: no such run directory: {out}", file=sys.stderr)
-        return 1
+        raise DataError(f"no such run directory: {out}")
     gaps: List[str] = []
     sections: List[str] = ["# Backtest Report", ""]
 
@@ -722,7 +699,7 @@ def cmd_report(args) -> int:
             continue
         entries.append(meta)
         eq_path = os.path.join(run_dir, "equity.csv")
-        if os.path.isfile(eq_path):
+        if os.path.exists(eq_path):
             curves.append((meta["label"], load_equity(eq_path)))
 
     # Main comparison table (strategy + any benchmarks present).
@@ -737,7 +714,7 @@ def cmd_report(args) -> int:
     # Regime table.
     sections += ["", "## Regime decomposition", ""]
     regime_path = os.path.join(out, "regime_metrics.csv")
-    if os.path.isfile(regime_path):
+    if os.path.exists(regime_path):
         rows = read_csv(regime_path, REGIME_CSV_HEADER,
                         lambda row: [_fmt_regime_cell(c) for c in row])
         if rows:
@@ -857,8 +834,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        # Bad input found after loading, e.g. a universe without bars.
+    except (ValueError, OSError) as exc:
+        # Rejected input or a failed write; an EngineError is a RuntimeError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

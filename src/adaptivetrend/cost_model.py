@@ -45,10 +45,10 @@ class CostConfig:
     def __post_init__(self) -> None:
         for name in ("taker_fee_bps", "slip_coeff", "slip_cap_bps"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if not math.isfinite(self.funding_rate_per_8h):
-            raise ValueError("funding_rate_per_8h must be finite, got"
+            if not 0 <= value <= 1e4:
+                raise ValueError(f"{name} must lie in [0, 10000], got {value}")
+        if not abs(self.funding_rate_per_8h) <= 1:
+            raise ValueError("funding_rate_per_8h must lie in [-1, 1], got"
                              f" {self.funding_rate_per_8h}")
         if any(not 0 <= h < 24 for h in self.funding_hours):
             raise ValueError("funding_hours must lie in [0, 24)")

@@ -7,6 +7,8 @@ Conventions used throughout the engine:
   - A PriceSeries (read-only columns) is immutable after construction,
     safe to share across threads, and hashed by identity.
   - Gaps (missing bars) are preserved and flagged, never filled.
+  - A text file is opened through ``opened``, so one that cannot be read
+    (missing, a directory, not UTF-8) is a DataError naming it.
 
 Synthetic universes are geometric Brownian motion per regime segment, driven
 by numpy's PCG64 generator with per-symbol streams spawned from a single
@@ -17,12 +19,13 @@ import csv
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, date, timezone
 from functools import partial
 from itertools import chain, starmap
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple, TypeVar)
+                    Optional, Sequence, TextIO, Tuple, TypeVar)
 
 import numpy as np
 
@@ -274,8 +277,19 @@ def date_of_ts(ts: int) -> date:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: one reader, one writer, one atomic-rename primitive
+# Files: one opener, one CSV reader, one writer, one atomic-rename primitive
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def opened(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """``path`` open for reading UTF-8 text; failing to open or decode it
+    raises a DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
 
 def read_csv(path: str, header: Sequence[str],
              parse_row: Callable[[List[str]], T]) -> List[T]:
@@ -287,7 +301,7 @@ def read_csv(path: str, header: Sequence[str],
     header = list(header)
     width = len(header)
     out: List[T] = []
-    with open(path, "r", newline="") as fh:
+    with opened(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
             raise DataError(
@@ -306,8 +320,10 @@ def read_csv(path: str, header: Sequence[str],
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to a per-process temp file that is renamed over ``path``
-    on success and removed on failure, so readers never see a partial file."""
+    on success and removed on failure, so readers never see a partial file.
+    The directory of ``path`` is made if it is missing."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
@@ -371,15 +387,14 @@ _CAP_DTYPE = np.dtype([("date", "U11"), ("symbol", "O"), ("cap", "f8")])
 
 
 def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
-    """The rows after an exact header line, parsed by one np.loadtxt call on
-    the file itself. A header-only file gives no rows (loadtxt would warn);
-    a field that NumPy's C parser rejects raises its ValueError."""
-    with open(path, "r") as fh:
-        first = fh.readline()
+    """Rows after an exact header line, from one np.loadtxt call on the path
+    (NumPy reads a path in chunks, a handle by lines). A header-only file
+    gives no rows (loadtxt would warn); a bad field raises a ValueError."""
+    with opened(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(header):
+            raise DataError(f"{path}: line 1: expected header {','.join(header)}")
         has_rows = any(chunk.strip("\n")
                        for chunk in iter(partial(fh.read, 1 << 16), ""))
-    if first.rstrip("\n") != ",".join(header):
-        raise DataError(f"{path}: line 1: expected header {','.join(header)}")
     if not has_rows:
         return np.zeros(0, dtype=dtype)
     return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,

@@ -62,8 +62,8 @@ class ParamGrid:
             if not values:
                 raise ValueError(f"grid axis {name} must be nonempty")
             object.__setattr__(self, name, tuple(kind(v) for v in values))
-        if self.atr_window < 1:
-            raise ValueError("atr_window must be >= 1")
+        if not 1 <= self.atr_window <= 10**6:
+            raise ValueError("atr_window must lie in [1, 1000000]")
         # A value that StrategyParams rejects fails with the grid, not
         # mid-run when the optimizer first builds the cells.
         for side in ("long", "short"):
@@ -92,8 +92,9 @@ class RebalanceConfig:
         for name in ("gamma_long", "gamma_short"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
-        if not math.isfinite(self.rf_annual):
-            raise ValueError(f"rf_annual must be finite, got {self.rf_annual}")
+        if not abs(self.rf_annual) <= 1:
+            raise ValueError("rf_annual must lie in [-1, 1], got"
+                             f" {self.rf_annual}")
 
 
 @dataclass(frozen=True)

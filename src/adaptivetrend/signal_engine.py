@@ -71,8 +71,9 @@ class StrategyParams:
             raise ValueError("entry thresholds must not be NaN")
         if self.theta_entry_short <= 0:
             raise ValueError("theta_entry_short must be > 0")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
+        if not 0 < self.alpha <= 1000:
+            raise ValueError("alpha must be > 0 and at most 1000, got"
+                             f" {self.alpha}")
         if self.lookback < 1:
             raise ValueError("lookback must be >= 1")
         if self.atr_window < 1:

@@ -512,9 +512,11 @@ class TestBacktest:
         ("grid.alpha = 0", "alpha must be > 0"),
         ("grid.lookback = 0", "lookback must be >= 1"),
         ("grid.theta_entry_short = 0", "theta_entry_short must be > 0"),
-        ("regimes.window_days = 0", "shorter than one 21600 s bar")],
+        ("regimes.window_days = 0", "shorter than one 21600 s bar"),
+        ("run.initial_balance = 1e308",
+         "initial_balance must be > 0 and at most 1e+15")],
         ids=["universe_size", "vol_target", "alpha", "lookback",
-             "theta_entry_short", "window_days"])
+             "theta_entry_short", "window_days", "initial_balance"])
     def test_value_failing_mid_run_rejected_up_front(self, ws, tmp_path,
                                                      capsys, extra, message):
         # The config template sets the grid axes; a later line overrides.
@@ -884,6 +886,50 @@ def test_missing_input_file_is_named(command, missing, ws, tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"error: {path}: No such file or directory\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["backtest", "sweep", "bootstrap"])
+def test_out_that_is_not_a_directory_is_rejected(command, below, ws, half_run,
+                                                 tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" if below else afile
+    args = {"backtest": ["--config", str(ws.cfg)],
+            "sweep": ["--config", str(ws.cfg), "--axis", "fee_bps"],
+            "bootstrap": ["--run-a", str(ws.run), "--run-b", str(half_run)]}
+    assert main([command, "--out", str(out)] + args[command]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --out {out}: {afile} is not a directory\n"
+    assert os.listdir(tmp_path) == ["afile"] and afile.read_text() == "keep"
+
+
+# artifact -> the commands that read it
+NON_UTF8_ARTIFACTS = {"equity.csv": ["report", "bootstrap"],
+                      "regime_metrics.csv": ["report"],
+                      "sweep.csv": ["report"]}
+
+
+@pytest.mark.parametrize("artifact, command", [
+    (a, c) for a, cs in NON_UTF8_ARTIFACTS.items() for c in cs])
+def test_non_utf8_artifact_is_named(artifact, command, ws, alpha_sweep,
+                                    tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ws.run, run, ignore=shutil.ignore_patterns(
+        "report*", "sensitivity.csv"))
+    shutil.copy(alpha_sweep / "sweep.csv", run / "sweep.csv")
+    path = run / artifact
+    path.write_bytes(b"\xff" + path.read_bytes())
+    out = tmp_path / "boot"
+    args = (["--out", str(run)] if command == "report" else
+            ["--run-a", str(run), "--run-b", str(ws.run), "--out", str(out),
+             "--reps", "50"])
+    assert main([command] + args) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert not out.exists()
+    assert not [p for p in os.listdir(run)
+                if p.startswith("report") or p == "sensitivity.csv"]
 
 
 class TestMeasuredInterval:
