@@ -1,8 +1,9 @@
 """Account-level simulation: the monthly rebalance loop over a universe.
 
 Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
-as weight x month-start balance, trade each symbol over the month's bars,
-and mark the account to market on the union of all symbols' bar closes.
+as weight x month-start balance, find each position's trades over the
+month's bars, and book and mark all of them in one ledger pass
+(``aggregate_results``) on the union of all symbols' bar closes.
 Positions are force-closed at month end, so each month's PnL is fully
 realized before the next month is sized. Capital freed by an intra-month
 exit idles until the month ends (weights are set once per month).
@@ -28,15 +29,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analytics
+from . import analytics, cost_model
 from .analytics import MetricsReport
-from .cost_model import CostConfig
+from .cost_model import LONG, SHORT, CostConfig, fill_costs
 from .market_data import (CapIndex, DataError, PriceSeries,
                           bars_per_year, month_add, month_floor, month_id,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
                          RebalanceConfig, run_rebalance)
-from .signal_engine import SingleAssetResult, TradeRecord, run_single_asset
+from .signal_engine import Position, TradeRecord, cell_position
+# Only for perfbench's signal_engine.month_sim hook, until it is re-pointed.
+from .signal_engine import run_single_asset  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -183,27 +186,94 @@ class Market:
 
 
 def aggregate_results(
-    timeline: np.ndarray,
-    results: Sequence[SingleAssetResult],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-fill each result's decomposition onto a shared timeline.
+    marks: np.ndarray,
+    positions: Sequence[Position],
+    cost_cfg: CostConfig,
+    *,
+    charge_funding: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[TradeRecord]]:
+    """Book a window's positions together: the (realized, open_mtm,
+    open_costs) currency arrays on ``marks`` and the TradeRecords.
 
-    Returns (realized, open_mtm, open_costs) currency arrays summed across
-    results; before a result's first bar its contribution is zero.
-    """
-    realized = np.zeros(len(timeline))
-    mtm = np.zeros(len(timeline))
-    ocost = np.zeros(len(timeline))
-    for res in results:
-        if len(res.timestamps) == 0:
-            continue
-        idx = np.searchsorted(res.timestamps, timeline, side="right") - 1
-        live = idx >= 0
-        pick = np.maximum(idx, 0)
-        realized += np.where(live, res.realized_cum[pick], 0.0)
-        mtm += np.where(live, res.open_mtm[pick], 0.0)
-        ocost += np.where(live, res.open_costs[pick], 0.0)
-    return realized, mtm, ocost
+    Bit for bit, that is book_trades of each position (funding charged when
+    ``charge_funding``), forward-filled onto the marks (zero before its first
+    bar) and summed from zeros in position order: the ledger's float
+    operations, in its order, over every trade of the window at once. The
+    positions' bars are laid end to end, and a (position, timestamp) key
+    places every funding event and mark on its position's bars."""
+    positions = [p for p in positions if len(p.found.cell)]  # others book 0
+    if not positions:
+        return (*np.zeros((3, len(marks))), [])
+    k = np.arange(len(positions))
+    n, m = np.array([(p.bounds[1] - p.bounds[0], len(p.found.cell))
+                     for p in positions]).T  # bars and trades
+    base, owner = np.cumsum(n) - n, np.repeat(k, m)  # first bar, trade's owner
+    ts, close, volume = (np.concatenate([getattr(p.series, name)[
+        slice(*p.bounds)] for p in positions]) for name in (
+            "timestamps", "close", "volume"))
+    e, x, exit_px, short, forced = (np.concatenate([
+        getattr(p.found, name) for p in positions]) for name in (
+            "entry", "exit", "exit_px", "short", "forced"))
+    e, x = e + base[owner], x + base[owner]
+    stamps = np.concatenate((ts, marks))
+    lo, span = stamps.min(), stamps.max() - stamps.min() + 1
+    bar_key = np.repeat(k, n) * span + (ts - lo)
+    sizes = np.array([p.size for p in positions])
+    size, entry_px, fills = sizes[owner], close[e], np.concatenate((e, x))
+    fees, slips = fill_costs(
+        np.concatenate((size, size * exit_px / entry_px)), volume[fills],
+        close[fills], cost_cfg,
+        np.array([p.series.interval for p in positions])[np.tile(owner, 2)])
+    hold = x - e  # a trade holds its position after bars [e, x)
+    row = np.repeat(np.arange(len(e)), hold)
+    step = np.arange(len(row)) - np.repeat(np.cumsum(hold) - hold, hold)
+    bar, width = e[row] + step, hold.max() + 1
+    cell = row * width + step  # in a (trades x width) grid, flat
+    # Funding accrues along each trade's row from a zero column, in order.
+    accrued = np.zeros(len(e) * width)
+    if charge_funding:
+        events = cost_model.funding_events(int(ts.min()), int(ts.max()),
+                                           cost_cfg.funding_hours)
+        pos, ev = np.nonzero((events > ts[base][:, None])
+                             & (events <= ts[base + n - 1][:, None]))
+        rates = {p.series.symbol: cost_model.funding_rates_at(
+            cost_cfg, p.series.symbol, events) for p in positions}
+        paid = np.zeros(len(ts))
+        np.add.at(paid, np.searchsorted(bar_key, pos * span + events[ev] - lo),
+                  sizes[pos] * np.array([rates[p.series.symbol]
+                                         for p in positions])[pos, ev])
+        accrued[cell + 1] = np.where(short[row], 0.0 - paid[bar + 1],
+                                     paid[bar + 1])
+        accrued = np.cumsum(accrued.reshape(-1, width), axis=1).ravel()
+    funded = accrued[np.arange(len(e)) * width + hold]
+    moved, closed = close[bar] / entry_px[row], exit_px / entry_px
+    gross = size * np.where(short, 1.0 - closed, closed - 1.0)
+    fee, slip = fees[:len(e)] + fees[len(e):], slips[:len(e)] + slips[len(e):]
+    net = gross - fee - slip - funded
+    nets = np.zeros((len(positions), m.max()))  # each position's, in order
+    col = np.arange(len(e)) - (np.cumsum(m) - m)[owner]
+    nets[owner, col] = net
+    running = np.append(np.cumsum(nets, axis=1)[owner, col], 0.0)
+    # A mark reads each position's last bar at or before it and last exit;
+    # before its first bar, the last of the one before, where none is held.
+    per_bar = np.zeros((2, len(ts) + 1))  # the last column reads zero
+    per_bar[0, bar] = size[row] * np.where(short[row], 1.0 - moved, moved - 1.0)
+    per_bar[1, bar] = (fees + slips)[row] + accrued[cell]
+    last = np.searchsorted(bar_key, k[:, None] * span + (marks - lo),
+                           side="right") - 1
+    exited = np.searchsorted(x, last, side="right") - 1
+    rows = np.zeros((3, len(positions) + 1, len(marks)))
+    rows[0, 1:] = np.where(np.append(owner, -1)[exited] == k[:, None],
+                           running[exited], 0.0)
+    rows[1:, 1:] = np.take(per_bar, last, axis=1)
+    records = [TradeRecord(*trade) for trade in zip(
+        [positions[o].series.symbol for o in owner.tolist()],
+        [SHORT if s else LONG for s in short.tolist()], ts[e].tolist(),
+        entry_px.tolist(), ts[x].tolist(), exit_px.tolist(),
+        [positions[o].size for o in owner.tolist()], gross.tolist(),
+        fee.tolist(), slip.tolist(), funded.tolist(), net.tolist(),
+        forced.tolist())]
+    return (*np.cumsum(rows, axis=1)[:, -1], records)
 
 
 def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
@@ -215,17 +285,19 @@ def run_windows(
     market: Market,
     windows: Sequence[Tuple[int, int]],
     cfg: BacktestConfig,
-    simulate: Callable[[Tuple[int, int], float], List[SingleAssetResult]],
+    simulate: Callable[[Tuple[int, int], float], List[Position]],
     *,
     net_first: bool,
+    charge_funding: bool = True,
 ) -> BacktestResult:
     """Roll the balance over consecutive windows; the loop every run shares.
 
     ``simulate(window, balance)`` trades one window with positions sized on
-    the balance at its start and returns their results. The account is
-    marked on the window's slice of ``market.timeline``, the union of every
-    universe symbol's closes (so it does not depend on what was traded), and
-    the balance at the window's last close carries into the next window. A
+    the balance at its start and returns them unbooked; aggregate_results
+    books them under cfg's costs (funding if ``charge_funding``) and marks
+    them on the window's slice of ``market.timeline``, the union of every
+    universe symbol's closes (so it does not depend on what was traded).
+    The balance at the window's last close carries into the next window. A
     window with no bars is skipped with a warning; if every window is, there
     is nothing to score and DataError is raised. A balance <= 0 halts the run
     there and flags the curve.
@@ -252,16 +324,16 @@ def run_windows(
     bankrupt = False
 
     for window in windows:
-        results = simulate(window, balance)
-        for res in results:
-            trades.extend(res.trades)
+        positions = simulate(window, balance)
         marks = timeline[np.searchsorted(timeline, window[0]):
                          np.searchsorted(timeline, window[1], side="right")]
-        if len(marks) == 0:
+        if len(marks) == 0:  # so no position has a bar either
             logger.warning("%s: no bars in [%d, %d]; period skipped",
                            month_id(window[0]), window[0], window[1])
             continue
-        realized, mtm, ocost = aggregate_results(marks, results)
+        realized, mtm, ocost, records = aggregate_results(
+            marks, positions, cfg.costs, charge_funding=charge_funding)
+        trades.extend(records)
         if net_first:
             balances = balance + (realized + mtm - ocost)
         else:
@@ -312,8 +384,7 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
     rebalance_log: List[dict] = []
     portfolios: List[MonthlyPortfolio] = []
 
-    def simulate(window: Tuple[int, int], balance: float
-                 ) -> List[SingleAssetResult]:
+    def simulate(window: Tuple[int, int], balance: float) -> List[Position]:
         nonlocal portfolio
         m = window[0]
         if cfg.reoptimize_enabled or portfolio is None:
@@ -332,10 +403,9 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
         rebalance_log.append(record)
         portfolios.append(portfolio)
 
-        return [run_single_asset(
-            market.series[alloc.symbol], alloc.params, window=window,
-            size=alloc.weight * balance, cost_cfg=cfg.costs,
-            trailing=cfg.trailing_stop_enabled,
+        return [cell_position(
+            market.series[alloc.symbol], alloc.params, window,
+            alloc.weight * balance, trailing=cfg.trailing_stop_enabled,
             intrabar_stop_fill=cfg.intrabar_stop_fill)
             for alloc in portfolio.longs + portfolio.shorts]
 

@@ -16,10 +16,10 @@ fill costs both ways; tsmom variants additionally accrue funding while held
 (they are leveraged long/short exposures), buy-and-hold variants do not
 (plain spot holdings).
 
-There is one accounting path: each position is one forced trade booked by
-the signal engine's ledger (``book_trades``), and the balance rolls over the
-months in the backtester's window loop (``run_windows``), the same code that
-charges, marks, rolls and scores the strategy. A benchmark run therefore
+There is one accounting path: each position is one forced trade
+(``hold_position``), which the backtester's window loop (``run_windows``)
+books with the month's others in one ledger pass and rolls over the months,
+the same code that charges, marks, rolls and scores the strategy. A benchmark run therefore
 returns the strategy's ``BacktestResult``, balance decomposition and metrics
 included, over the same month calendar (``Market.months``), and every kind,
 buy-and-hold included, halts at the first balance <= 0. What differs between
@@ -35,11 +35,11 @@ import numpy as np
 
 from .backtester import (BacktestConfig, BacktestResult, Market,
                          month_windows, run_windows)
-from .cost_model import LONG, SHORT, CostConfig
+from .cost_model import LONG, SHORT
 from .market_data import (CapIndex, DataError, PriceSeries, bars_per_year,
                           date_of_ts, month_add, month_id)
 from .rebalancer import cap_snapshot
-from .signal_engine import NO_TRADES, SingleAssetResult, Trades, book_trades
+from .signal_engine import NO_TRADES, Position, Trades
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
                    "equal_weight_buy_hold")
@@ -70,20 +70,13 @@ class BenchmarkSpec:
             raise ValueError("universe_size must be >= 1")
 
 
-def hold_position(
-    series: PriceSeries,
-    side: str,
-    size: float,
-    window: Tuple[int, int],
-    cost_cfg: CostConfig,
-    charge_funding: bool,
-) -> SingleAssetResult:
+def hold_position(series: PriceSeries, side: str, size: float,
+                  window: Tuple[int, int]) -> Position:
     """Buy at the window's first bar close, sell at its last; no stops.
 
-    One forced trade booked by the engine's ledger, so it is charged and
-    marked to market exactly as the strategy's trades are. Fewer than two bars
-    in the window yields an empty result (a position cannot open and close on
-    one bar).
+    One forced trade for the window's ledger pass, which charges and marks
+    it exactly as the strategy's trades. Fewer than two bars in the window
+    yield no trade (a position cannot open and close on one bar).
     """
     i0, i1 = series.slice_indices(window[0], window[1])
     n = i1 - i0
@@ -92,8 +85,7 @@ def hold_position(
         found = Trades(cell=np.zeros(1, np.intp), entry=np.zeros(1, np.intp),
                        exit=np.array([n - 1]), exit_px=series.close[i1 - 1:i1],
                        forced=np.array([True]), short=np.array([side == SHORT]))
-    return book_trades(series, (i0, i1), found, size, cost_cfg,
-                       charge_funding=charge_funding)
+    return Position(series, (i0, i1), found, size)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +201,15 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
         windows = [(months[0], cfg.end)]
 
         def simulate(window: Tuple[int, int], balance: float):
-            return [hold_position(series, LONG, balance, window, cfg.costs,
-                                  charge_funding=False)]
+            return [hold_position(series, LONG, balance, window)]
     else:
-        charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
         windows = month_windows(months, cfg.end)
 
         def simulate(window: Tuple[int, int], balance: float):
             weights = _month_weights(spec, market, window[0])
-            return [hold_position(universe[sym], side, w * balance, window,
-                                  cfg.costs, charge_funding)
+            return [hold_position(universe[sym], side, w * balance, window)
                     for sym, side, w in weights if w > 0.0]
 
-    return run_windows(market, windows, cfg, simulate, net_first=False)
+    return run_windows(market, windows, cfg, simulate, net_first=False,
+                       charge_funding=spec.kind in ("tsmom",
+                                                    "vol_scaled_tsmom"))

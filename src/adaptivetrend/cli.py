@@ -641,10 +641,10 @@ def _fmt_regime_cell(cell: str) -> str:
         return cell
 
 
-def _read_json(path: str, keys: Sequence[str]) -> Optional[dict]:
+def _read_json(path: str, keys: Dict[str, tuple]) -> Optional[dict]:
     """The JSON object in ``path``, None without the file; a DataError naming
-    the path when it is not valid JSON or lacks one of ``keys`` (a dotted
-    key names a field of a nested object)."""
+    the path when it is not valid JSON or lacks one of ``keys`` (a dotted key
+    names a field of a nested object) or a value of one of its types."""
     if not os.path.exists(path):
         return None
     with opened(path) as fh:
@@ -652,12 +652,15 @@ def _read_json(path: str, keys: Sequence[str]) -> Optional[dict]:
             data = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    for key in keys:
+    for key, types in keys.items():
         obj = data
         for part in key.split("."):
             if not isinstance(obj, dict) or part not in obj:
                 raise DataError(f"{path}: missing key {key!r}")
             obj = obj[part]
+        if isinstance(obj, bool) or not isinstance(obj, types):
+            raise DataError(f"{path}: key {key!r} holds a value of the"
+                            f" wrong type: {json.dumps(obj)}")
     return data
 
 
@@ -691,8 +694,9 @@ def cmd_report(args) -> int:
     bench_root = os.path.join(out, "benchmarks")
     names = sorted(os.listdir(bench_root)) if os.path.isdir(bench_root) else []
     for run_dir in [out] + [os.path.join(bench_root, n) for n in names]:
-        meta = _read_json(os.path.join(run_dir, "metrics.json"),
-                          ["label"] + [f"metrics.{c}" for c in METRIC_COLUMNS])
+        meta = _read_json(os.path.join(run_dir, "metrics.json"), {
+            "label": (str,), **{f"metrics.{c}": (int, float, type(None))
+                                for c in METRIC_COLUMNS}})
         if meta is None:
             if run_dir == out:
                 gaps.append("metrics.json missing: no strategy metrics")
@@ -727,8 +731,8 @@ def cmd_report(args) -> int:
 
     # Significance.
     sections += ["", "## Significance", ""]
-    boot = _read_json(os.path.join(out, "bootstrap.json"),
-                      ["delta_sr", "p_value", "n_reps", "block_len"])
+    boot = _read_json(os.path.join(out, "bootstrap.json"), dict.fromkeys(
+        ["delta_sr", "p_value", "n_reps", "block_len"], (int, float)))
     sections.append("significance: not run" if boot is None else
                     f"Sharpe difference {boot['delta_sr']:.4f}, two-sided"
                     f" p = {boot['p_value']:.4f} (circular block bootstrap,"

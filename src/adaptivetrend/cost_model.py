@@ -5,7 +5,6 @@ quote currency. Funding is signed: a long position pays when the rate is
 positive, a short position receives the same amount.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ class CostConfig:
     capped at slip_cap_bps. funding_hours are the daily UTC hours at which
     funding is exchanged. funding_rates optionally overrides the flat
     funding_rate_per_8h with a per-symbol step function (see
-    load_funding_rates): finite rates at strictly ascending timestamps.
+    load_funding_rates): rates in [-1, 1] at strictly ascending timestamps.
     """
 
     taker_fee_bps: float = 4.0
@@ -56,9 +55,9 @@ class CostConfig:
             raise ValueError("funding_hours must not repeat")
         # funding_schedule bisects each table, so it must be sorted.
         for symbol, records in (self.funding_rates or {}).items():
-            if not all(math.isfinite(rate) for _, rate in records):
+            if not all(abs(rate) <= 1 for _, rate in records):
                 raise ValueError(f"funding_rates[{symbol!r}]: rates must be"
-                                 " finite")
+                                 " finite and lie in [-1, 1]")
             if any(b <= a for (a, _), (b, _) in zip(records, records[1:])):
                 raise ValueError(f"funding_rates[{symbol!r}]: timestamps must"
                                  " be strictly ascending")
@@ -120,27 +119,34 @@ def funding_schedule(timestamps: np.ndarray, cfg: CostConfig, symbol: str,
         return paid
     events = funding_events(int(timestamps[0]), int(timestamps[-1]),
                             cfg.funding_hours)
+    sign = 1.0 if side == LONG else -1.0
+    np.add.at(paid, np.searchsorted(timestamps, events),
+              sign * size * funding_rates_at(cfg, symbol, events))
+    return paid
+
+
+def funding_rates_at(cfg: CostConfig, symbol: str,
+                     events: np.ndarray) -> np.ndarray:
+    """Each event's rate: symbol's last record at or before it, else flat."""
     rates = np.full(len(events), cfg.funding_rate_per_8h)
     records = (cfg.funding_rates or {}).get(symbol)
     if records:
         at = np.searchsorted([ts for ts, _ in records], events, side="right") - 1
         known = at >= 0
         rates[known] = np.array([rate for _, rate in records])[at[known]]
-    sign = 1.0 if side == LONG else -1.0
-    np.add.at(paid, np.searchsorted(timestamps, events), sign * size * rates)
-    return paid
+    return rates
 
 
 def load_funding_rates(path: str) -> Dict[str, List[Tuple[int, float]]]:
     """Load a per-symbol funding-rate series CSV into a step-function table;
-    rejects rates that are not finite and duplicate (symbol, timestamp)
-    records."""
+    rejects rates outside [-1, 1] (as funding_rate_per_8h), NaN included, and
+    duplicate (symbol, timestamp) records."""
     seen = set()
 
     def parse(row: List[str]) -> Tuple[str, int, float]:
         ts, sym, rate = int(row[0]), row[1], float(row[2])
-        if not math.isfinite(rate):
-            raise DataError(f"rate must be finite, got {rate}")
+        if not abs(rate) <= 1:
+            raise DataError(f"rate must lie in [-1, 1], got {rate}")
         if (sym, ts) in seen:
             raise DataError(f"duplicate record for {sym} {ts}")
         seen.add((sym, ts))

@@ -283,12 +283,22 @@ def date_of_ts(ts: int) -> date:
 @contextmanager
 def opened(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
     """``path`` open for reading UTF-8 text; failing to open or decode it
-    raises a DataError naming the path."""
+    raises a DataError naming the path (and a bad byte's line and column)."""
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:  # at its place in the file
+            exc = whole
+        lines = raw[:exc.start].decode("utf-8").split("\n")
+        raise DataError(f"{path}: {exc}, at line {len(lines)}, column"
+                        f" {len(lines[-1]) + 1}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def read_csv(path: str, header: Sequence[str],
@@ -313,6 +323,8 @@ def read_csv(path: str, header: Sequence[str],
                         continue
                     raise DataError(f"expected {width} columns, got {len(row)}")
                 out.append(parse_row(row))
+        except UnicodeDecodeError:
+            raise  # opened names the bad byte's own line
         except ValueError as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     return out

@@ -13,17 +13,20 @@ in which every cell jumps from entry to exit to next entry. A cell trades
 the sides whose thresholds are below +inf; no caller names a side. Each
 series' ATR is computed once per ATR window (``series_atr``) and shared by
 every search over it; that memo and the one-cell trade memo
-(``_cell_trades``) are keyed weakly by the series. The trades stay the
-search's ``Trades`` columns up to one ledger (``book_trades``, shared with
-the comparison benchmarks, whose positions are one-row ``Trades``), which
-accounts for them. ``run_single_asset`` is the two in turn: it returns the
-closed trades (with full cost attribution) and per-bar series, strategy
-returns for Sharpe evaluation plus currency-denominated realized /
-mark-to-market / cost components that let a caller audit account equity
-exactly. ``grid_sharpes`` scores many one-sided cells at once for the
-monthly grid search with the same search, so the optimizer scores the
-execution model that trades. It and the ledger price fills with one step
-(``_fills``), so both pay the same costs.
+(``cell_position``) are keyed weakly by the series. The trades stay the
+search's ``Trades`` columns, held with their series, bars and size as a
+``Position`` (a comparison benchmark's is one forced trade), up to the
+ledger. A backtest books all positions of a month window in one array pass
+(``backtester.aggregate_results``); ``book_trades`` books one position with
+the same float operations and is its reference. ``run_single_asset`` is the
+one-symbol, per-bar view of that booking: it returns the closed trades
+(with full cost attribution) and per-bar series, strategy returns for
+Sharpe evaluation plus currency-denominated realized / mark-to-market /
+cost components that let a caller audit account equity exactly.
+``grid_sharpes`` scores many one-sided cells at once for the monthly grid
+search with the same search, so the optimizer scores the execution model
+that trades. It and ``book_trades`` price fills with one step (``_fills``),
+so both pay the same costs.
 """
 
 import math
@@ -36,7 +39,7 @@ import numpy as np
 from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, fill_costs,
                          funding_schedule)
 from .indicators import atr, momentum, sharpe_rows
-from .market_data import PriceSeries, bars_per_year, read_csv, write_columns
+from .market_data import PriceSeries, bars_per_year, write_columns
 
 LEDGER_HEADER = [
     "symbol", "side", "entry_ts", "entry_px", "exit_ts", "exit_px", "size",
@@ -199,8 +202,8 @@ def book_trades(
     """Account for one cell's trades in one window of bars [i0, i1); the
     ``cell`` column is not read.
 
-    Every strategy's trades go through here, so all of them pay the same
-    fills and funding and are marked to market the same way. Each trade
+    The one-position reference of the ledger: backtester.aggregate_results
+    books a window's positions with the same float operations. Each trade
     pays fee and slippage on its entry fill (notional ``size``) and on its
     exit fill (the position's value at the exit price), plus funding on the
     bars it is held entering, (entry, exit], when ``charge_funding``. Trades
@@ -493,18 +496,32 @@ def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
     return np.maximum.reduceat(cands.ravel(), offsets)[::2]
 
 
+class Position(NamedTuple):
+    """A window's position, not booked: series, bars [i0, i1), trades and
+    quote notional; ``book_trades(*position, cost_cfg)`` books it alone."""
+
+    series: PriceSeries
+    bounds: Tuple[int, int]
+    found: Trades
+    size: float
+
+
 _trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
     weakref.WeakKeyDictionary())
 
 
-def _cell_trades(series: PriceSeries, bounds: Tuple[int, int],
-                 params: StrategyParams, trailing: bool,
-                 intrabar_stop_fill: bool) -> Trades:
-    """find_trades of one cell, run once per (series, bounds, cell,
-    execution flags): the runs that trade a cell at different sizes (the
-    lambda points of a sweep) share it, since only the ledger reads the
-    size. Keyed weakly by the series, as series_atr is; the found columns
-    are made read-only, since every caller shares them."""
+def cell_position(series: PriceSeries, params: StrategyParams,
+                  window: Optional[Tuple[int, int]], size: float, *,
+                  trailing: bool = True,
+                  intrabar_stop_fill: bool = False) -> Position:
+    """One cell's Position at ``size`` over the bars in [window start, end]
+    (all bars without a window). Only the ledger reads the size, so
+    find_trades runs once per (series, bounds, cell, execution flags), in a
+    memo keyed weakly by the series whose found columns are read-only."""
+    if size <= 0:
+        raise EngineError(f"size must be > 0, got {size}")
+    bounds = ((0, len(series)) if window is None
+              else series.slice_indices(*window))
     memo = _trades_memo.setdefault(series, {})
     key = (bounds, params, trailing, intrabar_stop_fill)
     if key not in memo:
@@ -513,7 +530,7 @@ def _cell_trades(series: PriceSeries, bounds: Tuple[int, int],
         for column in found:
             column.flags.writeable = False
         memo[key] = found
-    return memo[key]
+    return Position(series, bounds, memo[key], size)
 
 
 def run_single_asset(
@@ -531,17 +548,13 @@ def run_single_asset(
 
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
-    undefined take no entry. find_trades finds the trades under the given
-    execution model, once for every size (_cell_trades), and book_trades
-    accounts for them.
+    undefined take no entry. The one-symbol, per-bar view of a backtest's
+    booking: cell_position's trades, booked by book_trades.
     """
-    if size <= 0:
-        raise EngineError(f"size must be > 0, got {size}")
-    bounds = ((0, len(series)) if window is None
-              else series.slice_indices(*window))
-    i0, i1 = bounds
-    found = _cell_trades(series, bounds, params, trailing, intrabar_stop_fill)
-    result = book_trades(series, bounds, found, size, cost_cfg)
+    position = cell_position(series, params, window, size, trailing=trailing,
+                             intrabar_stop_fill=intrabar_stop_fill)
+    (i0, i1), found = position.bounds, position.found
+    result = book_trades(*position, cost_cfg)
     # The stop in force after each bar of a trade, into the ledger's
     # all-NaN stop path (NaN when flat).
     stop = result.stop
@@ -646,19 +659,3 @@ def write_ledger(trades: List[TradeRecord], path: str) -> None:
                for f in fields(TradeRecord)]
     columns[-1] = [int(forced) for forced in columns[-1]]
     write_columns(path, LEDGER_HEADER, columns)
-
-
-def _parse_trade(row: List[str]) -> TradeRecord:
-    return TradeRecord(
-        symbol=row[0], side=row[1],
-        entry_ts=int(row[2]), entry_px=float(row[3]),
-        exit_ts=int(row[4]), exit_px=float(row[5]),
-        size=float(row[6]), gross_pnl=float(row[7]),
-        fee_cost=float(row[8]), slippage_cost=float(row[9]),
-        funding_cost=float(row[10]), net_pnl=float(row[11]),
-        forced=bool(int(row[12])),
-    )
-
-
-def read_ledger(path: str) -> List[TradeRecord]:
-    return read_csv(path, LEDGER_HEADER, _parse_trade)

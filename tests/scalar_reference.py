@@ -11,10 +11,13 @@ shared one ledger: the scalar fee and slippage of one fill, funding summed
 per holding interval, the per-bar state machine (one branch per side) that
 trades were found with before there was one trade search, the engine
 charging every cost bar by bar, the benchmarks' own hold loop, and the two
-month loops (the strategy's and the benchmarks'). Last, the trade search
+month loops (the strategy's and the benchmarks'), with the aggregation
+that forward-filled one booked result at a time onto the marks, before a
+window's positions were booked together. Last, the trade search
 that jumped from each entry to its exit one cell at a time, before it found
-the trades of all cells in array passes. The tests check the code in
-``adaptivetrend`` against them.
+the trades of all cells in array passes. The ledger reader (``read_ledger``)
+is here too, since only the tests read a ledger back. The tests check the
+code in ``adaptivetrend`` against them.
 """
 
 import bisect
@@ -31,7 +34,7 @@ from adaptivetrend.analytics import (BootstrapResult, MetricsReport,
                                      _circular_block_indices, compute_metrics)
 from adaptivetrend.backtester import (EQUITY_HEADER, BacktestConfig,
                                       BacktestResult, EquityCurve, Market,
-                                      aggregate_results, month_starts_between,
+                                      month_starts_between,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkSpec, _month_weights
 from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
@@ -214,6 +217,23 @@ def write_ledger(trades: Sequence[TradeRecord], path: str) -> None:
          t.size, t.gross_pnl, t.fee_cost, t.slippage_cost, t.funding_cost,
          t.net_pnl, int(t.forced)]
         for t in trades))
+
+
+def _parse_trade(row: List[str]) -> TradeRecord:
+    return TradeRecord(
+        symbol=row[0], side=row[1],
+        entry_ts=int(row[2]), entry_px=float(row[3]),
+        exit_ts=int(row[4]), exit_px=float(row[5]),
+        size=float(row[6]), gross_pnl=float(row[7]),
+        fee_cost=float(row[8]), slippage_cost=float(row[9]),
+        funding_cost=float(row[10]), net_pnl=float(row[11]),
+        forced=bool(int(row[12])),
+    )
+
+
+def read_ledger(path: str) -> List[TradeRecord]:
+    """A ledger.csv's trades; only tests read a ledger back."""
+    return read_csv(path, LEDGER_HEADER, _parse_trade)
 
 
 def bootstrap_sharpe_test(returns_a: Sequence[float],
@@ -657,6 +677,30 @@ class BenchmarkRun:
     equity: EquityCurve
     metrics: MetricsReport
     trades: List[TradeRecord]
+
+
+def aggregate_results(
+    timeline: np.ndarray,
+    results: Sequence[SingleAssetResult],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward-fill each result's decomposition onto a shared timeline.
+
+    Returns (realized, open_mtm, open_costs) currency arrays summed across
+    results; before a result's first bar its contribution is zero.
+    """
+    realized = np.zeros(len(timeline))
+    mtm = np.zeros(len(timeline))
+    ocost = np.zeros(len(timeline))
+    for res in results:
+        if len(res.timestamps) == 0:
+            continue
+        idx = np.searchsorted(res.timestamps, timeline, side="right") - 1
+        live = idx >= 0
+        pick = np.maximum(idx, 0)
+        realized += np.where(live, res.realized_cum[pick], 0.0)
+        mtm += np.where(live, res.open_mtm[pick], 0.0)
+        ocost += np.where(live, res.open_costs[pick], 0.0)
+    return realized, mtm, ocost
 
 
 def universe_interval(universe: Dict[str, PriceSeries]) -> int:

@@ -2,7 +2,7 @@
 
 import logging
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from datetime import date
 
 import numpy as np
@@ -21,13 +21,14 @@ from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
                                        PriceSeries, month_add,
                                        month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
-from adaptivetrend.signal_engine import SingleAssetResult, StrategyParams
+from adaptivetrend.signal_engine import (Position, StrategyParams, Trades,
+                                         book_trades, cell_position)
 from hypothesis import given, settings, strategies as st
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
                       assert_accounting_identity, caps_for, gbm_series,
                       jumpy_universe, make_bars, make_series, market_of,
-                      series_from_bars)
+                      rough_series, series_from_bars)
 import scalar_reference
 
 APR1 = 1_648_771_200
@@ -111,31 +112,135 @@ class TestAggregation:
         got = union_timeline(universe, (lo, hi))
         assert got.dtype == np.int64 and got.tolist() == expected.tolist()
 
-    def _result(self, timestamps, realized, mtm, ocost):
-        n = len(timestamps)
-        zeros = np.zeros(n)
-        return SingleAssetResult(
-            symbol="X", timestamps=np.array(timestamps, dtype=np.int64),
-            position=np.zeros(n, dtype=np.int8), stop=zeros.copy(),
-            gross_returns=zeros.copy(), net_returns=zeros.copy(),
-            costs=zeros.copy(), realized_cum=np.array(realized, dtype=float),
-            open_mtm=np.array(mtm, dtype=float),
-            open_costs=np.array(ocost, dtype=float), trades=[])
-
     def test_forward_fill_and_sum(self):
-        res_a = self._result([10, 20], [1.0, 2.0], [0.5, 0.0], [0.1, 0.2])
-        res_b = self._result([15], [10.0], [1.0], [0.0])
-        timeline = np.array([5, 10, 15, 20, 25], dtype=np.int64)
-        realized, mtm, ocost = aggregate_results(timeline, [res_a, res_b])
-        assert realized.tolist() == [0.0, 1.0, 11.0, 12.0, 12.0]
-        assert mtm.tolist() == [0.0, 0.5, 1.5, 1.0, 1.0]
-        assert ocost.tolist() == [0.0, 0.1, 0.1, 0.2, 0.2]
+        # A long of 1000 from 100 to 150 over bars 10, 20 and a short of 100
+        # from 200 over bars 15, 25, 35 (100, then 300), at zero cost.
+        def held(symbol, ts, closes, short):
+            flat = np.array(closes)
+            series = PriceSeries(symbol, 5, np.array(ts, dtype=np.int64),
+                                 flat, flat, flat, flat, flat)
+            found = Trades(np.zeros(1, np.intp), np.zeros(1, np.intp),
+                           np.array([len(ts) - 1]), flat[-1:],
+                           np.array([True]), np.array([short]))
+            return Position(series, (0, len(ts)), found,
+                            100.0 if short else 1000.0)
+
+        marks = np.arange(5, 45, 5, dtype=np.int64)
+        realized, mtm, ocost, records = aggregate_results(
+            marks, [held("A", [10, 20], [100.0, 150.0], False),
+                    held("B", [15, 25, 35], [200.0, 100.0, 300.0], True)],
+            ZERO_COSTS, charge_funding=True)
+        assert realized.tolist() == [0.0, 0.0, 0.0, 500.0, 500.0, 500.0,
+                                     450.0, 450.0]
+        assert mtm.tolist() == [0.0, 0.0, 0.0, 0.0, 50.0, 50.0, 0.0, 0.0]
+        assert ocost.tolist() == [0.0] * 8
+        assert [(t.symbol, t.net_pnl) for t in records] == [("A", 500.0),
+                                                           ("B", -50.0)]
 
     def test_empty_results(self):
         timeline = np.array([10, 20], dtype=np.int64)
-        realized, mtm, ocost = aggregate_results(timeline, [])
+        realized, mtm, ocost, records = aggregate_results(
+            timeline, [], ZERO_COSTS, charge_funding=True)
         assert realized.tolist() == [0.0, 0.0]
         assert mtm.tolist() == [0.0, 0.0] and ocost.tolist() == [0.0, 0.0]
+        assert records == []
+
+
+def drawn_trades(data, close):
+    """Trades in time order over the bars of ``close``, as the ledger takes
+    them: one-bar, forced and two-sided ones among them, or none."""
+    n = len(close)
+    bars = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                     max_size=10), label="bars")) if n > 1 else []
+    bars = bars[:len(bars) // 2 * 2]
+    k = len(bars) // 2
+    entry, exit_ = (np.array(bars[i::2], dtype=np.intp) for i in (0, 1))
+    drift = data.draw(st.lists(st.sampled_from([1.0, 0.97, 1.05]),
+                               min_size=k, max_size=k), label="exit drift")
+    flags = data.draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                               min_size=k, max_size=k), label="forced, short")
+    return Trades(np.zeros(k, np.intp), entry, exit_,
+                  close[exit_] * np.array(drift, dtype=float),
+                  np.array([f for f, _ in flags], dtype=bool),
+                  np.array([s for _, s in flags], dtype=bool))
+
+
+CELLS = st.builds(StrategyParams,
+                  theta_entry=st.sampled_from([0.002, 0.02, math.inf]),
+                  theta_entry_short=st.sampled_from([0.002, 0.02, math.inf]),
+                  alpha=st.sampled_from([0.5, 2.0]),
+                  lookback=st.sampled_from([1, 3]),
+                  atr_window=st.sampled_from([2, 3]))
+
+
+@st.composite
+def window_costs(draw, symbols):
+    """A cost config with a per-symbol funding table for some symbols."""
+    tables = {}
+    for symbol in symbols:
+        if draw(st.booleans(), label=f"{symbol} table"):
+            stamps = draw(st.lists(st.integers(-20, 400), min_size=1,
+                                   max_size=3, unique=True), label="at")
+            tables[symbol] = [(T0 + 3_600 * k, draw(st.sampled_from(
+                [-4e-4, 0.0, 7e-4]), label="rate")) for k in sorted(stamps)]
+    return CostConfig(
+        taker_fee_bps=draw(st.sampled_from([0.0, 4.0])),
+        slip_coeff=draw(st.sampled_from([0.0, 0.1, 5.0])),
+        slip_cap_bps=draw(st.sampled_from([0.0, 50.0])),
+        funding_rate_per_8h=draw(st.sampled_from([0.0, 1e-4, -3e-4])),
+        funding_hours=draw(st.sampled_from([(0, 8, 16), (3, 11, 19), (5,)])),
+        funding_rates=tables or None)
+
+
+class TestWindowLedger:
+    """aggregate_results books a window's positions together exactly as
+    book_trades books each alone, forward-filled onto the marks and summed
+    one result at a time (scalar_reference.aggregate_results): the arrays
+    and the records are equal bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           interval=st.sampled_from([3_600, 21_600, 43_200, 86_400]),
+           n_symbols=st.integers(1, 3), bounds=st.tuples(st.integers(0, 30),
+                                                         st.integers(0, 80)),
+           charge_funding=st.booleans(), data=st.data())
+    def test_equals_booking_each_position(self, seed, interval, n_symbols,
+                                          bounds, charge_funding, data):
+        rng = np.random.default_rng(seed)
+        universe = {f"S{j}": rough_series(rng, int(rng.integers(0, 80)),
+                                          interval, gaps=True,
+                                          zero_volume=0.2, symbol=f"S{j}")
+                    for j in range(n_symbols)}
+        a, b = sorted(bounds)
+        window = (T0 + a * interval, T0 + (b + 20) * interval)
+        marks = union_timeline(universe, window)
+        cost = data.draw(window_costs(sorted(universe)), label="costs")
+        positions = []
+        for _ in range(data.draw(st.integers(0, 6), label="positions")):
+            series = universe[data.draw(st.sampled_from(sorted(universe)),
+                                        label="symbol")]
+            size = data.draw(st.sampled_from([1.0, 3_333.3, 250_000.0]),
+                             label="size")
+            if data.draw(st.booleans(), label="searched"):
+                positions.append(cell_position(
+                    series, data.draw(CELLS, label="cell"), window, size,
+                    trailing=data.draw(st.booleans(), label="trailing"),
+                    intrabar_stop_fill=data.draw(st.booleans(),
+                                                 label="intrabar")))
+            else:
+                i0, i1 = series.slice_indices(*window)
+                positions.append(Position(series, (i0, i1), drawn_trades(
+                    data, series.close[i0:i1]), size))
+        *got, records = aggregate_results(marks, positions, cost,
+                                          charge_funding=charge_funding)
+        booked = [book_trades(*p, cost, charge_funding=charge_funding)
+                  for p in positions]
+        want = scalar_reference.aggregate_results(marks, booked)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        exact = lambda trades: [tuple(map(repr, astuple(t)))  # noqa: E731
+                                for t in trades]
+        assert exact(records) == exact([t for r in booked for t in r.trades])
 
 
 def month_oracle_universe():

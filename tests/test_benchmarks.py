@@ -14,6 +14,7 @@ from adaptivetrend.benchmarks import (BenchmarkSpec, hold_position,
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import DataError, MarketCapRecord
 from adaptivetrend.rebalancer import RebalanceConfig
+from adaptivetrend.signal_engine import book_trades
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
                       assert_accounting_identity, assert_same_result,
                       gbm_series, jumpy_universe, make_series, market_of,
@@ -37,6 +38,12 @@ def drift_series(symbol, rate, n=250, t0=PRE, base=100.0):
                        symbol=symbol, t0=t0, wick=0.05)
 
 
+def held(series, side, size, window, cost_cfg, charge_funding):
+    """hold_position's one forced trade, booked alone by the ledger."""
+    return book_trades(*hold_position(series, side, size, window), cost_cfg,
+                       charge_funding=charge_funding)
+
+
 class TestHoldPosition:
     def window_of(self, series, n_bars):
         ts = series.timestamps
@@ -45,7 +52,7 @@ class TestHoldPosition:
     def test_long_decomposition_zero_cost(self):
         s = drift_series("HLD", 0.01, n=10)
         window = self.window_of(s, 6)
-        res = hold_position(s, "long", 1_000.0, window, ZERO_COSTS, False)
+        res = held(s, "long", 1_000.0, window, ZERO_COSTS, False)
         assert len(res.trades) == 1
         t = res.trades[0]
         closes = s.close
@@ -63,7 +70,7 @@ class TestHoldPosition:
     def test_short_sign(self):
         s = drift_series("HLD", 0.01, n=10)
         window = self.window_of(s, 6)
-        res = hold_position(s, "short", 1_000.0, window, ZERO_COSTS, False)
+        res = held(s, "short", 1_000.0, window, ZERO_COSTS, False)
         closes = s.close
         assert res.trades[0].gross_pnl == pytest.approx(
             1_000.0 * (1.0 - closes[5] / closes[0]), rel=1e-12)
@@ -71,7 +78,7 @@ class TestHoldPosition:
     def test_single_bar_window_is_empty(self):
         s = drift_series("HLD", 0.01, n=10)
         window = self.window_of(s, 1)
-        res = hold_position(s, "long", 1_000.0, window, ZERO_COSTS, False)
+        res = held(s, "long", 1_000.0, window, ZERO_COSTS, False)
         assert res.trades == [] and np.all(res.position == 0)
 
     def test_fees_on_both_legs(self):
@@ -79,7 +86,7 @@ class TestHoldPosition:
         window = self.window_of(s, 6)
         costs = CostConfig(taker_fee_bps=10.0, slip_coeff=0.0,
                            funding_rate_per_8h=0.0)
-        res = hold_position(s, "long", 1_000.0, window, costs, False)
+        res = held(s, "long", 1_000.0, window, costs, False)
         t = res.trades[0]
         exit_notional = 1_000.0 * t.exit_px / t.entry_px
         assert t.fee_cost == pytest.approx(
@@ -92,8 +99,8 @@ class TestHoldPosition:
         window = self.window_of(s, 6)
         costs = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0,
                            funding_rate_per_8h=1e-4)
-        charged = hold_position(s, "long", 1_000.0, window, costs, True)
-        skipped = hold_position(s, "long", 1_000.0, window, costs, False)
+        charged = held(s, "long", 1_000.0, window, costs, True)
+        skipped = held(s, "long", 1_000.0, window, costs, False)
         assert charged.trades[0].funding_cost > 0.0
         assert skipped.trades[0].funding_cost == 0.0
 
@@ -118,7 +125,7 @@ class TestHoldMatchesPerBar:
         a, b = sorted(bounds)
         window = (T0 + a * interval, T0 + b * interval)
         args = (series, side, size, window, COST_CHOICES[cost], charge_funding)
-        assert_same_result(hold_position(*args),
+        assert_same_result(held(*args),
                            scalar_reference.hold_position(*args))
 
 

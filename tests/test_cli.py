@@ -797,6 +797,37 @@ class TestReport:
         assert not [p for p in os.listdir(run)
                     if p.startswith("report") or p == "sensitivity.csv"]
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("bootstrap.json", "delta_sr", None),
+        ("bootstrap.json", "n_reps", True),
+        ("bootstrap.json", "p_value", "0.5"),
+        ("metrics.json", "metrics.sharpe", [1.0]),
+        ("benchmarks/btc_bh/metrics.json", "label", 3),
+    ], ids=["null-delta", "bool-reps", "string-p", "list-sharpe",
+            "number-label"])
+    def test_json_value_of_wrong_type_is_a_clean_error(self, ws, tmp_path,
+                                                       capsys, name, key,
+                                                       value):
+        run = tmp_path / "run"
+        shutil.copytree(ws.run, run, ignore=shutil.ignore_patterns(
+            "report*", "sensitivity.csv"))
+        (run / "bootstrap.json").write_text(json.dumps(
+            {"delta_sr": 0.0, "p_value": 1.0, "n_reps": 10, "block_len": 5}))
+        target = run / name
+        payload = json.loads(target.read_text())
+        *parents, last = key.split(".")
+        obj = payload
+        for part in parents:
+            obj = obj[part]
+        obj[last] = value
+        target.write_text(json.dumps(payload))
+        assert main(["report", "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {target}: key {key!r} holds a value of the wrong type:"
+            f" {json.dumps(value)}\n")
+        assert not [p for p in os.listdir(run)
+                    if p.startswith("report") or p == "sensitivity.csv"]
+
     @pytest.mark.parametrize("text, line, width", [
         ("alpha,lambda,sharpe\n1.0\n", 2, 1),
         ("alpha,lambda,sharpe\n1.0,0.7,0.5\n\n2.0,0.7\n", 4, 2),

@@ -213,9 +213,12 @@ def test_load_funding_rates(tmp_path):
     ([(T0, math.nan)], "rates must be finite"),
     ([(T0, 1e-4), (T0 + 3600, math.inf)], "rates must be finite"),
     ([(T0, -math.inf)], "rates must be finite"),
+    ([(T0, 1e308)], r"rates must be finite and lie in \[-1, 1\]"),
+    ([(T0, 1e-4), (T0 + 3600, -1.5)], r"rates must be finite and lie in"),
     ([(T0 + 3600, 1e-4), (T0, 2e-4)], "timestamps must be strictly ascending"),
     ([(T0, 1e-4), (T0, 2e-4)], "timestamps must be strictly ascending"),
-], ids=["nan", "inf", "-inf", "descending", "repeated"])
+], ids=["nan", "inf", "-inf", "huge", "below-minus-one", "descending",
+        "repeated"])
 def test_config_rejects_a_bad_funding_table(records, message):
     # Accepted, a NaN rate was charged as NaN funding, and an unsorted table
     # made funding_schedule's bisection pick the wrong rates.

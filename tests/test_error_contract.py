@@ -226,6 +226,30 @@ def test_mutated_data_directory(world, command, kind, mutation, symbol, data):
             assert (command, kind, mutation) in DOCUMENTED
 
 
+@pytest.mark.parametrize("command", ["validate-data", "backtest"])
+def test_funding_rate_beyond_one_is_rejected(world, command, tmp_path,
+                                             capsys):
+    # 1e308 is finite, yet a position's funding of it overflows mid-run; the
+    # table's rates are bounded as funding_rate_per_8h is.
+    data = tmp_path / "data"
+    shutil.copytree(world.data, data)
+    with open(data / "funding_rates.csv", "a") as fh:
+        fh.write(f"{1_643_673_600 + 12 * 28_800},SYM00,1e308\n")
+    out = str(tmp_path / "out")
+    if command == "validate-data":
+        argv = ["validate-data", "--data-dir", str(data)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.format(data=data))
+        argv = ["backtest", "--config", str(cfg), "--out", out]
+    assert main(argv) == 1
+    shown = capsys.readouterr()
+    assert (f"{data / 'funding_rates.csv'}: line 14: rate must lie in"
+            " [-1, 1], got 1e+308") in shown.out + shown.err
+    assert shown.err.splitlines()[-1].startswith("error:")
+    assert not os.path.exists(out)
+
+
 # run-directory file kind -> its path under the run directory
 ARTIFACTS = {"metrics": "metrics.json", "equity": "equity.csv",
              "regimes": "regime_metrics.csv", "bootstrap": "bootstrap.json",

@@ -7,7 +7,7 @@ import string
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -25,9 +25,9 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
                                        save_price_series, write_columns)
-from adaptivetrend.signal_engine import (LEDGER_HEADER, TradeRecord,
-                                         read_ledger, write_ledger)
+from adaptivetrend.signal_engine import LEDGER_HEADER, TradeRecord, write_ledger
 import scalar_reference
+from scalar_reference import read_ledger
 from conftest import (INTERVAL, T0, bars_of, make_bars, make_series,
                       series_from_bars)
 
@@ -393,6 +393,30 @@ def test_reader_framing_errors_name_path_and_line(kind, tmp_path):
     assert _plain(read(str(p))) == expected
 
 
+# kind -> row k of a long file, each row a record of its own
+LONG_ROWS = {
+    "ohlcv": lambda k: f"{T0 + k * INTERVAL},10,11,9,10.5,100",
+    "caps": lambda k: f"{date(2015, 1, 1) + timedelta(k)},BTC,9e11",
+    "funding": lambda k: f"{T0 + k * 3_600},BTC,0.0001",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_ROWS))
+def test_non_utf8_byte_is_named_at_its_line_and_column(kind, tmp_path):
+    # Text is decoded in chunks of about 8 KB, and the decoder knows only
+    # its place in the chunk; the error names the byte's place in the file.
+    read, header = CSV_READERS[kind][:2]
+    rows = [",".join(header)] + [LONG_ROWS[kind](k) for k in range(3_000)]
+    rows[2_501] = rows[2_501][:4] + "\udcff" + rows[2_501][4:]
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
+    offset = len("\n".join(rows[:2_501])) + 1 + 4
+    with pytest.raises(DataError, match=re.escape(
+            f"{p}: 'utf-8' codec can't decode byte 0xff in position {offset}:"
+            " invalid start byte, at line 2502, column 5") + "$"):
+        read(str(p))
+
+
 def test_write_csv_failure_keeps_target(tmp_path):
     # A lone surrogate cannot be encoded, so the write fails after the
     # temporary file is opened: it is removed and the target is kept.
@@ -466,7 +490,8 @@ class TestCsvRoundTrip:
         assert list(load_market_caps(str(p))) == records
 
     @ROUND_TRIP
-    @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL, AMOUNT),
+    @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL,
+                                   st.floats(min_value=-1.0, max_value=1.0)),
                          unique_by=lambda r: (r[0], r[1]), max_size=8))
     def test_funding_rates(self, tmp_path_factory, rows):
         p = tmp_path_factory.mktemp("rt") / "funding_rates.csv"

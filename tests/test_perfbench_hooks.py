@@ -4,9 +4,10 @@ a refactor cannot silently blank or zero its per-layer metrics
 (perfbench/tracer.py reports a missing hook as an absent metric, not as a
 failure, and a hook that is never called reads 0). The loaded universe's
 timeline is built once per backtest and once per sweep group, each series'
-ATR once per ATR window, through the hook the tracer counts, and the month
-simulations of a sweep (the tracer's month_sim span) search each traded
-cell once."""
+ATR once per ATR window, through the hook the tracer counts, each run books
+a window's positions in one aggregate call, and the month simulations of a
+sweep (each strategy position's cell_position) search each traded cell
+once."""
 
 import importlib
 import importlib.util
@@ -48,14 +49,15 @@ def watch(monkeypatch, tracer, watched):
     return trace
 
 
-def tiny_run_config(tmp_path):
-    """A 3-symbol universe and a one-month, one-cell config over it."""
+def tiny_run_config(tmp_path, bars=200, end="2022-02-20", kinds="btc_bh"):
+    """A 3-symbol universe of 6-hour bars and a one-cell config over it,
+    one month long by default."""
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--seed", "3", "--symbols", "3",
-                 "--regimes", "200:0.5:0.4"]) == 0
+                 "--regimes", f"{bars}:0.5:0.4"]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"data.dir = {data}\nrun.start = 2022-02-01\n"
-                   "run.end = 2022-02-20\nbenchmarks.kinds = btc_bh\n"
+                   f"run.end = {end}\nbenchmarks.kinds = {kinds}\n"
                    "grid.theta_entry = 0.02\ngrid.theta_entry_short = 0.02\n"
                    "grid.alpha = 2.0\ngrid.lookback = 4\n")
     return cfg
@@ -131,19 +133,46 @@ def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):
     assert counters["optimizer.solved"] == 9 * counters["optimizer.searches"]
 
 
+def test_a_backtest_books_each_window_in_one_ledger_pass(tmp_path,
+                                                        monkeypatch):
+    # Each run, the strategy's and each benchmark's, calls the aggregate
+    # hook once per window with marks (three months; buy-and-hold holds one
+    # window), and the hold_position counter counts benchmark positions.
+    tracer = load_tracer()
+    trace = watch(monkeypatch, tracer, {
+        ("backtester", "run_backtest"), ("cli", "run_benchmark"),
+        ("backtester", "aggregate_results"), ("benchmarks", "hold_position")})
+    cfg = tiny_run_config(tmp_path, bars=480, end="2022-04-20",
+                          kinds="tsmom_1m,btc_bh,ew_bh")
+    out = tmp_path / "run"
+    assert main(["backtest", "--config", str(cfg), "--out", str(out)]) == 0
+    runs = [i for i, span in enumerate(trace.spans)
+            if span[0] in ("backtester.run_backtest", "cli.run_benchmark")]
+    booked = [sum(span[0] == "backtester.aggregate_results" and span[3] == i
+                  for span in trace.spans) for i in runs]
+    assert booked == [3, 3, 1, 3]
+    positions = 0
+    for kind in ("tsmom_1m", "btc_bh", "ew_bh"):
+        with open(out / "benchmarks" / kind / "ledger.csv") as fh:
+            positions += len(fh.read().splitlines()) - 1
+    held = [span for span in trace.spans
+            if span[0] == "benchmarks.hold_position"]
+    assert positions > 3 and len(held) == positions
+
+
 def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
     # The lambda points of an alpha trade the same cells at other sizes;
     # only the ledger reads the size, so each (symbol, cell, window) of the
     # month simulations is searched once.
-    month_sim = backtester.run_single_asset
+    month_sim = backtester.cell_position
     find_trades = signal_engine.find_trades
     sims, searches, inside = [], [], []
 
-    def traded(series, params, **kwargs):
-        sims.append((series.symbol, params, kwargs["window"]))
+    def traded(series, params, window, size, **kwargs):
+        sims.append((series.symbol, params, window))
         inside.append(True)
         try:
-            return month_sim(series, params, **kwargs)
+            return month_sim(series, params, window, size, **kwargs)
         finally:
             inside.pop()
 
@@ -152,7 +181,7 @@ def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
             searches.append((id(series), bounds, tuple(cells)))
         return find_trades(series, bounds, cells, **kwargs)
 
-    monkeypatch.setattr(backtester, "run_single_asset", traded)
+    monkeypatch.setattr(backtester, "cell_position", traded)
     monkeypatch.setattr(signal_engine, "find_trades", searched)
     cfg = tiny_run_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out",

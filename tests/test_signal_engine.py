@@ -17,13 +17,13 @@ from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (EngineError, StrategyParams,
                                          TradeRecord, Trades, _stop_max,
                                          book_trades, find_trades,
-                                         grid_sharpes, gross_pnl, read_ledger,
+                                         grid_sharpes, gross_pnl,
                                          run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
                       rough_series, sided)
 import scalar_reference
-from scalar_reference import SIDE_CHOICES, Position, step
+from scalar_reference import SIDE_CHOICES, Position, read_ledger, step
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
