@@ -3,8 +3,9 @@
 Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
 as weight x month-start balance, find each position's trades over the
 month's bars, and book and mark all of them in one ledger pass
-(``aggregate_results``) on the union of all symbols' bar closes.
-Positions are force-closed at month end, so each month's PnL is fully
+(``aggregate_results``, pricing fills and funding through cost_model) on
+the union of all symbols' bar closes. Positions are force-closed at month
+end, or at the mark where a run halts, so each month's PnL is fully
 realized before the next month is sized. Capital freed by an intra-month
 exit idles until the month ends (weights are set once per month).
 
@@ -29,15 +30,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analytics, cost_model
+from . import analytics
 from .analytics import MetricsReport
-from .cost_model import LONG, SHORT, CostConfig, fill_costs
+from .cost_model import LONG, SHORT, CostConfig, funding_paid, trade_fills
 from .market_data import (CapIndex, DataError, PriceSeries,
                           bars_per_year, month_add, month_floor, month_id,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
                          RebalanceConfig, run_rebalance)
-from .signal_engine import Position, TradeRecord, cell_position
+from .signal_engine import Position, TradeRecord, cell_position, cut_position
 # Only for perfbench's signal_engine.month_sim hook, until it is re-pointed.
 from .signal_engine import run_single_asset  # noqa: F401
 
@@ -198,9 +199,10 @@ def aggregate_results(
     Bit for bit, that is book_trades of each position (funding charged when
     ``charge_funding``), forward-filled onto the marks (zero before its first
     bar) and summed from zeros in position order: the ledger's float
-    operations, in its order, over every trade of the window at once. The
+    operations, in its order, over every trade of the window at once, with
+    the fills and funding priced by cost_model's one pricing step. The
     positions' bars are laid end to end, and a (position, timestamp) key
-    places every funding event and mark on its position's bars."""
+    places every mark on its position's bars."""
     positions = [p for p in positions if len(p.found.cell)]  # others book 0
     if not positions:
         return (*np.zeros((3, len(marks))), [])
@@ -219,11 +221,10 @@ def aggregate_results(
     lo, span = stamps.min(), stamps.max() - stamps.min() + 1
     bar_key = np.repeat(k, n) * span + (ts - lo)
     sizes = np.array([p.size for p in positions])
-    size, entry_px, fills = sizes[owner], close[e], np.concatenate((e, x))
-    fees, slips = fill_costs(
-        np.concatenate((size, size * exit_px / entry_px)), volume[fills],
-        close[fills], cost_cfg,
-        np.array([p.series.interval for p in positions])[np.tile(owner, 2)])
+    size, entry_px = sizes[owner], close[e]
+    fees, slips = trade_fills(
+        close, volume, e, x, exit_px, size,
+        np.array([p.series.interval for p in positions])[owner], cost_cfg)
     hold = x - e  # a trade holds its position after bars [e, x)
     row = np.repeat(np.arange(len(e)), hold)
     step = np.arange(len(row)) - np.repeat(np.cumsum(hold) - hold, hold)
@@ -232,16 +233,8 @@ def aggregate_results(
     # Funding accrues along each trade's row from a zero column, in order.
     accrued = np.zeros(len(e) * width)
     if charge_funding:
-        events = cost_model.funding_events(int(ts.min()), int(ts.max()),
-                                           cost_cfg.funding_hours)
-        pos, ev = np.nonzero((events > ts[base][:, None])
-                             & (events <= ts[base + n - 1][:, None]))
-        rates = {p.series.symbol: cost_model.funding_rates_at(
-            cost_cfg, p.series.symbol, events) for p in positions}
-        paid = np.zeros(len(ts))
-        np.add.at(paid, np.searchsorted(bar_key, pos * span + events[ev] - lo),
-                  sizes[pos] * np.array([rates[p.series.symbol]
-                                         for p in positions])[pos, ev])
+        paid = funding_paid(ts, base, n, [p.series.symbol for p in positions],
+                            sizes, cost_cfg)
         accrued[cell + 1] = np.where(short[row], 0.0 - paid[bar + 1],
                                      paid[bar + 1])
         accrued = np.cumsum(accrued.reshape(-1, width), axis=1).ravel()
@@ -299,8 +292,10 @@ def run_windows(
     universe symbol's closes (so it does not depend on what was traded).
     The balance at the window's last close carries into the next window. A
     window with no bars is skipped with a warning; if every window is, there
-    is nothing to score and DataError is raised. A balance <= 0 halts the run
-    there and flags the curve.
+    is nothing to score and DataError is raised. The first mark whose
+    balance is <= 0 halts the run and flags the curve: each position is cut
+    there (cut_position) and the window booked again up to that mark, which
+    ends the curve whatever balance the close-out then gives it.
 
     The strategy adds a window's net change to its starting balance in one
     step (net_first), the benchmarks add realized PnL, open MTM and open
@@ -323,6 +318,15 @@ def run_windows(
     trades: List[TradeRecord] = []
     bankrupt = False
 
+    def book(marks, positions):
+        realized, mtm, ocost, records = aggregate_results(
+            marks, positions, cfg.costs, charge_funding=charge_funding)
+        if net_first:
+            balances = balance + (realized + mtm - ocost)
+        else:
+            balances = balance + realized + mtm - ocost
+        return balances, realized, mtm, ocost, records
+
     for window in windows:
         positions = simulate(window, balance)
         marks = timeline[np.searchsorted(timeline, window[0]):
@@ -331,21 +335,16 @@ def run_windows(
             logger.warning("%s: no bars in [%d, %d]; period skipped",
                            month_id(window[0]), window[0], window[1])
             continue
-        realized, mtm, ocost, records = aggregate_results(
-            marks, positions, cfg.costs, charge_funding=charge_funding)
-        trades.extend(records)
-        if net_first:
-            balances = balance + (realized + mtm - ocost)
-        else:
-            balances = balance + realized + mtm - ocost
+        balances, realized, mtm, ocost, records = book(marks, positions)
         nonpositive = np.flatnonzero(balances <= 0.0)
         if len(nonpositive) > 0:
-            stop_at = nonpositive[0] + 1
-            marks, balances, realized, mtm, ocost = (
-                a[:stop_at] for a in (marks, balances, realized, mtm, ocost))
+            marks = marks[:nonpositive[0] + 1]
+            balances, realized, mtm, ocost, records = book(marks, [
+                cut_position(p, int(marks[-1])) for p in positions])
             bankrupt = True
             logger.warning("balance depleted at %d; halting run",
                            int(marks[-1]))
+        trades.extend(records)
 
         ts_chunks.append(marks)
         bal_chunks.append(balances)

@@ -310,7 +310,9 @@ def read_data_dir(data_dir: str, declared: Optional[int] = None,
     a PriceSeries, a bad file as a DataError naming it; and the bar interval
     found, the gcd of every series' steps (0 without a step). Every series is
     at it (else at ``declared`` or the default), so a sparse one loads with
-    gaps. A declared interval that differs is a DataError."""
+    gaps. A declared interval that differs is a DataError. When more than
+    half of all steps are gaps at the interval found (a bar off the others'
+    phase lowers it), a warning names the first shortest step's bars."""
     if not os.path.isdir(data_dir):
         raise DataError(f"data directory not found: {data_dir}")
     readers = {CAPS_FILE: load_market_caps, FUNDING_FILE: load_funding_rates}
@@ -324,9 +326,23 @@ def read_data_dir(data_dir: str, declared: Optional[int] = None,
             files[name] = read(path)
         except DataError as exc:
             files[name] = exc
-    found = step_gcd(s.timestamps for s in files.values() if isinstance(s, PriceSeries))
+    series = [s for s in files.values() if isinstance(s, PriceSeries)]
+    found = step_gcd(s.timestamps for s in series)
     if found and declared not in (None, found):
         raise DataError(f"bars are {found} s apart; data.interval is {declared}")
+    gaps = total = 0
+    shortest = (np.inf, None, 0)  # the first shortest step
+    for s in series:  # one series' steps at a time, to hold no more memory
+        steps = np.diff(s.timestamps)
+        total, gaps = total + len(steps), gaps + int((steps > found).sum())
+        if len(steps) and steps.min() < shortest[0]:
+            shortest = (steps.min(), s, int(np.argmin(steps)))
+    if 2 * gaps > total:
+        step, s, j = shortest
+        logger.warning("%s: bars %d and %d are %d s apart; at a bar interval"
+                       " of %d s, %d of %d steps are gaps", s.symbol,
+                       s.timestamps[j], s.timestamps[j + 1], step, found,
+                       gaps, total)
     interval = found or declared or DEFAULT_INTERVAL
     for name, s in files.items():  # the columns are shared, not copied
         if isinstance(s, PriceSeries) and s.interval != interval:
@@ -366,13 +382,18 @@ def digest_dir(data_dir: str) -> Dict[str, str]:
 # Artifact writing
 # ---------------------------------------------------------------------------
 
-def check_out(out: str) -> None:
-    """Reject an --out that is a file or lies below one, before any run."""
+def check_out(out: str, data_dir: Optional[str]) -> None:
+    """Reject an --out that is a file or lies below one, or that is the
+    run's data directory (None for a command that reads none), where the
+    next load would read the run's CSV files as data, before any run."""
     path = os.path.abspath(out)
     while not os.path.lexists(path):  # the nearest part of it that exists
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"--out {out}: {path} is not a directory")
+    if data_dir is not None and (os.path.realpath(out)
+                                 == os.path.realpath(data_dir)):
+        raise ConfigError(f"--out {out} is the data directory {data_dir}")
 
 
 def write_json(path: str, payload: object) -> None:
@@ -454,7 +475,6 @@ def _write_run_artifacts(out_dir: str, label: str, variant: str,
 
 def cmd_backtest(args) -> int:
     t0 = time.monotonic()
-    check_out(args.out)
     cfg = resolve_config(args.config)
     bt_cfg = build_backtest_config(cfg)
     variant = str(cfg["run.variant"])
@@ -465,6 +485,7 @@ def cmd_backtest(args) -> int:
             universe_size=cfg["benchmarks.universe_size"], **fixed,
             **{arg: cfg[key] for arg, key in from_cfg.items()})))
     data_dir = data_dir_from(cfg, None)
+    check_out(args.out, data_dir)
     market = Market(*load_universe(data_dir, bt_cfg.interval))
     first = market.months(bt_cfg)[0]
     if "btc_bh" in cfg["benchmarks.kinds"]:
@@ -547,7 +568,6 @@ def sweep_groups(axis: str, base: BacktestConfig,
 
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
-    check_out(args.out)
     cfg = resolve_config(args.config)
     if (args.axis == "alpha_lambda"
             and cfg["run.variant"] == "symmetric_allocation"):
@@ -555,6 +575,7 @@ def cmd_sweep(args) -> int:
                           " run.variant symmetric_allocation fixes at 0.5")
     base_cfg = build_backtest_config(cfg)
     data_dir = data_dir_from(cfg, None)
+    check_out(args.out, data_dir)
     universe, caps = load_universe(data_dir, base_cfg.interval)
 
     header = SWEEP_HEADERS[args.axis] + METRIC_COLUMNS
@@ -576,7 +597,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    check_out(args.out)
+    check_out(args.out, None)
     cfg = resolve_config(args.config)
     eq_a = load_equity(os.path.join(args.run_a, "equity.csv"))
     eq_b = load_equity(os.path.join(args.run_b, "equity.csv"))

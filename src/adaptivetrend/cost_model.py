@@ -1,8 +1,11 @@
 """Trading cost model: taker fees, volume-linear slippage, periodic funding.
 
 All functions are pure over an immutable CostConfig. Costs are expressed in
-quote currency. Funding is signed: a long position pays when the rate is
-positive, a short position receives the same amount.
+quote currency. A long position pays funding when the rate is positive, a
+short position receives the same amount.
+
+Every booking (the window ledger, the grid search, the reference ledger)
+prices through ``trade_fills`` and ``funding_paid``, the one copy of each rule.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +56,7 @@ class CostConfig:
             raise ValueError("funding_hours must lie in [0, 24)")
         if len(set(self.funding_hours)) != len(self.funding_hours):
             raise ValueError("funding_hours must not repeat")
-        # funding_schedule bisects each table, so it must be sorted.
+        # funding_rates_at bisects each table, so it must be sorted.
         for symbol, records in (self.funding_rates or {}).items():
             if not all(abs(rate) <= 1 for _, rate in records):
                 raise ValueError(f"funding_rates[{symbol!r}]: rates must be"
@@ -99,30 +102,45 @@ def funding_events(start_ts: int, end_ts: int,
     return events[(events > start_ts) & (events <= end_ts)]
 
 
-def funding_schedule(timestamps: np.ndarray, cfg: CostConfig, symbol: str,
-                     side: str, size: float) -> np.ndarray:
-    """Signed funding of a position of quote notional ``size`` on each bar.
+def funding_paid(timestamps: np.ndarray, first: np.ndarray, bars: np.ndarray,
+                 symbols: Sequence[str], sizes: np.ndarray,
+                 cfg: CostConfig) -> np.ndarray:
+    """Unsigned funding on each bar of positions laid end to end: position
+    k holds sizes[k] of symbols[k] on ``bars[k]`` timestamps from first[k].
 
-    Element j is the funding of the events in (timestamps[j-1], timestamps[j]],
-    i.e. what a position held entering bar j pays (negative: receives);
-    element 0 is 0.0. Events fall at the daily funding hours
-    (funding_events of the whole window, one call). Each is charged
-    size * rate, the rate being the latest per-symbol record at or before the
-    event (load_funding_rates) or else the flat funding_rate_per_8h; long pays
-    a positive rate and short receives it. A bar's events are summed in event
-    order, starting from 0.0.
+    Element j is what a long held entering bar j pays for the events in
+    (timestamps[j-1], timestamps[j]], 0.0 on a position's first bar; a
+    short receives it (``0.0 - paid``). Events fall at the funding hours
+    (one funding_events call), each charged size * funding_rates_at, and a
+    bar's are summed in event order from 0.0.
     """
-    if side not in (LONG, SHORT):
-        raise ValueError(f"side must be '{LONG}' or '{SHORT}', got {side!r}")
+    first, bars, sizes = (np.asarray(a) for a in (first, bars, sizes))
     paid = np.zeros(len(timestamps))
     if len(timestamps) < 2:
         return paid
-    events = funding_events(int(timestamps[0]), int(timestamps[-1]),
-                            cfg.funding_hours)
-    sign = 1.0 if side == LONG else -1.0
-    np.add.at(paid, np.searchsorted(timestamps, events),
-              sign * size * funding_rates_at(cfg, symbol, events))
+    lo, hi = int(timestamps.min()), int(timestamps.max())
+    events = funding_events(lo, hi, cfg.funding_hours)
+    pos, ev = np.nonzero((events > timestamps[first][:, None])
+                         & (events <= timestamps[first + bars - 1][:, None]))
+    rates = {s: funding_rates_at(cfg, s, events) for s in set(symbols)}
+    # A (position, timestamp) key places each event on its position's bars.
+    key = np.repeat(np.arange(len(first)), bars) * (hi + 1 - lo) + timestamps
+    np.add.at(paid, np.searchsorted(key, pos * (hi + 1 - lo) + events[ev]),
+              sizes[pos] * np.array([rates[s] for s in symbols])[pos, ev])
     return paid
+
+
+def trade_fills(close: np.ndarray, volume: np.ndarray, entry: np.ndarray,
+                exit: np.ndarray, exit_px: np.ndarray, size, interval,
+                cfg: CostConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """fill_costs of m trades' fills, the m entries then the m exits: an
+    entry's notional is its ``size``, an exit's the position's value at
+    exit_px. ``size`` and ``interval`` are per trade or one for all."""
+    size, interval = (np.broadcast_to(v, len(entry)) for v in (size, interval))
+    bars = np.concatenate((entry, exit))
+    notional = np.concatenate((size, size * exit_px / close[entry]))
+    return fill_costs(notional, volume[bars], close[bars], cfg,
+                      np.tile(interval, 2))
 
 
 def funding_rates_at(cfg: CostConfig, symbol: str,

@@ -331,8 +331,10 @@ def select_and_allocate(
 
     Admission is inclusive (sharpe >= gamma). Each admitted long receives
     long_ratio / n_longs of the balance, each short (1 - long_ratio) /
-    n_shorts; an empty sleeve's share stays in cash. A sleeve whose share is
-    0 (long_ratio 0 or 1) admits nothing, since a position needs a size.
+    n_shorts; an empty sleeve's share stays in cash. A sleeve whose share
+    per position is 0 (long_ratio 0 or 1, or a share too small to split, such
+    as long_ratio 5e-324 over two longs) admits nothing, since a position
+    needs a size.
     """
     lam = cfg.long_ratio
     sleeves = []
@@ -341,7 +343,7 @@ def select_and_allocate(
             ("short", short_results, cfg.gamma_short, 1.0 - lam)):
         admitted = sorted((r for r in results if r.sharpe >= gamma),
                           key=lambda r: r.symbol)
-        if share == 0.0 and admitted:
+        if admitted and share / len(admitted) == 0.0:
             logger.info("%s: the %s sleeve has no capital; %d candidates"
                         " not admitted", month, side, len(admitted))
             admitted = []

@@ -25,8 +25,8 @@ Sharpe evaluation plus currency-denominated realized / mark-to-market /
 cost components that let a caller audit account equity exactly.
 ``grid_sharpes`` scores many one-sided cells at once for the monthly grid
 search with the same search, so the optimizer scores the execution model
-that trades. It and ``book_trades`` price fills with one step (``_fills``),
-so both pay the same costs.
+that trades. Both price fills and funding with cost_model's one pricing
+step, as the window ledger does, so every booking pays the same costs.
 """
 
 import math
@@ -36,8 +36,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, fill_costs,
-                         funding_schedule)
+from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, funding_paid,
+                         trade_fills)
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import PriceSeries, bars_per_year, write_columns
 
@@ -176,20 +176,6 @@ NO_TRADES = Trades(*(np.zeros(0, dtype=t)
                      for t in (np.intp, np.intp, np.intp, float, bool, bool)))
 
 
-def _fills(series: PriceSeries, bounds: Tuple[int, int], found: Trades,
-           size: float, cost_cfg: CostConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Fee and slippage of every fill of the found trades: the m entries,
-    then the m exits. An entry's notional is ``size``, an exit's the
-    position's value at its fill price."""
-    i0, i1 = bounds
-    close = series.close[i0:i1]
-    fill_bars = np.concatenate((found.entry, found.exit))
-    notional = np.concatenate((np.full(len(found.cell), size),
-                               size * found.exit_px / close[found.entry]))
-    return fill_costs(notional, series.volume[i0:i1][fill_bars],
-                      close[fill_bars], cost_cfg, series.interval)
-
-
 def book_trades(
     series: PriceSeries,
     bounds: Tuple[int, int],
@@ -222,12 +208,16 @@ def book_trades(
     open_mtm = np.zeros(n)
     open_costs = np.zeros(n)
     records: List[TradeRecord] = []
-    funding_of: Dict[str, np.ndarray] = {}
     realized = 0.0
     m = len(found.cell)
     if m:
-        fill_fees, fill_slips = (c.tolist() for c in _fills(
-            series, bounds, found, size, cost_cfg))
+        fill_fees, fill_slips = (c.tolist() for c in trade_fills(
+            close, series.volume[i0:i1], found.entry, found.exit,
+            found.exit_px, size, series.interval, cost_cfg))
+        if charge_funding:
+            paid = funding_paid(timestamps, [0], [n], [series.symbol], [size],
+                                cost_cfg)
+            funding = (paid, 0.0 - paid)  # long, short
     for k, (e, x, exit_px, short, forced) in enumerate(zip(
             found.entry.tolist(), found.exit.tolist(),
             found.exit_px.tolist(), found.short.tolist(),
@@ -246,10 +236,7 @@ def book_trades(
         open_costs[e:x] = costs[e]
         funded = 0.0
         if charge_funding:
-            if side not in funding_of:
-                funding_of[side] = funding_schedule(
-                    timestamps, cost_cfg, series.symbol, side, size)
-            paid = funding_of[side][e + 1:x + 1]
+            paid = funding[short][e + 1:x + 1]
             accrued = np.cumsum(paid)
             costs[e + 1:x + 1] = paid
             open_costs[e + 1:x] += accrued[:-1]
@@ -533,6 +520,24 @@ def cell_position(series: PriceSeries, params: StrategyParams,
     return Position(series, bounds, memo[key], size)
 
 
+def cut_position(position: Position, halt_ts: int) -> Position:
+    """The position with its window ended at its last bar at or before
+    ``halt_ts``: the trades entered on or after that bar are dropped and the
+    ones still open after it forced at its close. That equals the trade
+    search over the cut window, since no cell enters on a window's final
+    bar and a position open after it is forced there."""
+    series, (i0, i1), found, size = position
+    i1 = i0 + int(np.searchsorted(series.timestamps[i0:i1], halt_ts,
+                                  side="right"))
+    last = i1 - i0 - 1
+    kept = Trades(*(column[found.entry < last] for column in found))
+    held = kept.exit > last
+    return Position(series, (i0, i1), kept._replace(
+        exit=np.where(held, last, kept.exit),
+        exit_px=np.where(held, series.close[i0:i1][-1:], kept.exit_px),
+        forced=kept.forced | held), size)
+
+
 def run_single_asset(
     series: PriceSeries,
     params: StrategyParams,
@@ -631,12 +636,14 @@ def grid_sharpes(
     gross = np.zeros(n)
     gross[1:] = close[1:] / close[:-1] - 1.0
     exit_gross = exit_px / close[ext - 1] - 1.0  # the exit fills at exit_px
+    fund = funding_paid(series.timestamps[i0:i1], [0], [n], [series.symbol],
+                        [1.0], cost_cfg)
     if side == SHORT:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
-    fund = funding_schedule(series.timestamps[i0:i1], cost_cfg, series.symbol,
-                            side, 1.0)
-    fees, slips = _fills(series, bounds, found, 1.0, cost_cfg)
+        fund = 0.0 - fund
+    fees, slips = trade_fills(close, series.volume[i0:i1], ent, ext, exit_px,
+                              1.0, series.interval, cost_cfg)
     fill_cost = fees + slips
     net = np.zeros((len(traded), n))
     np.copyto(net, gross - fund, where=held)

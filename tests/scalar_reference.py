@@ -780,22 +780,24 @@ def run_backtest(
         rebalance_log.append(record)
         portfolios.append(portfolio)
 
-        month_results: List[SingleAssetResult] = []
-        for side, allocations in (("long", portfolio.longs),
-                                  ("short", portfolio.shorts)):
-            for alloc in allocations:
-                series = universe.get(alloc.symbol)
-                if series is None:
-                    continue
-                res = run_single_asset(
-                    series, alloc.params, side_enabled=side, window=window,
-                    size=alloc.weight * balance, cost_cfg=cfg.costs,
-                    trailing=cfg.trailing_stop_enabled,
-                    intrabar_stop_fill=cfg.intrabar_stop_fill,
-                )
-                month_results.append(res)
-                trades.extend(res.trades)
+        def simulate(window: Tuple[int, int]) -> List[SingleAssetResult]:
+            results = []
+            for side, allocations in (("long", portfolio.longs),
+                                      ("short", portfolio.shorts)):
+                for alloc in allocations:
+                    series = universe.get(alloc.symbol)
+                    if series is None:
+                        continue
+                    results.append(run_single_asset(
+                        series, alloc.params, side_enabled=side,
+                        window=window, size=alloc.weight * balance,
+                        cost_cfg=cfg.costs,
+                        trailing=cfg.trailing_stop_enabled,
+                        intrabar_stop_fill=cfg.intrabar_stop_fill,
+                    ))
+            return results
 
+        month_results = simulate(window)
         # Mark to market on the union of every universe symbol's closes so the
         # equity timeline does not depend on what happened to be selected.
         month_ts = union_timeline(universe, window)
@@ -807,13 +809,16 @@ def run_backtest(
         balances_m = balance + contrib
         nonpositive = np.flatnonzero(balances_m <= 0.0)
         if len(nonpositive) > 0:
-            stop_at = nonpositive[0] + 1
-            month_ts = month_ts[:stop_at]
-            balances_m = balances_m[:stop_at]
-            realized_m, mtm_m, ocost_m = (a[:stop_at] for a in
-                                          (realized_m, mtm_m, ocost_m))
+            # Halt at that mark: the month runs again over the window cut
+            # there, and its booking ends the curve.
+            month_ts = month_ts[:nonpositive[0] + 1]
+            month_results = simulate((window[0], int(month_ts[-1])))
+            realized_m, mtm_m, ocost_m = aggregate_results(month_ts,
+                                                           month_results)
+            balances_m = balance + (realized_m + mtm_m - ocost_m)
             bankrupt = True
             logger.warning("balance depleted at %d; halting run", int(month_ts[-1]))
+        trades.extend(t for res in month_results for t in res.trades)
 
         ts_chunks.append(month_ts)
         bal_chunks.append(balances_m)
@@ -864,6 +869,7 @@ def run_benchmark(
     ts_chunks = [np.array([anchor_ts], dtype=np.int64)]
     bal_chunks = [np.array([cfg.initial_balance])]
     trades: List[TradeRecord] = []
+    bankrupt = False
 
     if spec.kind == "buy_hold":
         symbol = spec.symbol
@@ -890,14 +896,13 @@ def run_benchmark(
         for m in months:
             window = (m, min(month_add(m, 1) - 1, cfg.end))
             weights = _month_weights(spec, market, m)
-            results = []
-            for sym, side, w in weights:
-                if w <= 0.0:
-                    continue
-                res = hold_position(universe[sym], side, w * balance, window,
-                                    cfg.costs, charge_funding)
-                results.append(res)
-                trades.extend(res.trades)
+
+            def hold(window: Tuple[int, int]) -> List[SingleAssetResult]:
+                return [hold_position(universe[sym], side, w * balance, window,
+                                      cfg.costs, charge_funding)
+                        for sym, side, w in weights if w > 0.0]
+
+            results = hold(window)
             timeline = union_timeline(universe, window)
             if len(timeline) == 0:
                 continue
@@ -905,17 +910,23 @@ def run_benchmark(
             balances_m = balance + realized + mtm - ocost
             nonpositive = np.flatnonzero(balances_m <= 0.0)
             if len(nonpositive) > 0:
-                stop_at = nonpositive[0] + 1
-                timeline, balances_m = timeline[:stop_at], balances_m[:stop_at]
+                # Halt at that mark: the month runs again over the window
+                # cut there, and its booking ends the curve.
+                timeline = timeline[:nonpositive[0] + 1]
+                results = hold((window[0], int(timeline[-1])))
+                realized, mtm, ocost = aggregate_results(timeline, results)
+                balances_m = balance + realized + mtm - ocost
+                bankrupt = True
+            trades.extend(t for res in results for t in res.trades)
             ts_chunks.append(timeline)
             bal_chunks.append(balances_m)
-            balance = float(balances_m[-1])
-            if balance <= 0:
+            if bankrupt:
                 break
+            balance = float(balances_m[-1])
 
     equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
                          balances=np.concatenate(bal_chunks),
-                         bankrupt=bal_chunks[-1][-1] <= 0)
+                         bankrupt=bankrupt or bal_chunks[-1][-1] <= 0)
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
     metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
                               bars_per_year=bpy)

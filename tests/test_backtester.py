@@ -15,7 +15,8 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       run_backtest, run_windows,
                                       save_equity, snap_to_month,
                                       union_timeline)
-from adaptivetrend.benchmarks import BenchmarkSpec, run_benchmark
+from adaptivetrend.benchmarks import (BENCHMARK_KINDS, BenchmarkSpec,
+                                      run_benchmark)
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
 from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
                                        PriceSeries, month_add,
@@ -327,10 +328,11 @@ class TestEmptySelection:
         assert result.portfolios[0].cash_weight == 1.0
 
 
-    @pytest.mark.parametrize("long_ratio", [0.0, 1.0])
+    @pytest.mark.parametrize("long_ratio", [0.0, 5e-324, 1.0])
     def test_sleeve_without_capital_admits_nothing(self, long_ratio, caplog):
         # Long-only and short-only splits are valid: the sleeve with no share
-        # of capital admits no candidate instead of sizing it at 0.
+        # of capital admits no candidate instead of sizing it at 0. A share
+        # that splits to 0 over the sleeve's candidates (5e-324 / 2) is none.
         symbols = [f"SYM{j:02d}" for j in range(4)]
         universe = {
             sym: gbm_series(np.random.default_rng(1000 + j), 356, symbol=sym,
@@ -344,7 +346,7 @@ class TestEmptySelection:
             costs=CostConfig())
         with caplog.at_level(logging.INFO, logger="adaptivetrend.rebalancer"):
             result = run_backtest(market_of(universe, caps_for(symbols)), cfg)
-        empty, live = ("long", "short") if long_ratio == 0.0 else ("short", "long")
+        empty, live = ("long", "short") if long_ratio < 0.5 else ("short", "long")
         assert "sleeve has no capital" in caplog.text
         assert result.trades
         assert {t.side for t in result.trades} == {live}
@@ -356,6 +358,15 @@ class TestEmptySelection:
             assert portfolio.cash_weight == pytest.approx(0.0 if weights else 1.0,
                                                           abs=1e-12)
         assert_accounting_identity(result)
+
+
+def jumpy_caps(seed, n_symbols, jump, smallest):
+    """jumpy_universe, its jumping symbol the largest cap (a long candidate)
+    or, if ``smallest``, the smallest (a short candidate once there are
+    two symbols or more): only a short can lose more than the balance."""
+    universe, caps = jumpy_universe(seed, n_symbols, jump)
+    return universe, (caps_for(list(reversed(list(universe)))) if smallest
+                      else caps)
 
 
 class TestMultiMonthAccounting:
@@ -387,13 +398,13 @@ class TestMultiMonthAccounting:
            cost=st.integers(0, len(COST_CHOICES) - 1),
            long_ratio=st.sampled_from([0.2, 0.7]),
            trailing=st.booleans(), intrabar=st.booleans(),
-           reoptimize=st.booleans())
+           reoptimize=st.booleans(), smallest=st.booleans())
     def test_shared_loop_matches_former_loop(self, seed, n_symbols, jump, cost,
                                              long_ratio, trailing, intrabar,
-                                             reoptimize):
+                                             reoptimize, smallest):
         # The whole run, bankruptcies included, equals the month loop as it
         # was before the benchmarks shared it (tests/scalar_reference.py).
-        universe, caps = jumpy_universe(seed, n_symbols, jump)
+        universe, caps = jumpy_caps(seed, n_symbols, jump, smallest)
         grid = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                          alpha=(1.0, 3.0), lookback=(4,), atr_window=3)
         cfg = BacktestConfig(
@@ -486,8 +497,42 @@ class TestBankruptcy:
             first = run.trades[0]
             assert (first.symbol, first.side, first.entry_ts) == \
                 ("CRSH", "short", MAR1)
-            assert all(t.entry_ts < APR1 for t in run.trades)
+            # The ledger ends at the halt: the short is forced at the
+            # squeeze's close, and no trade opens after it.
+            assert all(t.entry_ts < squeeze_ts and t.exit_ts <= squeeze_ts
+                       for t in run.trades)
+            assert run.equity.balances[-1] == cfg.initial_balance + math.fsum(
+                t.net_pnl for t in run.trades)
         assert len(strategy.rebalance_log) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
+           jump=st.sampled_from([1.0, 0.2, 5.0, 20.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           long_ratio=st.floats(0.0, 1.0), smallest=st.booleans())
+    def test_final_balance_is_initial_plus_net_pnl(self, seed, n_symbols,
+                                                   jump, cost, long_ratio,
+                                                   smallest):
+        # Halted or not, every position is closed at the curve's last mark,
+        # so the ledger accounts for the final balance (within perfbench's
+        # BALANCE_REL_TOL of the initial balance, for the float order).
+        universe, caps = jumpy_caps(seed, n_symbols, jump, smallest)
+        grid = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
+                         alpha=(1.0, 3.0), lookback=(4,), atr_window=3)
+        cfg = BacktestConfig(
+            start=FEB1, end=int(universe["RND"].timestamps[-1]),
+            initial_balance=50_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(k_long=2, k_short=2, grid=grid,
+                              long_ratio=long_ratio),
+            costs=COST_CHOICES[cost])
+        market = market_of(universe, caps)
+        runs = [run_backtest(market, cfg)] + [
+            run_benchmark(BenchmarkSpec(kind=kind, universe_size=n_symbols),
+                          market, cfg) for kind in BENCHMARK_KINDS]
+        for run in runs:
+            net = math.fsum(t.net_pnl for t in run.trades)
+            assert abs(run.equity.balances[-1] - (cfg.initial_balance + net)) \
+                <= 1e-9 * cfg.initial_balance
 
 
 class TestEmptyMonth:

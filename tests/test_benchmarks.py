@@ -376,9 +376,6 @@ class TestRunMatchesReference:
            kind=st.sampled_from(["tsmom", "vol_scaled_tsmom", "buy_hold",
                                  "equal_weight_buy_hold"]))
     def test_accounting_identity(self, seed, n_symbols, jump, cost, kind):
-        # Halted runs included: the identity holds at every sample up to the
-        # halt (their final balance need not equal initial + the ledger's net
-        # PnL, which still lists trades entered after the halt).
         universe, caps = jumpy_universe(seed, n_symbols, jump)
         cfg = bench_cfg(universe, int(universe["RND"].timestamps[-1]),
                         costs=COST_CHOICES[cost])

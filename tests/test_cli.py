@@ -25,8 +25,10 @@ from adaptivetrend.benchmarks import BenchmarkSpec
 from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                ConfigError, build_backtest_config,
                                build_parser, load_universe, main,
-                               resolve_config, run_label, write_json)
-from adaptivetrend.market_data import DataError, PriceSeries, save_price_series
+                               read_data_dir, resolve_config, run_label,
+                               write_json)
+from adaptivetrend.market_data import (DataError, PriceSeries,
+                                       resample_series, save_price_series)
 from conftest import FEB1, T0
 
 RUN_END = 1_646_611_200  # 2022-03-07 00:00 UTC
@@ -290,6 +292,45 @@ class TestValidateData:
         out = capsys.readouterr().out
         assert out.count(": OK\n") == 5
         assert "bar interval: 3600 s\n5/5 files valid\n" in out
+
+    def test_bar_off_phase_warns(self, hourly, tmp_path, caplog):
+        # One SYM00 bar moved by half an hour halves the measured interval,
+        # which leaves nearly every step a gap: the loader names the step
+        # that set it, and validate-data prints that on stderr.
+        data = tmp_path / "data"
+        shutil.copytree(hourly, data)
+        lines = (data / "SYM00.csv").read_text().splitlines(keepends=True)
+        ts, rest = lines[100].split(",", 1)
+        moved = int(ts) + 1800
+        lines[100] = f"{moved},{rest}"
+        (data / "SYM00.csv").write_text("".join(lines))
+        after = int(lines[101].split(",", 1)[0])
+        with caplog.at_level("WARNING", logger="adaptivetrend.cli"):
+            assert read_data_dir(str(data))[1] == 1800
+        assert [r.getMessage() for r in caplog.records] == [
+            f"SYM00: bars {moved} and {after} are 1800 s apart; at a bar"
+            " interval of 1800 s, 6235 of 6236 steps are gaps"]
+        src = os.path.dirname(os.path.dirname(adaptivetrend.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from adaptivetrend.cli import"
+             " main; sys.exit(main(sys.argv[1:]))", "validate-data",
+             "--data-dir", str(data)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0
+        assert run.stderr == (f"WARNING adaptivetrend.cli: "
+                              f"{caplog.records[0].getMessage()}\n")
+        assert run.stdout.endswith("bar interval: 1800 s\n5/5 files valid\n")
+
+    def test_daily_series_among_hourly_does_not_warn(self, hourly, tmp_path,
+                                                     caplog):
+        data = tmp_path / "data"
+        shutil.copytree(hourly, data)
+        daily = resample_series(load_universe(str(hourly))[0]["SYM00"], 86_400)
+        save_price_series(PriceSeries("DAY", 86_400, *daily.columns()),
+                          str(data / "DAY.csv"))
+        with caplog.at_level("WARNING", logger="adaptivetrend.cli"):
+            assert read_data_dir(str(data))[1] == 3600
+        assert not caplog.records
 
     def test_no_interval_without_two_bars(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -933,6 +974,26 @@ def test_out_that_is_not_a_directory_is_rejected(command, below, ws, half_run,
     assert capsys.readouterr().err == \
         f"error: --out {out}: {afile} is not a directory\n"
     assert os.listdir(tmp_path) == ["afile"] and afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", [["backtest"],
+                                     ["sweep", "--axis", "fee_bps"]])
+def test_out_that_is_the_data_directory_is_rejected(command, ws, tmp_path,
+                                                    capsys):
+    # Written there, the run's CSV files would be read as data by the next
+    # load. A subdirectory is no data file: the loader does not recurse.
+    data = tmp_path / "data"
+    shutil.copytree(ws.data, data)
+    listed = sorted(os.listdir(data))
+    cfg = write_config(tmp_path / "run.cfg", data)
+    out = tmp_path / "link"
+    out.symlink_to(data)
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --out {out} is the data directory {data}\n"
+    assert sorted(os.listdir(data)) == listed
+    assert main(command + ["--config", cfg, "--out", str(data / "run")]) == 0
+    assert sorted(os.listdir(data)) == sorted(listed + ["run"])
 
 
 # artifact -> the commands that read it

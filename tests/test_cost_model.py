@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fill_costs,
-                                      funding_events, funding_schedule,
+                                      funding_events, funding_paid,
                                       load_funding_rates)
 from adaptivetrend.market_data import Bar, DataError
 from conftest import INTERVAL, T0
@@ -145,6 +145,13 @@ class TestFunding:
         assert cost == pytest.approx(-3.0, rel=1e-12)
 
 
+def one_position(ts, cfg, symbol, side, size):
+    """funding_paid of one position over every bar of ts, signed as the
+    ledgers sign it: a short receives what a long pays."""
+    paid = funding_paid(ts, [0], [len(ts)], [symbol], [size], cfg)
+    return paid if side == "long" else 0.0 - paid
+
+
 class TestFundingSchedule:
     """Per-bar funding of a window equals the per-interval sum, bit for bit."""
 
@@ -173,21 +180,52 @@ class TestFundingSchedule:
         cfg = CostConfig(funding_hours=hours, funding_rates=rates,
                          funding_rate_per_8h=float(rng.normal(0.0, 1e-4)))
         size = float(np.exp(rng.normal(8.0, 3.0)))
-        got = funding_schedule(ts.astype(np.int64), cfg, "BTC", side, size)
+        got = one_position(ts.astype(np.int64), cfg, "BTC", side, size)
         want = [0.0] + [funding(side, size, int(a), int(b), cfg, "BTC")
                         for a, b in zip(ts[:-1], ts[1:])]
         assert got.tolist() == want[:n]
+        # A short's 0.0 - paid keeps the reference's signed zeros too.
+        assert got.tobytes() == np.array(want[:n], dtype=float).tobytes()
 
     def test_events_on_the_bar_that_covers_them(self):
         ts = np.array([T0, T0 + 3_600, T0 + 86_400, T0 + 86_400 + 60],
                       dtype=np.int64)
-        got = funding_schedule(ts, CostConfig(), "", "long", 10_000.0)
+        got = one_position(ts, CostConfig(), "", "long", 10_000.0)
         # (T0, T0+1h]: none; (T0+1h, T0+24h]: 08:00, 16:00 and 00:00.
         assert got.tolist() == [0.0, 0.0, 3.0 * 10_000.0 * 1e-4, 0.0]
-        short = funding_schedule(ts, CostConfig(), "", "short", 10_000.0)
+        short = one_position(ts, CostConfig(), "", "short", 10_000.0)
         assert short.tolist() == [0.0, 0.0, -got[2], 0.0]
-        with pytest.raises(ValueError):
-            funding_schedule(ts, CostConfig(), "", "both", 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 5),
+           hours=st.lists(st.integers(0, 23), unique=True, min_size=1,
+                          max_size=4).map(tuple),
+           per_symbol=st.booleans())
+    def test_positions_laid_end_to_end(self, seed, k, hours, per_symbol):
+        # Each bar is its own position's interval sum, and a position's
+        # first bar pays nothing: no event in the gap before it (or, where
+        # positions overlap in time, in another position's span) is charged.
+        rng = np.random.default_rng(seed)
+        rates = None
+        if per_symbol:
+            rates = {"BTC": [(T0, 2e-4), (T0 + 40 * 3_600, -3e-4)],
+                     "ETH": [(T0 + 100 * 3_600, 5e-4)]}
+        cfg = CostConfig(funding_hours=hours, funding_rates=rates)
+        symbols = [str(s) for s in rng.choice(["BTC", "ETH", "SOL"], k)]
+        sizes = np.exp(rng.normal(8.0, 3.0, k))
+        chunks, want, start = [], [], T0
+        for symbol, size in zip(symbols, sizes.tolist()):
+            start += int(rng.integers(-48, 49)) * 3_600
+            steps = rng.integers(1, 5, int(rng.integers(1, 30)))
+            ts = start + np.cumsum(steps) * 3_600 * int(rng.choice([1, 6]))
+            start = int(ts[-1])
+            chunks.append(ts.astype(np.int64))
+            want += [0.0] + [funding("long", size, int(a), int(b), cfg, symbol)
+                             for a, b in zip(ts[:-1], ts[1:])]
+        bars = np.array([len(c) for c in chunks])
+        got = funding_paid(np.concatenate(chunks), np.cumsum(bars) - bars,
+                           bars, symbols, sizes, cfg)
+        assert got.tolist() == want
 
 
 def test_load_funding_rates(tmp_path):
@@ -221,7 +259,7 @@ def test_load_funding_rates(tmp_path):
         "repeated"])
 def test_config_rejects_a_bad_funding_table(records, message):
     # Accepted, a NaN rate was charged as NaN funding, and an unsorted table
-    # made funding_schedule's bisection pick the wrong rates.
+    # made funding_rates_at's bisection pick the wrong rates.
     with pytest.raises(ValueError, match=rf"funding_rates\['ETH'\]: {message}"):
         CostConfig(funding_rates={"BTC": [(T0, 1e-4)], "ETH": records})
 

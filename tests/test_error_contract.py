@@ -3,7 +3,8 @@
 unwritten; no exception escapes `main`. Hypothesis checks this over
 adversarial config values, mutated data directories and mutated run
 directories, and an `ast` scan of cli.py keeps `main` the one place that
-prints `error:`."""
+prints `error:`. Scans of `src/` keep one opener of text files, and keep
+the pricing rules called from `cost_model` alone."""
 
 import ast
 import contextlib
@@ -329,3 +330,18 @@ def test_text_files_are_read_through_one_opener():
                     if isinstance(fn, ast.FunctionDef)
                     and any(map(_reads_text, ast.walk(fn)))}
     assert readers == {("market_data.py", "opened")}
+
+
+def test_pricing_is_called_in_cost_model_alone():
+    # Every booking prices through cost_model's trade_fills and
+    # funding_paid, so no other module may reach the rules behind them.
+    pricing = {"fill_costs", "funding_events", "funding_rates_at"}
+    callers = set()
+    for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        callers |= {os.path.basename(path) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None)) in pricing}
+    assert callers == {"cost_model.py"}

@@ -16,7 +16,8 @@ from adaptivetrend.market_data import (Bar, PriceSeries,
 from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (EngineError, StrategyParams,
                                          TradeRecord, Trades, _stop_max,
-                                         book_trades, find_trades,
+                                         book_trades, cut_position,
+                                         find_trades,
                                          grid_sharpes, gross_pnl,
                                          run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
@@ -579,6 +580,36 @@ class TestFindTrades:
             trades = self.check(series, (0, len(c)), [cell], "long", True,
                                 intrabar)[0]
             assert trades[0][1] == 22 and not trades[0][4]
+
+
+class TestCutPosition:
+    """A halt cuts a window's trades at its last bar at or before the halt:
+    that equals the trade search over the window cut there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+           gaps=st.booleans(), bounds=st.tuples(st.integers(0, 70),
+                                                st.integers(0, 70)),
+           trailing=st.booleans(), intrabar=st.booleans(),
+           cells=st.lists(CELL, min_size=1, max_size=3), data=st.data())
+    def test_equals_search_over_the_cut_window(self, seed, n, gaps, bounds,
+                                               trailing, intrabar, cells,
+                                               data):
+        series = flat_series(np.random.default_rng(seed), n, gaps=gaps)
+        a, b = sorted(bounds)
+        window = (T0 + a * INTERVAL, T0 + b * INTERVAL)
+        # The halt is a mark of the window, on a bar of this series or not.
+        halt = data.draw(st.integers(*window), label="halt")
+        execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
+        full = series.slice_indices(*window)
+        found = find_trades(series, full, cells, **execution)
+        got = cut_position(signal_engine.Position(series, full, found, 1.0),
+                           halt)
+        cut = series.slice_indices(window[0], halt)
+        assert got.bounds == cut
+        for g, w in zip(got.found, find_trades(series, cut, cells,
+                                               **execution)):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
 
 
 class TestGridSharpes:
