@@ -267,6 +267,8 @@ def bootstrap_sharpe_test(
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if block_len < 1:
         raise ValueError(f"block_len must be >= 1, got {block_len}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     a = np.asarray(returns_a, dtype=np.float64)
     b = np.asarray(returns_b, dtype=np.float64)
     if len(a) != len(b):

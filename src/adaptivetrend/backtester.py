@@ -1,8 +1,8 @@
 """Account-level simulation: the monthly rebalance loop over a universe.
 
 Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
-as weight x month-start balance, find each position's trades over the
-month's bars, and book and mark all of them in one ledger pass
+as weight x month-start balance, find the positions' trades over the
+month's bars in one search, and book and mark all of them in one ledger pass
 (``aggregate_results``, pricing fills and funding through cost_model) on
 the union of all symbols' bar closes. Positions are force-closed at month
 end, or at the mark where a run halts, so each month's PnL is fully
@@ -38,7 +38,7 @@ from .market_data import (CapIndex, DataError, PriceSeries,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
                          RebalanceConfig, run_rebalance)
-from .signal_engine import Position, TradeRecord, cell_position, cut_position
+from .signal_engine import Position, TradeRecord, cell_positions, cut_position
 # Only for perfbench's signal_engine.month_sim hook, until it is re-pointed.
 from .signal_engine import run_single_asset  # noqa: F401
 
@@ -402,11 +402,12 @@ def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
         rebalance_log.append(record)
         portfolios.append(portfolio)
 
-        return [cell_position(
-            market.series[alloc.symbol], alloc.params, window,
-            alloc.weight * balance, trailing=cfg.trailing_stop_enabled,
+        return cell_positions(
+            [(market.series[alloc.symbol], alloc.params,
+              alloc.weight * balance)
+             for alloc in portfolio.longs + portfolio.shorts], window,
+            trailing=cfg.trailing_stop_enabled,
             intrabar_stop_fill=cfg.intrabar_stop_fill)
-            for alloc in portfolio.longs + portfolio.shorts]
 
     result = run_windows(market, month_windows(month_starts, cfg.end), cfg,
                          simulate, net_first=True)

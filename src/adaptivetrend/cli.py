@@ -404,11 +404,13 @@ def write_json(path: str, payload: object) -> None:
 
 def optimizer_counters(optimizer: Optimizer) -> Dict[str, int]:
     """manifest.json["counters"]: grid-search problems asked, distinct
-    problems solved (the rest were answered from the optimizer's memo), and
-    the grid searches (grid_sharpes calls) that solved them."""
+    problems solved (the rest were answered from the optimizer's memo), the
+    distinct problems searched to solve them, and the batched searches
+    (grid_sharpes_stacked calls) that searched those."""
     return {"optimizer.problems": optimizer.problems,
             "optimizer.solved": optimizer.solved,
-            "optimizer.searches": optimizer.searches}
+            "optimizer.searches": optimizer.searches,
+            "optimizer.batches": optimizer.batches}
 
 
 def _write_manifest(out: str, command: str, cfg: Dict[str, object],

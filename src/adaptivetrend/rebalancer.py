@@ -11,7 +11,8 @@ series, optimizer) and one BacktestConfig:
      returns under the execution model the month trades with. The market's
      Optimizer, asked by symbol, solves each such problem once for every run
      that shares it, and searches the problems of runs that differ only in
-     the grid once, over the union of their grids.
+     the grid once, over the union of their grids. The month's unsolved
+     problems are searched together, a batch per side and window length.
   3. select_and_allocate: admit candidates whose optimized Sharpe clears the
      per-side threshold; split capital long_ratio / (1 - long_ratio) across
      the two sleeves, equal weight within each.
@@ -33,7 +34,8 @@ from .cost_model import CostConfig
 from .indicators import rolling_sharpe
 from .market_data import (DEFAULT_RF_ANNUAL, CapIndex, PriceSeries,
                           bars_per_year, date_of_ts, month_add, month_id)
-from .signal_engine import StrategyParams, grid_sharpes, run_single_asset
+from .signal_engine import (StrategyParams, grid_sharpes_stacked,
+                            run_single_asset)
 
 if TYPE_CHECKING:
     from .backtester import BacktestConfig, Market
@@ -41,6 +43,15 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 INF = float("inf")
+
+# The cells x bars of one batched grid search (a grid_sharpes_stacked call).
+# A call has a fixed cost that a batch shares: on a 2-vCPU x86-64 host, a
+# one-cell problem over 649 hourly bars took 0.7-0.9 ms alone, about 0.17
+# ms a problem in batches of 8 and about 0.10 ms in batches of 32 (20,768
+# cells x bars). The bound holds a call's arrays to about one default 225-cell
+# grid over a month of 6-hour bars (24,525 cells x bars; two do not fit), so
+# batching leaves the grid search's peak memory where it was.
+SEARCH_BATCH_CELL_BARS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -235,7 +246,7 @@ class Optimizer:
     problem with any of them is searched over their per-axis union
     (union_grid), and the search's Sharpe row is kept under the problem's
     key with the union in place of the grid; problems that differ only in
-    their told grid then share one grid_sharpes call. Any other grid is
+    their told grid then share one search. Any other grid is
     searched alone, and its row, which no other problem reads, is not kept.
     A cell's Sharpe does not depend on the other cells of its search, and
     each grid picks from its own cells of the row in its own order, so every
@@ -247,7 +258,8 @@ class Optimizer:
         self.universe = universe
         self.problems = 0  # problems asked
         self.solved = 0    # distinct problems answered
-        self.searches = 0  # grid_sharpes calls
+        self.searches = 0  # distinct problems searched
+        self.batches = 0   # grid_sharpes_stacked calls that searched them
         self._memo: Dict[tuple, Optional[CandidateResult]] = {}
         self._rows: Dict[tuple, np.ndarray] = {}
         union = union_grid(grids) if len(set(grids)) > 1 else None
@@ -267,54 +279,82 @@ class Optimizer:
         A candidate's window must hold at least twice the grid's largest
         momentum lookback in bars; a shorter one disqualifies it (logged).
         Every cell is scored as evaluate_cell would score it under the same
-        execution flags, in one batched pass (signal_engine.grid_sharpes),
-        and the first cell with the maximum Sharpe wins; a cell without a
-        defined Sharpe never does.
+        execution flags, and the first cell with the maximum Sharpe wins; a
+        cell without a defined Sharpe never does. The problems of one call
+        that are not in the memo are scored together, by side and window
+        length, in signal_engine.grid_sharpes_stacked calls of at most
+        SEARCH_BATCH_CELL_BARS cells x bars (and at least one problem) each.
         """
         grid = cfg.rebalance.grid
-        results = []
+        keys = []
         for symbol, side in candidates:
             # CostConfig equality ignores funding_rates: key by the records.
             funding = (cfg.costs.funding_rates or {}).get(symbol)
             scoring = (cfg.costs, tuple(funding or ()), cfg.rebalance.rf_annual,
                        cfg.trailing_stop_enabled, cfg.intrabar_stop_fill)
-            key = (symbol, side, window, grid, scoring)
-            self.problems += 1
-            if key not in self._memo:
-                self._memo[key] = self._solve(symbol, side, window, grid, cfg,
-                                              scoring)
-                self.solved += 1
-            results.append(self._memo[key])
-        return results
-
-    def _solve(self, symbol: str, side: str, window: Tuple[int, int],
-               grid: ParamGrid, cfg: "BacktestConfig",
-               scoring: tuple) -> Optional[CandidateResult]:
-        series = self.universe[symbol]
-        i0, i1 = series.slice_indices(*window)
-        needed = 2 * max(grid.lookback)
-        if i1 - i0 < needed:
-            logger.info("%s: optimization window has %d bars, needs %d;"
-                        " excluded", symbol, i1 - i0, needed)
-            return None
+            keys.append((symbol, side, window, grid, scoring))
+        self.problems += len(keys)
+        misses = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        self.solved += len(misses)
         search = self._search_grid.get(grid, grid)
-        row_key = (symbol, side, window, search, scoring)
-        row = self._rows.get(row_key)
-        if row is None:
-            row = grid_sharpes(
-                series, grid_cells(search, side), (i0, i1), cfg.costs,
-                cfg.rebalance.rf_annual, trailing=cfg.trailing_stop_enabled,
-                intrabar_stop_fill=cfg.intrabar_stop_fill)
-            self.searches += 1
-            if grid in self._search_grid:
-                self._rows[row_key] = row
-        sharpes = row[_columns(grid, search, side)]
-        scores = np.where(np.isnan(sharpes), -INF, sharpes)
-        best = int(np.argmax(scores))
-        if not scores[best] > -INF:
-            return None
-        return CandidateResult(symbol, grid_cells(grid, side)[best],
-                               float(sharpes[best]))
+        rows = self._search(misses, search, cfg)
+        for key in misses:
+            self._memo[key] = _best(key, search, rows.get(key))
+        return [self._memo[key] for key in keys]
+
+    def _search(self, misses: Sequence[tuple], search: ParamGrid,
+                cfg: "BacktestConfig") -> Dict[tuple, np.ndarray]:
+        """The Sharpe row over search's cells of each problem whose window
+        is long enough, from the kept rows or from a search."""
+        rows, groups = {}, {}
+        for key in misses:
+            symbol, side, window, grid, scoring = key
+            series = self.universe[symbol]
+            i0, i1 = series.slice_indices(*window)
+            needed = 2 * max(grid.lookback)
+            if i1 - i0 < needed:
+                logger.info("%s: optimization window has %d bars, needs %d;"
+                            " excluded", symbol, i1 - i0, needed)
+                continue
+            row_key = (symbol, side, window, search, scoring)
+            if row_key in self._rows:
+                rows[key] = self._rows[row_key]
+            else:
+                groups.setdefault((side, i1 - i0), []).append(
+                    (key, row_key, (series, (i0, i1), grid_cells(search, side))))
+        for (side, bars), group in groups.items():
+            size = max(1, SEARCH_BATCH_CELL_BARS
+                       // (len(grid_cells(search, side)) * bars))
+            for b in range(0, len(group), size):
+                batch = group[b:b + size]
+                found = grid_sharpes_stacked(
+                    [problem for _, _, problem in batch], cfg.costs,
+                    cfg.rebalance.rf_annual,
+                    trailing=cfg.trailing_stop_enabled,
+                    intrabar_stop_fill=cfg.intrabar_stop_fill)
+                self.batches += 1
+                self.searches += len(batch)
+                for (key, row_key, _), row in zip(batch, found):
+                    rows[key] = row
+                    if key[3] in self._search_grid:
+                        self._rows[row_key] = row
+        return rows
+
+
+def _best(key: tuple, search: ParamGrid,
+          row: Optional[np.ndarray]) -> Optional[CandidateResult]:
+    """The first of the key's grid cells with the maximum Sharpe in its
+    search's row; None without a row or a defined Sharpe."""
+    if row is None:
+        return None
+    symbol, side, _, grid, _ = key
+    sharpes = row[_columns(grid, search, side)]
+    scores = np.where(np.isnan(sharpes), -INF, sharpes)
+    best = int(np.argmax(scores))
+    if not scores[best] > -INF:
+        return None
+    return CandidateResult(symbol, grid_cells(grid, side)[best],
+                           float(sharpes[best]))
 
 
 # ---------------------------------------------------------------------------

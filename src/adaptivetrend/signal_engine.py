@@ -6,15 +6,17 @@ closes; an optional intrabar mode fills stop exits pessimistically at the
 stop level). Re-entry is allowed from the next bar after an exit, never on
 the exit bar itself.
 
-One trade search (``find_trades``) finds the trades of any number of cells
-at once, in array passes: a next-entry table per entry rule, an exit table
-per stop rule (binary lifting over a sparse table of minima), then one walk
-in which every cell jumps from entry to exit to next entry. A cell trades
-the sides whose thresholds are below +inf; no caller names a side. Each
-series' ATR is computed once per ATR window (``series_atr``) and shared by
-every search over it; that memo and the one-cell trade memo
-(``cell_position``) are keyed weakly by the series. The trades stay the
-search's ``Trades`` columns, held with their series, bars and size as a
+One trade search (``find_trades_stacked``) finds the trades of a stack of
+problems, each any number of cells over one series' window, at once, in
+array passes: a next-entry table per entry rule, an exit table per stop
+rule (binary lifting over a sparse table of minima per problem), then one
+walk in which every cell jumps from entry to exit to next entry. A cell
+trades the sides whose thresholds are below +inf; no caller names a side.
+``find_trades`` is the stack of one problem. Each series' ATR is computed
+once per ATR window (``series_atr``) and shared by every search over it;
+that memo and the one-cell trade memo (``cell_positions``, which searches a
+month's misses in one call) are keyed weakly by the series. The trades stay
+the search's ``Trades`` columns, held with their series, bars and size as a
 ``Position`` (a comparison benchmark's is one forced trade), up to the
 ledger. A backtest books all positions of a month window in one array pass
 (``backtester.aggregate_results``); ``book_trades`` books one position with
@@ -23,10 +25,11 @@ one-symbol, per-bar view of that booking: it returns the closed trades
 (with full cost attribution) and per-bar series, strategy returns for
 Sharpe evaluation plus currency-denominated realized / mark-to-market /
 cost components that let a caller audit account equity exactly.
-``grid_sharpes`` scores many one-sided cells at once for the monthly grid
-search with the same search, so the optimizer scores the execution model
-that trades. Both price fills and funding with cost_model's one pricing
-step, as the window ledger does, so every booking pays the same costs.
+``grid_sharpes_stacked`` scores the one-sided cells of a stack of problems
+at once for the monthly grid search with the same search, so the optimizer
+scores the execution model that trades; ``grid_sharpes`` is its stack of
+one. Both price fills and funding with cost_model's one pricing step, as
+the window ledger does, so every booking pays the same costs.
 """
 
 import math
@@ -294,6 +297,13 @@ def _reversed_min(a: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
+# A search problem: a series, the bounds [i0, i1) of its window's bars and
+# the cells to trade there.
+Problem = Tuple[PriceSeries, Tuple[int, int], Sequence[StrategyParams]]
+
+NO_PROBLEMS = np.zeros(0, dtype=np.intp)
+
+
 def find_trades(
     series: PriceSeries,
     bounds: Tuple[int, int],
@@ -302,8 +312,24 @@ def find_trades(
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> Trades:
-    """The trades of every cell in one window of bars [i0, i1), under one
-    execution model.
+    """The trades of every cell in one window of bars [i0, i1): the stack of
+    one problem of find_trades_stacked."""
+    return find_trades_stacked([(series, bounds, cells)], trailing=trailing,
+                               intrabar_stop_fill=intrabar_stop_fill)[1]
+
+
+def find_trades_stacked(
+    problems: Sequence[Problem],
+    *,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
+) -> Tuple[np.ndarray, Trades]:
+    """The trades of a stack of problems under one execution model, each
+    problem a (series, bounds, cells) triple: its cells traded in its
+    series' window of bars [i0, i1). Returns each trade's problem and the
+    trades, grouped by problem, then by cell (``cell`` counts from 0 within
+    each problem), in time order within a cell. A problem's trades do not
+    depend on the rest of its stack.
 
     A cell enters at the close of a bar whose momentum passes one of its
     thresholds, from its first bar with defined indicators on, never on the
@@ -322,78 +348,103 @@ def find_trades(
     as s * price with s = +1 long and -1 short, so the long rule serves both
     sides (negation is exact).
 
-    The search is a few array passes shared by all cells. Cells with equal
-    entry parameters share a row of next-entry slots, cells with equal
-    (alpha, ATR window) a row of exits for every entry bar (see _exits).
-    All cells then walk their chains together, one trade per step: a gather
-    of the exit of (the cell's exit row, entry), then of the next entry of
-    (the cell's entry row, exit + 1). No arithmetic beyond the stop
-    candidates is done on prices, so the trades are exact.
+    The search is a few array passes shared by all problems, each padded
+    to the longest window: no cell enters past its problem's window, and no
+    stop is breached there. The cells of a problem with equal entry
+    parameters share a row of next-entry slots, those with equal (alpha, ATR
+    window) a row of exits for every entry bar (see _exits). All cells then
+    walk their chains together, one trade per step: a gather of the exit of
+    (the cell's exit row, entry), then of the next entry of (the cell's
+    entry row, exit + 1). No arithmetic beyond the stop candidates is done
+    on prices, and that element by element, so the trades are exact.
     """
-    i0, i1 = bounds
-    n = i1 - i0
-    if n < 2 or not cells:
-        return NO_TRADES
+    live = [k for k, (_, (i0, i1), cells) in enumerate(problems)
+            if i1 - i0 >= 2 and len(cells)]
+    if not live:
+        return NO_PROBLEMS, NO_TRADES
+    stack = [problems[k] for k in live]
+    n = np.array([i1 - i0 for _, (i0, i1), _ in stack])
+    width = int(n.max())
+    counts = [len(cells) for _, _, cells in stack]
+    owner = np.repeat(np.arange(len(stack)), counts)  # each cell's problem
     entry_keys, entry_of = _rows([
-        (c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
-        for c in cells])
-    theta_long, theta_short, lookback, atr_window = entry_keys.T
+        (p, c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
+        for p, (_, _, cells) in enumerate(stack) for c in cells])
+    entry_prob = entry_keys[:, 0].astype(np.intp)
+    theta_long, theta_short, lookback, atr_window = entry_keys[:, 1:].T
     # The sides that any cell turns on: side k holds row k of the stop
     # candidates and block k of the exits and entry slots.
     shorts = [short for short in (False, True)
               if ((theta_short if short else theta_long) < math.inf).any()]
     if not shorts:
-        return NO_TRADES
-    exit_keys, exit_of = _rows([(c.alpha, c.atr_window) for c in cells])
+        return NO_PROBLEMS, NO_TRADES
+    exit_keys, exit_of = _rows([(p, c.alpha, c.atr_window) for p, (
+        _, _, cells) in enumerate(stack) for c in cells])
+    exit_prob = exit_keys[:, 0].astype(np.intp)
+    alpha, exit_atr_window = exit_keys[:, 1:].T
 
     # Entry slots: row u, column p is the first entry at or after bar p of
-    # the cells of entry row u. A slot is the entry bar plus k * (n + 1) for
-    # side k; the last slot, ``none``, means none. Columns n and n + 1 hold
-    # it, so a walk that reaches them stops.
-    none = len(shorts) * (n + 1) - 1
-    lookbacks = lookback.astype(int).tolist()
-    moms: Dict[int, np.ndarray] = {}
-    for bars in lookbacks:
-        if bars not in moms:
+    # the cells of entry row u. A slot is the entry bar plus k * (width + 1)
+    # for side k; the last slot, ``none``, means none. The columns from the
+    # window's final bar on hold it, so a walk that reaches them stops.
+    none = len(shorts) * (width + 1) - 1
+    moms: Dict[Tuple[int, int], np.ndarray] = {}
+    rows = []
+    for p, bars in zip(entry_prob.tolist(), lookback.astype(int).tolist()):
+        if (p, bars) not in moms:
+            series, (i0, i1), _ = stack[p]
             lo = max(i0 - bars, 0)  # the bars momentum reads, no more
-            moms[bars] = momentum(series.close[lo:i1 - 1], bars)[i0 - lo:]
-    mom = np.full((len(entry_keys), n + 2), np.nan)  # NaN enters nowhere
-    mom[:, :n - 1] = [moms[bars] for bars in lookbacks]
+            moms[p, bars] = momentum(series.close[lo:i1 - 1],
+                                     bars)[i0 - lo:]
+        rows.append(moms[p, bars])
+    mom = _padded(rows, width + 2)  # NaN enters nowhere
     # StrategyParams.warmup_bars, local to the window
-    warm = np.maximum(lookback, atr_window - 1) - i0
+    warm = np.maximum(lookback, atr_window - 1) - np.array(
+        [i0 for _, (i0, _), _ in stack])[entry_prob]
+    columns = np.arange(width + 2)
     if warm.max() > 0:
-        mom[np.arange(n + 2) < warm[:, None]] = np.nan
+        mom[columns < warm[:, None]] = np.nan
     nexts = []
     for short in shorts:
         signal = (mom < -theta_short[:, None] if short
                   else mom > theta_long[:, None])
-        nexts.append(_reversed_min(np.where(signal, np.arange(n + 2), n)))
+        nexts.append(_reversed_min(np.where(signal, columns, width)))
     slots = nexts[0]
     if len(nexts) == 2:
-        slots = np.where(nexts[0] <= nexts[1], nexts[0], nexts[1] + n + 1)
-        slots[slots == n] = none
+        slots = np.where(nexts[0] <= nexts[1], nexts[0],
+                         nexts[1] + width + 1)
+        slots[slots == width] = none
 
     # Exits: row a holds, for each side, the exit bar of a trade entered on
-    # each bar, n if none, with n in column n.
-    close = series.close[i0:i1]
-    alpha, exit_atr_window = exit_keys.T
-    atrs = np.array([series_atr(series, w)[i0:i1]
-                     for w in exit_atr_window.astype(int).tolist()])
+    # each bar, n (its problem's window length) if none, with n in column
+    # ``width``.
+    def bars_of(name: str) -> np.ndarray:
+        return _padded([getattr(series, name)[i0:i1]
+                        for series, (i0, i1), _ in stack], width)
+
+    close = bars_of("close")
+    atrs = _padded([series_atr(stack[p][0], w)[slice(*stack[p][1])]
+                    for p, w in zip(exit_prob.tolist(),
+                                    exit_atr_window.astype(int).tolist())],
+                   width)
+    within = columns[:width] < n[:, None]  # each problem's bars
     cands, exit_tables = [], []
     for short in shorts:
         price = -close if short else close
         tested = price
         if intrabar_stop_fill:
-            tested = -series.high[i0:i1] if short else series.low[i0:i1]
-        cands.append(price - alpha[:, None] * atrs)
-        exit_tables.append(_exits(tested, cands[-1], trailing))
+            tested = -bars_of("high") if short else bars_of("low")
+        cands.append(price[exit_prob] - alpha[:, None] * atrs)
+        exit_tables.append(_exits(np.where(within, tested, np.inf),
+                                  cands[-1], exit_prob, n[exit_prob],
+                                  trailing))
     exits = np.concatenate(exit_tables, axis=1)
 
     # The walk, one step per trade. A cell with no entry left sits on slot
-    # ``none``, whose exit is n and whose next entry is ``none`` again.
+    # ``none``, whose next entry is ``none`` again.
     exit_flat, slot_flat = exits.ravel(), slots.ravel()
     exit_row = exit_of * (none + 1)
-    slot_row = entry_of * (n + 2)
+    slot_row = entry_of * (width + 2)
     slot = slot_flat[slot_row]
     slot_row += 1  # the next entry is looked up from the bar after the exit
     walked, exited = [], []
@@ -403,41 +454,57 @@ def find_trades(
         exited.append(x)
         slot = slot_flat[slot_row + x]
     if not walked:
-        return NO_TRADES
+        return NO_PROBLEMS, NO_TRADES
     steps = np.array(walked).T  # each cell's slots, in cell order
-    live = steps != none
-    cell = live.nonzero()[0]
-    slot = steps[live]
-    x = np.array(exited).T[live]
-    side = (slot > n).astype(np.intp)
-    entry = slot - side * (n + 1)
+    traded = steps != none
+    cell = traded.nonzero()[0]
+    slot = steps[traded]
+    x = np.array(exited).T[traded]
+    side = (slot > width).astype(np.intp)
+    entry = slot - side * (width + 1)
     short = np.array(shorts)[side]
-    forced = x == n
-    exit_bar = np.minimum(x, n - 1)
-    exit_px = close[exit_bar]
+    prob = owner[cell]
+    forced = x == n[prob]
+    exit_bar = np.minimum(x, n[prob] - 1)
+    exit_px = close[prob, exit_bar]
     if intrabar_stop_fill:
         hit = ~forced
         args = (side[hit], exit_of[cell[hit]], entry[hit], x[hit])
         stop = (_stop_max(np.stack(cands), *args) if trailing
                 else np.stack(cands)[args[:3]])
         sign = np.where(short[hit], -1.0, 1.0)
-        exit_px[hit] = sign * np.minimum(sign * series.open[i0:i1][x[hit]],
-                                         stop)
-    return Trades(cell, entry, exit_bar, exit_px, forced, short)
+        exit_px[hit] = sign * np.minimum(
+            sign * bars_of("open")[prob[hit], x[hit]], stop)
+    first = np.cumsum(counts) - counts  # each problem's first cell
+    return np.array(live)[prob], Trades(cell - first[prob], entry, exit_bar,
+                                        exit_px, forced, short)
 
 
-def _exits(tested: np.ndarray, cand: np.ndarray,
-           trailing: bool) -> np.ndarray:
-    """Row a, column e: the exit bar of a trade entered on bar e with stop
-    candidates cand[a] (s * close - alpha * ATR) against tested prices
-    ``tested`` (s * the close or the bar's adverse extreme), n if the stop
-    is never hit; column n holds n.
+def _padded(rows: List[np.ndarray], width: int) -> np.ndarray:
+    """Rows of any lengths as the rows of a NaN matrix ``width`` wide, each
+    from the first column."""
+    out = np.full((len(rows), width), np.nan)
+    if len({len(row) for row in rows}) == 1:  # one assignment, the quickest
+        out[:, :len(rows[0])] = rows
+    else:
+        for k, row in enumerate(rows):
+            out[k, :len(row)] = row
+    return out
+
+
+def _exits(tested: np.ndarray, cand: np.ndarray, prob: np.ndarray,
+           n: np.ndarray, trailing: bool) -> np.ndarray:
+    """Row a, column e: the exit bar of a trade entered on bar e of
+    problem prob[a], whose window holds n[a] bars, with stop candidates
+    cand[a] (s * close - alpha * ATR) against the problem's tested prices
+    tested[prob[a]] (s * the close or the bar's adverse extreme, +inf past
+    the window); n[a] if the stop is never hit. The last column holds n.
 
     f(e), the first j > e with tested[j] < cand[e], is found for every
     (a, e) at once by binary lifting: level k of a sparse table holds the
-    minimum of ``tested`` over bars [i, i + 2^k), padded with +inf so that
-    every gather fits, and each level moves every position past a block
-    with no breach. A fixed stop exits at f(e).
+    minimum of each problem's ``tested`` over bars [i, i + 2^k), padded with
+    +inf so that every gather fits, and each level moves every position past
+    a block with no breach. A fixed stop exits at f(e).
 
     A trailing stop's level is the running max of the trade's candidates,
     and x < max(a, b) exactly when x < a or x < b, so a trailing stop exits
@@ -450,22 +517,28 @@ def _exits(tested: np.ndarray, cand: np.ndarray,
     Neither f nor the identity holds for a NaN candidate: a comparison with
     NaN is false, so the lifting stops at f(e) = e + 1, and max(NaN, b) is
     NaN. NaN candidates exist only before the ATR warm-up, where no cell
-    enters, and the running minimum from the right never reaches back past
-    an entry, so no trade reads them.
+    enters, and past the window, where f(e) > n; the running minimum from
+    the right never reaches back past an entry, so no trade reads them.
     """
-    rows, n = cand.shape
-    levels = n.bit_length()  # 2^levels > n - 1, the longest run to skip
-    mins = np.full((levels, n + (1 << levels)), np.inf)
-    mins[0, :n] = tested
+    rows, width = cand.shape
+    levels = width.bit_length()  # 2^levels > width - 1, the longest run
+    span = width + (1 << levels)
+    mins = np.full((levels, len(tested), span), np.inf)
+    mins[0, :, :width] = tested
     for k in range(1, levels):
         half = 1 << (k - 1)
-        np.minimum(mins[k - 1, :n], mins[k - 1, half:n + half],
-                   out=mins[k, :n])
-    pos = np.repeat(np.arange(1, n + 1)[None], rows, axis=0)
+        np.minimum(mins[k - 1, :, :width], mins[k - 1, :, half:width + half],
+                   out=mins[k, :, :width])
+    mins = mins.reshape(levels, -1)  # problem p's bar i at p * span + i
+    offset = (prob * span)[:, None]
+    pos = offset + np.arange(1, width + 1)
     for k in reversed(range(levels)):
         pos += (mins[k][pos] >= cand).astype(np.intp) << k
-    exits = np.full((rows, n + 1), n)
-    np.minimum(_reversed_min(pos) if trailing else pos, n, out=exits[:, :n])
+    pos -= offset
+    exits = np.empty((rows, width + 1), dtype=np.intp)
+    np.minimum(_reversed_min(pos) if trailing else pos, n[:, None],
+               out=exits[:, :width])
+    exits[:, width] = n
     return exits
 
 
@@ -502,22 +575,44 @@ def cell_position(series: PriceSeries, params: StrategyParams,
                   trailing: bool = True,
                   intrabar_stop_fill: bool = False) -> Position:
     """One cell's Position at ``size`` over the bars in [window start, end]
-    (all bars without a window). Only the ledger reads the size, so
-    find_trades runs once per (series, bounds, cell, execution flags), in a
-    memo keyed weakly by the series whose found columns are read-only."""
-    if size <= 0:
-        raise EngineError(f"size must be > 0, got {size}")
-    bounds = ((0, len(series)) if window is None
-              else series.slice_indices(*window))
-    memo = _trades_memo.setdefault(series, {})
-    key = (bounds, params, trailing, intrabar_stop_fill)
-    if key not in memo:
-        found = find_trades(series, bounds, (params,), trailing=trailing,
-                            intrabar_stop_fill=intrabar_stop_fill)
-        for column in found:
-            column.flags.writeable = False
-        memo[key] = found
-    return Position(series, bounds, memo[key], size)
+    (all bars without a window): cell_positions of one."""
+    return cell_positions([(series, params, size)], window, trailing=trailing,
+                          intrabar_stop_fill=intrabar_stop_fill)[0]
+
+
+def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
+                   window: Optional[Tuple[int, int]], *,
+                   trailing: bool = True,
+                   intrabar_stop_fill: bool = False) -> List[Position]:
+    """Each (series, cell, size)'s Position over the bars in [window start,
+    end] (all bars without a window), in order. Only the ledger reads the
+    size, so each (series, bounds, cell, execution flags) is searched once,
+    in a memo keyed weakly by the series whose found columns are read-only,
+    and the misses of one call are searched in one find_trades_stacked
+    call."""
+    keyed, misses = [], {}
+    for series, params, size in asked:
+        if size <= 0:
+            raise EngineError(f"size must be > 0, got {size}")
+        bounds = ((0, len(series)) if window is None
+                  else series.slice_indices(*window))
+        memo = _trades_memo.setdefault(series, {})
+        key = (bounds, params, trailing, intrabar_stop_fill)
+        if key not in memo:
+            misses[id(series), key] = (memo, key, (series, bounds, (params,)))
+        keyed.append((memo, key, bounds))
+    if misses:
+        problem, found = find_trades_stacked(
+            [miss[2] for miss in misses.values()], trailing=trailing,
+            intrabar_stop_fill=intrabar_stop_fill)
+        ends = np.searchsorted(problem, np.arange(len(misses) + 1))
+        for k, (memo, key, _) in enumerate(misses.values()):
+            memo[key] = Trades(*(column[ends[k]:ends[k + 1]]
+                                 for column in found))
+            for column in memo[key]:
+                column.flags.writeable = False
+    return [Position(series, bounds, memo[key], size) for (
+        series, _, size), (memo, key, bounds) in zip(asked, keyed)]
 
 
 def cut_position(position: Position, halt_ts: int) -> Position:
@@ -592,68 +687,125 @@ def grid_sharpes(
     trailing: bool = True,
     intrabar_stop_fill: bool = False,
 ) -> np.ndarray:
-    """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if unusable.
+    """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if
+    unusable: the stack of one problem of grid_sharpes_stacked."""
+    return grid_sharpes_stacked(
+        [(series, bounds, cells)], cost_cfg, rf_annual, trailing=trailing,
+        intrabar_stop_fill=intrabar_stop_fill)[0]
 
-    Every cell must turn on one side, the same for all, by its threshold
-    below +inf, and the other off with +inf; an EngineError says otherwise.
-    Element k equals, bit for bit, the Sharpe of run_single_asset with
-    cells[k], size 1.0 and the same execution flags over the same bars, and
-    is NaN where that run has no trade or an undefined Sharpe. One
-    find_trades call finds every cell's trades; the returns of all cells are
-    then netted as one matrix.
+
+def grid_sharpes_stacked(
+    problems: Sequence[Problem],
+    cost_cfg: CostConfig,
+    rf_annual: float,
+    *,
+    trailing: bool = True,
+    intrabar_stop_fill: bool = False,
+) -> List[np.ndarray]:
+    """Each problem's row of Sharpes of its cells' net per-bar returns on
+    its bars [i0, i1), one per cell; NaN if unusable. A problem is a
+    (series, bounds, cells) triple.
+
+    Every cell must turn on one side, the same for all cells of all
+    problems, by its threshold below +inf, and the other off with +inf; an
+    EngineError says otherwise. Element k of a problem's row equals, bit for
+    bit, the Sharpe of run_single_asset with its cells[k], size 1.0 and the
+    same execution flags over the same bars, and is NaN where that run has
+    no trade or an undefined Sharpe.
+
+    One find_trades_stacked call finds every cell's trades. The problems
+    with trades are laid end to end, as in backtester.aggregate_results, for
+    one trade_fills and one funding_paid call. The returns of the traded
+    cells of problems with equal window length and bar interval are then
+    netted as one matrix, one row per cell, and scored by one sharpe_rows
+    call, whose every row equals that row scored alone.
     """
     sides = {(c.theta_entry < math.inf, c.theta_entry_short < math.inf)
-             for c in cells}
+             for _, _, cells in problems for c in cells}
     if sides not in ({(True, False)}, {(False, True)}):
         raise EngineError("grid_sharpes needs cells that all turn on one"
                           " side, long or short, and the other off with +inf")
-    side = LONG if sides == {(True, False)} else SHORT
-    i0, i1 = bounds
-    n = i1 - i0
-    sharpes = np.full(len(cells), np.nan)
-    found = find_trades(series, bounds, cells, trailing=trailing,
-                        intrabar_stop_fill=intrabar_stop_fill)
+    counts = [len(cells) for _, _, cells in problems]
+    ends = np.cumsum(counts)
+    sharpes = np.full(sum(counts), np.nan)
+    rows_of = [sharpes[end - count:end]
+               for count, end in zip(counts, ends.tolist())]
+    problem, found = find_trades_stacked(
+        problems, trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
     m = len(found.cell)
     if not m:
-        return sharpes
+        return rows_of
 
-    # The trades come grouped by cell: one row of returns per traded cell.
-    starts = np.empty(m, dtype=bool)
-    starts[0] = True
-    np.not_equal(found.cell[1:], found.cell[:-1], out=starts[1:])
-    traded = found.cell[starts]
-    rows = np.cumsum(starts) - 1
-    ent, ext, exit_px = found.entry, found.exit, found.exit_px
-    # A trade holds its position entering bars e+1 .. x: the held flag
-    # flips at e+1 and back at x+1, and the next entry flips it at x+2 at
-    # the earliest.
-    held = np.zeros((len(traded), n + 1), dtype=bool)
-    held[rows, ent + 1] = True
-    held[rows, ext + 1] = True
-    held = np.logical_xor.accumulate(held, axis=1)[:, :n]
+    # The problems with trades, laid end to end: laid problem q's bars start
+    # at base[q]. Each of their traded cells is a row of returns, in order.
+    new_problem = _starts(problem)
+    laid = [problems[p] for p in problem[new_problem].tolist()]
+    q = np.cumsum(new_problem) - 1
+    n = np.array([i1 - i0 for _, (i0, i1), _ in laid])
+    base = np.cumsum(n) - n
+    ts, close, volume = (np.concatenate([
+        getattr(series, name)[i0:i1] for series, (i0, i1), _ in laid])
+        for name in ("timestamps", "close", "volume"))
+    cell = (ends - counts)[problem] + found.cell
+    starts = _starts(cell)
+    traded = cell[starts]
+    row = np.cumsum(starts) - 1  # each trade's row
+    row_q = q[starts]  # each row's laid problem
 
-    close = series.close[i0:i1]
-    gross = np.zeros(n)
+    ent, ext = found.entry + base[q], found.exit + base[q]
+    gross = np.zeros(len(close))  # no trade holds a problem's first bar
     gross[1:] = close[1:] / close[:-1] - 1.0
-    exit_gross = exit_px / close[ext - 1] - 1.0  # the exit fills at exit_px
-    fund = funding_paid(series.timestamps[i0:i1], [0], [n], [series.symbol],
-                        [1.0], cost_cfg)
-    if side == SHORT:
+    exit_gross = found.exit_px / close[ext - 1] - 1.0  # fills at exit_px
+    fund = funding_paid(ts, base, n, [s.symbol for s, _, _ in laid],
+                        np.ones(len(laid)), cost_cfg)
+    if sides == {(False, True)}:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
         fund = 0.0 - fund
-    fees, slips = trade_fills(close, series.volume[i0:i1], ent, ext, exit_px,
-                              1.0, series.interval, cost_cfg)
+    intervals = np.array([s.interval for s, _, _ in laid])
+    fees, slips = trade_fills(close, volume, ent, ext, found.exit_px, 1.0,
+                              intervals[q], cost_cfg)
     fill_cost = fees + slips
-    net = np.zeros((len(traded), n))
-    np.copyto(net, gross - fund, where=held)
     # Costs are summed in book_trades' order (funding, then the fill) so
     # that every net return is the same float.
-    net[rows, ent] = 0.0 - fill_cost[:m]
-    net[rows, ext] = exit_gross - (fund[ext] + fill_cost[m:])
-    sharpes[traded] = sharpe_rows(net, rf_annual,
-                                  bars_per_year(series.interval))
-    return sharpes
+    entry_net = 0.0 - fill_cost[:m]
+    exit_net = exit_gross - (fund[ext] + fill_cost[m:])
+    held_net = gross - fund
+
+    shapes: Dict[Tuple[int, int], int] = {}  # (bars, interval) -> group
+    group = np.array([shapes.setdefault(shape, len(shapes)) for shape in zip(
+        n.tolist(), intervals.tolist())])
+    for g, (bars, interval) in enumerate(shapes):
+        in_group = group[row_q] == g
+        picked = in_group[row]
+        r = (np.cumsum(in_group) - 1)[row[picked]]  # the group's rows
+        e, x = found.entry[picked], found.exit[picked]
+        # A trade holds its position entering bars e+1 .. x: the held flag
+        # flips at e+1 and back at x+1, and the next entry flips it at x+2
+        # at the earliest.
+        held = np.zeros((int(in_group.sum()), bars + 1), dtype=bool)
+        held[r, e + 1] = True
+        held[r, x + 1] = True
+        held = np.logical_xor.accumulate(held, axis=1)[:, :bars]
+        net = np.zeros(held.shape)
+        owners = row_q[in_group]  # ascending: a problem's rows are adjacent
+        firsts = np.flatnonzero(_starts(owners)).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [len(owners)]):
+            j = base[owners[lo]]
+            np.copyto(net[lo:hi], held_net[j:j + bars], where=held[lo:hi])
+        net[r, e] = entry_net[picked]
+        net[r, x] = exit_net[picked]
+        sharpes[traded[in_group]] = sharpe_rows(
+            net, rf_annual, bars_per_year(interval))
+    return rows_of
+
+
+def _starts(ids: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a nonempty array begins."""
+    starts = np.empty(len(ids), dtype=bool)
+    starts[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
 
 
 # ---------------------------------------------------------------------------

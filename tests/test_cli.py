@@ -769,6 +769,17 @@ class TestBootstrap:
         assert not out.exists()
 
 
+    def test_negative_seed_reported(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["bootstrap", "--run-a", str(ws.run), "--run-b",
+                     str(ws.run), "--out", str(out), "--reps", "50",
+                     "--block", "5", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestReport:
     def test_full_report(self, ws, alpha_sweep):
         assert main(["bootstrap", "--run-a", str(ws.run), "--run-b",

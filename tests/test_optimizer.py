@@ -2,18 +2,20 @@
 result."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from adaptivetrend import backtester, rebalancer, signal_engine
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       Market, ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
 from adaptivetrend.market_data import CapIndex, PriceSeries
-from adaptivetrend.rebalancer import (Optimizer, ParamGrid, RebalanceConfig,
-                                      grid_cells, optimization_window,
-                                      union_grid)
+from adaptivetrend.rebalancer import (SEARCH_BATCH_CELL_BARS, Optimizer,
+                                      ParamGrid, RebalanceConfig, grid_cells,
+                                      optimization_window, union_grid)
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
                       market_of, rough_series, solve_alone, solve_cfg)
@@ -145,6 +147,96 @@ class TestKeptRows:
             run_backtest(market, cfg)
         opt = market.optimizer
         assert opt.solved == 2 * opt.searches == 2 * len(opt._rows) > 0
+
+
+def gappy_universe(seed: int, n_symbols: int):
+    """jumpy_universe with up to three bars of February dropped from every
+    symbol but RND, so that the month's windows differ in length."""
+    universe, caps = jumpy_universe(seed, n_symbols, 1.0)
+    rng = np.random.default_rng(seed)
+    for symbol in list(universe)[1:]:
+        series = universe[symbol]
+        i0, i1 = series.slice_indices(FEB1, MAR1)
+        keep = np.ones(len(series), dtype=bool)
+        keep[rng.choice(np.arange(i0 + 1, i1), int(rng.integers(0, 4)),
+                        replace=False)] = False
+        universe[symbol] = PriceSeries(symbol, series.interval,
+                                       *(c[keep] for c in series.columns()))
+    return universe, caps
+
+
+class TestBatchedSearch:
+    """The Optimizer scores a month's problems together, split by side,
+    window length and the cells x bars bound; each pick must equal that of
+    the problem searched alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(2, 6),
+           bound=st.sampled_from([1, 700, 2000, SEARCH_BATCH_CELL_BARS]),
+           cost=st.sampled_from(COST_CHOICES), rf=st.sampled_from([0.0, 0.045]),
+           trailing=st.booleans(), intrabar=st.booleans())
+    def test_every_pick_equals_a_search_alone(self, seed, n_symbols, bound,
+                                              cost, rf, trailing, intrabar):
+        universe, _ = gappy_universe(seed, n_symbols)
+        window = optimization_window(MAR1, INTERVAL, 4)
+        cfg = solve_cfg(BASE_GRID, cost, rf, trailing, intrabar)
+        candidates = [(symbol, side) for side in ("long", "short")
+                      for symbol in universe]
+        opt = Optimizer(universe)
+        with mock.patch.object(rebalancer, "SEARCH_BATCH_CELL_BARS", bound):
+            got = opt.solve(candidates, window, cfg)
+        assert got == [solve_alone(universe[symbol], side, window, cfg)
+                       for symbol, side in candidates]
+        # Each (side, window length) group in batches of the bound.
+        groups = {}
+        for symbol, side in candidates:
+            i0, i1 = universe[symbol].slice_indices(*window)
+            groups.setdefault((side, i1 - i0), []).append(symbol)
+        batches = 0
+        for (side, bars), symbols in groups.items():
+            size = max(1, bound // (len(grid_cells(BASE_GRID, side)) * bars))
+            batches += -(-len(symbols) // size)
+        assert opt.searches == len(candidates)
+        assert opt.batches == batches
+
+
+def test_a_month_searches_in_few_calls(monkeypatch):
+    # With a one-cell grid the Optimizer searches a month's problems in one
+    # call per side, and the month's positions are searched in one call;
+    # the default 225-cell grid still gets one problem per call.
+    universe, caps = jumpy_universe(3, 6, 1.0, n=600)
+    month_sim = backtester.cell_positions
+    search = signal_engine.find_trades_stacked
+    calls, inside = [], []
+
+    def positions(asked, window, **kwargs):
+        inside.append(True)
+        try:
+            return month_sim(asked, window, **kwargs)
+        finally:
+            inside.pop()
+
+    def searched(problems, **kwargs):
+        calls.append((bool(inside), len(problems)))
+        return search(problems, **kwargs)
+
+    monkeypatch.setattr(backtester, "cell_positions", positions)
+    monkeypatch.setattr(signal_engine, "find_trades_stacked", searched)
+    one_cell = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
+                         alpha=(2.0,), lookback=(4,), atr_window=3)
+    cfg = point_cfg(universe, gamma=-100.0)
+    cfg = replace(cfg, rebalance=replace(cfg.rebalance, k_long=3, k_short=3,
+                                         grid=one_cell))
+    months = len(run_backtest(market_of(universe, caps), cfg).rebalance_log)
+    optimizer = [size for sim, size in calls if not sim]
+    assert months >= 3
+    assert len(optimizer) <= 2 * months and max(optimizer) == 3
+    assert len([size for sim, size in calls if sim]) <= months
+
+    calls.clear()
+    run_backtest(market_of(universe, caps), replace(
+        cfg, rebalance=replace(cfg.rebalance, grid=ParamGrid())))
+    assert calls and {size for sim, size in calls if not sim} == {1}
 
 
 def test_equal_grids_build_identical_cells():

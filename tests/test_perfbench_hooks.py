@@ -6,8 +6,7 @@ failure, and a hook that is never called reads 0). The loaded universe's
 timeline is built once per backtest and once per sweep group, each series'
 ATR once per ATR window, through the hook the tracer counts, each run books
 a window's positions in one aggregate call, and the month simulations of a
-sweep (each strategy position's cell_position) search each traded cell
-once."""
+sweep (each month's cell_positions) search each traded cell once."""
 
 import importlib
 import importlib.util
@@ -164,25 +163,27 @@ def test_a_sweep_searches_each_month_simulation_once(tmp_path, monkeypatch):
     # The lambda points of an alpha trade the same cells at other sizes;
     # only the ledger reads the size, so each (symbol, cell, window) of the
     # month simulations is searched once.
-    month_sim = backtester.cell_position
-    find_trades = signal_engine.find_trades
+    month_sim = backtester.cell_positions
+    find_trades_stacked = signal_engine.find_trades_stacked
     sims, searches, inside = [], [], []
 
-    def traded(series, params, window, size, **kwargs):
-        sims.append((series.symbol, params, window))
+    def traded(asked, window, **kwargs):
+        sims.extend((series.symbol, params, window)
+                    for series, params, _ in asked)
         inside.append(True)
         try:
-            return month_sim(series, params, window, size, **kwargs)
+            return month_sim(asked, window, **kwargs)
         finally:
             inside.pop()
 
-    def searched(series, bounds, cells, **kwargs):
+    def searched(problems, **kwargs):
         if inside:
-            searches.append((id(series), bounds, tuple(cells)))
-        return find_trades(series, bounds, cells, **kwargs)
+            searches.extend((id(series), bounds, tuple(cells))
+                            for series, bounds, cells in problems)
+        return find_trades_stacked(problems, **kwargs)
 
-    monkeypatch.setattr(backtester, "cell_position", traded)
-    monkeypatch.setattr(signal_engine, "find_trades", searched)
+    monkeypatch.setattr(backtester, "cell_positions", traded)
+    monkeypatch.setattr(signal_engine, "find_trades_stacked", searched)
     cfg = tiny_run_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out",
                  str(tmp_path / "sweep"), "--axis", "alpha_lambda"]) == 0

@@ -338,8 +338,9 @@ class TestTradeSearchMemo:
     def test_shared_search_changes_no_result(self, seed, walk):
         series = rough_series(np.random.default_rng(seed), 60, INTERVAL,
                               gaps=True, zero_volume=0.2)
-        with mock.patch.object(signal_engine, "find_trades",
-                               wraps=signal_engine.find_trades) as search:
+        with mock.patch.object(signal_engine, "find_trades_stacked",
+                               wraps=signal_engine.find_trades_stacked
+                               ) as search:
             for point in walk + walk[:1]:
                 # A fresh copy of the series shares no memo entry.
                 fresh = PriceSeries(series.symbol, series.interval,
@@ -660,6 +661,85 @@ class TestGridSharpes:
                       longs + [sided(longs[0], "short")], []):
             with pytest.raises(EngineError):
                 grid_sharpes(series, cells, (0, 30), ZERO_COSTS, 0.0)
+
+
+# Cells that trade one side each: a threshold of 5 is never passed, so a
+# problem of such cells has no trade.
+SCORED_CELL = st.builds(
+    StrategyParams,
+    theta_entry=st.sampled_from([-0.01, 0.0, 0.004, 0.03, 5.0]),
+    theta_entry_short=st.sampled_from([1e-4, 0.01, 0.03, 5.0]),
+    alpha=st.sampled_from([0.5, 1.5, 4.0]),
+    lookback=st.integers(1, 6), atr_window=st.integers(1, 8))
+
+EXECUTIONS = pytest.mark.parametrize(
+    "execution", [dict(trailing=t, intrabar_stop_fill=i)
+                  for t in (True, False) for i in (False, True)],
+    ids=["trailing", "trailing-intrabar", "fixed", "fixed-intrabar"])
+
+
+@st.composite
+def stacks(draw, cell, sides):
+    """1-5 problems over 1-3 series with or without gaps (RND, SYM1, SYM2),
+    each a window of its own length, from none to every bar, with 1-3
+    cells: one side drawn per cell, or one for the whole stack when
+    ``sides`` is "stack"."""
+    pool = []
+    for j in range(draw(st.integers(1, 3))):
+        rough = flat_series(np.random.default_rng(
+            draw(st.integers(0, 2 ** 32 - 1))), draw(st.integers(0, 60)),
+            gaps=draw(st.booleans()))
+        pool.append(PriceSeries("RND" if j == 0 else f"SYM{j}",
+                                rough.interval, *rough.columns()))
+    problems = []
+    side = draw(st.sampled_from(["long", "short"]))
+    for _ in range(draw(st.integers(1, 5))):
+        series = draw(st.sampled_from(pool))
+        bounds = sorted(draw(st.tuples(*[st.integers(0, len(series))] * 2)))
+        cells = []
+        for c in draw(st.lists(cell, min_size=1, max_size=3)):
+            if sides == "cell":
+                side = draw(st.sampled_from(["long", "short", "both",
+                                             "none"]))
+            cells.append(replace(c, theta_entry=math.inf,
+                                 theta_entry_short=math.inf)
+                         if side == "none" else sided(c, side))
+        problems.append((series, tuple(bounds), cells))
+    return problems
+
+
+class TestStackedSearch:
+    """A stack of problems, searched and scored in one call, gives each
+    problem what a call with it alone gives, bit for bit."""
+
+    @EXECUTIONS
+    @settings(max_examples=150, deadline=None)
+    @given(problems=stacks(CELL, "cell"))
+    def test_trades_equal_each_problem_alone(self, execution, problems):
+        problem, found = signal_engine.find_trades_stacked(problems,
+                                                           **execution)
+        assert (np.diff(problem) >= 0).all()  # grouped by problem
+        for k, (series, bounds, cells) in enumerate(problems):
+            alone = find_trades(series, bounds, cells, **execution)
+            for got, want in zip(found, alone):
+                got = got[problem == k]
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+
+    @EXECUTIONS
+    @settings(max_examples=150, deadline=None)
+    @given(problems=stacks(SCORED_CELL, "stack"),
+           cost_cfg=st.sampled_from(COST_CHOICES),
+           rf=st.sampled_from([0.0, 0.045]))
+    def test_sharpes_equal_each_problem_alone(self, execution, problems,
+                                              cost_cfg, rf):
+        rows = signal_engine.grid_sharpes_stacked(problems, cost_cfg, rf,
+                                                  **execution)
+        assert len(rows) == len(problems)
+        for row, (series, bounds, cells) in zip(rows, problems):
+            alone = grid_sharpes(series, cells, bounds, cost_cfg, rf,
+                                 **execution)
+            assert row.tobytes() == alone.tobytes()  # NaN in the same places
 
 
 class TestLedgerIo:
