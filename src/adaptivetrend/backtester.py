@@ -143,18 +143,22 @@ class Market:
     """One loaded universe and what every run over it shares, each built once.
 
     ``series`` maps symbol to PriceSeries, ``interval`` is the bar interval
-    they all share (DataError unless they share one), ``caps`` their CapIndex,
-    ``timeline`` the sorted union of every bar close (run_windows slices each
-    window out of it), and ``optimizer`` the Optimizer whose memo every run
-    over the market shares, so no month, sweep point or ablation solves a
-    grid search that another has solved. ``grids`` are the grids of the runs
-    that will go over the market, if they are known: the optimizer then
-    searches the problems of all of them at once (see Optimizer). The series
-    must not change while the market is in use.
+    they all share (DataError unless there is at least one and they share
+    one), ``caps`` their CapIndex, ``timeline`` the sorted union of every bar
+    close (run_windows slices each window out of it), and ``optimizer`` the
+    Optimizer whose memo every run over the market shares, so no month,
+    sweep point or ablation solves a grid search that another has solved.
+    ``grids`` are the grids of the runs that will go over the market, if
+    they are known: the optimizer then searches the problems of all of them
+    at once (see Optimizer). The series must not change while the market is
+    in use.
     """
 
     def __init__(self, series: Dict[str, PriceSeries], caps: CapIndex,
                  grids: Sequence[ParamGrid] = ()) -> None:
+        if not series:
+            raise DataError("a market needs at least one price series,"
+                            " got none")
         intervals = sorted({s.interval for s in series.values()})
         if len(intervals) != 1:
             raise DataError(f"series at bar intervals {intervals} s")

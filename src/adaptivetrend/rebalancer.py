@@ -239,7 +239,8 @@ class Optimizer:
     Its result is memoised, so every month, sweep point and ablation run that
     shares this optimizer answers a repeated problem from the memo.
     Candidates are named by symbol and looked up in the optimizer's own
-    universe, which must not change while the optimizer is in use.
+    universe, whose series share one bar interval (as a Market's do) and
+    which must not change while the optimizer is in use.
 
     ``grids`` are the grids of the runs that will share the optimizer. When
     they hold two or more distinct grids that share one ATR window, a
@@ -281,9 +282,10 @@ class Optimizer:
         Every cell is scored as evaluate_cell would score it under the same
         execution flags, and the first cell with the maximum Sharpe wins; a
         cell without a defined Sharpe never does. The problems of one call
-        that are not in the memo are scored together, by side and window
-        length, in signal_engine.grid_sharpes_stacked calls of at most
-        SEARCH_BATCH_CELL_BARS cells x bars (and at least one problem) each.
+        that are not in the memo are scored together by
+        signal_engine.grid_sharpes_stacked, which takes stacks of one side
+        and one window length, in calls of at most SEARCH_BATCH_CELL_BARS
+        cells x bars (and at least one problem) each.
         """
         grid = cfg.rebalance.grid
         keys = []
@@ -451,10 +453,12 @@ def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
                           ("short", short_candidates)):
         for sym in symbols:
             series = market.series.get(sym)
-            if series is None or not has_month_history(series, window[0]):
+            if series is None:
+                logger.info("%s: has no price series; excluded", sym)
+            elif not has_month_history(series, window[0]):
                 logger.info("%s: lacks a full month of history; excluded", sym)
-                continue
-            batch.append((sym, side))
+            else:
+                batch.append((sym, side))
     solved = market.optimizer.solve(batch, window, cfg)
     found = {side: [r for (_, s), r in zip(batch, solved)
                     if s == side and r is not None]

@@ -12,10 +12,10 @@ array passes: a next-entry table per entry rule, an exit table per stop
 rule (binary lifting over a sparse table of minima per problem), then one
 walk in which every cell jumps from entry to exit to next entry. A cell
 trades the sides whose thresholds are below +inf; no caller names a side.
-``find_trades`` is the stack of one problem. Each series' ATR is computed
-once per ATR window (``series_atr``) and shared by every search over it;
-that memo and the one-cell trade memo (``cell_positions``, which searches a
-month's misses in one call) are keyed weakly by the series. The trades stay
+One problem is a stack of one. Each series' ATR is computed once per ATR
+window (``series_atr``) and shared by every search over it; that memo and
+the one-cell trade memo (``cell_positions``, which searches a month's
+misses in one call) are keyed weakly by the series. The trades stay
 the search's ``Trades`` columns, held with their series, bars and size as a
 ``Position`` (a comparison benchmark's is one forced trade), up to the
 ledger. A backtest books all positions of a month window in one array pass
@@ -26,9 +26,9 @@ one-symbol, per-bar view of that booking: it returns the closed trades
 Sharpe evaluation plus currency-denominated realized / mark-to-market /
 cost components that let a caller audit account equity exactly.
 ``grid_sharpes_stacked`` scores the one-sided cells of a stack of problems
-at once for the monthly grid search with the same search, so the optimizer
-scores the execution model that trades; ``grid_sharpes`` is its stack of
-one. Both price fills and funding with cost_model's one pricing step, as
+of one window length and bar interval at once for the monthly grid search
+with the same search, so the optimizer scores the execution model that
+trades. It prices fills and funding with cost_model's one pricing step, as
 the window ledger does, so every booking pays the same costs.
 """
 
@@ -304,20 +304,6 @@ Problem = Tuple[PriceSeries, Tuple[int, int], Sequence[StrategyParams]]
 NO_PROBLEMS = np.zeros(0, dtype=np.intp)
 
 
-def find_trades(
-    series: PriceSeries,
-    bounds: Tuple[int, int],
-    cells: Sequence[StrategyParams],
-    *,
-    trailing: bool = True,
-    intrabar_stop_fill: bool = False,
-) -> Trades:
-    """The trades of every cell in one window of bars [i0, i1): the stack of
-    one problem of find_trades_stacked."""
-    return find_trades_stacked([(series, bounds, cells)], trailing=trailing,
-                               intrabar_stop_fill=intrabar_stop_fill)[1]
-
-
 def find_trades_stacked(
     problems: Sequence[Problem],
     *,
@@ -570,16 +556,6 @@ _trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
     weakref.WeakKeyDictionary())
 
 
-def cell_position(series: PriceSeries, params: StrategyParams,
-                  window: Optional[Tuple[int, int]], size: float, *,
-                  trailing: bool = True,
-                  intrabar_stop_fill: bool = False) -> Position:
-    """One cell's Position at ``size`` over the bars in [window start, end]
-    (all bars without a window): cell_positions of one."""
-    return cell_positions([(series, params, size)], window, trailing=trailing,
-                          intrabar_stop_fill=intrabar_stop_fill)[0]
-
-
 def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
                    window: Optional[Tuple[int, int]], *,
                    trailing: bool = True,
@@ -649,10 +625,11 @@ def run_single_asset(
     Indicators are computed on the full series so history before the window
     provides warm-up; bars inside the window whose indicators are still
     undefined take no entry. The one-symbol, per-bar view of a backtest's
-    booking: cell_position's trades, booked by book_trades.
+    booking: the cell's Position from cell_positions, booked by book_trades.
     """
-    position = cell_position(series, params, window, size, trailing=trailing,
-                             intrabar_stop_fill=intrabar_stop_fill)
+    position = cell_positions([(series, params, size)], window,
+                              trailing=trailing,
+                              intrabar_stop_fill=intrabar_stop_fill)[0]
     (i0, i1), found = position.bounds, position.found
     result = book_trades(*position, cost_cfg)
     # The stop in force after each bar of a trade, into the ledger's
@@ -677,23 +654,6 @@ def run_single_asset(
 # Batched grid search
 # ---------------------------------------------------------------------------
 
-def grid_sharpes(
-    series: PriceSeries,
-    cells: Sequence[StrategyParams],
-    bounds: Tuple[int, int],
-    cost_cfg: CostConfig,
-    rf_annual: float,
-    *,
-    trailing: bool = True,
-    intrabar_stop_fill: bool = False,
-) -> np.ndarray:
-    """Sharpe of each cell's net per-bar returns on bars [i0, i1); NaN if
-    unusable: the stack of one problem of grid_sharpes_stacked."""
-    return grid_sharpes_stacked(
-        [(series, bounds, cells)], cost_cfg, rf_annual, trailing=trailing,
-        intrabar_stop_fill=intrabar_stop_fill)[0]
-
-
 def grid_sharpes_stacked(
     problems: Sequence[Problem],
     cost_cfg: CostConfig,
@@ -707,24 +667,31 @@ def grid_sharpes_stacked(
     (series, bounds, cells) triple.
 
     Every cell must turn on one side, the same for all cells of all
-    problems, by its threshold below +inf, and the other off with +inf; an
-    EngineError says otherwise. Element k of a problem's row equals, bit for
-    bit, the Sharpe of run_single_asset with its cells[k], size 1.0 and the
-    same execution flags over the same bars, and is NaN where that run has
-    no trade or an undefined Sharpe.
+    problems, by its threshold below +inf, and the other off with +inf, and
+    every problem's window must hold the same number of bars of series at
+    the same bar interval; an EngineError says otherwise. Element k of a
+    problem's row equals, bit for bit, the Sharpe of run_single_asset with
+    its cells[k], size 1.0 and the same execution flags over the same bars,
+    and is NaN where that run has no trade or an undefined Sharpe.
 
     One find_trades_stacked call finds every cell's trades. The problems
     with trades are laid end to end, as in backtester.aggregate_results, for
     one trade_fills and one funding_paid call. The returns of the traded
-    cells of problems with equal window length and bar interval are then
-    netted as one matrix, one row per cell, and scored by one sharpe_rows
-    call, whose every row equals that row scored alone.
+    cells are then netted as one matrix, one row per cell, and scored by one
+    sharpe_rows call, whose every row equals that row scored alone.
     """
     sides = {(c.theta_entry < math.inf, c.theta_entry_short < math.inf)
              for _, _, cells in problems for c in cells}
     if sides not in ({(True, False)}, {(False, True)}):
-        raise EngineError("grid_sharpes needs cells that all turn on one"
-                          " side, long or short, and the other off with +inf")
+        raise EngineError("grid_sharpes_stacked needs cells that all turn on"
+                          " one side, long or short, and the other off with"
+                          " +inf")
+    shapes = {(i1 - i0, series.interval) for series, (i0, i1), _ in problems}
+    if len(shapes) != 1:
+        raise EngineError("grid_sharpes_stacked needs windows of one length"
+                          " at one bar interval, got (bars, interval) pairs"
+                          f" {sorted(shapes)}")
+    [(bars, interval)] = shapes
     counts = [len(cells) for _, _, cells in problems]
     ends = np.cumsum(counts)
     sharpes = np.full(sum(counts), np.nan)
@@ -741,8 +708,7 @@ def grid_sharpes_stacked(
     new_problem = _starts(problem)
     laid = [problems[p] for p in problem[new_problem].tolist()]
     q = np.cumsum(new_problem) - 1
-    n = np.array([i1 - i0 for _, (i0, i1), _ in laid])
-    base = np.cumsum(n) - n
+    base = np.arange(len(laid)) * bars
     ts, close, volume = (np.concatenate([
         getattr(series, name)[i0:i1] for series, (i0, i1), _ in laid])
         for name in ("timestamps", "close", "volume"))
@@ -750,53 +716,34 @@ def grid_sharpes_stacked(
     starts = _starts(cell)
     traded = cell[starts]
     row = np.cumsum(starts) - 1  # each trade's row
-    row_q = q[starts]  # each row's laid problem
-
-    ent, ext = found.entry + base[q], found.exit + base[q]
+    e, x = found.entry, found.exit
+    ent, ext = e + base[q], x + base[q]
     gross = np.zeros(len(close))  # no trade holds a problem's first bar
     gross[1:] = close[1:] / close[:-1] - 1.0
     exit_gross = found.exit_px / close[ext - 1] - 1.0  # fills at exit_px
-    fund = funding_paid(ts, base, n, [s.symbol for s, _, _ in laid],
-                        np.ones(len(laid)), cost_cfg)
+    fund = funding_paid(ts, base, np.full(len(laid), bars),
+                        [s.symbol for s, _, _ in laid], np.ones(len(laid)),
+                        cost_cfg)
     if sides == {(False, True)}:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
         fund = 0.0 - fund
-    intervals = np.array([s.interval for s, _, _ in laid])
     fees, slips = trade_fills(close, volume, ent, ext, found.exit_px, 1.0,
-                              intervals[q], cost_cfg)
+                              interval, cost_cfg)
     fill_cost = fees + slips
-    # Costs are summed in book_trades' order (funding, then the fill) so
-    # that every net return is the same float.
-    entry_net = 0.0 - fill_cost[:m]
-    exit_net = exit_gross - (fund[ext] + fill_cost[m:])
-    held_net = gross - fund
 
-    shapes: Dict[Tuple[int, int], int] = {}  # (bars, interval) -> group
-    group = np.array([shapes.setdefault(shape, len(shapes)) for shape in zip(
-        n.tolist(), intervals.tolist())])
-    for g, (bars, interval) in enumerate(shapes):
-        in_group = group[row_q] == g
-        picked = in_group[row]
-        r = (np.cumsum(in_group) - 1)[row[picked]]  # the group's rows
-        e, x = found.entry[picked], found.exit[picked]
-        # A trade holds its position entering bars e+1 .. x: the held flag
-        # flips at e+1 and back at x+1, and the next entry flips it at x+2
-        # at the earliest.
-        held = np.zeros((int(in_group.sum()), bars + 1), dtype=bool)
-        held[r, e + 1] = True
-        held[r, x + 1] = True
-        held = np.logical_xor.accumulate(held, axis=1)[:, :bars]
-        net = np.zeros(held.shape)
-        owners = row_q[in_group]  # ascending: a problem's rows are adjacent
-        firsts = np.flatnonzero(_starts(owners)).tolist()
-        for lo, hi in zip(firsts, firsts[1:] + [len(owners)]):
-            j = base[owners[lo]]
-            np.copyto(net[lo:hi], held_net[j:j + bars], where=held[lo:hi])
-        net[r, e] = entry_net[picked]
-        net[r, x] = exit_net[picked]
-        sharpes[traded[in_group]] = sharpe_rows(
-            net, rf_annual, bars_per_year(interval))
+    # A trade holds its position entering bars e+1 .. x: the held flag flips
+    # at e+1 and back at x+1, and the next entry flips it at x+2 at the
+    # earliest. Costs are summed in book_trades' order (funding, then the
+    # fill) so that every net return is the same float.
+    held = np.zeros((len(traded), bars + 1), dtype=bool)
+    held[row, e + 1] = True
+    held[row, x + 1] = True
+    held = np.logical_xor.accumulate(held, axis=1)[:, :bars]
+    net = np.where(held, (gross - fund).reshape(-1, bars)[q[starts]], 0.0)
+    net[row, e] = 0.0 - fill_cost[:m]
+    net[row, x] = exit_gross - (fund[ext] + fill_cost[m:])
+    sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
     return rows_of
 
 

@@ -23,7 +23,7 @@ from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
                                        month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import (Position, StrategyParams, Trades,
-                                         book_trades, cell_position)
+                                         book_trades, cell_positions)
 from hypothesis import given, settings, strategies as st
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
@@ -71,6 +71,12 @@ class TestMonthHelpers:
         with pytest.raises(DataError,
                            match=r"series at bar intervals \[3600, 21600\] s"):
             Market({"SIX": six, "HRLY": hourly}, CapIndex())
+
+    def test_market_rejects_no_series(self):
+        # Without a series there is no interval to check, and the message
+        # names that cause.
+        with pytest.raises(DataError, match="at least one price series"):
+            Market({}, CapIndex())
 
 
 class TestAggregation:
@@ -223,11 +229,11 @@ class TestWindowLedger:
             size = data.draw(st.sampled_from([1.0, 3_333.3, 250_000.0]),
                              label="size")
             if data.draw(st.booleans(), label="searched"):
-                positions.append(cell_position(
-                    series, data.draw(CELLS, label="cell"), window, size,
+                positions.append(cell_positions(
+                    [(series, data.draw(CELLS, label="cell"), size)], window,
                     trailing=data.draw(st.booleans(), label="trailing"),
                     intrabar_stop_fill=data.draw(st.booleans(),
-                                                 label="intrabar")))
+                                                 label="intrabar"))[0])
             else:
                 i0, i1 = series.slice_indices(*window)
                 positions.append(Position(series, (i0, i1), drawn_trades(

@@ -207,7 +207,8 @@ def test_a_month_searches_in_few_calls(monkeypatch):
     universe, caps = jumpy_universe(3, 6, 1.0, n=600)
     month_sim = backtester.cell_positions
     search = signal_engine.find_trades_stacked
-    calls, inside = [], []
+    score = rebalancer.grid_sharpes_stacked
+    calls, inside, lengths = [], [], []
 
     def positions(asked, window, **kwargs):
         inside.append(True)
@@ -220,8 +221,13 @@ def test_a_month_searches_in_few_calls(monkeypatch):
         calls.append((bool(inside), len(problems)))
         return search(problems, **kwargs)
 
+    def scored(problems, *args, **kwargs):
+        lengths.append({i1 - i0 for _, (i0, i1), _ in problems})
+        return score(problems, *args, **kwargs)
+
     monkeypatch.setattr(backtester, "cell_positions", positions)
     monkeypatch.setattr(signal_engine, "find_trades_stacked", searched)
+    monkeypatch.setattr(rebalancer, "grid_sharpes_stacked", scored)
     one_cell = ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                          alpha=(2.0,), lookback=(4,), atr_window=3)
     cfg = point_cfg(universe, gamma=-100.0)
@@ -237,6 +243,8 @@ def test_a_month_searches_in_few_calls(monkeypatch):
     run_backtest(market_of(universe, caps), replace(
         cfg, rebalance=replace(cfg.rebalance, grid=ParamGrid())))
     assert calls and {size for sim, size in calls if not sim} == {1}
+    # Every stack the Optimizer scores holds windows of one length.
+    assert lengths and all(len(group) == 1 for group in lengths)
 
 
 def test_equal_grids_build_identical_cells():

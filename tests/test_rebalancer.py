@@ -501,3 +501,20 @@ class TestRunRebalance:
         port, record = self.rebalance(universe, caps)
         assert port.longs == ()
         assert all(o["symbol"] != "UP" for o in record["optimized"])
+
+    def test_exclusions_log_their_cause(self, caplog):
+        # A cap-listed symbol without a price series is excluded for that
+        # cause, not for a short history; a short history keeps its message.
+        universe, caps = self.universe()
+        caps = CapIndex(list(caps) + [MarketCapRecord("GONE", JAN31, 3e9)])
+        universe["DN"] = make_series(
+            [100.0 * 0.99 ** i for i in range(40)], symbol="DN",
+            t0=FEB1 + 5 * INTERVAL, wick=0.05)
+        with caplog.at_level("INFO", logger="adaptivetrend.rebalancer"):
+            port, record = self.rebalance(universe, caps)
+        assert record["long_candidates"] == ["GONE"]
+        assert record["short_candidates"] == ["DN"]
+        assert port.longs == () and port.shorts == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            "GONE: has no price series; excluded",
+            "DN: lacks a full month of history; excluded"]

@@ -17,8 +17,8 @@ from adaptivetrend import signal_engine
 from adaptivetrend.signal_engine import (EngineError, StrategyParams,
                                          TradeRecord, Trades, _stop_max,
                                          book_trades, cut_position,
-                                         find_trades,
-                                         grid_sharpes, gross_pnl,
+                                         find_trades_stacked,
+                                         grid_sharpes_stacked, gross_pnl,
                                          run_single_asset, write_ledger)
 from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
@@ -452,8 +452,9 @@ def flat_series(rng, n, *, gaps):
 
 
 def per_cell(found, n_cells):
-    """find_trades' columns as each cell's list of (entry, exit, exit price,
-    side, forced), the form the scalar search returns."""
+    """One problem's find_trades_stacked columns as each cell's list of
+    (entry, exit, exit price, side, forced), the form the scalar search
+    returns."""
     lists = [[] for _ in range(n_cells)]
     for cell, e, x, px, forced, short in zip(*(col.tolist() for col in found)):
         lists[cell].append((e, x, px, "short" if short else "long", forced))
@@ -501,8 +502,9 @@ class TestFindTrades:
     (tests/scalar_reference.py), cell for cell and float for float."""
 
     def check(self, series, bounds, cells, side, trailing, intrabar):
-        found = find_trades(series, bounds, [sided(c, side) for c in cells],
-                            trailing=trailing, intrabar_stop_fill=intrabar)
+        found = find_trades_stacked(
+            [(series, bounds, [sided(c, side) for c in cells])],
+            trailing=trailing, intrabar_stop_fill=intrabar)[1]
         assert (np.diff(found.cell) >= 0).all()  # grouped by cell
         search = scalar_reference.TradeSearch(series, bounds, trailing,
                                               intrabar)
@@ -546,9 +548,10 @@ class TestFindTrades:
         series = flat_series(np.random.default_rng(seed), n, gaps=gaps)
         bounds = (min(start, n), n)
         execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
-        found = find_trades(series, bounds, mixed, **execution)
+        found = find_trades_stacked([(series, bounds, mixed)], **execution)[1]
         assert (np.diff(found.cell) >= 0).all()  # grouped by cell
-        alone = [per_cell(find_trades(series, bounds, [c], **execution), 1)[0]
+        alone = [per_cell(find_trades_stacked([(series, bounds, [c])],
+                                              **execution)[1], 1)[0]
                  for c in mixed]
         assert per_cell(found, len(mixed)) == alone
 
@@ -603,13 +606,13 @@ class TestCutPosition:
         halt = data.draw(st.integers(*window), label="halt")
         execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
         full = series.slice_indices(*window)
-        found = find_trades(series, full, cells, **execution)
+        found = find_trades_stacked([(series, full, cells)], **execution)[1]
         got = cut_position(signal_engine.Position(series, full, found, 1.0),
                            halt)
         cut = series.slice_indices(window[0], halt)
         assert got.bounds == cut
-        for g, w in zip(got.found, find_trades(series, cut, cells,
-                                               **execution)):
+        for g, w in zip(got.found, find_trades_stacked(
+                [(series, cut, cells)], **execution)[1]):
             assert g.dtype == w.dtype and g.tolist() == w.tolist()
 
 
@@ -644,8 +647,9 @@ class TestGridSharpes:
         window = (int(ts[start]), int(ts[-1]))
         execution = dict(trailing=trailing, intrabar_stop_fill=intrabar)
         cells = [sided(cell, side) for cell in self.CELLS]
-        got = grid_sharpes(series, cells, series.slice_indices(*window),
-                           cost_cfg, 0.045, **execution)
+        got = grid_sharpes_stacked(
+            [(series, series.slice_indices(*window), cells)], cost_cfg, 0.045,
+            **execution)[0]
         for cell, value in zip(cells, got):
             want = self.reference(series, cell, window, cost_cfg, 0.045,
                                   **execution)
@@ -654,13 +658,14 @@ class TestGridSharpes:
     def test_short_window_and_bad_side(self):
         series = gbm_series(np.random.default_rng(1), 30)
         longs = [sided(cell, "long") for cell in self.CELLS]
-        assert np.isnan(grid_sharpes(series, longs, (5, 6),
-                                     ZERO_COSTS, 0.0)).all()
+        assert np.isnan(grid_sharpes_stacked([(series, (5, 6), longs)],
+                                             ZERO_COSTS, 0.0)[0]).all()
         # Every cell must turn on the one side that all of them trade.
         for cells in (self.CELLS, longs[:3] + [sided(self.CELLS[3], "short")],
                       longs + [sided(longs[0], "short")], []):
             with pytest.raises(EngineError):
-                grid_sharpes(series, cells, (0, 30), ZERO_COSTS, 0.0)
+                grid_sharpes_stacked([(series, (0, 30), cells)], ZERO_COSTS,
+                                     0.0)
 
 
 # Cells that trade one side each: a threshold of 5 is never passed, so a
@@ -681,9 +686,10 @@ EXECUTIONS = pytest.mark.parametrize(
 @st.composite
 def stacks(draw, cell, sides):
     """1-5 problems over 1-3 series with or without gaps (RND, SYM1, SYM2),
-    each a window of its own length, from none to every bar, with 1-3
-    cells: one side drawn per cell, or one for the whole stack when
-    ``sides`` is "stack"."""
+    each a window of from none to every bar, with 1-3 cells: one side drawn
+    per cell and one window length per problem, or, when ``sides`` is
+    "stack", one side and one window length for the whole stack, the one
+    shape that grid_sharpes_stacked scores."""
     pool = []
     for j in range(draw(st.integers(1, 3))):
         rough = flat_series(np.random.default_rng(
@@ -693,9 +699,16 @@ def stacks(draw, cell, sides):
                                 rough.interval, *rough.columns()))
     problems = []
     side = draw(st.sampled_from(["long", "short"]))
+    if sides == "stack":
+        length = draw(st.integers(0, min(len(series) for series in pool)))
     for _ in range(draw(st.integers(1, 5))):
         series = draw(st.sampled_from(pool))
-        bounds = sorted(draw(st.tuples(*[st.integers(0, len(series))] * 2)))
+        if sides == "cell":
+            bounds = sorted(draw(st.tuples(
+                *[st.integers(0, len(series))] * 2)))
+        else:
+            i0 = draw(st.integers(0, len(series) - length))
+            bounds = (i0, i0 + length)
         cells = []
         for c in draw(st.lists(cell, min_size=1, max_size=3)):
             if sides == "cell":
@@ -716,11 +729,11 @@ class TestStackedSearch:
     @settings(max_examples=150, deadline=None)
     @given(problems=stacks(CELL, "cell"))
     def test_trades_equal_each_problem_alone(self, execution, problems):
-        problem, found = signal_engine.find_trades_stacked(problems,
-                                                           **execution)
+        problem, found = find_trades_stacked(problems, **execution)
         assert (np.diff(problem) >= 0).all()  # grouped by problem
         for k, (series, bounds, cells) in enumerate(problems):
-            alone = find_trades(series, bounds, cells, **execution)
+            alone = find_trades_stacked([(series, bounds, cells)],
+                                        **execution)[1]
             for got, want in zip(found, alone):
                 got = got[problem == k]
                 assert got.dtype == want.dtype
@@ -733,13 +746,28 @@ class TestStackedSearch:
            rf=st.sampled_from([0.0, 0.045]))
     def test_sharpes_equal_each_problem_alone(self, execution, problems,
                                               cost_cfg, rf):
-        rows = signal_engine.grid_sharpes_stacked(problems, cost_cfg, rf,
-                                                  **execution)
+        rows = grid_sharpes_stacked(problems, cost_cfg, rf, **execution)
         assert len(rows) == len(problems)
         for row, (series, bounds, cells) in zip(rows, problems):
-            alone = grid_sharpes(series, cells, bounds, cost_cfg, rf,
-                                 **execution)
+            alone = grid_sharpes_stacked([(series, bounds, cells)], cost_cfg,
+                                         rf, **execution)[0]
             assert row.tobytes() == alone.tobytes()  # NaN in the same places
+
+    def test_sharpes_need_one_window_length_and_interval(self):
+        # The scorer nets a stack's returns as one matrix at one
+        # annualization, so windows of two lengths, or series at two bar
+        # intervals, are a contract breach.
+        six = gbm_series(np.random.default_rng(2), 60)
+        hourly = gbm_series(np.random.default_rng(3), 60, symbol="HRLY",
+                            interval=3600)
+        longs = [sided(cell, "long") for cell in TestGridSharpes.CELLS[:4]]
+        for stack in ([(six, (0, 40), longs), (six, (10, 40), longs)],
+                      [(six, (0, 40), longs), (hourly, (0, 40), longs)]):
+            with pytest.raises(EngineError, match="one length"):
+                grid_sharpes_stacked(stack, ZERO_COSTS, 0.0)
+            for problem in stack:  # each alone is scored
+                assert grid_sharpes_stacked([problem], ZERO_COSTS,
+                                            0.0)[0].shape == (4,)
 
 
 class TestLedgerIo:
