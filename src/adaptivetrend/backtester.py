@@ -126,17 +126,29 @@ def month_starts_between(start: int, end: int) -> List[int]:
 
 def union_timeline(universe: Dict[str, PriceSeries],
                    window: Tuple[int, int]) -> np.ndarray:
-    """Sorted union of every symbol's bar timestamps inside the window."""
-    chunks = [np.empty(0, dtype=np.int64)]
+    """Sorted union of every symbol's bar timestamps inside the window,
+    folded in one series at a time. A window slice that is a run of the
+    union so far (as every slice is when the series share one clock, and
+    so one read-only timestamp array) costs one comparison; any other is
+    merged into it by a stable sort of the two sorted runs that drops the
+    repeats. The union may be a read-only view of a series' timestamps."""
+    timeline = np.empty(0, dtype=np.int64)
     for series in universe.values():
         i0, i1 = series.slice_indices(window[0], window[1])
-        chunks.append(series.timestamps[i0:i1])
-    # The chunks are sorted runs, which a stable sort merges faster than
-    # np.unique's hash; then drop the repeats.
-    merged = np.sort(np.concatenate(chunks), kind="stable")
-    first = np.ones(len(merged), dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    return merged[first]
+        stamps = series.timestamps[i0:i1].astype(np.int64, copy=False)
+        if not len(stamps):
+            continue
+        j = int(np.searchsorted(timeline, stamps[0]))
+        if np.array_equal(timeline[j:j + len(stamps)], stamps):
+            continue
+        if not len(timeline):
+            timeline = stamps
+            continue
+        merged = np.sort(np.concatenate((timeline, stamps)), kind="stable")
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        timeline = merged[first]
+    return timeline
 
 
 class Market:
@@ -145,7 +157,9 @@ class Market:
     ``series`` maps symbol to PriceSeries, ``interval`` is the bar interval
     they all share (DataError unless there is at least one and they share
     one), ``caps`` their CapIndex, ``timeline`` the sorted union of every bar
-    close (run_windows slices each window out of it), and ``optimizer`` the
+    close, folded series by series (see union_timeline; over series on one
+    clock it is a view of their shared read-only array), which run_windows
+    slices each window out of, and ``optimizer`` the
     Optimizer whose memo every run over the market shares, so no month,
     sweep point or ablation solves a grid search that another has solved.
     ``grids`` are the grids of the runs that will go over the market, if

@@ -312,7 +312,9 @@ def read_data_dir(data_dir: str, declared: Optional[int] = None,
     at it (else at ``declared`` or the default), so a sparse one loads with
     gaps. A declared interval that differs is a DataError. When more than
     half of all steps are gaps at the interval found (a bar off the others'
-    phase lowers it), a warning names the first shortest step's bars."""
+    phase lowers it), a warning names the first shortest step's bars. Series
+    on one bar clock share one read-only timestamp array (see PriceSeries),
+    whose steps are diffed once for all of them."""
     if not os.path.isdir(data_dir):
         raise DataError(f"data directory not found: {data_dir}")
     readers = {CAPS_FILE: load_market_caps, FUNDING_FILE: load_funding_rates}
@@ -326,15 +328,22 @@ def read_data_dir(data_dir: str, declared: Optional[int] = None,
             files[name] = read(path)
         except DataError as exc:
             files[name] = exc
-    series = [s for s in files.values() if isinstance(s, PriceSeries)]
-    found = step_gcd(s.timestamps for s in series)
+    # Series on one bar clock share its timestamp array: each clock's steps
+    # are counted once, weighted by the number of series that share it.
+    clocks: Dict[int, List[PriceSeries]] = {}
+    for s in files.values():
+        if isinstance(s, PriceSeries):
+            clocks.setdefault(id(s.timestamps), []).append(s)
+    found = step_gcd(shared[0].timestamps for shared in clocks.values())
     if found and declared not in (None, found):
         raise DataError(f"bars are {found} s apart; data.interval is {declared}")
     gaps = total = 0
     shortest = (np.inf, None, 0)  # the first shortest step
-    for s in series:  # one series' steps at a time, to hold no more memory
+    for shared in clocks.values():  # one clock's steps at a time
+        s, weight = shared[0], len(shared)
         steps = np.diff(s.timestamps)
-        total, gaps = total + len(steps), gaps + int((steps > found).sum())
+        total += weight * len(steps)
+        gaps += weight * int((steps > found).sum())
         if len(steps) and steps.min() < shortest[0]:
             shortest = (steps.min(), s, int(np.argmin(steps)))
     if 2 * gaps > total:

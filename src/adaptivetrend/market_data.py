@@ -5,7 +5,9 @@ Conventions used throughout the engine:
     bar. All fills, indicator values and funding accruals are anchored to
     these instants.
   - A PriceSeries (read-only columns) is immutable after construction,
-    safe to share across threads, and hashed by identity.
+    safe to share across threads, and hashed by identity. Series on one bar
+    clock share one read-only timestamp array, so a universe holds its
+    clock once.
   - Gaps (missing bars) are preserved and flagged, never filled.
   - A text file is opened through ``opened``, so one that cannot be read
     (missing, a directory, not UTF-8) is a DataError naming it.
@@ -19,6 +21,7 @@ import csv
 import math
 import os
 import re
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, date, timezone
@@ -112,13 +115,34 @@ def _check_bars(series: "PriceSeries") -> List[Tuple[int, int]]:
     return list(zip(ts[k - 1].tolist(), ts[k].tolist()))
 
 
+# Every live series' timestamps by (dtype, length, first and last stamp):
+# the first array seen for a key, held weakly, so it lives only as long as
+# a series holds it.
+_clocks: "weakref.WeakValueDictionary[tuple, np.ndarray]" = (
+    weakref.WeakValueDictionary())
+
+
+def _shared_clock(timestamps: np.ndarray) -> np.ndarray:
+    """The live array equal to ``timestamps``, if one has the same key; else
+    ``timestamps``, kept for the next series."""
+    key = (timestamps.dtype.str, len(timestamps), timestamps[:1].tobytes(),
+           timestamps[-1:].tobytes())
+    held = _clocks.get(key)
+    if held is not None and np.array_equal(held, timestamps):
+        return held
+    _clocks.setdefault(key, timestamps)
+    return timestamps
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Validated, ascending OHLCV series at a fixed bar interval: int64
     timestamps and float64 open, high, low, close, volume columns, read-only
-    once validated. Gaps larger than one interval are recorded in ``gaps``
-    as (prev_ts, next_ts) pairs; indicators treat a gap as a normal
-    adjacent-bar transition.
+    once validated. A series whose timestamps equal those of a live series
+    holds that series' array (the same object), so series on one bar clock
+    share one read-only timestamp array. Gaps larger than one interval are
+    recorded in ``gaps`` as (prev_ts, next_ts) pairs; indicators treat a gap
+    as a normal adjacent-bar transition.
     """
 
     symbol: str
@@ -135,6 +159,7 @@ class PriceSeries:
         if self.interval <= 0:
             raise DataError(f"{self.symbol}: interval must be positive")
         object.__setattr__(self, "gaps", _check_bars(self))
+        object.__setattr__(self, "timestamps", _shared_clock(self.timestamps))
         for col in self.columns():
             col.flags.writeable = False
 
@@ -440,6 +465,7 @@ def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
         raise DataError(f"{path}: {exc}") from exc
     order = np.argsort(rows["timestamp"], kind="stable")
     columns = [rows[name][order] for name in OHLCV_HEADER]
+    del rows, order  # before validation's temporaries are allocated
     if interval is None:
         interval = step_gcd(columns[:1]) or DEFAULT_INTERVAL
     try:

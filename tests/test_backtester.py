@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 from datetime import date
 
@@ -72,6 +73,25 @@ class TestMonthHelpers:
                            match=r"series at bar intervals \[3600, 21600\] s"):
             Market({"SIX": six, "HRLY": hourly}, CapIndex())
 
+    def test_market_on_one_clock_allocates_less_than_its_series(self):
+        # 64 series on one clock, each built from its own copy of it as a
+        # loader builds them: the market's timeline is folded from their
+        # one shared array, not concatenated and sorted.
+        clock = T0 + INTERVAL * np.arange(1, 4097, dtype=np.int64)
+        flat = np.full(len(clock), 10.0)
+        universe = {f"S{j}": PriceSeries(f"S{j}", INTERVAL, clock.copy(),
+                                         flat, flat, flat, flat, flat)
+                    for j in range(64)}
+        caps = CapIndex()
+        tracemalloc.start()
+        try:
+            market = Market(universe, caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert market.timeline.tolist() == clock.tolist()
+        assert peak < 4 * clock.nbytes
+
     def test_market_rejects_no_series(self):
         # Without a series there is no interval to check, and the message
         # names that cause.
@@ -100,15 +120,24 @@ class TestAggregation:
         assert timeline.tolist() == [T0 + 3 * INTERVAL, T0 + 4 * INTERVAL,
                                      T0 + 5 * INTERVAL]
 
-    @settings(max_examples=100, deadline=None)
-    @given(steps=st.lists(st.lists(st.integers(1, 3), max_size=20),
-                          max_size=5),
-           window=st.tuples(st.integers(-2, 40), st.integers(-2, 40)))
-    def test_union_timeline_is_the_unique_timestamps(self, steps, window):
-        # Overlapping symbols with gaps, each a sorted run of timestamps.
+    @settings(max_examples=150, deadline=None)
+    @given(clocks=st.lists(st.tuples(st.integers(0, 30),
+                                     st.lists(st.integers(1, 3), max_size=20)),
+                           min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                          max_size=6),
+           window=st.tuples(st.integers(-2, 60), st.integers(-2, 60)))
+    def test_union_timeline_is_the_unique_timestamps(self, clocks, picks,
+                                                     window):
+        # Each series is on one of a few clocks, sorted runs of timestamps
+        # with gaps that may repeat, and may lie outside the window. A
+        # reversed clock has the same length and end points but, unless its
+        # steps are a palindrome, other bars in between.
         universe = {}
-        for j, symbol_steps in enumerate(steps):
-            ts = T0 + (j + np.cumsum(symbol_steps, dtype=np.int64)) * INTERVAL
+        for j, (c, reverse) in enumerate(picks):
+            offset, steps = clocks[c % len(clocks)]
+            steps = steps[::-1] if reverse else steps
+            ts = T0 + (offset + np.cumsum(steps, dtype=np.int64)) * INTERVAL
             flat = np.full(len(ts), 10.0)
             universe[f"S{j}"] = PriceSeries(f"S{j}", INTERVAL, ts, flat, flat,
                                             flat, flat, flat)

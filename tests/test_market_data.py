@@ -154,6 +154,24 @@ class TestPriceCsv:
             with pytest.raises(DataError, match=f"AAA.csv: bar {ts}"):
                 load_price_series(str(p), interval=INTERVAL)
 
+    def test_files_on_one_clock_share_one_timestamp_array(self, tmp_path):
+        rows = [f"{T0 + k * INTERVAL},10,11,9,10.5,100" for k in (1, 2, 3)]
+        clocks = {"A": rows, "B": rows, "SHUFFLED": rows[::-1],
+                  "OTHER": rows[:2] + [f"{T0 + 4 * INTERVAL},10,11,9,10.5,100"]}
+        loaded = {}
+        for name, lines in clocks.items():
+            p = tmp_path / f"{name}.csv"
+            p.write_text("\n".join([",".join(OHLCV_HEADER)] + lines) + "\n")
+            loaded[name] = load_price_series(str(p), interval=INTERVAL)
+        clock = loaded["A"].timestamps
+        assert loaded["B"].timestamps is clock
+        assert loaded["SHUFFLED"].timestamps is clock
+        assert loaded["OTHER"].timestamps is not clock
+        assert loaded["OTHER"].timestamps.tolist() == [
+            T0 + INTERVAL, T0 + 2 * INTERVAL, T0 + 4 * INTERVAL]
+        with pytest.raises(ValueError, match="read-only"):
+            clock[0] = 0
+
     def test_symbol_from_filename(self, tmp_path):
         p = tmp_path / "ETH.csv"
         p.write_text("timestamp,open,high,low,close,volume\n"
