@@ -199,6 +199,7 @@ class CapIndex:
 
     Iterating yields MarketCapRecords in input order. A snapshot keeps input
     order within its date, and a repeated (symbol, date) keeps its last cap.
+    Equal symbols are held as one string, however many rows name them.
     Build one per loaded universe.
     """
 
@@ -214,7 +215,8 @@ class CapIndex:
                      caps: np.ndarray) -> "CapIndex":
         """Index datetime64[D] days, symbols and caps given in input order."""
         self = super().__new__(cls)
-        symbols = list(symbols)
+        first: Dict[str, str] = {}
+        symbols = [first.setdefault(sym, sym) for sym in symbols]
         self._columns = (days, symbols, caps)
         order = np.argsort(days, kind="stable")
         day_sorted = days[order]

@@ -34,7 +34,7 @@ from .cost_model import CostConfig
 from .indicators import rolling_sharpe
 from .market_data import (DEFAULT_RF_ANNUAL, CapIndex, PriceSeries,
                           bars_per_year, date_of_ts, month_add, month_id)
-from .signal_engine import (StrategyParams, grid_sharpes_stacked,
+from .signal_engine import (CellTable, StrategyParams, grid_sharpes_stacked,
                             run_single_asset)
 
 if TYPE_CHECKING:
@@ -48,10 +48,14 @@ INF = float("inf")
 # A call has a fixed cost that a batch shares: on a 2-vCPU x86-64 host, a
 # one-cell problem over 649 hourly bars took 0.7-0.9 ms alone, about 0.17
 # ms a problem in batches of 8 and about 0.10 ms in batches of 32 (20,768
-# cells x bars). The bound holds a call's arrays to about one default 225-cell
-# grid over a month of 6-hour bars (24,525 cells x bars; two do not fit), so
-# batching leaves the grid search's peak memory where it was.
-SEARCH_BATCH_CELL_BARS = 1 << 15
+# cells x bars). A default 225-cell problem over a month of 6-hour bars
+# (109-121 bars, 24,525-27,225 cells x bars) goes 4 or 5 to a call: over
+# grid_small's 75 such problems (medians of 9 in-process runs) the search
+# took 113 ms one to a call before the grids' cell tables, and with them
+# 71 ms at 2^16 (2 to a call), 59 ms at 2^17, 54 ms at 2^18 (8 to 10) and
+# 64 ms at 2^19. The run's peak RSS was 39.4 MB up to 2^16, 40.4 MB at
+# 2^17 and 42.6 MB at 2^18.
+SEARCH_BATCH_CELL_BARS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -170,16 +174,18 @@ def filter_universe(
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def grid_cells(grid: ParamGrid, side: str) -> Tuple[StrategyParams, ...]:
-    """All parameter cells for one side, in tie-break order.
+def grid_cells(grid: ParamGrid, side: str) -> CellTable:
+    """All parameter cells for one side, in tie-break order, as a CellTable.
 
     Cells are ordered by (entry threshold, alpha, lookback) ascending; the
     optimizer keeps the first cell achieving the maximum Sharpe, so earlier
     cells win ties. The opposite side's threshold is +inf, which turns it off.
-    Built once per (grid, side): the result is an immutable tuple.
+    Built once per (grid, side): the result is an immutable tuple of
+    StrategyParams that also carries the entry and stop rule columns and
+    row maps of its cells, so no search over the grid builds them again.
     """
     long = side == "long"
-    return tuple(
+    return CellTable(
         StrategyParams(theta if long else INF, INF if long else theta, alpha,
                        lookback, grid.atr_window)
         for theta in sorted(grid.theta_entry if long else grid.theta_entry_short)

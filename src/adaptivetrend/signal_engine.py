@@ -12,10 +12,14 @@ array passes: a next-entry table per entry rule, an exit table per stop
 rule (binary lifting over a sparse table of minima per problem), then one
 walk in which every cell jumps from entry to exit to next entry. A cell
 trades the sides whose thresholds are below +inf; no caller names a side.
-One problem is a stack of one. Each series' ATR is computed once per ATR
-window (``series_atr``) and shared by every search over it; that memo and
-the one-cell trade memo (``cell_positions``, which searches a month's
-misses in one call) are keyed weakly by the series. The trades stay
+One problem is a stack of one. A problem's cells are read as a
+``CellTable``, which holds their entry and stop rules as rows built once
+per table, so a grid's rows are built with its cells
+(``rebalancer.grid_cells``), not by each search. Each series' ATR is
+computed once per ATR window (``series_atr``) and shared by every search
+over it; that memo and the one-cell trade memo (``cell_positions``, which
+searches a month's misses in one call) are keyed weakly by the series.
+The trades stay
 the search's ``Trades`` columns, held with their series, bars and size as a
 ``Position`` (a comparison benchmark's is one forced trade), up to the
 ledger. A backtest books all positions of a month window in one array pass
@@ -32,10 +36,12 @@ trades. It prices fills and funding with cost_model's one pricing step, as
 the window ledger does, so every booking pays the same costs.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, fields
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -283,13 +289,55 @@ def series_atr(series: PriceSeries, window: int) -> np.ndarray:
     return memo[window]
 
 
-def _rows(keys: List[tuple]) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in first-seen order, one row each, and the row of
-    each key."""
+def _rows(keys: List[tuple], width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of ``width`` numbers in first-seen order, one float
+    row each, and the row of each key."""
     rows: Dict[tuple, int] = {}
     row_of = np.fromiter((rows.setdefault(k, len(rows)) for k in keys),
                          np.intp, len(keys))
-    return np.array(list(rows)), row_of
+    return np.array(list(rows), dtype=float).reshape(len(rows), width), row_of
+
+
+class CellTable(tuple):
+    """Cells as a tuple of StrategyParams, in their order, with the columns
+    that the trade search reads, computed once when the table is built:
+
+    - ``entry``: the distinct entry rules, rows of (theta_entry,
+      theta_entry_short, lookback, atr_window) in first-seen order, and
+      ``entry_of``, each cell's row;
+    - ``exit``: the distinct stop rules, rows of (alpha, atr_window), and
+      ``exit_of``, each cell's row;
+    - ``sides``: the (long on, short on) pairs of its cells.
+
+    A cell's columns are entry[entry_of[k]] and exit[exit_of[k]]. Building a
+    table from a table returns it, so every search takes any sequence of
+    cells and builds nothing for a table, such as rebalancer.grid_cells'.
+    """
+
+    def __new__(cls, cells: Iterable[StrategyParams]) -> "CellTable":
+        if isinstance(cells, CellTable):
+            return cells
+        self = super().__new__(cls, cells)
+        self.entry, self.entry_of = _rows([
+            (c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
+            for c in self], 4)
+        self.exit, self.exit_of = _rows(
+            [(c.alpha, c.atr_window) for c in self], 2)
+        self.sides = frozenset((c.theta_entry < math.inf,
+                                c.theta_entry_short < math.inf) for c in self)
+        return self
+
+
+def _stacked(rows: List[np.ndarray], row_of: List[np.ndarray],
+             counts: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row map of each table of a stack (its rows, and the row of each
+    of its ``counts`` cells), as one: each row's table, the rows, and each
+    cell's row in the stack (its row in its table, offset by the rows of the
+    tables before it)."""
+    sizes = [len(r) for r in rows]
+    first = np.cumsum(sizes) - sizes
+    return (np.repeat(np.arange(len(rows)), sizes), np.concatenate(rows),
+            np.concatenate(row_of) + np.repeat(first, counts))
 
 
 def _reversed_min(a: np.ndarray) -> np.ndarray:
@@ -298,7 +346,8 @@ def _reversed_min(a: np.ndarray) -> np.ndarray:
 
 
 # A search problem: a series, the bounds [i0, i1) of its window's bars and
-# the cells to trade there.
+# the cells to trade there, any sequence of StrategyParams (a CellTable is
+# read as it is).
 Problem = Tuple[PriceSeries, Tuple[int, int], Sequence[StrategyParams]]
 
 NO_PROBLEMS = np.zeros(0, dtype=np.intp)
@@ -336,9 +385,12 @@ def find_trades_stacked(
 
     The search is a few array passes shared by all problems, each padded
     to the longest window: no cell enters past its problem's window, and no
-    stop is breached there. The cells of a problem with equal entry
-    parameters share a row of next-entry slots, those with equal (alpha, ATR
-    window) a row of exits for every entry bar (see _exits). All cells then
+    stop is breached there. A problem's cells are read as a CellTable (a
+    table is used as it is, any other sequence becomes one here): the cells
+    of a problem with equal entry parameters share a row of next-entry
+    slots, those with equal (alpha, ATR window) a row of exits for every
+    entry bar (see _exits). The stack's rows are its tables' rows, end to
+    end, so no call builds them from the cells again. All cells then
     walk their chains together, one trade per step: a gather of the exit of
     (the cell's exit row, entry), then of the next entry of (the cell's
     entry row, exit + 1). No arithmetic beyond the stop candidates is done
@@ -348,26 +400,25 @@ def find_trades_stacked(
             if i1 - i0 >= 2 and len(cells)]
     if not live:
         return NO_PROBLEMS, NO_TRADES
-    stack = [problems[k] for k in live]
+    stack = [(series, bounds, CellTable(cells))
+             for series, bounds, cells in (problems[k] for k in live)]
     n = np.array([i1 - i0 for _, (i0, i1), _ in stack])
     width = int(n.max())
-    counts = [len(cells) for _, _, cells in stack]
+    tables = [cells for _, _, cells in stack]
+    counts = [len(cells) for cells in tables]
     owner = np.repeat(np.arange(len(stack)), counts)  # each cell's problem
-    entry_keys, entry_of = _rows([
-        (p, c.theta_entry, c.theta_entry_short, c.lookback, c.atr_window)
-        for p, (_, _, cells) in enumerate(stack) for c in cells])
-    entry_prob = entry_keys[:, 0].astype(np.intp)
-    theta_long, theta_short, lookback, atr_window = entry_keys[:, 1:].T
+    entry_prob, entry_keys, entry_of = _stacked(
+        [t.entry for t in tables], [t.entry_of for t in tables], counts)
+    theta_long, theta_short, lookback, atr_window = entry_keys.T
     # The sides that any cell turns on: side k holds row k of the stop
     # candidates and block k of the exits and entry slots.
     shorts = [short for short in (False, True)
               if ((theta_short if short else theta_long) < math.inf).any()]
     if not shorts:
         return NO_PROBLEMS, NO_TRADES
-    exit_keys, exit_of = _rows([(p, c.alpha, c.atr_window) for p, (
-        _, _, cells) in enumerate(stack) for c in cells])
-    exit_prob = exit_keys[:, 0].astype(np.intp)
-    alpha, exit_atr_window = exit_keys[:, 1:].T
+    exit_prob, exit_keys, exit_of = _stacked(
+        [t.exit for t in tables], [t.exit_of for t in tables], counts)
+    alpha, exit_atr_window = exit_keys.T
 
     # Entry slots: row u, column p is the first entry at or after bar p of
     # the cells of entry row u. A slot is the entry bar plus k * (width + 1)
@@ -556,6 +607,12 @@ _trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
     weakref.WeakKeyDictionary())
 
 
+@functools.lru_cache(maxsize=1024)
+def _one_cell(params: StrategyParams) -> CellTable:
+    """The table of one cell, built once for every month that trades it."""
+    return CellTable((params,))
+
+
 def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
                    window: Optional[Tuple[int, int]], *,
                    trailing: bool = True,
@@ -575,7 +632,8 @@ def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
         memo = _trades_memo.setdefault(series, {})
         key = (bounds, params, trailing, intrabar_stop_fill)
         if key not in memo:
-            misses[id(series), key] = (memo, key, (series, bounds, (params,)))
+            misses[id(series), key] = (memo, key,
+                                       (series, bounds, _one_cell(params)))
         keyed.append((memo, key, bounds))
     if misses:
         problem, found = find_trades_stacked(
@@ -674,14 +732,18 @@ def grid_sharpes_stacked(
     its cells[k], size 1.0 and the same execution flags over the same bars,
     and is NaN where that run has no trade or an undefined Sharpe.
 
-    One find_trades_stacked call finds every cell's trades. The problems
-    with trades are laid end to end, as in backtester.aggregate_results, for
-    one trade_fills and one funding_paid call. The returns of the traded
-    cells are then netted as one matrix, one row per cell, and scored by one
-    sharpe_rows call, whose every row equals that row scored alone.
+    The cells are read as CellTables, whose sides are known when a table
+    is built, so a table such as rebalancer.grid_cells' costs no pass over
+    its cells. One find_trades_stacked call finds every cell's trades. The
+    problems with trades are laid end to end, as in
+    backtester.aggregate_results, for one trade_fills and one funding_paid
+    call. The returns of the traded cells are then netted as one matrix, one
+    row per cell, and scored by one sharpe_rows call, whose every row equals
+    that row scored alone; the trades are freed before it.
     """
-    sides = {(c.theta_entry < math.inf, c.theta_entry_short < math.inf)
-             for _, _, cells in problems for c in cells}
+    problems = [(series, bounds, CellTable(cells))
+                for series, bounds, cells in problems]
+    sides = frozenset().union(*(cells.sides for _, _, cells in problems))
     if sides not in ({(True, False)}, {(False, True)}):
         raise EngineError("grid_sharpes_stacked needs cells that all turn on"
                           " one side, long or short, and the other off with"
@@ -697,11 +759,28 @@ def grid_sharpes_stacked(
     sharpes = np.full(sum(counts), np.nan)
     rows_of = [sharpes[end - count:end]
                for count, end in zip(counts, ends.tolist())]
+    traded, net = _net_returns(
+        problems, ends - counts, bars, interval, sides == {(False, True)},
+        cost_cfg, trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
+    if len(traded):
+        sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
+    return rows_of
+
+
+def _net_returns(problems: Sequence[Problem], first: np.ndarray, bars: int,
+                 interval: int, short: bool, cost_cfg: CostConfig, *,
+                 trailing: bool, intrabar_stop_fill: bool
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells with trades, numbered through the stack (problem k's
+    from first[k]), and their net per-bar returns, one row each, for
+    problems of ``bars`` bars whose cells all trade one side, short or long.
+    Only these two arrays outlive the call, so the trades are freed before
+    scoring."""
     problem, found = find_trades_stacked(
         problems, trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
     m = len(found.cell)
     if not m:
-        return rows_of
+        return NO_PROBLEMS, np.zeros((0, bars))
 
     # The problems with trades, laid end to end: laid problem q's bars start
     # at base[q]. Each of their traded cells is a row of returns, in order.
@@ -712,7 +791,7 @@ def grid_sharpes_stacked(
     ts, close, volume = (np.concatenate([
         getattr(series, name)[i0:i1] for series, (i0, i1), _ in laid])
         for name in ("timestamps", "close", "volume"))
-    cell = (ends - counts)[problem] + found.cell
+    cell = first[problem] + found.cell
     starts = _starts(cell)
     traded = cell[starts]
     row = np.cumsum(starts) - 1  # each trade's row
@@ -724,7 +803,7 @@ def grid_sharpes_stacked(
     fund = funding_paid(ts, base, np.full(len(laid), bars),
                         [s.symbol for s, _, _ in laid], np.ones(len(laid)),
                         cost_cfg)
-    if sides == {(False, True)}:
+    if short:
         np.negative(gross, out=gross)
         np.negative(exit_gross, out=exit_gross)
         fund = 0.0 - fund
@@ -732,19 +811,24 @@ def grid_sharpes_stacked(
                               interval, cost_cfg)
     fill_cost = fees + slips
 
-    # A trade holds its position entering bars e+1 .. x: the held flag flips
-    # at e+1 and back at x+1, and the next entry flips it at x+2 at the
-    # earliest. Costs are summed in book_trades' order (funding, then the
-    # fill) so that every net return is the same float.
-    held = np.zeros((len(traded), bars + 1), dtype=bool)
-    held[row, e + 1] = True
-    held[row, x + 1] = True
-    held = np.logical_xor.accumulate(held, axis=1)[:, :bars]
-    net = np.where(held, (gross - fund).reshape(-1, bars)[q[starts]], 0.0)
+    # A trade holds its position entering bars e+1 .. x: a row is flat from
+    # its first bar, flips to held at e+1 and back at x+1, and the next
+    # entry flips it at x+2 at the earliest. Column ``bars`` flips once
+    # more, which makes every row's flips even, so one running parity over
+    # the rows laid end to end marks each row's own flat bars. Costs are
+    # summed in book_trades' order (funding, then the fill) so that every
+    # net return is the same float.
+    flat = np.zeros((len(traded), bars + 1), dtype=bool)
+    flat[:, 0] = True
+    flat[row, e + 1] = True
+    flat[row, x + 1] = True
+    np.logical_not(flat[:, bars], out=flat[:, bars])
+    np.logical_xor.accumulate(flat.ravel(), out=flat.ravel())
+    net = (gross - fund).reshape(-1, bars)[q[starts]]
+    np.copyto(net, 0.0, where=flat[:, :bars])
     net[row, e] = 0.0 - fill_cost[:m]
     net[row, x] = exit_gross - (fund[ext] + fill_cost[m:])
-    sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
-    return rows_of
+    return traded, net
 
 
 def _starts(ids: np.ndarray) -> np.ndarray:

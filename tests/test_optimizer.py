@@ -1,6 +1,7 @@
 """The shared Optimizer: a memo and a union-grid search that change no
 result."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -203,7 +204,8 @@ class TestBatchedSearch:
 def test_a_month_searches_in_few_calls(monkeypatch):
     # With a one-cell grid the Optimizer searches a month's problems in one
     # call per side, and the month's positions are searched in one call;
-    # the default 225-cell grid still gets one problem per call.
+    # the default 225-cell grid gets as many problems a call as the cells x
+    # bars bound lets in.
     universe, caps = jumpy_universe(3, 6, 1.0, n=600)
     month_sim = backtester.cell_positions
     search = signal_engine.find_trades_stacked
@@ -222,7 +224,8 @@ def test_a_month_searches_in_few_calls(monkeypatch):
         return search(problems, **kwargs)
 
     def scored(problems, *args, **kwargs):
-        lengths.append({i1 - i0 for _, (i0, i1), _ in problems})
+        lengths.append((len(problems),
+                        {i1 - i0 for _, (i0, i1), _ in problems}))
         return score(problems, *args, **kwargs)
 
     monkeypatch.setattr(backtester, "cell_positions", positions)
@@ -238,13 +241,71 @@ def test_a_month_searches_in_few_calls(monkeypatch):
     assert months >= 3
     assert len(optimizer) <= 2 * months and max(optimizer) == 3
     assert len([size for sim, size in calls if sim]) <= months
-
-    calls.clear()
-    run_backtest(market_of(universe, caps), replace(
-        cfg, rebalance=replace(cfg.rebalance, grid=ParamGrid())))
-    assert calls and {size for sim, size in calls if not sim} == {1}
     # Every stack the Optimizer scores holds windows of one length.
-    assert lengths and all(len(group) == 1 for group in lengths)
+    assert lengths and all(len(group) == 1 for _, group in lengths)
+
+    # The default 225-cell grid: a month's 6 problems per side, over 109 to
+    # 121 6-hour bars, are searched 5 or 4 to a call (2^17 cells x bars).
+    universe, caps = jumpy_universe(3, 12, 1.0, n=600)
+    lengths.clear()
+    run_backtest(market_of(universe, caps), replace(cfg, rebalance=replace(
+        cfg.rebalance, k_long=6, k_short=6, grid=ParamGrid())))
+    assert [(size, *group) for size, group in lengths] == (
+        2 * [(4, 121), (2, 121)] + 2 * [(5, 109), (1, 109)]
+        + 2 * [(4, 121), (2, 121)] + 2 * [(4, 117), (2, 117)])
+
+
+def test_a_grid_builds_its_cell_tables_once(monkeypatch):
+    # grid_cells builds a grid's table of each side once, with its row maps;
+    # no search call builds them again.
+    universe, caps = jumpy_universe(3, 12, 1.0, n=600)
+    build, score = signal_engine._rows, rebalancer.grid_sharpes_stacked
+    built, scored = [], []
+    monkeypatch.setattr(signal_engine, "_rows", lambda keys, width: (
+        built.append(len(keys)) or build(keys, width)))
+    monkeypatch.setattr(rebalancer, "grid_sharpes_stacked", lambda *a, **k: (
+        scored.append(len(a[0])) or score(*a, **k)))
+    rebalancer.grid_cells.cache_clear()
+    cfg = point_cfg(universe)
+    run_backtest(market_of(universe, caps), replace(cfg, rebalance=replace(
+        cfg.rebalance, k_long=6, k_short=6, grid=ParamGrid())))
+    assert len(scored) == 16
+    # The default grid's two tables, each with an entry and a stop row map.
+    assert built.count(225) == 4
+
+
+def test_a_batched_search_holds_its_memory_to_its_bound(monkeypatch):
+    # Each call the Optimizer makes holds at most SEARCH_BATCH_CELL_BARS
+    # cells x bars, and its traced peak stays below 2.5 float matrices of
+    # its cells x bars: the net returns, the temporary of their standard
+    # deviation and a little more (about 2.1). A scorer that keeps the
+    # trades alive while it scores them peaks at about 3.
+    universe, _ = jumpy_universe(3, 30, 1.0, n=600)
+    score = rebalancer.grid_sharpes_stacked
+    calls = []
+
+    def scored(problems, *args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        found = score(problems, *args, **kwargs)
+        calls.append((sum(len(cells) * (i1 - i0)
+                          for _, (i0, i1), cells in problems),
+                      tracemalloc.get_traced_memory()[1] - before))
+        return found
+
+    monkeypatch.setattr(rebalancer, "grid_sharpes_stacked", scored)
+    candidates = [(symbol, side) for side in ("long", "short")
+                  for symbol in universe]
+    tracemalloc.start()
+    try:
+        Optimizer(universe).solve(candidates, optimization_window(
+            MAR1, INTERVAL, 4), solve_cfg(ParamGrid(), CostConfig()))
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 12  # 30 problems of 225 cells x 109 bars a side
+    for cells_bars, peak in calls:
+        assert cells_bars <= SEARCH_BATCH_CELL_BARS
+        assert peak < 2.5 * 8 * cells_bars, (peak, cells_bars)
 
 
 def test_equal_grids_build_identical_cells():

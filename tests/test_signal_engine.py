@@ -14,9 +14,10 @@ from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
-from adaptivetrend.signal_engine import (EngineError, StrategyParams,
-                                         TradeRecord, Trades, _stop_max,
-                                         book_trades, cut_position,
+from adaptivetrend.rebalancer import ParamGrid, grid_cells
+from adaptivetrend.signal_engine import (CellTable, EngineError,
+                                         StrategyParams, TradeRecord, Trades,
+                                         _stop_max, book_trades, cut_position,
                                          find_trades_stacked,
                                          grid_sharpes_stacked, gross_pnl,
                                          run_single_asset, write_ledger)
@@ -768,6 +769,63 @@ class TestStackedSearch:
             for problem in stack:  # each alone is scored
                 assert grid_sharpes_stacked([problem], ZERO_COSTS,
                                             0.0)[0].shape == (4,)
+
+
+def reference_rows(keys):
+    """The distinct keys in first-seen order and the row of each key, by a
+    dict over the cells' own fields: the row maps a CellTable must hold."""
+    rows = {}
+    row_of = [rows.setdefault(key, len(rows)) for key in keys]
+    return [list(key) for key in rows], row_of
+
+
+def axis(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=4)
+
+
+class TestCellTable:
+    """A CellTable's rows and row maps equal those built from its
+    StrategyParams one by one, for a grid's cells and for any list."""
+
+    def check(self, table, cells):
+        assert isinstance(table, CellTable) and table == tuple(cells)
+        assert CellTable(table) is table
+        for rows, row_of, keys, width in (
+                (table.entry, table.entry_of,
+                 [(c.theta_entry, c.theta_entry_short, c.lookback,
+                   c.atr_window) for c in cells], 4),
+                (table.exit, table.exit_of,
+                 [(c.alpha, c.atr_window) for c in cells], 2)):
+            want_rows, want_of = reference_rows(keys)
+            assert rows.dtype == float and row_of.dtype == np.intp
+            assert rows.shape == (len(want_rows), width)
+            assert rows.tolist() == want_rows and row_of.tolist() == want_of
+        assert table.sides == {(c.theta_entry < math.inf,
+                                c.theta_entry_short < math.inf) for c in cells}
+
+    @settings(max_examples=100, deadline=None)
+    @given(theta=axis([0.005, 0.01, 0.03, 0.08]),
+           theta_short=axis([0.01, 0.02, 0.05]),
+           alpha=axis([1.0, 1.5, 2.0, 4.0]), lookback=axis([1, 4, 8, 20]),
+           atr_window=st.integers(1, 30),
+           side=st.sampled_from(["long", "short"]))
+    def test_grid_tables_equal_their_cells_one_by_one(
+            self, theta, theta_short, alpha, lookback, atr_window, side):
+        grid = ParamGrid(theta_entry=tuple(theta),
+                         theta_entry_short=tuple(theta_short),
+                         alpha=tuple(alpha), lookback=tuple(lookback),
+                         atr_window=atr_window)
+        cells = grid_cells(grid, side)
+        self.check(cells, list(cells))
+        assert cells.sides == {(side == "long", side == "short")}
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.builds(
+        StrategyParams, st.sampled_from([0.01, 0.05, math.inf]),
+        st.sampled_from([0.01, 0.05, math.inf]), st.sampled_from([1.0, 2.0]),
+        st.sampled_from([2, 4]), st.sampled_from([3, 14])), max_size=8))
+    def test_any_list_equals_its_cells_one_by_one(self, cells):
+        self.check(CellTable(cells), cells)
 
 
 class TestLedgerIo:
