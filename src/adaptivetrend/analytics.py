@@ -5,19 +5,19 @@ per-bar risk-free rate of rf_annual / bars_per_year; Sortino's downside
 deviation is the root mean square of min(r - rf_bar, 0); drawdown is measured
 against the running equity maximum. Metrics that are undefined on the input
 (zero trades, zero gross loss, no drawdown) are reported as None, never as a
-substitute number.
+substitute number. Trade statistics reduce a ``Ledger``'s columns.
 """
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from .indicators import rolling_sharpe, sharpe_rows
 from .market_data import (DEFAULT_BARS_PER_YEAR, DEFAULT_RF_ANNUAL,
                           SECONDS_PER_YEAR, PriceSeries, write_columns)
-from .signal_engine import TradeRecord
+from .signal_engine import NO_LEDGER, Ledger
 
 if TYPE_CHECKING:
     from .backtester import EquityCurve
@@ -99,17 +99,17 @@ def annual_return(growth: float, n_bars: int, bars_per_year: float) -> float:
             else -1.0)
 
 
-def trade_stats(ledger: Sequence[TradeRecord]) -> tuple:
+def trade_stats(ledger: Ledger) -> tuple:
     """(win rate, mean net PnL per unit of size) of trades; None without."""
     if not ledger:
         return None, None
-    return (sum(1 for t in ledger if t.net_pnl > 0) / len(ledger),
-            float(np.mean([t.net_pnl / t.size for t in ledger])))
+    return (int(np.count_nonzero(ledger.net_pnl > 0)) / len(ledger),
+            float(np.mean(ledger.net_pnl / ledger.size)))
 
 
 def compute_metrics(
     equity: "EquityCurve",
-    ledger: Sequence[TradeRecord],
+    ledger: Ledger,
     rf_annual: float,
     bars_per_year: float,
 ) -> MetricsReport:
@@ -134,16 +134,17 @@ def compute_metrics(
     calmar = ann_return / abs(mdd) if mdd < 0.0 else None
 
     win_rate, avg_trade_pnl = trade_stats(ledger)
-    gains = math.fsum(t.net_pnl for t in ledger if t.net_pnl > 0)
-    losses = math.fsum(-t.net_pnl for t in ledger if t.net_pnl < 0)
+    net = ledger.net_pnl
+    gains = math.fsum(net[net > 0].tolist())
+    losses = math.fsum((-net[net < 0]).tolist())
     profit_factor = gains / losses if losses > 0 else None
 
     span_years = (int(equity.timestamps[-1]) - int(equity.timestamps[0])) \
         / SECONDS_PER_YEAR
     trades_per_month = (len(ledger) / (span_years * 12.0) if span_years > 0
                         else 0.0)
-    fill_notional = math.fsum(t.size * (1.0 + t.exit_px / t.entry_px)
-                              for t in ledger)
+    fill_notional = math.fsum(
+        (ledger.size * (1.0 + ledger.exit_px / ledger.entry_px)).tolist())
     mean_balance = float(np.mean(balances))
     turnover = (fill_notional / mean_balance / span_years
                 if span_years > 0 and mean_balance > 0 else 0.0)
@@ -187,7 +188,7 @@ def regime_metrics(
     timestamps: np.ndarray,
     returns: np.ndarray,
     regimes: RegimeSeries,
-    ledger: Sequence[TradeRecord] = (),
+    ledger: Ledger = NO_LEDGER,
     rf_annual: float = DEFAULT_RF_ANNUAL,
     bars_per_year: float = DEFAULT_BARS_PER_YEAR,
 ) -> Dict[str, dict]:
@@ -196,22 +197,25 @@ def regime_metrics(
     Each return sample is attributed to the regime label at its timestamp;
     unlabeled samples are dropped. Drawdown is computed on the equity path of
     the regime's own samples concatenated in time order. Trades attribute to
-    the regime at their exit timestamp.
+    the regime at their exit timestamp; both are labeled by one search.
     """
     if len(timestamps) != len(returns):
         raise ValueError("timestamps and returns must align")
-    label_at: Dict[int, str] = {
-        int(t): str(l) for t, l in zip(regimes.timestamps, regimes.labels)
-    }
+    if not len(regimes.timestamps):
+        return {}
+    stamps = np.concatenate((timestamps, ledger.exit_ts))
+    at = np.searchsorted(regimes.timestamps, stamps).clip(
+        max=len(regimes.timestamps) - 1)
+    labels = np.where(regimes.timestamps[at] == stamps, regimes.labels[at], "")
+    sample_labels, exit_labels = np.split(labels, [len(timestamps)])
     out: Dict[str, dict] = {}
     for regime in (BULL, BEAR, SIDEWAYS):
-        mask = np.array([label_at.get(int(t)) == regime for t in timestamps])
-        sub = np.asarray(returns)[mask]
+        sub = np.asarray(returns)[sample_labels == regime]
         if len(sub) == 0:
             continue
         path = np.cumprod(1.0 + sub)
         win_rate, avg_trade_pnl = trade_stats(
-            [t for t in ledger if label_at.get(t.exit_ts) == regime])
+            ledger.take(exit_labels == regime))
         out[regime] = {
             "bars": int(len(sub)),
             "ann_return": annual_return(float(path[-1]), len(sub),

@@ -4,7 +4,8 @@ Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
 as weight x month-start balance, find the positions' trades over the
 month's bars in one search, and book and mark all of them in one ledger pass
 (``aggregate_results``, pricing fills and funding through cost_model) on
-the union of all symbols' bar closes. Positions are force-closed at month
+the union of all symbols' bar closes. A run sorts the passes' ``Ledger``s
+(columns) in one stable lexsort. Positions are force-closed at month
 end, or at the mark where a run halts, so each month's PnL is fully
 realized before the next month is sized. Capital freed by an intra-month
 exit idles until the month ends (weights are set once per month).
@@ -24,7 +25,6 @@ market and the run's BacktestConfig whole
 """
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +38,8 @@ from .market_data import (CapIndex, DataError, PriceSeries,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
                          RebalanceConfig, run_rebalance)
-from .signal_engine import Position, TradeRecord, cell_positions, cut_position
+from .signal_engine import (NO_LEDGER, Ledger, Position, cell_positions,
+                            cut_position)
 # Only for perfbench's signal_engine.month_sim hook, until it is re-pointed.
 from .signal_engine import run_single_asset  # noqa: F401
 
@@ -97,7 +98,7 @@ class BacktestResult:
     """A strategy's or a benchmark's run; a benchmark has no rebalance log."""
 
     equity: EquityCurve
-    trades: List[TradeRecord]
+    trades: Ledger
     # Currency decomposition aligned with equity: balance = equity.balances[0]
     # + realized + open_mtm - open_costs at every sample.
     realized: np.ndarray
@@ -210,9 +211,9 @@ def aggregate_results(
     cost_cfg: CostConfig,
     *,
     charge_funding: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[TradeRecord]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Ledger]:
     """Book a window's positions together: the (realized, open_mtm,
-    open_costs) currency arrays on ``marks`` and the TradeRecords.
+    open_costs) currency arrays on ``marks`` and the Ledger of their trades.
 
     Bit for bit, that is book_trades of each position (funding charged when
     ``charge_funding``), forward-filled onto the marks (zero before its first
@@ -223,7 +224,7 @@ def aggregate_results(
     places every mark on its position's bars."""
     positions = [p for p in positions if len(p.found.cell)]  # others book 0
     if not positions:
-        return (*np.zeros((3, len(marks))), [])
+        return (*np.zeros((3, len(marks))), NO_LEDGER)
     k = np.arange(len(positions))
     n, m = np.array([(p.bounds[1] - p.bounds[0], len(p.found.cell))
                      for p in positions]).T  # bars and trades
@@ -277,14 +278,11 @@ def aggregate_results(
     rows[0, 1:] = np.where(np.append(owner, -1)[exited] == k[:, None],
                            running[exited], 0.0)
     rows[1:, 1:] = np.take(per_bar, last, axis=1)
-    records = [TradeRecord(*trade) for trade in zip(
-        [positions[o].series.symbol for o in owner.tolist()],
-        [SHORT if s else LONG for s in short.tolist()], ts[e].tolist(),
-        entry_px.tolist(), ts[x].tolist(), exit_px.tolist(),
-        [positions[o].size for o in owner.tolist()], gross.tolist(),
-        fee.tolist(), slip.tolist(), funded.tolist(), net.tolist(),
-        forced.tolist())]
-    return (*np.cumsum(rows, axis=1)[:, -1], records)
+    ledger = Ledger(
+        np.array([p.series.symbol for p in positions])[owner],
+        np.where(short, SHORT, LONG), ts[e], entry_px, ts[x], exit_px, size,
+        gross, fee, slip, funded, net, forced)
+    return (*np.cumsum(rows, axis=1)[:, -1], ledger)
 
 
 def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
@@ -333,17 +331,17 @@ def run_windows(
     realized_chunks = [np.zeros(1)]
     mtm_chunks = [np.zeros(1)]
     ocost_chunks = [np.zeros(1)]
-    trades: List[TradeRecord] = []
+    ledgers: List[Ledger] = []
     bankrupt = False
 
     def book(marks, positions):
-        realized, mtm, ocost, records = aggregate_results(
+        realized, mtm, ocost, ledger = aggregate_results(
             marks, positions, cfg.costs, charge_funding=charge_funding)
         if net_first:
             balances = balance + (realized + mtm - ocost)
         else:
             balances = balance + realized + mtm - ocost
-        return balances, realized, mtm, ocost, records
+        return balances, realized, mtm, ocost, ledger
 
     for window in windows:
         positions = simulate(window, balance)
@@ -353,16 +351,16 @@ def run_windows(
             logger.warning("%s: no bars in [%d, %d]; period skipped",
                            month_id(window[0]), window[0], window[1])
             continue
-        balances, realized, mtm, ocost, records = book(marks, positions)
+        balances, realized, mtm, ocost, ledger = book(marks, positions)
         nonpositive = np.flatnonzero(balances <= 0.0)
         if len(nonpositive) > 0:
             marks = marks[:nonpositive[0] + 1]
-            balances, realized, mtm, ocost, records = book(marks, [
+            balances, realized, mtm, ocost, ledger = book(marks, [
                 cut_position(p, int(marks[-1])) for p in positions])
             bankrupt = True
             logger.warning("balance depleted at %d; halting run",
                            int(marks[-1]))
-        trades.extend(records)
+        ledgers.append(ledger)
 
         ts_chunks.append(marks)
         bal_chunks.append(balances)
@@ -379,7 +377,10 @@ def run_windows(
                         " nothing to backtest")
     equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
                          balances=np.concatenate(bal_chunks), bankrupt=bankrupt)
-    trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    trades = Ledger(*map(np.concatenate, zip(*(
+        ledger.columns() for ledger in ledgers))))
+    trades = trades.take(np.lexsort(
+        (trades.side, trades.symbol, trades.exit_ts, trades.entry_ts)))
     metrics = analytics.compute_metrics(
         equity, trades, rf_annual=cfg.rebalance.rf_annual,
         bars_per_year=bars_per_year(market.interval))

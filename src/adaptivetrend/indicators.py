@@ -71,8 +71,12 @@ def sharpe_rows(returns: np.ndarray, rf_annual: float,
     # Detect constants exactly; np.std of a constant row can round to a tiny
     # nonzero value and fake an enormous ratio.
     const = (r == r[:, :1]).all(axis=1)
-    excess = r.mean(axis=1) - rf_bar
-    sd = r.std(axis=1, ddof=1)
+    # r.mean(axis=1) once, then r.std(axis=1, ddof=1) by NumPy's own steps.
+    mean = np.add.reduce(r, axis=1) / r.shape[1]
+    dev = r - mean[:, None]
+    dev *= dev
+    sd = np.sqrt(np.add.reduce(dev, axis=1) / (r.shape[1] - 1))
+    excess = mean - rf_bar
     flat = const | (sd == 0.0)
     np.divide(excess, sd, out=out, where=~flat)
     out *= math.sqrt(bars_per_year)

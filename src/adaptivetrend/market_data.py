@@ -23,7 +23,7 @@ import os
 import re
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, date, timezone
 from functools import partial
 from itertools import chain, starmap
@@ -81,10 +81,10 @@ class Bar(NamedTuple):
     volume: float
 
 
-def _check_bars(series: "PriceSeries") -> List[Tuple[int, int]]:
-    """Check every bar's invariants at once and return the gaps. The first
-    offending bar raises a DataError for the first rule listed that it breaks;
-    timestamp rules compare a bar with its predecessor."""
+def _check_bars(series: "PriceSeries") -> None:
+    """Check every bar's invariants at once. The first offending bar raises a
+    DataError for the first rule listed that it breaks; timestamp rules
+    compare a bar with its predecessor."""
     symbol, interval = series.symbol, series.interval
     ts, o, h, lo, c, v = series.columns()
     prices = np.stack([o, h, lo, c])
@@ -111,8 +111,6 @@ def _check_bars(series: "PriceSeries") -> List[Tuple[int, int]]:
         message = next(msg for mask, msg in rules if mask[i])
         raise DataError(message.format(b=series.bar(i), symbol=symbol,
                                        prev=int(ts[i - 1]), interval=interval))
-    k = np.flatnonzero(step > interval)
-    return list(zip(ts[k - 1].tolist(), ts[k].tolist()))
 
 
 # Every live series' timestamps by (dtype, length, first and last stamp):
@@ -140,9 +138,9 @@ class PriceSeries:
     timestamps and float64 open, high, low, close, volume columns, read-only
     once validated. A series whose timestamps equal those of a live series
     holds that series' array (the same object), so series on one bar clock
-    share one read-only timestamp array. Gaps larger than one interval are
-    recorded in ``gaps`` as (prev_ts, next_ts) pairs; indicators treat a gap
-    as a normal adjacent-bar transition.
+    share one read-only timestamp array. A step of several intervals between
+    two bars is a gap, which is valid; indicators treat it as a normal
+    adjacent-bar transition.
     """
 
     symbol: str
@@ -153,12 +151,11 @@ class PriceSeries:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-    gaps: List[Tuple[int, int]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise DataError(f"{self.symbol}: interval must be positive")
-        object.__setattr__(self, "gaps", _check_bars(self))
+        _check_bars(self)
         object.__setattr__(self, "timestamps", _shared_clock(self.timestamps))
         for col in self.columns():
             col.flags.writeable = False

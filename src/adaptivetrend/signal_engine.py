@@ -22,7 +22,8 @@ searches a month's misses in one call) are keyed weakly by the series.
 The trades stay
 the search's ``Trades`` columns, held with their series, bars and size as a
 ``Position`` (a comparison benchmark's is one forced trade), up to the
-ledger. A backtest books all positions of a month window in one array pass
+ledger, a ``Ledger`` of one array per ``ledger.csv`` column. A backtest
+books all positions of a month window in one array pass
 (``backtester.aggregate_results``); ``book_trades`` books one position with
 the same float operations and is its reference. ``run_single_asset`` is the
 one-symbol, per-bar view of that booking: it returns the closed trades
@@ -49,11 +50,6 @@ from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, funding_paid,
                          trade_fills)
 from .indicators import atr, momentum, sharpe_rows
 from .market_data import PriceSeries, bars_per_year, write_columns
-
-LEDGER_HEADER = [
-    "symbol", "side", "entry_ts", "entry_px", "exit_ts", "exit_px", "size",
-    "gross_pnl", "fee", "slippage", "funding", "net_pnl", "forced",
-]
 
 
 class EngineError(RuntimeError):
@@ -96,39 +92,57 @@ class StrategyParams:
         return max(self.lookback, self.atr_window - 1)
 
 
-@dataclass(frozen=True)
-class TradeRecord:
-    """Closed trade with exact cost attribution.
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """Closed trades as one array per ledger.csv column (LEDGER_HEADER, in
+    order); ``len()`` is the trade count. Each row is checked when the
+    ledger is built: exit after entry, and net_pnl is gross_pnl - fee -
+    slippage - funding (funding may be negative, a rebate); the first bad
+    row raises an EngineError naming its symbol. ``forced`` marks a close at
+    the trading window's end rather than by a stop."""
 
-    net_pnl is definitionally gross_pnl - fee_cost - slippage_cost -
-    funding_cost (funding may be negative, a rebate). ``forced`` marks
-    positions closed by the end of the trading window rather than by a stop.
-    """
-
-    symbol: str
-    side: str
-    entry_ts: int
-    entry_px: float
-    exit_ts: int
-    exit_px: float
-    size: float
-    gross_pnl: float
-    fee_cost: float
-    slippage_cost: float
-    funding_cost: float
-    net_pnl: float
-    forced: bool
+    symbol: np.ndarray
+    side: np.ndarray
+    entry_ts: np.ndarray
+    entry_px: np.ndarray
+    exit_ts: np.ndarray
+    exit_px: np.ndarray
+    size: np.ndarray
+    gross_pnl: np.ndarray
+    fee: np.ndarray
+    slippage: np.ndarray
+    funding: np.ndarray
+    net_pnl: np.ndarray
+    forced: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.exit_ts <= self.entry_ts:
-            raise EngineError(
-                f"{self.symbol}: exit_ts {self.exit_ts} not after entry_ts {self.entry_ts}"
-            )
-        expected = self.gross_pnl - self.fee_cost - self.slippage_cost - self.funding_cost
-        if self.net_pnl != expected:
-            raise EngineError(
-                f"{self.symbol}: net_pnl {self.net_pnl} != gross - costs {expected}"
-            )
+        early = self.exit_ts <= self.entry_ts
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            expected = self.gross_pnl - self.fee - self.slippage - self.funding
+        bad = early | (self.net_pnl != expected)
+        if bad.any():
+            i = int(bad.argmax())
+            if early[i]:
+                raise EngineError(f"{self.symbol[i]}: exit_ts"
+                                  f" {self.exit_ts[i]} not after entry_ts"
+                                  f" {self.entry_ts[i]}")
+            raise EngineError(f"{self.symbol[i]}: net_pnl {self.net_pnl[i]}"
+                              f" != gross - costs {expected[i]}")
+
+    def __len__(self) -> int:
+        return len(self.symbol)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in LEDGER_HEADER)
+
+    def take(self, index) -> "Ledger":
+        """The rows at ``index`` (indices or a mask), in its order."""
+        return Ledger(*(column[index] for column in self.columns()))
+
+
+LEDGER_HEADER = [f.name for f in fields(Ledger)]
+NO_LEDGER = Ledger(*(np.zeros(0, dtype=t) for t in (
+    [str, str, np.int64, float, np.int64] + [float] * 7 + [bool])))
 
 
 def gross_pnl(side: str, size: float, entry_px: float, exit_px):
@@ -164,7 +178,7 @@ class SingleAssetResult:
     realized_cum: np.ndarray
     open_mtm: np.ndarray
     open_costs: np.ndarray
-    trades: List[TradeRecord]
+    trades: Ledger
 
 
 class Trades(NamedTuple):
@@ -206,66 +220,48 @@ def book_trades(
     rule: the result's stop path is all NaN for the caller to fill.
     """
     i0, i1 = bounds
-    n = i1 - i0
+    n, m = i1 - i0, len(found.cell)
     timestamps = series.timestamps[i0:i1]
     close = series.close[i0:i1]
     position = np.zeros(n, dtype=np.int8)
     stop = np.full(n, np.nan)
-    gross_returns = np.zeros(n)
-    costs = np.zeros(n)
-    realized_cum = np.zeros(n)
-    open_mtm = np.zeros(n)
-    open_costs = np.zeros(n)
-    records: List[TradeRecord] = []
-    realized = 0.0
-    m = len(found.cell)
-    if m:
-        fill_fees, fill_slips = (c.tolist() for c in trade_fills(
-            close, series.volume[i0:i1], found.entry, found.exit,
-            found.exit_px, size, series.interval, cost_cfg))
-        if charge_funding:
-            paid = funding_paid(timestamps, [0], [n], [series.symbol], [size],
-                                cost_cfg)
-            funding = (paid, 0.0 - paid)  # long, short
-    for k, (e, x, exit_px, short, forced) in enumerate(zip(
-            found.entry.tolist(), found.exit.tolist(),
-            found.exit_px.tolist(), found.short.tolist(),
-            found.forced.tolist())):
-        side = SHORT if short else LONG
-        entry_px = float(close[e])
+    gross_returns, costs, realized_cum, open_mtm, open_costs = np.zeros((5, n))
+    entry, exit_px = found.entry, found.exit_px
+    fees, slips = trade_fills(close, series.volume[i0:i1], entry, found.exit,
+                              exit_px, size, series.interval, cost_cfg)
+    paid = (funding_paid(timestamps, [0], [n], [series.symbol], [size],
+                         cost_cfg) if charge_funding and m else np.zeros(n))
+    funding = (paid, 0.0 - paid)  # long, short
+    funded = np.zeros(m)
+    for k, (e, x, short) in enumerate(zip(
+            entry.tolist(), found.exit.tolist(), found.short.tolist())):
         position[e:x] = -1 if short else 1
         moves = close[e + 1:x + 1] / close[e:x] - 1.0
-        moves[-1] = exit_px / close[x - 1] - 1.0
+        moves[-1] = exit_px[k] / close[x - 1] - 1.0
         gross_returns[e + 1:x + 1] = -moves if short else moves
-        open_mtm[e:x] = gross_pnl(side, size, entry_px, close[e:x])
-        entry_fee, exit_fee = fill_fees[k], fill_fees[m + k]
-        entry_slip, exit_slip = fill_slips[k], fill_slips[m + k]
-        fees, slips = entry_fee + exit_fee, entry_slip + exit_slip
-        costs[e] = entry_fee + entry_slip
+        open_mtm[e:x] = gross_pnl(SHORT if short else LONG, size, close[e],
+                                  close[e:x])
+        costs[e] = fees[k] + slips[k]
         open_costs[e:x] = costs[e]
-        funded = 0.0
-        if charge_funding:
-            paid = funding[short][e + 1:x + 1]
-            accrued = np.cumsum(paid)
-            costs[e + 1:x + 1] = paid
-            open_costs[e + 1:x] += accrued[:-1]
-            funded = float(accrued[-1])
-        costs[x] += exit_fee + exit_slip
-        gross = gross_pnl(side, size, entry_px, exit_px)
-        net = gross - fees - slips - funded
-        realized += net
+        costs[e + 1:x + 1] = fund = funding[short][e + 1:x + 1]
+        accrued = np.cumsum(fund)
+        open_costs[e + 1:x] += accrued[:-1]
+        funded[k] = accrued[-1]
+        costs[x] += fees[m + k] + slips[m + k]
+    closed = exit_px / close[entry]
+    gross = size * np.where(found.short, 1.0 - closed, closed - 1.0)
+    fee, slip = fees[:m] + fees[m:], slips[:m] + slips[m:]
+    net = gross - fee - slip - funded
+    for x, realized in zip(found.exit.tolist(), np.cumsum(net).tolist()):
         realized_cum[x:] = realized
-        records.append(TradeRecord(
-            symbol=series.symbol, side=side,
-            entry_ts=int(timestamps[e]), entry_px=entry_px,
-            exit_ts=int(timestamps[x]), exit_px=exit_px, size=size,
-            gross_pnl=gross, fee_cost=fees, slippage_cost=slips,
-            funding_cost=funded, net_pnl=net, forced=forced,
-        ))
+    ledger = Ledger(
+        np.full(m, series.symbol), np.where(found.short, SHORT, LONG),
+        timestamps[entry], close[entry], timestamps[found.exit], exit_px,
+        np.full(m, size), gross, fee, slip, funded, net, found.forced)
     return SingleAssetResult(series.symbol, timestamps.copy(),
                              position, stop, gross_returns,
                              gross_returns - costs / size, costs, realized_cum,
-                             open_mtm, open_costs, records)
+                             open_mtm, open_costs, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +839,7 @@ def _starts(ids: np.ndarray) -> np.ndarray:
 # Ledger serialization
 # ---------------------------------------------------------------------------
 
-def write_ledger(trades: List[TradeRecord], path: str) -> None:
-    # TradeRecord's fields are the ledger's columns, in order.
-    columns = [[getattr(t, f.name) for t in trades]
-               for f in fields(TradeRecord)]
-    columns[-1] = [int(forced) for forced in columns[-1]]
-    write_columns(path, LEDGER_HEADER, columns)
+def write_ledger(ledger: Ledger, path: str) -> None:
+    """ledger.csv: the ledger's columns, ``forced`` written as 0 or 1."""
+    write_columns(path, LEDGER_HEADER, [column.tolist() for column in (
+        *ledger.columns()[:-1], ledger.forced.astype(int))])

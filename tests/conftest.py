@@ -14,7 +14,7 @@ from adaptivetrend.market_data import (DEFAULT_RF_ANNUAL, Bar, CapIndex,
                                        MarketCapRecord, PriceSeries)
 from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
 from adaptivetrend.signal_engine import StrategyParams
-from scalar_reference import columns
+from scalar_reference import columns, records
 
 INTERVAL = 21_600
 T0 = 1_640_995_200        # 2022-01-01 00:00 UTC
@@ -96,7 +96,7 @@ def assert_same_result(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=True), name
-    assert got.trades == want.trades
+    assert records(got.trades) == records(want.trades)
 
 
 def assert_accounting_identity(result, rel=1e-9):

@@ -15,16 +15,19 @@ month loops (the strategy's and the benchmarks'), with the aggregation
 that forward-filled one booked result at a time onto the marks, before a
 window's positions were booked together. Last, the trade search
 that jumped from each entry to its exit one cell at a time, before it found
-the trades of all cells in array passes. The ledger reader (``read_ledger``)
-is here too, since only the tests read a ledger back. The tests check the
-code in ``adaptivetrend`` against them.
+the trades of all cells in array passes. The scalar engine books a trade as
+a ``TradeRecord``, one ledger row, as the package did before its ledger was
+columns; ``records`` and ``as_ledger`` turn a ``Ledger`` into rows and back,
+and the ledger reader (``read_ledger``) is here too, since only the tests
+read a ledger back. The tests check the code in ``adaptivetrend`` against
+them.
 """
 
 import bisect
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from datetime import date
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,9 +49,10 @@ from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
 from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
-from adaptivetrend.signal_engine import (LEDGER_HEADER, EngineError,
+from adaptivetrend.signal_engine import (LEDGER_HEADER, NO_LEDGER,
+                                         EngineError, Ledger,
                                          SingleAssetResult, StrategyParams,
-                                         TradeRecord, gross_pnl)
+                                         gross_pnl)
 
 INF = math.inf
 
@@ -77,13 +81,11 @@ def validate_bar(bar: Bar) -> None:
         raise DataError(f"bar {bar.timestamp}: low {bar.low} above min(open, close)")
 
 
-def check_bars(symbol: str, interval: int,
-               bars: Sequence[Bar]) -> List[Tuple[int, int]]:
-    """Validate bar by bar, as PriceSeries did; returns the gaps."""
+def check_bars(symbol: str, interval: int, bars: Sequence[Bar]) -> None:
+    """Validate bar by bar, as PriceSeries did."""
     if interval <= 0:
         raise DataError(f"{symbol}: interval must be positive")
     prev_ts = None
-    gaps = []
     for bar in bars:
         validate_bar(bar)
         if prev_ts is not None:
@@ -97,10 +99,7 @@ def check_bars(symbol: str, interval: int,
                 raise DataError(
                     f"{symbol}: gap {prev_ts} -> {bar.timestamp} is not a"
                     f" multiple of interval {interval}")
-            if delta > interval:
-                gaps.append((prev_ts, bar.timestamp))
         prev_ts = bar.timestamp
-    return gaps
 
 
 def parse_bar(row: List[str]) -> Bar:
@@ -108,15 +107,15 @@ def parse_bar(row: List[str]) -> Bar:
                float(row[4]), float(row[5]))
 
 
-def load_price_series(path: str, interval: int, symbol: str
-                      ) -> Tuple[List[Bar], List[Tuple[int, int]]]:
-    """(bars, gaps) of an OHLCV file, or the DataError the loader raised."""
+def load_price_series(path: str, interval: int, symbol: str) -> List[Bar]:
+    """The bars of an OHLCV file, or the DataError the loader raised."""
     bars = read_csv(path, OHLCV_HEADER, parse_bar)
     bars.sort(key=lambda b: b.timestamp)
     try:
-        return bars, check_bars(symbol, interval, bars)
+        check_bars(symbol, interval, bars)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    return bars
 
 
 def columns(bars: Sequence[Bar]) -> Tuple[np.ndarray, ...]:
@@ -209,6 +208,55 @@ def write_csv(path: str, header: Sequence[str],
 def save_equity(curve: EquityCurve, path: str) -> None:
     write_csv(path, EQUITY_HEADER, ([int(ts), bal] for ts, bal
                                     in zip(curve.timestamps, curve.balances)))
+
+
+@dataclass(frozen=True)
+class TradeRecord:
+    """Closed trade with exact cost attribution: one ledger row, as the
+    scalar engine books it and as ``read_ledger`` reads it back.
+
+    net_pnl is definitionally gross_pnl - fee_cost - slippage_cost -
+    funding_cost (funding may be negative, a rebate). ``forced`` marks
+    positions closed by the end of the trading window rather than by a stop.
+    """
+
+    symbol: str
+    side: str
+    entry_ts: int
+    entry_px: float
+    exit_ts: int
+    exit_px: float
+    size: float
+    gross_pnl: float
+    fee_cost: float
+    slippage_cost: float
+    funding_cost: float
+    net_pnl: float
+    forced: bool
+
+    def __post_init__(self) -> None:
+        if self.exit_ts <= self.entry_ts:
+            raise EngineError(
+                f"{self.symbol}: exit_ts {self.exit_ts} not after entry_ts {self.entry_ts}"
+            )
+        expected = self.gross_pnl - self.fee_cost - self.slippage_cost - self.funding_cost
+        if self.net_pnl != expected:
+            raise EngineError(
+                f"{self.symbol}: net_pnl {self.net_pnl} != gross - costs {expected}"
+            )
+
+
+def records(ledger: Ledger) -> List[TradeRecord]:
+    """A Ledger's rows as TradeRecords of Python scalars, in its order."""
+    return [TradeRecord(*row)
+            for row in zip(*(column.tolist() for column in ledger.columns()))]
+
+
+def as_ledger(trades: Sequence[TradeRecord]) -> Ledger:
+    """TradeRecords as a Ledger's columns, in their order."""
+    if not trades:
+        return NO_LEDGER
+    return Ledger(*map(np.array, zip(*map(astuple, trades))))
 
 
 def write_ledger(trades: Sequence[TradeRecord], path: str) -> None:
@@ -495,7 +543,7 @@ def run_single_asset(
     if n == 0:
         return SingleAssetResult(series.symbol, timestamps, position, stop,
                                  gross_returns, net_returns, costs, realized_cum,
-                                 open_mtm, open_costs, trades)
+                                 open_mtm, open_costs, NO_LEDGER)
 
     mom = momentum(series.close, params.lookback)[i0:i1].tolist()
     atr_values = atr(series.high, series.low, series.close, params.atr_window)[i0:i1].tolist()
@@ -586,7 +634,7 @@ def run_single_asset(
 
     return SingleAssetResult(series.symbol, timestamps, position, stop,
                              gross_returns, net_returns, costs, realized_cum,
-                             open_mtm, open_costs, trades)
+                             open_mtm, open_costs, as_ledger(trades))
 
 
 def hold_position(
@@ -611,7 +659,7 @@ def hold_position(
         position=np.zeros(n, dtype=np.int8), stop=np.full(n, np.nan),
         gross_returns=np.zeros(n), net_returns=np.zeros(n),
         costs=np.zeros(n), realized_cum=np.zeros(n), open_mtm=np.zeros(n),
-        open_costs=np.zeros(n), trades=[],
+        open_costs=np.zeros(n), trades=NO_LEDGER,
     )
     if n < 2:
         return empty
@@ -661,11 +709,10 @@ def hold_position(
         fee_cost=pos_fee, slippage_cost=pos_slip, funding_cost=pos_funding,
         net_pnl=net, forced=True,
     )
-    res.trades.append(trade)
     res.realized_cum[-1] = net
     res.net_returns[:] = res.gross_returns - res.costs / size
     res.open_costs[0] = res.costs[0]
-    return res
+    return replace(res, trades=as_ledger([trade]))
 
 
 logger = logging.getLogger(__name__)
@@ -676,7 +723,7 @@ class BenchmarkRun:
     kind: str
     equity: EquityCurve
     metrics: MetricsReport
-    trades: List[TradeRecord]
+    trades: Ledger
 
 
 def aggregate_results(
@@ -818,7 +865,7 @@ def run_backtest(
             balances_m = balance + (realized_m + mtm_m - ocost_m)
             bankrupt = True
             logger.warning("balance depleted at %d; halting run", int(month_ts[-1]))
-        trades.extend(t for res in month_results for t in res.trades)
+        trades.extend(t for res in month_results for t in records(res.trades))
 
         ts_chunks.append(month_ts)
         bal_chunks.append(balances_m)
@@ -837,13 +884,14 @@ def run_backtest(
         bankrupt=bankrupt,
     )
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
+    ledger = as_ledger(trades)
     return BacktestResult(
         equity=equity,
-        trades=trades,
+        trades=ledger,
         realized=np.concatenate(realized_chunks),
         open_mtm=np.concatenate(mtm_chunks),
         open_costs=np.concatenate(ocost_chunks),
-        metrics=compute_metrics(equity, trades,
+        metrics=compute_metrics(equity, ledger,
                                 rf_annual=cfg.rebalance.rf_annual,
                                 bars_per_year=bars_per_year(interval)),
         rebalance_log=rebalance_log,
@@ -884,7 +932,7 @@ def run_benchmark(
         window = (first_month, cfg.end)
         res = hold_position(series, LONG, cfg.initial_balance, window,
                             cfg.costs, charge_funding=False)
-        trades.extend(res.trades)
+        trades.extend(records(res.trades))
         timeline = union_timeline(universe, window)
         realized, mtm, ocost = aggregate_results(timeline, [res])
         ts_chunks.append(timeline)
@@ -917,7 +965,7 @@ def run_benchmark(
                 realized, mtm, ocost = aggregate_results(timeline, results)
                 balances_m = balance + realized + mtm - ocost
                 bankrupt = True
-            trades.extend(t for res in results for t in res.trades)
+            trades.extend(t for res in results for t in records(res.trades))
             ts_chunks.append(timeline)
             bal_chunks.append(balances_m)
             if bankrupt:
@@ -928,10 +976,12 @@ def run_benchmark(
                          balances=np.concatenate(bal_chunks),
                          bankrupt=bankrupt or bal_chunks[-1][-1] <= 0)
     trades.sort(key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
-    metrics = compute_metrics(equity, trades, rf_annual=cfg.rebalance.rf_annual,
+    ledger = as_ledger(trades)
+    metrics = compute_metrics(equity, ledger,
+                              rf_annual=cfg.rebalance.rf_annual,
                               bars_per_year=bpy)
     return BenchmarkRun(kind=spec.kind, equity=equity, metrics=metrics,
-                        trades=trades)
+                        trades=ledger)
 
 
 # ---------------------------------------------------------------------------

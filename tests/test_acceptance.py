@@ -31,6 +31,7 @@ from adaptivetrend.signal_engine import StrategyParams, run_single_asset
 from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
                       make_series, market_of, series_from_bars, solve_alone,
                       solve_cfg)
+from scalar_reference import records
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
@@ -133,7 +134,7 @@ def test_c01_scripted_ledger_matches_reference_simulation():
                                                    SCRIPT_PARAMS)
 
     assert len(res.trades) == len(want_trades) == 2
-    for got, want in zip(res.trades, want_trades):
+    for got, want in zip(records(res.trades), want_trades):
         side, entry_i, exit_i, entry_px, exit_px, gross, forced = want
         assert got.side == side
         assert got.entry_ts == T0 + (entry_i + 1) * INTERVAL
@@ -175,7 +176,7 @@ def test_c02_stops_monotone_and_exits_at_first_breach():
         held = res.position != 0
         assert np.array_equal(np.isnan(res.stop), ~held)
 
-        for tr in res.trades:
+        for tr in records(res.trades):
             i_in = int(np.searchsorted(ts, tr.entry_ts))
             i_out = int(np.searchsorted(ts, tr.exit_ts))
             seg = res.stop[i_in:i_out]
@@ -346,12 +347,13 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
         assert part.rebalance_log == full.rebalance_log[:n_months]
 
         assert sorted((tr.symbol, tr.side, tr.entry_ts, tr.entry_px, tr.size)
-                      for tr in part.trades if tr.entry_ts < t) == \
+                      for tr in records(part.trades) if tr.entry_ts < t) == \
             sorted((tr.symbol, tr.side, tr.entry_ts, tr.entry_px, tr.size)
-                   for tr in full.trades if tr.entry_ts < t)
-        assert sorted(trade_tuple(tr) for tr in part.trades
+                   for tr in records(full.trades) if tr.entry_ts < t)
+        assert sorted(trade_tuple(tr) for tr in records(part.trades)
                       if tr.exit_ts < t) == \
-            sorted(trade_tuple(tr) for tr in full.trades if tr.exit_ts < t)
+            sorted(trade_tuple(tr) for tr in records(full.trades)
+                   if tr.exit_ts < t)
 
         mask = stamps <= t
         assert np.array_equal(part.equity.timestamps, stamps[mask])
@@ -391,7 +393,7 @@ def test_c06_balance_decomposition_holds_at_every_bar():
     # the initial capital plus the summed net PnL of the ledger.
     assert res.open_mtm[-1] == 0.0 and res.open_costs[-1] == 0.0
     assert res.equity.balances[-1] == pytest.approx(
-        cfg.initial_balance + math.fsum(tr.net_pnl for tr in res.trades),
+        cfg.initial_balance + math.fsum(res.trades.net_pnl.tolist()),
         rel=1e-9)
     check_budget(started, 60.0)
 

@@ -15,9 +15,10 @@ from adaptivetrend.analytics import (BEAR, BULL, REGIME_CSV_HEADER, SIDEWAYS,
 from adaptivetrend.backtester import EquityCurve
 from adaptivetrend.indicators import rolling_sharpe
 from adaptivetrend.market_data import SECONDS_PER_YEAR
-from adaptivetrend.signal_engine import TradeRecord
+from adaptivetrend.signal_engine import NO_LEDGER
 from conftest import INTERVAL, T0, make_series
 import scalar_reference
+from scalar_reference import TradeRecord, as_ledger
 
 
 def curve(balances, timestamps=None) -> EquityCurve:
@@ -76,7 +77,7 @@ class TestSortino:
 class TestComputeMetrics:
     def test_geometric_annualization_and_flat_vol(self):
         eq = curve([100.0, 110.0, 121.0])
-        m = compute_metrics(eq, [], rf_annual=0.0, bars_per_year=2.0)
+        m = compute_metrics(eq, NO_LEDGER, rf_annual=0.0, bars_per_year=2.0)
         assert m.ann_return == pytest.approx(0.21, rel=1e-12)
         assert m.ann_vol == 0.0
         assert m.sharpe is None  # zero dispersion
@@ -86,7 +87,7 @@ class TestComputeMetrics:
 
     def test_vol_uses_sample_stddev(self):
         eq = curve([100.0, 102.0, 100.98])
-        m = compute_metrics(eq, [], rf_annual=0.0, bars_per_year=1460.0)
+        m = compute_metrics(eq, NO_LEDGER, rf_annual=0.0, bars_per_year=1460.0)
         returns = np.array([0.02, -0.01])
         assert m.ann_vol == pytest.approx(
             np.std(returns, ddof=1) * math.sqrt(1460.0), rel=1e-12)
@@ -97,21 +98,21 @@ class TestComputeMetrics:
         # A curve that ends below zero has no real annualized growth; it
         # reads -100% (as in regime_metrics), not NaN with a RuntimeWarning.
         for final in (0.0, -30.0):
-            m = compute_metrics(curve([100.0, 60.0, 20.0, final]), [],
+            m = compute_metrics(curve([100.0, 60.0, 20.0, final]), NO_LEDGER,
                                 rf_annual=0.0, bars_per_year=1460.0)
             assert m.ann_return == -1.0
             assert json.loads(json.dumps(m.to_dict(), allow_nan=False))
 
     def test_drawdown_and_calmar(self):
         eq = curve([100.0, 120.0, 90.0, 110.0])
-        m = compute_metrics(eq, [], rf_annual=0.0, bars_per_year=1460.0)
+        m = compute_metrics(eq, NO_LEDGER, rf_annual=0.0, bars_per_year=1460.0)
         assert m.mdd == pytest.approx(-0.25, rel=1e-15)
         assert m.calmar == pytest.approx(m.ann_return / 0.25, rel=1e-12)
 
     def test_trade_statistics(self):
         ts = [T0, T0 + SECONDS_PER_YEAR // 24, T0 + SECONDS_PER_YEAR // 12]
         eq = curve([100.0, 110.0, 121.0], timestamps=ts)
-        ledger = [trade(10.0), trade(5.0), trade(-5.0)]
+        ledger = as_ledger([trade(10.0), trade(5.0), trade(-5.0)])
         m = compute_metrics(eq, ledger, rf_annual=0.0, bars_per_year=1460.0)
         assert m.win_rate == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert m.profit_factor == pytest.approx(3.0, rel=1e-15)
@@ -122,7 +123,7 @@ class TestComputeMetrics:
 
     def test_profit_factor_undefined_without_losses(self):
         eq = curve([100.0, 110.0, 121.0])
-        m = compute_metrics(eq, [trade(10.0)], rf_annual=0.0,
+        m = compute_metrics(eq, as_ledger([trade(10.0)]), rf_annual=0.0,
                             bars_per_year=1460.0)
         assert m.profit_factor is None
         assert m.win_rate == 1.0
@@ -130,7 +131,8 @@ class TestComputeMetrics:
     def test_turnover_counts_both_legs(self):
         ts = [T0, T0 + SECONDS_PER_YEAR // 24, T0 + SECONDS_PER_YEAR // 12]
         eq = curve([100.0, 110.0, 121.0], timestamps=ts)
-        ledger = [trade(10.0, size=100.0, entry_px=100.0, exit_px=110.0)]
+        ledger = as_ledger(
+            [trade(10.0, size=100.0, entry_px=100.0, exit_px=110.0)])
         m = compute_metrics(eq, ledger, rf_annual=0.0, bars_per_year=1460.0)
         mean_balance = (100.0 + 110.0 + 121.0) / 3.0
         expected = 100.0 * (1.0 + 1.1) / mean_balance / (1.0 / 12.0)
@@ -138,11 +140,11 @@ class TestComputeMetrics:
 
     def test_single_point_curve_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics(curve([100.0]), [], 0.0, 1460.0)
+            compute_metrics(curve([100.0]), NO_LEDGER, 0.0, 1460.0)
 
     def test_report_dict_round_trip(self):
         eq = curve([100.0, 120.0, 90.0, 110.0])
-        m = compute_metrics(eq, [trade(10.0)], rf_annual=0.045,
+        m = compute_metrics(eq, as_ledger([trade(10.0)]), rf_annual=0.045,
                             bars_per_year=1460.0)
         d = json.loads(json.dumps(m.to_dict()))
         assert MetricsReport(**d) == m
@@ -250,9 +252,9 @@ class TestRegimeMetrics:
     def test_trades_attributed_by_exit_timestamp(self):
         ts = T0 + INTERVAL * np.arange(4)
         rs = regime_series(ts, [BULL, BULL, BEAR, BEAR])
-        ledger = [trade(10.0, exit_ts=int(ts[1])),
-                  trade(-4.0, exit_ts=int(ts[2])),
-                  trade(6.0, exit_ts=int(ts[3]))]
+        ledger = as_ledger([trade(10.0, exit_ts=int(ts[1])),
+                            trade(-4.0, exit_ts=int(ts[2])),
+                            trade(6.0, exit_ts=int(ts[3]))])
         out = regime_metrics(ts, np.full(4, 0.01), rs, ledger=ledger)
         assert out[BULL]["win_rate"] == 1.0
         assert out[BEAR]["win_rate"] == 0.5

@@ -32,6 +32,7 @@ from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
                       jumpy_universe, make_bars, make_series, market_of,
                       rough_series, series_from_bars)
 import scalar_reference
+from scalar_reference import records
 
 APR1 = 1_648_771_200
 FEB28 = date(2022, 2, 28)
@@ -162,7 +163,7 @@ class TestAggregation:
                             100.0 if short else 1000.0)
 
         marks = np.arange(5, 45, 5, dtype=np.int64)
-        realized, mtm, ocost, records = aggregate_results(
+        realized, mtm, ocost, ledger = aggregate_results(
             marks, [held("A", [10, 20], [100.0, 150.0], False),
                     held("B", [15, 25, 35], [200.0, 100.0, 300.0], True)],
             ZERO_COSTS, charge_funding=True)
@@ -170,16 +171,16 @@ class TestAggregation:
                                      450.0, 450.0]
         assert mtm.tolist() == [0.0, 0.0, 0.0, 0.0, 50.0, 50.0, 0.0, 0.0]
         assert ocost.tolist() == [0.0] * 8
-        assert [(t.symbol, t.net_pnl) for t in records] == [("A", 500.0),
-                                                           ("B", -50.0)]
+        assert [(t.symbol, t.net_pnl) for t in records(ledger)] == [
+            ("A", 500.0), ("B", -50.0)]
 
     def test_empty_results(self):
         timeline = np.array([10, 20], dtype=np.int64)
-        realized, mtm, ocost, records = aggregate_results(
+        realized, mtm, ocost, ledger = aggregate_results(
             timeline, [], ZERO_COSTS, charge_funding=True)
         assert realized.tolist() == [0.0, 0.0]
         assert mtm.tolist() == [0.0, 0.0] and ocost.tolist() == [0.0, 0.0]
-        assert records == []
+        assert len(ledger) == 0
 
 
 def drawn_trades(data, close):
@@ -267,8 +268,8 @@ class TestWindowLedger:
                 i0, i1 = series.slice_indices(*window)
                 positions.append(Position(series, (i0, i1), drawn_trades(
                     data, series.close[i0:i1]), size))
-        *got, records = aggregate_results(marks, positions, cost,
-                                          charge_funding=charge_funding)
+        *got, ledger = aggregate_results(marks, positions, cost,
+                                         charge_funding=charge_funding)
         booked = [book_trades(*p, cost, charge_funding=charge_funding)
                   for p in positions]
         want = scalar_reference.aggregate_results(marks, booked)
@@ -276,7 +277,51 @@ class TestWindowLedger:
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         exact = lambda trades: [tuple(map(repr, astuple(t)))  # noqa: E731
                                 for t in trades]
-        assert exact(records) == exact([t for r in booked for t in r.trades])
+        assert exact(records(ledger)) == exact(
+            [t for r in booked for t in records(r.trades)])
+
+
+class TestLedgerOrder:
+    """run_windows orders the windows' ledgers with one stable lexsort on
+    (entry_ts, exit_ts, symbol, side): the order that a stable sort of the
+    rows, in booking order, by that key gives. Rows whose keys tie (one
+    symbol, side and bars, at several sizes) keep their booking order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_lexsort_is_a_stable_sort_of_the_rows(self, seed, data):
+        rng = np.random.default_rng(seed)
+        universe = {sym: gbm_series(rng, 24, symbol=sym)
+                    for sym in ("A", "AB", "B")}
+        ts = universe["A"].timestamps
+        windows = [(int(ts[0]), int(ts[11])), (int(ts[12]), int(ts[-1]))]
+        drawn = {}
+        for window in windows:
+            drawn[window] = []
+            for _ in range(data.draw(st.integers(0, 8), label="positions")):
+                series = universe[data.draw(st.sampled_from(sorted(universe)),
+                                            label="symbol")]
+                i0, i1 = series.slice_indices(*window)
+                e = data.draw(st.integers(0, 2), label="entry")
+                x = e + data.draw(st.integers(1, 2), label="bars held")
+                found = Trades(np.zeros(1, np.intp), np.array([e]),
+                               np.array([x]), series.close[i0 + x:i0 + x + 1],
+                               np.array([False]),
+                               np.array([data.draw(st.booleans(),
+                                                   label="short")]))
+                drawn[window].append(Position(series, (i0, i1), found,
+                                              data.draw(st.sampled_from(
+                                                  [1.0, 2.0, 3.0]),
+                                                  label="size")))
+        cfg = BacktestConfig(start=windows[0][0], end=windows[-1][1],
+                             initial_balance=1e6, interval=INTERVAL)
+        result = run_windows(market_of(universe, []), windows, cfg,
+                             lambda window, balance: drawn[window],
+                             net_first=True)
+        rows = [t for window in windows for p in drawn[window]
+                for t in records(book_trades(*p, cfg.costs).trades)]
+        assert records(result.trades) == sorted(
+            rows, key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
 
 
 def month_oracle_universe():
@@ -303,7 +348,7 @@ class TestSingleMonthRun:
         result = run_backtest(market_of(universe, caps),
                               month_oracle_cfg(ZERO_COSTS))
         assert len(result.trades) == 1
-        t = result.trades[0]
+        t = records(result.trades)[0]
         assert (t.side, t.entry_ts, t.entry_px) == ("long", 1646200800, 106.0)
         assert (t.exit_ts, t.exit_px, t.forced) == (1646330400, 103.0, False)
         assert t.size == 70_000.0
@@ -319,7 +364,7 @@ class TestSingleMonthRun:
                            funding_rate_per_8h=0.0)
         result = run_backtest(market_of(universe, caps),
                               month_oracle_cfg(costs))
-        t = result.trades[0]
+        t = records(result.trades)[0]
         assert t.fee_cost == pytest.approx(55.20754716981132, rel=1e-12)
         assert t.net_pnl == pytest.approx(t.gross_pnl - t.fee_cost, rel=1e-12)
         assert result.equity.balances[-1] == pytest.approx(97963.6603773585,
@@ -358,7 +403,7 @@ class TestEmptySelection:
         caps = [MarketCapRecord("FLT", FEB28, 1e9)]
         cfg = month_oracle_cfg(ZERO_COSTS)
         result = run_backtest(market_of({"FLT": series}, caps), cfg)
-        assert result.trades == []
+        assert len(result.trades) == 0
         assert np.all(result.equity.balances == 100_000.0)
         assert result.portfolios[0].cash_weight == 1.0
 
@@ -384,7 +429,7 @@ class TestEmptySelection:
         empty, live = ("long", "short") if long_ratio < 0.5 else ("short", "long")
         assert "sleeve has no capital" in caplog.text
         assert result.trades
-        assert {t.side for t in result.trades} == {live}
+        assert {t.side for t in records(result.trades)} == {live}
         for portfolio, record in zip(result.portfolios, result.rebalance_log):
             assert getattr(portfolio, empty + "s") == ()
             assert record["selected_" + empty + "s"] == []
@@ -421,10 +466,10 @@ class TestMultiMonthAccounting:
         assert len(result.rebalance_log) == 2
         assert [r["month"] for r in result.rebalance_log] == \
             ["2022-02", "2022-03"]
-        for t in result.trades:
+        for t in records(result.trades):
             assert FEB1 <= t.entry_ts < t.exit_ts <= end
         entry_keys = [(t.entry_ts, t.exit_ts, t.symbol, t.side)
-                      for t in result.trades]
+                      for t in records(result.trades)]
         assert entry_keys == sorted(entry_keys)
 
     @settings(max_examples=20, deadline=None)
@@ -457,7 +502,7 @@ class TestMultiMonthAccounting:
         assert got.equity.bankrupt == want.equity.bankrupt
         for name in ("realized", "open_mtm", "open_costs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.trades == want.trades
+        assert records(got.trades) == records(want.trades)
         assert got.rebalance_log == want.rebalance_log
 
     def test_insufficient_history_raises(self):
@@ -491,7 +536,7 @@ class TestBankruptcy:
         assert result.equity.balances[-1] <= 0.0
         assert np.all(result.equity.balances[:-1] > 0.0)
         assert result.equity.timestamps[-1] < cfg.end
-        assert result.trades[0].side == "short"
+        assert records(result.trades)[0].side == "short"
 
     def test_strategy_and_tsmom_halt_at_first_nonpositive_balance(self):
         # CRSH falls through February, so in March both the strategy's short
@@ -529,15 +574,15 @@ class TestBankruptcy:
             assert run.equity.timestamps[-1] == squeeze_ts
             assert run.equity.balances[-1] == 0.0
             assert np.all(run.equity.balances[:-1] > 0.0)
-            first = run.trades[0]
+            first = records(run.trades)[0]
             assert (first.symbol, first.side, first.entry_ts) == \
                 ("CRSH", "short", MAR1)
             # The ledger ends at the halt: the short is forced at the
             # squeeze's close, and no trade opens after it.
             assert all(t.entry_ts < squeeze_ts and t.exit_ts <= squeeze_ts
-                       for t in run.trades)
+                       for t in records(run.trades))
             assert run.equity.balances[-1] == cfg.initial_balance + math.fsum(
-                t.net_pnl for t in run.trades)
+                t.net_pnl for t in records(run.trades))
         assert len(strategy.rebalance_log) == 1
 
     @settings(max_examples=100, deadline=None)
@@ -565,7 +610,7 @@ class TestBankruptcy:
             run_benchmark(BenchmarkSpec(kind=kind, universe_size=n_symbols),
                           market, cfg) for kind in BENCHMARK_KINDS]
         for run in runs:
-            net = math.fsum(t.net_pnl for t in run.trades)
+            net = math.fsum(t.net_pnl for t in records(run.trades))
             assert abs(run.equity.balances[-1] - (cfg.initial_balance + net)) \
                 <= 1e-9 * cfg.initial_balance
 
@@ -665,7 +710,7 @@ class TestOneTimeline:
         assert equity.timestamps.tolist() == [windows[0][0] - DAY] + [
             t for union in unions for t in union.tolist()]
         assert equity.balances.tolist() == [1_000.0] * len(equity)
-        assert result.trades == []
+        assert len(result.trades) == 0
         assert_accounting_identity(result)
 
 
@@ -736,7 +781,7 @@ class TestAblations:
             grid=ParamGrid(theta_entry=(0.01,), theta_entry_short=(0.01,),
                            alpha=(3.0,), lookback=(4,), atr_window=3)))
         gated = run_backtest(market_of(universe, caps), cfg)
-        assert gated.trades == []
+        assert len(gated.trades) == 0
         bypassed = run_backtest(market_of(universe, caps),
                                 ablation_config(cfg, "no_sharpe_filter"))
         assert len(bypassed.trades) > 0

@@ -20,6 +20,7 @@ from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
                       gbm_series, jumpy_universe, make_series, market_of,
                       rough_series)
 import scalar_reference
+from scalar_reference import records
 
 JAN31 = date(2022, 1, 31)
 
@@ -54,7 +55,7 @@ class TestHoldPosition:
         window = self.window_of(s, 6)
         res = held(s, "long", 1_000.0, window, ZERO_COSTS, False)
         assert len(res.trades) == 1
-        t = res.trades[0]
+        t = records(res.trades)[0]
         closes = s.close
         assert t.entry_px == closes[0] and t.exit_px == closes[5]
         assert t.forced is True
@@ -72,14 +73,14 @@ class TestHoldPosition:
         window = self.window_of(s, 6)
         res = held(s, "short", 1_000.0, window, ZERO_COSTS, False)
         closes = s.close
-        assert res.trades[0].gross_pnl == pytest.approx(
+        assert records(res.trades)[0].gross_pnl == pytest.approx(
             1_000.0 * (1.0 - closes[5] / closes[0]), rel=1e-12)
 
     def test_single_bar_window_is_empty(self):
         s = drift_series("HLD", 0.01, n=10)
         window = self.window_of(s, 1)
         res = held(s, "long", 1_000.0, window, ZERO_COSTS, False)
-        assert res.trades == [] and np.all(res.position == 0)
+        assert len(res.trades) == 0 and np.all(res.position == 0)
 
     def test_fees_on_both_legs(self):
         s = drift_series("HLD", 0.01, n=10)
@@ -87,7 +88,7 @@ class TestHoldPosition:
         costs = CostConfig(taker_fee_bps=10.0, slip_coeff=0.0,
                            funding_rate_per_8h=0.0)
         res = held(s, "long", 1_000.0, window, costs, False)
-        t = res.trades[0]
+        t = records(res.trades)[0]
         exit_notional = 1_000.0 * t.exit_px / t.entry_px
         assert t.fee_cost == pytest.approx(
             0.001 * (1_000.0 + exit_notional), rel=1e-12)
@@ -101,8 +102,8 @@ class TestHoldPosition:
                            funding_rate_per_8h=1e-4)
         charged = held(s, "long", 1_000.0, window, costs, True)
         skipped = held(s, "long", 1_000.0, window, costs, False)
-        assert charged.trades[0].funding_cost > 0.0
-        assert skipped.trades[0].funding_cost == 0.0
+        assert records(charged.trades)[0].funding_cost > 0.0
+        assert records(skipped.trades)[0].funding_cost == 0.0
 
 
 class TestHoldMatchesPerBar:
@@ -180,7 +181,7 @@ class TestTsmom:
         cfg = bench_cfg(universe, end)
         run = run_benchmark(BenchmarkSpec(kind="tsmom"),
                             market_of(universe, caps), cfg)
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
         assert len(feb) == 3
         sides = {t.symbol: t.side for t in feb}
         assert sides == {"UPA": "long", "UPB": "long", "DWN": "short"}
@@ -194,11 +195,11 @@ class TestTsmom:
                             market_of(universe, caps), bench_cfg(universe, end))
         # 250 bars from PRE reach into March: two rebalances, 3 trades each
         assert len(run.trades) == 6
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
-        mar = [t for t in run.trades if t.entry_ts >= MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
+        mar = [t for t in records(run.trades) if t.entry_ts >= MAR1]
         assert all(t.exit_ts == MAR1 - INTERVAL for t in feb)
         assert all(t.entry_ts == MAR1 for t in mar)
-        assert all(t.forced for t in run.trades)
+        assert all(t.forced for t in records(run.trades))
 
     def test_flat_symbol_has_no_signal(self):
         universe, caps = three_symbol_universe()
@@ -206,7 +207,7 @@ class TestTsmom:
         end = int(universe["UPA"].timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"),
                             market_of(universe, caps), bench_cfg(universe, end))
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
         assert {t.symbol for t in feb} == {"UPA", "DWN"}
         assert all(t.size == pytest.approx(50_000.0, rel=1e-12) for t in feb)
 
@@ -215,7 +216,8 @@ class TestTsmom:
         end = int(universe["UPA"].timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="tsmom"),
                             market_of(universe, caps), bench_cfg(universe, end))
-        feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
+        feb_notional = sum(t.size for t in records(run.trades)
+                           if t.entry_ts < MAR1)
         assert feb_notional <= 100_000.0 * (1.0 + 1e-12)
 
     def test_funding_accrues_on_leveraged_kinds(self):
@@ -226,10 +228,10 @@ class TestTsmom:
         cfg = bench_cfg(universe, end, costs=costs)
         market = market_of(universe, caps)
         mom = run_benchmark(BenchmarkSpec(kind="tsmom"), market, cfg)
-        assert all(t.funding_cost != 0.0 for t in mom.trades)
+        assert all(t.funding_cost != 0.0 for t in records(mom.trades))
         ew = run_benchmark(BenchmarkSpec(kind="equal_weight_buy_hold",
                                          universe_size=3), market, cfg)
-        assert all(t.funding_cost == 0.0 for t in ew.trades)
+        assert all(t.funding_cost == 0.0 for t in records(ew.trades))
 
 
 class TestVolScaled:
@@ -241,7 +243,7 @@ class TestVolScaled:
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
                             market_of({"TNY": tiny}, caps),
                             bench_cfg({"TNY": tiny}, end))
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
         assert len(feb) == 1
         assert feb[0].size == pytest.approx(4.0 * 100_000.0, rel=1e-12)
 
@@ -253,7 +255,7 @@ class TestVolScaled:
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
                             market_of({"NSY": noisy}, caps),
                             bench_cfg({"NSY": noisy}, end))
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
         sigma = realized_vol(noisy, FEB1, 60)
         expected = min(0.10 / sigma, 4.0) * 100_000.0
         assert len(feb) == 1
@@ -264,7 +266,8 @@ class TestVolScaled:
         end = int(universe["UPA"].timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="vol_scaled_tsmom"),
                             market_of(universe, caps), bench_cfg(universe, end))
-        feb_notional = sum(t.size for t in run.trades if t.entry_ts < MAR1)
+        feb_notional = sum(t.size for t in records(run.trades)
+                           if t.entry_ts < MAR1)
         assert feb_notional <= 4.0 * 100_000.0 * (1.0 + 1e-12)
 
 
@@ -282,7 +285,7 @@ class TestBuyHold:
         run = run_benchmark(BenchmarkSpec(kind="buy_hold"),
                             market_of(universe, caps), bench_cfg(universe, end))
         assert len(run.trades) == 1
-        t = run.trades[0]
+        t = records(run.trades)[0]
         assert t.size == 100_000.0
         i0 = int(np.searchsorted(series.timestamps, FEB1, "left"))
         expected = 100_000.0 * (series.close[-1] / series.close[i0])
@@ -293,14 +296,14 @@ class TestBuyHold:
         end = int(universe["UPA"].timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold"),
                             market_of(universe, caps), bench_cfg(universe, end))
-        assert run.trades[0].symbol == "UPA"
+        assert records(run.trades)[0].symbol == "UPA"
 
     def test_explicit_symbol(self):
         universe, caps = three_symbol_universe()
         end = int(universe["UPA"].timestamps[-1])
         run = run_benchmark(BenchmarkSpec(kind="buy_hold", symbol="DWN"),
                             market_of(universe, caps), bench_cfg(universe, end))
-        assert run.trades[0].symbol == "DWN"
+        assert records(run.trades)[0].symbol == "DWN"
 
     def test_unknown_symbol_rejected(self):
         universe, caps = three_symbol_universe()
@@ -324,11 +327,11 @@ class TestEqualWeight:
         run = run_benchmark(BenchmarkSpec(kind="equal_weight_buy_hold",
                                           universe_size=20),
                             market_of(universe, caps), bench_cfg(universe, end))
-        feb = [t for t in run.trades if t.entry_ts < MAR1]
+        feb = [t for t in records(run.trades) if t.entry_ts < MAR1]
         assert len(feb) == 3
         assert all(t.size == pytest.approx(100_000.0 / 20.0, rel=1e-12)
                    for t in feb)
-        assert all(t.side == "long" for t in run.trades)
+        assert all(t.side == "long" for t in records(run.trades))
 
     def test_symbol_order_invariance(self):
         universe, caps = three_symbol_universe()
@@ -367,7 +370,7 @@ class TestRunMatchesReference:
                                       want.equity.timestamps)
         assert np.array_equal(got.equity.balances, want.equity.balances)
         assert got.equity.bankrupt == want.equity.bankrupt
-        assert got.trades == want.trades
+        assert records(got.trades) == records(want.trades)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),

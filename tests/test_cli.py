@@ -1069,9 +1069,6 @@ class TestMeasuredInterval:
             series = universe[sym]
             assert series.interval == step
             assert series.timestamps.tolist() == ts.tolist()
-            assert series.gaps == [(a, b) for a, b in zip(ts[:-1].tolist(),
-                                                          ts[1:].tolist())
-                                   if b - a > step]
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
                                      sharpe_rows, true_range)
@@ -185,3 +186,37 @@ class TestRollingSharpe:
 
     def test_rows_too_short_are_nan(self):
         assert np.isnan(sharpe_rows(np.zeros((3, 1)), 0.0, 1460.0)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(0, 40),
+           fortran=st.booleans())
+    def test_rows_equal_numpy_mean_and_std(self, data, rows, n, fortran):
+        """Each row's ratio is the formula on r.mean(axis=1) and
+        r.std(axis=1, ddof=1) bit for bit, with constant rows (among them
+        rows at the risk-free rate) and all-zero columns among the draws."""
+        rf, bpy = 0.045, 1460.0
+        rf_bar = rf / bpy
+        value = st.one_of(st.sampled_from([0.0, -0.02, 0.01, rf_bar]),
+                          st.floats(-1.0, 1.0))
+        r = np.array(data.draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=rows,
+            max_size=rows)), dtype=float).reshape(rows, n)
+        for k in data.draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            r[k] = r[k, :1]  # constant
+        if n:
+            r[:, data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+        if fortran:
+            r = np.asfortranarray(r)
+        got = sharpe_rows(r, rf, bpy)
+        if n < 2:
+            assert np.isnan(got).all()
+            return
+        mean, sd = r.mean(axis=1), r.std(axis=1, ddof=1)
+        for k in range(rows):
+            const = bool((r[k] == r[k, 0]).all())
+            excess = mean[k] - rf_bar
+            if const or sd[k] == 0.0:
+                zero = r[k, 0] == rf_bar if const else excess == 0.0
+                assert got[k] == 0.0 if zero else np.isnan(got[k])
+            else:
+                assert got[k] == excess / sd[k] * math.sqrt(bpy)

@@ -25,9 +25,9 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
                                        save_price_series, write_columns)
-from adaptivetrend.signal_engine import LEDGER_HEADER, TradeRecord, write_ledger
+from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
-from scalar_reference import read_ledger
+from scalar_reference import TradeRecord, as_ledger, read_ledger
 from conftest import (INTERVAL, T0, bars_of, make_bars, make_series,
                       series_from_bars)
 
@@ -102,8 +102,8 @@ class TestBarValidation:
         b2 = Bar(timestamp=T0 + 3 * INTERVAL, open=100.0, high=101.0, low=99.0,
                  close=100.0, volume=1.0)
         s = series_from_bars("X", INTERVAL, (b1, b2))
-        assert len(s.gaps) == 1
-        assert s.gaps[0] == (b1.timestamp, b2.timestamp)
+        # The gap stays a step of two intervals: no bar is filled in.
+        assert s.timestamps.tolist() == [b1.timestamp, b2.timestamp]
 
 
 class TestPriceCsv:
@@ -386,7 +386,7 @@ def _plain(loaded):
         return (loaded.timestamps.tolist(), loaded.balances.tolist(),
                 loaded.bankrupt)
     if isinstance(loaded, PriceSeries):
-        return loaded.symbol, loaded.interval, bars_of(loaded), loaded.gaps
+        return loaded.symbol, loaded.interval, bars_of(loaded)
     if isinstance(loaded, CapIndex):
         return list(loaded)
     return loaded
@@ -524,7 +524,7 @@ class TestCsvRoundTrip:
     @given(trades=st.lists(trade(), max_size=6))
     def test_ledger(self, tmp_path_factory, trades):
         p = tmp_path_factory.mktemp("rt") / "ledger.csv"
-        write_ledger(trades, str(p))
+        write_ledger(as_ledger(trades), str(p))
         assert read_ledger(str(p)) == trades
 
     @ROUND_TRIP
@@ -577,12 +577,12 @@ def ohlcv_line(draw):
 
 
 def _loaded(load):
-    """Columns (dtype and bytes) and gaps of a load, or its DataError message."""
+    """Columns (dtype and bytes) of a load, or its DataError message."""
     try:
-        columns, gaps = load()
+        columns = load()
     except DataError as exc:
         return "error", str(exc)
-    return [(c.dtype.str, c.tobytes()) for c in columns], gaps
+    return [(c.dtype.str, c.tobytes()) for c in columns]
 
 
 class TestColumnarLoaderMatchesScalar:
@@ -597,12 +597,11 @@ class TestColumnarLoaderMatchesScalar:
         p.write_bytes((text + newline * final_newline).encode())
 
         def columnar():
-            s = load_price_series(str(p), interval=INTERVAL)
-            return s.columns(), s.gaps
+            return load_price_series(str(p), interval=INTERVAL).columns()
 
         def scalar():
-            bars, gaps = scalar_reference.load_price_series(str(p), INTERVAL, "SYM")
-            return scalar_reference.columns(bars), gaps
+            return scalar_reference.columns(
+                scalar_reference.load_price_series(str(p), INTERVAL, "SYM"))
 
         assert _loaded(columnar) == _loaded(scalar)
 
@@ -611,7 +610,7 @@ class TestColumnarLoaderMatchesScalar:
         for body in ("", "\n", "\r\n\r\n"):
             p.write_text(",".join(OHLCV_HEADER) + body)
             s = load_price_series(str(p), interval=INTERVAL)
-            assert len(s) == 0 and s.gaps == []
+            assert len(s) == 0
             assert s.timestamps.dtype == np.int64
             assert s.close.dtype == np.float64
 
@@ -662,12 +661,11 @@ class TestColumnarLoaderMatchesScalar:
             series_bars.append(Bar(ts, *fields))
 
         def columnar():
-            s = series_from_bars("SYM", interval, series_bars)
-            return s.columns(), s.gaps
+            return series_from_bars("SYM", interval, series_bars).columns()
 
         def scalar():
-            gaps = scalar_reference.check_bars("SYM", interval, series_bars)
-            return scalar_reference.columns(series_bars), gaps
+            scalar_reference.check_bars("SYM", interval, series_bars)
+            return scalar_reference.columns(series_bars)
 
         assert _loaded(columnar) == _loaded(scalar)
 
@@ -847,9 +845,15 @@ class TestColumnWriterMatchesCsvWriter:
 
     @WRITER
     @given(trades=st.lists(ledger_trade(), max_size=6))
+    @example(trades=[])
+    @example(trades=[TradeRecord(
+        'a,"b', "short", -1, 1.5, 2, -0.0, 3.0, 1.0, 0.25, 0.125, -0.5, 1.125,
+        True)])
     def test_ledger(self, tmp_path_factory, trades):
+        # A random Ledger's bytes against csv.writer's for its rows.
+        ledger = as_ledger(trades)
         new, old = self.written(
-            tmp_path_factory, lambda p: write_ledger(trades, p),
+            tmp_path_factory, lambda p: write_ledger(ledger, p),
             lambda p: scalar_reference.write_ledger(trades, p))
         assert new == old
 
@@ -908,4 +912,5 @@ class TestResampleMatchesScalar:
         whole = replace(series, volume=np.floor(series.volume))
         twice = resample_series(resample_series(whole, 21_600), 43_200)
         once = resample_series(whole, 43_200)
-        assert bars_of(twice) == bars_of(once) and twice.gaps == once.gaps
+        assert bars_of(twice) == bars_of(once)
+        assert twice.interval == once.interval

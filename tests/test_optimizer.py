@@ -20,6 +20,7 @@ from adaptivetrend.rebalancer import (SEARCH_BATCH_CELL_BARS, Optimizer,
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
                       market_of, rough_series, solve_alone, solve_cfg)
+from scalar_reference import records
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
@@ -44,7 +45,7 @@ def assert_same_run(got, want):
         assert np.array_equal(getattr(got.equity, name),
                               getattr(want.equity, name)), name
     assert got.equity.bankrupt == want.equity.bankrupt
-    assert got.trades == want.trades
+    assert records(got.trades) == records(want.trades)
     assert got.rebalance_log == want.rebalance_log
 
 

@@ -1,6 +1,8 @@
 """Trade search (entries, trailing stops, exits) and trade ledger accounting."""
 
+import ast
 import math
+import pathlib
 from dataclasses import replace
 from unittest import mock
 
@@ -15,8 +17,9 @@ from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
 from adaptivetrend.rebalancer import ParamGrid, grid_cells
-from adaptivetrend.signal_engine import (CellTable, EngineError,
-                                         StrategyParams, TradeRecord, Trades,
+from adaptivetrend.signal_engine import (LEDGER_HEADER, NO_LEDGER, CellTable,
+                                         EngineError, Ledger, StrategyParams,
+                                         Trades,
                                          _stop_max, book_trades, cut_position,
                                          find_trades_stacked,
                                          grid_sharpes_stacked, gross_pnl,
@@ -25,7 +28,8 @@ from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
                       rough_series, sided)
 import scalar_reference
-from scalar_reference import SIDE_CHOICES, Position, read_ledger, step
+from scalar_reference import (SIDE_CHOICES, Position, TradeRecord, as_ledger,
+                              read_ledger, records, step)
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
@@ -97,20 +101,42 @@ class TestStep:
                  params=PARAMS)
 
 
-class TestTradeRecord:
+class TestLedger:
+    """A Ledger checks every row as it is built, and the first bad row's
+    symbol names the error."""
+
+    ROW = dict(symbol="X", side="long", entry_ts=T0, entry_px=100.0,
+               exit_ts=T0 + INTERVAL, exit_px=105.0, size=1.0, gross_pnl=0.05,
+               fee=0.0, slippage=0.0, funding=0.0, net_pnl=0.05, forced=False)
+
+    @staticmethod
+    def ledger(*rows):
+        return Ledger(**{name: np.array([row[name] for row in rows])
+                         for name in LEDGER_HEADER})
+
     def test_net_identity_enforced(self):
-        with pytest.raises(EngineError):
-            TradeRecord(symbol="X", side="long", entry_ts=T0, entry_px=100.0,
-                        exit_ts=T0 + INTERVAL, exit_px=105.0, size=1.0,
-                        gross_pnl=0.05, fee_cost=0.001, slippage_cost=0.0,
-                        funding_cost=0.0, net_pnl=0.05, forced=False)
+        assert len(self.ledger(self.ROW, self.ROW)) == 2
+        with pytest.raises(EngineError, match="^Y: net_pnl 0.05 != gross"):
+            self.ledger(self.ROW, {**self.ROW, "symbol": "Y", "fee": 0.001},
+                        {**self.ROW, "symbol": "Z", "funding": 0.001})
 
     def test_exit_after_entry_enforced(self):
-        with pytest.raises(EngineError):
-            TradeRecord(symbol="X", side="long", entry_ts=T0, entry_px=100.0,
-                        exit_ts=T0, exit_px=105.0, size=1.0, gross_pnl=0.05,
-                        fee_cost=0.0, slippage_cost=0.0, funding_cost=0.0,
-                        net_pnl=0.05, forced=False)
+        with pytest.raises(EngineError, match="^Y: exit_ts .* not after"):
+            self.ledger(self.ROW, {**self.ROW, "symbol": "Y", "exit_ts": T0},
+                        {**self.ROW, "symbol": "Z", "fee": 0.001})
+
+    def test_no_per_trade_record_in_the_package(self):
+        """The package's trades are columns from the booking pass to the
+        ledger file: no module defines, imports or reads a TradeRecord."""
+        package = pathlib.Path(signal_engine.__file__).parent
+        found = [(path.name, node.lineno)
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if "TradeRecord" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None),
+                                      getattr(node, "name", None),
+                                      getattr(node, "asname", None))]
+        assert found == []
 
     def test_gross_pnl_signs(self):
         assert gross_pnl("long", 100.0, 50.0, 55.0) == pytest.approx(10.0)
@@ -122,7 +148,7 @@ class TestRunSingleAsset:
     def test_no_signal_zero_trades(self):
         s = make_series([100.0] * 12)
         res = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS)
-        assert res.trades == []
+        assert len(res.trades) == 0
         assert np.all(res.gross_returns == 0.0)
         assert np.all(res.net_returns == 0.0)
 
@@ -132,7 +158,7 @@ class TestRunSingleAsset:
         params = StrategyParams(theta_entry=math.inf, theta_entry_short=math.inf,
                                 alpha=2.0, lookback=4, atr_window=3)
         res = run_single_asset(s, params, cost_cfg=ZERO_COSTS)
-        assert res.trades == []
+        assert len(res.trades) == 0
 
     def test_monotone_rise_single_forced_long(self):
         closes = [100.0 + i for i in range(10)]
@@ -141,7 +167,7 @@ class TestRunSingleAsset:
                                 alpha=3.0, lookback=4, atr_window=3)
         res = run_single_asset(s, params, cost_cfg=ZERO_COSTS)
         assert len(res.trades) == 1
-        t = res.trades[0]
+        t = records(res.trades)[0]
         assert t.side == "long"
         assert t.forced is True
         assert t.entry_px == 104.0
@@ -154,7 +180,7 @@ class TestRunSingleAsset:
         s = gbm_series(rng, 150, vol=0.9)
         a = run_single_asset(s, PARAMS, cost_cfg=CostConfig())
         b = run_single_asset(s, PARAMS, cost_cfg=CostConfig())
-        assert a.trades == b.trades
+        assert records(a.trades) == records(b.trades)
         np.testing.assert_array_equal(a.net_returns, b.net_returns)
 
     def test_zero_costs_gross_equals_net(self, rng):
@@ -162,7 +188,7 @@ class TestRunSingleAsset:
             s = gbm_series(np.random.default_rng(200 + k), 160, vol=1.0)
             res = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS)
             np.testing.assert_array_equal(res.gross_returns, res.net_returns)
-            for t in res.trades:
+            for t in records(res.trades):
                 assert t.net_pnl == t.gross_pnl
 
     def test_cost_attribution_sums(self, rng):
@@ -174,10 +200,10 @@ class TestRunSingleAsset:
                 continue
             total_checked += 1
             ledger_costs = sum(t.fee_cost + t.slippage_cost + t.funding_cost
-                               for t in res.trades)
+                               for t in records(res.trades))
             assert math.fsum(res.costs) == pytest.approx(ledger_costs, rel=1e-9)
             assert res.realized_cum[-1] == pytest.approx(
-                sum(t.net_pnl for t in res.trades), rel=1e-9)
+                sum(t.net_pnl for t in records(res.trades)), rel=1e-9)
         assert total_checked > 5
 
     def test_stop_monotone_and_first_breach(self, rng):
@@ -199,7 +225,7 @@ class TestRunSingleAsset:
                     else:
                         assert stops[i] <= stops[i - 1] + 1e-12
                         assert closes[i] <= stops[i - 1]
-            for t in res.trades:
+            for t in records(res.trades):
                 if t.forced:
                     continue
                 i = int(np.searchsorted(res.timestamps, t.exit_ts))
@@ -214,7 +240,7 @@ class TestRunSingleAsset:
         ts = s.timestamps
         window = (int(ts[50]), int(ts[120]))
         res = run_single_asset(s, PARAMS, window=window, cost_cfg=ZERO_COSTS)
-        for t in res.trades:
+        for t in records(res.trades):
             assert window[0] <= t.entry_ts < window[1]
             assert window[0] < t.exit_ts <= window[1]
             assert t.entry_ts < t.exit_ts
@@ -225,7 +251,7 @@ class TestRunSingleAsset:
         params = StrategyParams(theta_entry=0.01, theta_entry_short=0.01,
                                 alpha=5.0, lookback=4, atr_window=3)
         res = run_single_asset(s, params, cost_cfg=ZERO_COSTS)
-        assert res.trades[-1].forced is True
+        assert records(res.trades)[-1].forced is True
         assert res.position[-1] == 0
 
     def test_size_scales_pnl_linearly(self, rng):
@@ -233,7 +259,7 @@ class TestRunSingleAsset:
         r1 = run_single_asset(s, PARAMS, size=1.0, cost_cfg=ZERO_COSTS)
         r2 = run_single_asset(s, PARAMS, size=250.0, cost_cfg=ZERO_COSTS)
         assert len(r1.trades) == len(r2.trades)
-        for a, b in zip(r1.trades, r2.trades):
+        for a, b in zip(records(r1.trades), records(r2.trades)):
             assert b.gross_pnl == pytest.approx(250.0 * a.gross_pnl, rel=1e-12)
         np.testing.assert_allclose(r1.net_returns, r2.net_returns, rtol=1e-12)
 
@@ -245,8 +271,8 @@ class TestRunSingleAsset:
             trail = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS)
             fixed = run_single_asset(s, PARAMS, cost_cfg=ZERO_COSTS,
                                      trailing=False)
-            te = {t.entry_ts: t.exit_ts for t in trail.trades}
-            fe = {t.entry_ts: t.exit_ts for t in fixed.trades}
+            te = {t.entry_ts: t.exit_ts for t in records(trail.trades)}
+            fe = {t.entry_ts: t.exit_ts for t in records(fixed.trades)}
             for entry_ts, exit_ts in te.items():
                 if entry_ts in fe:
                     assert fe[entry_ts] >= exit_ts
@@ -367,7 +393,7 @@ class TestScriptedPath:
 
     def test_trade_sequence(self, result):
         assert len(result.trades) == 2
-        long, short = result.trades
+        long, short = records(result.trades)
         assert (long.side, long.entry_ts, long.entry_px) == \
             ("long", 1641124800, 106.0)
         assert (long.exit_ts, long.exit_px, long.forced) == \
@@ -844,18 +870,18 @@ class TestLedgerIo:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ledger.csv"
-        write_ledger(self._records(), str(path))
+        write_ledger(as_ledger(self._records()), str(path))
         assert read_ledger(str(path)) == self._records()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ledger(self._records(), str(p1))
-        write_ledger(read_ledger(str(p1)), str(p2))
+        write_ledger(as_ledger(self._records()), str(p1))
+        write_ledger(as_ledger(read_ledger(str(p1))), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_schema(self, tmp_path):
         path = tmp_path / "ledger.csv"
-        write_ledger([], str(path))
+        write_ledger(NO_LEDGER, str(path))
         header = path.read_text().splitlines()[0]
         assert header == ("symbol,side,entry_ts,entry_px,exit_ts,exit_px,size,"
                           "gross_pnl,fee,slippage,funding,net_pnl,forced")
@@ -870,12 +896,13 @@ class TestLedgerIo:
         found = Trades(cell=np.zeros(1, np.intp), entry=np.array([0]),
                        exit=np.array([1]), exit_px=np.array([99.0]),
                        forced=np.array([False]), short=np.array([True]))
-        trade, = book_trades(series, (0, 3), found, 1_000.0,
+        ledger = book_trades(series, (0, 3), found, 1_000.0,
                              CostConfig()).trades
+        trade, = records(ledger)
         assert trade.side == "short" and trade.funding_cost == 0.0
         assert math.copysign(1.0, trade.funding_cost) == 1.0
         path = tmp_path / "ledger.csv"
-        write_ledger([trade], str(path))
+        write_ledger(ledger, str(path))
         row = dict(zip(*(line.split(",")
                          for line in path.read_text().splitlines())))
         assert row["funding"] == "0.0"
