@@ -1,19 +1,19 @@
 """Account-level simulation: the monthly rebalance loop over a universe.
 
-Each month: build (or carry) a MonthlyPortfolio, size every sleeve position
-as weight x month-start balance, find the positions' trades over the
-month's bars in one search, and book and mark all of them in one ledger pass
-(``aggregate_results``, pricing fills and funding through cost_model) on
-the union of all symbols' bar closes. A run sorts the passes' ``Ledger``s
-(columns) in one stable lexsort. Positions are force-closed at month
-end, or at the mark where a run halts, so each month's PnL is fully
-realized before the next month is sized. Capital freed by an intra-month
-exit idles until the month ends (weights are set once per month).
+A run plans, then books. A month is decided without the balance: build (or
+carry) a MonthlyPortfolio and find its weighted positions' trades in one
+search. The window loop sizes them at weight x month-start balance and
+books and marks them in one ledger pass (``aggregate_results``, pricing
+fills and funding through cost_model) on the union of all symbols' bar
+closes; a run sorts the passes' ``Ledger``s in one stable lexsort.
+Positions are force-closed at month end, or at the mark where a run halts,
+so each month's PnL is realized before the next month is sized. Capital
+freed by an intra-month exit idles until the month ends.
 
 An ablation variant is a config, ``ablation_config(cfg, variant)``, with one
 pipeline component toggled, and ``run_backtest`` runs it like any other.
-The loop over months itself (``run_windows``: marking, the balance roll, the
-halt at bankruptcy and the metrics) is shared with the comparison benchmarks,
+The loop over months itself (``run_windows``: sizing, marking, the balance
+roll, the halt at bankruptcy and the metrics) is shared with the benchmarks,
 and its ``BacktestResult`` is the one result of every run. Every run over one
 loaded universe reads it through one ``Market``, which builds what the runs
 share once (the cap index, the timeline and the optimizer) and checks each
@@ -26,7 +26,7 @@ market and the run's BacktestConfig whole
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .market_data import (CapIndex, DataError, PriceSeries,
                           read_csv, write_columns)
 from .rebalancer import (MonthlyPortfolio, Optimizer, ParamGrid,
                          RebalanceConfig, run_rebalance)
-from .signal_engine import (NO_LEDGER, Ledger, Position, cell_positions,
-                            cut_position)
+from .signal_engine import (NO_LEDGER, EngineError, Ledger, Position,
+                            cell_positions, cut_position)
 # Only for perfbench's signal_engine.month_sim hook, until it is re-pointed.
 from .signal_engine import run_single_asset  # noqa: F401
 
@@ -220,8 +220,8 @@ def aggregate_results(
     bar) and summed from zeros in position order: the ledger's float
     operations, in its order, over every trade of the window at once, with
     the fills and funding priced by cost_model's one pricing step. The
-    positions' bars are laid end to end, and a (position, timestamp) key
-    places every mark on its position's bars."""
+    positions' bars are laid end to end, and one searchsorted per position
+    places every mark on that position's bars."""
     positions = [p for p in positions if len(p.found.cell)]  # others book 0
     if not positions:
         return (*np.zeros((3, len(marks))), NO_LEDGER)
@@ -236,9 +236,6 @@ def aggregate_results(
         getattr(p.found, name) for p in positions]) for name in (
             "entry", "exit", "exit_px", "short", "forced"))
     e, x = e + base[owner], x + base[owner]
-    stamps = np.concatenate((ts, marks))
-    lo, span = stamps.min(), stamps.max() - stamps.min() + 1
-    bar_key = np.repeat(k, n) * span + (ts - lo)
     sizes = np.array([p.size for p in positions])
     size, entry_px = sizes[owner], close[e]
     fees, slips = trade_fills(
@@ -271,8 +268,9 @@ def aggregate_results(
     per_bar = np.zeros((2, len(ts) + 1))  # the last column reads zero
     per_bar[0, bar] = size[row] * np.where(short[row], 1.0 - moved, moved - 1.0)
     per_bar[1, bar] = (fees + slips)[row] + accrued[cell]
-    last = np.searchsorted(bar_key, k[:, None] * span + (marks - lo),
-                           side="right") - 1
+    last = (base - 1)[:, None] + np.array([np.searchsorted(
+        p.series.timestamps[slice(*p.bounds)], marks, side="right")
+        for p in positions])
     exited = np.searchsorted(x, last, side="right") - 1
     rows = np.zeros((3, len(positions) + 1, len(marks)))
     rows[0, 1:] = np.where(np.append(owner, -1)[exited] == k[:, None],
@@ -293,25 +291,27 @@ def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
 def run_windows(
     market: Market,
     windows: Sequence[Tuple[int, int]],
+    plan: Iterable[List[Position]],
     cfg: BacktestConfig,
-    simulate: Callable[[Tuple[int, int], float], List[Position]],
     *,
     net_first: bool,
     charge_funding: bool = True,
 ) -> BacktestResult:
     """Roll the balance over consecutive windows; the loop every run shares.
 
-    ``simulate(window, balance)`` trades one window with positions sized on
-    the balance at its start and returns them unbooked; aggregate_results
-    books them under cfg's costs (funding if ``charge_funding``) and marks
-    them on the window's slice of ``market.timeline``, the union of every
-    universe symbol's closes (so it does not depend on what was traded).
-    The balance at the window's last close carries into the next window. A
-    window with no bars is skipped with a warning; if every window is, there
-    is nothing to score and DataError is raised. The first mark whose
-    balance is <= 0 halts the run and flags the curve: each position is cut
-    there (cut_position) and the window booked again up to that mark, which
-    ends the curve whatever balance the close-out then gives it.
+    ``plan`` yields each window's unbooked positions, each ``size`` a
+    weight, pulled one window at a time (so a lazy plan decides none after
+    a halt); each is sized at weight x the window's start balance
+    (EngineError unless > 0). aggregate_results books them under cfg's
+    costs (funding if ``charge_funding``) and marks them on the window's
+    slice of ``market.timeline``, the union of every universe symbol's
+    closes (so it does not depend on what was traded). The balance at the
+    window's last close carries into the next window. A window with no bars
+    is skipped with a warning; if every window is, there is nothing to
+    score and DataError is raised. The first mark whose balance is <= 0
+    halts the run and flags the curve: each position is cut there
+    (cut_position) and the window booked again up to that mark, which ends
+    the curve whatever balance the close-out then gives it.
 
     The strategy adds a window's net change to its starting balance in one
     step (net_first), the benchmarks add realized PnL, open MTM and open
@@ -343,8 +343,11 @@ def run_windows(
             balances = balance + realized + mtm - ocost
         return balances, realized, mtm, ocost, ledger
 
-    for window in windows:
-        positions = simulate(window, balance)
+    for window, weighted in zip(windows, plan):
+        positions = [p._replace(size=p.size * balance) for p in weighted]
+        for p in positions:
+            if not p.size > 0:
+                raise EngineError(f"size must be > 0, got {p.size}")
         marks = timeline[np.searchsorted(timeline, window[0]):
                          np.searchsorted(timeline, window[1], side="right")]
         if len(marks) == 0:  # so no position has a bar either
@@ -392,44 +395,42 @@ def run_windows(
 def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:
     """Run the monthly loop over [start, end] (end-inclusive bar timestamps).
 
-    The start is snapped forward to a calendar month boundary. The balance
-    rolls across months; a balance <= 0 halts the run and flags the curve.
-    The grid searches go to the market's optimizer, so runs over one market
-    solve a repeated problem once.
+    The start is snapped forward to a calendar month boundary. The plan
+    decides (or carries) each month when run_windows pulls it, so a balance
+    <= 0, which halts the run and flags the curve, leaves the later months
+    undecided. A record's ``balance_start`` is the curve's last balance
+    before its month. Runs over one market share the optimizer's searches.
     """
-    month_starts = market.months(cfg)
-    portfolio: Optional[MonthlyPortfolio] = None
+    windows = month_windows(market.months(cfg), cfg.end)
     rebalance_log: List[dict] = []
     portfolios: List[MonthlyPortfolio] = []
 
-    def simulate(window: Tuple[int, int], balance: float) -> List[Position]:
-        nonlocal portfolio
-        m = window[0]
-        if cfg.reoptimize_enabled or portfolio is None:
-            portfolio, record = run_rebalance(market, m, cfg)
-        else:
-            carried_from = portfolios[0].month
-            portfolio = replace(portfolio, month=month_id(m))
-            record = {
-                "month": portfolio.month, "reoptimized": False,
-                "carried_from": carried_from,
-                "selected_longs": [a.symbol for a in portfolio.longs],
-                "selected_shorts": [a.symbol for a in portfolio.shorts],
-                "cash_weight": portfolio.cash_weight,
-            }
-        record["balance_start"] = balance
-        rebalance_log.append(record)
-        portfolios.append(portfolio)
+    def plan() -> Iterator[List[Position]]:
+        for window in windows:
+            if cfg.reoptimize_enabled or not portfolios:
+                portfolio, record = run_rebalance(market, window[0], cfg)
+            else:
+                portfolio = replace(portfolios[-1], month=month_id(window[0]))
+                record = {
+                    "month": portfolio.month, "reoptimized": False,
+                    "carried_from": portfolios[0].month,
+                    "selected_longs": [a.symbol for a in portfolio.longs],
+                    "selected_shorts": [a.symbol for a in portfolio.shorts],
+                    "cash_weight": portfolio.cash_weight,
+                }
+            rebalance_log.append(record)
+            portfolios.append(portfolio)
+            yield cell_positions(
+                [(market.series[alloc.symbol], alloc.params, alloc.weight)
+                 for alloc in portfolio.longs + portfolio.shorts], window,
+                trailing=cfg.trailing_stop_enabled,
+                intrabar_stop_fill=cfg.intrabar_stop_fill)
 
-        return cell_positions(
-            [(market.series[alloc.symbol], alloc.params,
-              alloc.weight * balance)
-             for alloc in portfolio.longs + portfolio.shorts], window,
-            trailing=cfg.trailing_stop_enabled,
-            intrabar_stop_fill=cfg.intrabar_stop_fill)
-
-    result = run_windows(market, month_windows(month_starts, cfg.end), cfg,
-                         simulate, net_first=True)
+    result = run_windows(market, windows, plan(), cfg, net_first=True)
+    curve = result.equity
+    for record, (start, _) in zip(rebalance_log, windows):
+        record["balance_start"] = float(
+            curve.balances[np.searchsorted(curve.timestamps, start) - 1])
     return replace(result, rebalance_log=rebalance_log, portfolios=portfolios)
 
 

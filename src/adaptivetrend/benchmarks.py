@@ -16,15 +16,16 @@ fill costs both ways; tsmom variants additionally accrue funding while held
 (they are leveraged long/short exposures), buy-and-hold variants do not
 (plain spot holdings).
 
-There is one accounting path: each position is one forced trade
+There is one accounting path: each position is one forced trade at a weight
 (``hold_position``), which the backtester's window loop (``run_windows``)
-books with the month's others in one ledger pass and rolls over the months,
-the same code that charges, marks, rolls and scores the strategy. A benchmark run therefore
-returns the strategy's ``BacktestResult``, balance decomposition and metrics
+sizes at the month-start balance, books with the month's others in one
+ledger pass and rolls over the months, the same code that sizes, charges,
+marks, rolls and scores the strategy. A benchmark run therefore returns
+the strategy's ``BacktestResult``, balance decomposition and metrics
 included, over the same month calendar (``Market.months``), and every kind,
 buy-and-hold included, halts at the first balance <= 0. What differs between
-the strategies is only the decision rule: the trade search, the TSMOM signs
-and weights, or a plain hold.
+the strategies is only the plan, each window's weighted positions: the trade
+search, the TSMOM signs and weights, or a plain hold.
 """
 
 import math
@@ -70,13 +71,14 @@ class BenchmarkSpec:
             raise ValueError("universe_size must be >= 1")
 
 
-def hold_position(series: PriceSeries, side: str, size: float,
+def hold_position(series: PriceSeries, side: str, weight: float,
                   window: Tuple[int, int]) -> Position:
     """Buy at the window's first bar close, sell at its last; no stops.
 
-    One forced trade for the window's ledger pass, which charges and marks
-    it exactly as the strategy's trades. Fewer than two bars in the window
-    yield no trade (a position cannot open and close on one bar).
+    One forced trade at ``weight`` (run_windows sizes it at the balance) for
+    the window's ledger pass, which charges and marks it exactly as the
+    strategy's trades. Fewer than two bars in the window yield no trade (a
+    position cannot open and close on one bar).
     """
     i0, i1 = series.slice_indices(window[0], window[1])
     n = i1 - i0
@@ -85,7 +87,7 @@ def hold_position(series: PriceSeries, side: str, size: float,
         found = Trades(cell=np.zeros(1, np.intp), entry=np.zeros(1, np.intp),
                        exit=np.array([n - 1]), exit_px=series.close[i1 - 1:i1],
                        forced=np.array([True]), short=np.array([side == SHORT]))
-    return Position(series, (i0, i1), found, size)
+    return Position(series, (i0, i1), found, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +201,12 @@ def run_benchmark(spec: BenchmarkSpec, market: Market,
     if spec.kind == "buy_hold":
         series = universe[buy_hold_symbol(spec.symbol, market, months[0])]
         windows = [(months[0], cfg.end)]
-
-        def simulate(window: Tuple[int, int], balance: float):
-            return [hold_position(series, LONG, balance, window)]
+        plan = [[hold_position(series, LONG, 1.0, windows[0])]]
     else:
         windows = month_windows(months, cfg.end)
-
-        def simulate(window: Tuple[int, int], balance: float):
-            weights = _month_weights(spec, market, window[0])
-            return [hold_position(universe[sym], side, w * balance, window)
-                    for sym, side, w in weights if w > 0.0]
-
-    return run_windows(market, windows, cfg, simulate, net_first=False,
+        plan = ([hold_position(universe[sym], side, w, window)
+                 for sym, side, w in _month_weights(spec, market, window[0])
+                 if w > 0.0] for window in windows)
+    return run_windows(market, windows, plan, cfg, net_first=False,
                        charge_funding=spec.kind in ("tsmom",
                                                     "vol_scaled_tsmom"))

@@ -591,7 +591,8 @@ def _stop_max(cands: np.ndarray, side: np.ndarray, row: np.ndarray,
 
 class Position(NamedTuple):
     """A window's position, not booked: series, bars [i0, i1), trades and
-    quote notional; ``book_trades(*position, cost_cfg)`` books it alone."""
+    size, a weight in a plan and the quote notional once run_windows sizes
+    it; ``book_trades(*position, cost_cfg)`` books it alone."""
 
     series: PriceSeries
     bounds: Tuple[int, int]
@@ -614,11 +615,11 @@ def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
                    trailing: bool = True,
                    intrabar_stop_fill: bool = False) -> List[Position]:
     """Each (series, cell, size)'s Position over the bars in [window start,
-    end] (all bars without a window), in order. Only the ledger reads the
-    size, so each (series, bounds, cell, execution flags) is searched once,
-    in a memo keyed weakly by the series whose found columns are read-only,
-    and the misses of one call are searched in one find_trades_stacked
-    call."""
+    end] (all bars without a window), in order; a backtest's sizes are
+    weights. The search does not read the size, so each (series, bounds,
+    cell, execution flags) is searched once, in a memo keyed weakly by the
+    series whose found columns are read-only, and the misses of one call
+    are searched in one find_trades_stacked call."""
     keyed, misses = [], {}
     for series, params, size in asked:
         if size <= 0:

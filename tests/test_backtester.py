@@ -285,7 +285,8 @@ class TestLedgerOrder:
     """run_windows orders the windows' ledgers with one stable lexsort on
     (entry_ts, exit_ts, symbol, side): the order that a stable sort of the
     rows, in booking order, by that key gives. Rows whose keys tie (one
-    symbol, side and bars, at several sizes) keep their booking order."""
+    symbol, side and bars, at several weights) keep their booking order.
+    Each row is booked at its weight x its window's start balance."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
@@ -311,15 +312,19 @@ class TestLedgerOrder:
                                                    label="short")]))
                 drawn[window].append(Position(series, (i0, i1), found,
                                               data.draw(st.sampled_from(
-                                                  [1.0, 2.0, 3.0]),
-                                                  label="size")))
+                                                  [0.001, 0.002, 0.003]),
+                                                  label="weight")))
         cfg = BacktestConfig(start=windows[0][0], end=windows[-1][1],
                              initial_balance=1e6, interval=INTERVAL)
-        result = run_windows(market_of(universe, []), windows, cfg,
-                             lambda window, balance: drawn[window],
+        result = run_windows(market_of(universe, []), windows,
+                             [drawn[window] for window in windows], cfg,
                              net_first=True)
-        rows = [t for window in windows for p in drawn[window]
-                for t in records(book_trades(*p, cfg.costs).trades)]
+        equity = result.equity
+        starts = equity.balances[np.searchsorted(
+            equity.timestamps, [window[0] for window in windows]) - 1]
+        rows = [t for window, balance in zip(windows, starts.tolist())
+                for p in drawn[window] for t in records(book_trades(
+                    *p._replace(size=p.size * balance), cfg.costs).trades)]
         assert records(result.trades) == sorted(
             rows, key=lambda t: (t.entry_ts, t.exit_ts, t.symbol, t.side))
 
@@ -584,6 +589,15 @@ class TestBankruptcy:
             assert run.equity.balances[-1] == cfg.initial_balance + math.fsum(
                 t.net_pnl for t in records(run.trades))
         assert len(strategy.rebalance_log) == 1
+        # April is never decided either: the optimizer has done exactly the
+        # work of a run that ends with March's last bar.
+        march = market_of(universe, caps)
+        run_backtest(march, replace(cfg, end=int(faller.timestamps[
+            np.searchsorted(faller.timestamps, APR1) - 1])))
+        counters = [[getattr(m.optimizer, name) for name in (
+            "problems", "solved", "searches", "batches")]
+            for m in (market, march)]
+        assert counters[0] == counters[1] and counters[0][0] > 0
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
@@ -613,6 +627,54 @@ class TestBankruptcy:
             net = math.fsum(t.net_pnl for t in records(run.trades))
             assert abs(run.equity.balances[-1] - (cfg.initial_balance + net)) \
                 <= 1e-9 * cfg.initial_balance
+
+
+class TestDecisionsIgnoreTheBalance:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 4),
+           jump=st.sampled_from([1.0, 0.2, 5.0, 20.0]),
+           cost=st.integers(0, len(COST_CHOICES) - 1),
+           reoptimize=st.booleans(), smallest=st.booleans(),
+           other=st.floats(1.0, 1e12))
+    def test_two_initial_balances_decide_alike(self, seed, n_symbols, jump,
+                                               cost, reoptimize, smallest,
+                                               other):
+        # A month's portfolio and a benchmark's positions are decided
+        # without the balance, which only sizes them. The runs may halt at
+        # other marks, so they agree over the windows both booked: the
+        # rebalance records apart from balance_start, and the trades entered
+        # before the earlier of the two curves' ends. Each run has a fresh
+        # market, so no memo carries one run's decisions into the other.
+        universe, caps = jumpy_caps(seed, n_symbols, jump, smallest)
+        grid = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
+                         alpha=(1.0, 3.0), lookback=(4,), atr_window=3)
+        cfg = BacktestConfig(
+            start=FEB1, end=int(universe["RND"].timestamps[-1]),
+            initial_balance=50_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(k_long=2, k_short=2, grid=grid),
+            costs=COST_CHOICES[cost], reoptimize_enabled=reoptimize)
+        tsmom = BenchmarkSpec(kind="tsmom", universe_size=n_symbols)
+        (strategy, bench), (other_strategy, other_bench) = [
+            (run_backtest(market_of(universe, caps), run_cfg),
+             run_benchmark(tsmom, market_of(universe, caps), run_cfg))
+            for run_cfg in (cfg, replace(cfg, initial_balance=other))]
+        n = min(len(strategy.rebalance_log), len(other_strategy.rebalance_log))
+        assert strategy.portfolios[:n] == other_strategy.portfolios[:n]
+
+        def decided(run):
+            return [{key: value for key, value in record.items()
+                     if key != "balance_start"}
+                    for record in run.rebalance_log[:n]]
+
+        assert decided(strategy) == decided(other_strategy)
+        for run, other_run in ((bench, other_bench),
+                               (strategy, other_strategy)):
+            end = min(run.equity.timestamps[-1],
+                      other_run.equity.timestamps[-1])
+            rows = [sorted((t.symbol, t.side, t.entry_ts)
+                           for t in records(r.trades) if t.entry_ts < end)
+                    for r in (run, other_run)]
+            assert rows[0] == rows[1]
 
 
 class TestEmptyMonth:
@@ -694,11 +756,11 @@ class TestOneTimeline:
             if all_empty:
                 with pytest.raises(DataError, match=(
                         rf"no bars in \[{windows[0][0]}, {windows[-1][1]}\]")):
-                    run_windows(market, windows, cfg, lambda w, b: [],
-                                net_first=True)
+                    run_windows(market, windows, [[] for _ in windows],
+                                cfg, net_first=True)
             else:
-                result = run_windows(market, windows, cfg, lambda w, b: [],
-                                     net_first=True)
+                result = run_windows(market, windows, [[] for _ in windows],
+                                     cfg, net_first=True)
         finally:
             logger.removeHandler(handler)
         assert [r.getMessage() for r in records] == [
