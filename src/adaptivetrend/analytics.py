@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .indicators import rolling_sharpe, sharpe_rows
+from .indicators import rolling_sharpe, sharpe_rows_in_place
 from .market_data import (DEFAULT_BARS_PER_YEAR, DEFAULT_RF_ANNUAL,
                           SECONDS_PER_YEAR, PriceSeries, write_columns)
 from .signal_engine import NO_LEDGER, Ledger
@@ -238,7 +238,7 @@ def write_regime_csv(per_regime: Dict[str, dict], path: str) -> None:
 # Circular block bootstrap
 # ---------------------------------------------------------------------------
 
-BOOTSTRAP_CHUNK = 256  # replicates scored per sharpe_rows call
+BOOTSTRAP_CHUNK = 256  # replicates scored per sharpe_rows_in_place call
 
 
 def _circular_block_indices(rng: "np.random.Generator", n: int,
@@ -292,8 +292,9 @@ def bootstrap_sharpe_test(
                 for rep in range(lo, min(lo + BOOTSTRAP_CHUNK, n_reps))]
         idx = np.stack([_circular_block_indices(rng, n, block_len)
                         for rng in rngs])
-        sr_ra = sharpe_rows(a[idx], rf_annual, bars_per_year)
-        sr_rb = sharpe_rows(b[idx], rf_annual, bars_per_year)
+        # The resampled matrices are fresh, so they are scored in place.
+        sr_ra = sharpe_rows_in_place(a[idx], rf_annual, bars_per_year)
+        sr_rb = sharpe_rows_in_place(b[idx], rf_annual, bars_per_year)
         deltas[lo:lo + len(rngs)] = sr_ra - sr_rb
         # A replicate with an undefined Sharpe redraws from its own stream.
         for k in np.flatnonzero(np.isnan(sr_ra) | np.isnan(sr_rb)).tolist():

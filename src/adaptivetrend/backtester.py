@@ -460,8 +460,7 @@ def ablation_config(cfg: BacktestConfig, variant: str) -> BacktestConfig:
 # ---------------------------------------------------------------------------
 
 def save_equity(curve: EquityCurve, path: str) -> None:
-    write_columns(path, EQUITY_HEADER,
-                  [curve.timestamps.tolist(), curve.balances.tolist()])
+    write_columns(path, EQUITY_HEADER, [curve.timestamps, curve.balances])
 
 
 def load_equity(path: str) -> EquityCurve:

@@ -30,6 +30,7 @@ import time
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime, timezone
+from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -383,7 +384,10 @@ def digest_dir(data_dir: str) -> Dict[str, str]:
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 h.update(chunk)
-        digests[name] = h.hexdigest()
+        # The name's own bytes as UTF-8, as load_price_series reads it; a
+        # name that is not UTF-8 keeps its escapes.
+        digests[os.fsencode(name).decode("utf-8", "surrogateescape")] = \
+            h.hexdigest()
     return digests
 
 
@@ -405,10 +409,22 @@ def check_out(out: str, data_dir: Optional[str]) -> None:
         raise ConfigError(f"--out {out} is the data directory {data_dir}")
 
 
+JSON_CHUNKS_PER_WRITE = 1024  # encoder chunks write_json joins per write
+
+
 def write_json(path: str, payload: object) -> None:
-    """Write payload as strict JSON: a NaN or infinity raises ValueError."""
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                       allow_nan=False) + "\n")
+    """Write payload as strict JSON: a NaN or infinity raises ValueError.
+
+    The bytes are json.dumps(payload, indent=2, sort_keys=True) and a
+    newline. They come from the encoder json.dumps runs with an indent, one
+    chunk at a time, streamed through atomic_write_text, so the text is
+    never held whole and a failure mid-payload leaves no file. The chunks,
+    mostly single tokens, are joined JSON_CHUNKS_PER_WRITE at a time, which
+    keeps the write as fast as json.dumps."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    chunks = chain(encoder.iterencode(payload), ["\n"])
+    atomic_write_text(path, map("".join, iter(
+        lambda: list(islice(chunks, JSON_CHUNKS_PER_WRITE)), [])))
 
 
 def optimizer_counters(optimizer: Optimizer) -> Dict[str, int]:
@@ -778,8 +794,8 @@ def cmd_report(args) -> int:
         write_columns(os.path.join(out, "report_equity.csv"),
                       ["strategy", "timestamp", "balance"],
                       [[label for label, c in curves for _ in c.timestamps],
-                       [t for _, c in curves for t in c.timestamps.tolist()],
-                       [b for _, c in curves for b in c.balances.tolist()]])
+                       np.concatenate([c.timestamps for _, c in curves]),
+                       np.concatenate([c.balances for _, c in curves])])
         sections.append(f"Equity curves: report_equity.csv"
                         f" ({len(curves)} strategies).")
     else:
@@ -795,7 +811,7 @@ def cmd_report(args) -> int:
         sections += ["## Gaps", ""] + [f"- {gap}" for gap in gaps] + [""]
 
     atomic_write_text(os.path.join(out, "report.md"),
-                      "\n".join(sections).rstrip() + "\n")
+                      ["\n".join(sections).rstrip() + "\n"])
     print(f"report written to {os.path.join(out, 'report.md')}"
           + (f" ({len(gaps)} gaps)" if gaps else ""))
     return 0

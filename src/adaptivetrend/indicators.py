@@ -61,26 +61,40 @@ def sharpe_rows(returns: np.ndarray, rf_annual: float,
     dispersion with nonzero mean excess return. A constant row exactly equal
     to the per-bar risk-free rate scores 0.0 (zero excess over zero
     dispersion is treated as zero, not unbounded). Each row's value is
-    bit-identical to the same computation on that row alone.
+    bit-identical to the same computation on that row alone. The returns
+    are scored on a copy (see sharpe_rows_in_place), so they are left as
+    they were.
     """
-    r = np.asarray(returns, dtype=np.float64)
+    return sharpe_rows_in_place(np.array(returns, dtype=np.float64),
+                                rf_annual, bars_per_year)
+
+
+def sharpe_rows_in_place(r: np.ndarray, rf_annual: float,
+                         bars_per_year: float) -> np.ndarray:
+    """sharpe_rows of a 2-D float64 array that the caller owns and gives up:
+    its rows are overwritten with their squared deviations from their means,
+    so scoring allocates a bool mask and a few per-row vectors, never a
+    second matrix. Each ratio is the same float as sharpe_rows gives.
+    """
     out = np.full(r.shape[0], np.nan)
     if r.shape[1] < 2:
         return out
     rf_bar = rf_annual / bars_per_year
     # Detect constants exactly; np.std of a constant row can round to a tiny
-    # nonzero value and fake an enormous ratio.
+    # nonzero value and fake an enormous ratio. Both masks are read before r
+    # is overwritten.
     const = (r == r[:, :1]).all(axis=1)
+    at_rf = r[:, 0] == rf_bar
     # r.mean(axis=1) once, then r.std(axis=1, ddof=1) by NumPy's own steps.
     mean = np.add.reduce(r, axis=1) / r.shape[1]
-    dev = r - mean[:, None]
-    dev *= dev
-    sd = np.sqrt(np.add.reduce(dev, axis=1) / (r.shape[1] - 1))
+    r -= mean[:, None]
+    r *= r
+    sd = np.sqrt(np.add.reduce(r, axis=1) / (r.shape[1] - 1))
     excess = mean - rf_bar
     flat = const | (sd == 0.0)
     np.divide(excess, sd, out=out, where=~flat)
     out *= math.sqrt(bars_per_year)
-    out[flat & np.where(const, r[:, 0] == rf_bar, excess == 0.0)] = 0.0
+    out[flat & np.where(const, at_rf, excess == 0.0)] = 0.0
     return out
 
 

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, date, timezone
 from functools import partial
-from itertools import chain, starmap
+from itertools import starmap
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, TextIO, Tuple, TypeVar)
 
@@ -354,15 +354,17 @@ def read_csv(path: str, header: Sequence[str],
     return out
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to a per-process temp file that is renamed over ``path``
-    on success and removed on failure, so readers never see a partial file.
-    The directory of ``path`` is made if it is missing."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """The package's one file writer: write the chunks of text in order, as
+    UTF-8, to a per-process temp file, which is renamed over ``path`` once
+    it is whole and removed on any failure, so readers never see a partial
+    file and a writer need not hold the whole text. The directory of
+    ``path`` is made if it is missing."""
     tmp = f"{path}.{os.getpid()}.tmp"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -389,8 +391,11 @@ def _cell(value: object) -> str:
 
 
 def _column_cells(values: Sequence[object]) -> List[str]:
-    """_cell of every value; a column of plain floats or plain ints (bools
-    excluded) is formatted in one pass."""
+    """_cell of every value, an array's taken as Python objects (what
+    tolist gives); a column of plain floats or plain ints (bools excluded)
+    is formatted in one pass."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     kinds = set(map(type, values))
     if kinds <= {float}:
         return list(map(float.__repr__, values))
@@ -405,15 +410,29 @@ def _line(cells: Sequence[str]) -> str:
     return '""' if len(cells) == 1 and not cells[0] else ",".join(cells)
 
 
+WRITE_BLOCK_ROWS = 1024  # rows write_columns formats and writes at a time
+
+
 def write_columns(path: str, header: Sequence[str],
                   columns: Sequence[Sequence[object]]) -> None:
-    """Write the header and the rows these equal-length columns make up to
-    ``path`` as csv.writer writes them, each line ended by \\r\\n and every
-    value formatted by _cell a whole column at a time; the file is written
-    atomically once every line is formatted."""
-    cells = [_column_cells(col) for col in columns]
-    lines = chain([[_cell(h) for h in header]], zip(*cells))
-    atomic_write_text(path, "\r\n".join(map(_line, lines)) + "\r\n")
+    """Write the header and the rows these equal-length columns (arrays or
+    sequences) make up to ``path`` as csv.writer writes them, each line
+    ended by \\r\\n and every value formatted by _cell a column at a time.
+
+    The rows are streamed through atomic_write_text WRITE_BLOCK_ROWS at a
+    time, each block of an array column converted by one tolist, so the
+    memory a write takes does not grow with its rows; the file still
+    appears only when it is whole."""
+    rows = min(map(len, columns), default=0)
+
+    def blocks() -> Iterator[str]:
+        yield _line([_cell(h) for h in header]) + "\r\n"
+        for lo in range(0, rows, WRITE_BLOCK_ROWS):
+            cells = [_column_cells(col[lo:lo + WRITE_BLOCK_ROWS])
+                     for col in columns]
+            yield "".join(_line(row) + "\r\n" for row in zip(*cells))
+
+    atomic_write_text(path, blocks())
 
 
 _OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
@@ -434,7 +453,7 @@ def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
     if not has_rows:
         return np.zeros(0, dtype=dtype)
     return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                      skiprows=1, ndmin=1)
+                      skiprows=1, ndmin=1, encoding="utf-8")
 
 
 def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
@@ -447,11 +466,18 @@ def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
     included) and duplicate timestamps are rejected with the offending line
     or timestamp named. NumPy's C parser reads the fields, so digit
     separators ("1_000"), quoted or non-ASCII numbers and timestamps outside
-    int64, which int() and float() would take, are rejected too.
+    int64, which int() and float() would take, are rejected too. The symbol
+    defaults to the file name without ".csv", read as UTF-8 whatever the
+    locale, as the rows of every file are; a name that is not UTF-8 is a
+    DataError naming the file.
     """
     if symbol is None:
         stem = str(path).rsplit("/", 1)[-1]
-        symbol = stem[:-4] if stem.endswith(".csv") else stem
+        stem = stem[:-4] if stem.endswith(".csv") else stem
+        try:  # the name's own bytes, whatever the file-system encoding
+            symbol = os.fsencode(stem).decode("utf-8")
+        except UnicodeError as exc:
+            raise DataError(f"{path}: the file name is not UTF-8") from exc
     try:
         rows = _load_rows(path, OHLCV_HEADER, _OHLCV_DTYPE)
     except DataError:
@@ -480,8 +506,7 @@ def step_gcd(timestamps: Iterable[np.ndarray]) -> int:
 
 def save_price_series(series: PriceSeries, path: str) -> None:
     """Write a series back to the OHLCV CSV schema (round-trips exactly)."""
-    write_columns(path, OHLCV_HEADER,
-                  [col.tolist() for col in series.columns()])
+    write_columns(path, OHLCV_HEADER, series.columns())
 
 
 def _plain_caps(path: str) -> CapIndex:

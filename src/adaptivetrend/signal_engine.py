@@ -34,7 +34,11 @@ cost components that let a caller audit account equity exactly.
 of one window length and bar interval at once for the monthly grid search
 with the same search, so the optimizer scores the execution model that
 trades. It prices fills and funding with cost_model's one pricing step, as
-the window ledger does, so every booking pays the same costs.
+the window ledger does, so every booking pays the same costs. The cells'
+net returns are one matrix that the scorer owns and scores in place
+(``indicators.sharpe_rows_in_place``), so a batch's memory is that matrix
+and not two. ``write_ledger`` hands the ledger's arrays to the streaming
+CSV writer, which formats them a block of rows at a time.
 """
 
 import functools
@@ -48,7 +52,7 @@ import numpy as np
 
 from .cost_model import (LONG, SHORT, ZERO_COSTS, CostConfig, funding_paid,
                          trade_fills)
-from .indicators import atr, momentum, sharpe_rows
+from .indicators import atr, momentum, sharpe_rows_in_place
 from .market_data import PriceSeries, bars_per_year, write_columns
 
 
@@ -735,8 +739,10 @@ def grid_sharpes_stacked(
     problems with trades are laid end to end, as in
     backtester.aggregate_results, for one trade_fills and one funding_paid
     call. The returns of the traded cells are then netted as one matrix, one
-    row per cell, and scored by one sharpe_rows call, whose every row equals
-    that row scored alone; the trades are freed before it.
+    row per cell, which this call owns: the trades are freed, and one
+    sharpe_rows_in_place call scores the matrix in place, so scoring adds a
+    bool mask (an eighth of the matrix's bytes) and no second matrix. Every
+    row's Sharpe equals that row scored alone by sharpe_rows.
     """
     problems = [(series, bounds, CellTable(cells))
                 for series, bounds, cells in problems]
@@ -760,7 +766,8 @@ def grid_sharpes_stacked(
         problems, ends - counts, bars, interval, sides == {(False, True)},
         cost_cfg, trailing=trailing, intrabar_stop_fill=intrabar_stop_fill)
     if len(traded):
-        sharpes[traded] = sharpe_rows(net, rf_annual, bars_per_year(interval))
+        sharpes[traded] = sharpe_rows_in_place(net, rf_annual,
+                                               bars_per_year(interval))
     return rows_of
 
 
@@ -842,5 +849,5 @@ def _starts(ids: np.ndarray) -> np.ndarray:
 
 def write_ledger(ledger: Ledger, path: str) -> None:
     """ledger.csv: the ledger's columns, ``forced`` written as 0 or 1."""
-    write_columns(path, LEDGER_HEADER, [column.tolist() for column in (
-        *ledger.columns()[:-1], ledger.forced.astype(int))])
+    write_columns(path, LEDGER_HEADER,
+                  [*ledger.columns()[:-1], ledger.forced.astype(int)])

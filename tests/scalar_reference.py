@@ -198,8 +198,8 @@ def _cell(value: object) -> object:
 
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
-    """csv.writer's rows, every cell through _cell."""
-    with open(path, "w", newline="") as fh:
+    """csv.writer's rows, every cell through _cell, in UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -1035,6 +1036,36 @@ def test_non_utf8_artifact_is_named(artifact, command, ws, alpha_sweep,
                 if p.startswith("report") or p == "sensitivity.csv"]
 
 
+def test_a_non_ascii_symbol_runs_alike_in_any_locale(ws, tmp_path):
+    """A symbol whose file name is not ASCII is the same symbol in the C
+    locale, where the file-system encoding is ASCII, as in a UTF-8 one, and
+    the artifacts that name it are written as UTF-8 in both."""
+    data = tmp_path / "data"
+    shutil.copytree(ws.data, data)
+    os.rename(data / "SYM00.csv", data / "SYM\u00c9.csv")
+    caps = data / "market_caps.csv"
+    caps.write_bytes(caps.read_bytes().replace(b",SYM00,",
+                                               ",SYM\u00c9,".encode()))
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, data)
+    src = os.path.dirname(os.path.dirname(adaptivetrend.__file__))
+    c_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    runs = []
+    for env in ({}, c_locale):
+        out = tmp_path / f"run{len(runs)}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from adaptivetrend.cli import"
+             " main; sys.exit(main(sys.argv[1:]))", "backtest", "--config",
+             str(cfg), "--out", str(out)], check=True, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, **env))
+        runs.append([(out / name).read_bytes() for name in
+                     ("equity.csv", "ledger.csv", "rebalance_log.json")])
+        digests = json.loads((out / "manifest.json").read_bytes())
+        assert "SYM\u00c9.csv" in digests["input_digests"]
+    assert runs[0] == runs[1]
+    assert "SYM\u00c9," in runs[0][1].decode("utf-8")  # it traded
+
+
 class TestMeasuredInterval:
     @settings(max_examples=40, deadline=None)
     @given(base=st.sampled_from([60, 3600, 21600]), k=st.integers(1, 4),
@@ -1097,6 +1128,43 @@ class TestTopLevel:
         assert not path.exists()
         write_json(str(path), {"metrics": {"ann_return": -1.0}})
         assert json.loads(path.read_text()) == {"metrics": {"ann_return": -1.0}}
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([1e-300, 2.5e17, -1e100]) | st.text(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20))
+    def test_write_json_writes_the_bytes_of_json_dumps(self, tmp_path_factory,
+                                                      payload):
+        # Non-ASCII and escaped text and floats whose repr has an exponent
+        # among the draws; write_json streams the encoder's chunks.
+        path = tmp_path_factory.mktemp("json") / "log.json"
+        write_json(str(path), payload)
+        assert path.read_bytes() == (json.dumps(
+            payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    def test_write_json_holds_no_copy_of_its_text(self, tmp_path):
+        # A rebalance-log-shaped payload of about 2.7 MB written, its traced
+        # peak under 1 MB above the payload (one JSON string of the file
+        # was about 18 MB of peak).
+        log = [{"month": f"2022-{m:02d}", "balance_start": 1e5 / (m + 3),
+                "excluded": [f"SYM{i:03d}" for i in range(50)],
+                "optimized": [{"symbol": f"SYM{i:03d}", "side": "long",
+                               "sharpe": (i - 150) / 7, "weight": 1 / (i + 1),
+                               "params": {"theta": 0.02, "alpha": 2.0,
+                                          "lookback": 4}}
+                              for i in range(300)]} for m in range(1, 37)]
+        path = tmp_path / "rebalance_log.json"
+        tracemalloc.start()
+        try:
+            write_json(str(path), log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_500_000
+        assert peak < 1_000_000, peak
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

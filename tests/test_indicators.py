@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
-                                     sharpe_rows, true_range)
+                                     sharpe_rows, sharpe_rows_in_place,
+                                     true_range)
 from conftest import bars_of, make_series
 
 
@@ -183,6 +184,22 @@ class TestRollingSharpe:
         r = rows[0]
         assert got[0] == (float(np.mean(r)) - rf / bpy) \
             / float(np.std(r, ddof=1)) * math.sqrt(bpy)
+
+    def test_scoring_leaves_the_returns_as_they_were(self, rng):
+        # sharpe_rows and rolling_sharpe score a copy; only
+        # sharpe_rows_in_place overwrites the rows it is given.
+        rows = rng.normal(0.001, 0.01, (4, 50))
+        rows[1] = 0.01
+        kept = rows.copy()
+        want = sharpe_rows(rows, 0.045, 1460.0)
+        assert rolling_sharpe(rows[0], 0.045, 1460.0) == want[0]
+        assert np.array_equal(rows, kept)
+        as_list = rows[2].tolist()
+        rolling_sharpe(as_list, 0.045, 1460.0)
+        assert as_list == kept[2].tolist()
+        got = sharpe_rows_in_place(rows, 0.045, 1460.0)
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(rows, kept)
 
     def test_rows_too_short_are_nan(self):
         assert np.isnan(sharpe_rows(np.zeros((3, 1)), 0.0, 1460.0)).all()

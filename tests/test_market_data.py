@@ -1,9 +1,12 @@
 """Data layer: bar validation, CSV IO, synthetic generation, resampling."""
 
+import ast
 import csv
 import math
+import os
 import re
 import string
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -24,7 +27,8 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        load_market_caps, load_price_series,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
-                                       save_price_series, write_columns)
+                                       save_price_series, write_columns,
+                                       WRITE_BLOCK_ROWS)
 from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
 from scalar_reference import TradeRecord, as_ledger, read_ledger
@@ -455,6 +459,85 @@ def test_write_csv_cells(tmp_path):
                               b"3,-0.0,2.5,\r\n")
 
 
+@pytest.mark.parametrize("rows", [100_000, 200_000])
+def test_write_columns_memory_does_not_grow_with_rows(tmp_path, rows):
+    # Two array columns, as save_equity passes them: the rows are formatted
+    # and written a block at a time, so the traced peak stays below 2 MB
+    # for a 2.7 or 5.5 MB file (the whole file's strings took about 62 MB).
+    timestamps = T0 + INTERVAL * np.arange(rows, dtype=np.int64)
+    balances = 1e5 * np.exp(np.linspace(0.0, 1.0, rows))
+    path = tmp_path / "equity.csv"
+    tracemalloc.start()
+    try:
+        write_columns(str(path), EQUITY_HEADER, [timestamps, balances])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 25 * rows
+    assert peak < 2_000_000, peak
+
+
+PACKAGE_SOURCES = os.path.dirname(market_data.__file__)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    """Every text-mode open in the package reads or writes UTF-8 whatever
+    the locale, and only atomic_write_text opens a file for writing or
+    renames one, so every file the package writes, synth's included,
+    appears whole or not at all."""
+    breaches = []
+    for name in sorted(os.listdir(PACKAGE_SOURCES)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_SOURCES, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        owner = {child: node for node in ast.walk(tree)
+                 for child in ast.iter_child_nodes(node)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            functions, node = set(), call
+            while node in owner:
+                node = owner[node]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.add(node.name)
+            where = f"{name}:{call.lineno}"
+            func = call.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = (call.args[1] if len(call.args) > 1 else
+                        next((k.value for k in call.keywords
+                              if k.arg == "mode"), ast.Constant("r")))
+                if not isinstance(mode, ast.Constant):
+                    breaches.append(f"{where}: open with a computed mode")
+                    continue
+                encoding = (call.args[3] if len(call.args) > 3 else
+                            next((k.value for k in call.keywords
+                                  if k.arg == "encoding"), None))
+                if "b" not in mode.value and not (
+                        isinstance(encoding, ast.Constant)
+                        and encoding.value == "utf-8"):
+                    breaches.append(f"{where}: text open without utf-8")
+                if (set(mode.value) & set("wax+")
+                        and "atomic_write_text" not in functions):
+                    breaches.append(f"{where}: open for writing")
+            elif isinstance(func, ast.Attribute) and (
+                    (isinstance(func.value, ast.Name) and func.value.id == "os"
+                     and func.attr in ("replace", "rename"))
+                    or func.attr in ("write_text", "write_bytes", "savetxt",
+                                     "tofile")):
+                if "atomic_write_text" not in functions:
+                    breaches.append(f"{where}: {func.attr}")
+    assert breaches == []
+
+
+def test_symbol_of_a_file_name_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / os.fsdecode(b"SYM\xff.csv")
+    path.write_bytes(b"timestamp,open,high,low,close,volume\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: the file name is not UTF-8") + "$"):
+        load_price_series(str(path))
+
+
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 AMOUNT = st.floats(min_value=-1e12, max_value=1e12)
 TIMESTAMP = st.integers(min_value=0, max_value=2**40)
@@ -872,6 +955,28 @@ class TestColumnWriterMatchesCsvWriter:
         new, old = self.written(
             tmp_path_factory, lambda p: write_columns(p, header, columns),
             lambda p: scalar_reference.write_csv(p, header, rows))
+        assert new == old
+
+    @pytest.mark.parametrize("rows", [
+        1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1,
+        2 * WRITE_BLOCK_ROWS + 5])
+    def test_columns_across_blocks(self, tmp_path_factory, rows):
+        # Array columns of each kind and one list column whose last block
+        # alone holds a None, written a block at a time.
+        rng = np.random.default_rng(rows)
+        ints = rng.integers(-2**63, 2**63 - 1, rows, dtype=np.int64)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+        text = np.array(["a", 'b,"c', "", "d\r\n", "\u00c9"])[
+            rng.integers(0, 5, rows)]
+        flags = (rng.random(rows) < 0.5).astype(int)
+        mixed = (floats / 3).tolist()[:-1] + [None]
+        columns = [ints, floats, text, flags, mixed]
+        header = [f"c{i}" for i in range(len(columns))]
+        rows_of = [[int(i), float(f), str(t), int(b), m] for i, f, t, b, m
+                   in zip(ints, floats, text, flags, mixed)]
+        new, old = self.written(
+            tmp_path_factory, lambda p: write_columns(p, header, columns),
+            lambda p: scalar_reference.write_csv(p, header, rows_of))
         assert new == old
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.indicators import rolling_sharpe
+from adaptivetrend.indicators import rolling_sharpe, sharpe_rows
 from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
@@ -693,6 +694,29 @@ class TestGridSharpes:
             with pytest.raises(EngineError):
                 grid_sharpes_stacked([(series, (0, 30), cells)], ZERO_COSTS,
                                      0.0)
+
+    def test_scoring_adds_less_than_half_its_matrix(self, monkeypatch):
+        # The scorer owns its cells x bars matrix of net returns and scores
+        # it in place: 2,000 x 500 floats (8 MB) add their constant-row mask
+        # and a few vectors, not a second matrix of deviations.
+        series = gbm_series(np.random.default_rng(1), 30)
+        rows, bars = 2_000, 500
+        net = np.random.default_rng(2).normal(0.0, 0.01, (rows, bars))
+        net[::7] = 0.01  # constant rows among them
+        nbytes, want = net.nbytes, sharpe_rows(net, 0.045, 1460.0)
+        handed = [net]
+        del net
+        monkeypatch.setattr(signal_engine, "_net_returns", lambda *a, **k: (
+            np.arange(rows), handed.pop()))
+        problems = [(series, (0, 30), [sided(self.CELLS[0], "long")] * rows)]
+        tracemalloc.start()
+        try:
+            got = grid_sharpes_stacked(problems, ZERO_COSTS, 0.045)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 2, (peak, nbytes)
+        np.testing.assert_array_equal(got, want)
 
 
 # Cells that trade one side each: a threshold of 5 is never passed, so a
