@@ -125,18 +125,16 @@ def month_starts_between(start: int, end: int) -> List[int]:
     return months
 
 
-def union_timeline(universe: Dict[str, PriceSeries],
-                   window: Tuple[int, int]) -> np.ndarray:
-    """Sorted union of every symbol's bar timestamps inside the window,
-    folded in one series at a time. A window slice that is a run of the
-    union so far (as every slice is when the series share one clock, and
-    so one read-only timestamp array) costs one comparison; any other is
-    merged into it by a stable sort of the two sorted runs that drops the
-    repeats. The union may be a read-only view of a series' timestamps."""
+def union_timeline(universe: Dict[str, PriceSeries]) -> np.ndarray:
+    """Sorted union of every symbol's bar timestamps, folded in one series
+    at a time. A series whose timestamps are a run of the union so far (as
+    every series' are when the series share one clock, and so one read-only
+    timestamp array) costs one comparison; any other is merged into it by a
+    stable sort of the two sorted runs that drops the repeats. The union
+    may be a series' read-only timestamps."""
     timeline = np.empty(0, dtype=np.int64)
     for series in universe.values():
-        i0, i1 = series.slice_indices(window[0], window[1])
-        stamps = series.timestamps[i0:i1].astype(np.int64, copy=False)
+        stamps = series.timestamps.astype(np.int64, copy=False)
         if not len(stamps):
             continue
         j = int(np.searchsorted(timeline, stamps[0]))
@@ -159,7 +157,7 @@ class Market:
     they all share (DataError unless there is at least one and they share
     one), ``caps`` their CapIndex, ``timeline`` the sorted union of every bar
     close, folded series by series (see union_timeline; over series on one
-    clock it is a view of their shared read-only array), which run_windows
+    clock it is their shared read-only array), which run_windows
     slices each window out of, and ``optimizer`` the
     Optimizer whose memo every run over the market shares, so no month,
     sweep point or ablation solves a grid search that another has solved.
@@ -180,8 +178,7 @@ class Market:
         self.series = series
         self.interval = intervals[0]
         self.caps = caps
-        every = np.iinfo(np.int64)
-        self.timeline = union_timeline(series, (every.min, every.max))
+        self.timeline = union_timeline(series)
         self.optimizer = Optimizer(series, grids)
 
     def months(self, cfg: BacktestConfig) -> List[int]:

@@ -1,6 +1,7 @@
 """Comparison strategies sharing the engine's data, cost model, and metrics.
 
-Four kinds:
+Four kinds, whose top-cap sets and largest-cap symbol come from the
+market's CapIndex, the ranking the strategy's cap filter reads:
   - tsmom: per asset in the top-cap set, go long (short) for one month when
     the trailing lookback-month return is positive (negative); equal weight
     across assets with a signal.
@@ -38,8 +39,7 @@ from .backtester import (BacktestConfig, BacktestResult, Market,
                          month_windows, run_windows)
 from .cost_model import LONG, SHORT
 from .market_data import (CapIndex, DataError, PriceSeries, bars_per_year,
-                          date_of_ts, month_add, month_id)
-from .rebalancer import cap_snapshot
+                          month_add, month_id)
 from .signal_engine import NO_TRADES, Position, Trades
 
 BENCHMARK_KINDS = ("tsmom", "vol_scaled_tsmom", "buy_hold",
@@ -95,12 +95,10 @@ def hold_position(series: PriceSeries, side: str, weight: float,
 # ---------------------------------------------------------------------------
 
 def top_cap_symbol(caps: CapIndex, month_start: int) -> Optional[str]:
-    """The largest-cap symbol (ties: the smaller name) on the latest cap
-    snapshot before month_start; None without one."""
-    snapshot = cap_snapshot(caps, date_of_ts(month_start - 1))
-    if not snapshot:
-        return None
-    return min(snapshot, key=lambda s: (-snapshot[s], s))
+    """The first of the cap ranking in force at month_start (the largest
+    cap, ties to the smaller name); None without one."""
+    ranking = caps.ranking(month_start)
+    return ranking[0] if ranking else None
 
 
 def buy_hold_symbol(symbol: Optional[str], market: Market, month_start: int,
@@ -155,10 +153,10 @@ def _month_weights(spec: BenchmarkSpec, market: Market, month_start: int
                    ) -> List[Tuple[str, str, float]]:
     """(symbol, side, |weight|) rows for one month of a monthly-rebalanced kind."""
     universe = market.series
-    snapshot = cap_snapshot(market.caps, date_of_ts(month_start - 1))
-    if snapshot is None:
+    ranking = market.caps.ranking(month_start)
+    if ranking is None:
         return []
-    members = sorted(snapshot, key=lambda s: (-snapshot[s], s))[: spec.universe_size]
+    members = ranking[: spec.universe_size]
 
     if spec.kind == "equal_weight_buy_hold":
         return [(sym, LONG, 1.0 / spec.universe_size)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, date, timezone
 from functools import partial
 from itertools import starmap
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+from typing import (Callable, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, TextIO, Tuple, TypeVar)
 
 import numpy as np
@@ -181,59 +181,64 @@ class PriceSeries:
         return next(self.bars(i, i + 1))
 
 
-@dataclass(frozen=True)
-class MarketCapRecord:
-    """Daily market-capitalization snapshot for one symbol."""
-
-    symbol: str
-    date: date
-    cap: float
+# Daily market caps as parallel columns, one row per (symbol, date) record:
+# datetime64[D] dates, symbols and float64 caps. The generator, the loader
+# and save_market_caps hold caps this way, in file order.
+CapColumns = Tuple[np.ndarray, Sequence[str], np.ndarray]
 
 
 class CapIndex:
-    """Daily market caps as parallel columns, with each date's snapshot in
-    date order so that cap_snapshot bisects instead of scanning.
+    """Daily market caps ranked once per snapshot date, the one place the
+    cap filter and the benchmarks read a cap ranking from.
 
-    Iterating yields MarketCapRecords in input order. A snapshot keeps input
-    order within its date, and a repeated (symbol, date) keeps its last cap.
-    Equal symbols are held as one string, however many rows name them.
-    Build one per loaded universe.
+    Built from the columns of CapColumns in any order; a repeated (symbol,
+    date) keeps its last cap. Every date's symbols are ranked by cap both
+    ways, ties to the smaller name either way, by one sort per way over all
+    dates, and only the rankings are held, as positions into the sorted
+    distinct names. ``dates`` are the snapshot dates (datetime64[D],
+    ascending). Build one per loaded universe.
     """
 
-    def __new__(cls, caps: Iterable[MarketCapRecord] = ()) -> "CapIndex":
-        records = list(caps)
-        return cls.from_columns(
-            np.array([r.date for r in records], dtype="datetime64[D]"),
-            [r.symbol for r in records],
-            np.array([r.cap for r in records], dtype=np.float64))
+    def __init__(self, days: Iterable = (), symbols: Sequence[str] = (),
+                 caps: Iterable = ()) -> None:
+        days = np.asarray(days, dtype="datetime64[D]").astype(np.int64)
+        caps = np.asarray(caps, dtype=np.float64)
+        self._names = sorted(set(symbols))
+        code = {name: k for k, name in enumerate(self._names)}
+        sym = np.fromiter(map(code.__getitem__, symbols), np.intp, len(days))
+        # Rows by (date, name), a repeat after its earlier rows: the last of
+        # each run of one (date, name) is kept.
+        keyed = np.lexsort((sym, days))
+        days, sym = days[keyed], sym[keyed]
+        kept = np.ones(len(keyed), dtype=bool)
+        kept[:-1] = (days[1:] != days[:-1]) | (sym[1:] != sym[:-1])
+        days, sym, caps = days[kept], sym[kept], caps[keyed[kept]]
+        # Stable sorts by (date, cap rank) keep equal caps in name order; on
+        # integer keys, in under half the time of an np.lexsort on the caps.
+        _, rank = np.unique(caps, return_inverse=True)
+        by_date = days * len(caps)
+        self._ranked = {
+            largest: sym[np.argsort(by_date - rank if largest else
+                                    by_date + rank, kind="stable")]
+            for largest in (True, False)}
+        dates, starts = np.unique(days, return_index=True)
+        self.dates = dates.astype("datetime64[D]")
+        self._bounds = starts.tolist() + [len(days)]
 
-    @classmethod
-    def from_columns(cls, days: np.ndarray, symbols: Sequence[str],
-                     caps: np.ndarray) -> "CapIndex":
-        """Index datetime64[D] days, symbols and caps given in input order."""
-        self = super().__new__(cls)
-        first: Dict[str, str] = {}
-        symbols = [first.setdefault(sym, sym) for sym in symbols]
-        self._columns = (days, symbols, caps)
-        order = np.argsort(days, kind="stable")
-        day_sorted = days[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = day_sorted[1:] != day_sorted[:-1]
-        starts = np.flatnonzero(first).tolist()
-        sym_sorted = [symbols[i] for i in order.tolist()]
-        cap_sorted = caps[order].tolist()
-        self.dates: List[date] = day_sorted[starts].tolist()
-        self.snapshots: Dict[date, Dict[str, float]] = {
-            day: dict(zip(sym_sorted[a:b], cap_sorted[a:b]))
-            for day, a, b in zip(self.dates, starts, starts[1:] + [len(order)])}
-        return self
-
-    def __iter__(self) -> Iterator[MarketCapRecord]:
-        days, symbols, caps = self._columns
-        return map(MarketCapRecord, symbols, days.tolist(), caps.tolist())
-
-    def __len__(self) -> int:
-        return len(self._columns[1])
+    def ranking(self, month_start: int,
+                largest: bool = True) -> Optional[List[str]]:
+        """The symbols of the snapshot in force at month_start, largest cap
+        first (smallest first when not ``largest``), ties to the smaller
+        name either way; None without one. The snapshot in force is the
+        latest dated on or before the day that ends at month_start: a
+        rebalance at 00:00 UTC on a month's first day comes before that
+        day's caps exist."""
+        as_of = np.datetime64((int(month_start) - 1) // SECONDS_PER_DAY, "D")
+        k = int(np.searchsorted(self.dates, as_of, side="right"))
+        if not k:
+            return None
+        codes = self._ranked[largest][self._bounds[k - 1]:self._bounds[k]]
+        return [self._names[c] for c in codes.tolist()]
 
 
 @dataclass(frozen=True)
@@ -509,8 +514,8 @@ def save_price_series(series: PriceSeries, path: str) -> None:
     write_columns(path, OHLCV_HEADER, series.columns())
 
 
-def _plain_caps(path: str) -> CapIndex:
-    """load_market_caps' columnar path: one np.loadtxt call, then checks over
+def _plain_caps(path: str) -> CapColumns:
+    """_cap_columns' columnar path: one np.loadtxt call, then checks over
     whole columns. It takes only a plain file, valid with YYYY-MM-DD dates
     and no quotes, and raises ValueError for anything else, valid or not."""
     rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE)
@@ -518,26 +523,29 @@ def _plain_caps(path: str) -> CapIndex:
     caps = rows["cap"].copy()
     symbols = rows["symbol"].tolist()
     del rows  # and with it the fixed-width date strings
+    names = set(symbols)
     chars = text.view("U1").reshape(-1, 11)
     digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
     plain = (((digits >= "0") & (digits <= "9")).all()
              and (chars[:, [4, 7]] == "-").all() and (chars[:, 10] == "").all()
              and ((caps > 0) & (caps < INF)).all()
-             and not any('"' in sym for sym in set(symbols)))
+             and not any('"' in sym for sym in names))
     if not plain:
         raise ValueError("not a plain market-cap file")
     days = text.astype("datetime64[D]")  # a ValueError for a day out of range
     if not (days >= np.datetime64(date.min)).all():
         raise ValueError("year 0")
-    index = CapIndex.from_columns(days[day_of_row], symbols, caps)
-    if sum(map(len, index.snapshots.values())) != len(symbols):
+    code = dict(zip(names, range(len(names))))
+    pairs = np.sort(day_of_row * len(names) + np.fromiter(
+        map(code.__getitem__, symbols), np.intp, len(symbols)))
+    if (pairs[1:] == pairs[:-1]).any():
         raise ValueError("duplicate (symbol, date) record")
-    return index
+    return days[day_of_row], symbols, caps
 
 
-def load_market_caps(path: str) -> CapIndex:
-    """Load daily market caps; rejects caps that are not positive and finite,
-    and duplicate (symbol, date) records.
+def _cap_columns(path: str) -> CapColumns:
+    """The rows of a market-cap file as columns, in file order; rejects caps
+    that are not positive and finite, and duplicate (symbol, date) records.
 
     A plain file is parsed in columns. Anything else, bad rows included, is
     read again row by row: that names the line of a bad row, and loads what
@@ -549,22 +557,34 @@ def load_market_caps(path: str) -> CapIndex:
         pass
     seen = set()
 
-    def parse(row: List[str]) -> MarketCapRecord:
+    def parse(row: List[str]) -> Tuple[date, str, float]:
         day, sym, cap = date.fromisoformat(row[0]), row[1], float(row[2])
         if not 0 < cap < INF:
             raise DataError(f"cap must be positive and finite, got {cap}")
         if (sym, day) in seen:
             raise DataError(f"duplicate record for {sym} {day}")
         seen.add((sym, day))
-        return MarketCapRecord(symbol=sym, date=day, cap=cap)
+        return day, sym, cap
 
-    return CapIndex(read_csv(path, MARKET_CAP_HEADER, parse))
+    rows = read_csv(path, MARKET_CAP_HEADER, parse)
+    days, symbols, caps = zip(*rows) if rows else ((), (), ())
+    return (np.array(days, dtype="datetime64[D]"), list(symbols),
+            np.array(caps, dtype=np.float64))
 
 
-def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:
+def load_market_caps(path: str) -> CapIndex:
+    """The CapIndex of a market-cap file (see _cap_columns for what is
+    rejected)."""
+    return CapIndex(*_cap_columns(path))
+
+
+def save_market_caps(caps: CapColumns, path: str) -> None:
+    """Write cap columns to the market-cap CSV schema, row by row in their
+    order (dates as YYYY-MM-DD, caps as their repr)."""
+    days, symbols, values = caps
     write_columns(path, MARKET_CAP_HEADER,
-                  [[r.date.isoformat() for r in records],
-                   [r.symbol for r in records], [r.cap for r in records]])
+                  [np.asarray(days, dtype="datetime64[D]").astype(str),
+                   symbols, values])
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +593,7 @@ def save_market_caps(records: Sequence[MarketCapRecord], path: str) -> None:
 
 def generate_synthetic_universe(
     spec: SyntheticSpec,
-) -> Tuple[List[PriceSeries], List[MarketCapRecord]]:
+) -> Tuple[List[PriceSeries], CapColumns]:
     """Generate a deterministic multi-symbol universe with daily market caps.
 
     Prices follow per-regime GBM: per-bar log returns are iid
@@ -581,7 +601,8 @@ def generate_synthetic_universe(
     Symbol j draws from the j-th PCG64 stream spawned from SeedSequence(seed),
     so output is a pure function of the recipe. Symbol j's market cap on day d
     is (1e10 / (j + 1)) * last_close_of_day / base_price, which makes the cap
-    ranking follow symbol index modulated by realized price paths.
+    ranking follow symbol index modulated by realized price paths. The caps
+    are columns (CapColumns), symbol by symbol and day by day within one.
     """
     # Per-bar annualized drift and vol from the regime schedule.
     durations, drifts, vols = zip(*spec.regimes)
@@ -596,10 +617,9 @@ def generate_synthetic_universe(
     # day's cap follows its last close.
     days = (ts - 1) // SECONDS_PER_DAY
     day_ends = np.flatnonzero(np.diff(days, append=days[-1] + 1))
-    day_dates = [date_of_ts(d * SECONDS_PER_DAY) for d in days[day_ends].tolist()]
 
     series_list = []
-    cap_records = []
+    caps = []
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_symbols)
     for j, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
@@ -618,12 +638,12 @@ def generate_synthetic_universe(
         symbol = f"SYM{j:0{width}d}"
         series_list.append(PriceSeries(symbol, spec.interval, ts, open_, high,
                                        low, close, volume))
-        base_cap = SYNTH_BASE_CAP / (j + 1)
-        cap_records.extend(
-            MarketCapRecord(symbol=symbol, date=day,
-                            cap=base_cap * last_close / SYNTH_BASE_PRICE)
-            for day, last_close in zip(day_dates, close[day_ends].tolist()))
-    return series_list, cap_records
+        caps.append(SYNTH_BASE_CAP / (j + 1) * close[day_ends]
+                    / SYNTH_BASE_PRICE)
+    return series_list, (
+        np.tile(days[day_ends].astype("datetime64[D]"), spec.n_symbols),
+        [s.symbol for s in series_list for _ in day_ends],
+        np.concatenate(caps))
 
 
 # ---------------------------------------------------------------------------

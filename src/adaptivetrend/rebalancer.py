@@ -3,8 +3,9 @@
 Three stages, run at each month boundary by run_rebalance(market,
 month_start, cfg), which reads everything it needs from one Market (caps,
 series, optimizer) and one BacktestConfig:
-  1. filter_universe: rank symbols by the most recent market-cap snapshot;
-     top-K become long candidates, bottom-K short candidates.
+  1. filter_universe: the market's CapIndex ranks the symbols of the cap
+     snapshot in force at the month start; top-K become long candidates,
+     bottom-K short candidates.
   2. Optimizer.solve: per candidate, grid-search entry/stop parameters on
      the preceding calendar month (ending one buffer before the month
      start), maximizing the annualized Sharpe of the candidate's net per-bar
@@ -19,13 +20,11 @@ series, optimizer) and one BacktestConfig:
 The result is a MonthlyPortfolio; anything not allocated stays in cash.
 """
 
-import bisect
 import functools
 import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from datetime import date
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .cost_model import CostConfig
 from .indicators import rolling_sharpe
 from .market_data import (DEFAULT_RF_ANNUAL, CapIndex, PriceSeries,
-                          bars_per_year, date_of_ts, month_add, month_id)
+                          bars_per_year, month_add, month_id)
 from .signal_engine import (CellTable, StrategyParams, grid_sharpes_stacked,
                             run_single_asset)
 
@@ -140,32 +139,23 @@ class MonthlyPortfolio:
 # Stage 1: market-cap filtering
 # ---------------------------------------------------------------------------
 
-def cap_snapshot(caps: CapIndex, as_of: date) -> Optional[Dict[str, float]]:
-    """symbol -> cap on the most recent snapshot date at or before as_of."""
-    k = bisect.bisect_right(caps.dates, as_of)
-    return dict(caps.snapshots[caps.dates[k - 1]]) if k else None
-
-
 def filter_universe(
     caps: CapIndex,
-    as_of: date,
+    month_start: int,
     cfg: RebalanceConfig,
 ) -> Optional[Tuple[List[str], List[str]]]:
-    """Top-k_long / bottom-k_short symbols by cap on the latest snapshot <= as_of.
-
-    Ties rank the lexicographically smaller symbol first on both sides. A
-    symbol qualifying for both sides stays a long candidate only. Returns
-    None when no snapshot exists on or before as_of (skip the rebalance).
+    """Top-k_long / bottom-k_short symbols of the cap ranking in force at
+    month_start (CapIndex.ranking: ties rank the smaller name first on both
+    sides). A symbol qualifying for both sides stays a long candidate only.
+    Returns None without a snapshot in force (skip the rebalance).
     """
-    snapshot = cap_snapshot(caps, as_of)
-    if snapshot is None:
+    largest = caps.ranking(month_start)
+    if largest is None:
         return None
-    by_cap_desc = sorted(snapshot, key=lambda s: (-snapshot[s], s))
-    by_cap_asc = sorted(snapshot, key=lambda s: (snapshot[s], s))
-    long_candidates = by_cap_desc[: cfg.k_long]
-    short_candidates = by_cap_asc[: cfg.k_short]
+    long_candidates = largest[: cfg.k_long]
     overlap = set(long_candidates)
-    short_candidates = [s for s in short_candidates if s not in overlap]
+    smallest = caps.ranking(month_start, largest=False)[: cfg.k_short]
+    short_candidates = [s for s in smallest if s not in overlap]
     return long_candidates, short_candidates
 
 
@@ -428,16 +418,14 @@ def run_rebalance(market: "Market", month_start: int, cfg: "BacktestConfig"
     Caps, series, their bar interval and the optimizer come from ``market``;
     grid, rf, buffer, k and gamma from ``cfg.rebalance``; costs, the cap
     filter and the execution flags the month will trade (which the grid search scores
-    with) from ``cfg``. Caps are snapshotted as of the day before the month
-    starts (the rebalance happens at 00:00 UTC on day 1, before that day's
-    data exists). Without the cap filter every symbol is a candidate for
-    both sides.
+    with) from ``cfg``. The cap filter ranks the snapshot in force at the
+    month start, the latest dated before it (CapIndex.ranking). Without the
+    cap filter every symbol is a candidate for both sides.
     """
     rcfg = cfg.rebalance
     month = month_id(month_start)
     if cfg.cap_filter_enabled:
-        filtered = filter_universe(market.caps, date_of_ts(month_start - 1),
-                                   rcfg)
+        filtered = filter_universe(market.caps, month_start, rcfg)
     else:
         everything = sorted(market.series)
         filtered = (everything, list(everything))

@@ -91,10 +91,6 @@ class StrategyParams:
         if self.atr_window < 1:
             raise ValueError("atr_window must be >= 1")
 
-    def warmup_bars(self) -> int:
-        """Bars before momentum and ATR are both defined."""
-        return max(self.lookback, self.atr_window - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class Ledger:
@@ -435,7 +431,7 @@ def find_trades_stacked(
                                      bars)[i0 - lo:]
         rows.append(moms[p, bars])
     mom = _padded(rows, width + 2)  # NaN enters nowhere
-    # StrategyParams.warmup_bars, local to the window
+    # The bars before momentum and ATR are both defined, local to the window
     warm = np.maximum(lookback, atr_window - 1) - np.array(
         [i0 for _, (i0, _), _ in stack])[entry_prob]
     columns = np.arange(width + 2)

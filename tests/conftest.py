@@ -10,11 +10,10 @@ import pytest
 
 from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import (DEFAULT_RF_ANNUAL, Bar, CapIndex,
-                                       MarketCapRecord, PriceSeries)
+from adaptivetrend.market_data import DEFAULT_RF_ANNUAL, Bar, PriceSeries
 from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
 from adaptivetrend.signal_engine import StrategyParams
-from scalar_reference import columns, records
+from scalar_reference import MarketCapRecord, cap_index, columns, records
 
 INTERVAL = 21_600
 T0 = 1_640_995_200        # 2022-01-01 00:00 UTC
@@ -153,10 +152,15 @@ def caps_for(symbols: Sequence[str], snap_date: date = date(2022, 1, 31),
             for j, s in enumerate(symbols)]
 
 
+def day_start(day: date) -> int:
+    """00:00 UTC of ``day`` in epoch seconds."""
+    return (day - date(1970, 1, 1)).days * 86_400
+
+
 def market_of(universe: Dict[str, PriceSeries],
               caps: Sequence[MarketCapRecord]) -> Market:
     """A Market over a test universe and a list of its cap records."""
-    return Market(universe, CapIndex(caps))
+    return Market(universe, cap_index(caps))
 
 
 def solve_cfg(grid, cost=ZERO_COSTS, rf=DEFAULT_RF_ANNUAL, trailing=True,

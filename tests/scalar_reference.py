@@ -1,26 +1,26 @@
 """Row-by-row and bar-by-bar reference implementations.
 
-These are the loader, the resampler and the cap snapshot as they were when a
+These are the loader, the resampler and the cap ranking as they were when a
 series was a tuple of Bar objects: every CSV row parsed with int()/float(),
 every bar validated by its own call, bars grouped into dict buckets, and
-every cap lookup a scan over all records. Then the cap loader and the CSV
-writer as they were before they worked in columns (one record per cap row,
-csv.writer for every file), and the bootstrap scoring one replicate at a
-time. Then the accounting as it was before the engine and the benchmarks
-shared one ledger: the scalar fee and slippage of one fill, funding summed
-per holding interval, the per-bar state machine (one branch per side) that
-trades were found with before there was one trade search, the engine
-charging every cost bar by bar, the benchmarks' own hold loop, and the two
-month loops (the strategy's and the benchmarks'), with the aggregation
-that forward-filled one booked result at a time onto the marks, before a
-window's positions were booked together. Last, the trade search
-that jumped from each entry to its exit one cell at a time, before it found
-the trades of all cells in array passes. The scalar engine books a trade as
-a ``TradeRecord``, one ledger row, as the package did before its ledger was
-columns; ``records`` and ``as_ledger`` turn a ``Ledger`` into rows and back,
-and the ledger reader (``read_ledger``) is here too, since only the tests
-read a ledger back. The tests check the code in ``adaptivetrend`` against
-them.
+every cap lookup a scan over all records, sorted by cap. Then the cap loader
+and the CSV writer as they were before they worked in columns (one
+``MarketCapRecord`` per cap row, csv.writer for every file), and the
+bootstrap scoring one replicate at a time. Then the accounting as it was
+before the engine and the benchmarks shared one ledger: the scalar fee and
+slippage of one fill, funding summed per holding interval, the per-bar state
+machine (one branch per side) that trades were found with before there was
+one trade search, the engine charging every cost bar by bar, the benchmarks'
+own hold loop, and the two month loops (the strategy's and the benchmarks'),
+with the aggregation that forward-filled one booked result at a time onto
+the marks, before a window's positions were booked together. Last, the trade
+search that jumped from each entry to its exit one cell at a time, before it
+found the trades of all cells in array passes. The scalar engine books a
+trade as a ``TradeRecord``, one ledger row, as the package did before its
+ledger was columns; ``records`` and ``as_ledger`` turn a ``Ledger`` into
+rows and back, and the ledger reader (``read_ledger``) is here too, since
+only the tests read a ledger back. The tests check the code in
+``adaptivetrend`` against them.
 """
 
 import bisect
@@ -43,12 +43,11 @@ from adaptivetrend.benchmarks import BenchmarkSpec, _month_weights
 from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
 from adaptivetrend.indicators import atr, momentum, rolling_sharpe
 from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
-                                       OHLCV_HEADER, Bar, DataError,
-                                       MarketCapRecord,
-                                       PriceSeries,
+                                       OHLCV_HEADER, Bar, CapColumns,
+                                       CapIndex, DataError, PriceSeries,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
-from adaptivetrend.rebalancer import CapIndex, MonthlyPortfolio, run_rebalance
+from adaptivetrend.rebalancer import MonthlyPortfolio, run_rebalance
 from adaptivetrend.signal_engine import (LEDGER_HEADER, NO_LEDGER,
                                          EngineError, Ledger,
                                          SingleAssetResult, StrategyParams,
@@ -152,14 +151,46 @@ def resample_bars(bars: Sequence[Bar], interval: int,
     return out
 
 
-def cap_snapshot(caps: Sequence[MarketCapRecord],
-                 as_of: date) -> Optional[Dict[str, float]]:
-    """Scan every record for the latest snapshot date at or before as_of."""
+@dataclass(frozen=True)
+class MarketCapRecord:
+    """Daily market-capitalization snapshot for one symbol."""
+
+    symbol: str
+    date: date
+    cap: float
+
+
+def cap_columns(caps: Sequence[MarketCapRecord]) -> CapColumns:
+    """Records as the package's cap columns, in their order."""
+    return (np.array([r.date for r in caps], dtype="datetime64[D]"),
+            [r.symbol for r in caps],
+            np.array([r.cap for r in caps], dtype=np.float64))
+
+
+def cap_records(caps: CapColumns) -> List[MarketCapRecord]:
+    """Cap columns as records, in their order."""
+    days, symbols, values = caps
+    return list(map(MarketCapRecord, symbols, days.tolist(), values.tolist()))
+
+
+def cap_index(caps: Sequence[MarketCapRecord]) -> CapIndex:
+    """The package's CapIndex of the records."""
+    return CapIndex(*cap_columns(caps))
+
+
+def cap_ranking(caps: Sequence[MarketCapRecord], month_start: int,
+                largest: bool = True) -> Optional[List[str]]:
+    """Scan every record for the latest snapshot date on or before the day
+    before month_start, the last record of a (symbol, date) winning, and
+    sort its symbols by cap (ties: the smaller name)."""
+    as_of = date_of_ts(month_start - 1)
     dates = [r.date for r in caps if r.date <= as_of]
     if not dates:
         return None
     snapshot_date = max(dates)
-    return {r.symbol: r.cap for r in caps if r.date == snapshot_date}
+    snapshot = {r.symbol: r.cap for r in caps if r.date == snapshot_date}
+    sign = -1 if largest else 1
+    return sorted(snapshot, key=lambda s: (sign * snapshot[s], s))
 
 
 def load_market_caps(path: str) -> List[MarketCapRecord]:
@@ -178,14 +209,12 @@ def load_market_caps(path: str) -> List[MarketCapRecord]:
     return read_csv(path, MARKET_CAP_HEADER, parse)
 
 
-def cap_snapshots(caps: Sequence[MarketCapRecord]
-                  ) -> Dict[date, Dict[str, float]]:
-    """Each date's snapshot, records sorted by date (stably) and filed one
-    at a time, as the record-tuple CapIndex built them."""
-    snapshots: Dict[date, Dict[str, float]] = {}
-    for r in sorted(caps, key=lambda r: r.date):
-        snapshots.setdefault(r.date, {})[r.symbol] = r.cap
-    return snapshots
+def window_timeline(universe: Dict[str, PriceSeries],
+                    window: Tuple[int, int]) -> np.ndarray:
+    """The universe's timeline inside the inclusive window."""
+    timeline = union_timeline(universe)
+    return timeline[np.searchsorted(timeline, window[0]):
+                    np.searchsorted(timeline, window[1], side="right")]
 
 
 def _cell(value: object) -> object:
@@ -547,7 +576,9 @@ def run_single_asset(
 
     mom = momentum(series.close, params.lookback)[i0:i1].tolist()
     atr_values = atr(series.high, series.low, series.close, params.atr_window)[i0:i1].tolist()
-    first_defined = params.warmup_bars() - i0  # as an index into the window
+    # Momentum and ATR are both defined from this bar on, as an index into
+    # the window.
+    first_defined = max(params.lookback, params.atr_window - 1) - i0
 
     state: Optional[Position] = None
     realized = 0.0
@@ -783,14 +814,14 @@ def run_backtest(
     The start is snapped forward to a calendar month boundary. The balance
     rolls across months; a balance <= 0 halts the run and flags the curve.
     """
-    caps = CapIndex(caps)
+    caps = cap_index(caps)
 
     month_starts = month_starts_between(cfg.start, cfg.end)
     if not month_starts:
         raise DataError("no month boundary inside [start, end]")
     first_month = month_starts[0]
     interval = universe_interval(universe)
-    _check_history(union_timeline(universe, (-2 ** 63, 2 ** 63 - 1)),
+    _check_history(union_timeline(universe),
                    first_month, month_starts[-1], interval)
 
     balance = cfg.initial_balance
@@ -847,7 +878,7 @@ def run_backtest(
         month_results = simulate(window)
         # Mark to market on the union of every universe symbol's closes so the
         # equity timeline does not depend on what happened to be selected.
-        month_ts = union_timeline(universe, window)
+        month_ts = window_timeline(universe, window)
         if len(month_ts) == 0:
             continue
         realized_m, mtm_m, ocost_m = aggregate_results(month_ts, month_results)
@@ -922,10 +953,10 @@ def run_benchmark(
     if spec.kind == "buy_hold":
         symbol = spec.symbol
         if symbol is None:
-            snapshot = cap_snapshot(caps, date_of_ts(first_month - 1))
-            if not snapshot:
+            ranking = cap_ranking(caps, first_month)
+            if not ranking:
                 raise ValueError("buy_hold needs a cap snapshot to pick a symbol")
-            symbol = sorted(snapshot, key=lambda s: (-snapshot[s], s))[0]
+            symbol = ranking[0]
         series = universe.get(symbol)
         if series is None:
             raise ValueError(f"buy_hold symbol {symbol!r} not in universe")
@@ -933,14 +964,14 @@ def run_benchmark(
         res = hold_position(series, LONG, cfg.initial_balance, window,
                             cfg.costs, charge_funding=False)
         trades.extend(records(res.trades))
-        timeline = union_timeline(universe, window)
+        timeline = window_timeline(universe, window)
         realized, mtm, ocost = aggregate_results(timeline, [res])
         ts_chunks.append(timeline)
         bal_chunks.append(cfg.initial_balance + realized + mtm - ocost)
     else:
         charge_funding = spec.kind in ("tsmom", "vol_scaled_tsmom")
         balance = cfg.initial_balance
-        market = Market(universe, CapIndex(caps))
+        market = Market(universe, cap_index(caps))
         for m in months:
             window = (m, min(month_add(m, 1) - 1, cfg.end))
             weights = _month_weights(spec, market, m)
@@ -951,7 +982,7 @@ def run_benchmark(
                         for sym, side, w in weights if w > 0.0]
 
             results = hold(window)
-            timeline = union_timeline(universe, window)
+            timeline = window_timeline(universe, window)
             if len(timeline) == 0:
                 continue
             realized, mtm, ocost = aggregate_results(timeline, results)
@@ -1076,7 +1107,8 @@ class TradeSearch:
             if cell.lookback not in self._moms:
                 self._moms[cell.lookback] = momentum(
                     self.series.close, cell.lookback)[self.i0:self.i0 + n]
-            first = max(cell.warmup_bars() - self.i0, 0)
+            # the first bar where momentum and ATR are both defined
+            first = max(max(cell.lookback, cell.atr_window - 1) - self.i0, 0)
             mom = self._moms[cell.lookback][first:last]
             signal = np.zeros(n + 1, dtype=bool)
             signal[first:last] = mom > theta if side == LONG else mom < -theta

@@ -31,7 +31,7 @@ from adaptivetrend.signal_engine import StrategyParams, run_single_asset
 from conftest import (FEB1, INTERVAL, SCRIPT_CLOSES, T0, bars_of, gbm_series,
                       make_series, market_of, series_from_bars, solve_alone,
                       solve_cfg)
-from scalar_reference import records
+from scalar_reference import cap_records, records
 
 AUG1 = 1_659_312_000   # 2022-08-01 00:00 UTC
 JUN30 = 1_656_547_200  # 2022-06-30 00:00 UTC
@@ -324,7 +324,7 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
                           gamma_short=-100.0, grid=grid)
     cfg = BacktestConfig(start=FEB1, end=AUG1, initial_balance=50_000.0,
                          rebalance=reb, costs=ZERO_COSTS)
-    full = run_backtest(market_of(universe, caps), cfg)
+    full = run_backtest(market_of(universe, cap_records(caps)), cfg)
     assert len(full.trades) > 100  # fixture sanity: decisions to compare
 
     stamps = full.equity.timestamps
@@ -338,7 +338,7 @@ def test_c05_truncation_leaves_past_decisions_unchanged():
                                   [b for b in bars_of(s) if b.timestamp <= t])
             for sym, s in universe.items()
         }
-        part_caps = [r for r in caps if r.date <= cut]
+        part_caps = [r for r in cap_records(caps) if r.date <= cut]
         part = run_backtest(market_of(part_universe, part_caps),
                             replace(cfg, end=t))
 
@@ -379,7 +379,7 @@ def test_c06_balance_decomposition_holds_at_every_bar():
     cfg = BacktestConfig(start=FEB1, end=1_675_209_599,
                          initial_balance=100_000.0, rebalance=reb,
                          costs=CostConfig())
-    res = run_backtest(market_of(universe, caps), cfg)
+    res = run_backtest(market_of(universe, cap_records(caps)), cfg)
 
     assert len(res.rebalance_log) == 12
     assert not res.equity.bankrupt
@@ -419,7 +419,7 @@ def test_c07_higher_fees_never_raise_annual_return():
                            funding_rate_per_8h=0.0)
         cfg = BacktestConfig(start=FEB1, end=JUN30, initial_balance=100_000.0,
                              rebalance=reb, costs=costs)
-        result = run_backtest(market_of(universe, caps),
+        result = run_backtest(market_of(universe, cap_records(caps)),
                               ablation_config(cfg, "full"))
         anns.append(result.metrics.ann_return)
         counts.append(len(result.trades))
@@ -452,7 +452,7 @@ def test_c08_long_bias_outperforms_even_split_on_uptrend():
             cfg = BacktestConfig(start=FEB1, end=AUG1,
                                  initial_balance=10_000.0, rebalance=reb,
                                  costs=CostConfig())
-            result = run_backtest(market_of(universe, caps),
+            result = run_backtest(market_of(universe, cap_records(caps)),
                                   ablation_config(cfg, "full"))
             assert len(result.trades) > 0
             anns[lam] = result.metrics.ann_return
@@ -537,7 +537,7 @@ def test_c12_all_ablation_variants_complete_and_differ():
     assert len(ABLATION_VARIANTS) == 6
     reports = {}
     for variant in ABLATION_VARIANTS:
-        result = run_backtest(market_of(universe, caps),
+        result = run_backtest(market_of(universe, cap_records(caps)),
                               ablation_config(cfg, variant))
         assert not result.equity.bankrupt, variant
         assert len(result.trades) > 0, variant

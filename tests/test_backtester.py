@@ -19,9 +19,8 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
 from adaptivetrend.benchmarks import (BENCHMARK_KINDS, BenchmarkSpec,
                                       run_benchmark)
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import (CapIndex, DataError, MarketCapRecord,
-                                       PriceSeries, month_add,
-                                       month_id)
+from adaptivetrend.market_data import (CapIndex, DataError, PriceSeries,
+                                       month_add, month_id)
 from adaptivetrend.rebalancer import ParamGrid, RebalanceConfig
 from adaptivetrend.signal_engine import (Position, StrategyParams, Trades,
                                          book_trades, cell_positions)
@@ -32,7 +31,7 @@ from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, SCRIPT_CLOSES, T0,
                       jumpy_universe, make_bars, make_series, market_of,
                       rough_series, series_from_bars)
 import scalar_reference
-from scalar_reference import records
+from scalar_reference import MarketCapRecord, records, window_timeline
 
 APR1 = 1_648_771_200
 FEB28 = date(2022, 2, 28)
@@ -104,20 +103,19 @@ class TestAggregation:
     def test_union_timeline(self):
         a = make_series([10.0, 11.0, 12.0], t0=T0)
         b = make_series([10.0, 11.0, 12.0], t0=T0 + INTERVAL)
-        timeline = union_timeline({"A": a, "B": b},
-                                  (T0, T0 + 4 * INTERVAL))
+        timeline = union_timeline({"A": a, "B": b})
         assert timeline.tolist() == [T0 + INTERVAL, T0 + 2 * INTERVAL,
                                      T0 + 3 * INTERVAL, T0 + 4 * INTERVAL]
         assert timeline.dtype == np.int64
-        empty = union_timeline({"A": a, "B": b}, (T0 + 9 * INTERVAL,
-                                                  T0 + 12 * INTERVAL))
+        empty = window_timeline({"A": a, "B": b}, (T0 + 9 * INTERVAL,
+                                                   T0 + 12 * INTERVAL))
         assert empty.dtype == np.int64 and len(empty) == 0
-        assert union_timeline({}, (T0, T0 + INTERVAL)).dtype == np.int64
+        assert union_timeline({}).dtype == np.int64
 
     def test_window_clips_timeline(self):
         a = make_series([10.0] * 10, t0=T0)
-        timeline = union_timeline({"A": a}, (T0 + 3 * INTERVAL,
-                                             T0 + 5 * INTERVAL))
+        timeline = window_timeline({"A": a}, (T0 + 3 * INTERVAL,
+                                              T0 + 5 * INTERVAL))
         assert timeline.tolist() == [T0 + 3 * INTERVAL, T0 + 4 * INTERVAL,
                                      T0 + 5 * INTERVAL]
 
@@ -131,9 +129,10 @@ class TestAggregation:
     def test_union_timeline_is_the_unique_timestamps(self, clocks, picks,
                                                      window):
         # Each series is on one of a few clocks, sorted runs of timestamps
-        # with gaps that may repeat, and may lie outside the window. A
-        # reversed clock has the same length and end points but, unless its
-        # steps are a palindrome, other bars in between.
+        # with gaps that may repeat, and may lie outside the window that
+        # the union is sliced to. A reversed clock has the same length and
+        # end points but, unless its steps are a palindrome, other bars in
+        # between.
         universe = {}
         for j, (c, reverse) in enumerate(picks):
             offset, steps = clocks[c % len(clocks)]
@@ -143,11 +142,13 @@ class TestAggregation:
             universe[f"S{j}"] = PriceSeries(f"S{j}", INTERVAL, ts, flat, flat,
                                             flat, flat, flat)
         lo, hi = (T0 + k * INTERVAL for k in window)
-        inside = [ts[(ts >= lo) & (ts <= hi)]
-                  for ts in (u.timestamps for u in universe.values())]
-        expected = np.unique(np.concatenate([np.empty(0, np.int64)] + inside))
-        got = union_timeline(universe, (lo, hi))
+        stamps = [np.empty(0, np.int64)] + [u.timestamps
+                                            for u in universe.values()]
+        expected = np.unique(np.concatenate(stamps))
+        got = union_timeline(universe)
         assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+        inside = expected[(expected >= lo) & (expected <= hi)]
+        assert window_timeline(universe, (lo, hi)).tolist() == inside.tolist()
 
     def test_forward_fill_and_sum(self):
         # A long of 1000 from 100 to 150 over bars 10, 20 and a short of 100
@@ -250,7 +251,7 @@ class TestWindowLedger:
                     for j in range(n_symbols)}
         a, b = sorted(bounds)
         window = (T0 + a * interval, T0 + (b + 20) * interval)
-        marks = union_timeline(universe, window)
+        marks = window_timeline(universe, window)
         cost = data.draw(window_costs(sorted(universe)), label="costs")
         positions = []
         for _ in range(data.draw(st.integers(0, 6), label="positions")):
@@ -745,7 +746,7 @@ class TestOneTimeline:
         # (end + DAY keeps end > start).
         cfg = BacktestConfig(start=start, end=end + DAY,
                              initial_balance=1_000.0)
-        unions = [union_timeline(universe, w) for w in windows]
+        unions = [window_timeline(universe, w) for w in windows]
         all_empty = all(len(union) == 0 for union in unions)
         records = []
         handler = logging.Handler(logging.WARNING)

@@ -12,7 +12,7 @@ from adaptivetrend.benchmarks import (BenchmarkSpec, hold_position,
                                       realized_vol, run_benchmark,
                                       trailing_month_return)
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import DataError, MarketCapRecord
+from adaptivetrend.market_data import DataError
 from adaptivetrend.rebalancer import RebalanceConfig
 from adaptivetrend.signal_engine import book_trades
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
@@ -20,7 +20,7 @@ from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0,
                       gbm_series, jumpy_universe, make_series, market_of,
                       rough_series)
 import scalar_reference
-from scalar_reference import records
+from scalar_reference import MarketCapRecord, records
 
 JAN31 = date(2022, 1, 31)
 

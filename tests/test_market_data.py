@@ -21,7 +21,7 @@ from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
 from adaptivetrend import market_data
 from adaptivetrend.cost_model import FUNDING_HEADER, load_funding_rates
 from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
-                                       CapIndex, DataError, MarketCapRecord,
+                                       CapIndex, DataError,
                                        PriceSeries, SyntheticSpec, bars_per_year,
                                        date_of_ts, generate_synthetic_universe,
                                        load_market_caps, load_price_series,
@@ -31,9 +31,10 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        WRITE_BLOCK_ROWS)
 from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
-from scalar_reference import TradeRecord, as_ledger, read_ledger
-from conftest import (INTERVAL, T0, bars_of, make_bars, make_series,
-                      series_from_bars)
+from scalar_reference import (MarketCapRecord, TradeRecord, as_ledger,
+                              cap_columns, cap_records, read_ledger)
+from conftest import (INTERVAL, T0, bars_of, day_start, make_bars,
+                      make_series, series_from_bars)
 
 
 def test_bars_per_year():
@@ -189,10 +190,14 @@ class TestCapsCsv:
         p.write_text("date,symbol,market_cap_usd\n"
                      "2022-01-01,BTC,9e11\n2022-01-01,ETH,4e11\n"
                      "2022-01-02,BTC,9.1e11\n2022-01-02,ETH,4.1e11\n")
-        records = list(load_market_caps(str(p)))
+        records = cap_records(market_data._cap_columns(str(p)))
         assert len(records) == 4
         assert {r.symbol for r in records} == {"BTC", "ETH"}
         assert records[0].date == date(2022, 1, 1)
+        index = load_market_caps(str(p))
+        assert index.dates.tolist() == [date(2022, 1, 1), date(2022, 1, 2)]
+        assert index.ranking(day_after(date(2022, 1, 2)),
+                             largest=False) == ["ETH", "BTC"]
 
     def test_zero_cap_rejected(self, tmp_path):
         p = tmp_path / "market_caps.csv"
@@ -212,8 +217,8 @@ class TestCapsCsv:
         records = [MarketCapRecord(symbol="BTC", date=date(2022, 1, 1), cap=9e11),
                    MarketCapRecord(symbol="ETH", date=date(2022, 1, 2), cap=4e11)]
         p = tmp_path / "caps.csv"
-        save_market_caps(records, str(p))
-        assert list(load_market_caps(str(p))) == records
+        save_market_caps(cap_columns(records), str(p))
+        assert cap_records(market_data._cap_columns(str(p))) == records
 
 
 class TestSyntheticGenerator:
@@ -222,7 +227,7 @@ class TestSyntheticGenerator:
                              regimes=((40, 0.3, 0.5),), interval=INTERVAL, start=T0)
         a_series, a_caps = generate_synthetic_universe(spec)
         b_series, b_caps = generate_synthetic_universe(spec)
-        assert a_caps == b_caps
+        assert cap_records(a_caps) == cap_records(b_caps)
         for sa, sb in zip(a_series, b_series):
             assert bars_of(sa) == bars_of(sb)
 
@@ -232,6 +237,7 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(seed=7, n_symbols=2,
                              regimes=((6, 0.5, 0.6),), interval=INTERVAL, start=T0)
         series, caps = generate_synthetic_universe(spec)
+        caps = cap_records(caps)
         assert series[0].symbol == "SYM00"
         assert series[0].close[0] == 99.04941559280921
         assert series[0].close[1] == 101.38925804907446
@@ -274,6 +280,7 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(seed=1, n_symbols=3,
                              regimes=((8, 0.1, 0.3),), interval=INTERVAL, start=T0)
         series, caps = generate_synthetic_universe(spec)
+        caps = cap_records(caps)
         assert [s.symbol for s in series] == ["SYM00", "SYM01", "SYM02"]
         for s in series:
             assert s.timestamps.tolist() == \
@@ -392,7 +399,7 @@ def _plain(loaded):
     if isinstance(loaded, PriceSeries):
         return loaded.symbol, loaded.interval, bars_of(loaded)
     if isinstance(loaded, CapIndex):
-        return list(loaded)
+        return ranked_snapshots(loaded)
     return loaded
 
 
@@ -587,8 +594,8 @@ class TestCsvRoundTrip:
         unique_by=lambda r: (r.symbol, r.date), max_size=8))
     def test_market_caps(self, tmp_path_factory, records):
         p = tmp_path_factory.mktemp("rt") / "caps.csv"
-        save_market_caps(records, str(p))
-        assert list(load_market_caps(str(p))) == records
+        save_market_caps(cap_columns(records), str(p))
+        assert cap_records(market_data._cap_columns(str(p))) == records
 
     @ROUND_TRIP
     @given(rows=st.lists(st.tuples(TIMESTAMP, SYMBOL,
@@ -796,8 +803,23 @@ def caps_rows(draw):
     return rows
 
 
-def _cap_snapshot_items(snapshots):
-    return [(day, list(snapshot.items())) for day, snapshot in snapshots.items()]
+def day_after(day: date) -> int:
+    """00:00 UTC of the day after ``day``, when its snapshot is in force."""
+    return day_start(day) + 86_400
+
+
+def ranked_snapshots(index: CapIndex):
+    """Each snapshot date of a CapIndex with its ranking both ways."""
+    return [(day, index.ranking(day_after(day)),
+             index.ranking(day_after(day), largest=False))
+            for day in index.dates.tolist()]
+
+
+def reference_snapshots(records):
+    """ranked_snapshots from a scan of the records."""
+    return [(day, scalar_reference.cap_ranking(records, day_after(day)),
+             scalar_reference.cap_ranking(records, day_after(day), False))
+            for day in sorted({r.date for r in records})]
 
 
 class TestColumnarCapsLoaderMatchesRowParser:
@@ -813,13 +835,12 @@ class TestColumnarCapsLoaderMatchesRowParser:
             writer.writerows(rows)
 
         def columnar():
-            index = load_market_caps(str(p))
-            return list(index), index.dates, _cap_snapshot_items(index.snapshots)
+            return (cap_records(market_data._cap_columns(str(p))),
+                    ranked_snapshots(load_market_caps(str(p))))
 
         def rows_parsed():
             records = scalar_reference.load_market_caps(str(p))
-            snapshots = scalar_reference.cap_snapshots(records)
-            return records, list(snapshots), _cap_snapshot_items(snapshots)
+            return records, reference_snapshots(records)
 
         def outcome(load):
             try:
@@ -838,12 +859,13 @@ class TestColumnarCapsLoaderMatchesRowParser:
             raise AssertionError("read row by row")
 
         monkeypatch.setattr(market_data, "read_csv", no_row_parser)
-        index = load_market_caps(str(p))
-        assert index.dates == [date(2022, 1, 1), date(2022, 1, 2)]
-        assert _cap_snapshot_items(index.snapshots) == [
-            (date(2022, 1, 1), [("BTC", 9e11)]),
-            (date(2022, 1, 2), [("ETH", 4e11), ("BTC", 9.1e11)])]
-        assert [r.symbol for r in index] == ["ETH", "BTC", "BTC"]
+        assert cap_records(market_data._cap_columns(str(p))) == [
+            MarketCapRecord("ETH", date(2022, 1, 2), 4e11),
+            MarketCapRecord("BTC", date(2022, 1, 1), 9e11),
+            MarketCapRecord("BTC", date(2022, 1, 2), 9.1e11)]
+        assert ranked_snapshots(load_market_caps(str(p))) == [
+            (date(2022, 1, 1), ["BTC"], ["BTC"]),
+            (date(2022, 1, 2), ["BTC", "ETH"], ["ETH", "BTC"])]
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
     def test_header_only_file_is_empty(self, tmp_path, body):
@@ -852,7 +874,9 @@ class TestColumnarCapsLoaderMatchesRowParser:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             index = load_market_caps(str(p))
-        assert list(index) == [] and index.dates == [] and len(index) == 0
+            records = cap_records(market_data._cap_columns(str(p)))
+        assert records == [] and index.dates.tolist() == []
+        assert index.ranking(2 ** 40) is None
 
     def test_crlf_loads_like_lf(self, tmp_path):
         lines = [",".join(MARKET_CAP_HEADER), "2022-01-02,ETH,4e11",
@@ -864,9 +888,8 @@ class TestColumnarCapsLoaderMatchesRowParser:
             caps, prices = tmp_path / "market_caps.csv", tmp_path / "SYM.csv"
             caps.write_bytes((newline.join(lines) + newline).encode())
             prices.write_bytes((newline.join(ohlcv) + newline).encode())
-            index = load_market_caps(str(caps))
-            loaded[newline] = (list(index), index.dates,
-                               _cap_snapshot_items(index.snapshots),
+            loaded[newline] = (cap_records(market_data._cap_columns(str(caps))),
+                               ranked_snapshots(load_market_caps(str(caps))),
                                _plain(load_price_series(str(prices),
                                                         interval=INTERVAL)))
         assert loaded["\n"] == loaded["\r\n"]

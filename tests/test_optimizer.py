@@ -13,14 +13,14 @@ from adaptivetrend import backtester, rebalancer, signal_engine
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       Market, ablation_config, run_backtest)
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import CapIndex, PriceSeries
+from adaptivetrend.market_data import PriceSeries
 from adaptivetrend.rebalancer import (SEARCH_BATCH_CELL_BARS, Optimizer,
                                       ParamGrid, RebalanceConfig, grid_cells,
                                       optimization_window, union_grid)
 
 from conftest import (COST_CHOICES, FEB1, INTERVAL, MAR1, T0, jumpy_universe,
                       market_of, rough_series, solve_alone, solve_cfg)
-from scalar_reference import records
+from scalar_reference import cap_index, records
 
 BASE_GRID = ParamGrid(theta_entry=(0.005, 0.03), theta_entry_short=(0.005,),
                       alpha=(1.0, 2.0, 3.0), lookback=(4,), atr_window=3)
@@ -132,7 +132,7 @@ class TestKeptRows:
     def test_a_grid_searched_alone_keeps_no_row(self, told):
         universe, caps = jumpy_universe(7, 4, 1.0)
         cfg = point_cfg(universe)
-        market = Market(universe, CapIndex(caps), [cfg.rebalance.grid] * told)
+        market = Market(universe, cap_index(caps), [cfg.rebalance.grid] * told)
         for fee in (0.0, 4.0):
             run_backtest(market, replace(cfg, costs=replace(
                 cfg.costs, taker_fee_bps=fee)))
@@ -143,7 +143,7 @@ class TestKeptRows:
     def test_a_union_search_keeps_its_row(self):
         universe, caps = jumpy_universe(7, 4, 1.0)
         points = [point_cfg(universe, alphas=(a,)) for a in (1.0, 3.0)]
-        market = Market(universe, CapIndex(caps),
+        market = Market(universe, cap_index(caps),
                         [p.rebalance.grid for p in points])
         for cfg in points:
             run_backtest(market, cfg)

@@ -2,7 +2,8 @@
 through the ones behind the load, rebalance, aggregate and write layers, so
 a refactor cannot silently blank or zero its per-layer metrics
 (perfbench/tracer.py reports a missing hook as an absent metric, not as a
-failure, and a hook that is never called reads 0). The loaded universe's
+failure, and a hook that is never called reads 0). The cap filter runs
+through its hook once per reoptimized month. The loaded universe's
 timeline is built once per backtest and once per sweep group, each series'
 ATR once per ATR window, through the hook the tracer counts, each run books
 a window's positions in one aggregate call, and the month simulations of a
@@ -90,6 +91,27 @@ def test_a_backtest_runs_the_load_aggregate_and_write_hooks(tmp_path,
         assert sorted(trace.spans[i][3] for i, span in enumerate(trace.spans)
                       if span[0] == name) == writers
     assert (tmp_path / "run" / "benchmarks" / "btc_bh" / "equity.csv").is_file()
+
+
+def test_a_cap_filtered_backtest_filters_once_per_reoptimized_month(
+        tmp_path, monkeypatch):
+    # rebalancer.filter_s is the time of the filter hook's spans: each month
+    # that ranks the caps and reoptimizes calls it once, from its rebalance,
+    # so the metric cannot read 0 while the cap filter runs.
+    tracer = load_tracer()
+    trace = watch(monkeypatch, tracer, {("backtester", "run_rebalance"),
+                                        ("rebalancer", "filter_universe")})
+    cfg = tiny_run_config(tmp_path, bars=480, end="2022-04-20")
+    out = tmp_path / "run"
+    assert main(["backtest", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "rebalance_log.json") as fh:
+        reoptimized = [r["month"] for r in json.load(fh) if r["reoptimized"]]
+    assert reoptimized == ["2022-02", "2022-03", "2022-04"]
+    rebalances = [i for i, span in enumerate(trace.spans)
+                  if span[0] == "backtester.run_rebalance"]
+    filtered = [span[3] for span in trace.spans
+                if span[0] == "rebalancer.filter_universe"]
+    assert filtered == rebalances and len(rebalances) == len(reoptimized)
 
 
 def test_a_backtest_computes_each_atr_once(tmp_path, monkeypatch):

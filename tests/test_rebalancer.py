@@ -6,21 +6,23 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import MarketCapRecord
-from adaptivetrend.rebalancer import (Allocation, CandidateResult, CapIndex,
-                                      ParamGrid, RebalanceConfig, cap_snapshot,
+from adaptivetrend.market_data import SECONDS_PER_DAY, CapIndex
+from adaptivetrend.rebalancer import (Allocation, CandidateResult,
+                                      ParamGrid, RebalanceConfig,
                                       evaluate_cell, filter_universe,
                                       grid_cells, has_month_history,
                                       optimization_window, params_to_dict,
                                       run_rebalance, select_and_allocate)
 from adaptivetrend.signal_engine import StrategyParams
 import scalar_reference
-from conftest import (FEB1, INTERVAL, MAR1, bars_of, caps_for, gbm_series,
-                      make_series, series_from_bars, solve_alone, solve_cfg)
+from scalar_reference import MarketCapRecord, cap_index
+from conftest import (FEB1, INTERVAL, MAR1, bars_of, caps_for, day_start,
+                      gbm_series, make_series, series_from_bars, solve_alone,
+                      solve_cfg)
 
 INF = float("inf")
 JAN31 = date(2022, 1, 31)
@@ -38,39 +40,57 @@ class TestCapSnapshot:
         caps = [MarketCapRecord("A", date(2022, 1, 31), 5.0),
                 MarketCapRecord("A", date(2022, 2, 28), 7.0),
                 MarketCapRecord("B", date(2022, 1, 31), 3.0)]
-        index = CapIndex(caps)
-        assert cap_snapshot(index, date(2022, 2, 28)) == {"A": 7.0}
-        assert cap_snapshot(index, date(2022, 2, 27)) == {"A": 5.0, "B": 3.0}
+        index = cap_index(caps)
+        assert index.ranking(MAR1) == ["A"]  # Feb 28's snapshot
+        # at 00:00 on Feb 28, Jan 31's: that day's caps are not yet known
+        assert index.ranking(day_start(date(2022, 2, 28))) == ["A", "B"]
+        assert index.ranking(day_start(date(2022, 2, 28)),
+                             largest=False) == ["B", "A"]
 
     def test_none_before_first_snapshot(self):
         caps = [MarketCapRecord("A", date(2022, 1, 31), 5.0)]
-        assert cap_snapshot(CapIndex(caps), date(2022, 1, 30)) is None
+        assert cap_index(caps).ranking(day_start(date(2022, 1, 31))) is None
+        assert CapIndex().ranking(FEB1) is None
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(records=st.lists(st.builds(
-               MarketCapRecord, symbol=st.sampled_from("ABCD"),
-               date=st.dates(date(2022, 1, 1), date(2022, 1, 20)),
-               cap=st.floats(1.0, 1e12)), max_size=30),
-           days=st.lists(st.dates(date(2021, 12, 25), date(2022, 1, 25)),
-                         max_size=10))
-    def test_index_matches_linear_scan(self, records, days):
-        # Snapshot days are sparse, may repeat a (symbol, date) record (the
-        # last one wins) and the lookups start before the first snapshot.
-        def items(snapshot):
-            return None if snapshot is None else list(snapshot.items())
-
-        index = CapIndex(records)
-        assert list(index) == records
-        for day in days:
-            expected = items(scalar_reference.cap_snapshot(records, day))
-            assert items(cap_snapshot(index, day)) == expected
+               MarketCapRecord, symbol=st.sampled_from("ABCDE"),
+               date=st.dates(date(2022, 1, 28), date(2022, 2, 3)),
+               cap=st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
+                             st.floats(1.0, 1e12))), max_size=30),
+           lookups=st.lists(st.tuples(
+               st.dates(date(2022, 1, 25), date(2022, 2, 6)),
+               st.one_of(st.just(0), st.integers(1, SECONDS_PER_DAY - 1))),
+               max_size=8))
+    @example(records=[], lookups=[])
+    @example(records=[MarketCapRecord("B", date(2022, 1, 31), 3.0),
+                      MarketCapRecord("A", date(2022, 1, 31), 3.0),
+                      MarketCapRecord("C", date(2022, 1, 31), 2.0),
+                      MarketCapRecord("E", date(2022, 1, 31), 1.0),
+                      MarketCapRecord("D", date(2022, 1, 31), 1.0),
+                      MarketCapRecord("C", date(2022, 1, 31), 1.0),
+                      MarketCapRecord("A", date(2022, 2, 1), 9.0)],
+             lookups=[(date(2022, 2, 2), 0)])
+    def test_index_matches_linear_scan(self, records, lookups):
+        # Against a scan of every record, both ways: caps tie at either end
+        # of a ranking (a few values recur), a (symbol, date) may repeat
+        # (the last record wins), snapshot days are sparse, and a lookup
+        # may come before the first snapshot, at 00:00 of a day (FEB1, a
+        # month's first day, is always asked; that day's snapshot is not in
+        # force yet) or later in it.
+        index = cap_index(records)
+        for day, second in lookups + [(date(2022, 2, 1), 0)]:
+            at = day_start(day) + second
+            for largest in (True, False):
+                assert index.ranking(at, largest) == \
+                    scalar_reference.cap_ranking(records, at, largest)
 
 
 class TestFilterUniverse:
     def test_wide_universe_splits_cleanly(self):
         symbols = [f"SYM{j:02d}" for j in range(40)]
-        caps = CapIndex(caps_for(symbols))  # cap decreasing with index
-        longs, shorts = filter_universe(caps, JAN31,
+        caps = cap_index(caps_for(symbols))  # cap decreasing with index
+        longs, shorts = filter_universe(caps, FEB1,
                                         cfg_with(k_long=15, k_short=15))
         assert longs == symbols[:15]
         assert shorts == symbols[:24:-1]  # ascending cap: SYM39 .. SYM25
@@ -78,14 +98,14 @@ class TestFilterUniverse:
 
     def test_small_universe_longs_absorb_everything(self):
         symbols = [f"SYM{j:02d}" for j in range(10)]
-        longs, shorts = filter_universe(CapIndex(caps_for(symbols)), JAN31,
+        longs, shorts = filter_universe(cap_index(caps_for(symbols)), FEB1,
                                         cfg_with(k_long=15, k_short=15))
         assert longs == symbols
         assert shorts == []
 
     def test_partial_overlap_drops_from_short_side(self):
         symbols = ["A", "B", "C", "D", "E"]
-        longs, shorts = filter_universe(CapIndex(caps_for(symbols)), JAN31,
+        longs, shorts = filter_universe(cap_index(caps_for(symbols)), FEB1,
                                         cfg_with())
         assert longs == ["A", "B", "C"]
         assert shorts == ["E", "D"]
@@ -95,19 +115,19 @@ class TestFilterUniverse:
                 MarketCapRecord("AAA", JAN31, 100.0),
                 MarketCapRecord("MMM", JAN31, 50.0),
                 MarketCapRecord("NNN", JAN31, 10.0)]
-        longs, shorts = filter_universe(CapIndex(caps), JAN31,
+        longs, shorts = filter_universe(cap_index(caps), FEB1,
                                         cfg_with(k_long=1, k_short=1))
         assert longs == ["AAA"]
         assert shorts == ["NNN"]
 
     def test_no_snapshot_returns_none(self):
         caps = [MarketCapRecord("A", date(2022, 3, 31), 1.0)]
-        assert filter_universe(CapIndex(caps), JAN31, cfg_with()) is None
+        assert filter_universe(cap_index(caps), FEB1, cfg_with()) is None
 
     def test_only_latest_snapshot_counts(self):
         caps = [MarketCapRecord("OLD", date(2022, 1, 1), 9e9),
                 MarketCapRecord("NEW", JAN31, 1.0)]
-        longs, shorts = filter_universe(CapIndex(caps), JAN31,
+        longs, shorts = filter_universe(cap_index(caps), FEB1,
                                         cfg_with(k_long=5, k_short=5))
         assert longs == ["NEW"] and "OLD" not in longs
 
@@ -448,8 +468,8 @@ class TestRunRebalance:
                             symbol="UP", t0=FEB1 - 10 * INTERVAL, wick=0.05)
         faller = make_series([100.0 * 0.99 ** i for i in range(130)],
                              symbol="DN", t0=FEB1 - 10 * INTERVAL, wick=0.05)
-        caps = CapIndex([MarketCapRecord("UP", JAN31, 2e9),
-                         MarketCapRecord("DN", JAN31, 1e9)])
+        caps = [MarketCapRecord("UP", JAN31, 2e9),
+                MarketCapRecord("DN", JAN31, 1e9)]
         return {"UP": riser, "DN": faller}, caps
 
     def rebalance(self, universe, caps, **kw):
@@ -460,7 +480,7 @@ class TestRunRebalance:
         cfg = BacktestConfig(start=MAR1, end=MAR1 + INTERVAL,
                              interval=INTERVAL, rebalance=rcfg,
                              costs=ZERO_COSTS, **kw)
-        return run_rebalance(Market(universe, caps), MAR1, cfg)
+        return run_rebalance(Market(universe, cap_index(caps)), MAR1, cfg)
 
     def test_full_pipeline(self):
         universe, caps = self.universe()
@@ -480,7 +500,7 @@ class TestRunRebalance:
 
     def test_missing_caps_skips_month(self):
         universe, _ = self.universe()
-        caps = CapIndex([MarketCapRecord("UP", date(2022, 3, 31), 2e9)])
+        caps = [MarketCapRecord("UP", date(2022, 3, 31), 2e9)]
         port, record = self.rebalance(universe, caps)
         assert port.longs == () and port.shorts == ()
         assert port.cash_weight == 1.0
@@ -506,7 +526,7 @@ class TestRunRebalance:
         # A cap-listed symbol without a price series is excluded for that
         # cause, not for a short history; a short history keeps its message.
         universe, caps = self.universe()
-        caps = CapIndex(list(caps) + [MarketCapRecord("GONE", JAN31, 3e9)])
+        caps = caps + [MarketCapRecord("GONE", JAN31, 3e9)]
         universe["DN"] = make_series(
             [100.0 * 0.99 ** i for i in range(40)], symbol="DN",
             t0=FEB1 + 5 * INTERVAL, wick=0.05)
