@@ -218,7 +218,9 @@ def aggregate_results(
     operations, in its order, over every trade of the window at once, with
     the fills and funding priced by cost_model's one pricing step. The
     positions' bars are laid end to end, and one searchsorted per position
-    places every mark on that position's bars."""
+    places every mark on that position's bars. The three arrays are rows of
+    one (3, marks) array that owns its memory, so a caller that keeps them
+    keeps no (positions x marks) sums they were read from."""
     positions = [p for p in positions if len(p.found.cell)]  # others book 0
     if not positions:
         return (*np.zeros((3, len(marks))), NO_LEDGER)
@@ -277,7 +279,7 @@ def aggregate_results(
         np.array([p.series.symbol for p in positions])[owner],
         np.where(short, SHORT, LONG), ts[e], entry_px, ts[x], exit_px, size,
         gross, fee, slip, funded, net, forced)
-    return (*np.cumsum(rows, axis=1)[:, -1], ledger)
+    return (*np.cumsum(rows, axis=1)[:, -1].copy(), ledger)
 
 
 def month_windows(months: Sequence[int], end: int) -> List[Tuple[int, int]]:
@@ -313,7 +315,8 @@ def run_windows(
     The strategy adds a window's net change to its starting balance in one
     step (net_first), the benchmarks add realized PnL, open MTM and open
     costs in turn; the two orders round differently, and both runs' equity
-    is kept bit for bit.
+    is kept bit for bit. Each window's booked arrays are kept until the
+    curve is built, and each is backed by the window's marks alone.
 
     Returns the result: the equity curve, anchored at cfg.initial_balance one
     bar interval before the first window, the trades sorted by (entry, exit,

@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import weakref
 from dataclasses import astuple, replace
 from datetime import date
 
@@ -16,6 +17,7 @@ from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       run_backtest, run_windows,
                                       save_equity, snap_to_month,
                                       union_timeline)
+from adaptivetrend import signal_engine
 from adaptivetrend.benchmarks import (BENCHMARK_KINDS, BenchmarkSpec,
                                       run_benchmark)
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
@@ -453,6 +455,57 @@ def jumpy_caps(seed, n_symbols, jump, smallest):
     universe, caps = jumpy_universe(seed, n_symbols, jump)
     return universe, (caps_for(list(reversed(list(universe)))) if smallest
                       else caps)
+
+
+def _root(array: np.ndarray) -> np.ndarray:
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestHeldMemory:
+    """What a run keeps per window and per series: the booked sums of a
+    window's marks, and the ATR state of the series."""
+
+    def test_booked_sums_own_their_memory(self):
+        # A run keeps every window's sums: each must be backed by its marks
+        # alone, not by the (positions x marks) sums they are read from.
+        universe = {sym: gbm_series(np.random.default_rng(j), 120,
+                                    symbol=sym, vol=0.9)
+                    for j, sym in enumerate(["A", "B", "C"])}
+        marks = union_timeline(universe)
+        cell = StrategyParams(theta_entry=0.01, theta_entry_short=0.01,
+                              alpha=2.0, lookback=4, atr_window=3)
+        positions = cell_positions([(series, cell, 1000.0)
+                                    for series in universe.values()], None)
+        *sums, ledger = aggregate_results(marks, positions, CostConfig(),
+                                          charge_funding=True)
+        assert len(ledger) > 0
+        roots = {id(_root(a)): _root(a) for a in sums}
+        assert sum(root.size for root in roots.values()) <= 3 * len(marks)
+
+    def test_a_backtest_holds_a_float_per_atr_stride_bars(self):
+        # Every series-keyed memo of the trading engine but the trades' is
+        # ATR state: after a run, at most one float per 64 bars and one more.
+        symbols = [f"SYM{j:02d}" for j in range(3)]
+        universe = {sym: gbm_series(np.random.default_rng(2000 + j), 356,
+                                    symbol=sym, vol=0.9, t0=T0)
+                    for j, sym in enumerate(symbols)}
+        cfg = BacktestConfig(
+            start=FEB1, end=int(universe[symbols[0]].timestamps[-1]),
+            initial_balance=50_000.0, interval=INTERVAL,
+            rebalance=reb_cfg(k_long=2, k_short=2), costs=CostConfig())
+        run_backtest(market_of(universe, caps_for(symbols)), cfg)
+        memos = [memo for memo in vars(signal_engine).values()
+                 if isinstance(memo, weakref.WeakKeyDictionary)
+                 and memo is not signal_engine._trades_memo]
+        assert memos
+        for series in universe.values():
+            held = [memo[series] for memo in memos if series in memo]
+            assert held  # the optimizer and the trader read it
+            floats = sum(a.size for value in held for a in (
+                value.values() if isinstance(value, dict) else [value]))
+            assert floats <= len(series) // 64 + 1
 
 
 class TestMultiMonthAccounting:

@@ -5,7 +5,7 @@ a refactor cannot silently blank or zero its per-layer metrics
 failure, and a hook that is never called reads 0). The cap filter runs
 through its hook once per reoptimized month. The loaded universe's
 timeline is built once per backtest and once per sweep group, each series'
-ATR once per ATR window, through the hook the tracer counts, each run books
+running true-range sums once per backtest, each run books
 a window's positions in one aggregate call, and the month simulations of a
 sweep (each month's cell_positions) search each traded cell once."""
 
@@ -114,25 +114,23 @@ def test_a_cap_filtered_backtest_filters_once_per_reoptimized_month(
     assert filtered == rebalances and len(rebalances) == len(reoptimized)
 
 
-def test_a_backtest_computes_each_atr_once(tmp_path, monkeypatch):
-    # The optimizer and the trader share one ATR per (series, ATR window);
-    # a series is known by its close column.
-    tracer = load_tracer()
-    trace = tracer.Trace()
+def test_a_backtest_builds_each_series_atr_sums_once(tmp_path, monkeypatch):
+    # The optimizer and the trader share one set of running true-range sums
+    # per series, the checkpoints every ATR window is resumed from; a series
+    # is known by its close column.
     calls = []
-    for module_name, attr, name, _kind, _after in tracer.HOOKS:
-        if (module_name, attr) == ("signal_engine", "atr"):
-            module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
-            monkeypatch.setattr(module, attr, trace.counted(
-                name, getattr(module, attr),
-                lambda _trace, args, _result: calls.append(
-                    (id(args[2]), args[3]))))
+    true_range = signal_engine.true_range
+
+    def counted(high, low, close):
+        calls.append(id(close))
+        return true_range(high, low, close)
+
+    monkeypatch.setattr(signal_engine, "true_range", counted)
     cfg = tiny_run_config(tmp_path)
     assert main(["backtest", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
     assert calls
     assert len(calls) == len(set(calls))
-    assert trace.counts["indicators.atr_calls"] == [len(calls)]
 
 
 def test_a_sweep_builds_one_timeline_for_every_point(tmp_path, monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.indicators import rolling_sharpe, sharpe_rows
+from adaptivetrend.indicators import (atr, rolling_sharpe, sharpe_rows,
+                                     true_range)
 from adaptivetrend.market_data import (Bar, PriceSeries,
                                        bars_per_year)
 from adaptivetrend import signal_engine
@@ -930,3 +931,80 @@ class TestLedgerIo:
         row = dict(zip(*(line.split(",")
                          for line in path.read_text().splitlines())))
         assert row["funding"] == "0.0"
+
+
+@st.composite
+def atr_stacks(draw):
+    """1-3 series of 1-300 bars, some with gaps in time, each bar opening
+    away from the last close, and a stack of 1-5 windows over them: bounds
+    anywhere, on and around multiples of signal_engine.ATR_STRIDE, to the
+    series' end, and 0-2 bars long; with 1-3 ATR windows from one bar to
+    longer than the series."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rough = rough_series(rng, draw(st.integers(1, 300)), INTERVAL,
+                             gaps=draw(st.booleans()), zero_volume=0.0)
+        # each bar scaled alone, so a true range often reaches back to the
+        # last close, above the bar or below it
+        scale = np.exp(rng.normal(0.0, 0.05, len(rough)))
+        pool.append(PriceSeries(
+            "RND", INTERVAL, rough.timestamps,
+            *(column * scale for column in (rough.open, rough.high,
+                                            rough.low, rough.close)),
+            rough.volume))
+    stride = signal_engine.ATR_STRIDE
+    stack = []
+    for _ in range(draw(st.integers(1, 5))):
+        series = draw(st.sampled_from(pool))
+        n = len(series)
+        near = sorted({min(max(k * stride + d, 0), n)
+                       for k in range(n // stride + 2) for d in (-1, 0, 1)})
+        i0 = draw(st.one_of(st.integers(0, n), st.sampled_from(near)))
+        i1 = draw(st.one_of(
+            st.just(n), st.integers(i0, min(i0 + 2, n)), st.integers(i0, n),
+            st.sampled_from([b for b in near if b >= i0])))
+        stack.append((series, (i0, i1), ()))
+    longest = max(len(series) for series in pool)
+    windows = sorted(draw(st.sets(st.one_of(
+        st.integers(1, 3), st.integers(1, longest + 10)),
+        min_size=1, max_size=3)))
+    return stack, windows
+
+
+class TestWindowAtrs:
+    """The search's ATR rows, resumed from each series' running-sum
+    checkpoints, equal indicators.atr of the whole series, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=atr_stacks())
+    def test_rows_equal_the_whole_series_atr(self, drawn):
+        stack, windows = drawn
+        width = max(i1 - i0 for _, (i0, i1), _ in stack)
+        high, low, close, atrs = signal_engine._window_atrs(stack, windows,
+                                                            width)
+        assert atrs.shape == (len(windows) * len(stack), width)
+        for p, (series, (i0, i1), _) in enumerate(stack):
+            n = i1 - i0
+            for got, column in ((high, series.high), (low, series.low),
+                                (close, series.close)):
+                assert got[p, :n].tobytes() == column[i0:i1].tobytes()
+                assert np.isnan(got[p, n:]).all()
+            for k, w in enumerate(windows):
+                row = atrs[k * len(stack) + p]
+                want = atr(series.high, series.low, series.close, w)[i0:i1]
+                assert row[:n].tobytes() == want.tobytes()  # NaN alike
+                assert np.isnan(row[n:]).all()
+
+    def test_checkpoints_are_the_running_sum(self):
+        # One float per ATR_STRIDE bars: the running sum that
+        # indicators.atr differences, from the series' first bar.
+        series = gbm_series(np.random.default_rng(5), 200)
+        sums = signal_engine._tr_checkpoints(series)
+        stride = signal_engine.ATR_STRIDE
+        running = np.cumsum(true_range(series.high, series.low,
+                                       series.close))
+        assert len(sums) == len(series) // stride + 1
+        assert sums[0] == 0.0
+        assert sums[1:].tolist() == running[stride - 1::stride].tolist()
+        assert signal_engine._tr_checkpoints(series) is sums
