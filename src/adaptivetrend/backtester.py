@@ -326,11 +326,9 @@ def run_windows(
     timeline = market.timeline
     balance = cfg.initial_balance
     realized_total = 0.0
-    ts_chunks = [np.array([windows[0][0] - market.interval], dtype=np.int64)]
-    bal_chunks = [np.array([balance])]
-    realized_chunks = [np.zeros(1)]
-    mtm_chunks = [np.zeros(1)]
-    ocost_chunks = [np.zeros(1)]
+    # Per window: its marks, balances, realized, open MTM and open costs.
+    chunks = [(np.array([windows[0][0] - market.interval], dtype=np.int64),
+               np.array([balance]), np.zeros(1), np.zeros(1), np.zeros(1))]
     ledgers: List[Ledger] = []
     bankrupt = False
 
@@ -364,22 +362,19 @@ def run_windows(
             logger.warning("balance depleted at %d; halting run",
                            int(marks[-1]))
         ledgers.append(ledger)
-
-        ts_chunks.append(marks)
-        bal_chunks.append(balances)
-        realized_chunks.append(realized_total + realized)
-        mtm_chunks.append(mtm)
-        ocost_chunks.append(ocost)
+        chunks.append((marks, balances, realized_total + realized, mtm, ocost))
         if bankrupt:
             break
         balance = float(balances[-1])
         realized_total += float(realized[-1])
 
-    if len(ts_chunks) == 1:
+    if len(chunks) == 1:
         raise DataError(f"no bars in [{windows[0][0]}, {windows[-1][1]}]:"
                         " nothing to backtest")
-    equity = EquityCurve(timestamps=np.concatenate(ts_chunks),
-                         balances=np.concatenate(bal_chunks), bankrupt=bankrupt)
+    timestamps, balances, realized, mtm, ocost = map(np.concatenate,
+                                                     zip(*chunks))
+    equity = EquityCurve(timestamps=timestamps, balances=balances,
+                         bankrupt=bankrupt)
     trades = Ledger(*map(np.concatenate, zip(*(
         ledger.columns() for ledger in ledgers))))
     trades = trades.take(np.lexsort(
@@ -387,9 +382,7 @@ def run_windows(
     metrics = analytics.compute_metrics(
         equity, trades, rf_annual=cfg.rebalance.rf_annual,
         bars_per_year=bars_per_year(market.interval))
-    return BacktestResult(
-        equity, trades, np.concatenate(realized_chunks),
-        np.concatenate(mtm_chunks), np.concatenate(ocost_chunks), metrics)
+    return BacktestResult(equity, trades, realized, mtm, ocost, metrics)
 
 
 def run_backtest(market: Market, cfg: BacktestConfig) -> BacktestResult:

@@ -52,29 +52,20 @@ def atr(high: np.ndarray, low: np.ndarray, close: np.ndarray,
     return out
 
 
-def sharpe_rows(returns: np.ndarray, rf_annual: float,
-                bars_per_year: float) -> np.ndarray:
-    """Annualized Sharpe ratio of each row of a 2-D per-bar net return sample.
+def sharpe_rows_in_place(r: np.ndarray, rf_annual: float,
+                         bars_per_year: float) -> np.ndarray:
+    """Annualized Sharpe ratio of each row of a 2-D float64 per-bar net
+    return sample that the caller owns and gives up.
 
     The risk-free rate is deannualized to per-bar by simple division. A row's
     ratio is NaN when undefined: fewer than two observations, or zero
     dispersion with nonzero mean excess return. A constant row exactly equal
     to the per-bar risk-free rate scores 0.0 (zero excess over zero
     dispersion is treated as zero, not unbounded). Each row's value is
-    bit-identical to the same computation on that row alone. The returns
-    are scored on a copy (see sharpe_rows_in_place), so they are left as
-    they were.
-    """
-    return sharpe_rows_in_place(np.array(returns, dtype=np.float64),
-                                rf_annual, bars_per_year)
-
-
-def sharpe_rows_in_place(r: np.ndarray, rf_annual: float,
-                         bars_per_year: float) -> np.ndarray:
-    """sharpe_rows of a 2-D float64 array that the caller owns and gives up:
-    its rows are overwritten with their squared deviations from their means,
-    so scoring allocates a bool mask and a few per-row vectors, never a
-    second matrix. Each ratio is the same float as sharpe_rows gives.
+    bit-identical to the same computation on that row alone. The rows are
+    overwritten with their squared deviations from their means, so scoring
+    allocates a bool mask and a few per-row vectors, never a second matrix;
+    a caller that keeps its returns scores a copy.
     """
     out = np.full(r.shape[0], np.nan)
     if r.shape[1] < 2:
@@ -102,8 +93,9 @@ def rolling_sharpe(returns: Sequence[float], rf_annual: float,
                    bars_per_year: float) -> Optional[float]:
     """Annualized Sharpe ratio of one per-bar net return sample.
 
-    The rules are those of ``sharpe_rows``; an undefined ratio is None.
+    The rules are those of ``sharpe_rows_in_place``, applied to a copy of
+    the returns; an undefined ratio is None.
     """
-    r = np.asarray(returns, dtype=np.float64).reshape(1, -1)
-    value = sharpe_rows(r, rf_annual, bars_per_year)[0]
+    r = np.array(returns, dtype=np.float64).reshape(1, -1)
+    value = sharpe_rows_in_place(r, rf_annual, bars_per_year)[0]
     return None if math.isnan(value) else float(value)

@@ -26,9 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, date, timezone
 from functools import partial
-from itertools import starmap
-from typing import (Callable, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, TextIO, Tuple, TypeVar)
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple, TypeVar)
 
 import numpy as np
 
@@ -66,50 +65,38 @@ DEFAULT_BARS_PER_YEAR = bars_per_year(DEFAULT_INTERVAL)
 # Core types
 # ---------------------------------------------------------------------------
 
-class Bar(NamedTuple):
-    """One OHLCV observation; timestamp is the bar close instant (UTC seconds).
-
-    Series store columns, not bars: a Bar is a per-bar view, built only to
-    write a series out or to name an offending bar in an error message.
-    """
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
 def _check_bars(series: "PriceSeries") -> None:
     """Check every bar's invariants at once. The first offending bar raises a
     DataError for the first rule listed that it breaks; timestamp rules
     compare a bar with its predecessor."""
     symbol, interval = series.symbol, series.interval
-    ts, o, h, lo, c, v = series.columns()
+    columns = series.columns()
+    ts, o, h, lo, c, v = columns
     prices = np.stack([o, h, lo, c])
     # The first bar gets a step of one interval, which breaks no rule.
     step = np.diff(ts, prepend=ts[:1] - interval)
     rules = (  # comparisons with NaN are false, so NaN breaks the first two
         (~((prices > 0) & (prices < INF)).all(axis=0),
-         "bar {b.timestamp}: prices must be strictly positive and finite"),
+         "bar {timestamp}: prices must be strictly positive and finite"),
         (~((v >= 0) & (v < INF)),
-         "bar {b.timestamp}: volume must be non-negative and finite"),
-        (lo > h, "bar {b.timestamp}: low {b.low} exceeds high {b.high}"),
+         "bar {timestamp}: volume must be non-negative and finite"),
+        (lo > h, "bar {timestamp}: low {low} exceeds high {high}"),
         (h < np.maximum(o, c),
-         "bar {b.timestamp}: high {b.high} below max(open, close)"),
+         "bar {timestamp}: high {high} below max(open, close)"),
         (lo > np.minimum(o, c),
-         "bar {b.timestamp}: low {b.low} above min(open, close)"),
-        (step == 0, "{symbol}: duplicate timestamp {b.timestamp}"),
-        (step < 0, "{symbol}: timestamps not ascending at {b.timestamp}"),
-        (step % interval != 0, "{symbol}: gap {prev} -> {b.timestamp} is not a"
+         "bar {timestamp}: low {low} above min(open, close)"),
+        (step == 0, "{symbol}: duplicate timestamp {timestamp}"),
+        (step < 0, "{symbol}: timestamps not ascending at {timestamp}"),
+        (step % interval != 0, "{symbol}: gap {prev} -> {timestamp} is not a"
                                " multiple of interval {interval}"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in rules])
     if bad.any():
         i = int(bad.argmax())
         message = next(msg for mask, msg in rules if mask[i])
-        raise DataError(message.format(b=series.bar(i), symbol=symbol,
+        # The bar's fields as Python int and float, as the messages print them.
+        bar = {name: col[i].item() for name, col in zip(OHLCV_HEADER, columns)}
+        raise DataError(message.format(**bar, symbol=symbol,
                                        prev=int(ts[i - 1]), interval=interval))
 
 
@@ -173,13 +160,6 @@ class PriceSeries:
         i1 = int(np.searchsorted(self.timestamps, end_ts, side="right"))
         return i0, i1
 
-    def bars(self, i0: int, i1: int) -> Iterator[Bar]:
-        """Bar views of rows [i0, i1), with plain int and float fields."""
-        return starmap(Bar, zip(*(col[i0:i1].tolist() for col in self.columns())))
-
-    def bar(self, i: int) -> Bar:
-        return next(self.bars(i, i + 1))
-
 
 # Daily market caps as parallel columns, one row per (symbol, date) record:
 # datetime64[D] dates, symbols and float64 caps. The generator, the loader
@@ -192,11 +172,12 @@ class CapIndex:
     cap filter and the benchmarks read a cap ranking from.
 
     Built from the columns of CapColumns in any order; a repeated (symbol,
-    date) keeps its last cap. Every date's symbols are ranked by cap both
-    ways, ties to the smaller name either way, by one sort per way over all
-    dates, and only the rankings are held, as positions into the sorted
-    distinct names. ``dates`` are the snapshot dates (datetime64[D],
-    ascending). Build one per loaded universe.
+    date) is a DataError naming it (the first by date, then name). Every
+    date's symbols are ranked by cap both ways, ties to the smaller name
+    either way, by one sort per way over all dates, and only the rankings
+    are held, as positions into the sorted distinct names. ``dates`` are
+    the snapshot dates (datetime64[D], ascending). Build one per loaded
+    universe.
     """
 
     def __init__(self, days: Iterable = (), symbols: Sequence[str] = (),
@@ -206,13 +187,15 @@ class CapIndex:
         self._names = sorted(set(symbols))
         code = {name: k for k, name in enumerate(self._names)}
         sym = np.fromiter(map(code.__getitem__, symbols), np.intp, len(days))
-        # Rows by (date, name), a repeat after its earlier rows: the last of
-        # each run of one (date, name) is kept.
+        # Rows by (date, name), so a repeat follows its first row.
         keyed = np.lexsort((sym, days))
-        days, sym = days[keyed], sym[keyed]
-        kept = np.ones(len(keyed), dtype=bool)
-        kept[:-1] = (days[1:] != days[:-1]) | (sym[1:] != sym[:-1])
-        days, sym, caps = days[kept], sym[kept], caps[keyed[kept]]
+        days, sym, caps = days[keyed], sym[keyed], caps[keyed]
+        repeat = np.flatnonzero((days[1:] == days[:-1])
+                                & (sym[1:] == sym[:-1]))
+        if len(repeat):
+            k = repeat[0]
+            raise DataError(f"duplicate record for {self._names[sym[k]]}"
+                            f" {days[k].astype('datetime64[D]')}")
         # Stable sorts by (date, cap rank) keep equal caps in name order; on
         # integer keys, in under half the time of an np.lexsort on the caps.
         _, rank = np.unique(caps, return_inverse=True)
@@ -461,8 +444,8 @@ def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
                       skiprows=1, ndmin=1, encoding="utf-8")
 
 
-def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
-                      symbol: Optional[str] = None) -> PriceSeries:
+def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL
+                      ) -> PriceSeries:
     """Load one symbol's OHLCV CSV into a validated PriceSeries at ``interval``
     (None: the gcd of its steps, or the default interval without one).
 
@@ -472,17 +455,16 @@ def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL,
     or timestamp named. NumPy's C parser reads the fields, so digit
     separators ("1_000"), quoted or non-ASCII numbers and timestamps outside
     int64, which int() and float() would take, are rejected too. The symbol
-    defaults to the file name without ".csv", read as UTF-8 whatever the
-    locale, as the rows of every file are; a name that is not UTF-8 is a
-    DataError naming the file.
+    is the file name without ".csv", read as UTF-8 whatever the locale, as
+    the rows of every file are; a name that is not UTF-8 is a DataError
+    naming the file.
     """
-    if symbol is None:
-        stem = str(path).rsplit("/", 1)[-1]
-        stem = stem[:-4] if stem.endswith(".csv") else stem
-        try:  # the name's own bytes, whatever the file-system encoding
-            symbol = os.fsencode(stem).decode("utf-8")
-        except UnicodeError as exc:
-            raise DataError(f"{path}: the file name is not UTF-8") from exc
+    stem = str(path).rsplit("/", 1)[-1]
+    stem = stem[:-4] if stem.endswith(".csv") else stem
+    try:  # the name's own bytes, whatever the file-system encoding
+        symbol = os.fsencode(stem).decode("utf-8")
+    except UnicodeError as exc:
+        raise DataError(f"{path}: the file name is not UTF-8") from exc
     try:
         rows = _load_rows(path, OHLCV_HEADER, _OHLCV_DTYPE)
     except DataError:
@@ -523,38 +505,24 @@ def _plain_caps(path: str) -> CapColumns:
     caps = rows["cap"].copy()
     symbols = rows["symbol"].tolist()
     del rows  # and with it the fixed-width date strings
-    names = set(symbols)
     chars = text.view("U1").reshape(-1, 11)
     digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
     plain = (((digits >= "0") & (digits <= "9")).all()
              and (chars[:, [4, 7]] == "-").all() and (chars[:, 10] == "").all()
              and ((caps > 0) & (caps < INF)).all()
-             and not any('"' in sym for sym in names))
+             and not any('"' in sym for sym in set(symbols)))
     if not plain:
         raise ValueError("not a plain market-cap file")
     days = text.astype("datetime64[D]")  # a ValueError for a day out of range
     if not (days >= np.datetime64(date.min)).all():
         raise ValueError("year 0")
-    code = dict(zip(names, range(len(names))))
-    pairs = np.sort(day_of_row * len(names) + np.fromiter(
-        map(code.__getitem__, symbols), np.intp, len(symbols)))
-    if (pairs[1:] == pairs[:-1]).any():
-        raise ValueError("duplicate (symbol, date) record")
     return days[day_of_row], symbols, caps
 
 
-def _cap_columns(path: str) -> CapColumns:
-    """The rows of a market-cap file as columns, in file order; rejects caps
-    that are not positive and finite, and duplicate (symbol, date) records.
-
-    A plain file is parsed in columns. Anything else, bad rows included, is
-    read again row by row: that names the line of a bad row, and loads what
-    only the CSV reader takes, such as quoted symbols.
-    """
-    try:
-        return _plain_caps(path)
-    except ValueError:
-        pass
+def _cap_rows(path: str) -> CapColumns:
+    """_cap_columns' row-by-row path, which names the line of the first bad
+    row: a cap that is not positive and finite, or a repeated (symbol,
+    date)."""
     seen = set()
 
     def parse(row: List[str]) -> Tuple[date, str, float]:
@@ -572,10 +540,31 @@ def _cap_columns(path: str) -> CapColumns:
             np.array(caps, dtype=np.float64))
 
 
+def _cap_columns(path: str) -> CapColumns:
+    """The rows of a market-cap file as columns, in file order.
+
+    A plain file is parsed in columns, its repeats left to CapIndex.
+    Anything else, bad rows included, is read again row by row (_cap_rows):
+    that names the line of a bad row, and loads what only the CSV reader
+    takes, such as quoted symbols.
+    """
+    try:
+        return _plain_caps(path)
+    except ValueError:
+        return _cap_rows(path)
+
+
 def load_market_caps(path: str) -> CapIndex:
-    """The CapIndex of a market-cap file (see _cap_columns for what is
-    rejected)."""
-    return CapIndex(*_cap_columns(path))
+    """The CapIndex of a market-cap file. A cap that is not positive and
+    finite, or a repeated (symbol, date), is a DataError naming its line:
+    a repeat that the index finds in a plain file is named by reading the
+    file again row by row."""
+    columns = _cap_columns(path)
+    try:
+        return CapIndex(*columns)
+    except DataError:
+        _cap_rows(path)
+        raise
 
 
 def save_market_caps(caps: CapColumns, path: str) -> None:

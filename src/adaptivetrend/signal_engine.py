@@ -812,7 +812,7 @@ def grid_sharpes_stacked(
     row per cell, which this call owns: the trades are freed, and one
     sharpe_rows_in_place call scores the matrix in place, so scoring adds a
     bool mask (an eighth of the matrix's bytes) and no second matrix. Every
-    row's Sharpe equals that row scored alone by sharpe_rows.
+    row's Sharpe equals that row scored alone by sharpe_rows_in_place.
     """
     problems = [(series, bounds, CellTable(cells))
                 for series, bounds, cells in problems]

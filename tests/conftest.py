@@ -10,10 +10,11 @@ import pytest
 
 from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
-from adaptivetrend.market_data import DEFAULT_RF_ANNUAL, Bar, PriceSeries
+from adaptivetrend.market_data import DEFAULT_RF_ANNUAL, PriceSeries
 from adaptivetrend.rebalancer import Optimizer, RebalanceConfig
 from adaptivetrend.signal_engine import StrategyParams
-from scalar_reference import MarketCapRecord, cap_index, columns, records
+from scalar_reference import (Bar, MarketCapRecord, cap_index, columns,
+                              records, series_bars)
 
 INTERVAL = 21_600
 T0 = 1_640_995_200        # 2022-01-01 00:00 UTC
@@ -49,7 +50,7 @@ def series_from_bars(symbol: str, interval: int,
 
 
 def bars_of(series: PriceSeries) -> tuple:
-    return tuple(series.bars(0, len(series)))
+    return tuple(series_bars(series, 0, len(series)))
 
 
 def make_series(closes: Sequence[float], *, symbol: str = "TST",

@@ -19,8 +19,9 @@ found the trades of all cells in array passes. The scalar engine books a
 trade as a ``TradeRecord``, one ledger row, as the package did before its
 ledger was columns; ``records`` and ``as_ledger`` turn a ``Ledger`` into
 rows and back, and the ledger reader (``read_ledger``) is here too, since
-only the tests read a ledger back. The tests check the code in
-``adaptivetrend`` against them.
+only the tests read a ledger back. So is ``Bar``, a series' row as a tuple
+(``series_bars``), since only the tests build or read bars. The tests check
+the code in ``adaptivetrend`` against them.
 """
 
 import bisect
@@ -29,7 +30,9 @@ import logging
 import math
 from dataclasses import astuple, dataclass, replace
 from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import starmap
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from adaptivetrend.benchmarks import BenchmarkSpec, _month_weights
 from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
 from adaptivetrend.indicators import atr, momentum, rolling_sharpe
 from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
-                                       OHLCV_HEADER, Bar, CapColumns,
+                                       OHLCV_HEADER, CapColumns,
                                        CapIndex, DataError, PriceSeries,
                                        bars_per_year, date_of_ts, month_add,
                                        month_id, read_csv)
@@ -62,6 +65,26 @@ SIDE_CHOICES = ("long", "short", "both")
 # A trade as TradeSearch finds it: entry bar, exit bar (both local to the
 # window), exit price, side and the forced flag.
 Trade = Tuple[int, int, float, str, bool]
+
+
+class Bar(NamedTuple):
+    """One OHLCV observation; timestamp is the bar close instant (UTC seconds)."""
+
+    timestamp: int
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
+
+
+def series_bars(series: PriceSeries, i0: int, i1: int) -> Iterator[Bar]:
+    """Bar views of a series' rows [i0, i1), with plain int and float fields."""
+    return starmap(Bar, zip(*(col[i0:i1].tolist() for col in series.columns())))
+
+
+def series_bar(series: PriceSeries, i: int) -> Bar:
+    return next(series_bars(series, i, i + 1))
 
 
 def validate_bar(bar: Bar) -> None:
@@ -181,8 +204,8 @@ def cap_index(caps: Sequence[MarketCapRecord]) -> CapIndex:
 def cap_ranking(caps: Sequence[MarketCapRecord], month_start: int,
                 largest: bool = True) -> Optional[List[str]]:
     """Scan every record for the latest snapshot date on or before the day
-    before month_start, the last record of a (symbol, date) winning, and
-    sort its symbols by cap (ties: the smaller name)."""
+    before month_start, and sort its symbols by cap (ties: the smaller
+    name)."""
     as_of = date_of_ts(month_start - 1)
     dates = [r.date for r in caps if r.date <= as_of]
     if not dates:
@@ -609,7 +632,7 @@ def run_single_asset(
     # A position is never held entering the window's first bar, so `prev`
     # is always set where it is read.
     prev: Optional[Bar] = None
-    for local, bar in enumerate(series.bars(i0, i1)):
+    for local, bar in enumerate(series_bars(series, i0, i1)):
         held = 0 if state is None else (1 if state.side == LONG else -1)
         bar_cost = 0.0
 
@@ -704,7 +727,8 @@ def hold_position(
     pos_fee = pos_slip = pos_funding = 0.0
     if cost_cfg is not None:
         pos_fee = fee(size, cost_cfg)
-        pos_slip = slippage(size, series.bar(i0), cost_cfg, series.interval)
+        pos_slip = slippage(size, series_bar(series, i0), cost_cfg,
+                            series.interval)
     res.costs[0] = pos_fee + pos_slip
     res.position[:] = sign
     res.position[-1] = 0
@@ -721,8 +745,8 @@ def hold_position(
         if local == n - 1 and cost_cfg is not None:
             exit_notional = size * exit_px / entry_px
             exit_fee = fee(exit_notional, cost_cfg)
-            exit_slip = slippage(exit_notional, series.bar(i), cost_cfg,
-                                 series.interval)
+            exit_slip = slippage(exit_notional, series_bar(series, i),
+                                 cost_cfg, series.interval)
             pos_fee += exit_fee
             pos_slip += exit_slip
             bar_cost += exit_fee + exit_slip

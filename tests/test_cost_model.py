@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fill_costs,
                                       funding_events, funding_paid,
                                       load_funding_rates)
-from adaptivetrend.market_data import Bar, DataError
+from adaptivetrend.market_data import DataError
 from conftest import INTERVAL, T0
-from scalar_reference import fee, funding, funding_rate_at, slippage
+from scalar_reference import Bar, fee, funding, funding_rate_at, slippage
 
 
 def bar_with_volume(volume: float, close: float = 100.0) -> Bar:

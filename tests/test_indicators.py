@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.indicators import (atr, momentum, rolling_sharpe,
-                                     sharpe_rows, sharpe_rows_in_place,
-                                     true_range)
+                                     sharpe_rows_in_place, true_range)
 from conftest import bars_of, make_series
 
 
@@ -175,7 +174,7 @@ class TestRollingSharpe:
         rows[1] = 0.01                 # constant, nonzero excess: undefined
         rows[2] = rf / bpy             # constant at the risk-free rate: 0.0
         rows[3, ::2], rows[3, 1::2] = 0.02, -0.02
-        got = sharpe_rows(rows, rf, bpy)
+        got = sharpe_rows_in_place(rows.copy(), rf, bpy)
         assert np.isnan(got[1]) and got[2] == 0.0
         for row, value in zip(rows, got):
             want = rolling_sharpe(row, rf, bpy)
@@ -186,12 +185,12 @@ class TestRollingSharpe:
             / float(np.std(r, ddof=1)) * math.sqrt(bpy)
 
     def test_scoring_leaves_the_returns_as_they_were(self, rng):
-        # sharpe_rows and rolling_sharpe score a copy; only
-        # sharpe_rows_in_place overwrites the rows it is given.
+        # rolling_sharpe scores a copy; sharpe_rows_in_place overwrites the
+        # rows it is given.
         rows = rng.normal(0.001, 0.01, (4, 50))
         rows[1] = 0.01
         kept = rows.copy()
-        want = sharpe_rows(rows, 0.045, 1460.0)
+        want = sharpe_rows_in_place(rows.copy(), 0.045, 1460.0)
         assert rolling_sharpe(rows[0], 0.045, 1460.0) == want[0]
         assert np.array_equal(rows, kept)
         as_list = rows[2].tolist()
@@ -202,7 +201,8 @@ class TestRollingSharpe:
         assert not np.array_equal(rows, kept)
 
     def test_rows_too_short_are_nan(self):
-        assert np.isnan(sharpe_rows(np.zeros((3, 1)), 0.0, 1460.0)).all()
+        assert np.isnan(sharpe_rows_in_place(np.zeros((3, 1)), 0.0,
+                                             1460.0)).all()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(0, 40),
@@ -224,7 +224,7 @@ class TestRollingSharpe:
             r[:, data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
         if fortran:
             r = np.asfortranarray(r)
-        got = sharpe_rows(r, rf, bpy)
+        got = sharpe_rows_in_place(r.copy(order="K"), rf, bpy)
         if n < 2:
             assert np.isnan(got).all()
             return

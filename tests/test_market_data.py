@@ -20,7 +20,7 @@ from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
                                       save_equity)
 from adaptivetrend import market_data
 from adaptivetrend.cost_model import FUNDING_HEADER, load_funding_rates
-from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
+from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER,
                                        CapIndex, DataError,
                                        PriceSeries, SyntheticSpec, bars_per_year,
                                        date_of_ts, generate_synthetic_universe,
@@ -31,8 +31,9 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER, Bar,
                                        WRITE_BLOCK_ROWS)
 from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
-from scalar_reference import (MarketCapRecord, TradeRecord, as_ledger,
-                              cap_columns, cap_records, read_ledger)
+from scalar_reference import (Bar, MarketCapRecord, TradeRecord, as_ledger,
+                              cap_columns, cap_records, read_ledger,
+                              series_bar)
 from conftest import (INTERVAL, T0, bars_of, day_start, make_bars,
                       make_series, series_from_bars)
 
@@ -213,6 +214,28 @@ class TestCapsCsv:
         with pytest.raises(DataError, match="BTC"):
             load_market_caps(str(p))
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_index_rejects_a_repeat_in_either_order(self, reverse):
+        rows = [("2022-01-01", "BTC", 9e11), ("2022-01-01", "ETH", 4e11),
+                ("2022-01-02", "BTC", 9.1e11), ("2022-01-01", "BTC", 8e11)]
+        days, symbols, caps = zip(*(rows[::-1] if reverse else rows))
+        with pytest.raises(DataError,
+                           match="^duplicate record for BTC 2022-01-01$"):
+            CapIndex(np.array(days, dtype="datetime64[D]"), list(symbols),
+                     np.array(caps))
+
+    def test_loader_names_the_line_of_a_repeat_the_index_finds(self,
+                                                                tmp_path):
+        # The columnar pass takes the file; the index finds the repeat, and
+        # the row parser names its line.
+        p = tmp_path / "market_caps.csv"
+        p.write_text("date,symbol,market_cap_usd\n2022-01-01,BTC,9e11\n"
+                     "2022-01-02,ETH,4e11\n2022-01-01,BTC,8e11\n")
+        assert len(market_data._plain_caps(str(p))[1]) == 3
+        with pytest.raises(DataError, match="^.*market_caps.csv: line 4:"
+                           " duplicate record for BTC 2022-01-01$"):
+            load_market_caps(str(p))
+
     def test_round_trip(self, tmp_path):
         records = [MarketCapRecord(symbol="BTC", date=date(2022, 1, 1), cap=9e11),
                    MarketCapRecord(symbol="ETH", date=date(2022, 1, 2), cap=4e11)]
@@ -358,8 +381,8 @@ def test_arrays_view_matches_bars():
     s = series_from_bars("X", INTERVAL, bars)
     assert list(s.close) == [100.0, 101.0, 99.5]
     assert s.timestamps.dtype == np.int64 and s.close.dtype == np.float64
-    assert bars_of(s) == bars and s.bar(1) == bars[1]
-    assert [type(x) for x in s.bar(0)] == [int] + [float] * 5
+    assert bars_of(s) == bars and series_bar(s, 1) == bars[1]
+    assert [type(x) for x in series_bar(s, 0)] == [int] + [float] * 5
     with pytest.raises(ValueError, match="read-only"):
         s.close[0] = 1.0
 

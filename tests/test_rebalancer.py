@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from adaptivetrend.backtester import BacktestConfig, Market
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.market_data import SECONDS_PER_DAY, CapIndex
+from adaptivetrend.market_data import SECONDS_PER_DAY, CapIndex, DataError
 from adaptivetrend.rebalancer import (Allocation, CandidateResult,
                                       ParamGrid, RebalanceConfig,
                                       evaluate_cell, filter_universe,
@@ -68,16 +69,28 @@ class TestCapSnapshot:
                       MarketCapRecord("C", date(2022, 1, 31), 2.0),
                       MarketCapRecord("E", date(2022, 1, 31), 1.0),
                       MarketCapRecord("D", date(2022, 1, 31), 1.0),
-                      MarketCapRecord("C", date(2022, 1, 31), 1.0),
-                      MarketCapRecord("A", date(2022, 2, 1), 9.0)],
+                      MarketCapRecord("A", date(2022, 2, 1), 9.0),
+                      MarketCapRecord("A", date(2022, 2, 1), 8.0),
+                      MarketCapRecord("E", date(2022, 1, 31), 4.0),
+                      MarketCapRecord("C", date(2022, 1, 31), 1.0)],
              lookups=[(date(2022, 2, 2), 0)])
     def test_index_matches_linear_scan(self, records, lookups):
         # Against a scan of every record, both ways: caps tie at either end
-        # of a ranking (a few values recur), a (symbol, date) may repeat
-        # (the last record wins), snapshot days are sparse, and a lookup
-        # may come before the first snapshot, at 00:00 of a day (FEB1, a
-        # month's first day, is always asked; that day's snapshot is not in
-        # force yet) or later in it.
+        # of a ranking (a few values recur), snapshot days are sparse, and a
+        # lookup may come before the first snapshot, at 00:00 of a day (FEB1,
+        # a month's first day, is always asked; that day's snapshot is not
+        # in force yet) or later in it. A (symbol, date) that repeats is a
+        # DataError naming it, the first by date, then name; the rankings
+        # are then checked on the draw's first record of each.
+        counts = Counter((r.date, r.symbol) for r in records)
+        repeats = sorted(key for key, n in counts.items() if n > 1)
+        if repeats:
+            day, symbol = repeats[0]
+            with pytest.raises(DataError, match=(
+                    f"^duplicate record for {symbol} {day}$")):
+                cap_index(records)
+            records = list({(r.date, r.symbol): r
+                            for r in reversed(records)}.values())
         index = cap_index(records)
         for day, second in lookups + [(date(2022, 2, 1), 0)]:
             at = day_start(day) + second

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivetrend.cost_model import CostConfig, ZERO_COSTS
-from adaptivetrend.indicators import (atr, rolling_sharpe, sharpe_rows,
-                                     true_range)
-from adaptivetrend.market_data import (Bar, PriceSeries,
-                                       bars_per_year)
+from adaptivetrend.indicators import (atr, rolling_sharpe,
+                                     sharpe_rows_in_place, true_range)
+from adaptivetrend.market_data import PriceSeries, bars_per_year
 from adaptivetrend import signal_engine
 from adaptivetrend.rebalancer import ParamGrid, grid_cells
 from adaptivetrend.signal_engine import (LEDGER_HEADER, NO_LEDGER, CellTable,
@@ -30,8 +29,8 @@ from conftest import (COST_CHOICES, INTERVAL, SCRIPT_CLOSES, T0,
                       assert_same_result, gbm_series, make_series,
                       rough_series, sided)
 import scalar_reference
-from scalar_reference import (SIDE_CHOICES, Position, TradeRecord, as_ledger,
-                              read_ledger, records, step)
+from scalar_reference import (SIDE_CHOICES, Bar, Position, TradeRecord,
+                              as_ledger, read_ledger, records, step)
 
 PARAMS = StrategyParams(theta_entry=0.05, theta_entry_short=0.05,
                         alpha=2.0, lookback=4, atr_window=3)
@@ -704,7 +703,8 @@ class TestGridSharpes:
         rows, bars = 2_000, 500
         net = np.random.default_rng(2).normal(0.0, 0.01, (rows, bars))
         net[::7] = 0.01  # constant rows among them
-        nbytes, want = net.nbytes, sharpe_rows(net, 0.045, 1460.0)
+        nbytes = net.nbytes
+        want = sharpe_rows_in_place(net.copy(), 0.045, 1460.0)
         handed = [net]
         del net
         monkeypatch.setattr(signal_engine, "_net_returns", lambda *a, **k: (
