@@ -20,11 +20,11 @@ write (an OSError); `main` alone turns either into `error: …` and exit 1.
 
 import argparse
 import csv
-import hashlib
 import inspect
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -375,6 +375,7 @@ def load_universe(data_dir: str, interval: Optional[int] = None
 
 
 def digest_dir(data_dir: str) -> Dict[str, str]:
+    import hashlib  # here, a run's last step: it maps about 3 MB of libcrypto
     digests = {}
     for name in sorted(os.listdir(data_dir)):
         path = os.path.join(data_dir, name)
@@ -442,14 +443,20 @@ def _write_manifest(out: str, command: str, cfg: Dict[str, object],
                     data_dir: str, t0: float, counters: Dict[str, int],
                     **extra: object) -> None:
     """manifest.json of a run directory: what ran, on which inputs, for how
-    long (since the monotonic time t0), with ``extra`` keys per command."""
+    long (since the monotonic time t0), the process's peak RSS and CPU
+    time so far (its own getrusage, taken after the input digests), with
+    ``extra`` keys per command."""
+    digests = digest_dir(data_dir)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     write_json(os.path.join(out, "manifest.json"), {
         "engine_version": __version__,
         "command": command,
         "config": config_snapshot(cfg),
         "data_dir": os.path.abspath(data_dir),
-        "input_digests": digest_dir(data_dir),
+        "input_digests": digests,
         "duration_seconds": round(time.monotonic() - t0, 3),
+        "resources": {"peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
+                      "cpu_s": round(usage.ru_utime + usage.ru_stime, 3)},
         "counters": counters,
         **extra,
     })

@@ -161,9 +161,47 @@ class PriceSeries:
         return i0, i1
 
 
+class _Codes(dict):
+    """Numbers each key from 0 up as it is first looked up."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+class CodedSymbols(Sequence[str]):
+    """A column of symbols held as codes into its distinct names, in the
+    order first seen: row i is ``names[codes[i]]``, read as that str."""
+
+    def __init__(self, names: List[str], codes: np.ndarray) -> None:
+        self.names, self.codes = names, codes
+
+    @classmethod
+    def of(cls, symbols: Sequence[str]) -> "CodedSymbols":
+        """``symbols`` coded, as they are if they are."""
+        if isinstance(symbols, cls):
+            return symbols
+        code = _Codes()
+        codes = np.fromiter(map(code.__getitem__, symbols), np.intp,
+                            len(symbols))
+        return cls(list(code), codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CodedSymbols(self.names, self.codes[i])
+        return self.names[self.codes[i]]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.names.__getitem__, self.codes.tolist())
+
+
 # Daily market caps as parallel columns, one row per (symbol, date) record:
-# datetime64[D] dates, symbols and float64 caps. The generator, the loader
-# and save_market_caps hold caps this way, in file order.
+# datetime64[D] dates, symbols (a CodedSymbols when loaded) and float64
+# caps. The generator, the loader and save_market_caps hold caps this way,
+# in file order.
 CapColumns = Tuple[np.ndarray, Sequence[str], np.ndarray]
 
 
@@ -171,12 +209,13 @@ class CapIndex:
     """Daily market caps ranked once per snapshot date, the one place the
     cap filter and the benchmarks read a cap ranking from.
 
-    Built from the columns of CapColumns in any order; a repeated (symbol,
-    date) is a DataError naming it (the first by date, then name). Every
-    date's symbols are ranked by cap both ways, ties to the smaller name
-    either way, by one sort per way over all dates, and only the rankings
-    are held, as positions into the sorted distinct names. ``dates`` are
-    the snapshot dates (datetime64[D], ascending). Build one per loaded
+    Built from the columns of CapColumns in any order, the symbols from
+    their codes (CodedSymbols.of); a repeated (symbol, date) is a
+    DataError naming it (the first by date, then name). Every date's
+    symbols are ranked by cap both ways, ties to the smaller name either
+    way, by one sort per way over all dates, and only the rankings are
+    held, as positions into the sorted distinct names. ``dates`` are the
+    snapshot dates (datetime64[D], ascending). Build one per loaded
     universe.
     """
 
@@ -184,9 +223,13 @@ class CapIndex:
                  caps: Iterable = ()) -> None:
         days = np.asarray(days, dtype="datetime64[D]").astype(np.int64)
         caps = np.asarray(caps, dtype=np.float64)
-        self._names = sorted(set(symbols))
-        code = {name: k for k, name in enumerate(self._names)}
-        sym = np.fromiter(map(code.__getitem__, symbols), np.intp, len(days))
+        coded = CodedSymbols.of(symbols)
+        # The codes renumbered in name order.
+        order = sorted(range(len(coded.names)), key=coded.names.__getitem__)
+        self._names = [coded.names[k] for k in order]
+        renumbered = np.empty(len(order), np.intp)
+        renumbered[order] = np.arange(len(order))
+        sym = renumbered[coded.codes]
         # Rows by (date, name), so a repeat follows its first row.
         keyed = np.lexsort((sym, days))
         days, sym, caps = days[keyed], sym[keyed], caps[keyed]
@@ -398,7 +441,8 @@ def _line(cells: Sequence[str]) -> str:
     return '""' if len(cells) == 1 and not cells[0] else ",".join(cells)
 
 
-WRITE_BLOCK_ROWS = 1024  # rows write_columns formats and writes at a time
+# The cells (rows x columns) write_columns formats and writes at a time.
+WRITE_BLOCK_CELLS = 1024
 
 
 def write_columns(path: str, header: Sequence[str],
@@ -407,17 +451,18 @@ def write_columns(path: str, header: Sequence[str],
     sequences) make up to ``path`` as csv.writer writes them, each line
     ended by \\r\\n and every value formatted by _cell a column at a time.
 
-    The rows are streamed through atomic_write_text WRITE_BLOCK_ROWS at a
-    time, each block of an array column converted by one tolist, so the
-    memory a write takes does not grow with its rows; the file still
-    appears only when it is whole."""
+    The rows are streamed through atomic_write_text in blocks of at most
+    WRITE_BLOCK_CELLS cells (at least one row), each block of an array
+    column converted by one tolist, so the memory a write takes grows with
+    neither its rows nor its columns; the file still appears only when it
+    is whole."""
     rows = min(map(len, columns), default=0)
+    step = max(WRITE_BLOCK_CELLS // (len(columns) or 1), 1)
 
     def blocks() -> Iterator[str]:
         yield _line([_cell(h) for h in header]) + "\r\n"
-        for lo in range(0, rows, WRITE_BLOCK_ROWS):
-            cells = [_column_cells(col[lo:lo + WRITE_BLOCK_ROWS])
-                     for col in columns]
+        for lo in range(0, rows, step):
+            cells = [_column_cells(col[lo:lo + step]) for col in columns]
             yield "".join(_line(row) + "\r\n" for row in zip(*cells))
 
     atomic_write_text(path, blocks())
@@ -425,13 +470,18 @@ def write_columns(path: str, header: Sequence[str],
 
 _OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
 # Dates are read one character wider than YYYY-MM-DD, so that a longer
-# field shows as one.
-_CAP_DTYPE = np.dtype([("date", "U11"), ("symbol", "O"), ("cap", "f8")])
+# field shows as one, and symbols as their codes. _CAP_POINTS reads the same
+# rows with each date as its code points.
+_CAP_DTYPE = np.dtype([("date", "U11"), ("symbol", np.intp), ("cap", "f8")])
+_CAP_POINTS = np.dtype([("date", "u4", 11), ("symbol", np.intp),
+                        ("cap", "f8")])
 
 
-def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
+def _load_rows(path: str, header: Sequence[str], dtype: np.dtype,
+               converters: Optional[dict] = None) -> np.ndarray:
     """Rows after an exact header line, from one np.loadtxt call on the path
-    (NumPy reads a path in chunks, a handle by lines). A header-only file
+    (NumPy reads a path in chunks, a handle by lines), each field of a
+    column in ``converters`` read by its function. A header-only file
     gives no rows (loadtxt would warn); a bad field raises a ValueError."""
     with opened(path) as fh:
         if fh.readline().rstrip("\n") != ",".join(header):
@@ -441,7 +491,8 @@ def _load_rows(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
     if not has_rows:
         return np.zeros(0, dtype=dtype)
     return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                      skiprows=1, ndmin=1, encoding="utf-8")
+                      skiprows=1, ndmin=1, encoding="utf-8",
+                      converters=converters)
 
 
 def load_price_series(path: str, interval: Optional[int] = DEFAULT_INTERVAL
@@ -496,27 +547,50 @@ def save_price_series(series: PriceSeries, path: str) -> None:
     write_columns(path, OHLCV_HEADER, series.columns())
 
 
+def _iso_days(points: np.ndarray) -> np.ndarray:
+    """The dates that rows of 11 code points spell as YYYY-MM-DD (the 11th
+    empty), as days since 1970-01-01 (int64). A ValueError if any row is
+    written otherwise or is no date from 0001-01-01 to 9999-12-31, as
+    date.fromisoformat would read it."""
+    if not ((points[:, 4] == ord("-")) & (points[:, 7] == ord("-"))
+            & (points[:, 10] == 0)).all():
+        raise ValueError("not a YYYY-MM-DD date")
+    year, month, day = (np.zeros(len(points), np.int64) for _ in range(3))
+    for number, columns in ((year, range(4)), (month, (5, 6)), (day, (8, 9))):
+        for c in columns:
+            digit = points[:, c] - ord("0")  # below "0" wraps to a large one
+            if (digit > 9).any():
+                raise ValueError("not a YYYY-MM-DD date")
+            number *= 10
+            number += digit
+    if not ((year > 0) & (month > 0) & (month <= 12) & (day > 0)).all():
+        raise ValueError("not a date")
+    first = (year - 1970) * 12 + month - 1  # the month, in datetime64[M]
+    del year, month  # before the month starts' temporaries
+    starts = [m.astype("datetime64[M]").astype("datetime64[D]").astype(
+        np.int64) for m in (first, first + 1)]
+    if not (day <= starts[1] - starts[0]).all():
+        raise ValueError("day out of range for month")
+    day += starts[0] - 1
+    return day
+
+
 def _plain_caps(path: str) -> CapColumns:
-    """_cap_columns' columnar path: one np.loadtxt call, then checks over
-    whole columns. It takes only a plain file, valid with YYYY-MM-DD dates
-    and no quotes, and raises ValueError for anything else, valid or not."""
-    rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE)
-    text, day_of_row = np.unique(rows["date"], return_inverse=True)
+    """_cap_columns' columnar path: one np.loadtxt call, which codes each
+    symbol as it is read (the first seen is 0), then checks over whole
+    columns; each date is read from its code points, in place. It takes
+    only a plain file, valid with YYYY-MM-DD dates and no quotes, and
+    raises ValueError for anything else, valid or not."""
+    code = _Codes()
+    rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE,
+                      {1: code.__getitem__})
     caps = rows["cap"].copy()
-    symbols = rows["symbol"].tolist()
-    del rows  # and with it the fixed-width date strings
-    chars = text.view("U1").reshape(-1, 11)
-    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
-    plain = (((digits >= "0") & (digits <= "9")).all()
-             and (chars[:, [4, 7]] == "-").all() and (chars[:, 10] == "").all()
-             and ((caps > 0) & (caps < INF)).all()
-             and not any('"' in sym for sym in set(symbols)))
-    if not plain:
+    if not (((caps > 0) & (caps < INF)).all()
+            and not any('"' in name for name in code)):
         raise ValueError("not a plain market-cap file")
-    days = text.astype("datetime64[D]")  # a ValueError for a day out of range
-    if not (days >= np.datetime64(date.min)).all():
-        raise ValueError("year 0")
-    return days[day_of_row], symbols, caps
+    days = _iso_days(rows.view(_CAP_POINTS)["date"])
+    symbols = CodedSymbols(list(code), rows["symbol"].copy())
+    return days.astype("datetime64[D]"), symbols, caps
 
 
 def _cap_rows(path: str) -> CapColumns:

@@ -608,9 +608,15 @@ def _exits(tested: np.ndarray, cand: np.ndarray, prob: np.ndarray,
 
     f(e), the first j > e with tested[j] < cand[e], is found for every
     (a, e) at once by binary lifting: level k of a sparse table holds the
-    minimum of each problem's ``tested`` over bars [i, i + 2^k), padded with
-    +inf so that every gather fits, and each level moves every position past
-    a block with no breach. A fixed stop exits at f(e).
+    minimum of each problem's ``tested`` over bars [i, i + 2^k), +inf past
+    its ``width`` columns, and each level moves every position past a
+    block with no breach. The table holds levels x problems x (width + 1)
+    floats. Level k is the minimum of level k - 1 at bars i and i +
+    2^(k-1) for i < width - 2^(k-1), and level k - 1 at bar i above that,
+    where the second bar lies past the columns; column ``width`` is +inf on
+    every level. A lifted position is clamped at that column, where it
+    stays, since no block from there holds a breach; the cap at n reads it
+    as it reads any position past the window. A fixed stop exits at f(e).
 
     A trailing stop's level is the running max of the trade's candidates,
     and x < max(a, b) exactly when x < a or x < b, so a trailing stop exits
@@ -628,18 +634,28 @@ def _exits(tested: np.ndarray, cand: np.ndarray, prob: np.ndarray,
     """
     rows, width = cand.shape
     levels = width.bit_length()  # 2^levels > width - 1, the longest run
-    span = width + (1 << levels)
-    mins = np.full((levels, len(tested), span), np.inf)
-    mins[0, :, :width] = tested
+    span = width + 1
+    level = np.empty((len(tested), span))  # problem p's bar i at [p, i]
+    level[:, :width] = tested
+    level[:, width] = np.inf
+    mins = [level.ravel()]  # and at p * span + i
     for k in range(1, levels):
         half = 1 << (k - 1)
-        np.minimum(mins[k - 1, :, :width], mins[k - 1, :, half:width + half],
-                   out=mins[k, :, :width])
-    mins = mins.reshape(levels, -1)  # problem p's bar i at p * span + i
+        below, level = level, np.empty_like(level)
+        # One contiguous pass over the flat rows, which NumPy runs without
+        # the buffers (up to 192 kB) it takes for strided rows: the last
+        # ``half`` columns of a row read the next row there, and are copied
+        # from below instead.
+        np.minimum(mins[-1][:-half], mins[-1][half:],
+                   out=level.ravel()[:-half])
+        level[:, width - half:] = below[:, width - half:]
+        mins.append(level.ravel())
     offset = (prob * span)[:, None]
     pos = offset + np.arange(1, width + 1)
+    last = offset + width
     for k in reversed(range(levels)):
         pos += (mins[k][pos] >= cand).astype(np.intp) << k
+        np.minimum(pos, last, out=pos)
     pos -= offset
     exits = np.empty((rows, width + 1), dtype=np.intp)
     np.minimum(_reversed_min(pos) if trailing else pos, n[:, None],

@@ -485,6 +485,9 @@ class TestBacktest:
         assert set(manifest["input_digests"]) == \
             {f"SYM{i:02d}.csv" for i in range(6)} | {"market_caps.csv"}
         assert manifest["duration_seconds"] >= 0
+        resources = manifest["resources"]
+        assert set(resources) == {"peak_rss_mb", "cpu_s"}
+        assert all(type(v) is float for v in resources.values())
         # Each month's problems are distinct: none is answered from the memo,
         # and each is one search of its own grid.
         counters = manifest["counters"]

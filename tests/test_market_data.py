@@ -28,7 +28,7 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER,
                                        month_add, month_floor, month_id,
                                        resample_series, save_market_caps,
                                        save_price_series, write_columns,
-                                       WRITE_BLOCK_ROWS)
+                                       WRITE_BLOCK_CELLS)
 from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
 from scalar_reference import (Bar, MarketCapRecord, TradeRecord, as_ledger,
@@ -507,6 +507,23 @@ def test_write_columns_memory_does_not_grow_with_rows(tmp_path, rows):
     assert peak < 2_000_000, peak
 
 
+@pytest.mark.parametrize("width", [13, 40])
+def test_write_columns_memory_does_not_grow_with_columns(tmp_path, width):
+    # A block holds WRITE_BLOCK_CELLS cells however many columns make up a
+    # row: writing 4,096 rows of 13 or 40 float columns traces under 400 kB
+    # (blocks of 1,024 rows traced about 2.1 and 6.3 MB).
+    rng = np.random.default_rng(width)
+    columns = [rng.normal(size=4096) for _ in range(width)]
+    tracemalloc.start()
+    try:
+        write_columns(str(tmp_path / "wide.csv"),
+                      [f"c{i}" for i in range(width)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000, peak
+
+
 PACKAGE_SOURCES = os.path.dirname(market_data.__file__)
 
 
@@ -918,6 +935,79 @@ class TestColumnarCapsLoaderMatchesRowParser:
         assert loaded["\n"] == loaded["\r\n"]
 
 
+# Rows the columnar cap parse must read as the row parser does, and whether
+# it reads them itself (a plain file) or leaves them to the row parser.
+PLAIN_CAP_RULES = {
+    "one-digit-month": (["2022-1-01,BTC,9e11"], False),
+    "one-digit-day": (["2022-01-1,BTC,9e11"], False),
+    "basic-format": (["20220101,BTC,9e11"], False),
+    "no-such-day": (["2022-02-30,BTC,9e11"], False),
+    "leap-day": (["2024-02-29,BTC,9e11", "2023-02-28,BTC,8e11"], True),
+    "year-0": (["0000-01-01,BTC,9e11"], False),
+    "last-day": (["9999-12-31,BTC,9e11", "0001-01-01,ETH,1e9"], True),
+    "date-with-a-trailing-space": (["2022-01-01 ,BTC,9e11"], False),
+    "symbol-with-a-trailing-space": (["2022-01-01,BTC ,9e11"], True),
+    "full-width-date": (["\uff12\uff10\uff12\uff12-01-01,BTC,9e11"], False),
+    "full-width-cap": (["2022-01-01,BTC,\uff19e11"], False),
+    "empty-symbol": (["2022-01-01,,9e11", "2022-01-01,BTC,8e11"], True),
+    "quoted-symbol": (['2022-01-01,"BTC",9e11'], False),
+    "zero-cap": (["2022-01-01,BTC,0"], False),
+    "inf-cap": (["2022-01-01,BTC,inf"], False),
+    "nan-cap": (["2022-01-01,BTC,nan"], False),
+    "crlf": (["2022-01-01,BTC,9e11\r", "2022-01-02,ETH,4e11\r"], True),
+    "header-only": ([], True),
+    "repeat": (["2022-01-01,BTC,9e11", "2022-01-02,ETH,4e11",
+                "2022-01-01,BTC,8e11"], True),
+}
+
+
+class TestPlainCapRules:
+    @pytest.mark.parametrize("case", sorted(PLAIN_CAP_RULES))
+    def test_same_columns_or_error_as_the_row_parser(self, tmp_path, case):
+        lines, plain = PLAIN_CAP_RULES[case]
+        p = tmp_path / "market_caps.csv"
+        p.write_bytes("\n".join([",".join(MARKET_CAP_HEADER), *lines, ""])
+                      .encode())
+
+        def outcome(load):
+            try:
+                return cap_records(load(str(p)))
+            except DataError as exc:
+                return str(exc)
+
+        def columnar(path):  # and the index's check for a repeat
+            columns = market_data._cap_columns(path)
+            load_market_caps(path)
+            return columns
+
+        assert outcome(columnar) == outcome(market_data._cap_rows)
+        try:
+            market_data._plain_caps(str(p))
+        except ValueError:
+            assert not plain
+        else:
+            assert plain
+
+    def test_a_20000_row_parse_traces_under_160_bytes_a_row(self, tmp_path):
+        # 20 symbols x 1,000 days. The columns a row is read into take 60
+        # bytes, and NumPy's parser grows its array once more; a Python
+        # string per row and a sort of the date strings took about 229.
+        spec = SyntheticSpec(seed=1, n_symbols=20, regimes=((1000, 0.1, 0.5),),
+                             interval=86_400)
+        path = str(tmp_path / "market_caps.csv")
+        save_market_caps(generate_synthetic_universe(spec)[1], path)
+        load_market_caps(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = load_market_caps(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index.dates) == 1000
+        assert peak < 160 * 20_000, peak / 20_000
+
+
 # ---------------------------------------------------------------------------
 # The column writer against csv.writer
 # ---------------------------------------------------------------------------
@@ -1003,9 +1093,11 @@ class TestColumnWriterMatchesCsvWriter:
             lambda p: scalar_reference.write_csv(p, header, rows))
         assert new == old
 
-    @pytest.mark.parametrize("rows", [
-        1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1,
-        2 * WRITE_BLOCK_ROWS + 5])
+    BLOCK = WRITE_BLOCK_CELLS // 5  # the rows of a block of five columns
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      2 * BLOCK + 5], ids=[
+        "1", "block-1", "block", "block+1", "2block+5"])
     def test_columns_across_blocks(self, tmp_path_factory, rows):
         # Array columns of each kind and one list column whose last block
         # alone holds a None, written a block at a time.

@@ -20,7 +20,7 @@ from adaptivetrend import signal_engine
 from adaptivetrend.rebalancer import ParamGrid, grid_cells
 from adaptivetrend.signal_engine import (LEDGER_HEADER, NO_LEDGER, CellTable,
                                          EngineError, Ledger, StrategyParams,
-                                         Trades,
+                                         Trades, _exits,
                                          _stop_max, book_trades, cut_position,
                                          find_trades_stacked,
                                          grid_sharpes_stacked, gross_pnl,
@@ -516,6 +516,77 @@ class TestStopMax:
         want = [cands[1, r, a:b].max() for r, a, b
                 in zip(row.tolist(), lo.tolist(), hi.tolist())]
         assert _stop_max(cands[1:], 0, row, lo, hi).tolist() == want
+
+
+def first_breaches(tested, cand, prob, n, trailing):
+    """_exits by a scan: for each row a and entry bar e, the first bar j in
+    (e, n[a]) whose tested price is below the stop, cand[a, e] (fixed) or
+    the max of cand[a, e..j-1] (trailing), else n[a]; then n[a]."""
+    out = []
+    for a, (p, bars) in enumerate(zip(prob.tolist(), n.tolist())):
+        row, stops = tested[p].tolist(), cand[a].tolist()
+        exits = []
+        for e in range(len(stops)):
+            exits.append(next(
+                (j for j in range(e + 1, bars)
+                 if row[j] < (max(stops[e:j]) if trailing else stops[e])),
+                bars))
+        out.append(exits + [bars])
+    return out
+
+
+class TestExits:
+    @pytest.mark.parametrize("trailing", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 127, 128, 129])
+    def test_matches_a_first_breach_scan(self, width, trailing):
+        # Three problems of mixed window lengths, the longest ``width``
+        # bars, three stop rows each. Prices step by whole units, so a stop
+        # is often met exactly (no breach); stops sit about 2, 6 or 12
+        # units below the price, so some trades run for dozens of bars and
+        # some to the end of the window.
+        rng = np.random.default_rng(width)
+        lengths = np.array([width, *rng.integers(1, width + 1, 2)])
+        walk = np.cumsum(rng.integers(-2, 3, (3, width)), axis=1) * 1.0
+        bars = np.arange(width)
+        tested = np.where(bars < lengths[:, None],
+                          walk - rng.integers(0, 2, walk.shape), np.inf)
+        prob = np.repeat(np.arange(3), 3)
+        n = lengths[prob]
+        depth = np.array([2, 6, 12] * 3)[:, None]
+        cand = walk[prob] - depth + rng.integers(0, 2, (len(prob), width))
+        # NaN candidates before each row's warm-up and past its window.
+        warm = rng.integers(0, min(width, 6), len(prob))
+        cand[(bars < warm[:, None]) | (bars >= n[:, None])] = np.nan
+        got = _exits(tested, cand, prob, n, trailing)
+        want = first_breaches(tested, cand, prob, n, trailing)
+        assert got.shape == (len(prob), width + 1)
+        for a, start in enumerate(warm.tolist()):
+            assert got[a, start:].tolist() == want[a][start:], a
+        if width >= 63:  # some stop is breached far from its entry
+            breached = (got[:, :-1] < n[:, None]) & (bars >= warm[:, None])
+            assert (got[:, :-1] - bars)[breached].max() > 16
+
+    def test_the_table_holds_levels_by_problems_by_width_plus_one(self):
+        # 40 problems of 129 bars and two stop rows: the sparse table's 8
+        # levels of 40 x 130 floats set the traced peak, with a few row
+        # matrices beside them. A table padded by 2^levels columns would
+        # hold 40 x 385 floats a level.
+        width, problems = 129, 40
+        rng = np.random.default_rng(0)
+        tested = np.cumsum(rng.normal(size=(problems, width)), axis=1)
+        prob = np.array([0, problems - 1])
+        cand = tested[prob] - 1.0
+        n = np.full(len(prob), width)
+        table = 8 * width.bit_length() * problems * (width + 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _exits(tested, cand, prob, n, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert table <= peak < table + 8 * 8 * len(prob) * (width + 1), (
+            peak, table)
 
 
 CELL = st.builds(StrategyParams,
