@@ -12,12 +12,13 @@ import numpy as np
 
 
 def momentum(close: np.ndarray, lookback: int) -> np.ndarray:
-    """Fractional price change over ``lookback`` bars; NaN for the first ``lookback``."""
+    """Fractional price change over ``lookback`` bars along the last axis;
+    NaN for the first ``lookback``."""
     if lookback < 1:
         raise ValueError(f"lookback must be >= 1, got {lookback}")
     out = np.full(close.shape, np.nan)
-    if len(close) > lookback:
-        out[lookback:] = close[lookback:] / close[:-lookback] - 1.0
+    if close.shape[-1] > lookback:
+        out[..., lookback:] = close[..., lookback:] / close[..., :-lookback] - 1.0
     return out
 
 

@@ -579,13 +579,16 @@ def _plain_caps(path: str) -> CapColumns:
     """_cap_columns' columnar path: one np.loadtxt call, which codes each
     symbol as it is read (the first seen is 0), then checks over whole
     columns; each date is read from its code points, in place. It takes
-    only a plain file, valid with YYYY-MM-DD dates and no quotes, and
-    raises ValueError for anything else, valid or not."""
+    only a plain file, valid with YYYY-MM-DD dates, no quotes and no NUL,
+    and raises ValueError for anything else, valid or not."""
     code = _Codes()
     rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE,
                       {1: code.__getitem__})
+    with open(path, "rb") as fh:  # NumPy's text fields drop a trailing NUL
+        nul = any(b"\0" in chunk
+                  for chunk in iter(partial(fh.read, 1 << 16), b""))
     caps = rows["cap"].copy()
-    if not (((caps > 0) & (caps < INF)).all()
+    if not (((caps > 0) & (caps < INF)).all() and not nul
             and not any('"' in name for name in code)):
         raise ValueError("not a plain market-cap file")
     days = _iso_days(rows.view(_CAP_POINTS)["date"])

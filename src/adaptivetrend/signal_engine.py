@@ -15,10 +15,13 @@ trades the sides whose thresholds are below +inf; no caller names a side.
 One problem is a stack of one. A problem's cells are read as a
 ``CellTable``, which holds their entry and stop rules as rows built once
 per table, so a grid's rows are built with its cells
-(``rebalancer.grid_cells``), not by each search. Each series' running
-true-range sum is kept at every ATR_STRIDE-th bar (``_tr_checkpoints``),
-built once and shared by every search over it, which resumes its windows'
-ATRs from there in one pass (``_window_atrs``); so a series holds one ATR
+(``rebalancer.grid_cells``), not by each search. A search gathers its
+prices once (``_window_atrs``), from far enough before each window for
+its longest lookback and its ATRs: momentum (one call per lookback), the
+ATRs, the stop tests and intrabar fills all read that gather. Each
+series' running true-range sum is kept at every ATR_STRIDE-th bar
+(``_tr_checkpoints``), built once and shared by every search over it,
+which resumes its windows' ATRs from there; so a series holds one ATR
 float per ATR_STRIDE bars, not a float per bar per ATR window. That memo
 and the one-cell trade memo (``cell_positions``, which searches a month's
 misses in one call) are keyed weakly by the series. The trades stay
@@ -43,7 +46,6 @@ and not two. ``write_ledger`` hands the ledger's arrays to the streaming
 CSV writer, which formats them a block of rows at a time.
 """
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass, fields
@@ -430,27 +432,31 @@ def find_trades_stacked(
         [t.exit for t in tables], [t.exit_of for t in tables], counts)
     alpha = exit_keys[:, 0]
 
+    # The stack's prices, each problem's row from ``before`` columns ahead
+    # of its bar i0, and each exit row's ATR, row atr_of[a] of atrs.
+    windows = sorted({int(w) for w in exit_keys[:, 1].tolist()})
+    before, atrs, blocks = _window_atrs(stack, windows, int(lookback.max()),
+                                        width, intrabar_stop_fill)
+    high, low, close, *opens = (block[:, before:] for block in blocks)
+    atr_of = exit_prob + len(stack) * np.searchsorted(windows, exit_keys[:, 1])
+
     # Entry slots: row u, column p is the first entry at or after bar p of
     # the cells of entry row u. A slot is the entry bar plus k * (width + 1)
     # for side k; the last slot, ``none``, means none. The columns from the
     # window's final bar on hold it, so a walk that reaches them stops.
     none = len(shorts) * (width + 1) - 1
-    moms: Dict[Tuple[int, int], np.ndarray] = {}
-    rows = []
-    for p, bars in zip(entry_prob.tolist(), lookback.astype(int).tolist()):
-        if (p, bars) not in moms:
-            series, (i0, i1), _ = stack[p]
-            lo = max(i0 - bars, 0)  # the bars momentum reads, no more
-            moms[p, bars] = momentum(series.close[lo:i1 - 1],
-                                     bars)[i0 - lo:]
-        rows.append(moms[p, bars])
-    mom = _padded(rows, width + 2)  # NaN enters nowhere
-    # The bars before momentum and ATR are both defined, local to the window
+    mom = np.empty((len(entry_keys), width + 2))
+    for bars in set(lookback.tolist()):
+        rows = lookback == bars
+        mom[rows, :width] = momentum(blocks[2], int(bars))[entry_prob[rows],
+                                                           before:]
+    # NaN enters nowhere: before momentum and ATR are both defined (so on no
+    # pad bar before a series' first), and from the window's final bar on.
     warm = np.maximum(lookback, atr_window - 1) - np.array(
         [i0 for _, (i0, _), _ in stack])[entry_prob]
     columns = np.arange(width + 2)
-    if warm.max() > 0:
-        mom[columns < warm[:, None]] = np.nan
+    mom[(columns < warm[:, None])
+        | (columns >= n[entry_prob, None] - 1)] = np.nan
     nexts = []
     for short in shorts:
         signal = (mom < -theta_short[:, None] if short
@@ -461,11 +467,6 @@ def find_trades_stacked(
         slots = np.where(nexts[0] <= nexts[1], nexts[0],
                          nexts[1] + width + 1)
         slots[slots == width] = none
-
-    # The stack's prices, and each exit row's ATR, row atr_of[a] of atrs.
-    windows = sorted({int(w) for w in exit_keys[:, 1].tolist()})
-    high, low, close, atrs = _window_atrs(stack, windows, width)
-    atr_of = exit_prob + len(stack) * np.searchsorted(windows, exit_keys[:, 1])
 
     # Exits: row a holds, for each side, the exit bar of a trade entered on
     # each bar, n (its problem's window length) if none, with n in column
@@ -516,9 +517,8 @@ def find_trades_stacked(
         stop = (_stop_max(np.stack(cands), *args) if trailing
                 else np.stack(cands)[args[:3]])
         sign = np.where(short[hit], -1.0, 1.0)
-        exit_px[hit] = sign * np.minimum(
-            sign * _padded([series.open[i0:i1] for series, (i0, i1), _
-                            in stack], width)[prob[hit], x[hit]], stop)
+        exit_px[hit] = sign * np.minimum(sign * opens[0][prob[hit], x[hit]],
+                                         stop)
     first = np.cumsum(counts) - counts  # each problem's first cell
     return np.array(live)[prob], Trades(cell - first[prob], entry, exit_bar,
                                         exit_px, forced, short)
@@ -537,12 +537,14 @@ def _padded(rows: List[np.ndarray], width: int) -> np.ndarray:
 
 
 def _window_atrs(stack: Sequence[Problem], windows: Sequence[int],
-                 width: int
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The high, low and close of each problem's bars [i0, i1) as rows of
-    NaN matrices ``width`` wide, and row k * len(stack) + p of a fourth:
-    the ATR of window windows[k] over problem p's bars, bit for bit
-    indicators.atr of the whole series sliced to [i0, i1), NaN past i1.
+                 lookback: int, width: int, opens: bool
+                 ) -> Tuple[int, np.ndarray, List[np.ndarray]]:
+    """The search's one price gather: ``before``, at least ``lookback``;
+    the ATRs, row k * len(stack) + p that of window windows[k] over problem
+    p's bars [i0, i1), bit for bit indicators.atr of the whole series sliced
+    there, NaN past i1; and the high, low, close (and, with ``opens``, open)
+    of each problem's bars [i0 - before, i1) as rows of NaN matrices
+    ``before + width`` wide.
 
     The ATR at bar j is (K[j] - K[j - w]) / w, K the running true-range sum
     from the series' first bar (K[-1] = 0), and NaN before bar w - 1. Each
@@ -551,21 +553,20 @@ def _window_atrs(stack: Sequence[Problem], windows: Sequence[int],
     over the stack: the true ranges as one matrix, zero before each row's
     checkpoint sum, summed along the rows by np.cumsum, which adds in bar
     order as indicators.atr's own np.cumsum does, so every K is the same
-    float. The price rows start before bar i0 for this, and the three price
-    matrices are views of them. Prices are positive and low <= close <=
-    high on every bar, so a bar's true range max(high - low, |high - prev
-    close|, |low - prev close|) is max(high, prev close) - min(low, prev
-    close), the same float: each difference rounds monotonically. The bar
-    before a series' first reads its first bar, so the first bar's true
-    range is its high - low."""
+    float; ``before`` covers the checkpoint too. Prices are positive and low
+    <= close <= high on every bar, so a bar's true range max(high - low,
+    |high - prev close|, |low - prev close|) is max(high, prev close) -
+    min(low, prev close), the same float: each difference rounds
+    monotonically. The bar before a series' first reads its first bar, so
+    the first bar's true range is its high - low."""
     i0 = np.array([bounds[0] for _, bounds, _ in stack])
     checkpoint = np.maximum(i0 - windows[-1] + 1, 0) // ATR_STRIDE
     lead = i0 + 1 - checkpoint * ATR_STRIDE  # bars from K[checkpoint bar - 1]
-    before = int(lead.max())  # the column of bar i0
-    high, low, close = (_padded([
+    before = max(int(lead.max()), lookback)
+    high, low, close, *blocks = (_padded([
         _from(getattr(series, name), a - before, b)
         for series, (a, b), _ in stack], before + width)
-        for name in ("high", "low", "close"))
+        for name in ("high", "low", "close", "open")[:3 + opens])
     sums = np.empty_like(high)
     prev = close[:, :-1]
     np.maximum(high[:, 1:], prev, out=sums[:, 1:])
@@ -586,8 +587,8 @@ def _window_atrs(stack: Sequence[Problem], windows: Sequence[int],
                     sums[:, before + skip - w:before + width - w],
                     out=atrs[k, :, skip:])
         atrs[k] /= w
-    return (high[:, before:], low[:, before:], close[:, before:],
-            atrs.reshape(len(windows) * len(stack), width))
+    return (before, atrs.reshape(len(windows) * len(stack), width),
+            [high, low, close, *blocks])
 
 
 def _from(column: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -693,12 +694,6 @@ _trades_memo: "weakref.WeakKeyDictionary[PriceSeries, Dict[tuple, Trades]]" = (
     weakref.WeakKeyDictionary())
 
 
-@functools.lru_cache(maxsize=1024)
-def _one_cell(params: StrategyParams) -> CellTable:
-    """The table of one cell, built once for every month that trades it."""
-    return CellTable((params,))
-
-
 def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
                    window: Optional[Tuple[int, int]], *,
                    trailing: bool = True,
@@ -718,8 +713,7 @@ def cell_positions(asked: Sequence[Tuple[PriceSeries, StrategyParams, float]],
         memo = _trades_memo.setdefault(series, {})
         key = (bounds, params, trailing, intrabar_stop_fill)
         if key not in memo:
-            misses[id(series), key] = (memo, key,
-                                       (series, bounds, _one_cell(params)))
+            misses[id(series), key] = (memo, key, (series, bounds, (params,)))
         keyed.append((memo, key, bounds))
     if misses:
         problem, found = find_trades_stacked(

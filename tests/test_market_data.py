@@ -802,14 +802,15 @@ class TestColumnarLoaderMatchesScalar:
 
 # A mix of plain symbols, which the columnar path reads, and symbols that
 # csv.writer quotes, which only the row parser reads.
-CAP_SYMBOL = st.one_of(st.sampled_from(["BTC", "ETH", "SOL", "a b", ""]), SYMBOL)
+CAP_SYMBOL = st.one_of(st.sampled_from(["BTC", "ETH", "SOL", "a b", "",
+                                        "B\0TC"]), SYMBOL)
 # Fields that both cap loaders must read alike: dates that only
 # date.fromisoformat takes or that neither does, and caps that break a rule
 # or the parse.
 ODD_CAP_FIELD = {
     0: st.sampled_from(["2022-02-30", "2022-1-1", "20220101", "0000-01-01",
                         "10000-01-01", "2022-01-01T00", " 2022-01-01", "NaT",
-                        "", "x"]),
+                        "", "x", "2022-01-01\0"]),
     2: st.sampled_from(["0", "-0.0", "-1e9", "inf", "-inf", "nan", "1e400",
                         "x1", "", "1_000", "\u0661", " 5", "5e-324"]),
 }
@@ -946,6 +947,9 @@ PLAIN_CAP_RULES = {
     "year-0": (["0000-01-01,BTC,9e11"], False),
     "last-day": (["9999-12-31,BTC,9e11", "0001-01-01,ETH,1e9"], True),
     "date-with-a-trailing-space": (["2022-01-01 ,BTC,9e11"], False),
+    # NumPy's text fields drop a trailing NUL: any NUL goes to the row parser
+    "date-with-a-trailing-nul": (["2022-01-01\0,BTC,9e11"], False),
+    "symbol-with-a-nul": (["2022-01-01,B\0TC,9e11"], False),
     "symbol-with-a-trailing-space": (["2022-01-01,BTC ,9e11"], True),
     "full-width-date": (["\uff12\uff10\uff12\uff12-01-01,BTC,9e11"], False),
     "full-width-cap": (["2022-01-01,BTC,\uff19e11"], False),

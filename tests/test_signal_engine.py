@@ -589,11 +589,17 @@ class TestExits:
             peak, table)
 
 
+# Lookbacks up to 40 bars, longer than some windows and than the bars back
+# to a window's ATR checkpoint, and series up to 200 bars, past several
+# checkpoints: the gather's lead is then sometimes the lookback's.
+LOOKBACK = st.one_of(st.integers(1, 6), st.integers(1, 40))
+BARS = st.one_of(st.integers(0, 60), st.integers(0, 200))
+
 CELL = st.builds(StrategyParams,
                  theta_entry=st.sampled_from([-0.01, 0.0, 0.004, 0.03, math.inf]),
                  theta_entry_short=st.sampled_from([1e-4, 0.01, 0.03, math.inf]),
                  alpha=st.sampled_from([0.5, 1.5, 4.0]),
-                 lookback=st.integers(1, 6), atr_window=st.integers(1, 8))
+                 lookback=LOOKBACK, atr_window=st.integers(1, 8))
 
 
 class TestFindTrades:
@@ -612,10 +618,8 @@ class TestFindTrades:
         return want
 
     @settings(max_examples=400, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
-           gaps=st.booleans(), start=st.integers(0, 60),
-           length=st.one_of(st.sampled_from([0, 1, 2, 3]),
-                            st.integers(0, 60)),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=BARS, gaps=st.booleans(),
+           start=BARS, length=st.one_of(st.sampled_from([0, 1, 2, 3]), BARS),
            side=st.sampled_from(SIDE_CHOICES), trailing=st.booleans(),
            intrabar=st.booleans(), cells=st.lists(CELL, min_size=1,
                                                   max_size=6))
@@ -629,9 +633,8 @@ class TestFindTrades:
                    intrabar)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
-           gaps=st.booleans(), start=st.integers(0, 60),
-           trailing=st.booleans(), intrabar=st.booleans(),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=BARS, gaps=st.booleans(),
+           start=BARS, trailing=st.booleans(), intrabar=st.booleans(),
            cells=st.lists(CELL, min_size=1, max_size=3), data=st.data())
     def test_mixed_sides_trade_as_each_cell_alone(self, seed, n, gaps, start,
                                                   trailing, intrabar, cells,
@@ -665,6 +668,22 @@ class TestFindTrades:
                 trades = self.check(series, (0, 40), [cell], "long",
                                     trailing, intrabar)[0]
                 assert trades and trades[0][0] == 6
+
+    def test_a_lookback_reaching_past_the_atr_checkpoint(self):
+        # A window from bar 70 resumes its 3-bar ATR from the checkpoint
+        # sum at bar 63, 7 bars back, while momentum reads 28 or 40 bars
+        # back: the gather's lead is the lookback's, in every execution mode.
+        series = gbm_series(np.random.default_rng(9), 200)
+        assert signal_engine.ATR_STRIDE == 64
+        assert signal_engine._window_atrs([(series, (70, 200), ())], [3], 40,
+                                          130, False)[0] == 40
+        cells = [StrategyParams(theta, theta, 1.5, lookback, 3)
+                 for theta in (1e-4, 0.02) for lookback in (28, 40)]
+        for trailing in (True, False):
+            for intrabar in (True, False):
+                found = self.check(series, (70, 200), cells, "both",
+                                   trailing, intrabar)
+                assert all(found) and found[0][0][0] == 0
 
     def test_a_close_on_the_stop_is_no_breach(self):
         # A rise, then flat bars (the ATR falls to 0 and the trailing stop
@@ -798,7 +817,7 @@ SCORED_CELL = st.builds(
     theta_entry=st.sampled_from([-0.01, 0.0, 0.004, 0.03, 5.0]),
     theta_entry_short=st.sampled_from([1e-4, 0.01, 0.03, 5.0]),
     alpha=st.sampled_from([0.5, 1.5, 4.0]),
-    lookback=st.integers(1, 6), atr_window=st.integers(1, 8))
+    lookback=LOOKBACK, atr_window=st.integers(1, 8))
 
 EXECUTIONS = pytest.mark.parametrize(
     "execution", [dict(trailing=t, intrabar_stop_fill=i)
@@ -808,7 +827,8 @@ EXECUTIONS = pytest.mark.parametrize(
 
 @st.composite
 def stacks(draw, cell, sides):
-    """1-5 problems over 1-3 series with or without gaps (RND, SYM1, SYM2),
+    """1-5 problems over 1-3 series of up to 200 bars with or without gaps
+    (RND, SYM1, SYM2),
     each a window of from none to every bar, with 1-3 cells: one side drawn
     per cell and one window length per problem, or, when ``sides`` is
     "stack", one side and one window length for the whole stack, the one
@@ -816,7 +836,7 @@ def stacks(draw, cell, sides):
     pool = []
     for j in range(draw(st.integers(1, 3))):
         rough = flat_series(np.random.default_rng(
-            draw(st.integers(0, 2 ** 32 - 1))), draw(st.integers(0, 60)),
+            draw(st.integers(0, 2 ** 32 - 1))), draw(BARS),
             gaps=draw(st.booleans()))
         pool.append(PriceSeries("RND" if j == 0 else f"SYM{j}",
                                 rough.interval, *rough.columns()))
@@ -1010,7 +1030,8 @@ def atr_stacks(draw):
     away from the last close, and a stack of 1-5 windows over them: bounds
     anywhere, on and around multiples of signal_engine.ATR_STRIDE, to the
     series' end, and 0-2 bars long; with 1-3 ATR windows from one bar to
-    longer than the series."""
+    longer than the series, a lookback as long, and whether to gather the
+    opens."""
     pool = []
     for _ in range(draw(st.integers(1, 3))):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -1040,27 +1061,41 @@ def atr_stacks(draw):
     windows = sorted(draw(st.sets(st.one_of(
         st.integers(1, 3), st.integers(1, longest + 10)),
         min_size=1, max_size=3)))
-    return stack, windows
+    lookback = draw(st.one_of(st.integers(1, 3), st.integers(1, longest + 10)))
+    return stack, windows, lookback, draw(st.booleans())
 
 
 class TestWindowAtrs:
-    """The search's ATR rows, resumed from each series' running-sum
-    checkpoints, equal indicators.atr of the whole series, bit for bit."""
+    """The search's price blocks are the series' own prices from ``before``
+    bars ahead of each window, and its ATR rows, resumed from each series'
+    running-sum checkpoints, equal indicators.atr of the whole series, bit
+    for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=atr_stacks())
     def test_rows_equal_the_whole_series_atr(self, drawn):
-        stack, windows = drawn
+        stack, windows, lookback, opens = drawn
         width = max(i1 - i0 for _, (i0, i1), _ in stack)
-        high, low, close, atrs = signal_engine._window_atrs(stack, windows,
-                                                            width)
+        before, atrs, blocks = signal_engine._window_atrs(
+            stack, windows, lookback, width, opens)
+        assert before >= lookback
         assert atrs.shape == (len(windows) * len(stack), width)
+        names = ("high", "low", "close", "open")[:3 + opens]
+        assert len(blocks) == len(names)
         for p, (series, (i0, i1), _) in enumerate(stack):
             n = i1 - i0
-            for got, column in ((high, series.high), (low, series.low),
-                                (close, series.close)):
-                assert got[p, :n].tobytes() == column[i0:i1].tobytes()
-                assert np.isnan(got[p, n:]).all()
+            for got, name in zip(blocks, names):
+                column = getattr(series, name)
+                assert got.shape == (len(stack), before + width)
+                got = got[p]
+                # a bar before the series' first reads its first
+                lead = column[max(i0 - before, 0):i0]
+                assert (got[:before - len(lead)] == column[0]).all()
+                assert got[before - len(lead):before].tobytes() == (
+                    lead.tobytes())
+                assert got[before:before + n].tobytes() == (
+                    column[i0:i1].tobytes())
+                assert np.isnan(got[before + n:]).all()
             for k, w in enumerate(windows):
                 row = atrs[k * len(stack) + p]
                 want = atr(series.high, series.low, series.close, w)[i0:i1]
