@@ -1,9 +1,10 @@
-"""Golden digests: the bytes of every artifact of the backtests that
-perfbench does not pin, against the digests in golden_digests.json.
+"""Golden digests: the bytes of every artifact of the runs that perfbench
+does not pin, against the digests in golden_digests.json.
 
 Each ablation variant, the intrabar stop fill under a trailing and under a
-fixed stop, and one run with a funding table go through cli.main on a
-fixed-seed synthetic universe. A change that moves an artifact's bytes on
+fixed stop, one run with a funding table, a funded fee sweep, an alpha x
+lambda sweep, a bootstrap, a report and synth itself go through cli.main on
+a fixed-seed synthetic universe, and a timeframe sweep on an hourly one. A change that moves an artifact's bytes on
 purpose records the digests again with ``record()``,
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,8 +15,9 @@ and says which files moved and why.
 import hashlib
 import json
 import pathlib
+import shutil
 import tempfile
-from typing import Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -32,6 +34,10 @@ DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
 SPEC = SyntheticSpec(seed=13, n_symbols=12, interval=21_600,
                      regimes=((240, 1.5, 0.9), (240, -1.2, 1.1),
                               (120, 0.3, 0.6)))
+# 6 hourly symbols over the same 150 days, which every timeframe divides.
+HOURLY = SyntheticSpec(seed=17, n_symbols=6, interval=3600,
+                       regimes=((1440, 1.5, 0.9), (1440, -1.2, 1.1),
+                                (720, 0.3, 0.6)))
 # Funding rates that are binary fractions written out in full, so the
 # table's floats do not depend on how a decimal is rounded.
 RATES = ["0.0000152587890625", "0.00006103515625", "-0.0001220703125",
@@ -48,27 +54,86 @@ rebalance.gamma_long = 0.5
 rebalance.gamma_short = 0.5
 regimes.window_days = 30
 """
+FUNDED = "costs.funding_rates_file = {funding}\n"
+# A grid of 3 x 3 x 2 cells keeps the 27 points of the alpha x lambda sweep
+# and the 6 of the timeframe sweep small; the first sets alpha itself.
+SMALL_GRID = ("grid.theta_entry = 0.02,0.05,0.08\n"
+              "grid.lookback = 8,20\n")
 
-# Run name -> the config lines it adds; {funding} is the funding table.
+
+def config(root: pathlib.Path, name: str, lines: str,
+           data: str = "data") -> str:
+    """A config file for run ``name`` on the data directory ``data``:
+    CONFIG plus ``lines``, in which {funding} is the funding table."""
+    path = root / f"{name}.cfg"
+    path.write_text(CONFIG.format(data=root / data) + lines.format(
+        funding=root / "funding_rates.csv"))
+    return str(path)
+
+
+def backtest(lines: str) -> Callable[[pathlib.Path, pathlib.Path], List[str]]:
+    return lambda root, out: ["backtest", "--config",
+                              config(root, out.name, lines), "--out", str(out)]
+
+
+def sweep(axis: str, lines: str, data: str = "data"):
+    return lambda root, out: ["sweep", "--axis", axis, "--config",
+                              config(root, out.name, lines, data),
+                              "--out", str(out)]
+
+
+def bootstrap(root: pathlib.Path, out: pathlib.Path) -> List[str]:
+    return ["bootstrap", "--run-a", str(run(root, "full")), "--run-b",
+            str(run(root, "funded")), "--reps", "300", "--block", "12",
+            "--seed", "5", "--out", str(out)]
+
+
+def report(root: pathlib.Path, out: pathlib.Path) -> List[str]:
+    """The funded run's directory with a bootstrap and a sweep in it, so
+    that every section of the report has something to render."""
+    shutil.copytree(run(root, "funded"), out)
+    shutil.copy(run(root, "bootstrap") / "bootstrap.json", out)
+    shutil.copy(run(root, "sweep_alpha_lambda") / "sweep.csv", out)
+    return ["report", "--out", str(out)]
+
+
+def synth(root: pathlib.Path, out: pathlib.Path) -> List[str]:
+    return ["synth", "--out", str(out), "--seed", "21", "--symbols", "3",
+            "--interval", "3600", "--regimes", "48:0.9:0.8,48:-0.7:1.2"]
+
+
+# Run name -> its command line, given the inputs' root and its run directory.
 RUNS = {
-    **{variant: f"run.variant = {variant}\n" for variant in ABLATION_VARIANTS},
-    "intrabar_full": "engine.intrabar_stop_fill = true\n",
-    "intrabar_no_trailing_stop": ("engine.intrabar_stop_fill = true\n"
-                                  "run.variant = no_trailing_stop\n"),
-    "funded": ("costs.funding_rates_file = {funding}\n"
-               "benchmarks.kinds = tsmom_1m,tsmom_3m,vol_scaled_tsmom,"
-               "btc_bh,ew_bh\n"),
+    **{variant: backtest(f"run.variant = {variant}\n")
+       for variant in ABLATION_VARIANTS},
+    "intrabar_full": backtest("engine.intrabar_stop_fill = true\n"),
+    "intrabar_no_trailing_stop": backtest("engine.intrabar_stop_fill = true\n"
+                                          "run.variant = no_trailing_stop\n"),
+    "funded": backtest(FUNDED + "benchmarks.kinds = tsmom_1m,tsmom_3m,"
+                       "vol_scaled_tsmom,btc_bh,ew_bh\n"),
+    "sweep_fee_bps_funded": sweep("fee_bps", FUNDED),
+    "sweep_alpha_lambda": sweep("alpha_lambda", SMALL_GRID),
+    "sweep_timeframe": sweep("timeframe", SMALL_GRID, data="hourly"),
+    "bootstrap": bootstrap,
+    "report": report,
+    "synth": synth,
 }
 
 
-def write_inputs(root: pathlib.Path) -> pathlib.Path:
-    """The universe's data directory and funding table under ``root``."""
-    data = root / "data"
-    data.mkdir()
-    series_list, caps = generate_synthetic_universe(SPEC)
+def write_universe(spec: SyntheticSpec, data: pathlib.Path) -> list:
+    """spec's universe as a data directory; its series."""
+    series_list, caps = generate_synthetic_universe(spec)
     for series in series_list:
         save_price_series(series, str(data / f"{series.symbol}.csv"))
     save_market_caps(caps, str(data / "market_caps.csv"))
+    return series_list
+
+
+def write_inputs(root: pathlib.Path) -> pathlib.Path:
+    """The universes' data directories and the funding table under
+    ``root``."""
+    write_universe(HOURLY, root / "hourly")
+    series_list = write_universe(SPEC, root / "data")
     rows = ["timestamp,symbol,rate_8h"]
     for k in range(SPEC.n_bars * SPEC.interval // FUNDING_STEP + 1):
         for j, series in enumerate(series_list):
@@ -78,16 +143,22 @@ def write_inputs(root: pathlib.Path) -> pathlib.Path:
     return root
 
 
-def run_digests(root: pathlib.Path, name: str) -> Dict[str, str]:
-    """Run ``name`` on the inputs under ``root``: the sha256 of each file it
-    writes but manifest.json, by path within its run directory."""
-    config = root / f"{name}.cfg"
-    config.write_text(CONFIG.format(data=root / "data") + RUNS[name].format(
-        funding=root / "funding_rates.csv"))
+def run(root: pathlib.Path, name: str) -> pathlib.Path:
+    """The directory that run ``name`` writes under ``root``, run once."""
     out = root / name
-    assert main(["backtest", "--config", str(config), "--out", str(out)]) == 0
-    return {path.relative_to(out).as_posix():
-            hashlib.sha256(path.read_bytes()).hexdigest()
+    if not out.exists():
+        assert main(RUNS[name](root, out)) == 0
+    return out
+
+
+def run_digests(root: pathlib.Path, name: str) -> Dict[str, str]:
+    """The sha256 of each file run ``name`` writes but manifest.json, by
+    path within its run directory. ``root`` reads as ``<root>`` in the
+    bytes hashed, since bootstrap.json names its runs' absolute paths."""
+    out = run(root, name)
+    return {path.relative_to(out).as_posix(): hashlib.sha256(
+                path.read_bytes().replace(str(root).encode(), b"<root>")
+            ).hexdigest()
             for path in sorted(out.rglob("*"))
             if path.is_file() and path.name != "manifest.json"}
 
