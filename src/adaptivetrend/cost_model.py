@@ -6,10 +6,12 @@ short position receives the same amount.
 
 Every booking (the window ledger, the grid search, the reference ledger)
 prices through ``trade_fills`` and ``funding_paid``, the one copy of each rule.
+Per-symbol funding rates are a FundingTable, which funding_rates_at reads.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +25,31 @@ SHORT = "short"
 FUNDING_HEADER = ["timestamp", "symbol", "rate_8h"]
 
 
+class FundingTable:
+    """Funding rates as a step function per symbol: ``columns`` maps each to
+    read-only (int64 timestamps, float64 rates), built once from its
+    (timestamp, rate) records and checked then. Compared and hashed by
+    identity, so a CostConfig holding one is hashable."""
+
+    def __init__(self, records: Mapping[str, Sequence[Tuple[int, float]]]):
+        columns = {}
+        for symbol, rows in records.items():
+            name = f"funding_rates[{symbol!r}]"
+            if not all(-2**63 <= t < 2**63 and t == int(t) for t, _ in rows):
+                raise ValueError(f"{name}: timestamps must be int64 integers")
+            ts = np.array([t for t, _ in rows], dtype=np.int64)
+            rates = np.array([rate for _, rate in rows], dtype=np.float64)
+            if not np.all(np.abs(rates) <= 1):
+                raise ValueError(f"{name}: rates must be finite and lie in"
+                                 " [-1, 1]")
+            if np.any(np.diff(ts) <= 0):
+                raise ValueError(f"{name}: timestamps must be strictly"
+                                 " ascending")
+            ts.flags.writeable = rates.flags.writeable = False
+            columns[symbol] = ts, rates
+        self.columns = MappingProxyType(columns)
+
+
 @dataclass(frozen=True)
 class CostConfig:
     """Cost parameters.
@@ -31,8 +58,8 @@ class CostConfig:
     slip_coeff times (fill notional / estimated 5-minute traded notional),
     capped at slip_cap_bps. funding_hours are the daily UTC hours at which
     funding is exchanged. funding_rates optionally overrides the flat
-    funding_rate_per_8h with a per-symbol step function (see
-    load_funding_rates): rates in [-1, 1] at strictly ascending timestamps.
+    funding_rate_per_8h with a per-symbol step function: a FundingTable (see
+    load_funding_rates), or its records by symbol, made one table here.
     """
 
     taker_fee_bps: float = 4.0
@@ -40,9 +67,7 @@ class CostConfig:
     slip_cap_bps: float = 50.0
     funding_rate_per_8h: float = 1e-4
     funding_hours: Tuple[int, ...] = (0, 8, 16)
-    funding_rates: Optional[Dict[str, List[Tuple[int, float]]]] = field(
-        default=None, compare=False
-    )
+    funding_rates: Union[FundingTable, Mapping, None] = None
 
     def __post_init__(self) -> None:
         for name in ("taker_fee_bps", "slip_coeff", "slip_cap_bps"):
@@ -56,14 +81,9 @@ class CostConfig:
             raise ValueError("funding_hours must lie in [0, 24)")
         if len(set(self.funding_hours)) != len(self.funding_hours):
             raise ValueError("funding_hours must not repeat")
-        # funding_rates_at bisects each table, so it must be sorted.
-        for symbol, records in (self.funding_rates or {}).items():
-            if not all(abs(rate) <= 1 for _, rate in records):
-                raise ValueError(f"funding_rates[{symbol!r}]: rates must be"
-                                 " finite and lie in [-1, 1]")
-            if any(b <= a for (a, _), (b, _) in zip(records, records[1:])):
-                raise ValueError(f"funding_rates[{symbol!r}]: timestamps must"
-                                 " be strictly ascending")
+        if not isinstance(self.funding_rates, (FundingTable, type(None))):
+            object.__setattr__(self, "funding_rates",
+                               FundingTable(self.funding_rates))
 
 
 ZERO_COSTS = CostConfig(taker_fee_bps=0.0, slip_coeff=0.0, slip_cap_bps=0.0,
@@ -147,22 +167,24 @@ def funding_rates_at(cfg: CostConfig, symbol: str,
                      events: np.ndarray) -> np.ndarray:
     """Each event's rate: symbol's last record at or before it, else flat."""
     rates = np.full(len(events), cfg.funding_rate_per_8h)
-    records = (cfg.funding_rates or {}).get(symbol)
-    if records:
-        at = np.searchsorted([ts for ts, _ in records], events, side="right") - 1
+    if cfg.funding_rates is not None and symbol in cfg.funding_rates.columns:
+        stamps, values = cfg.funding_rates.columns[symbol]
+        at = np.searchsorted(stamps, events, side="right") - 1
         known = at >= 0
-        rates[known] = np.array([rate for _, rate in records])[at[known]]
+        rates[known] = values[at[known]]
     return rates
 
 
-def load_funding_rates(path: str) -> Dict[str, List[Tuple[int, float]]]:
-    """Load a per-symbol funding-rate series CSV into a step-function table;
-    rejects rates outside [-1, 1] (as funding_rate_per_8h), NaN included, and
-    duplicate (symbol, timestamp) records."""
+def load_funding_rates(path: str) -> FundingTable:
+    """Load a per-symbol funding-rate series CSV into a FundingTable; names
+    the line of a timestamp outside int64, a rate outside [-1, 1] (as
+    funding_rate_per_8h), NaN included, or a repeated (symbol, timestamp)."""
     seen = set()
 
     def parse(row: List[str]) -> Tuple[str, int, float]:
         ts, sym, rate = int(row[0]), row[1], float(row[2])
+        if not -2**63 <= ts < 2**63:
+            raise DataError(f"timestamp must lie in int64, got {ts}")
         if not abs(rate) <= 1:
             raise DataError(f"rate must lie in [-1, 1], got {rate}")
         if (sym, ts) in seen:
@@ -175,4 +197,4 @@ def load_funding_rates(path: str) -> Dict[str, List[Tuple[int, float]]]:
         table.setdefault(sym, []).append((ts, rate))
     for records in table.values():
         records.sort()
-    return table
+    return FundingTable(table)

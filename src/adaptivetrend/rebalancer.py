@@ -231,7 +231,7 @@ class Optimizer:
     """Solves the grid-search problems of one universe, each one once.
 
     A problem is one candidate's search: (symbol, side, window, grid, cost
-    config with the symbol's funding records, rf_annual, execution flags).
+    config, rf_annual, execution flags).
     Its result is memoised, so every month, sweep point and ablation run that
     shares this optimizer answers a repeated problem from the memo.
     Candidates are named by symbol and looked up in the optimizer's own
@@ -286,9 +286,7 @@ class Optimizer:
         grid = cfg.rebalance.grid
         keys = []
         for symbol, side in candidates:
-            # CostConfig equality ignores funding_rates: key by the records.
-            funding = (cfg.costs.funding_rates or {}).get(symbol)
-            scoring = (cfg.costs, tuple(funding or ()), cfg.rebalance.rf_annual,
+            scoring = (cfg.costs, cfg.rebalance.rf_annual,
                        cfg.trailing_stop_enabled, cfg.intrabar_stop_fill)
             keys.append((symbol, side, window, grid, scoring))
         self.problems += len(keys)

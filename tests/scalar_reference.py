@@ -43,7 +43,8 @@ from adaptivetrend.backtester import (EQUITY_HEADER, BacktestConfig,
                                       month_starts_between,
                                       union_timeline)
 from adaptivetrend.benchmarks import BenchmarkSpec, _month_weights
-from adaptivetrend.cost_model import FIVE_MINUTES, LONG, SHORT, CostConfig
+from adaptivetrend.cost_model import (FIVE_MINUTES, LONG, SHORT, CostConfig,
+                                      FundingTable)
 from adaptivetrend.indicators import atr, momentum, rolling_sharpe
 from adaptivetrend.market_data import (DEFAULT_INTERVAL, MARKET_CAP_HEADER,
                                        OHLCV_HEADER, CapColumns,
@@ -424,6 +425,12 @@ def funding_events(start_ts: int, end_ts: int,
     return events
 
 
+def funding_records(table: FundingTable) -> Dict[str, List[Tuple[int, float]]]:
+    """The table's (timestamp, rate) records by symbol, as Python numbers."""
+    return {symbol: list(zip(ts.tolist(), rates.tolist()))
+            for symbol, (ts, rates) in table.columns.items()}
+
+
 def funding_rate_at(symbol: str, ts: int, cfg: CostConfig) -> float:
     """Effective 8h funding rate for ``symbol`` at event time ``ts``.
 
@@ -432,7 +439,7 @@ def funding_rate_at(symbol: str, ts: int, cfg: CostConfig) -> float:
     ts, falls back to the flat default rate.
     """
     if cfg.funding_rates is not None:
-        records = cfg.funding_rates.get(symbol)
+        records = funding_records(cfg.funding_rates).get(symbol)
         if records:
             idx = bisect.bisect_right(records, (ts, float("inf"))) - 1
             if idx >= 0:

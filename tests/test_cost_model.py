@@ -1,17 +1,20 @@
 """Fees, volume-scaled slippage, and perp funding transfers."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaptivetrend.cost_model import (CostConfig, ZERO_COSTS, fill_costs,
-                                      funding_events, funding_paid,
-                                      load_funding_rates)
+from adaptivetrend.cost_model import (CostConfig, FundingTable, ZERO_COSTS,
+                                      fill_costs, funding_events, funding_paid,
+                                      funding_rates_at, load_funding_rates)
 from adaptivetrend.market_data import DataError
 from conftest import INTERVAL, T0
-from scalar_reference import Bar, fee, funding, funding_rate_at, slippage
+from scalar_reference import (Bar, fee, funding, funding_rate_at,
+                              funding_records, slippage)
 
 
 def bar_with_volume(volume: float, close: float = 100.0) -> Bar:
@@ -232,9 +235,9 @@ def test_load_funding_rates(tmp_path):
     p = tmp_path / "funding_rates.csv"
     p.write_text("timestamp,symbol,rate_8h\n"
                  f"{T0},BTC,0.0002\n{T0 + 100},ETH,-0.0001\n{T0 + 50},BTC,0.0003\n")
-    rates = load_funding_rates(str(p))
-    assert rates["BTC"] == [(T0, 0.0002), (T0 + 50, 0.0003)]
-    assert rates["ETH"] == [(T0 + 100, -0.0001)]
+    assert funding_records(load_funding_rates(str(p))) == {
+        "BTC": [(T0, 0.0002), (T0 + 50, 0.0003)],
+        "ETH": [(T0 + 100, -0.0001)]}
     for rate in ("nan", "inf", "-inf"):
         p.write_text(f"timestamp,symbol,rate_8h\n{T0},BTC,0.0002\n{T0},ETH,{rate}\n")
         with pytest.raises(DataError, match="funding_rates.csv: line 3"):
@@ -262,6 +265,62 @@ def test_config_rejects_a_bad_funding_table(records, message):
     # made funding_rates_at's bisection pick the wrong rates.
     with pytest.raises(ValueError, match=rf"funding_rates\['ETH'\]: {message}"):
         CostConfig(funding_rates={"BTC": [(T0, 1e-4)], "ETH": records})
+
+
+@pytest.mark.parametrize("stamp", [2**63, -2**63 - 1, T0 + 0.5, math.nan])
+def test_config_rejects_a_timestamp_that_is_not_an_int64(stamp):
+    # Accepted, a huge one made the lookup fall back to an object array; an
+    # int64 table would truncate a fraction.
+    with pytest.raises(ValueError, match=r"funding_rates\['ETH'\]: timestamps"
+                                         " must be int64 integers"):
+        CostConfig(funding_rates={"BTC": [(T0, 1e-4)], "ETH": [(stamp, 1e-4)]})
+
+
+@pytest.mark.parametrize("stamp", [2**63, -2**63 - 1])
+def test_load_funding_rates_names_a_timestamp_outside_int64(tmp_path, stamp):
+    p = tmp_path / "funding_rates.csv"
+    p.write_text(f"timestamp,symbol,rate_8h\n{T0},BTC,0.0002\n"
+                 f"{stamp},ETH,0.0001\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"funding_rates.csv: line 3: timestamp must lie in int64, got"
+            f" {stamp}")):
+        load_funding_rates(str(p))
+
+
+class TestFundingTable:
+    RECORDS = {"BTC": [(T0, 2e-4), (T0 + 50_000, -1e-4)], "ETH": []}
+
+    def test_arrays_are_read_only(self):
+        for ts, rates in FundingTable(self.RECORDS).columns.values():
+            assert (ts.dtype, rates.dtype) == (np.int64, np.float64)
+            for column in (ts, rates):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[:1] = 0
+
+    def test_compared_and_hashed_by_identity(self):
+        table = FundingTable(self.RECORDS)
+        assert table == table and table != FundingTable(self.RECORDS)
+        cfg = CostConfig(funding_rates=table)
+        assert cfg.funding_rates is table  # a table is not built again
+        assert hash(cfg) == hash(CostConfig(funding_rates=table))
+        assert cfg != CostConfig(funding_rates=FundingTable(self.RECORDS))
+        assert CostConfig(funding_rates=self.RECORDS) != \
+            CostConfig(funding_rates=self.RECORDS)
+
+    def test_replace_keeps_the_table(self):
+        cfg = CostConfig(funding_rates=self.RECORDS)
+        assert isinstance(cfg.funding_rates, FundingTable)
+        for fee_bps in (0.0, 8.0):
+            point = replace(cfg, taker_fee_bps=fee_bps)
+            assert point.funding_rates is cfg.funding_rates
+
+    def test_a_symbol_without_records_reads_the_flat_rate(self):
+        cfg = CostConfig(funding_rates=self.RECORDS)
+        events = np.array([T0 - 1, T0, T0 + 50_000], dtype=np.int64)
+        assert funding_rates_at(cfg, "ETH", events).tolist() == \
+            [cfg.funding_rate_per_8h] * 3
+        assert funding_rates_at(cfg, "BTC", events).tolist() == \
+            [cfg.funding_rate_per_8h, 2e-4, -1e-4]
 
 
 def test_config_validation():

@@ -251,6 +251,30 @@ def test_funding_rate_beyond_one_is_rejected(world, command, tmp_path,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("row, message", [
+    (f"{1_643_673_600 + 12 * 28_800},SYM00,1e308",
+     "rate must lie in [-1, 1], got 1e+308"),
+    ("1643673600,SYM00,0.0002", "duplicate record for SYM00 1643673600"),
+    (f"{2**63},SYM00,0.0001", f"timestamp must lie in int64, got {2**63}"),
+    (f"{-2**63 - 1},SYM01,0.0001",
+     f"timestamp must lie in int64, got {-2**63 - 1}"),
+], ids=["rate", "repeat", "above-int64", "below-int64"])
+def test_validate_data_names_the_line_of_a_bad_funding_record(
+        world, row, message, tmp_path, capsys):
+    # A timestamp outside int64 was accepted, and a table of int64 columns
+    # would raise an OverflowError that main does not catch.
+    data = tmp_path / "data"
+    shutil.copytree(world.data, data)
+    with open(data / "funding_rates.csv", "a") as fh:
+        fh.write(row + "\n")
+    assert main(["validate-data", "--data-dir", str(data)]) == 1
+    shown = capsys.readouterr()
+    assert (f"funding_rates.csv: FAIL: {data / 'funding_rates.csv'}: line 14:"
+            f" {message}\n") in shown.out
+    assert "Traceback" not in shown.out + shown.err
+    assert shown.err.splitlines() == ["error: 1 of 8 files invalid"]
+
+
 # run-directory file kind -> its path under the run directory
 ARTIFACTS = {"metrics": "metrics.json", "equity": "equity.csv",
              "regimes": "regime_metrics.csv", "bootstrap": "bootstrap.json",

@@ -4,8 +4,9 @@ does not pin, against the digests in golden_digests.json.
 Each ablation variant, the intrabar stop fill under a trailing and under a
 fixed stop, one run with a funding table, a funded fee sweep, an alpha x
 lambda sweep, a bootstrap, a report and synth itself go through cli.main on
-a fixed-seed synthetic universe, and a timeframe sweep on an hourly one. A change that moves an artifact's bytes on
-purpose records the digests again with ``record()``,
+a fixed-seed synthetic universe, and a timeframe sweep on an hourly one. A
+change that moves an artifact's bytes on purpose records the digests again
+with ``record()``,
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -55,8 +56,9 @@ rebalance.gamma_short = 0.5
 regimes.window_days = 30
 """
 FUNDED = "costs.funding_rates_file = {funding}\n"
-# A grid of 3 x 3 x 2 cells keeps the 27 points of the alpha x lambda sweep
-# and the 6 of the timeframe sweep small; the first sets alpha itself.
+# Three long entry thresholds and two lookbacks keep the 27 points of the
+# alpha x lambda sweep (which sets alpha) and the 6 of the timeframe sweep
+# small.
 SMALL_GRID = ("grid.theta_entry = 0.02,0.05,0.08\n"
               "grid.lookback = 8,20\n")
 

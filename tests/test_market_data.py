@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from adaptivetrend.backtester import (EQUITY_HEADER, EquityCurve, load_equity,
                                       save_equity)
 from adaptivetrend import market_data
-from adaptivetrend.cost_model import FUNDING_HEADER, load_funding_rates
+from adaptivetrend.cost_model import (FUNDING_HEADER, FundingTable,
+                                      load_funding_rates)
 from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER,
                                        CapIndex, DataError,
                                        PriceSeries, SyntheticSpec, bars_per_year,
@@ -32,8 +33,8 @@ from adaptivetrend.market_data import (MARKET_CAP_HEADER, OHLCV_HEADER,
 from adaptivetrend.signal_engine import LEDGER_HEADER, write_ledger
 import scalar_reference
 from scalar_reference import (Bar, MarketCapRecord, TradeRecord, as_ledger,
-                              cap_columns, cap_records, read_ledger,
-                              series_bar)
+                              cap_columns, cap_records, funding_records,
+                              read_ledger, series_bar)
 from conftest import (INTERVAL, T0, bars_of, day_start, make_bars,
                       make_series, series_from_bars)
 
@@ -423,6 +424,8 @@ def _plain(loaded):
         return loaded.symbol, loaded.interval, bars_of(loaded)
     if isinstance(loaded, CapIndex):
         return ranked_snapshots(loaded)
+    if isinstance(loaded, FundingTable):
+        return funding_records(loaded)
     return loaded
 
 
@@ -647,8 +650,8 @@ class TestCsvRoundTrip:
         expected = {}
         for ts, sym, rate in rows:
             expected.setdefault(sym, []).append((ts, rate))
-        assert load_funding_rates(str(p)) == {sym: sorted(v)
-                                              for sym, v in expected.items()}
+        assert funding_records(load_funding_rates(str(p))) == {
+            sym: sorted(v) for sym, v in expected.items()}
 
     @ROUND_TRIP
     @given(trades=st.lists(trade(), max_size=6))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from adaptivetrend import backtester, rebalancer, signal_engine
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       Market, ablation_config, run_backtest)
-from adaptivetrend.cost_model import ZERO_COSTS, CostConfig
+from adaptivetrend.cost_model import ZERO_COSTS, CostConfig, FundingTable
 from adaptivetrend.market_data import PriceSeries
 from adaptivetrend.rebalancer import (SEARCH_BATCH_CELL_BARS, Optimizer,
                                       ParamGrid, RebalanceConfig, grid_cells,
@@ -104,22 +104,26 @@ class TestSharedOptimizer:
         universe, _ = jumpy_universe(11, 1, 1.0)
         series = universe["RND"]
         window = optimization_window(MAR1, INTERVAL, 4)
+        # A table is keyed by identity: the same table shares an entry, and
+        # distinct tables never do, even with equal records.
         flat = CostConfig(funding_rate_per_8h=0.0)
+        table = FundingTable({"RND": [(T0, 0.02)]})
         costs = [flat,
-                 replace(flat, funding_rates={"RND": [(T0, 0.02)]}),
+                 replace(flat, funding_rates=table),
                  replace(flat, funding_rates={"RND": [(T0, -0.02)]}),
-                 replace(flat, funding_rates={"RND": [(T0, 0.02)]})]
-        assert costs[1] == costs[2]  # CostConfig equality ignores the table
+                 replace(flat, funding_rates={"RND": [(T0, 0.02)]}),
+                 replace(flat, funding_rates=table)]
+        assert costs[1] == costs[4] and costs[1] != costs[3]
         opt = Optimizer(universe)
         got = [opt.solve([("RND", "long")], window,
                          point_cfg(universe, alphas=BASE_GRID.alpha,
                                    cost=cost))[0]
                for cost in costs]
-        assert opt.solved == 3  # the last table's records equal the second's
+        assert opt.solved == 4  # the last shares the second's entry
         for cost, result in zip(costs, got):
             assert result == solve_alone(series, "long", window,
                                          solve_cfg(BASE_GRID, cost, 0.045))
-        assert got[1] != got[2]
+        assert got[1] != got[2] and got[1] == got[3]
 
 
 class TestKeptRows:
