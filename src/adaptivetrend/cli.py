@@ -39,8 +39,8 @@ import numpy as np
 # onto the module (perfbench's tracer) sees every run.
 from . import __version__, backtester
 from .analytics import (classify_regimes, bootstrap_sharpe_test, regime_metrics,
-                        write_regime_csv, RegimeSeries, REGIME_CSV_HEADER,
-                        REGIME_WINDOW_DAYS)
+                        write_regime_csv, MetricsReport, RegimeSeries,
+                        REGIME_CSV_HEADER, REGIME_WINDOW_DAYS)
 from .backtester import (BacktestConfig, BacktestResult, EquityCurve, Market,
                          ablation_config, load_equity, save_equity,
                          ABLATION_VARIANTS)
@@ -70,9 +70,7 @@ SWEEP_TIMEFRAME_GRID = (3600, 14400, 21600, 28800, 43200, 86400)
 SWEEP_HEADERS = {"alpha_lambda": ["alpha", "lambda"], "fee_bps": ["fee_bps"],
                  "timeframe": ["timeframe_s"]}
 
-METRIC_COLUMNS = ["ann_return", "ann_vol", "sharpe", "sortino", "calmar",
-                  "mdd", "win_rate", "avg_trade_pnl", "profit_factor",
-                  "trades_per_month", "turnover"]
+METRIC_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
 class ConfigError(ValueError):

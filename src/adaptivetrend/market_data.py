@@ -469,12 +469,9 @@ def write_columns(path: str, header: Sequence[str],
 
 
 _OHLCV_DTYPE = np.dtype(list(zip(OHLCV_HEADER, ["i8"] + ["f8"] * 5)))
-# Dates are read one character wider than YYYY-MM-DD, so that a longer
-# field shows as one, and symbols as their codes. _CAP_POINTS reads the same
-# rows with each date as its code points.
-_CAP_DTYPE = np.dtype([("date", "U11"), ("symbol", np.intp), ("cap", "f8")])
-_CAP_POINTS = np.dtype([("date", "u4", 11), ("symbol", np.intp),
-                        ("cap", "f8")])
+# Dates and symbols are read as their codes into the distinct texts of their
+# column (_Codes), caps as floats.
+_CAP_DTYPE = np.dtype([("date", np.intp), ("symbol", np.intp), ("cap", "f8")])
 
 
 def _load_rows(path: str, header: Sequence[str], dtype: np.dtype,
@@ -547,53 +544,24 @@ def save_price_series(series: PriceSeries, path: str) -> None:
     write_columns(path, OHLCV_HEADER, series.columns())
 
 
-def _iso_days(points: np.ndarray) -> np.ndarray:
-    """The dates that rows of 11 code points spell as YYYY-MM-DD (the 11th
-    empty), as days since 1970-01-01 (int64). A ValueError if any row is
-    written otherwise or is no date from 0001-01-01 to 9999-12-31, as
-    date.fromisoformat would read it."""
-    if not ((points[:, 4] == ord("-")) & (points[:, 7] == ord("-"))
-            & (points[:, 10] == 0)).all():
-        raise ValueError("not a YYYY-MM-DD date")
-    year, month, day = (np.zeros(len(points), np.int64) for _ in range(3))
-    for number, columns in ((year, range(4)), (month, (5, 6)), (day, (8, 9))):
-        for c in columns:
-            digit = points[:, c] - ord("0")  # below "0" wraps to a large one
-            if (digit > 9).any():
-                raise ValueError("not a YYYY-MM-DD date")
-            number *= 10
-            number += digit
-    if not ((year > 0) & (month > 0) & (month <= 12) & (day > 0)).all():
-        raise ValueError("not a date")
-    first = (year - 1970) * 12 + month - 1  # the month, in datetime64[M]
-    del year, month  # before the month starts' temporaries
-    starts = [m.astype("datetime64[M]").astype("datetime64[D]").astype(
-        np.int64) for m in (first, first + 1)]
-    if not (day <= starts[1] - starts[0]).all():
-        raise ValueError("day out of range for month")
-    day += starts[0] - 1
-    return day
-
-
 def _plain_caps(path: str) -> CapColumns:
     """_cap_columns' columnar path: one np.loadtxt call, which codes each
-    symbol as it is read (the first seen is 0), then checks over whole
-    columns; each date is read from its code points, in place. It takes
-    only a plain file, valid with YYYY-MM-DD dates, no quotes and no NUL,
-    and raises ValueError for anything else, valid or not."""
-    code = _Codes()
+    date and each symbol text as it is read (the first seen is 0), then
+    checks over whole columns. Each distinct date text is read once, by
+    date.fromisoformat as _cap_rows reads it. It takes only a plain file,
+    valid with no quotes and no NUL, and raises ValueError for anything
+    else, valid or not: a NUL fails a date's or a cap's own parse."""
+    dates, names = _Codes(), _Codes()
     rows = _load_rows(path, MARKET_CAP_HEADER, _CAP_DTYPE,
-                      {1: code.__getitem__})
-    with open(path, "rb") as fh:  # NumPy's text fields drop a trailing NUL
-        nul = any(b"\0" in chunk
-                  for chunk in iter(partial(fh.read, 1 << 16), b""))
+                      {0: dates.__getitem__, 1: names.__getitem__})
     caps = rows["cap"].copy()
-    if not (((caps > 0) & (caps < INF)).all() and not nul
-            and not any('"' in name for name in code)):
+    if not (((caps > 0) & (caps < INF)).all()
+            and not any('"' in name or "\0" in name for name in names)):
         raise ValueError("not a plain market-cap file")
-    days = _iso_days(rows.view(_CAP_POINTS)["date"])
-    symbols = CodedSymbols(list(code), rows["symbol"].copy())
-    return days.astype("datetime64[D]"), symbols, caps
+    days = np.array([date.fromisoformat(text) for text in dates],
+                    "datetime64[D]")
+    symbols = CodedSymbols(list(names), rows["symbol"].copy())
+    return days[rows["date"]], symbols, caps
 
 
 def _cap_rows(path: str) -> CapColumns:
@@ -620,8 +588,9 @@ def _cap_rows(path: str) -> CapColumns:
 def _cap_columns(path: str) -> CapColumns:
     """The rows of a market-cap file as columns, in file order.
 
-    A plain file is parsed in columns, its repeats left to CapIndex.
-    Anything else, bad rows included, is read again row by row (_cap_rows):
+    A plain file is parsed in columns, each date by the rule _cap_rows
+    applies (date.fromisoformat), its repeats left to CapIndex. Anything
+    else, bad rows included, is read again row by row (_cap_rows):
     that names the line of a bad row, and loads what only the CSV reader
     takes, such as quoted symbols.
     """

@@ -153,6 +153,16 @@ def caps_for(symbols: Sequence[str], snap_date: date = date(2022, 1, 31),
             for j, s in enumerate(symbols)]
 
 
+def reads_date(text: str) -> bool:
+    """Whether this Python's date.fromisoformat reads ``text`` (the ISO
+    forms it takes grew in Python 3.11)."""
+    try:
+        date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
 def day_start(day: date) -> int:
     """00:00 UTC of ``day`` in epoch seconds."""
     return (day - date(1970, 1, 1)).days * 86_400

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adaptivetrend
-from adaptivetrend import __version__
+from adaptivetrend import __version__, market_data
 from adaptivetrend.analytics import REGIME_WINDOW_DAYS
 from adaptivetrend.backtester import (ABLATION_VARIANTS, BacktestConfig,
                                       ablation_config)
@@ -30,7 +30,7 @@ from adaptivetrend.cli import (CONFIG_SCHEMA, DATA_DIR_ENV, METRIC_COLUMNS,
                                write_json)
 from adaptivetrend.market_data import (DataError, PriceSeries,
                                        resample_series, save_price_series)
-from conftest import FEB1, T0
+from conftest import FEB1, T0, reads_date
 
 RUN_END = 1_646_611_200  # 2022-03-07 00:00 UTC
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -505,6 +505,33 @@ class TestBacktest:
         for name in same:
             assert (ws.run / name).read_bytes() == \
                 (rerun / name).read_bytes(), name
+
+    @pytest.mark.skipif(not reads_date("20220101"),
+                        reason="date.fromisoformat rejects 20220101 here")
+    def test_basic_format_cap_dates_give_the_same_artifacts(self, ws,
+                                                            tmp_path):
+        # market_caps.csv with its dates written YYYYMMDD, which this Python
+        # reads and the columnar cap parse takes, not the row parser.
+        data = tmp_path / "data"
+        shutil.copytree(ws.data, data)
+        caps = data / "market_caps.csv"
+        header, *rows = caps.read_text().splitlines(keepends=True)
+        caps.write_text(header + "".join(
+            row.replace("-", "", 2) for row in rows))
+        assert "2022-" not in caps.read_text()
+        market_data._plain_caps(str(caps))
+        cfg = write_config(tmp_path / "run.cfg", data,
+                           extra="benchmarks.kinds = tsmom_1m,btc_bh,ew_bh\n")
+        out = tmp_path / "run"
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                         if p.is_file())
+        assert written == sorted(str(p.relative_to(ws.run))
+                                 for p in ws.run.rglob("*") if p.is_file())
+        for name in written:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == \
+                    (ws.run / name).read_bytes(), name
 
     def test_benchmark_metrics_json_shape(self, ws):
         payload = json.loads(

@@ -36,7 +36,7 @@ from scalar_reference import (Bar, MarketCapRecord, TradeRecord, as_ledger,
                               cap_columns, cap_records, funding_records,
                               read_ledger, series_bar)
 from conftest import (INTERVAL, T0, bars_of, day_start, make_bars,
-                      make_series, series_from_bars)
+                      make_series, reads_date, series_from_bars)
 
 
 def test_bars_per_year():
@@ -941,18 +941,23 @@ class TestColumnarCapsLoaderMatchesRowParser:
 
 # Rows the columnar cap parse must read as the row parser does, and whether
 # it reads them itself (a plain file) or leaves them to the row parser.
+# Both read a date by date.fromisoformat, so a date form that only some
+# Python versions take is plain exactly where it is read.
 PLAIN_CAP_RULES = {
     "one-digit-month": (["2022-1-01,BTC,9e11"], False),
     "one-digit-day": (["2022-01-1,BTC,9e11"], False),
-    "basic-format": (["20220101,BTC,9e11"], False),
+    "basic-format": (["20220101,BTC,9e11"], reads_date("20220101")),
+    "week-date": (["2022-W01-1,BTC,9e11"], reads_date("2022-W01-1")),
     "no-such-day": (["2022-02-30,BTC,9e11"], False),
     "leap-day": (["2024-02-29,BTC,9e11", "2023-02-28,BTC,8e11"], True),
     "year-0": (["0000-01-01,BTC,9e11"], False),
     "last-day": (["9999-12-31,BTC,9e11", "0001-01-01,ETH,1e9"], True),
     "date-with-a-trailing-space": (["2022-01-01 ,BTC,9e11"], False),
-    # NumPy's text fields drop a trailing NUL: any NUL goes to the row parser
+    # A NUL fails a date's or a cap's own parse, and a symbol holding one is
+    # not plain, so any NUL goes to the row parser
     "date-with-a-trailing-nul": (["2022-01-01\0,BTC,9e11"], False),
     "symbol-with-a-nul": (["2022-01-01,B\0TC,9e11"], False),
+    "cap-with-a-trailing-nul": (["2022-01-01,BTC,9e11\0"], False),
     "symbol-with-a-trailing-space": (["2022-01-01,BTC ,9e11"], True),
     "full-width-date": (["\uff12\uff10\uff12\uff12-01-01,BTC,9e11"], False),
     "full-width-cap": (["2022-01-01,BTC,\uff19e11"], False),
@@ -1013,6 +1018,27 @@ class TestPlainCapRules:
             tracemalloc.stop()
         assert len(index.dates) == 1000
         assert peak < 160 * 20_000, peak / 20_000
+
+    def test_a_20000_row_columnar_parse_traces_under_80_bytes_a_row(
+            self, tmp_path):
+        # The same file as above. The rows are read as 24-byte records
+        # (date code, symbol code, cap), and the days, caps and codes copied
+        # out of them take 24 more: about 54 in all. Dates read as
+        # 11-character strings took about 120.
+        spec = SyntheticSpec(seed=1, n_symbols=20, regimes=((1000, 0.1, 0.5),),
+                             interval=86_400)
+        path = str(tmp_path / "market_caps.csv")
+        save_market_caps(generate_synthetic_universe(spec)[1], path)
+        market_data._plain_caps(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            days, symbols, caps = market_data._plain_caps(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(days) == len(symbols) == len(caps) == 20_000
+        assert peak < 80 * 20_000, peak / 20_000
 
 
 # ---------------------------------------------------------------------------
